@@ -4,7 +4,7 @@ Counting temporal logic layers plain LTL tasks (the inner logic, one robot
 at a time) under temporal counting propositions ``[phi, m]`` that require
 at least m robots to satisfy the task.  This package parses such formulas,
 compiles them together with robot transition systems into integer linear
-feasibility programs, solves them with a bundled branch-and-bound or any
+feasibility programs, solves them with HiGHS in process or with any
 external LP-file solver, extracts prefix-suffix trajectories, and verifies
 the result against an independent semantics oracle, including robustness
 to bounded asynchrony between robots.

@@ -4,9 +4,10 @@
 ``cltlsynth simulate``  replay a trajectory bundle against a formula under
                         bounded asynchrony and report a verdict
 
-Exit codes for synth: 0 feasible and oracle-verified, 1 infeasible within
-the horizon sweep, 2 feasible but rejected by the oracle (encoder bug
-sentinel), 3 usage errors, 4 I/O or budget problems.
+Exit codes for synth: 0 feasible and oracle-verified, 1 every horizon of
+the sweep proven infeasible, 2 feasible but rejected by the oracle (encoder
+bug sentinel), 3 usage errors, 4 I/O or budget problems (a sweep with no
+feasible horizon and at least one unknown one).
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from .lp_format import export_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
                      eval_outer)
 from .solver import SolveConfig, SolverError, solve_bnb, solve_external
-from .system import ContinuousSystem, MultiRobotInstance, aggregate_view, load_model
+from .system import (ContinuousSystem, ModelError, MultiRobotInstance,
+                     aggregate_view, load_model)
 from .encoder_cltl import build_cltl_problem, decompose_flows
 from .encoder_continuous import (build_cont_problem, extract_continuous,
                                  membership_trace)
 from .encoder_robust import build_robust_problem
-from .encoder_sync import build_sync_problem, extract_trajectories
+from .encoder_sync import EncodingError, build_sync_problem, extract_trajectories
 from .trajectory import ContinuousTrajectory, LassoTrajectory
 
 COLLISION_ALIASES = {"off": "off", "excl": "mutual_exclusion",
@@ -60,7 +62,8 @@ def _build_parser() -> _Parser:
                        help="asynchrony bound (0 = synchronous)")
     synth.add_argument("--engine", choices=("auto", "cltlplus", "cltl", "continuous"),
                        default="auto")
-    synth.add_argument("--solver", choices=("bundled", "external"), default="bundled")
+    synth.add_argument("--solver", choices=("bundled", "external"), default="bundled",
+                       help="bundled: HiGHS in process; external: --solver-cmd")
     synth.add_argument("--solver-cmd", default=None,
                        help="external solver template with {lp} and {sol}; "
                             "falls back to the CTL_SOLVER_CMD environment variable")
@@ -173,7 +176,22 @@ def _trajectory_payload(problem, trajs) -> dict:
             "h": problem.h, "tau": problem.tau, "robots": robots}
 
 
+def _bad_synth_args(args) -> str:
+    """Why the synth arguments cannot describe a sweep; empty if they can."""
+    if args.horizon < 1:
+        return "--horizon must be at least 1"
+    if args.horizon_max is not None and args.horizon_max < args.horizon:
+        return "--horizon-max must not be below --horizon"
+    if args.tau < 0:
+        return "--tau must not be negative"
+    return ""
+
+
 def run_synth(args) -> int:
+    bad = _bad_synth_args(args)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 3
     try:
         model_obj = load_model(args.model)
     except Exception as exc:
@@ -212,8 +230,7 @@ def run_synth(args) -> int:
         return solve_bnb(model, SolveConfig(seed=args.seed, threads=args.threads))
 
     h_max = args.horizon_max if args.horizon_max is not None else args.horizon
-    problem = None
-    sol = None
+    unknown = []  # horizons whose solve exhausted a budget
     try:
         for h in range(args.horizon, h_max + 1):
             problem = build(h)
@@ -222,6 +239,11 @@ def run_synth(args) -> int:
             sol = solve(problem.model)
             if sol.feasible:
                 break
+            if sol.status == "unknown":
+                unknown.append(h)
+    except (EncodingError, ModelError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -232,8 +254,8 @@ def run_synth(args) -> int:
                      "status": sol.status})
         _write_json(args.stats, meta)
 
-    if sol.status == "unknown":
-        print(f"unknown: solver budget exhausted at h={problem.h}")
+    if unknown and not sol.feasible:
+        print(f"unknown: solver budget exhausted at h={', '.join(map(str, unknown))}")
         return 4
     if not sol.feasible:
         print(f"infeasible for h in [{args.horizon}, {h_max}]")

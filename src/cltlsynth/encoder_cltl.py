@@ -36,12 +36,12 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
     edges = sorted(ts.transitions)
     for t in range(h + 1):
         layout.agg_state[t] = [
-            model.add_integer(f"wagg_{i}_t{t}", 0, n, tag="aggregate", decision=True)
+            model.add_integer(f"wagg_{i}_t{t}", 0, n, tag="aggregate")
             for i in range(ts.n_states)]
     for t in range(h):
         for (i, j) in edges:
             layout.agg_flow[(i, j, t)] = model.add_integer(
-                f"u_{i}_{j}_t{t}", 0, n, tag="aggregate", decision=True)
+                f"u_{i}_{j}_t{t}", 0, n, tag="aggregate")
     for i, count in enumerate(agg.w0):
         model.add_constraint(LinExpr({layout.agg_state[0][i]: 1}), "=", count,
                              tag="aggregate")
@@ -56,7 +56,7 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
             for i in ts.predecessors(j):
                 expr.add_term(layout.agg_flow[(i, j, t)], 1)
             model.add_constraint(expr, "=", 0, tag="aggregate")
-    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop", decision=True)
+    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
                         for t in range(h)]
     model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
     for t in range(h):

@@ -45,8 +45,7 @@ def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
         layout.state_exprs[(n, 0)] = state
         for t in range(h):
             u_row = [model.add_continuous(f"u_{n}_{t}_{k}", float(lo_u[k]),
-                                          float(hi_u[k]), tag="continuous",
-                                          decision=True)
+                                          float(hi_u[k]), tag="continuous")
                      for k in range(d_u)]
             layout.input_vars[(n, t)] = u_row
             nxt = []
@@ -71,7 +70,7 @@ def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
                 model.add_constraint(nxt[i], "<=", float(hi_w[i]), tag="continuous")
                 model.add_constraint(nxt[i], ">=", float(lo_w[i]), tag="continuous")
 
-    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop", decision=True)
+    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
                         for t in range(h)]
     model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
     for n in range(sys.n_robots):
@@ -131,8 +130,7 @@ def polytope_atom_backend(layout: Layout, sys: ContinuousSystem,
         rows = hmat.shape[0]
         faces = []
         for i in range(rows):
-            e = model.add_binary(f"e_{name}_{n}_{t}_{i}", tag="polytope",
-                                 decision=True)
+            e = model.add_binary(f"e_{name}_{n}_{t}_{i}", tag="polytope")
             faces.append(e)
             expr = LinExpr()
             for j, coef in enumerate(hmat[i]):

@@ -35,7 +35,7 @@ def extend_states(model: IlpModel, layout: Layout, h: int, tau: int) -> None:
     for n in range(layout.n_robots):
         n_states = len(layout.state_vars[(n, 0)])
         for k in range(1, tau + 1):
-            row = [model.add_binary(f"w_{n}_{h + k}_{i}", tag="robust", decision=True)
+            row = [model.add_binary(f"w_{n}_{h + k}_{i}", tag="robust")
                    for i in range(n_states)]
             layout.state_vars[(n, h + k)] = row
             model.add_constraint(LinExpr.sum_of(row), "=", 1, tag="robust")
@@ -201,13 +201,13 @@ def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     """Feasibility program whose solutions tolerate any counter drift up to
     ``tau``.  ``tau = 0`` delegates to the synchronous builder and yields the
     identical constraint set."""
+    if tau == 0:
+        return build_sync_problem(inst, mu, h, collision=collision)
     for tcp in iter_tcps(mu):
         if any(isinstance(node, INext) for node in iter_inner(tcp.inner)):
             raise EncodingError(
                 "inner next is not robust to asynchrony: a single delayed "
                 "robot can violate it")
-    if tau == 0:
-        return build_sync_problem(inst, mu, h, collision=collision)
     if any(isinstance(node, ONot) for node in iter_outer(mu)):
         warnings.warn("formula normalized to positive normal form for the "
                       "robust encoding")

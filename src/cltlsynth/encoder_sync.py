@@ -121,7 +121,7 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
     layout.instance = inst
     for n, ts in enumerate(inst.systems):
         for t in range(h + 1):
-            row = [model.add_binary(f"w_{n}_{t}_{i}", tag="dynamics", decision=True)
+            row = [model.add_binary(f"w_{n}_{t}_{i}", tag="dynamics")
                    for i in range(ts.n_states)]
             layout.state_vars[(n, t)] = row
             model.add_constraint(LinExpr.sum_of(row), "=", 1, tag="dynamics")
@@ -142,7 +142,7 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
 
 def encode_loop(model: IlpModel, layout: Layout, h: int) -> list[VarId]:
     """Select a unique loop start l with w[n][h] = w[n][l] for every robot."""
-    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop", decision=True)
+    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
                         for t in range(h)]
     model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
     for (n, t), row in list(layout.state_vars.items()):

@@ -9,7 +9,10 @@ a finished model is read-only and can be exported or solved concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
+from scipy import sparse
 
 VarId = int
 
@@ -143,6 +146,19 @@ class Solution:
         return self.values.get(v, 0)
 
 
+class ModelArrays(NamedTuple):
+    """Matrix form of a model: ``row_lo <= matrix @ x <= row_hi`` and
+    ``lb <= x <= ub``, with ``integrality[v] = 1`` for binary and integer
+    variables."""
+
+    matrix: sparse.csr_matrix
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integrality: np.ndarray
+
+
 SENSES = ("<=", "=", ">=")
 
 
@@ -156,15 +172,12 @@ class IlpModel:
         self.objective: Optional[LinExpr] = None  # None = pure feasibility
         self.var_tag_counts: dict[str, int] = {}
         self.con_tag_counts: dict[str, int] = {}
-        # Variables whose values determine every other variable through
-        # propagation; solvers may restrict branching to them.
-        self.decision_vars: set[VarId] = set()
         self._const_cache: dict[int, VarId] = {}
 
     # -- variables ----------------------------------------------------------
 
     def add_var(self, kind: str, name: str, lo: Number = 0, hi: Number = 1,
-                tag: str = "untagged", decision: bool = False) -> VarId:
+                tag: str = "untagged") -> VarId:
         if kind == BINARY:
             lo, hi = 0, 1
         elif kind in (INTEGER, CONTINUOUS):
@@ -177,21 +190,17 @@ class IlpModel:
         vid = len(self.vars)
         self.vars.append(Var(name, kind, lo, hi))
         self.var_tag_counts[tag] = self.var_tag_counts.get(tag, 0) + 1
-        if decision:
-            self.decision_vars.add(vid)
         return vid
 
-    def add_binary(self, name: str, tag: str = "untagged",
-                   decision: bool = False) -> VarId:
-        return self.add_var(BINARY, name, tag=tag, decision=decision)
+    def add_binary(self, name: str, tag: str = "untagged") -> VarId:
+        return self.add_var(BINARY, name, tag=tag)
 
-    def add_integer(self, name: str, lo: int, hi: int, tag: str = "untagged",
-                    decision: bool = False) -> VarId:
-        return self.add_var(INTEGER, name, lo, hi, tag=tag, decision=decision)
+    def add_integer(self, name: str, lo: int, hi: int, tag: str = "untagged") -> VarId:
+        return self.add_var(INTEGER, name, lo, hi, tag=tag)
 
-    def add_continuous(self, name: str, lo: float, hi: float, tag: str = "untagged",
-                       decision: bool = False) -> VarId:
-        return self.add_var(CONTINUOUS, name, lo, hi, tag=tag, decision=decision)
+    def add_continuous(self, name: str, lo: float, hi: float,
+                       tag: str = "untagged") -> VarId:
+        return self.add_var(CONTINUOUS, name, lo, hi, tag=tag)
 
     def constant(self, value: int, tag: str = "const") -> VarId:
         """A binary variable pinned to 0 or 1, shared across callers."""
@@ -331,23 +340,51 @@ class IlpModel:
             "total_constraints": self.n_constraints,
         }
 
+    def to_arrays(self) -> ModelArrays:
+        """The constraint matrix (CSR, one row per constraint in order) with
+        row bounds, variable bounds and integrality, as HiGHS takes them."""
+        indptr, indices, data = [0], [], []
+        row_lo = np.full(self.n_constraints, -np.inf)
+        row_hi = np.full(self.n_constraints, np.inf)
+        for r, con in enumerate(self.constraints):
+            indices.extend(con.expr.coeffs)
+            data.extend(con.expr.coeffs.values())
+            indptr.append(len(indices))
+            if con.sense != "<=":
+                row_lo[r] = con.rhs
+            if con.sense != ">=":
+                row_hi[r] = con.rhs
+        matrix = sparse.csr_matrix(
+            (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
+             np.array(indptr, dtype=np.int64)),
+            shape=(self.n_constraints, self.n_vars))
+        return ModelArrays(
+            matrix, row_lo, row_hi,
+            np.array([float(var.lo) for var in self.vars]),
+            np.array([float(var.hi) for var in self.vars]),
+            np.array([int(var.is_integral) for var in self.vars]))
+
     def check_point(self, values: Mapping[VarId, Number], tol: float = 1e-6) -> list[str]:
         """Constraint violations at a point; empty list means it satisfies all."""
+        arrays = self.to_arrays()
+        x = np.array([values.get(v, 0) for v in range(self.n_vars)], dtype=float)
+        # Negated comparisons, so a NaN anywhere counts as a violation.
+        bad_int = (arrays.integrality == 1) & ~(np.abs(x - np.round(x)) <= tol)
+        bad_bound = ~((x >= arrays.lb - tol) & (x <= arrays.ub + tol))
+        lhs = arrays.matrix @ x
+        bad_row = ~((lhs >= arrays.row_lo - tol) & (lhs <= arrays.row_hi + tol))
         problems = []
-        for v, var in enumerate(self.vars):
-            x = values.get(v, 0)
-            if var.is_integral and abs(x - round(x)) > tol:
-                problems.append(f"variable {var.name} = {x} is not integral")
-            if x < var.lo - tol or x > var.hi + tol:
-                problems.append(f"variable {var.name} = {x} outside [{var.lo}, {var.hi}]")
-        for idx, con in enumerate(self.constraints):
-            lhs = con.expr.const + sum(c * values.get(v, 0) for v, c in con.expr.coeffs.items())
-            ok = (lhs <= con.rhs + tol if con.sense == "<=" else
-                  lhs >= con.rhs - tol if con.sense == ">=" else
-                  abs(lhs - con.rhs) <= tol)
-            if not ok:
-                problems.append(
-                    f"constraint {idx} [{con.tag}] violated: {lhs} {con.sense} {con.rhs}")
+        for v in np.flatnonzero(bad_int | bad_bound).tolist():
+            var, value = self.vars[v], values.get(v, 0)
+            if bad_int[v]:
+                problems.append(f"variable {var.name} = {value} is not integral")
+            if bad_bound[v]:
+                problems.append(f"variable {var.name} = {value} outside [{var.lo}, {var.hi}]")
+        for idx in np.flatnonzero(bad_row).tolist():
+            con = self.constraints[idx]
+            value = sum(c * values.get(v, 0) for v, c in con.expr.coeffs.items())
+            problems.append(
+                f"constraint {idx} [{con.tag}] violated: {value} {con.sense} {con.rhs}")
         return problems
 
 

@@ -15,10 +15,8 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .ilp import BINARY, INTEGER
 from .lp_format import parse_lp, sanitize_names, write_solution_file
 
 
@@ -26,39 +24,15 @@ def solve_lp_file(lp_path: str, sol_path: str) -> str:
     model = parse_lp(lp_path)
     n = model.n_vars
     names = sanitize_names(model)
-    integrality = np.array(
-        [1 if model.vars[v].kind in (BINARY, INTEGER) else 0 for v in range(n)])
-    lb = np.array([float(model.vars[v].lo) for v in range(n)])
-    ub = np.array([float(model.vars[v].hi) for v in range(n)])
-
-    rows, lo_b, hi_b = [], [], []
-    for con in model.constraints:
-        rows.append(con.expr.coeffs)
-        if con.sense == "<=":
-            lo_b.append(-np.inf)
-            hi_b.append(con.rhs)
-        elif con.sense == ">=":
-            lo_b.append(con.rhs)
-            hi_b.append(np.inf)
-        else:
-            lo_b.append(con.rhs)
-            hi_b.append(con.rhs)
-    data, ri, ci = [], [], []
-    for r, coeff in enumerate(rows):
-        for v, c in coeff.items():
-            data.append(c)
-            ri.append(r)
-            ci.append(v)
-    a = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+    arrays = model.to_arrays()
 
     c = np.zeros(n)
     if model.objective is not None:
         for v, coef in model.objective.coeffs.items():
             c[v] = coef
 
-    constraints = LinearConstraint(a, np.array(lo_b), np.array(hi_b)) if rows else ()
-    res = milp(c=c, constraints=constraints, integrality=integrality,
-               bounds=Bounds(lb, ub))
+    res = milp(c=c, integrality=arrays.integrality, bounds=Bounds(arrays.lb, arrays.ub),
+               constraints=LinearConstraint(arrays.matrix, arrays.row_lo, arrays.row_hi))
     if res.status == 2:
         write_solution_file(sol_path, "infeasible")
         return "infeasible"
@@ -68,7 +42,7 @@ def solve_lp_file(lp_path: str, sol_path: str) -> str:
     values = {}
     for v in range(n):
         x = res.x[v]
-        values[names[v]] = int(round(x)) if integrality[v] else float(x)
+        values[names[v]] = int(round(x)) if arrays.integrality[v] else float(x)
     write_solution_file(sol_path, "feasible", values)
     return "feasible"
 

@@ -1,37 +1,36 @@
 """Feasibility solving.
 
-``solve_bnb`` is a bundled branch-and-bound over the LP relaxation:
-bound propagation at every node, depth-first diving on the most
-fractional variable (ties by lowest variable id, nearer bound first),
-periodic rotation to the shallowest open node, and immediate acceptance
-of integral relaxation points.  Single-threaded runs are reproducible.
+``solve_bnb`` hands the whole program to HiGHS (Huangfu & Hall,
+"Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018)
+in one in-process ``scipy.optimize.milp`` call.  Node and time budgets
+become HiGHS limits, and single-threaded runs are reproducible.
 
 ``solve_external`` shells out to any solver that accepts an LP file and
-writes ``name value`` solution lines; the returned point is revalidated
-against every constraint before it is accepted.
+writes ``name value`` solution lines.  Both paths round the returned point
+and revalidate it against every constraint before it is accepted.
 """
 
 from __future__ import annotations
 
-import math
 import shlex
 import subprocess
 import tempfile
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .ilp import BINARY, CONTINUOUS, INTEGER, IlpModel, Solution
+from .ilp import IlpModel, Solution
 from .lp_format import read_solution_file, write_lp
 
-INT_TOL = 1e-6
 FEAS_TOL = 1e-6
+
+# How HiGHS words a reached limit in the result message; scipy passes a
+# reached node limit on only as HiGHS model status 16, "Solution limit".
+_LIMIT_REASONS = (("Time limit", "time budget"), ("Solution limit", "node budget"))
 
 
 class SolverError(RuntimeError):
@@ -39,7 +38,8 @@ class SolverError(RuntimeError):
 
 
 class NumericalError(SolverError):
-    """LP relaxation failed numerically; never silently ignored."""
+    """The MILP solver failed, or returned a point that violates the model;
+    never silently ignored."""
 
 
 @dataclass
@@ -47,329 +47,48 @@ class SolveConfig:
     time_budget: Optional[float] = None   # seconds
     node_budget: Optional[int] = None
     seed: int = 0
-    threads: int = 1  # kept for interface parity; exploration is sequential
-    rotate_every: int = 64
-    dive_depth: int = 12  # chained fixings per LP relaxation solve
-
-
-@dataclass
-class _Rows:
-    """Constraints flattened to <= / = rows for propagation and LP assembly."""
-
-    coeffs: list[dict[int, float]]
-    senses: list[str]
-    rhs: list[float]
-    by_var: dict[int, list[int]]
-
-
-def _flatten(model: IlpModel) -> _Rows:
-    coeffs, senses, rhs = [], [], []
-    by_var: dict[int, list[int]] = {}
-    for con in model.constraints:
-        idx = len(coeffs)
-        coeffs.append(dict(con.expr.coeffs))
-        senses.append(con.sense)
-        rhs.append(float(con.rhs))
-        for v in con.expr.coeffs:
-            by_var.setdefault(v, []).append(idx)
-    return _Rows(coeffs, senses, rhs, by_var)
-
-
-def _propagate(model: IlpModel, rows: _Rows, lo: np.ndarray, hi: np.ndarray,
-               queue: Optional[Sequence[int]] = None, max_updates: int = 200000) -> bool:
-    """Tighten variable bounds until fixpoint; False if infeasibility is proven.
-
-    Continuous tightenings per variable are capped so the loop terminates.
-    """
-    pending = deque(range(len(rows.coeffs)) if queue is None else queue)
-    in_queue = [False] * len(rows.coeffs)
-    for i in pending:
-        in_queue[i] = True
-    updates = 0
-    cont_tightened = {}
-
-    def tighten(v: int, new_lo: Optional[float], new_hi: Optional[float]) -> bool:
-        nonlocal updates
-        changed = False
-        integral = model.vars[v].is_integral
-        if new_lo is not None:
-            bound = math.ceil(new_lo - INT_TOL) if integral else new_lo
-            if bound > lo[v] + (0 if integral else 1e-9):
-                if not integral:
-                    count = cont_tightened.get(v, 0)
-                    if count >= 30:
-                        return False
-                    cont_tightened[v] = count + 1
-                lo[v] = bound
-                changed = True
-        if new_hi is not None:
-            bound = math.floor(new_hi + INT_TOL) if integral else new_hi
-            if bound < hi[v] - (0 if integral else 1e-9):
-                if not integral:
-                    count = cont_tightened.get(v, 0)
-                    if count >= 30:
-                        return False
-                    cont_tightened[v] = count + 1
-                hi[v] = bound
-                changed = True
-        if changed:
-            updates += 1
-            for r in rows.by_var.get(v, ()):
-                if not in_queue[r]:
-                    in_queue[r] = True
-                    pending.append(r)
-        return changed
-
-    while pending and updates < max_updates:
-        r = pending.popleft()
-        in_queue[r] = False
-        coeff = rows.coeffs[r]
-        sense = rows.senses[r]
-        # Activity bounds of the row under current variable bounds.
-        min_act = 0.0
-        max_act = 0.0
-        for v, c in coeff.items():
-            if c >= 0:
-                min_act += c * lo[v]
-                max_act += c * hi[v]
-            else:
-                min_act += c * hi[v]
-                max_act += c * lo[v]
-        b = rows.rhs[r]
-        if sense in ("<=", "=") and min_act > b + FEAS_TOL:
-            return False
-        if sense in (">=", "=") and max_act < b - FEAS_TOL:
-            return False
-        for v, c in coeff.items():
-            # v_lo / v_hi are the values of v at which c*v attains the
-            # row's minimum / maximum activity.
-            v_lo = lo[v] if c >= 0 else hi[v]
-            v_hi = hi[v] if c >= 0 else lo[v]
-            rest_min = min_act - c * v_lo
-            rest_max = max_act - c * v_hi
-            if sense in ("<=", "="):
-                # c*x <= b - rest_min
-                slack = b - rest_min
-                if c > 0:
-                    tighten(v, None, slack / c)
-                elif c < 0:
-                    tighten(v, slack / c, None)
-            if sense in (">=", "="):
-                slack = b - rest_max
-                if c > 0:
-                    tighten(v, slack / c, None)
-                elif c < 0:
-                    tighten(v, None, slack / c)
-            if lo[v] > hi[v] + FEAS_TOL:
-                return False
-    return True
-
-
-def _lp_relaxation(model: IlpModel, rows: _Rows, lo: np.ndarray, hi: np.ndarray):
-    """Solve the LP relaxation; returns a point or None if infeasible."""
-    n = model.n_vars
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for coeff, sense, b in zip(rows.coeffs, rows.senses, rows.rhs):
-        if sense == "<=":
-            ub_rows.append(coeff)
-            ub_rhs.append(b)
-        elif sense == ">=":
-            ub_rows.append({v: -c for v, c in coeff.items()})
-            ub_rhs.append(-b)
-        else:
-            eq_rows.append(coeff)
-            eq_rhs.append(b)
-
-    def to_matrix(row_dicts):
-        data, ri, ci = [], [], []
-        for r, coeff in enumerate(row_dicts):
-            for v, c in coeff.items():
-                data.append(c)
-                ri.append(r)
-                ci.append(v)
-        return sparse.csr_matrix((data, (ri, ci)), shape=(len(row_dicts), n))
-
-    res = linprog(
-        c=np.zeros(n),
-        A_ub=to_matrix(ub_rows) if ub_rows else None,
-        b_ub=np.array(ub_rhs) if ub_rhs else None,
-        A_eq=to_matrix(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_rhs) if eq_rhs else None,
-        bounds=np.column_stack([lo, hi]),
-        method="highs",
-    )
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise NumericalError(f"LP relaxation failed: {res.message}")
-    return res.x
-
-
-def _verify_integral(model: IlpModel, x: np.ndarray) -> Optional[dict[int, float]]:
-    """Round to integers and revalidate every constraint independently."""
-    values: dict[int, float] = {}
-    for v, var in enumerate(model.vars):
-        if var.is_integral:
-            r = round(x[v])
-            if abs(x[v] - r) > 1e-4:
-                return None
-            values[v] = int(r)
-        else:
-            values[v] = float(x[v])
-    if model.check_point(values, tol=FEAS_TOL):
-        return None
-    return values
-
-
-def _try_rounded(model: IlpModel, x: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> Optional[dict[int, float]]:
-    """Round the relaxation point to the nearest integers inside the node
-    bounds and accept it if it satisfies every constraint."""
-    values: dict[int, float] = {}
-    for v, var in enumerate(model.vars):
-        if var.is_integral:
-            values[v] = int(min(max(round(x[v]), lo[v]), hi[v]))
-        else:
-            values[v] = float(x[v])
-    if model.check_point(values, tol=FEAS_TOL):
-        return None
-    return values
+    threads: int = 1  # kept for interface parity; not passed to HiGHS
 
 
 def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution:
-    """Bundled feasibility search; proves infeasibility by exhausting the tree.
+    """Decide feasibility with HiGHS branch-and-cut; the objective is ignored.
 
-    Each LP relaxation yields a dive plan: the fractional variables in
-    most-fractional order (ties by lowest id).  The search fixes them one
-    level at a time, nearest bound first, re-solving the relaxation only
-    when the plan is exhausted; siblings re-solve from scratch.  Rounded
-    relaxation points are tried at every solve.
+    ``node_budget`` and ``time_budget`` become HiGHS's ``node_limit`` and
+    ``time_limit``.  A limit reached before HiGHS finds a point or proves
+    infeasibility gives ``unknown`` with ``stats["reason"]`` naming the
+    budget.  A returned point has its integer variables rounded and must
+    pass ``check_point`` at ``FEAS_TOL``; otherwise ``NumericalError`` is
+    raised.  ``stats["nodes"]`` is HiGHS's node count.
     """
     config = config or SolveConfig()
     start = time.monotonic()
-    for var in model.vars:
-        if not (math.isfinite(var.lo) and math.isfinite(var.hi)):
-            raise SolverError(f"variable {var.name} is unbounded")
-    n = model.n_vars
-    if n == 0:
-        for con in model.constraints:
-            ok = (0 <= con.rhs + FEAS_TOL if con.sense == "<=" else
-                  0 >= con.rhs - FEAS_TOL if con.sense == ">=" else
-                  abs(con.rhs) <= FEAS_TOL)
-            if not ok:
-                return Solution("infeasible", stats={"nodes": 0})
-        return Solution("feasible", {}, stats={"nodes": 0})
-
-    rows = _flatten(model)
-    int_vars = [v for v, var in enumerate(model.vars) if var.is_integral]
-    # Branch only on declared decision variables when the model marks them:
-    # every other integer is pinned by propagation once those are fixed.
-    if model.decision_vars:
-        candidates = [v for v in int_vars if v in model.decision_vars]
-    else:
-        candidates = int_vars
-
-    root_lo = np.array([float(v.lo) for v in model.vars])
-    root_hi = np.array([float(v.hi) for v in model.vars])
-
-    # Node: bound vectors (copy-on-branch), constraint queue to re-propagate
-    # (rows touching the branched variable), depth, and the remaining dive
-    # plan [(var, first_value), ...] from the most recent relaxation.
-    stack: deque = deque()
-    stack.append((root_lo, root_hi, None, 0, None))
-    nodes = 0
-    lp_calls = 0
-    rotate = max(1, config.rotate_every)
-
-    while stack:
-        if config.node_budget is not None and nodes >= config.node_budget:
-            return Solution("unknown", stats={"nodes": nodes, "reason": "node budget"})
-        if config.time_budget is not None and time.monotonic() - start > config.time_budget:
-            return Solution("unknown", stats={"nodes": nodes, "reason": "time budget"})
-        # Depth-first diving, with a periodic jump to the shallowest open
-        # node so one bad subtree cannot starve the search.
-        if nodes and nodes % rotate == 0 and len(stack) > 1:
-            lo, hi, queue, depth, plan = stack.popleft()
-        else:
-            lo, hi, queue, depth, plan = stack.pop()
-        nodes += 1
-
-        if not _propagate(model, rows, lo, hi, queue):
-            continue
-
-        # Continue the dive from the last relaxation without re-solving:
-        # pin the variable to its rounded value first; the complementary
-        # ranges re-enter the queue with a fresh relaxation.
-        dived = False
-        while plan:
-            v, first = plan[0]
-            plan = plan[1:]
-            if hi[v] - lo[v] < 0.5 or not (lo[v] - 0.5 < first < hi[v] + 0.5):
-                continue  # already decided by propagation
-            touched = rows.by_var.get(v, [])
-            if first > lo[v]:
-                below_lo, below_hi = lo.copy(), hi.copy()
-                below_hi[v] = first - 1
-                stack.append((below_lo, below_hi, touched, depth + 1, None))
-            if first < hi[v]:
-                above_lo, above_hi = lo.copy(), hi.copy()
-                above_lo[v] = first + 1
-                stack.append((above_lo, above_hi, touched, depth + 1, None))
-            near_lo, near_hi = lo.copy(), hi.copy()
-            near_lo[v] = near_hi[v] = first
-            stack.append((near_lo, near_hi, touched, depth + 1, plan))
-            dived = True
-            break
-        if dived:
-            continue
-
-        x = _lp_relaxation(model, rows, lo, hi)
-        lp_calls += 1
-        if x is None:
-            continue
-
-        rounded = _try_rounded(model, x, lo, hi)
-        if rounded is not None:
-            return Solution("feasible", rounded,
-                            stats={"nodes": nodes, "lp_calls": lp_calls,
-                                   "time": time.monotonic() - start})
-
-        frac = [(abs(x[v] - round(x[v])), v) for v in candidates]
-        fractional = [(f, v) for f, v in frac if f > INT_TOL]
-        if not fractional:
-            if all(abs(x[v] - round(x[v])) <= INT_TOL for v in int_vars):
-                values = _verify_integral(model, x)
-                if values is not None:
-                    return Solution("feasible", values,
-                                    stats={"nodes": nodes, "lp_calls": lp_calls,
-                                           "time": time.monotonic() - start})
-            # Decisions integral yet the point is not acceptable: enumerate
-            # the undecided decision variables explicitly so propagation can
-            # settle the derived ones (or expose the conflict).
-            unfixed = [v for v in candidates if lo[v] < hi[v] - 0.5]
-            if not unfixed:
-                # Safety net: fall back to branching on derived integers so
-                # the search stays exhaustive even if propagation could not
-                # pin one of them.
-                unfixed = [v for v in int_vars
-                           if lo[v] < hi[v] - 0.5 and abs(x[v] - round(x[v])) > INT_TOL]
-                if not unfixed:
-                    continue
-            plan = tuple((v, int(min(max(round(x[v]), lo[v]), hi[v])))
-                         for v in unfixed[: max(1, config.dive_depth)])
-            stack.append((lo, hi, None, depth, plan))
-            continue
-
-        # Most fractional first: fractional part closest to one half wins,
-        # ties broken by the lowest variable id; dive toward the nearest
-        # integer value of each.
-        fractional.sort(key=lambda fv: (abs(fv[0] - 0.5), fv[1]))
-        plan = tuple((v, int(min(max(round(x[v]), lo[v]), hi[v])))
-                     for _, v in fractional[: max(1, config.dive_depth)])
-        stack.append((lo, hi, None, depth, plan))
-
-    return Solution("infeasible", stats={"nodes": nodes, "lp_calls": lp_calls,
-                                         "time": time.monotonic() - start})
+    if model.n_vars == 0:  # HiGHS rejects a model without variables
+        status = "infeasible" if model.check_point({}, tol=FEAS_TOL) else "feasible"
+        return Solution(status, stats={"nodes": 0})
+    options = {}
+    if config.node_budget is not None:
+        options["node_limit"] = config.node_budget
+    if config.time_budget is not None:
+        options["time_limit"] = config.time_budget
+    arrays = model.to_arrays()
+    res = milp(np.zeros(model.n_vars), integrality=arrays.integrality,
+               bounds=Bounds(arrays.lb, arrays.ub),
+               constraints=LinearConstraint(arrays.matrix, arrays.row_lo, arrays.row_hi),
+               options=options)
+    stats = {"nodes": res.mip_node_count or 0, "time": time.monotonic() - start}
+    if res.status == 2:
+        return Solution("infeasible", stats=stats)
+    if res.x is None:
+        for marker, reason in _LIMIT_REASONS:
+            if marker in res.message:
+                return Solution("unknown", stats={**stats, "reason": reason})
+        raise NumericalError(f"HiGHS failed: {res.message}")
+    values = {v: int(round(x)) if var.is_integral else x
+              for v, (var, x) in enumerate(zip(model.vars, res.x.tolist()))}
+    problems = model.check_point(values, tol=FEAS_TOL)
+    if problems:
+        raise NumericalError("HiGHS point violates the model: " + problems[0])
+    return Solution("feasible", values, stats=stats)
 
 
 # ---------------------------------------------------------------------------

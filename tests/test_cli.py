@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from cltlsynth import cli
 from cltlsynth.cli import main
+from cltlsynth.ilp import Solution
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -152,6 +154,60 @@ def test_bad_formula_is_usage_error(grid_model):
     code = run(["synth", "--model", grid_model, "--formula", "[A,",
                 "--horizon", "2"])
     assert code == 3
+
+
+@pytest.fixture
+def mixed_model(tmp_path):
+    """Two robots whose transition relations differ."""
+    payload = {
+        "ap": ["a", "b"],
+        "robots": [
+            {"states": ["s0", "s1"], "transitions": [[0, 0], [0, 1], [1, 1]],
+             "labels": {"s0": ["a"], "s1": ["b"]}, "init": 0},
+            {"states": ["s0", "s1"], "transitions": [[0, 0], [1, 0], [1, 1]],
+             "labels": {"s0": ["a"], "s1": ["b"]}, "init": 0},
+        ],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("model, extra, formula", [
+    ("grid_model", ["--horizon", "5", "--horizon-max", "3"], "F [A, 2]"),
+    ("grid_model", ["--horizon", "0"], "F [A, 2]"),
+    ("grid_model", ["--horizon", "3"], "F [Z, 1]"),  # no proposition Z
+    ("grid_model", ["--horizon", "3", "--tau", "-1"], "F [A, 2]"),
+    ("mixed_model", ["--horizon", "3", "--engine", "cltl"], "G F [b, 1]"),
+])
+def test_bad_synth_input_is_a_one_line_usage_error(request, capsys, model, extra, formula):
+    code = run(["synth", "--model", request.getfixturevalue(model), "--formula", formula,
+                *extra])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "feasible" not in captured.out and "verified" not in captured.out
+
+
+@pytest.mark.parametrize("formula, code, line", [
+    ("[A, 3]", 4, "unknown: solver budget exhausted at h=1"),  # h = 2, 3 infeasible
+    ("F [B, 2]", 0, "feasible at h=5"),
+])
+def test_sweep_with_an_unknown_horizon(grid_model, capsys, monkeypatch,
+                                       formula, code, line):
+    real = cli.solve_bnb
+    calls = []
+
+    def first_call_exhausts_its_budget(model, config=None):
+        calls.append(model)
+        if len(calls) == 1:
+            return Solution("unknown", stats={"reason": "node budget"})
+        return real(model, config)
+
+    monkeypatch.setattr(cli, "solve_bnb", first_call_exhausts_its_budget)
+    assert run(["synth", "--model", grid_model, "--formula", formula,
+                "--horizon", "1", "--horizon-max", "3" if code else "8"]) == code
+    assert line in capsys.readouterr().out
 
 
 def test_determinism_byte_identical_artifacts(grid_model, tmp_path):

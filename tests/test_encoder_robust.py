@@ -11,7 +11,8 @@ import warnings
 import pytest
 
 from cltlsynth.formula import (IAtom, INext, ONext, OOr, OTrue, OUntil,
-                               ORelease, ONot, OAlways, OEventually, Tcp)
+                               ORelease, ONot, OAlways, OEventually, Tcp,
+                               parse_formula)
 from cltlsynth.ilp import LinExpr
 from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
                               check_robust, eval_inner, eval_outer)
@@ -304,6 +305,28 @@ def test_inner_next_rejected():
     inst = instance_of([{"p1"}, {"p1"}])
     with pytest.raises(EncodingError, match="inner next"):
         build_robust_problem(inst, Tcp(INext(IAtom("p1")), 1), h=2, tau=1)
+
+
+def test_tau_zero_accepts_inner_next_like_the_synchronous_model():
+    # inner next is only unsafe under asynchrony, so tau = 0 must delegate
+    # to the synchronous builder before that check, and tau >= 1 must not
+    rng = random.Random(113)
+    outcomes = set()
+    for text in ("[X p1, 1]", "[X p2, 2]", "G F [X p1, 1]", "[p1, 1] U [X X p2, 2]"):
+        mu = parse_formula(text)
+        for _ in range(4):
+            inst = random_instance(rng, 2, 3, ["p1", "p2"])
+            h = rng.randint(2, 3)
+            sync = build_sync_problem(inst, mu, h)
+            robust = build_robust_problem(inst, mu, h, tau=0)
+            assert robust.model.n_vars == sync.model.n_vars
+            assert robust.model.n_constraints == sync.model.n_constraints
+            feasible = solve_bnb(robust.model).feasible
+            assert feasible == (brute_force_synth(inst, mu, h) is not None), f"{text} h={h}"
+            outcomes.add(feasible)
+            with pytest.raises(EncodingError, match="inner next"):
+                build_robust_problem(inst, mu, h, tau=rng.randint(1, 2))
+    assert outcomes == {True, False}
 
 
 def test_non_pnf_input_warns_and_normalizes():

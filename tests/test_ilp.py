@@ -1,11 +1,12 @@
 """Model builder, Boolean/threshold gadgets, LP export/import.
 
 Gadget correctness is checked exhaustively: for every complete fixing of
-the inputs, the bundled solver must force the output to the truth-table
+the inputs, the solver must force the output to the truth-table
 value.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -42,6 +43,62 @@ def test_trivially_false_constraint_reported_infeasible():
     m.add_binary("x")
     m.add_constraint(LinExpr(const=0), ">=", 1, tag="bad")
     assert solve_bnb(m).status == "infeasible"
+
+
+def test_to_arrays_matches_the_constraints():
+    m = IlpModel()
+    b, i, c = m.add_binary("b"), m.add_integer("i", -2, 5), m.add_continuous("c", 0.5, 1.5)
+    m.add_constraint(LinExpr({b: 1, c: -2}), "<=", 3)
+    m.add_constraint(LinExpr({i: 4}), ">=", -1)
+    m.add_constraint(LinExpr({c: 1, i: 1, b: 1}), "=", 2)
+    arrays = m.to_arrays()
+    assert arrays.matrix.toarray().tolist() == [[1, 0, -2], [0, 4, 0], [1, 1, 1]]
+    assert arrays.row_lo.tolist() == [float("-inf"), -1, 2]
+    assert arrays.row_hi.tolist() == [3, float("inf"), 2]
+    assert arrays.lb.tolist() == [0, -2, 0.5] and arrays.ub.tolist() == [1, 5, 1.5]
+    assert arrays.integrality.tolist() == [1, 1, 0]
+
+
+def check_point_row_by_row(model, values, tol):
+    """Reference: every bound and row checked one at a time in Python."""
+    problems = []
+    for v, var in enumerate(model.vars):
+        x = values.get(v, 0)
+        if var.is_integral and abs(x - round(x)) > tol:
+            problems.append(f"variable {var.name} = {x} is not integral")
+        if x < var.lo - tol or x > var.hi + tol:
+            problems.append(f"variable {var.name} = {x} outside [{var.lo}, {var.hi}]")
+    for idx, con in enumerate(model.constraints):
+        lhs = sum(c * values.get(v, 0) for v, c in con.expr.coeffs.items())
+        ok = (lhs <= con.rhs + tol if con.sense == "<=" else
+              lhs >= con.rhs - tol if con.sense == ">=" else
+              abs(lhs - con.rhs) <= tol)
+        if not ok:
+            problems.append(
+                f"constraint {idx} [{con.tag}] violated: {lhs} {con.sense} {con.rhs}")
+    return problems
+
+
+def test_check_point_matches_a_row_by_row_reference():
+    rng = random.Random(43)
+    violated = 0
+    for _ in range(200):
+        m = IlpModel()
+        for k in range(rng.randint(1, 6)):
+            kind = rng.choice([BINARY, INTEGER, CONTINUOUS])
+            m.add_var(kind, f"v{k}", -1 if kind == CONTINUOUS else 0, 3, tag="rnd")
+        for _ in range(rng.randint(0, 5)):
+            picks = rng.sample(range(m.n_vars), rng.randint(1, m.n_vars))
+            m.add_constraint(LinExpr({v: rng.choice([-2, -1, 1, 3]) for v in picks}),
+                             rng.choice(["<=", "=", ">="]), rng.randint(-3, 4), tag="rnd")
+        # Points on a half-integer grid, so every sum is exact in floating point;
+        # a missing value counts as zero.
+        values = {v: rng.choice([0, 1, 1, 2]) if rng.random() < 0.8 else
+                  rng.choice([-1, 0.5, 4]) for v in range(m.n_vars) if rng.random() < 0.9}
+        expected = check_point_row_by_row(m, values, tol=1e-6)
+        assert m.check_point(values, tol=1e-6) == expected
+        violated += bool(expected)
+    assert 20 < violated < 180
 
 
 @pytest.mark.parametrize("op", ["AND", "OR"])

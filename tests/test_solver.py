@@ -1,19 +1,26 @@
-"""Bundled branch-and-bound and the external-solver adapter.
+"""In-process HiGHS solving and the external-solver adapter.
 
 The reference oracle for small models is exhaustive enumeration over all
 integer assignments.
 """
 
 import itertools
+import json
 import random
 import sys
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from cltlsynth import solver
+from cltlsynth.encoder_sync import build_sync_problem
+from cltlsynth.formula import parse_formula
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.lp_format import write_solution_file
-from cltlsynth.solver import (SolveConfig, SolverError, deepen_horizon,
-                              solve_bnb, solve_external)
+from cltlsynth.solver import (NumericalError, SolveConfig, SolverError,
+                              deepen_horizon, solve_bnb, solve_external)
+from cltlsynth.system import load_model
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -65,6 +72,13 @@ def test_status_agrees_with_enumeration_on_random_models():
     assert hits > 20  # the generator must exercise both outcomes
 
 
+def test_model_without_variables():
+    m = IlpModel()
+    assert solve_bnb(m).status == "feasible"
+    m.add_constraint(LinExpr(const=0), ">=", 1)
+    assert solve_bnb(m).status == "infeasible"
+
+
 def test_mixed_integer_model():
     m = IlpModel()
     n = m.add_integer("n", 0, 10)
@@ -108,6 +122,88 @@ def test_node_budget_reports_unknown():
     assert sol.status in ("unknown", "infeasible")
     if sol.status == "unknown":
         assert sol.stats["reason"] == "node budget"
+
+
+def subset_sum_model(n=60):
+    """A subset-sum equality that HiGHS cannot settle at its root node."""
+    rng = random.Random(1)
+    m = IlpModel()
+    xs = [m.add_binary(f"x{i}") for i in range(n)]
+    weights = [2 * rng.randint(1000, 100000) for _ in xs]
+    m.add_constraint(LinExpr(dict(zip(xs, weights))), "=", sum(weights) // 4 * 2 + 2,
+                     tag="subset_sum")
+    return m
+
+
+def test_node_budget_on_a_real_search():
+    sol = solve_bnb(subset_sum_model(), SolveConfig(node_budget=1))
+    assert sol.status == "unknown"
+    assert sol.stats["reason"] == "node budget"
+
+
+def fake_milp(monkeypatch, **result):
+    seen = {}
+
+    def milp(c, **kwargs):
+        seen.update(kwargs["options"])
+        return OptimizeResult({"mip_node_count": None, "message": "", **result})
+
+    monkeypatch.setattr(solver, "milp", milp)
+    return seen
+
+
+# Messages as HiGHS words them when a limit is reached before any point.
+@pytest.mark.parametrize("config, status, message, reason, option", [
+    (SolveConfig(node_budget=7), 4,
+     "The HiGHS status code was not recognized. (HiGHS Status 16: "
+     "model_status is Solution limit reached; primal_status is None)",
+     "node budget", ("node_limit", 7)),
+    (SolveConfig(time_budget=0.5), 1,
+     "Time limit reached. (HiGHS Status 13: model_status is Time limit "
+     "reached; primal_status is None)",
+     "time budget", ("time_limit", 0.5)),
+])
+def test_reached_limit_without_a_point_is_unknown(monkeypatch, config, status,
+                                                  message, reason, option):
+    m = IlpModel()
+    m.add_binary("x")
+    seen = fake_milp(monkeypatch, status=status, x=None, message=message)
+    sol = solve_bnb(m, config)
+    assert sol.status == "unknown" and sol.stats["reason"] == reason
+    assert seen == dict([option])
+
+
+def test_point_violating_a_row_is_never_returned(monkeypatch):
+    m = IlpModel()
+    x, y = m.add_binary("x"), m.add_binary("y")
+    m.add_constraint(LinExpr({x: 1, y: 1}), "<=", 1, tag="atmost1")
+    fake_milp(monkeypatch, status=0, x=np.array([1.0, 1.0]))
+    with pytest.raises(SolverError, match="atmost1"):
+        solve_bnb(m)
+
+
+def test_unexplained_failure_raises(monkeypatch):
+    m = IlpModel()
+    m.add_binary("x")
+    fake_milp(monkeypatch, status=4, x=None, message="HiGHS Status 4: Solve error")
+    with pytest.raises(NumericalError, match="Solve error"):
+        solve_bnb(m)
+
+
+def test_meeting_at_both_corners_needs_horizon_nine(tmp_path):
+    # Two robots on a 3x3 grid must meet at A = (0, 0) and at B = (2, 2),
+    # four moves apart: h = 8 is infeasible, h = 9 feasible.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({
+        "ap": [], "grid": {"width": 3, "height": 3,
+                           "regions": {"A": [[0, 0]], "B": [[2, 2]]}},
+        "robots": [{"init": [0, 0]}, {"init": [2, 2]}]}))
+    inst = load_model(path)
+    mu = parse_formula("F [A, 2] & F [B, 2]")
+    for h, expected in ((8, "infeasible"), (9, "feasible")):
+        model = build_sync_problem(inst, mu, h).model
+        assert solve_bnb(model).status == expected
+        assert solve_external(model, LP_CLI, workdir=tmp_path / str(h)).status == expected
 
 
 # ---------------------------------------------------------------------------
