@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .formula import check_fragment, parse_formula, resolve_groups
+from .formula import check_fragment, iter_tcps, parse_formula, resolve_groups
 from .ilp import Solution
 from .lp_format import export_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
@@ -115,15 +115,10 @@ def _pick_engine(args, model_obj, mu) -> str:
             aggregate_view(model_obj)
         except Exception:
             return "cltlplus"
-        if any(t.group is not None for t in _tcps(mu)):
+        if any(t.group is not None for t in iter_tcps(mu)):
             return "cltlplus"
         return "cltl"
     return "cltlplus"
-
-
-def _tcps(mu):
-    from .formula import iter_tcps
-    return list(iter_tcps(mu))
 
 
 def _lassos_from_discrete(inst: MultiRobotInstance, trajs) -> list[Lasso]:
@@ -184,6 +179,10 @@ def _bad_synth_args(args) -> str:
         return "--horizon-max must not be below --horizon"
     if args.tau < 0:
         return "--tau must not be negative"
+    if args.verify_max_t is not None and args.verify_max_t < 0:
+        return "--verify-max-t must not be negative"
+    if args.verify_cap < 1:
+        return "--verify-cap must be at least 1"
     return ""
 
 
@@ -341,15 +340,17 @@ def run_simulate(args) -> int:
         for row in execution.increments.tolist():
             print(f"  {row}")
 
-    # Per-anchor satisfaction table under the synchronous execution.
+    # Per-anchor satisfaction table under the synchronous execution; its
+    # window reaches past the shortest horizon, so sat[t] needs no wrap.
     oracle = CollectionOracle(lassos)
-    sync = CollectiveExecution.synchronous(len(lassos))
+    sat = oracle.values(CollectiveExecution.synchronous(len(lassos)).increments[None],
+                        resolved)[0]
     h = min(l.horizon for l in lassos)
-    tcps = _tcps(resolved)
+    tcps = list(iter_tcps(resolved))
     header = "t  formula " + " ".join(f"tcp{i}" for i in range(len(tcps)))
     print(header)
     for t in range(h):
-        cells = [f"{t:<2d} {'sat' if oracle.evaluate(sync, resolved, t) else '---':7s}"]
+        cells = [f"{t:<2d} {'sat' if sat[t] else '---':7s}"]
         for tcp in tcps:
             count = oracle.tcp_count(tcp, [t] * len(lassos))
             cells.append(f"{count}/{tcp.m}")

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .formula import (IAtom, INot, ITrue, OuterFormula, Tcp, check_fragment,
                       iter_tcps, normalize)
-from .ilp import IlpModel, LinExpr, Solution, VarId
+from .ilp import IlpModel, LinExpr, Solution
 from .system import AggregateSystem, MultiRobotInstance, aggregate_view
 from .encoder_sync import (EncodedProblem, EncodingError, Layout, OuterEncoder,
                            ExtractionError)
@@ -136,15 +136,6 @@ class CltlOuterEncoder(OuterEncoder):
                                          name=f"y{lay.fid(tcp)}_t{t}", tag=self.TAG,
                                          known_bounds=(0, self.agg.n_robots))
             self._set(tcp, t, y)
-
-
-def encode_cltl_outer(model: IlpModel, layout: Layout, mu: OuterFormula,
-                      agg: AggregateSystem) -> list[VarId]:
-    enc = layout.outer_encoder
-    if enc is None:
-        enc = CltlOuterEncoder(model, layout, agg)
-        layout.outer_encoder = enc
-    return enc.row(mu)
 
 
 def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],

@@ -154,15 +154,6 @@ def polytope_atom_backend(layout: Layout, sys: ContinuousSystem,
     return backend
 
 
-def encode_polytope_ap(model: IlpModel, layout: Layout, sys: ContinuousSystem,
-                       name: str, n: int, t: int, epsilon: float = 1e-6) -> VarId:
-    backend = getattr(layout, "_polytope_backend", None)
-    if backend is None:
-        backend = polytope_atom_backend(layout, sys, epsilon)
-        layout._polytope_backend = backend
-    return backend(name, n, t)
-
-
 def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
                        tau: int = 0, epsilon: float = 1e-6,
                        pool_tcp_disjunctions: bool = True) -> EncodedProblem:
@@ -178,7 +169,6 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
     model = IlpModel("continuous")
     layout = encode_cont_dynamics_loop(model, sys, h, tau)
     backend = polytope_atom_backend(layout, sys, epsilon)
-    layout._polytope_backend = backend
     inner = InnerEncoder(model, layout, backend, allow_inner_next=tau == 0)
     layout.inner_encoder = inner
     if tau == 0:

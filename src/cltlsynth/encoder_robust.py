@@ -165,36 +165,6 @@ def create_robust_encoders(model: IlpModel, layout: Layout,
     return inner, outer
 
 
-def encode_robust_z(model: IlpModel, layout: Layout, phi: InnerFormula,
-                    n: int) -> list[VarId]:
-    """Row of windowed satisfaction variables r[phi][n][t] for t = 0..h-1."""
-    outer = layout.outer_encoder
-    if not isinstance(outer, RobustOuterEncoder):
-        raise EncodingError("robust windows need a robust encoder")
-    return [outer.robust_var(phi, n, t) for t in range(layout.h)]
-
-
-def encode_robust_tcp(model: IlpModel, layout: Layout, tcp: Tcp, t: int) -> VarId:
-    outer = layout.outer_encoder
-    if not isinstance(outer, RobustOuterEncoder):
-        raise EncodingError("robust counting needs a robust encoder")
-    return outer.var(tcp, t)
-
-
-def encode_robust_disjunction(model: IlpModel, layout: Layout, mu: OOr, t: int) -> VarId:
-    outer = layout.outer_encoder
-    if not isinstance(outer, RobustOuterEncoder):
-        raise EncodingError("robust disjunction needs a robust encoder")
-    return outer.var(mu, t)
-
-
-def encode_robust_until_release(model: IlpModel, layout: Layout, mu, t: int) -> VarId:
-    outer = layout.outer_encoder
-    if not isinstance(outer, RobustOuterEncoder):
-        raise EncodingError("robust until/release needs a robust encoder")
-    return outer.var(mu, t)
-
-
 def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
                          tau: int, collision: Optional[str] = None,
                          pool_tcp_disjunctions: bool = True) -> EncodedProblem:

@@ -68,13 +68,6 @@ class LinExpr:
             e.add_term(v, 1)
         return e
 
-    @staticmethod
-    def weighted(pairs: Iterable[tuple[Number, VarId]], const: Number = 0) -> "LinExpr":
-        e = LinExpr(const=const)
-        for c, v in pairs:
-            e.add_term(v, c)
-        return e
-
     def add_term(self, v: VarId, c: Number) -> "LinExpr":
         new = self.coeffs.get(v, 0) + c
         if new == 0:

@@ -1,10 +1,22 @@
 """Ground-truth semantics, independent of every encoder.
 
 Evaluates inner formulas over single lasso traces and outer formulas over
-collective executions, decides both exactly through the eventual
-periodicity of the execution, searches for asynchronous counterexamples
-to robust satisfaction, and synthesizes solutions by exhaustive search at
-tiny scale for cross-checking the optimization pipeline.
+collective executions, checks robust satisfaction against the executions
+whose asynchrony is bounded by tau, and synthesizes solutions by
+exhaustive search at tiny scale for cross-checking the optimization
+pipeline.
+
+After an execution's increment matrix ends at time T every counter
+advances each step, so from its lock, T + max(0, max_n(loop_start_n -
+k_n(T))), every robot is inside its loop and the collective state is
+periodic in global time with the joint period jp (the lcm of the lasso
+periods).  A batch of executions is therefore decided exactly on the
+window 0..W-1, W = L + jp, with L the batch's largest lock: a time u >= W
+has the value of L + (u - L) mod jp.  ``CollectionOracle.values`` labels
+every subformula bottom-up over that window for the whole batch at once,
+as in model checking a path (Markey and Schnoebelen, CONCUR 2003).
+``check_robust`` feeds it the tau-bounded executions ``CHUNK`` at a time,
+so its working set is bounded by the cap and the chunk size.
 """
 
 from __future__ import annotations
@@ -12,14 +24,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .formula import (IAlways, IAnd, IAtom, IEventually, INext, INot, IOr,
                       IRelease, ITrue, IUntil, InnerFormula, OAlways, OAnd,
                       OEventually, ONext, ONot, OOr, ORelease, OTrue, OUntil,
-                      OuterFormula, Tcp)
+                      OuterFormula, Tcp, iter_outer)
 from .system import MultiRobotInstance, TransitionSystem
 from .trajectory import LassoTrajectory
 
@@ -149,11 +161,6 @@ class CollectiveExecution:
     def horizon(self) -> int:
         return self.increments.shape[0]
 
-    def counter(self, n: int, t: int) -> int:
-        if t <= self.horizon:
-            return int(self.cumulative[t][n])
-        return int(self.cumulative[self.horizon][n]) + (t - self.horizon)
-
     def counters(self, t: int) -> tuple[int, ...]:
         if t <= self.horizon:
             return tuple(int(x) for x in self.cumulative[t])
@@ -180,84 +187,103 @@ def anchor_map(execution: CollectiveExecution, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 class CollectionOracle:
-    """Evaluator for a fixed collection of lassos; inner results are cached
-    across executions since they depend only on counter values."""
+    """Evaluator for a fixed collection of lassos: ``values`` labels a
+    formula bottom-up for a batch of executions, ``evaluate`` for one."""
 
     def __init__(self, lassos: Sequence[Lasso]):
         self.lassos = list(lassos)
+        self.joint_period = math.lcm(*(l.period for l in self.lassos))
+        self._loop_start = np.array([l.loop_start for l in self.lassos], dtype=np.int32)
+        self._horizon = np.array([l.horizon for l in self.lassos], dtype=np.int32)
 
-    def tcp_count(self, tcp: Tcp, counters: Sequence[int]) -> int:
+    def _scope(self, tcp: Tcp) -> Sequence[int]:
         if isinstance(tcp.group, str):
             raise ValueError(f"unresolved robot group {tcp.group!r}")
-        scope = range(len(self.lassos)) if tcp.group is None else sorted(tcp.group)
-        return sum(
-            1 for n in scope if eval_inner(self.lassos[n], counters[n], tcp.inner))
+        return range(len(self.lassos)) if tcp.group is None else sorted(tcp.group)
+
+    def tcp_count(self, tcp: Tcp, counters: Sequence[int]) -> int:
+        return sum(1 for n in self._scope(tcp)
+                   if eval_inner(self.lassos[n], counters[n], tcp.inner))
+
+    def _tcp_table(self, tcp: Tcp) -> np.ndarray:
+        """(robots, largest horizon) truth of the inner formula at each
+        robot's positions 0..h-1; False for robots outside the group."""
+        table = np.zeros((len(self.lassos), max(self._horizon, default=1)), dtype=bool)
+        for n in self._scope(tcp):
+            lasso = self.lassos[n]
+            table[n, :lasso.horizon] = [eval_inner(lasso, k, tcp.inner)
+                                        for k in range(lasso.horizon)]
+        return table
+
+    def values(self, increments: np.ndarray, mu: OuterFormula) -> np.ndarray:
+        """(E, W) truth of ``mu`` at global times 0..W-1 for the executions
+        whose increment matrices are the rows of the (E, T, n) 0/1 array
+        ``increments``.  W = L + jp for the batch's largest lock L and the
+        joint period jp; a time u >= W has the value of L + (u - L) mod jp."""
+        inc = np.asarray(increments)
+        if inc.ndim != 3:
+            raise ValueError("increments must be an (executions, steps, robots) array")
+        if inc.shape[2] != len(self.lassos):
+            raise ValueError("execution robot count differs from the collection")
+        batch, steps, _ = inc.shape
+        final = inc.sum(axis=1, dtype=np.int32)
+        lock = steps + max(0, int((self._loop_start - final).max(initial=0)))
+        width = lock + self.joint_period
+        # Time-major layout: each global time is one contiguous row.
+        counters = np.zeros((width, batch, len(self.lassos)), dtype=np.int32)
+        np.cumsum(inc.transpose(1, 0, 2), axis=0, dtype=np.int32, out=counters[1:steps + 1])
+        counters[steps + 1:] = final + np.arange(1, width - steps, dtype=np.int32)[:, None, None]
+        loop = self._loop_start
+        positions = np.where(counters < self._horizon, counters,
+                             loop + (counters - loop) % (self._horizon - loop))
+        robots = np.arange(len(self.lassos))
+        value: dict[int, np.ndarray] = {}  # by node identity: hashing a tree is slow
+        # Reversed pre-order visits every node after all of its subformulas.
+        for node in reversed(list(iter_outer(mu))):
+            if id(node) in value:
+                continue
+            if isinstance(node, OTrue):
+                out = np.ones((width, batch), dtype=bool)
+            elif isinstance(node, Tcp):
+                out = self._tcp_table(node)[robots, positions].sum(axis=2) >= node.m
+            elif isinstance(node, ONot):
+                out = ~value[id(node.child)]
+            elif isinstance(node, (OAnd, OOr)):
+                op = np.logical_and if isinstance(node, OAnd) else np.logical_or
+                out = op.reduce([value[id(c)] for c in node.children])
+            elif isinstance(node, ONext):
+                child = value[id(node.child)]
+                out = np.concatenate([child[1:], child[lock:lock + 1]])
+            elif isinstance(node, OEventually):
+                out = _until(None, value[id(node.child)], lock)
+            elif isinstance(node, OAlways):
+                out = ~_until(None, ~value[id(node.child)], lock)
+            elif isinstance(node, OUntil):
+                out = _until(value[id(node.lhs)], value[id(node.rhs)], lock)
+            else:  # ORelease; iter_outer rejects every other node type
+                out = ~_until(~value[id(node.lhs)], ~value[id(node.rhs)], lock)
+            value[id(node)] = out
+        return value[id(mu)].T
 
     def evaluate(self, execution: CollectiveExecution, mu: OuterFormula, t: int = 0) -> bool:
-        if execution.n_robots != len(self.lassos):
-            raise ValueError("execution robot count differs from the collection")
-        periods = [l.period for l in self.lassos]
-        joint_period = math.lcm(*periods) if periods else 1
-        t_rep = execution.horizon
-        # After lock, every robot is inside its loop, so the collective state
-        # is periodic in global time with the joint period.
-        lock = t_rep + max(
-            [0] + [l.loop_start - execution.counter(n, t_rep)
-                   for n, l in enumerate(self.lassos)])
-        memo: dict = {}
+        row = self.values(execution.increments[None], mu)[0]
+        if t >= len(row):
+            lock = len(row) - self.joint_period
+            t = lock + (t - lock) % self.joint_period
+        return bool(row[t])
 
-        def canon(u: int) -> int:
-            if u <= lock:
-                return u
-            return lock + (u - lock) % joint_period
 
-        def ev(node: OuterFormula, u: int) -> bool:
-            u = canon(u)
-            key = (node, u)
-            if key in memo:
-                return memo[key]
-            if isinstance(node, OTrue):
-                value = True
-            elif isinstance(node, Tcp):
-                value = self.tcp_count(node, execution.counters(u)) >= node.m
-            elif isinstance(node, ONot):
-                value = not ev(node.child, u)
-            elif isinstance(node, OAnd):
-                value = all(ev(c, u) for c in node.children)
-            elif isinstance(node, OOr):
-                value = any(ev(c, u) for c in node.children)
-            elif isinstance(node, ONext):
-                value = ev(node.child, u + 1)
-            elif isinstance(node, OEventually):
-                end = max(u, lock) + joint_period
-                value = any(ev(node.child, j) for j in range(u, end + 1))
-            elif isinstance(node, OAlways):
-                end = max(u, lock) + joint_period
-                value = all(ev(node.child, j) for j in range(u, end + 1))
-            elif isinstance(node, OUntil):
-                end = max(u, lock) + joint_period
-                value = False
-                for j in range(u, end + 1):
-                    if ev(node.rhs, j):
-                        value = True
-                        break
-                    if not ev(node.lhs, j):
-                        break
-            elif isinstance(node, ORelease):
-                end = max(u, lock) + joint_period
-                value = True
-                for j in range(u, end + 1):
-                    if not ev(node.rhs, j):
-                        value = False
-                        break
-                    if ev(node.lhs, j):
-                        break
-            else:
-                raise TypeError(f"not an outer formula: {node!r}")
-            memo[key] = value
-            return value
-
-        return ev(mu, t)
+def _until(lhs: Optional[np.ndarray], rhs: np.ndarray, lock: int) -> np.ndarray:
+    """Least solution of y[u] = rhs[u] or (lhs[u] and y[u+1]) on 0..W-1 with
+    y[W] = y[lock] (``lhs`` None is true): a pass around the cycle [lock, W)
+    from y[W] = False, a second from its y[lock], then one down to 0."""
+    lhs = np.ones_like(rhs) if lhs is None else lhs
+    out = np.empty_like(rhs)
+    nxt = np.zeros(rhs.shape[1], dtype=bool)
+    cycle = range(len(rhs) - 1, lock - 1, -1)
+    for u in itertools.chain(cycle, cycle, range(lock - 1, -1, -1)):
+        nxt = out[u] = rhs[u] | (lhs[u] & nxt)
+    return out
 
 
 def eval_outer(lassos: Sequence[Lasso], execution: CollectiveExecution,
@@ -269,6 +295,10 @@ def eval_outer(lassos: Sequence[Lasso], execution: CollectiveExecution,
 # ---------------------------------------------------------------------------
 # Robust falsification search
 # ---------------------------------------------------------------------------
+
+CHUNK = 512  # executions per kernel call; bounds its W x CHUNK x n arrays
+_EXPAND_BLOCK = 1 << 13  # (prefix, step) candidates built at once
+
 
 @dataclass
 class Verdict:
@@ -288,85 +318,110 @@ class Verdict:
         return self.status == "falsified"
 
 
-def _valid_steps(counters: tuple[int, ...], tau: int) -> Iterable[tuple[int, ...]]:
-    """Increment vectors keeping the counter spread within tau, in ascending
-    lexicographic order."""
-    n = len(counters)
-    for bits in itertools.product((0, 1), repeat=n):
-        new = tuple(c + b for c, b in zip(counters, bits))
-        if max(new) - min(new) <= tau:
-            yield bits
+def _step_bits(n: int) -> np.ndarray:
+    """All 2^n increment vectors in ascending ``itertools.product`` order."""
+    return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8).reshape(-1, n)
 
 
-def _count_sequences(n: int, tau: int, max_t: int, cap: int) -> int:
-    """Number of tau-bounded counter sequences of length max_t, halting at cap."""
-    total = 0
-    stack = [((0,) * n, 0)]
-    while stack:
-        counters, depth = stack.pop()
-        if depth == max_t:
-            total += 1
-            if total > cap:
-                return total
-            continue
-        for bits in _valid_steps(counters, tau):
-            stack.append((tuple(c + b for c, b in zip(counters, bits)), depth + 1))
-    return total
+def _bounded_sequences(n: int, tau: int, max_T: int, cap: int) -> Optional[np.ndarray]:
+    """Every increment sequence of length max_T whose counter spread stays
+    within tau, as an (S, max_T, n) int8 array in lexicographic order, or
+    None when there are more than ``cap``.  Each level (step) lists every
+    prefix's valid steps in ascending order, a block of prefixes at a
+    time.  A level never shrinks, as the all-ones step is always valid, so
+    the first level over the cap ends the enumeration."""
+    steps = _step_bits(n)
+    seqs = np.zeros((1, 0, n), dtype=np.int8)
+    block = max(1, _EXPAND_BLOCK >> n)
+    for depth in range(1, max_T + 1):
+        grown = [np.zeros((0, depth, n), dtype=np.int8)]
+        size = 0
+        for i in range(0, len(seqs), block):
+            prefixes = seqs[i:i + block]
+            cand = prefixes.sum(axis=1, dtype=np.int32)[:, None, :] + steps
+            prefix, step = np.nonzero(cand.max(axis=2) - cand.min(axis=2) <= tau)
+            size += len(prefix)
+            if size > cap:
+                return None
+            grown.append(np.concatenate([prefixes[prefix], steps[step][:, None, :]], axis=1))
+        seqs = np.concatenate(grown)
+    return seqs
+
+
+def _sampled_sequences(n: int, tau: int, max_T: int, count: int,
+                       seed: int) -> Iterator[np.ndarray]:
+    """``count`` random tau-bounded sequences, CHUNK at a time.  Every step
+    is one ``rng.integers`` draw among the valid steps in ascending order,
+    which depend only on the counters' offsets above their minimum."""
+    rng = np.random.default_rng(seed)
+    steps = _step_bits(n)
+    moves: dict[tuple[int, ...], tuple[np.ndarray, list]] = {}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per offset vector
+    for start in range(0, count, CHUNK):
+        chunk = np.zeros((min(CHUNK, count - start), max_T, n), dtype=np.int8)
+        for row in chunk:
+            offsets = (0,) * n
+            for s in range(max_T):
+                if offsets not in moves:
+                    cand = np.array(offsets, dtype=np.int32) + steps
+                    ok = cand.max(axis=1) - cand.min(axis=1) <= tau
+                    reached = (cand[ok] - cand[ok].min(axis=1, keepdims=True)).tolist()
+                    moves[offsets] = steps[ok], [shared.setdefault(a, a)
+                                                 for a in map(tuple, reached)]
+                valid, after = moves[offsets]
+                pick = rng.integers(len(valid))
+                row[s] = valid[pick]
+                offsets = after[pick]
+        yield chunk
 
 
 def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
                  max_T: Optional[int] = None, enumeration_cap: int = 100000,
                  seed: int = 0) -> Verdict:
     """Search for a tau-bounded execution and a time with anchor 0 violating
-    ``mu``.  Exhaustive when the number of executions fits the cap, else a
-    seeded random sample.  The first counterexample in exhaustive mode is
-    the lexicographically least increment matrix."""
+    ``mu``.
+
+    The executions are the increment sequences of length ``max_T``
+    (default: the longest lasso horizon + tau + 1) whose counter spread
+    stays within tau.  If at most ``enumeration_cap`` of them exist, all
+    are checked in lexicographic order and the counterexample is the least
+    violating increment matrix with its first violating anchored time;
+    otherwise ``enumeration_cap`` are drawn from ``default_rng(seed)``.
+    ``CollectionOracle.values`` checks them CHUNK at a time at every time
+    t <= max_T with anchor 0, and sampling stops after the first chunk with
+    a violation.  ``stats["evaluations"]`` counts the (execution, anchored
+    time) pairs checked up to the counterexample, in search order.
+    Raises ValueError when max_T is negative or enumeration_cap below 1.
+    """
     n = len(lassos)
     if max_T is None:
         max_T = max(l.horizon for l in lassos) + tau + 1
+    if max_T < 0:
+        raise ValueError(f"max_T must not be negative, got {max_T}")
+    if enumeration_cap < 1:
+        raise ValueError(f"enumeration_cap must be at least 1, got {enumeration_cap}")
     oracle = CollectionOracle(lassos)
-    total = _count_sequences(n, tau, max_T, enumeration_cap)
-    exhaustive = total <= enumeration_cap
-    evaluated = 0
-
-    def violation(increments: list[tuple[int, ...]]) -> Optional[tuple[CollectiveExecution, int]]:
-        nonlocal evaluated
-        execution = CollectiveExecution(np.array(increments, dtype=np.int64))
-        for t in range(max_T + 1):
-            if execution.anchor(t) == 0:
-                evaluated += 1
-                if not oracle.evaluate(execution, mu, t):
-                    return execution, t
-        return None
-
+    sequences = _bounded_sequences(n, tau, max_T, enumeration_cap)
+    exhaustive = sequences is not None
     if exhaustive:
-        def dfs(counters: tuple[int, ...], prefix: list[tuple[int, ...]]):
-            if len(prefix) == max_T:
-                return violation(prefix)
-            for bits in _valid_steps(counters, tau):
-                found = dfs(tuple(c + b for c, b in zip(counters, bits)), prefix + [bits])
-                if found:
-                    return found
-            return None
-
-        found = dfs((0,) * n, [])
+        chunks = (sequences[i:i + CHUNK] for i in range(0, len(sequences), CHUNK))
     else:
-        rng = np.random.default_rng(seed)
-        found = None
-        for _ in range(enumeration_cap):
-            counters = (0,) * n
-            increments = []
-            for _ in range(max_T):
-                options = list(_valid_steps(counters, tau))
-                bits = options[rng.integers(len(options))]
-                increments.append(bits)
-                counters = tuple(c + b for c, b in zip(counters, bits))
-            found = violation(increments)
-            if found:
-                break
+        chunks = _sampled_sequences(n, tau, max_T, enumeration_cap, seed)
+    evaluated = 0
+    found = None
+    for inc in chunks:
+        anchored = np.ones((len(inc), max_T + 1), dtype=bool)
+        anchored[:, 1:] = np.cumsum(inc, axis=1, dtype=np.int32).min(axis=2) == 0
+        violated = anchored & ~oracle.values(inc, mu)[:, :max_T + 1]
+        if violated.any():
+            r, t = map(int, np.argwhere(violated)[0])  # first row, its first time
+            evaluated += int(anchored[:r].sum() + anchored[r, :t + 1].sum())
+            found = (CollectiveExecution(inc[r]), t)
+            break
+        evaluated += int(anchored.sum())
 
     stats = {"mode": "exhaustive" if exhaustive else "sampled",
-             "sequences": total if exhaustive else enumeration_cap,
+             "sequences": len(sequences) if exhaustive else enumeration_cap,
              "evaluations": evaluated, "max_T": max_T}
     if found:
         return Verdict("falsified", found, stats)

@@ -287,13 +287,6 @@ def build_grid_system(width: int, height: int,
     )
 
 
-def grid_cell_index(width: int, cell) -> int:
-    if isinstance(cell, int):
-        return cell
-    x, y = cell
-    return y * width + x
-
-
 # ---------------------------------------------------------------------------
 # Model file loading
 # ---------------------------------------------------------------------------

@@ -1,0 +1,180 @@
+"""Reference robust-satisfaction checker, used only by the tests.
+
+This is the oracle's earlier algorithm, kept as the reference that the
+batched kernel in ``cltlsynth.oracle`` is compared against:
+
+* ``evaluate`` decides an outer formula by a memoised top-down recursion
+  over (subformula, global time), one fresh memo per call, scanning each
+  temporal operator one joint period past the later of its start and the
+  execution's lock;
+* ``check_robust`` counts the tau-bounded increment sequences first,
+  then walks them depth first in lexicographic order, or draws a seeded
+  random sample when they number more than the cap, and evaluates every
+  execution at every anchored time one by one.
+
+It is slow (seconds where the kernel takes milliseconds), so tests call it
+on small collections only.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from cltlsynth.formula import (OAlways, OAnd, OEventually, ONext, ONot, OOr,
+                               ORelease, OTrue, OUntil, OuterFormula, Tcp)
+from cltlsynth.oracle import CollectiveExecution, Lasso, Verdict, eval_inner
+
+
+def tcp_count(lassos: Sequence[Lasso], tcp: Tcp, counters: Sequence[int]) -> int:
+    if isinstance(tcp.group, str):
+        raise ValueError(f"unresolved robot group {tcp.group!r}")
+    scope = range(len(lassos)) if tcp.group is None else sorted(tcp.group)
+    return sum(1 for n in scope if eval_inner(lassos[n], counters[n], tcp.inner))
+
+
+def evaluate(lassos: Sequence[Lasso], execution: CollectiveExecution,
+             mu: OuterFormula, t: int = 0) -> bool:
+    if execution.n_robots != len(lassos):
+        raise ValueError("execution robot count differs from the collection")
+    periods = [l.period for l in lassos]
+    joint_period = math.lcm(*periods) if periods else 1
+    t_rep = execution.horizon
+    lock = t_rep + max(
+        [0] + [l.loop_start - k for l, k in zip(lassos, execution.counters(t_rep))])
+    memo: dict = {}
+
+    def canon(u: int) -> int:
+        if u <= lock:
+            return u
+        return lock + (u - lock) % joint_period
+
+    def ev(node: OuterFormula, u: int) -> bool:
+        u = canon(u)
+        key = (node, u)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, OTrue):
+            value = True
+        elif isinstance(node, Tcp):
+            value = tcp_count(lassos, node, execution.counters(u)) >= node.m
+        elif isinstance(node, ONot):
+            value = not ev(node.child, u)
+        elif isinstance(node, OAnd):
+            value = all(ev(c, u) for c in node.children)
+        elif isinstance(node, OOr):
+            value = any(ev(c, u) for c in node.children)
+        elif isinstance(node, ONext):
+            value = ev(node.child, u + 1)
+        elif isinstance(node, OEventually):
+            end = max(u, lock) + joint_period
+            value = any(ev(node.child, j) for j in range(u, end + 1))
+        elif isinstance(node, OAlways):
+            end = max(u, lock) + joint_period
+            value = all(ev(node.child, j) for j in range(u, end + 1))
+        elif isinstance(node, OUntil):
+            end = max(u, lock) + joint_period
+            value = False
+            for j in range(u, end + 1):
+                if ev(node.rhs, j):
+                    value = True
+                    break
+                if not ev(node.lhs, j):
+                    break
+        elif isinstance(node, ORelease):
+            end = max(u, lock) + joint_period
+            value = True
+            for j in range(u, end + 1):
+                if not ev(node.rhs, j):
+                    value = False
+                    break
+                if ev(node.lhs, j):
+                    break
+        else:
+            raise TypeError(f"not an outer formula: {node!r}")
+        memo[key] = value
+        return value
+
+    return ev(mu, t)
+
+
+def _valid_steps(counters: tuple[int, ...], tau: int) -> Iterable[tuple[int, ...]]:
+    n = len(counters)
+    for bits in itertools.product((0, 1), repeat=n):
+        new = tuple(c + b for c, b in zip(counters, bits))
+        if max(new) - min(new) <= tau:
+            yield bits
+
+
+def _count_sequences(n: int, tau: int, max_t: int, cap: int) -> int:
+    total = 0
+    stack = [((0,) * n, 0)]
+    while stack:
+        counters, depth = stack.pop()
+        if depth == max_t:
+            total += 1
+            if total > cap:
+                return total
+            continue
+        for bits in _valid_steps(counters, tau):
+            stack.append((tuple(c + b for c, b in zip(counters, bits)), depth + 1))
+    return total
+
+
+def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
+                 max_T: Optional[int] = None, enumeration_cap: int = 100000,
+                 seed: int = 0) -> Verdict:
+    n = len(lassos)
+    if max_T is None:
+        max_T = max(l.horizon for l in lassos) + tau + 1
+    total = _count_sequences(n, tau, max_T, enumeration_cap)
+    exhaustive = total <= enumeration_cap
+    evaluated = 0
+
+    def violation(increments: list[tuple[int, ...]]) -> Optional[tuple[CollectiveExecution, int]]:
+        nonlocal evaluated
+        # reshape keeps the zero-step execution (max_T = 0) a (0, n) matrix
+        execution = CollectiveExecution(
+            np.array(increments, dtype=np.int64).reshape(len(increments), n))
+        for t in range(max_T + 1):
+            if execution.anchor(t) == 0:
+                evaluated += 1
+                if not evaluate(lassos, execution, mu, t):
+                    return execution, t
+        return None
+
+    if exhaustive:
+        def dfs(counters: tuple[int, ...], prefix: list[tuple[int, ...]]):
+            if len(prefix) == max_T:
+                return violation(prefix)
+            for bits in _valid_steps(counters, tau):
+                found = dfs(tuple(c + b for c, b in zip(counters, bits)), prefix + [bits])
+                if found:
+                    return found
+            return None
+
+        found = dfs((0,) * n, [])
+    else:
+        rng = np.random.default_rng(seed)
+        found = None
+        for _ in range(enumeration_cap):
+            counters = (0,) * n
+            increments = []
+            for _ in range(max_T):
+                options = list(_valid_steps(counters, tau))
+                bits = options[rng.integers(len(options))]
+                increments.append(bits)
+                counters = tuple(c + b for c, b in zip(counters, bits))
+            found = violation(increments)
+            if found:
+                break
+
+    stats = {"mode": "exhaustive" if exhaustive else "sampled",
+             "sequences": total if exhaustive else enumeration_cap,
+             "evaluations": evaluated, "max_T": max_T}
+    if found:
+        return Verdict("falsified", found, stats)
+    return Verdict("verified_bounded", None, stats)

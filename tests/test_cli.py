@@ -119,6 +119,13 @@ def test_robust_synth_roundtrip(identical_model, tmp_path):
     assert data["tau"] == 1
 
 
+def test_robust_synth_with_a_zero_step_verify_budget(identical_model, capsys):
+    code = run(["synth", "--model", identical_model, "--formula", "G [a | b, 2]",
+                "--horizon", "3", "--tau", "1", "--verify-max-t", "0"])
+    assert code == 0
+    assert "oracle: verified_bounded (exhaustive, 1 executions)" in capsys.readouterr().out
+
+
 def test_cltl_engine_with_tau_is_usage_error(identical_model):
     code = run(["synth", "--model", identical_model, "--formula", "G F [b, 2]",
                 "--horizon", "4", "--tau", "1", "--engine", "cltl"])
@@ -179,6 +186,9 @@ def mixed_model(tmp_path):
     ("grid_model", ["--horizon", "3"], "F [Z, 1]"),  # no proposition Z
     ("grid_model", ["--horizon", "3", "--tau", "-1"], "F [A, 2]"),
     ("mixed_model", ["--horizon", "3", "--engine", "cltl"], "G F [b, 1]"),
+    ("grid_model", ["--horizon", "3", "--tau", "1", "--verify-max-t", "-1"], "F [A, 2]"),
+    ("grid_model", ["--horizon", "3", "--tau", "1", "--verify-cap", "0"], "F [A, 2]"),
+    ("grid_model", ["--horizon", "3", "--tau", "1", "--verify-cap", "-5"], "F [A, 2]"),
 ])
 def test_bad_synth_input_is_a_one_line_usage_error(request, capsys, model, extra, formula):
     code = run(["synth", "--model", request.getfixturevalue(model), "--formula", formula,
@@ -275,6 +285,14 @@ def test_simulate_synchronous_check(handover_bundle, capsys):
     code = run(["simulate", "--model", model, "--trajectories", traj,
                 "--formula", "[p1, 2]", "--tau", "0", "--max-t", "4"])
     assert code == 0  # synchronously the first two robots show p1 at t=0
+
+
+def test_simulate_zero_step_budget(handover_bundle, capsys):
+    model, traj = handover_bundle
+    code = run(["simulate", "--model", model, "--trajectories", traj,
+                "--formula", "[p1, 2]", "--tau", "1", "--max-t", "0"])
+    assert code == 0
+    assert "(mode=exhaustive, sequences=1, max_T=0)" in capsys.readouterr().out
 
 
 def test_simulate_emit_frames(handover_bundle, tmp_path):

@@ -2,11 +2,14 @@
 
 The reference implementation here is value iteration on the lasso quotient
 graph (least fixpoint for until, greatest for release), a deliberately
-different algorithm from the oracle's scan-based evaluation.
+different algorithm from the oracle's scan-based evaluation.  The batched
+outer kernel and the robust search are compared with the earlier top-down
+oracle kept in ``oracle_reference.py``.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +19,13 @@ from cltlsynth.formula import (IAtom, IAlways, IAnd, IEventually, INext, INot,
                                OEventually, ONext, ONot, OOr, ORelease, OTrue,
                                OUntil, Tcp, iter_tcps, parse_formula,
                                parse_inner_formula)
-from cltlsynth.oracle import (CollectiveExecution, CollectionOracle, Lasso,
-                              Verdict, anchor_map, brute_force_synth,
+from cltlsynth.oracle import (CHUNK, CollectiveExecution, CollectionOracle,
+                              Lasso, Verdict, anchor_map, brute_force_synth,
                               check_robust, eval_inner, eval_outer,
                               tcp_windowed_violation)
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
 
+import oracle_reference
 from conftest import random_inner, random_lasso, random_outer
 
 
@@ -319,6 +323,101 @@ def test_check_robust_sampling_mode_on_large_windows():
     verdict = check_robust(lassos, mu, tau=1, max_T=12, enumeration_cap=50, seed=3)
     assert verdict.stats["mode"] == "sampled"
     assert verdict.falsified  # violations are dense enough to sample
+
+
+def assert_same_verdict(got: Verdict, want: Verdict):
+    assert (got.status, got.stats) == (want.status, want.stats)
+    if want.falsified:
+        assert got.counterexample[1] == want.counterexample[1]
+        assert (got.counterexample[0].increments.tolist()
+                == want.counterexample[0].increments.tolist())
+
+
+def test_eval_outer_matches_reference_on_asynchronous_executions():
+    rng = random.Random(67)
+    atoms = ["a", "b"]
+    for trial in range(150):
+        n = rng.randint(1, 3)
+        lassos = [random_lasso(rng, atoms, rng.randint(1, 5)) for _ in range(n)]
+        mu = random_outer(rng, rng.randint(1, 3), atoms, n)
+        steps = rng.randint(0, 6)
+        execution = CollectiveExecution(np.array(
+            [[rng.randint(0, 1) for _ in range(n)] for _ in range(steps)],
+            dtype=np.int64).reshape(steps, n))
+        # times past every window wrap through the joint period
+        for t in (0, 1, 2, 5, 13, 61):
+            assert (eval_outer(lassos, execution, t, mu)
+                    == oracle_reference.evaluate(lassos, execution, mu, t)), \
+                f"trial {trial}, t={t}"
+
+
+def test_check_robust_matches_reference():
+    rng = random.Random(71)
+    atoms = ["a", "b"]
+    modes = set()
+    for trial in range(120):
+        n = rng.randint(1, 3)
+        tau = rng.randint(0, 2)
+        lassos = [random_lasso(rng, atoms, rng.randint(1, 4)) for _ in range(n)]
+        mu = random_outer(rng, rng.randint(1, 3), atoms, n)
+        kwargs = dict(max_T=rng.randint(0, 4), enumeration_cap=rng.choice([1, 30, 600]),
+                      seed=rng.randint(0, 9))
+        got = check_robust(lassos, mu, tau, **kwargs)
+        assert_same_verdict(got, oracle_reference.check_robust(lassos, mu, tau, **kwargs))
+        modes.add((got.status, got.stats["mode"]))
+    assert len(modes) == 4  # both verdicts, exhaustive and sampled
+
+
+def test_first_violation_in_a_later_chunk():
+    # Robot 0 shows 'a' from local step 3 on; the others never do.  With
+    # tau = 3 every one of the 16^3 increment sequences of length 3 is
+    # valid, and only robot 0 advancing at every step while another robot
+    # stays at 0 violates "no robot at a" at an anchored time.  The least
+    # such sequence, (1,0,0,0) three times, is number 2048.
+    lassos = [lasso_from_text(set(), set(), set(), {"a"}, loop=3)] + [
+        lasso_from_text(set(), loop=0) for _ in range(3)]
+    mu = ONot(Tcp(IAtom("a"), 1))
+    got = check_robust(lassos, mu, tau=3, max_T=3, enumeration_cap=5000)
+    assert got.stats["sequences"] == 16 ** 3 > 4 * CHUNK
+    assert got.counterexample[0].increments.tolist() == [[1, 0, 0, 0]] * 3
+    assert_same_verdict(got, oracle_reference.check_robust(
+        lassos, mu, tau=3, max_T=3, enumeration_cap=5000))
+
+
+def test_zero_step_budget_checks_the_initial_state():
+    lassos = three_trace_collection()
+    for mu, falsified in ((Tcp(IAtom("p1"), 2), False), (Tcp(IAtom("p1"), 3), True)):
+        verdict = check_robust(lassos, mu, tau=1, max_T=0)
+        assert verdict.stats == {"mode": "exhaustive", "sequences": 1,
+                                 "evaluations": 1, "max_T": 0}
+        assert verdict.falsified == falsified
+        assert_same_verdict(verdict, oracle_reference.check_robust(lassos, mu, tau=1, max_T=0))
+    execution, t_bad = verdict.counterexample
+    assert execution.increments.shape == (0, 3) and t_bad == 0
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_T=-1), dict(enumeration_cap=0),
+                                    dict(enumeration_cap=-5)])
+def test_check_robust_rejects_bad_budgets(kwargs):
+    with pytest.raises(ValueError):
+        check_robust(three_trace_collection(), Tcp(IAtom("p1"), 2), tau=1, **kwargs)
+
+
+def test_sampling_many_robots_stays_small():
+    # 8 robots at tau = 1 have 833664 sequences of length 3; neither the
+    # enumeration that finds this out nor the sampling may hold them all.
+    rng = random.Random(3)
+    lassos = [random_lasso(rng, ["a"], 3) for _ in range(8)]
+    mu = parse_formula("G [a, 0]")
+    tracemalloc.start()
+    try:
+        verdict = check_robust(lassos, mu, tau=1, max_T=3, enumeration_cap=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.stats == {"mode": "sampled", "sequences": 2000,
+                             "evaluations": 5150, "max_T": 3}
+    assert peak < 4 << 20
 
 
 # ---------------------------------------------------------------------------
