@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .formula import check_fragment, iter_tcps, parse_formula, resolve_groups
+from .formula import (atoms_of, check_fragment, iter_tcps, parse_formula,
+                      resolve_groups)
 from .ilp import Solution
 from .lp_format import export_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
@@ -302,32 +303,69 @@ def run_synth(args) -> int:
     return 0
 
 
-def _load_trajectories(path: str, model_obj):
+def _load_trajectories(path: str):
     data = json.loads(Path(path).read_text())
     if data.get("type") == "continuous":
-        trajs = [ContinuousTrajectory(
+        return [ContinuousTrajectory(
             tuple(tuple(u) for u in r["inputs"]),
             tuple(tuple(w) for w in r["states"]),
             r["loop_start"]) for r in data["robots"]]
-        return trajs, _lassos_from_continuous(model_obj, trajs)
-    trajs = [LassoTrajectory(tuple(r["states"]), r["loop_start"])
-             for r in data["robots"]]
-    return trajs, _lassos_from_discrete(model_obj, trajs)
+    return [LassoTrajectory(tuple(r["states"]), r["loop_start"])
+            for r in data["robots"]]
+
+
+def _bundle_mismatch(model_obj, trajs) -> str:
+    """Why the trajectory bundle is no run of the model; empty if it is."""
+    continuous = isinstance(model_obj, ContinuousSystem)
+    if any(isinstance(t, ContinuousTrajectory) != continuous for t in trajs):
+        kind = "continuous" if continuous else "discrete"
+        return f"the model is {kind} and the trajectory bundle is not"
+    if len(trajs) != model_obj.n_robots:
+        return (f"the trajectory bundle has {len(trajs)} robots and the model "
+                f"{model_obj.n_robots}")
+    if continuous:
+        return ""
+    for n, (traj, ts, init) in enumerate(zip(trajs, model_obj.systems,
+                                             model_obj.initial_states)):
+        problems = traj.validate_against(ts)
+        if problems:
+            return f"robot {n}: {problems[0]}"
+        if traj.states[0] != init:
+            return (f"robot {n} starts at {ts.states[traj.states[0]]}, not at its "
+                    f"initial state {ts.states[init]}")
+    return ""
 
 
 def run_simulate(args) -> int:
     try:
         model_obj = load_model(args.model)
-        trajs, lassos = _load_trajectories(args.trajectories, model_obj)
-        mu = _read_formula(args.formula)
+        trajs = _load_trajectories(args.trajectories)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    groups = model_obj.groups if isinstance(model_obj, MultiRobotInstance) else {}
+    try:
+        mu = _read_formula(args.formula)
+        resolved = resolve_groups(mu, groups)
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    missing = atoms_of(mu) - set(model_obj.ap)
+    if missing:
+        print(f"error: formula uses unknown propositions: {sorted(missing)}",
+              file=sys.stderr)
+        return 3
     if args.tau < 0 or args.enum_cap < 1 or (args.max_t is not None and args.max_t < 0):
         print("error: invalid budget flags", file=sys.stderr)
         return 3
-    groups = model_obj.groups if isinstance(model_obj, MultiRobotInstance) else {}
-    resolved = resolve_groups(mu, groups)
+    bad = _bundle_mismatch(model_obj, trajs)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 3
+    if isinstance(model_obj, ContinuousSystem):
+        lassos = _lassos_from_continuous(model_obj, trajs)
+    else:
+        lassos = _lassos_from_discrete(model_obj, trajs)
 
     verdict = check_robust(lassos, resolved, args.tau, max_T=args.max_t,
                            enumeration_cap=args.enum_cap, seed=args.seed)

@@ -26,7 +26,11 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
     """Robot-count dynamics: per-state occupancies w and per-transition
     flows u with outflow sum equal to occupancy and next occupancy equal to
     inflow sum; the loop constraint radius scales with the fleet size since
-    occupancies range over [0, N]."""
+    occupancies range over [0, N].
+
+    The loop is closed from one side, ``cur - final + N z_t <= N``: with
+    z_l = 1 it gives w[h] >= w[l] componentwise, and flow conservation
+    makes both count vectors sum to N, so they are equal."""
     if h < 1:
         raise EncodingError("horizon must be at least 1")
     ts = agg.shared
@@ -64,8 +68,6 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
         for i in range(ts.n_states):
             final = layout.agg_state[h][i]
             cur = layout.agg_state[t][i]
-            model.add_constraint(
-                LinExpr({final: 1, cur: -1, z: n}), "<=", n, tag="loop")
             model.add_constraint(
                 LinExpr({final: -1, cur: 1, z: n}), "<=", n, tag="loop")
     return layout

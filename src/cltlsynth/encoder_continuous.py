@@ -9,8 +9,6 @@ a configurable strictness margin epsilon.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .formula import OuterFormula, atoms_of, iter_outer, normalize, ONot

@@ -16,36 +16,46 @@ from __future__ import annotations
 import warnings
 from typing import Optional
 
-from .formula import (INext, IOr, ITrue, InnerFormula, ONext, ONot, OOr,
-                      OTrue, OuterFormula, Tcp, iter_inner, iter_outer,
-                      iter_tcps, normalize)
+from .formula import (INext, IOr, InnerFormula, ONext, ONot, OOr,
+                      OuterFormula, Tcp, iter_inner, iter_outer, iter_tcps,
+                      normalize)
 from .ilp import IlpModel, LinExpr, VarId
 from .system import MultiRobotInstance
 from .encoder_sync import (EncodedProblem, EncodingError, InnerEncoder, Layout,
-                           OuterEncoder, _check_instance, build_sync_problem,
-                           discrete_atom_backend, encode_collision,
-                           encode_dynamics, encode_loop)
+                           OuterEncoder, _check_instance, add_state_vector,
+                           build_sync_problem, discrete_atom_backend,
+                           encode_collision, encode_dynamics, encode_loop,
+                           successor_set)
 
 
 def extend_states(model: IlpModel, layout: Layout, h: int, tau: int) -> None:
     """One-hot state vectors for steps h+1 .. h+tau, pinned to their wrapped
-    loop positions once the loop start is chosen."""
+    loop positions once the loop start is chosen.
+
+    The lasso's state at h+k is k steps past w[h] = w[l], so it lies in
+    R_{h+k} = succ(R_{h+k-1}), continuing the reachable sets of
+    ``encode_dynamics``; the other entries are the constant 0.  As in
+    ``encode_loop`` one side ties the vectors: for loop start l and each
+    live entry i of the wrapped source w[wrap(l, h+k)],
+    ``src[i] + z_l - w[h+k][i] <= 1``, and two one-hot vectors with
+    w[h+k] >= src are equal."""
     if tau == 0:
         return
-    for n in range(layout.n_robots):
-        n_states = len(layout.state_vars[(n, 0)])
+    for n, ts in enumerate(layout.instance.systems):
+        succ = [ts.successors(i) for i in range(ts.n_states)]
         for k in range(1, tau + 1):
-            row = [model.add_binary(f"w_{n}_{h + k}_{i}", tag="robust")
-                   for i in range(n_states)]
-            layout.state_vars[(n, h + k)] = row
-            model.add_constraint(LinExpr.sum_of(row), "=", 1, tag="robust")
+            live = successor_set(succ, layout.live[(n, h + k - 1)])
+            add_state_vector(model, layout, n, h + k, ts.n_states, live, "robust")
+            row = layout.state_vars[(n, h + k)]
+            row_live = set(live)
             for l, z in enumerate(layout.loop_vars):
-                src = layout.state_vars[(n, layout.wrap_index(l, h + k))]
-                for i in range(n_states):
-                    model.add_constraint(
-                        LinExpr({row[i]: 1, src[i]: -1, z: 1}), "<=", 1, tag="robust")
-                    model.add_constraint(
-                        LinExpr({row[i]: -1, src[i]: 1, z: 1}), "<=", 1, tag="robust")
+                src_t = layout.wrap_index(l, h + k)
+                src = layout.state_vars[(n, src_t)]
+                for i in layout.live[(n, src_t)]:
+                    expr = LinExpr({src[i]: 1, z: 1})
+                    if i in row_live:
+                        expr.add_term(row[i], -1)
+                    model.add_constraint(expr, "<=", 1, tag="robust")
 
 
 class RobustOuterEncoder(OuterEncoder):

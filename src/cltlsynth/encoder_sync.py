@@ -2,16 +2,18 @@
 lasso loop selection, recursive inner/outer logic constraints, optional
 inter-robot collision constraints, and trajectory extraction.
 
-Conventions: state vectors w[n][t] exist for t = 0..h (plus h+1..h+tau in
-robust mode); logic variables z/y exist for t = 0..h-1, with w[h] reserved
-for closing the loop.
+Conventions: state vectors w[n][t] have one entry per state for t = 0..h
+(plus h+1..h+tau in robust mode), but only the states robot n can occupy
+after exactly t steps are variables; every other entry is the model's
+shared constant 0, and no row mentions it.  Logic variables z/y exist for
+t = 0..h-1, with w[h] reserved for closing the loop.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from .formula import (IAlways, IAnd, IAtom, IEventually, INNER_FALSE, INext,
                       INot, IOr, IRelease, ITrue, IUntil, InnerFormula,
@@ -47,6 +49,8 @@ class Layout:
         self.h = h
         self.tau = tau
         self.state_vars: dict[tuple[int, int], list[VarId]] = {}
+        # ascending indices of the entries of state_vars that are variables
+        self.live: dict[tuple[int, int], list[int]] = {}
         self.loop_vars: list[VarId] = []
         self.inner: dict[tuple[InnerFormula, int, int], VarId] = {}
         self.inner_aux: dict[tuple[InnerFormula, int, int], VarId] = {}
@@ -110,38 +114,68 @@ class EncodedProblem:
 # Dynamics, loop, collision
 # ---------------------------------------------------------------------------
 
+def add_state_vector(model: IlpModel, layout: Layout, n: int, t: int,
+                     n_states: int, live: list[int], tag: str) -> None:
+    """w[n][t]: a binary for each state in ``live`` (ascending), the shared
+    constant 0 everywhere else, and the one-hot row over the live entries.
+    With nothing live the row reads ``const_0 = 1``, which no point meets."""
+    zero = model.constant(0) if len(live) < n_states else None
+    row = [zero] * n_states
+    for i in live:
+        row[i] = model.add_binary(f"w_{n}_{t}_{i}", tag=tag)
+    layout.state_vars[(n, t)] = row
+    layout.live[(n, t)] = live
+    one_hot = LinExpr.sum_of(row[i] for i in live) if live else LinExpr({zero: 1})
+    model.add_constraint(one_hot, "=", 1, tag=tag)
+
+
+def successor_set(succ: list[list[int]], live: list[int]) -> list[int]:
+    """Ascending states one step from some state in ``live``."""
+    return sorted({j for i in live for j in succ[i]})
+
+
 def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
                     tau: int = 0) -> Layout:
     """One-hot state vectors under the adjacency relation.
 
-    w[n][t+1] <= A_n w[n][t] componentwise, w[n][0] pinned to the initial
-    state, and exactly one nonzero entry per step.
+    w[n][0] is pinned to the initial state and w[n][t+1] <= A_n w[n][t]
+    componentwise, so w[n][t] can only be 1 on R_t, the states reachable
+    in exactly t steps: R_0 = {init}, R_{t+1} = succ(R_t).  Every other
+    entry is 0 in every feasible point, so it is the constant 0 and only
+    the live entries get variables and rows: the one-hot row sums R_t (for
+    t = 0 it is the pin itself) and the dynamics row of j in R_{t+1} sums
+    its predecessors in R_t.  An empty R_t (a dead end) leaves the
+    infeasible row ``const_0 = 1``.
     """
     layout = Layout(model, inst.n_robots, h, tau)
     layout.instance = inst
     for n, ts in enumerate(inst.systems):
-        for t in range(h + 1):
-            row = [model.add_binary(f"w_{n}_{t}_{i}", tag="dynamics")
-                   for i in range(ts.n_states)]
-            layout.state_vars[(n, t)] = row
-            model.add_constraint(LinExpr.sum_of(row), "=", 1, tag="dynamics")
-        model.add_constraint(
-            LinExpr({layout.state_vars[(n, 0)][inst.initial_states[n]]: 1}),
-            "=", 1, tag="dynamics")
+        succ = [ts.successors(i) for i in range(ts.n_states)]
         preds = [ts.predecessors(j) for j in range(ts.n_states)]
+        live = [inst.initial_states[n]]
+        add_state_vector(model, layout, n, 0, ts.n_states, live, "dynamics")
         for t in range(h):
             cur = layout.state_vars[(n, t)]
+            cur_live = set(live)
+            live = successor_set(succ, live)
+            add_state_vector(model, layout, n, t + 1, ts.n_states, live, "dynamics")
             nxt = layout.state_vars[(n, t + 1)]
-            for j in range(ts.n_states):
+            for j in live:
                 expr = LinExpr({nxt[j]: 1})
                 for i in preds[j]:
-                    expr.add_term(cur[i], -1)
+                    if i in cur_live:
+                        expr.add_term(cur[i], -1)
                 model.add_constraint(expr, "<=", 0, tag="dynamics")
     return layout
 
 
 def encode_loop(model: IlpModel, layout: Layout, h: int) -> list[VarId]:
-    """Select a unique loop start l with w[n][h] = w[n][l] for every robot."""
+    """Select a unique loop start l with w[n][h] = w[n][l] for every robot.
+
+    One side suffices: ``w[n][t][i] + z_t - w[n][h][i] <= 1`` for each live
+    entry of w[n][t] gives w[n][h] >= w[n][l] once z_l = 1, and two one-hot
+    vectors with w[h] >= w[l] are equal.  Where w[n][h][i] is the constant
+    0 the row reads ``w[n][t][i] + z_t <= 1``."""
     layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
                         for t in range(h)]
     model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
@@ -149,12 +183,13 @@ def encode_loop(model: IlpModel, layout: Layout, h: int) -> list[VarId]:
         if t >= h:
             continue
         final = layout.state_vars[(n, h)]
+        final_live = set(layout.live[(n, h)])
         z = layout.loop_vars[t]
-        for i in range(len(row)):
-            model.add_constraint(
-                LinExpr({final[i]: 1, row[i]: -1, z: 1}), "<=", 1, tag="loop")
-            model.add_constraint(
-                LinExpr({final[i]: -1, row[i]: 1, z: 1}), "<=", 1, tag="loop")
+        for i in layout.live[(n, t)]:
+            expr = LinExpr({row[i]: 1, z: 1})
+            if i in final_live:
+                expr.add_term(final[i], -1)
+            model.add_constraint(expr, "<=", 1, tag="loop")
     return layout.loop_vars
 
 
@@ -166,7 +201,8 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
     exclusion is widened to every pair of steps at most tau apart, since
     asynchrony can bring those positions together at the same wall-clock
     instant.  The swap variant additionally forbids two robots exchanging
-    states across one step.
+    states across one step.  A row that mentions a constant-0 state entry
+    holds in every point, so only rows over live entries are emitted.
     """
     if inst.collision_mode == "off":
         return
@@ -174,43 +210,44 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
         raise EncodingError("collision constraints require a shared state space")
     n_states = inst.systems[0].n_states
     times = sorted(t for (n, t) in layout.state_vars if n == 0)
+    live = {key: set(states) for key, states in layout.live.items()}
+    w = layout.state_vars
     if tau == 0:
         for t in times:
             for i in range(n_states):
-                expr = LinExpr.sum_of(layout.state_vars[(n, t)][i]
-                                      for n in range(inst.n_robots))
-                model.add_constraint(expr, "<=", 1, tag="collision")
+                here = [w[(n, t)][i] for n in range(inst.n_robots) if i in live[(n, t)]]
+                if len(here) > 1:
+                    model.add_constraint(LinExpr.sum_of(here), "<=", 1, tag="collision")
     else:
         for a, b in itertools.combinations(range(inst.n_robots), 2):
             for t in times:
                 for dt in range(tau + 1):
-                    if (a, t + dt) not in layout.state_vars:
+                    if (a, t + dt) not in w:
                         continue
                     for i in range(n_states):
-                        model.add_constraint(
-                            LinExpr({layout.state_vars[(a, t)][i]: 1,
-                                     layout.state_vars[(b, t + dt)][i]: 1}),
-                            "<=", 1, tag="collision")
-                        if dt:
+                        if i in live[(a, t)] and i in live[(b, t + dt)]:
                             model.add_constraint(
-                                LinExpr({layout.state_vars[(b, t)][i]: 1,
-                                         layout.state_vars[(a, t + dt)][i]: 1}),
+                                LinExpr({w[(a, t)][i]: 1, w[(b, t + dt)][i]: 1}),
+                                "<=", 1, tag="collision")
+                        if dt and i in live[(b, t)] and i in live[(a, t + dt)]:
+                            model.add_constraint(
+                                LinExpr({w[(b, t)][i]: 1, w[(a, t + dt)][i]: 1}),
                                 "<=", 1, tag="collision")
     if inst.collision_mode == "mutual_exclusion_plus_swap":
         ts0 = inst.systems[0]
-        swappable = [(i, j) for (i, j) in ts0.transitions
+        swappable = [(i, j) for (i, j) in sorted(ts0.transitions)
                      if i != j and (j, i) in ts0.transitions]
         for a, b in itertools.combinations(range(inst.n_robots), 2):
             for t in times:
-                if (a, t + 1) not in layout.state_vars:
+                if (a, t + 1) not in w:
                     continue
                 for (i, j) in swappable:
-                    model.add_constraint(
-                        LinExpr({layout.state_vars[(a, t)][i]: 1,
-                                 layout.state_vars[(b, t)][j]: 1,
-                                 layout.state_vars[(a, t + 1)][j]: 1,
-                                 layout.state_vars[(b, t + 1)][i]: 1}),
-                        "<=", 3, tag="collision")
+                    if (i in live[(a, t)] and j in live[(b, t)]
+                            and j in live[(a, t + 1)] and i in live[(b, t + 1)]):
+                        model.add_constraint(
+                            LinExpr({w[(a, t)][i]: 1, w[(b, t)][j]: 1,
+                                     w[(a, t + 1)][j]: 1, w[(b, t + 1)][i]: 1}),
+                            "<=", 3, tag="collision")
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +256,17 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
 
 def discrete_atom_backend(layout: Layout, inst: MultiRobotInstance) -> AtomBackend:
     """Couples an atom variable to the labeled states the robot may occupy:
-    z equals the label indicator applied to the one-hot state vector."""
+    z equals the label indicator applied to the one-hot state vector.  The
+    sum skips constant-0 entries; with no live labeled state it pins z to
+    0."""
 
     def backend(name: str, n: int, t: int) -> VarId:
         ts = inst.systems[n]
         vec = ts.label_vector(name)
         z = layout.model.add_binary(f"z{layout.fid(IAtom(name))}_n{n}_t{t}", tag="inner")
         expr = LinExpr({z: 1})
-        for i, bit in enumerate(vec):
-            if bit:
+        for i in layout.live[(n, t)]:
+            if vec[i]:
                 expr.add_term(layout.state_vars[(n, t)][i], -1)
         # label_count >= z and label_count <= z (strict < z+1 tightened by
         # integrality), i.e. z tracks membership exactly

@@ -30,7 +30,7 @@ import numpy as np
 
 from .formula import (IAlways, IAnd, IAtom, IEventually, INext, INot, IOr,
                       IRelease, ITrue, IUntil, InnerFormula, OAlways, OAnd,
-                      OEventually, ONext, ONot, OOr, ORelease, OTrue, OUntil,
+                      OEventually, ONext, ONot, OOr, OTrue, OUntil,
                       OuterFormula, Tcp, iter_outer)
 from .system import MultiRobotInstance, TransitionSystem
 from .trajectory import LassoTrajectory
@@ -71,9 +71,6 @@ class Lasso:
         if k < self.horizon:
             return k
         return self.loop_start + (k - self.loop_start) % self.period
-
-    def label_at(self, k: int) -> frozenset:
-        return self.labels[self.position(k)]
 
 
 def eval_inner(lasso: Lasso, t: int, phi: InnerFormula) -> bool:

@@ -75,7 +75,10 @@ def test_synth_writes_artifacts_and_verifies(grid_model, tmp_path):
     assert data["type"] == "discrete" and len(data["robots"]) == 2
     meta = json.loads(stats.read_text())
     assert meta["status"] == "feasible"
-    assert meta["variables"]["dynamics"] == 2 * 9 * 7
+    # only reachable cells get variables: a corner robot on the 3x3 grid
+    # reaches the cells within t moves, 1, 3, 6, 8, 9, 9, 9 for t = 0..6,
+    # and the two robots start in opposite corners
+    assert meta["variables"]["dynamics"] == 2 * (1 + 3 + 6 + 8 + 9 + 9 + 9)
     assert lp.exists()
 
 
@@ -313,3 +316,38 @@ def test_simulate_invalid_budget(handover_bundle):
     code = run(["simulate", "--model", model, "--trajectories", traj,
                 "--formula", "[p1, 2]", "--tau", "-1"])
     assert code == 3
+
+
+def _bundle(tmp_path, robots, kind="discrete"):
+    path = tmp_path / "bad_traj.json"
+    path.write_text(json.dumps({"type": kind, "h": 3, "tau": 1, "robots": robots}))
+    return path
+
+
+CHAIN_LASSO = {"states": [0, 1, 2, 2], "loop_start": 2}
+
+
+@pytest.mark.parametrize("robots, kind, formula, message", [
+    ([CHAIN_LASSO] * 3, "discrete", "[p1,", "expected"),
+    ([{"states": [2, 0, 2, 2], "loop_start": 2}] * 3, "discrete", "[p1, 2]",
+     "invalid transition at step 0: s2 -> s0"),
+    ([{"states": [1, 2, 2, 2], "loop_start": 2}] * 3, "discrete", "[p1, 2]",
+     "robot 0 starts at s1, not at its initial state s0"),
+    ([CHAIN_LASSO] * 3, "discrete", "[p1, @ghost, 1]", "unknown robot group"),
+    ([CHAIN_LASSO] * 3, "discrete", "[zz, 1]", "unknown propositions: ['zz']"),
+    ([CHAIN_LASSO] * 2, "discrete", "[p1, 2]", "has 2 robots and the model 3"),
+    ([{"inputs": [[0.0]], "states": [[0.0], [0.0]], "loop_start": 0}] * 3,
+     "continuous", "[p1, 2]", "the model is discrete"),
+], ids=["formula-syntax", "not-a-path", "wrong-start", "unknown-group", "unknown-atom",
+        "robot-count", "wrong-kind"])
+def test_bad_simulate_input_is_a_one_line_usage_error(handover_bundle, tmp_path, capsys,
+                                                      robots, kind, formula, message):
+    model, _ = handover_bundle
+    code = run(["simulate", "--model", model,
+                "--trajectories", _bundle(tmp_path, robots, kind),
+                "--formula", formula, "--tau", "1", "--max-t", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "verdict" not in captured.out

@@ -7,16 +7,19 @@ satisfaction value, so any disagreement is an encoder bug.
 """
 
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from cltlsynth.formula import (IAtom, IEventually, INot, ITrue, IUntil,
                                OAlways, OAnd, OEventually, ONot, OOr, ORelease,
                                OTrue, OUntil, Tcp, parse_formula)
 from cltlsynth.ilp import LinExpr
+from cltlsynth.lp_format import export_lp
 from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
-                              eval_inner, eval_outer)
-from cltlsynth.solver import solve_bnb
+                              check_robust, eval_inner, eval_outer)
+from cltlsynth.solver import solve_bnb, solve_external
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
 from cltlsynth.encoder_sync import (EncodingError, ExtractionError,
                                     build_sync_problem, extract_trajectories)
@@ -24,6 +27,8 @@ from cltlsynth.encoder_cltl import build_cltl_problem
 from cltlsynth.encoder_robust import build_robust_problem
 
 from conftest import random_instance, random_outer
+
+LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
 
 def ts_of(states, transitions, labels, ap=("a", "b")):
@@ -88,6 +93,119 @@ def test_unreachable_loop_is_infeasible():
     ts = ts_of(["v1", "v2", "v3"], {(0, 1), (1, 2)}, {})
     problem = build_sync_problem(single(ts), OTrue(), h=2)
     assert solve_bnb(problem.model).status == "infeasible"
+
+
+# ---------------------------------------------------------------------------
+# Reachability pruning
+# ---------------------------------------------------------------------------
+
+DEAD_END = ts_of(["v1", "v2", "v3"], {(0, 1), (1, 2)}, {})
+
+
+def test_dead_end_chain_is_infeasible_through_both_solvers(tmp_path):
+    # no state is reachable after 3 steps, so w[3] and w[4] have no live
+    # entry; the model must stay infeasible and still export
+    problem = build_sync_problem(single(DEAD_END), OTrue(), h=4)
+    assert all(not problem.layout.live[(0, t)] for t in (3, 4))
+    assert solve_bnb(problem.model).status == "infeasible"
+    lp = tmp_path / "dead.lp"
+    export_lp(problem.model, lp)
+    assert "const_0 = 1" in lp.read_text()
+    assert solve_external(problem.model, LP_CLI,
+                          workdir=tmp_path).status == "infeasible"
+
+
+def exact_step_reachable(ts, init, steps):
+    """States reachable in exactly t steps, t = 0..steps, from powers of
+    the adjacency matrix."""
+    a = ts.adjacency().astype(np.int64)
+    vec = np.zeros(ts.n_states, dtype=np.int64)
+    vec[init] = 1
+    out = []
+    for _ in range(steps + 1):
+        out.append(set(np.flatnonzero(vec).tolist()))
+        vec = np.minimum(a @ vec, 1)
+    return out
+
+
+def test_state_variables_are_exactly_the_reachable_states():
+    rng = random.Random(113)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        inst = random_instance(rng, n, rng.randint(2, 6), ["a"],
+                               edge_prob=rng.choice([0.15, 0.35]))
+        h = rng.randint(1, 6)
+        problem = build_sync_problem(inst, OTrue(), h)
+        lay = problem.layout
+        zero = problem.model.constant(0)
+        total = 0
+        for r, (ts, init) in enumerate(zip(inst.systems, inst.initial_states)):
+            reach = exact_step_reachable(ts, init, h)
+            for t in range(h + 1):
+                row = lay.state_vars[(r, t)]
+                assert len(row) == ts.n_states
+                assert {i for i, v in enumerate(row) if v != zero} == reach[t]
+                assert lay.live[(r, t)] == sorted(reach[t])
+            total += sum(len(s) for s in reach)
+        assert problem.model.var_tag_counts["dynamics"] == total
+
+
+# Two systems without self-loops whose reachable sets cycle: a bipartite
+# 4-cycle alternates between {s0, s2} and {s1, s3}; a three-layer ring
+# moves {s0, s1} -> {s2, s3} -> {s4, s5} -> {s0, s1}.
+BIPARTITE = ts_of([f"s{i}" for i in range(4)],
+                  {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)},
+                  {0: ("a",), 1: ("b",), 2: ("a", "b")})
+LAYERED = ts_of([f"s{i}" for i in range(6)],
+                {(i, j) for i in range(6) for j in range(6)
+                 if j // 2 == (i // 2 + 1) % 3},
+                {0: ("a",), 3: ("a", "b"), 4: ("b",)})
+
+
+@pytest.mark.parametrize("ts, horizons", [(BIPARTITE, (2, 3, 4)), (LAYERED, (3,))],
+                         ids=["two-cycle", "three-cycle"])
+def test_alternating_reachable_sets_agree_with_brute_force(ts, horizons):
+    rng = random.Random(127)
+    verdicts = []
+    for trial in range(12):
+        inst = MultiRobotInstance((ts, ts), (0, rng.randrange(ts.n_states)))
+        h = rng.choice(horizons)
+        mu = random_outer(rng, rng.randint(1, 2), ["a", "b"], 2, bare_atoms=True)
+        brute = brute_force_synth(inst, mu, h) is not None
+        sync = build_sync_problem(inst, mu, h)
+        sol = solve_bnb(sync.model)
+        cltl = solve_bnb(build_cltl_problem(inst, mu, h).model).feasible
+        assert sol.feasible == cltl == brute, \
+            f"trial {trial}: sync={sol.feasible} cltl={cltl} brute={brute} mu={mu}"
+        if sol.feasible:
+            oracle_check_all_logic_vars(sync, sol, inst)
+        verdicts.append(brute)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("ts, h", [(BIPARTITE, 4), (LAYERED, 3)],
+                         ids=["two-cycle", "three-cycle"])
+def test_alternating_reachable_sets_give_robust_lassos(ts, h):
+    rng = random.Random(131)
+    feasible = 0
+    for trial in range(10):
+        inst = MultiRobotInstance((ts, ts), (0, rng.randrange(ts.n_states)))
+        mu = random_outer(rng, 2, ["a", "b"], 2, allow_not=False,
+                          allow_next=False, inner_next=False)
+        problem = build_robust_problem(inst, mu, h, tau=1)
+        sol = solve_bnb(problem.model)
+        if not sol.feasible:
+            continue
+        feasible += 1
+        trajs = extract_trajectories(problem.layout, sol)
+        for traj in trajs:
+            assert traj.validate_against(ts) == []
+        lassos = [Lasso.from_trajectory(t, ts) for t in trajs]
+        verdict = check_robust(lassos, mu, tau=1, max_T=h + 2,
+                               enumeration_cap=100000)
+        assert verdict.stats["mode"] == "exhaustive"
+        assert not verdict.falsified, f"trial {trial}: {mu} falsified on {trajs}"
+    assert feasible >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +391,10 @@ def test_dynamics_variable_count_scales_linearly_with_fleet():
     v2 = two.model.var_tag_counts["dynamics"]
     v4 = four.model.var_tag_counts["dynamics"]
     assert v4 == 2 * v2
-    assert v2 == 2 * ts.n_states * (h + 1)
+    # only reachable states get variables: from v1 the sets after t steps
+    # are {v1}, {v1, v2}, {v1, v2, v3}, then all three, so 1+2+3+3+3 = 12
+    # per robot
+    assert v2 == 2 * (1 + 2 + 3 + 3 + 3)
 
 
 def test_outer_negation_handled_by_normalization():

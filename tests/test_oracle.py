@@ -7,7 +7,6 @@ outer kernel and the robust search are compared with the earlier top-down
 oracle kept in ``oracle_reference.py``.
 """
 
-import itertools
 import random
 import tracemalloc
 
