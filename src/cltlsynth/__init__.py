@@ -21,16 +21,37 @@ from .system import (AggregateSystem, ContinuousSystem, MultiRobotInstance,
                      label_vector, load_model, validate)
 from .ilp import IlpModel, LinExpr, Solution
 from .lp_format import export_lp, parse_lp
-from .solver import SolveConfig, deepen_horizon, solve_bnb, solve_external
+from .solver import SolveConfig, solve_bnb, solve_external
 from .trajectory import ContinuousTrajectory, LassoTrajectory
 from .oracle import (CollectiveExecution, Lasso, Verdict, anchor_map,
                      brute_force_synth, check_robust, eval_inner, eval_outer)
 from .encoder_sync import (EncodedProblem, Layout, build_sync_problem,
-                           encode_collision, encode_dynamics, encode_inner,
-                           encode_loop, encode_outer_sync, extract_trajectories)
+                           encode_collision, encode_dynamics, encode_loop,
+                           extract_trajectories)
 from .encoder_cltl import build_cltl_problem, decompose_flows, encode_aggregate
 from .encoder_robust import build_robust_problem, extend_states
 from .encoder_continuous import (build_cont_problem, extract_continuous,
                                  membership_trace)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # formula
+    "FragmentReport", "InnerFormula", "OuterFormula", "Tcp", "TempCountProp",
+    "check_fragment", "expand_sugar", "formula_length", "normalize",
+    "parse_formula", "parse_inner_formula", "to_pnf", "to_text",
+    # system
+    "AggregateSystem", "ContinuousSystem", "MultiRobotInstance",
+    "TransitionSystem", "aggregate_view", "build_grid_system", "label_vector",
+    "load_model", "validate",
+    # ilp, lp_format, solver, trajectory
+    "IlpModel", "LinExpr", "Solution", "export_lp", "parse_lp", "SolveConfig",
+    "solve_bnb", "solve_external", "ContinuousTrajectory", "LassoTrajectory",
+    # oracle
+    "CollectiveExecution", "Lasso", "Verdict", "anchor_map",
+    "brute_force_synth", "check_robust", "eval_inner", "eval_outer",
+    # encoders
+    "EncodedProblem", "Layout", "build_sync_problem", "encode_collision",
+    "encode_dynamics", "encode_loop", "extract_trajectories",
+    "build_cltl_problem", "decompose_flows", "encode_aggregate",
+    "build_robust_problem", "extend_states", "build_cont_problem",
+    "extract_continuous", "membership_trace",
+]

@@ -25,7 +25,7 @@ from .ilp import Solution
 from .lp_format import export_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
                      eval_outer)
-from .solver import SolveConfig, SolverError, solve_bnb, solve_external
+from .solver import SolverError, solve_bnb, solve_external
 from .system import (ContinuousSystem, ModelError, MultiRobotInstance,
                      aggregate_view, load_model)
 from .encoder_cltl import build_cltl_problem, decompose_flows
@@ -69,8 +69,8 @@ def _build_parser() -> _Parser:
                        help="external solver template with {lp} and {sol}; "
                             "falls back to the CTL_SOLVER_CMD environment variable")
     synth.add_argument("--export-lp", default=None, metavar="PATH")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--threads", type=int, default=1)
+    synth.add_argument("--seed", type=int, default=0,
+                       help="seed for the sampled robustness check")
     synth.add_argument("--collision", choices=tuple(COLLISION_ALIASES), default=None,
                        help="override the model's collision mode")
     synth.add_argument("--output", default=None, metavar="PATH",
@@ -227,7 +227,7 @@ def run_synth(args) -> int:
     def solve(model) -> Solution:
         if args.solver == "external":
             return solve_external(model, solver_cmd)
-        return solve_bnb(model, SolveConfig(seed=args.seed, threads=args.threads))
+        return solve_bnb(model)
 
     h_max = args.horizon_max if args.horizon_max is not None else args.horizon
     unknown = []  # horizons whose solve exhausted a budget

@@ -127,17 +127,10 @@ class CltlOuterEncoder(OuterEncoder):
                 "identities are not tracked")
         lay = self.layout
         vec = self._literal_vector(tcp)
-        big_m = self.agg.n_robots + 1
         for t in range(lay.h):
-            expr = LinExpr()
-            for i, bit in enumerate(vec):
-                if bit:
-                    expr.add_term(lay.agg_state[t][i], 1)
             # occupancies are conserved, so the labeled sum never exceeds N
-            y = self.model.indicator_geq(expr, tcp.m, big_m,
-                                         name=f"y{lay.fid(tcp)}_t{t}", tag=self.TAG,
-                                         known_bounds=(0, self.agg.n_robots))
-            self._set(tcp, t, y)
+            count = (lay.agg_state[t][i] for i, bit in enumerate(vec) if bit)
+            self._set(tcp, t, self._at_least(count, tcp.m, self.agg.n_robots, tcp, t))
 
 
 def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
@@ -171,7 +164,6 @@ def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
     layout = encode_aggregate(model, agg, h)
     encode_aggregate_collision(model, layout, agg, collision)
     outer = CltlOuterEncoder(model, layout, agg)
-    layout.outer_encoder = outer
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
     return EncodedProblem(model, layout, instance, norm, mu, h, 0, "cltl")

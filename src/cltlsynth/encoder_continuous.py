@@ -167,14 +167,12 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
     model = IlpModel("continuous")
     layout = encode_cont_dynamics_loop(model, sys, h, tau)
     backend = polytope_atom_backend(layout, sys, epsilon)
-    inner = InnerEncoder(model, layout, backend, allow_inner_next=tau == 0)
-    layout.inner_encoder = inner
+    inner = InnerEncoder(model, layout, backend)
     if tau == 0:
         outer = OuterEncoder(model, layout, inner, sys.n_robots)
     else:
         outer = RobustOuterEncoder(model, layout, inner, sys.n_robots, tau,
                                    pool_tcp_disjunctions)
-    layout.outer_encoder = outer
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
     return EncodedProblem(model, layout, sys, norm, mu, h, tau, "continuous")

@@ -61,7 +61,8 @@ def extend_states(model: IlpModel, layout: Layout, h: int, tau: int) -> None:
 class RobustOuterEncoder(OuterEncoder):
     """Outer encoding whose satisfaction variables certify the formula at
     *anchor* times: true no matter how local counters in [t, t+tau] are
-    interleaved."""
+    interleaved.  Built only for tau >= 1; at tau = 0 the synchronous
+    encoder is the robust one."""
 
     TAG = "robust"
 
@@ -76,8 +77,6 @@ class RobustOuterEncoder(OuterEncoder):
     def robust_var(self, phi: InnerFormula, n: int, t: int) -> VarId:
         """Conjunction of z[phi][n][t..t+tau]: robot n satisfies phi at
         every local time an anchored adversary could pick."""
-        if self.tau == 0:
-            return self.inner.var(phi, n, t)
         lay = self.layout
         key = (phi, n, t)
         if key not in lay.robust:
@@ -90,32 +89,23 @@ class RobustOuterEncoder(OuterEncoder):
 
     def _tcp_row(self, tcp: Tcp) -> None:
         lay = self.layout
-        model = self.model
         scope = self._tcp_scope(tcp)
-        big_m = len(scope) + 1
-        full_scope = len(scope) == self.n_robots
+        size = len(scope)
         for t in range(lay.h):
-            if tcp.m == 0:
-                self._set(tcp, t, model.constant(1))
-                continue
-            robust_sum = LinExpr.sum_of(self.robust_var(tcp.inner, n, t) for n in scope)
-            if tcp.m == 1 and full_scope:
+            robust = (self.robust_var(tcp.inner, n, t) for n in scope)
+            if tcp.m == 1 and size == self.n_robots:
                 # Either some robot holds phi through the whole window, or
                 # every robot holds phi at exactly t: the anchoring robot's
                 # local time is t, so one of them is caught satisfying phi.
-                y_tilde = model.indicator_geq(
-                    robust_sum, 1, big_m, name=f"yt{lay.fid(tcp)}_t{t}", tag="robust")
-                plain_sum = LinExpr.sum_of(self.inner.var(tcp.inner, n, t) for n in scope)
-                y_bar = model.indicator_geq(
-                    plain_sum, len(scope), big_m, name=f"yb{lay.fid(tcp)}_t{t}",
-                    tag="robust")
+                y_tilde = self._at_least(robust, 1, size, tcp, t, "yt")
+                plain = (self.inner.var(tcp.inner, n, t) for n in scope)
+                y_bar = self._at_least(plain, size, size, tcp, t, "yb")
                 lay.outer_extra[(tcp, t, "tilde")] = y_tilde
                 lay.outer_extra[(tcp, t, "bar")] = y_bar
-                y = model.bool_or([y_tilde, y_bar], name=f"y{lay.fid(tcp)}_t{t}",
-                                  tag="robust")
+                y = self.model.bool_or([y_tilde, y_bar], name=f"y{lay.fid(tcp)}_t{t}",
+                                       tag="robust")
             else:
-                y = model.indicator_geq(robust_sum, tcp.m, big_m,
-                                        name=f"y{lay.fid(tcp)}_t{t}", tag="robust")
+                y = self._at_least(robust, tcp.m, size, tcp, t)
             self._set(tcp, t, y)
 
     # -- disjunction -----------------------------------------------------------
@@ -127,7 +117,7 @@ class RobustOuterEncoder(OuterEncoder):
             self.ensure_row(c)
         pooled = [c for c in mu.children
                   if isinstance(c, Tcp) and c.group is None and c.m >= 1]
-        use_pool = self.pool_tcp_disjunctions and self.tau > 0 and len(pooled) >= 2
+        use_pool = self.pool_tcp_disjunctions and len(pooled) >= 2
         if use_pool:
             # A robot may contribute to different disjuncts at different
             # local times; pooling counts robots that hold the disjunction
@@ -137,11 +127,8 @@ class RobustOuterEncoder(OuterEncoder):
             phi_or = IOr(tuple(c.inner for c in pooled))
             threshold = 1 + sum(c.m - 1 for c in pooled)
             for t in range(lay.h):
-                pool_sum = LinExpr.sum_of(
-                    self.robust_var(phi_or, n, t) for n in range(self.n_robots))
-                pool_y = model.indicator_geq(
-                    pool_sum, threshold, self.n_robots + 1,
-                    name=f"yp{lay.fid(mu)}_t{t}", tag="robust")
+                pool = (self.robust_var(phi_or, n, t) for n in range(self.n_robots))
+                pool_y = self._at_least(pool, threshold, self.n_robots, mu, t, "yp")
                 lay.outer_extra[(mu, t, "pool")] = pool_y
                 v = model.bool_or(
                     [lay.outer[(c, t)] for c in mu.children] + [pool_y],
@@ -157,22 +144,7 @@ class RobustOuterEncoder(OuterEncoder):
         # must hold robustly; under asynchrony the handover step may show a
         # mix of robots still on the left task and robots already on the
         # right one.
-        if self.tau == 0:
-            return mu.lhs
         return OOr((mu.lhs, mu.rhs))
-
-
-def create_robust_encoders(model: IlpModel, layout: Layout,
-                           inst: MultiRobotInstance, tau: int,
-                           pool_tcp_disjunctions: bool = True
-                           ) -> tuple[InnerEncoder, RobustOuterEncoder]:
-    inner = InnerEncoder(model, layout, discrete_atom_backend(layout, inst),
-                         allow_inner_next=False)
-    layout.inner_encoder = inner
-    outer = RobustOuterEncoder(model, layout, inner, inst.n_robots, tau,
-                               pool_tcp_disjunctions)
-    layout.outer_encoder = outer
-    return inner, outer
 
 
 def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
@@ -206,8 +178,9 @@ def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     encode_loop(model, layout, h)
     extend_states(model, layout, h, tau)
     encode_collision(model, layout, inst, h, tau=tau)
-    inner, outer = create_robust_encoders(model, layout, inst, tau,
-                                          pool_tcp_disjunctions)
+    inner = InnerEncoder(model, layout, discrete_atom_backend(layout, inst))
+    outer = RobustOuterEncoder(model, layout, inner, inst.n_robots, tau,
+                               pool_tcp_disjunctions)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
     return EncodedProblem(model, layout, inst, norm, mu, h, tau, "cltlplus")

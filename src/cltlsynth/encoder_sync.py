@@ -7,13 +7,25 @@ Conventions: state vectors w[n][t] have one entry per state for t = 0..h
 after exactly t steps are variables; every other entry is the model's
 shared constant 0, and no row mentions it.  Logic variables z/y exist for
 t = 0..h-1, with w[h] reserved for closing the loop.
+
+Every encoder (synchronous, robust, aggregate, continuous) builds its
+logic on one core defined here:
+
+- ``loop_value`` reads a row at the chosen loop start, OR over l of
+  (z_l AND row[l]); it closes next and every until/release at h-1.
+- ``until_release_row`` is the one until/release recurrence,
+  y[t] = rhs[t] | (lhs[t] & y[t+1]) and its dual, with the auxiliary
+  window pass that keeps a loop from justifying itself.
+- ``OuterEncoder._at_least`` is the one counting threshold: constant 1 for
+  m <= 0, constant 0 for m above the number of robots counted, and an
+  indicator row pair in between.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .formula import (IAlways, IAnd, IAtom, IEventually, INNER_FALSE, INext,
                       INot, IOr, IRelease, ITrue, IUntil, InnerFormula,
@@ -53,10 +65,8 @@ class Layout:
         self.live: dict[tuple[int, int], list[int]] = {}
         self.loop_vars: list[VarId] = []
         self.inner: dict[tuple[InnerFormula, int, int], VarId] = {}
-        self.inner_aux: dict[tuple[InnerFormula, int, int], VarId] = {}
         self.robust: dict[tuple[InnerFormula, int, int], VarId] = {}
         self.outer: dict[tuple[OuterFormula, int], VarId] = {}
-        self.outer_aux: dict[tuple[OuterFormula, int], VarId] = {}
         self.outer_extra: dict[tuple, VarId] = {}
         # aggregate-encoding slots
         self.agg_state: dict[int, list[VarId]] = {}
@@ -65,8 +75,6 @@ class Layout:
         self.input_vars: dict[tuple[int, int], list[VarId]] = {}
         self.state_exprs: dict[tuple[int, int], list[LinExpr]] = {}
         self.instance = None
-        self.inner_encoder: Optional["InnerEncoder"] = None
-        self.outer_encoder: Optional["OuterEncoder"] = None
         self._formula_ids: dict = {}
 
     @property
@@ -251,6 +259,53 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
 
 
 # ---------------------------------------------------------------------------
+# Lasso recurrences shared by the inner and outer logic
+# ---------------------------------------------------------------------------
+
+def loop_value(model: IlpModel, loop_vars: list[VarId], row: list[VarId],
+               name: Optional[str] = None, *, tag: str) -> VarId:
+    """The value of ``row`` at the chosen loop start: OR over l of
+    (z_l AND row[l]).  Exactly one loop selector z_l is 1, so the OR has
+    one live term, and position h of the lasso reads row[l]."""
+    terms = [model.bool_and([z, row[l]], tag=tag) for l, z in enumerate(loop_vars)]
+    return model.bool_or(terms, name=name, tag=tag)
+
+
+def until_release_row(model: IlpModel, loop_vars: list[VarId], lhs: list[VarId],
+                      rhs: list[VarId], release: bool, name: str,
+                      tag: str) -> list[VarId]:
+    """Row y[0..h-1] of ``lhs U rhs`` (or ``lhs R rhs``) on the lasso, with
+    h = len(loop_vars), from the recurrence
+
+        until:    y[t] = rhs[t] | (lhs[t] & y[t+1])
+        release:  y[t] = rhs[t] & (lhs[t] | y[t+1])
+
+    y[h] is y at the loop start, but reading the main row there would let
+    a loop justify itself: an until could postpone its right side forever.
+    So an auxiliary pass yt evaluates the same recurrence on the window
+    [t, h-1] only, with yt[h-1] = rhs[h-1], and y[h-1] reads
+    ``loop_value`` of yt.  This is the linear bounded-lasso encoding of
+    Biere et al., "Linear Encodings of Bounded LTL Model Checking", LMCS
+    2006.  ``name`` is a template with ``{aux}`` ("t" in the auxiliary pass,
+    empty in the main one) and ``{t}`` fields."""
+    h = len(loop_vars)
+    wait, settle = ((model.bool_or, model.bool_and) if release
+                    else (model.bool_and, model.bool_or))
+
+    def step(t: int, nxt: VarId, aux: str) -> VarId:
+        return settle([rhs[t], wait([lhs[t], nxt], tag=tag)],
+                      name=name.format(aux=aux, t=t), tag=tag)
+
+    window = [rhs[h - 1]] * h
+    for t in range(h - 2, -1, -1):
+        window[t] = step(t, window[t + 1], "t")
+    row = [step(h - 1, loop_value(model, loop_vars, window, tag=tag), "")] * h
+    for t in range(h - 2, -1, -1):
+        row[t] = step(t, row[t + 1], "")
+    return row
+
+
+# ---------------------------------------------------------------------------
 # Inner logic
 # ---------------------------------------------------------------------------
 
@@ -286,12 +341,10 @@ class InnerEncoder:
     the horizon (robust mode) are pinned to their loop-equivalent values.
     """
 
-    def __init__(self, model: IlpModel, layout: Layout, atom_backend: AtomBackend,
-                 allow_inner_next: bool = True):
+    def __init__(self, model: IlpModel, layout: Layout, atom_backend: AtomBackend):
         self.model = model
         self.layout = layout
         self.atom_backend = atom_backend
-        self.allow_inner_next = allow_inner_next
         self._done: set[tuple[InnerFormula, int]] = set()
 
     def var(self, phi: InnerFormula, n: int, t: int) -> VarId:
@@ -362,96 +415,33 @@ class InnerEncoder:
                     name=f"z{lay.fid(phi)}_n{n}_t{t}", tag="inner")
                 self._set(phi, n, t, v)
         elif isinstance(phi, INext):
-            if not self.allow_inner_next:
-                raise EncodingError(
-                    "inner next is not allowed here: a single delayed robot can "
-                    "violate it under asynchrony")
             if lay.tau:
-                raise EncodingError("inner next is unsupported in robust encodings")
-            self.ensure_row(phi.child, n)
+                raise EncodingError(
+                    "inner next is not robust to asynchrony: a single delayed "
+                    "robot can violate it")
+            child = self.row(phi.child, n)
             for t in range(h - 1):
-                self._set(phi, n, t, lay.inner[(phi.child, n, t + 1)])
-            wrap = self._loop_or(phi.child, n, aux=False)
-            self._set(phi, n, h - 1, wrap)
+                self._set(phi, n, t, child[t + 1])
+            self._set(phi, n, h - 1, loop_value(model, lay.loop_vars, child,
+                                                tag="inner"))
         elif isinstance(phi, IEventually):
             self._alias_row(phi, n, IUntil(ITrue(), phi.child))
         elif isinstance(phi, IAlways):
             self._alias_row(phi, n, IRelease(INNER_FALSE, phi.child))
-        elif isinstance(phi, IUntil):
-            self._until_release_row(phi, n, release=False)
-        elif isinstance(phi, IRelease):
-            self._until_release_row(phi, n, release=True)
+        elif isinstance(phi, (IUntil, IRelease)):
+            self._until_release_row(phi, n, release=isinstance(phi, IRelease))
         else:
             raise TypeError(f"not an inner formula: {phi!r}")
 
-    def _loop_or(self, phi: InnerFormula, n: int, aux: bool) -> VarId:
-        """OR over loop candidates of (loop chosen at l) AND (row value at l)."""
-        lay = self.layout
-        store = lay.inner_aux if aux else lay.inner
-        terms = [self.model.bool_and([lay.loop_vars[l], store[(phi, n, l)]], tag="inner")
-                 for l in range(lay.h)]
-        return self.model.bool_or(terms, tag="inner")
-
     def _until_release_row(self, phi, n, release: bool):
         lay = self.layout
-        model = self.model
-        h = lay.h
-        lhs, rhs = phi.lhs, phi.rhs
-        self.ensure_row(lhs, n)
-        self.ensure_row(rhs, n)
-        fid = lay.fid(phi)
-
-        # Auxiliary pass: satisfaction restricted to the window [t, h-1],
-        # evaluated at the loop start to decide the wrap-around value.
-        lay.inner_aux[(phi, n, h - 1)] = lay.inner[(rhs, n, h - 1)]
-        for t in range(h - 2, -1, -1):
-            if release:
-                inner_or = model.bool_or(
-                    [lay.inner[(lhs, n, t)], lay.inner_aux[(phi, n, t + 1)]], tag="inner")
-                v = model.bool_and([lay.inner[(rhs, n, t)], inner_or],
-                                   name=f"zt{fid}_n{n}_t{t}", tag="inner")
-            else:
-                inner_and = model.bool_and(
-                    [lay.inner[(lhs, n, t)], lay.inner_aux[(phi, n, t + 1)]], tag="inner")
-                v = model.bool_or([lay.inner[(rhs, n, t)], inner_and],
-                                  name=f"zt{fid}_n{n}_t{t}", tag="inner")
-            lay.inner_aux[(phi, n, t)] = v
-
-        wrap = self._loop_or(phi, n, aux=True)
-        if release:
-            cont = model.bool_or([lay.inner[(lhs, n, h - 1)], wrap], tag="inner")
-            v = model.bool_and([lay.inner[(rhs, n, h - 1)], cont],
-                               name=f"z{fid}_n{n}_t{h - 1}", tag="inner")
-        else:
-            cont = model.bool_and([lay.inner[(lhs, n, h - 1)], wrap], tag="inner")
-            v = model.bool_or([lay.inner[(rhs, n, h - 1)], cont],
-                              name=f"z{fid}_n{n}_t{h - 1}", tag="inner")
-        self._set(phi, n, h - 1, v)
-        for t in range(h - 2, -1, -1):
-            if release:
-                cont = model.bool_or(
-                    [lay.inner[(lhs, n, t)], lay.inner[(phi, n, t + 1)]], tag="inner")
-                v = model.bool_and([lay.inner[(rhs, n, t)], cont],
-                                   name=f"z{fid}_n{n}_t{t}", tag="inner")
-            else:
-                cont = model.bool_and(
-                    [lay.inner[(lhs, n, t)], lay.inner[(phi, n, t + 1)]], tag="inner")
-                v = model.bool_or([lay.inner[(rhs, n, t)], cont],
-                                  name=f"z{fid}_n{n}_t{t}", tag="inner")
+        lhs, rhs = self.row(phi.lhs, n), self.row(phi.rhs, n)
+        row = until_release_row(self.model, lay.loop_vars, lhs, rhs, release,
+                                f"z{{aux}}{lay.fid(phi)}_n{n}_t{{t}}", "inner")
+        for t, v in enumerate(row):
             self._set(phi, n, t, v)
         if lay.tau:
             self._tie_extended(phi, n)
-
-
-def encode_inner(model: IlpModel, layout: Layout, phi: InnerFormula, n: int,
-                 inst: Optional[MultiRobotInstance] = None) -> list[VarId]:
-    """Row of z variables for phi and robot n over 0 .. h+tau-1."""
-    inst = inst if inst is not None else getattr(layout, "instance")
-    enc = getattr(layout, "inner_encoder", None)
-    if enc is None:
-        enc = InnerEncoder(model, layout, discrete_atom_backend(layout, inst))
-        layout.inner_encoder = enc
-    return enc.row(phi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +505,17 @@ class OuterEncoder:
         elif isinstance(mu, OOr):
             self._or_row(mu)
         elif isinstance(mu, ONext):
-            self.ensure_row(mu.child)
+            child = self.row(mu.child)
             for t in range(h - 1):
-                self._set(mu, t, lay.outer[(mu.child, t + 1)])
-            terms = [model.bool_and([lay.loop_vars[l], lay.outer[(mu.child, l)]],
-                                    tag=self.TAG) for l in range(h)]
-            self._set(mu, h - 1, model.bool_or(terms, name=f"y{lay.fid(mu)}_t{h - 1}",
-                                               tag=self.TAG))
+                self._set(mu, t, child[t + 1])
+            self._set(mu, h - 1, loop_value(model, lay.loop_vars, child,
+                                            f"y{lay.fid(mu)}_t{h - 1}", tag=self.TAG))
         elif isinstance(mu, OEventually):
             self._alias_row(mu, OUntil(OTrue(), mu.child))
         elif isinstance(mu, OAlways):
             self._alias_row(mu, ORelease(outer_false(self.n_robots), mu.child))
-        elif isinstance(mu, OUntil):
-            self._until_row(mu)
-        elif isinstance(mu, ORelease):
-            self._release_row(mu)
+        elif isinstance(mu, (OUntil, ORelease)):
+            self._until_release_row(mu, release=isinstance(mu, ORelease))
         else:
             raise TypeError(f"not an outer formula: {mu!r}")
 
@@ -545,17 +531,29 @@ class OuterEncoder:
             raise EncodingError(f"group member out of range in {tcp}")
         return scope
 
+    def _at_least(self, count: Iterable[VarId], m: int, size: int,
+                  node: OuterFormula, t: int, prefix: str = "y") -> VarId:
+        """Binary equal to [sum of ``count`` >= m], for a count of at most
+        ``size`` robots.  A threshold m <= 0 always holds and one above
+        ``size`` never does: both are constants, and the lazy ``count`` is
+        never consumed, so nothing that only it would read gets built.
+        Otherwise the count is summed before the indicator's name
+        ``{prefix}{fid(node)}_t{t}`` is made, so formula ids follow
+        creation order."""
+        if m <= 0:
+            return self.model.constant(1)
+        if m > size:
+            return self.model.constant(0)
+        expr = LinExpr.sum_of(count)
+        return self.model.indicator_geq(
+            expr, m, size + 1, name=f"{prefix}{self.layout.fid(node)}_t{t}",
+            tag=self.TAG, known_bounds=(0, size))
+
     def _tcp_row(self, tcp: Tcp) -> None:
-        lay = self.layout
         scope = self._tcp_scope(tcp)
-        big_m = len(scope) + 1
-        for n in scope:
-            self.inner.ensure_row(tcp.inner, n)
-        for t in range(lay.h):
-            expr = LinExpr.sum_of(lay.inner[(tcp.inner, n, t)] for n in scope)
-            y = self.model.indicator_geq(expr, tcp.m, big_m,
-                                         name=f"y{lay.fid(tcp)}_t{t}", tag=self.TAG)
-            self._set(tcp, t, y)
+        for t in range(self.layout.h):
+            count = (self.inner.var(tcp.inner, n, t) for n in scope)
+            self._set(tcp, t, self._at_least(count, tcp.m, len(scope), tcp, t))
 
     # -- composite operators ----------------------------------------------
 
@@ -569,95 +567,25 @@ class OuterEncoder:
             self._set(mu, t, v)
 
     def _until_guard(self, mu: OUntil) -> OuterFormula:
-        """Formula that must keep holding while waiting for the right side;
-        plain until uses the left side itself.  The robust encoder widens it
-        to ``lhs | rhs`` for tau >= 1: under counter drift the handover step
-        can show some robots still on the left task and others already on
-        the right one, so only the disjunction holds robustly there.  In the
-        recurrence of ``_until_row`` the guard matters only at steps where
-        the right side does not hold, so the wider guard accepts the mixed
-        handover without otherwise changing the until."""
+        """Formula that must keep holding while waiting for the right side
+        of an until (the ``lhs`` of ``until_release_row``); plain until uses
+        the left side itself.  The robust encoder widens it to ``lhs | rhs``
+        for tau >= 1: under counter drift the handover step can show some
+        robots still on the left task and others already on the right one,
+        so only the disjunction holds robustly there.  In the recurrence the
+        guard matters only at steps where the right side does not hold, so
+        the wider guard accepts the mixed handover without otherwise
+        changing the until."""
         return mu.lhs
 
-    def _until_row(self, mu: OUntil) -> None:
-        """Rows for ``mu = lhs U rhs`` from the standard recurrence
-
-            y[t] = rhs[t] | (guard[t] & y[t+1])
-
-        where ``guard`` comes from ``_until_guard``.  The right side alone
-        settles the until; the guard is only needed while waiting.  At h-1,
-        y[t+1] is the value at the loop start, read from an auxiliary pass
-        that evaluates the same recurrence on the window [t, h-1] (with
-        yt[h-1] = rhs[h-1]), so a lasso never satisfies the until by
-        postponing the right side forever."""
+    def _until_release_row(self, mu: Union[OUntil, ORelease], release: bool) -> None:
         lay = self.layout
-        model = self.model
-        h = lay.h
-        guard = self._until_guard(mu)
-        self.ensure_row(guard)
-        self.ensure_row(mu.rhs)
-        fid = lay.fid(mu)
-
-        lay.outer_aux[(mu, h - 1)] = lay.outer[(mu.rhs, h - 1)]
-        for t in range(h - 2, -1, -1):
-            wait = model.bool_and([lay.outer[(guard, t)], lay.outer_aux[(mu, t + 1)]],
-                                  tag=self.TAG)
-            lay.outer_aux[(mu, t)] = model.bool_or(
-                [lay.outer[(mu.rhs, t)], wait], name=f"yt{fid}_t{t}", tag=self.TAG)
-
-        wrap_terms = [model.bool_and([lay.loop_vars[l], lay.outer_aux[(mu, l)]],
-                                     tag=self.TAG) for l in range(h)]
-        wrap = model.bool_or(wrap_terms, tag=self.TAG)
-        wait = model.bool_and([lay.outer[(guard, h - 1)], wrap], tag=self.TAG)
-        self._set(mu, h - 1, model.bool_or([lay.outer[(mu.rhs, h - 1)], wait],
-                                           name=f"y{fid}_t{h - 1}", tag=self.TAG))
-        for t in range(h - 2, -1, -1):
-            wait = model.bool_and([lay.outer[(guard, t)], lay.outer[(mu, t + 1)]],
-                                  tag=self.TAG)
-            self._set(mu, t, model.bool_or([lay.outer[(mu.rhs, t)], wait],
-                                           name=f"y{fid}_t{t}", tag=self.TAG))
-
-    def _release_row(self, mu: ORelease) -> None:
-        lay = self.layout
-        model = self.model
-        h = lay.h
-        self.ensure_row(mu.lhs)
-        self.ensure_row(mu.rhs)
-        fid = lay.fid(mu)
-
-        lay.outer_aux[(mu, h - 1)] = lay.outer[(mu.rhs, h - 1)]
-        for t in range(h - 2, -1, -1):
-            release = model.bool_or([lay.outer[(mu.lhs, t)], lay.outer_aux[(mu, t + 1)]],
-                                    tag=self.TAG)
-            lay.outer_aux[(mu, t)] = model.bool_and(
-                [lay.outer[(mu.rhs, t)], release], name=f"yt{fid}_t{t}", tag=self.TAG)
-
-        wrap_terms = [model.bool_and([lay.loop_vars[l], lay.outer_aux[(mu, l)]],
-                                     tag=self.TAG) for l in range(h)]
-        wrap = model.bool_or(wrap_terms, tag=self.TAG)
-        release = model.bool_or([lay.outer[(mu.lhs, h - 1)], wrap], tag=self.TAG)
-        self._set(mu, h - 1, model.bool_and([lay.outer[(mu.rhs, h - 1)], release],
-                                            name=f"y{fid}_t{h - 1}", tag=self.TAG))
-        for t in range(h - 2, -1, -1):
-            release = model.bool_or([lay.outer[(mu.lhs, t)], lay.outer[(mu, t + 1)]],
-                                    tag=self.TAG)
-            self._set(mu, t, model.bool_and([lay.outer[(mu.rhs, t)], release],
-                                            name=f"y{fid}_t{t}", tag=self.TAG))
-
-
-def encode_outer_sync(model: IlpModel, layout: Layout, mu: OuterFormula,
-                      h: Optional[int] = None) -> list[VarId]:
-    """Row of y variables for a formula already in positive normal form."""
-    enc = getattr(layout, "outer_encoder", None)
-    if enc is None:
-        inner = getattr(layout, "inner_encoder", None)
-        if inner is None:
-            inner = InnerEncoder(model, layout,
-                                 discrete_atom_backend(layout, layout.instance))
-            layout.inner_encoder = inner
-        enc = OuterEncoder(model, layout, inner, layout.n_robots)
-        layout.outer_encoder = enc
-    return enc.row(mu)
+        lhs = self.row(mu.lhs if release else self._until_guard(mu))
+        rhs = self.row(mu.rhs)
+        row = until_release_row(self.model, lay.loop_vars, lhs, rhs, release,
+                                f"y{{aux}}{lay.fid(mu)}_t{{t}}", self.TAG)
+        for t, v in enumerate(row):
+            self._set(mu, t, v)
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +620,7 @@ def build_sync_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     encode_loop(model, layout, h)
     encode_collision(model, layout, inst, h, tau=0)
     inner = InnerEncoder(model, layout, discrete_atom_backend(layout, inst))
-    layout.inner_encoder = inner
     outer = OuterEncoder(model, layout, inner, inst.n_robots)
-    layout.outer_encoder = outer
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
     return EncodedProblem(model, layout, inst, norm, mu, h, 0, "cltlplus")

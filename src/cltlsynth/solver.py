@@ -18,7 +18,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -46,8 +46,6 @@ class NumericalError(SolverError):
 class SolveConfig:
     time_budget: Optional[float] = None   # seconds
     node_budget: Optional[int] = None
-    seed: int = 0
-    threads: int = 1  # kept for interface parity; not passed to HiGHS
 
 
 def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution:
@@ -141,24 +139,3 @@ def solve_external(model: IlpModel, solver_cmd: str,
     finally:
         if ctx:
             ctx.cleanup()
-
-
-def deepen_horizon(build: Callable[[int], object], h_min: int, h_max: int, step: int = 1,
-                   solve: Optional[Callable[[IlpModel], Solution]] = None):
-    """First horizon in [h_min, h_max] whose model is feasible.
-
-    ``build(h)`` returns either an IlpModel or an object with a ``model``
-    attribute; returns ``(h, built, solution)`` or None if every horizon in
-    the sweep is infeasible or exhausted its budget.  A None result says
-    nothing about horizons outside the sweep.
-    """
-    if h_min > h_max:
-        raise ValueError("h_min must not exceed h_max")
-    solve = solve or solve_bnb
-    for h in range(h_min, h_max + 1, step):
-        built = build(h)
-        model = built if isinstance(built, IlpModel) else built.model
-        sol = solve(model)
-        if sol.feasible:
-            return h, built, sol
-    return None

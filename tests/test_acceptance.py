@@ -18,7 +18,7 @@ from cltlsynth.formula import (IAtom, OOr, OTrue, Tcp, parse_formula)
 from cltlsynth.ilp import LinExpr
 from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
                               check_robust, eval_outer)
-from cltlsynth.solver import SolveConfig, solve_bnb, solve_external
+from cltlsynth.solver import solve_bnb, solve_external
 from cltlsynth.system import (MultiRobotInstance, TransitionSystem,
                               aggregate_view, build_grid_system)
 from cltlsynth.encoder_cltl import build_cltl_problem, decompose_flows, reaggregate
@@ -55,7 +55,7 @@ def test_acceptance_01_encoder_soundness_sweep():
         mu = random_outer(rng, rng.randint(1, 3), atoms, n, inner_depth=2)
         h = rng.randint(2, 6)
         problem = build_sync_problem(inst, mu, h)
-        sol = solve_bnb(problem.model, SolveConfig(seed=trial))
+        sol = solve_bnb(problem.model)
         if not sol.feasible:
             continue
         feasible += 1
@@ -402,7 +402,7 @@ def test_acceptance_10_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "cltlsynth.cli", "synth",
              "--model", str(model), "--formula", "F [A, 2] & F [B, 2]",
-             "--horizon", "9", "--seed", "11", "--threads", "1",
+             "--horizon", "9", "--seed", "11",
              "--engine", "cltlplus",
              "--output", str(out), "--stats", str(stats), "--export-lp", str(lp)],
             capture_output=True, text=True)

@@ -223,6 +223,33 @@ def test_sweep_with_an_unknown_horizon(grid_model, capsys, monkeypatch,
     assert line in capsys.readouterr().out
 
 
+@pytest.fixture
+def two_cell_model(tmp_path):
+    """Two robots on a 1x2 grid; only cell [0, 0], robot 0's start, is b."""
+    payload = {"ap": ["b"], "grid": {"width": 2, "height": 1, "regions": {"b": [[0, 0]]}},
+               "robots": [{"init": [0, 0]}, {"init": [1, 0]}]}
+    path = tmp_path / "two_cell.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:formula normalized to positive normal form")
+@pytest.mark.parametrize("formula, extra", [
+    # thresholds above the fleet size: [b,4] directly, and through negation
+    # (!([b,0]) is [!b,3]) and the robust disjunction pool (threshold 4)
+    ("[b,4]", ["--engine", "cltlplus"]),
+    ("[b,4]", ["--engine", "cltl"]),
+    ("[b,4]", ["--tau", "1"]),
+    ("!([b,0]) | !([b,1])", ["--tau", "1"]),
+])
+def test_threshold_above_the_fleet_size_is_infeasible(two_cell_model, capsys,
+                                                      formula, extra):
+    code = run(["synth", "--model", two_cell_model, "--formula", formula,
+                "--horizon", "2", *extra])
+    assert code == 1
+    assert "infeasible for h in [2, 2]" in capsys.readouterr().out
+
+
 def test_determinism_byte_identical_artifacts(grid_model, tmp_path):
     files = {}
     for tag in ("one", "two"):
@@ -230,7 +257,7 @@ def test_determinism_byte_identical_artifacts(grid_model, tmp_path):
         stats = tmp_path / f"stats_{tag}.json"
         lp = tmp_path / f"model_{tag}.lp"
         code = run(["synth", "--model", grid_model, "--formula", "F [A, 2]",
-                    "--horizon", "5", "--seed", "7", "--threads", "1",
+                    "--horizon", "5", "--seed", "7",
                     "--output", out, "--stats", stats, "--export-lp", lp])
         assert code == 0
         files[tag] = (out.read_bytes(), stats.read_bytes(), lp.read_bytes())

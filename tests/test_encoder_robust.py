@@ -7,6 +7,7 @@ compared against hand-derived expectations and the falsification oracle.
 
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -364,6 +365,26 @@ def test_robust_solutions_survive_exhaustive_falsification():
         assert verdict.stats["mode"] == "exhaustive"
         assert not verdict.falsified, f"{mu} falsified on {trajs}"
     assert feasible >= 8
+
+
+def test_robust_encoding_is_sound_against_brute_force():
+    # The robust encoding is a sufficient condition: wherever the program is
+    # feasible, exhaustive search must find a robustly satisfying lasso.
+    # Negation and disjunction pooling reach thresholds above the fleet
+    # size here, which fold to constants.
+    rng = random.Random(11)
+    outcomes = Counter()
+    for _ in range(60):
+        inst = random_instance(rng, 2, rng.randint(2, 3), ["p1", "p2"])
+        mu = random_outer(rng, 2, ["p1", "p2"], 2, inner_next=False)
+        h = rng.randint(2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            feasible = solve_bnb(build_robust_problem(inst, mu, h, tau=1).model).feasible
+        brute = brute_force_synth(inst, mu, h, tau=1, max_T=h + 2) is not None
+        assert brute or not feasible, f"{mu} at h={h}"
+        outcomes[feasible, brute] += 1
+    assert outcomes[True, True] >= 10 and outcomes[False, False] >= 10, outcomes
 
 
 def test_robust_completeness_on_restricted_fragment():

@@ -19,7 +19,7 @@ from cltlsynth.formula import parse_formula
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.lp_format import write_solution_file
 from cltlsynth.solver import (NumericalError, SolveConfig, SolverError,
-                              deepen_horizon, solve_bnb, solve_external)
+                              solve_bnb, solve_external)
 from cltlsynth.system import load_model
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
@@ -104,7 +104,7 @@ def test_feasible_solutions_satisfy_all_constraints_exactly():
 def test_single_thread_runs_are_reproducible():
     rng = random.Random(31)
     m = random_binary_model(rng, 10, 6)
-    cfg = SolveConfig(seed=5, threads=1)
+    cfg = SolveConfig()
     s1 = solve_bnb(m, cfg)
     s2 = solve_bnb(m, cfg)
     assert s1.status == s2.status
@@ -261,40 +261,3 @@ def test_external_nonzero_exit(tmp_path):
     with pytest.raises(SolverError, match="exited"):
         solve_external(m, f"{sys.executable} -c \"raise SystemExit(3)\" {{lp}}",
                        workdir=tmp_path)
-
-
-# ---------------------------------------------------------------------------
-# Horizon sweep
-# ---------------------------------------------------------------------------
-
-def test_deepen_horizon_finds_first_feasible():
-    def build(h):
-        m = IlpModel()
-        xs = [m.add_binary(f"x{i}") for i in range(h)]
-        m.add_constraint(LinExpr.sum_of(xs), ">=", 3, tag="need3")
-        return m
-
-    result = deepen_horizon(build, 1, 6)
-    assert result is not None
-    h, _, sol = result
-    assert h == 3 and sol.feasible
-
-
-def test_deepen_horizon_exhausts_to_none():
-    def build(h):
-        m = IlpModel()
-        x = m.add_binary("x")
-        m.add_constraint(LinExpr({x: 1}), ">=", 2, tag="impossible")
-        return m
-
-    assert deepen_horizon(build, 1, 4) is None
-
-
-def test_deepen_horizon_returns_h_min_when_feasible():
-    def build(h):
-        m = IlpModel()
-        m.add_binary("x")
-        return m
-
-    result = deepen_horizon(build, 2, 5)
-    assert result[0] == 2
