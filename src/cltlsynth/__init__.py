@@ -12,19 +12,18 @@ to bounded asynchrony between robots.
 
 __version__ = "0.1.0"
 
-from .formula import (FragmentReport, InnerFormula, OuterFormula, Tcp,
-                      TempCountProp, check_fragment, expand_sugar,
-                      formula_length, normalize, parse_formula,
+from .formula import (InnerFormula, OuterFormula, Tcp, expand_sugar,
+                      formula_length, is_cltl, normalize, parse_formula,
                       parse_inner_formula, to_pnf, to_text)
 from .system import (AggregateSystem, ContinuousSystem, MultiRobotInstance,
                      TransitionSystem, aggregate_view, build_grid_system,
-                     label_vector, load_model, validate)
+                     load_model, validate)
 from .ilp import IlpModel, LinExpr, Solution
-from .lp_format import export_lp, parse_lp
+from .lp_format import parse_lp, write_lp
 from .solver import SolveConfig, solve_bnb, solve_external
 from .trajectory import ContinuousTrajectory, LassoTrajectory
-from .oracle import (CollectiveExecution, Lasso, Verdict, anchor_map,
-                     brute_force_synth, check_robust, eval_inner, eval_outer)
+from .oracle import (CollectiveExecution, Lasso, Verdict, brute_force_synth,
+                     check_robust, eval_inner, eval_outer)
 from .encoder_sync import (EncodedProblem, Layout, build_sync_problem,
                            encode_collision, encode_dynamics, encode_loop,
                            extract_trajectories)
@@ -35,19 +34,19 @@ from .encoder_continuous import (build_cont_problem, extract_continuous,
 
 __all__ = [
     # formula
-    "FragmentReport", "InnerFormula", "OuterFormula", "Tcp", "TempCountProp",
-    "check_fragment", "expand_sugar", "formula_length", "normalize",
-    "parse_formula", "parse_inner_formula", "to_pnf", "to_text",
+    "InnerFormula", "OuterFormula", "Tcp", "expand_sugar", "formula_length",
+    "is_cltl", "normalize", "parse_formula", "parse_inner_formula", "to_pnf",
+    "to_text",
     # system
     "AggregateSystem", "ContinuousSystem", "MultiRobotInstance",
-    "TransitionSystem", "aggregate_view", "build_grid_system", "label_vector",
-    "load_model", "validate",
+    "TransitionSystem", "aggregate_view", "build_grid_system", "load_model",
+    "validate",
     # ilp, lp_format, solver, trajectory
-    "IlpModel", "LinExpr", "Solution", "export_lp", "parse_lp", "SolveConfig",
+    "IlpModel", "LinExpr", "Solution", "parse_lp", "write_lp", "SolveConfig",
     "solve_bnb", "solve_external", "ContinuousTrajectory", "LassoTrajectory",
     # oracle
-    "CollectiveExecution", "Lasso", "Verdict", "anchor_map",
-    "brute_force_synth", "check_robust", "eval_inner", "eval_outer",
+    "CollectiveExecution", "Lasso", "Verdict", "brute_force_synth",
+    "check_robust", "eval_inner", "eval_outer",
     # encoders
     "EncodedProblem", "Layout", "build_sync_problem", "encode_collision",
     "encode_dynamics", "encode_loop", "extract_trajectories",

@@ -19,10 +19,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .formula import (atoms_of, check_fragment, iter_tcps, parse_formula,
-                      resolve_groups)
+from .formula import atoms_of, is_cltl, iter_tcps, parse_formula, resolve_groups
 from .ilp import Solution
-from .lp_format import export_lp
+from .lp_format import write_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
                      eval_outer)
 from .solver import SolverError, solve_bnb, solve_external
@@ -111,7 +110,7 @@ def _pick_engine(args, model_obj, mu) -> str:
         raise SystemExit(3)
     if args.engine != "auto":
         return args.engine
-    if args.tau == 0 and check_fragment(mu).is_cltl:
+    if args.tau == 0 and is_cltl(mu):
         try:
             aggregate_view(model_obj)
         except Exception:
@@ -235,7 +234,7 @@ def run_synth(args) -> int:
         for h in range(args.horizon, h_max + 1):
             problem = build(h)
             if args.export_lp:
-                export_lp(problem.model, args.export_lp)
+                write_lp(problem.model, args.export_lp)
             sol = solve(problem.model)
             if sol.feasible:
                 break

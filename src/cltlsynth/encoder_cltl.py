@@ -13,12 +13,12 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .formula import (IAtom, INot, ITrue, OuterFormula, Tcp, check_fragment,
-                      iter_tcps, normalize)
+from .formula import (IAtom, INot, ITrue, OuterFormula, Tcp, is_cltl, iter_tcps,
+                      normalize)
 from .ilp import IlpModel, LinExpr, Solution
 from .system import AggregateSystem, MultiRobotInstance, aggregate_view
-from .encoder_sync import (EncodedProblem, EncodingError, Layout, OuterEncoder,
-                           ExtractionError)
+from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
+                           Layout, OuterEncoder, add_loop_selectors, chosen_loop)
 from .trajectory import LassoTrajectory
 
 
@@ -60,9 +60,7 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
             for i in ts.predecessors(j):
                 expr.add_term(layout.agg_flow[(i, j, t)], 1)
             model.add_constraint(expr, "=", 0, tag="aggregate")
-    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
-                        for t in range(h)]
-    model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
+    add_loop_selectors(model, layout)
     for t in range(h):
         z = layout.loop_vars[t]
         for i in range(ts.n_states):
@@ -147,8 +145,7 @@ def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
         agg = source
         instance = source
     collision = collision or "off"
-    report = check_fragment(mu)
-    if not report.is_cltl:
+    if not is_cltl(mu):
         offender = next(t for t in iter_tcps(mu) if not isinstance(t.inner, IAtom))
         raise EncodingError(
             f"formula is outside the atomic-inner fragment; offending inner "
@@ -194,10 +191,7 @@ def decompose_flows(problem: EncodedProblem, sol: Solution,
     w = {t: [int(round(sol[v])) for v in layout.agg_state[t]]
          for t in sorted(layout.agg_state)}
     flow = {key: int(round(sol[v])) for key, v in layout.agg_flow.items()}
-    loop_hits = [t for t, z in enumerate(layout.loop_vars) if round(sol[z]) == 1]
-    if len(loop_hits) != 1:
-        raise ExtractionError(f"expected exactly one loop start, found {loop_hits}")
-    l = loop_hits[0]
+    l = chosen_loop(layout, sol)
     n_robots = layout.n_robots
 
     if inst is not None:

@@ -4,18 +4,19 @@ States are never decision variables: each w[n][t] is the affine image of
 the inputs by forward substitution, so only inputs, loop selectors and the
 logic binaries remain.  Atomic propositions are convex polytopes; a
 binary per polytope face plus a conjunction gadget tests membership up to
-a configurable strictness margin epsilon.
+a strictness margin epsilon (1e-6).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .formula import OuterFormula, atoms_of, iter_outer, normalize, ONot
+from .formula import ONot, OuterFormula, atoms_of, normalize, subformulas
 from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import ContinuousSystem
-from .encoder_sync import (EncodedProblem, EncodingError, InnerEncoder, Layout,
-                           OuterEncoder, ExtractionError)
+from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
+                           InnerEncoder, Layout, OuterEncoder,
+                           add_loop_selectors, chosen_loop)
 from .encoder_robust import RobustOuterEncoder
 from .trajectory import ContinuousTrajectory
 
@@ -68,9 +69,7 @@ def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
                 model.add_constraint(nxt[i], "<=", float(hi_w[i]), tag="continuous")
                 model.add_constraint(nxt[i], ">=", float(lo_w[i]), tag="continuous")
 
-    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
-                        for t in range(h)]
-    model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
+    add_loop_selectors(model, layout)
     for n in range(sys.n_robots):
         final = layout.state_exprs[(n, h)]
         for t in range(h):
@@ -153,26 +152,24 @@ def polytope_atom_backend(layout: Layout, sys: ContinuousSystem,
 
 
 def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
-                       tau: int = 0, epsilon: float = 1e-6,
-                       pool_tcp_disjunctions: bool = True) -> EncodedProblem:
+                       tau: int = 0) -> EncodedProblem:
     """Feasibility program over inputs; solutions drive every robot so the
     induced polytope-membership trace satisfies the formula."""
     missing = atoms_of(mu) - set(sys.ap)
     if missing:
         raise EncodingError(f"formula uses unknown propositions: {sorted(missing)}")
-    if tau > 0 and any(isinstance(node, ONot) for node in iter_outer(mu)):
+    if tau > 0 and any(isinstance(node, ONot) for node in subformulas(mu)):
         warnings.warn("formula normalized to positive normal form for the "
                       "robust encoding")
     norm = normalize(mu, sys.n_robots, robust=tau > 0)
     model = IlpModel("continuous")
     layout = encode_cont_dynamics_loop(model, sys, h, tau)
-    backend = polytope_atom_backend(layout, sys, epsilon)
+    backend = polytope_atom_backend(layout, sys)
     inner = InnerEncoder(model, layout, backend)
     if tau == 0:
         outer = OuterEncoder(model, layout, inner, sys.n_robots)
     else:
-        outer = RobustOuterEncoder(model, layout, inner, sys.n_robots, tau,
-                                   pool_tcp_disjunctions)
+        outer = RobustOuterEncoder(model, layout, inner, sys.n_robots, tau)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
     return EncodedProblem(model, layout, sys, norm, mu, h, tau, "continuous")
@@ -184,10 +181,7 @@ def extract_continuous(problem: EncodedProblem, sol: Solution) -> list[Continuou
         raise ExtractionError("solution is not feasible")
     layout = problem.layout
     sys: ContinuousSystem = problem.instance
-    loop_hits = [t for t, z in enumerate(layout.loop_vars) if round(sol[z]) == 1]
-    if len(loop_hits) != 1:
-        raise ExtractionError(f"expected exactly one loop start, found {loop_hits}")
-    l = loop_hits[0]
+    l = chosen_loop(layout, sol)
     out = []
     for n in range(sys.n_robots):
         inputs = tuple(
@@ -203,10 +197,11 @@ def extract_continuous(problem: EncodedProblem, sol: Solution) -> list[Continuou
     return out
 
 
-def membership_trace(sys: ContinuousSystem, traj: ContinuousTrajectory,
-                     epsilon: float = 1e-6) -> list[frozenset]:
-    """Atom sets per step from direct polytope evaluation (strict by the
-    same margin the encoding uses); feeds the oracle for verification."""
+def membership_trace(sys: ContinuousSystem,
+                     traj: ContinuousTrajectory) -> list[frozenset]:
+    """Atom sets per step from direct polytope evaluation: ``H w <= h``
+    up to a 1e-9 rounding tolerance, not the encoding's strictness
+    margin; feeds the oracle for verification."""
     out = []
     for w in traj.states:
         vec = np.asarray(w, dtype=float)

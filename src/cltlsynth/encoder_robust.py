@@ -16,13 +16,12 @@ from __future__ import annotations
 import warnings
 from typing import Optional
 
-from .formula import (INext, IOr, InnerFormula, ONext, ONot, OOr,
-                      OuterFormula, Tcp, iter_inner, iter_outer, iter_tcps,
-                      normalize)
+from .formula import (IOr, InnerFormula, ONext, ONot, OOr, OuterFormula, Tcp,
+                      normalize, subformulas)
 from .ilp import IlpModel, LinExpr, VarId
 from .system import MultiRobotInstance
-from .encoder_sync import (EncodedProblem, EncodingError, InnerEncoder, Layout,
-                           OuterEncoder, _check_instance, add_state_vector,
+from .encoder_sync import (EncodedProblem, InnerEncoder, Layout, OuterEncoder,
+                           _check_instance, add_state_vector,
                            build_sync_problem, discrete_atom_backend,
                            encode_collision, encode_dynamics, encode_loop,
                            successor_set)
@@ -67,10 +66,9 @@ class RobustOuterEncoder(OuterEncoder):
     TAG = "robust"
 
     def __init__(self, model: IlpModel, layout: Layout, inner: InnerEncoder,
-                 n_robots: int, tau: int, pool_tcp_disjunctions: bool = True):
+                 n_robots: int, tau: int):
         super().__init__(model, layout, inner, n_robots)
         self.tau = tau
-        self.pool_tcp_disjunctions = pool_tcp_disjunctions
 
     # -- windowed per-robot satisfaction -----------------------------------
 
@@ -117,8 +115,7 @@ class RobustOuterEncoder(OuterEncoder):
             self.ensure_row(c)
         pooled = [c for c in mu.children
                   if isinstance(c, Tcp) and c.group is None and c.m >= 1]
-        use_pool = self.pool_tcp_disjunctions and len(pooled) >= 2
-        if use_pool:
+        if len(pooled) >= 2:
             # A robot may contribute to different disjuncts at different
             # local times; pooling counts robots that hold the disjunction
             # of the inner tasks through the whole window.  If more than
@@ -148,19 +145,13 @@ class RobustOuterEncoder(OuterEncoder):
 
 
 def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
-                         tau: int, collision: Optional[str] = None,
-                         pool_tcp_disjunctions: bool = True) -> EncodedProblem:
+                         tau: int, collision: Optional[str] = None) -> EncodedProblem:
     """Feasibility program whose solutions tolerate any counter drift up to
     ``tau``.  ``tau = 0`` delegates to the synchronous builder and yields the
     identical constraint set."""
     if tau == 0:
         return build_sync_problem(inst, mu, h, collision=collision)
-    for tcp in iter_tcps(mu):
-        if any(isinstance(node, INext) for node in iter_inner(tcp.inner)):
-            raise EncodingError(
-                "inner next is not robust to asynchrony: a single delayed "
-                "robot can violate it")
-    if any(isinstance(node, ONot) for node in iter_outer(mu)):
+    if any(isinstance(node, ONot) for node in subformulas(mu)):
         warnings.warn("formula normalized to positive normal form for the "
                       "robust encoding")
     if collision is not None:
@@ -168,7 +159,7 @@ def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
                                   collision, inst.grid_shape)
     _check_instance(inst, mu)
     norm = normalize(mu, inst.n_robots, robust=True, groups=inst.groups)
-    if any(isinstance(node, ONext) for node in iter_outer(norm)):
+    if any(isinstance(node, ONext) for node in subformulas(norm)):
         warnings.warn(
             "outer next under asynchrony is encoded as a plain one-step "
             "shift of anchor times; interleavings inside the shifted window "
@@ -179,8 +170,7 @@ def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     extend_states(model, layout, h, tau)
     encode_collision(model, layout, inst, h, tau=tau)
     inner = InnerEncoder(model, layout, discrete_atom_backend(layout, inst))
-    outer = RobustOuterEncoder(model, layout, inner, inst.n_robots, tau,
-                               pool_tcp_disjunctions)
+    outer = RobustOuterEncoder(model, layout, inner, inst.n_robots, tau)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
     return EncodedProblem(model, layout, inst, norm, mu, h, tau, "cltlplus")

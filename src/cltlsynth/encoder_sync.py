@@ -27,11 +27,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .formula import (IAlways, IAnd, IAtom, IEventually, INNER_FALSE, INext,
-                      INot, IOr, IRelease, ITrue, IUntil, InnerFormula,
-                      OAlways, OAnd, OEventually, ONext, ONot, OOr, ORelease,
-                      OTrue, OUntil, OuterFormula, Tcp, atoms_of,
-                      group_names_of, normalize, outer_false)
+from .formula import (IAnd, IAtom, INNER_FALSE, INext, INot, IOr, IRelease,
+                      ITrue, IUntil, InnerFormula, OAnd, ONext, ONot, OOr,
+                      ORelease, OTrue, OUntil, OuterFormula, Tcp, atoms_of,
+                      group_names_of, normalize)
 from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import (AggregateSystem, ContinuousSystem, MultiRobotInstance,
                      validate)
@@ -177,6 +176,21 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
     return layout
 
 
+def add_loop_selectors(model: IlpModel, layout: Layout) -> None:
+    """Loop-start selectors z_0 .. z_{h-1}, exactly one of them 1."""
+    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
+                        for t in range(layout.h)]
+    model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
+
+
+def chosen_loop(layout: Layout, sol: Solution) -> int:
+    """The loop start whose selector is 1 in ``sol``."""
+    hits = [t for t, z in enumerate(layout.loop_vars) if round(sol[z]) == 1]
+    if len(hits) != 1:
+        raise ExtractionError(f"expected exactly one loop start, found {hits}")
+    return hits[0]
+
+
 def encode_loop(model: IlpModel, layout: Layout, h: int) -> list[VarId]:
     """Select a unique loop start l with w[n][h] = w[n][l] for every robot.
 
@@ -184,9 +198,7 @@ def encode_loop(model: IlpModel, layout: Layout, h: int) -> list[VarId]:
     entry of w[n][t] gives w[n][h] >= w[n][l] once z_l = 1, and two one-hot
     vectors with w[h] >= w[l] are equal.  Where w[n][h][i] is the constant
     0 the row reads ``w[n][t][i] + z_t <= 1``."""
-    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
-                        for t in range(h)]
-    model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
+    add_loop_selectors(model, layout)
     for (n, t), row in list(layout.state_vars.items()):
         if t >= h:
             continue
@@ -360,11 +372,6 @@ class InnerEncoder:
     def _set(self, phi, n, t, var: VarId):
         self.layout.inner[(phi, n, t)] = var
 
-    def _alias_row(self, phi, n, source: InnerFormula):
-        self.ensure_row(source, n)
-        for t in range(self.layout.horizon_ext):
-            self._set(phi, n, t, self.layout.inner[(source, n, t)])
-
     def _tie_extended(self, phi, n):
         """Positions h .. h+tau-1 of a temporal row equal their wrapped
         loop positions once the loop start is chosen."""
@@ -424,10 +431,6 @@ class InnerEncoder:
                 self._set(phi, n, t, child[t + 1])
             self._set(phi, n, h - 1, loop_value(model, lay.loop_vars, child,
                                                 tag="inner"))
-        elif isinstance(phi, IEventually):
-            self._alias_row(phi, n, IUntil(ITrue(), phi.child))
-        elif isinstance(phi, IAlways):
-            self._alias_row(phi, n, IRelease(INNER_FALSE, phi.child))
         elif isinstance(phi, (IUntil, IRelease)):
             self._until_release_row(phi, n, release=isinstance(phi, IRelease))
         else:
@@ -473,11 +476,6 @@ class OuterEncoder:
     def _set(self, mu, t, var: VarId):
         self.layout.outer[(mu, t)] = var
 
-    def _alias_row(self, mu, source: OuterFormula):
-        self.ensure_row(source)
-        for t in range(self.layout.h):
-            self._set(mu, t, self.layout.outer[(source, t)])
-
     def ensure_row(self, mu: OuterFormula) -> None:
         if mu in self._done:
             return
@@ -510,10 +508,6 @@ class OuterEncoder:
                 self._set(mu, t, child[t + 1])
             self._set(mu, h - 1, loop_value(model, lay.loop_vars, child,
                                             f"y{lay.fid(mu)}_t{h - 1}", tag=self.TAG))
-        elif isinstance(mu, OEventually):
-            self._alias_row(mu, OUntil(OTrue(), mu.child))
-        elif isinstance(mu, OAlways):
-            self._alias_row(mu, ORelease(outer_false(self.n_robots), mu.child))
         elif isinstance(mu, (OUntil, ORelease)):
             self._until_release_row(mu, release=isinstance(mu, ORelease))
         else:
@@ -630,10 +624,7 @@ def extract_trajectories(layout: Layout, sol: Solution) -> list[LassoTrajectory]
     """Read one-hot state assignments back into per-robot lassos."""
     if not sol.feasible:
         raise ExtractionError("solution is not feasible")
-    loop_hits = [t for t, z in enumerate(layout.loop_vars) if round(sol[z]) == 1]
-    if len(loop_hits) != 1:
-        raise ExtractionError(f"expected exactly one loop start, found {loop_hits}")
-    l = loop_hits[0]
+    l = chosen_loop(layout, sol)
     out = []
     for n in range(layout.n_robots):
         states = []

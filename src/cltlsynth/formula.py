@@ -7,6 +7,22 @@ when at least ``m`` robots satisfy the inner formula ``phi``.  A tcp may
 optionally restrict counting to a robot group, written ``[phi, @name, m]``
 or ``[phi, @{0,2}, m]``.
 
+Both layers have the same operators, so each operator class combines a
+layer base (``InnerFormula`` or ``OuterFormula``) with one of three frozen
+shapes: ``_Unary`` (field ``child``), ``_NAry`` (``children``, at least
+two) and ``_Binary`` (``lhs``, ``rhs``).  ``ITrue``, ``IAtom``, ``OTrue``
+and ``Tcp`` are the leaves.  Two tables drive every traversal:
+
+- ``_OPS`` maps each operator token, ``true`` included, to its
+  (inner, outer) class pair; the parser builds from it and the printer
+  reads it backwards.
+- ``_DUAL`` maps each operator class to the class negation turns it into:
+  and/or, eventually/always, until/release, and next to itself.
+
+So ``children``/``rebuild``, ``subformulas``, ``to_text``, the negation
+normal form under ``inner_nnf`` and ``to_pnf``, ``expand_sugar``,
+``resolve_groups`` and the parser are each written once for both layers.
+
 Concrete syntax (UTF-8 text)::
 
     outer  :=  outer ('U' | 'R') outer          -- loosest, right assoc
@@ -26,20 +42,52 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 # ---------------------------------------------------------------------------
 # AST node types
 # ---------------------------------------------------------------------------
 
-class InnerFormula:
-    """Base class for inner-logic (single robot) formulas."""
+class _Formula:
+    """Common base of both layers."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
-        return inner_to_text(self)
+        return to_text(self)
+
+
+class InnerFormula(_Formula):
+    """Base class for inner-logic (single robot) formulas."""
+
+    __slots__ = ()
+
+
+class OuterFormula(_Formula):
+    """Base class for outer-logic (collective) formulas."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class _Unary:
+    child: _Formula
+
+
+@dataclass(frozen=True)
+class _NAry:
+    children: tuple[_Formula, ...]
+
+    def __post_init__(self):
+        if len(self.children) < 2:
+            raise ValueError(f"{_SYMBOL[type(self)]!r} needs at least two operands")
+
+
+@dataclass(frozen=True)
+class _Binary:
+    lhs: _Formula
+    rhs: _Formula
 
 
 @dataclass(frozen=True)
@@ -52,63 +100,36 @@ class IAtom(InnerFormula):
     name: str
 
 
-@dataclass(frozen=True)
-class INot(InnerFormula):
-    child: InnerFormula
+class INot(_Unary, InnerFormula):
+    """``!phi``"""
 
 
-@dataclass(frozen=True)
-class IAnd(InnerFormula):
-    children: tuple[InnerFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("conjunction needs at least two operands")
+class IAnd(_NAry, InnerFormula):
+    """``phi & psi & ...``"""
 
 
-@dataclass(frozen=True)
-class IOr(InnerFormula):
-    children: tuple[InnerFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("disjunction needs at least two operands")
+class IOr(_NAry, InnerFormula):
+    """``phi | psi | ...``"""
 
 
-@dataclass(frozen=True)
-class INext(InnerFormula):
-    child: InnerFormula
+class INext(_Unary, InnerFormula):
+    """``X phi``"""
 
 
-@dataclass(frozen=True)
-class IUntil(InnerFormula):
-    lhs: InnerFormula
-    rhs: InnerFormula
+class IUntil(_Binary, InnerFormula):
+    """``phi U psi``"""
 
 
-@dataclass(frozen=True)
-class IRelease(InnerFormula):
-    lhs: InnerFormula
-    rhs: InnerFormula
+class IRelease(_Binary, InnerFormula):
+    """``phi R psi``"""
 
 
-@dataclass(frozen=True)
-class IEventually(InnerFormula):
-    child: InnerFormula
+class IEventually(_Unary, InnerFormula):
+    """``F phi``"""
 
 
-@dataclass(frozen=True)
-class IAlways(InnerFormula):
-    child: InnerFormula
-
-
-class OuterFormula:
-    """Base class for outer-logic (collective) formulas."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return to_text(self)
+class IAlways(_Unary, InnerFormula):
+    """``G phi``"""
 
 
 @dataclass(frozen=True)
@@ -139,63 +160,55 @@ class Tcp(OuterFormula):
             raise ValueError("robot group must be nonempty")
 
 
-# Domain-type alias: the tcp leaf *is* the temporal counting proposition.
-TempCountProp = Tcp
+class ONot(_Unary, OuterFormula):
+    """``!mu``"""
 
 
-@dataclass(frozen=True)
-class ONot(OuterFormula):
-    child: OuterFormula
+class OAnd(_NAry, OuterFormula):
+    """``mu & nu & ...``"""
 
 
-@dataclass(frozen=True)
-class OAnd(OuterFormula):
-    children: tuple[OuterFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("conjunction needs at least two operands")
+class OOr(_NAry, OuterFormula):
+    """``mu | nu | ...``"""
 
 
-@dataclass(frozen=True)
-class OOr(OuterFormula):
-    children: tuple[OuterFormula, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("disjunction needs at least two operands")
+class ONext(_Unary, OuterFormula):
+    """``X mu``"""
 
 
-@dataclass(frozen=True)
-class ONext(OuterFormula):
-    child: OuterFormula
+class OUntil(_Binary, OuterFormula):
+    """``mu U nu``"""
 
 
-@dataclass(frozen=True)
-class OUntil(OuterFormula):
-    lhs: OuterFormula
-    rhs: OuterFormula
+class ORelease(_Binary, OuterFormula):
+    """``mu R nu``"""
 
 
-@dataclass(frozen=True)
-class ORelease(OuterFormula):
-    lhs: OuterFormula
-    rhs: OuterFormula
+class OEventually(_Unary, OuterFormula):
+    """``F mu``"""
 
 
-@dataclass(frozen=True)
-class OEventually(OuterFormula):
-    child: OuterFormula
+class OAlways(_Unary, OuterFormula):
+    """``G mu``"""
 
 
-@dataclass(frozen=True)
-class OAlways(OuterFormula):
-    child: OuterFormula
+# Operator token -> (inner class, outer class), for the parser and printer.
+_OPS = {"true": (ITrue, OTrue), "!": (INot, ONot), "X": (INext, ONext),
+        "F": (IEventually, OEventually), "G": (IAlways, OAlways),
+        "&": (IAnd, OAnd), "|": (IOr, OOr), "U": (IUntil, OUntil),
+        "R": (IRelease, ORelease)}
+_SYMBOL = {kind: token for token, pair in _OPS.items() for kind in pair}
 
+# Operator class -> the class a negation pushed through it turns it into.
+_DUAL = {kind: _OPS[dual][layer]
+         for token, dual in (("X", "X"), ("F", "G"), ("G", "F"), ("&", "|"),
+                             ("|", "&"), ("U", "R"), ("R", "U"))
+         for layer, kind in enumerate(_OPS[token])}
 
 # Inner literal standing for logical false; kept as a negated constant so
 # the variant set stays minimal.
 INNER_FALSE = INot(ITrue())
+_FALSE = (INNER_FALSE, ONot(OTrue()))  # what both layers print as "false"
 
 
 def outer_false(n_robots: int) -> Tcp:
@@ -207,69 +220,62 @@ def outer_false(n_robots: int) -> Tcp:
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
-def inner_children(phi: InnerFormula) -> tuple[InnerFormula, ...]:
-    if isinstance(phi, (ITrue, IAtom)):
+def children(node: _Formula) -> tuple[_Formula, ...]:
+    """Direct subformulas on the same layer; a tcp is an outer leaf."""
+    if isinstance(node, _Unary):
+        return (node.child,)
+    if isinstance(node, _NAry):
+        return node.children
+    if isinstance(node, _Binary):
+        return (node.lhs, node.rhs)
+    if isinstance(node, (ITrue, IAtom, OTrue, Tcp)):
         return ()
-    if isinstance(phi, (INot, INext, IEventually, IAlways)):
-        return (phi.child,)
-    if isinstance(phi, (IAnd, IOr)):
-        return phi.children
-    if isinstance(phi, (IUntil, IRelease)):
-        return (phi.lhs, phi.rhs)
-    raise TypeError(f"not an inner formula: {phi!r}")
+    raise TypeError(f"not a formula: {node!r}")
 
 
-def outer_children(mu: OuterFormula) -> tuple[OuterFormula, ...]:
-    if isinstance(mu, (OTrue, Tcp)):
-        return ()
-    if isinstance(mu, (ONot, ONext, OEventually, OAlways)):
-        return (mu.child,)
-    if isinstance(mu, (OAnd, OOr)):
-        return mu.children
-    if isinstance(mu, (OUntil, ORelease)):
-        return (mu.lhs, mu.rhs)
-    raise TypeError(f"not an outer formula: {mu!r}")
+def rebuild(kind: type, kids: Iterable[_Formula]) -> _Formula:
+    """The ``kind`` operator over ``kids``; the inverse of ``children``."""
+    if issubclass(kind, _NAry):
+        return kind(tuple(kids))
+    return kind(*kids)
 
 
-def iter_inner(phi: InnerFormula) -> Iterator[InnerFormula]:
-    yield phi
-    for c in inner_children(phi):
-        yield from iter_inner(c)
-
-
-def iter_outer(mu: OuterFormula) -> Iterator[OuterFormula]:
-    yield mu
-    for c in outer_children(mu):
-        yield from iter_outer(c)
+def subformulas(node: _Formula) -> Iterator[_Formula]:
+    """``node`` and its subformulas on the same layer, in pre-order."""
+    yield node
+    for c in children(node):
+        yield from subformulas(c)
 
 
 def iter_tcps(mu: OuterFormula) -> Iterator[Tcp]:
-    for node in iter_outer(mu):
+    for node in subformulas(mu):
         if isinstance(node, Tcp):
             yield node
 
 
 def atoms_of(mu: OuterFormula) -> set[str]:
     """Names of all atomic propositions appearing inside any tcp."""
-    names: set[str] = set()
-    for tcp in iter_tcps(mu):
-        for node in iter_inner(tcp.inner):
-            if isinstance(node, IAtom):
-                names.add(node.name)
-    return names
+    return {node.name for tcp in iter_tcps(mu) for node in subformulas(tcp.inner)
+            if isinstance(node, IAtom)}
 
 
 def group_names_of(mu: OuterFormula) -> set[str]:
     return {t.group for t in iter_tcps(mu) if isinstance(t.group, str)}
 
 
+def is_cltl(mu: OuterFormula) -> bool:
+    """Every tcp wraps a bare atom, so satisfaction is a function of
+    simultaneous robot counts and the aggregate-flow encoder applies."""
+    return all(isinstance(t.inner, IAtom) for t in iter_tcps(mu))
+
+
 def formula_length(mu: OuterFormula) -> int:
     """Number of AST nodes, counting each tcp leaf plus its inner subtree."""
     total = 0
-    for node in iter_outer(mu):
+    for node in subformulas(mu):
         total += 1
         if isinstance(node, Tcp):
-            total += sum(1 for _ in iter_inner(node.inner))
+            total += sum(1 for _ in subformulas(node.inner))
     return total
 
 
@@ -277,103 +283,27 @@ def resolve_groups(mu: OuterFormula, groups: Mapping[str, frozenset]) -> OuterFo
     """Replace named robot groups with explicit index sets."""
 
     def rewrite(node: OuterFormula) -> OuterFormula:
-        if isinstance(node, Tcp):
-            if isinstance(node.group, str):
-                if node.group not in groups:
-                    raise KeyError(f"unknown robot group: {node.group!r}")
-                return Tcp(node.inner, node.m, frozenset(groups[node.group]))
-            return node
-        if isinstance(node, OTrue):
-            return node
-        kids = tuple(rewrite(c) for c in outer_children(node))
-        return _rebuild_outer(node, kids)
+        if isinstance(node, Tcp) and isinstance(node.group, str):
+            if node.group not in groups:
+                raise KeyError(f"unknown robot group: {node.group!r}")
+            return Tcp(node.inner, node.m, frozenset(groups[node.group]))
+        kids = children(node)
+        return rebuild(type(node), map(rewrite, kids)) if kids else node
 
     return rewrite(mu)
-
-
-def _rebuild_outer(node: OuterFormula, kids: tuple[OuterFormula, ...]) -> OuterFormula:
-    if isinstance(node, ONot):
-        return ONot(kids[0])
-    if isinstance(node, ONext):
-        return ONext(kids[0])
-    if isinstance(node, OEventually):
-        return OEventually(kids[0])
-    if isinstance(node, OAlways):
-        return OAlways(kids[0])
-    if isinstance(node, OAnd):
-        return OAnd(kids)
-    if isinstance(node, OOr):
-        return OOr(kids)
-    if isinstance(node, OUntil):
-        return OUntil(kids[0], kids[1])
-    if isinstance(node, ORelease):
-        return ORelease(kids[0], kids[1])
-    raise TypeError(f"cannot rebuild {node!r}")
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-_LEVEL_UNTIL = 1   # loosest
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_UNARY = 4
+# Binding strength by operator token; leaves bind tightest.
+_LEVEL = {"U": 1, "R": 1, "|": 2, "&": 3, "!": 4, "X": 4, "F": 4, "G": 4}
 _LEVEL_PRIMARY = 5
 
 
-def _inner_level(phi: InnerFormula) -> int:
-    if isinstance(phi, (ITrue, IAtom)):
-        return _LEVEL_PRIMARY
-    if isinstance(phi, (INot, INext, IEventually, IAlways)):
-        return _LEVEL_UNARY
-    if isinstance(phi, IAnd):
-        return _LEVEL_AND
-    if isinstance(phi, IOr):
-        return _LEVEL_OR
-    return _LEVEL_UNTIL
-
-
-def _outer_level(mu: OuterFormula) -> int:
-    if isinstance(mu, (OTrue, Tcp)):
-        return _LEVEL_PRIMARY
-    if isinstance(mu, (ONot, ONext, OEventually, OAlways)):
-        return _LEVEL_UNARY
-    if isinstance(mu, OAnd):
-        return _LEVEL_AND
-    if isinstance(mu, OOr):
-        return _LEVEL_OR
-    return _LEVEL_UNTIL
-
-
-def inner_to_text(phi: InnerFormula) -> str:
-    def wrap(child: InnerFormula, minimum: int) -> str:
-        text = inner_to_text(child)
-        return f"({text})" if _inner_level(child) < minimum else text
-
-    if isinstance(phi, ITrue):
-        return "true"
-    if phi == INNER_FALSE:
-        return "false"
-    if isinstance(phi, IAtom):
-        return phi.name
-    if isinstance(phi, INot):
-        return "!" + wrap(phi.child, _LEVEL_UNARY)
-    if isinstance(phi, INext):
-        return "X " + wrap(phi.child, _LEVEL_UNARY)
-    if isinstance(phi, IEventually):
-        return "F " + wrap(phi.child, _LEVEL_UNARY)
-    if isinstance(phi, IAlways):
-        return "G " + wrap(phi.child, _LEVEL_UNARY)
-    if isinstance(phi, IAnd):
-        return " & ".join(wrap(c, _LEVEL_UNARY) for c in phi.children)
-    if isinstance(phi, IOr):
-        return " | ".join(wrap(c, _LEVEL_AND) for c in phi.children)
-    if isinstance(phi, IUntil):
-        return f"{wrap(phi.lhs, _LEVEL_OR)} U {wrap(phi.rhs, _LEVEL_UNTIL + 1)}"
-    if isinstance(phi, IRelease):
-        return f"{wrap(phi.lhs, _LEVEL_OR)} R {wrap(phi.rhs, _LEVEL_UNTIL + 1)}"
-    raise TypeError(f"not an inner formula: {phi!r}")
+def _level(node: _Formula) -> int:
+    return _LEVEL.get(_SYMBOL.get(type(node)), _LEVEL_PRIMARY)
 
 
 def _group_to_text(group: GroupSpec) -> str:
@@ -382,39 +312,28 @@ def _group_to_text(group: GroupSpec) -> str:
     return "@{" + ",".join(str(i) for i in sorted(group)) + "}"
 
 
-def to_text(mu: OuterFormula) -> str:
-    """Render a formula in the concrete grammar (parse round-trips)."""
-
-    def wrap(child: OuterFormula, minimum: int) -> str:
-        text = to_text(child)
-        return f"({text})" if _outer_level(child) < minimum else text
-
-    if isinstance(mu, OTrue):
-        return "true"
-    if mu == ONot(OTrue()):
+def to_text(node: _Formula) -> str:
+    """Render a formula of either layer in the concrete grammar (parse
+    round-trips)."""
+    if node in _FALSE:
         return "false"
-    if isinstance(mu, Tcp):
-        inner = inner_to_text(mu.inner)
-        if mu.group is None:
-            return f"[{inner}, {mu.m}]"
-        return f"[{inner}, {_group_to_text(mu.group)}, {mu.m}]"
-    if isinstance(mu, ONot):
-        return "!" + wrap(mu.child, _LEVEL_UNARY)
-    if isinstance(mu, ONext):
-        return "X " + wrap(mu.child, _LEVEL_UNARY)
-    if isinstance(mu, OEventually):
-        return "F " + wrap(mu.child, _LEVEL_UNARY)
-    if isinstance(mu, OAlways):
-        return "G " + wrap(mu.child, _LEVEL_UNARY)
-    if isinstance(mu, OAnd):
-        return " & ".join(wrap(c, _LEVEL_UNARY) for c in mu.children)
-    if isinstance(mu, OOr):
-        return " | ".join(wrap(c, _LEVEL_AND) for c in mu.children)
-    if isinstance(mu, OUntil):
-        return f"{wrap(mu.lhs, _LEVEL_OR)} U {wrap(mu.rhs, _LEVEL_UNTIL + 1)}"
-    if isinstance(mu, ORelease):
-        return f"{wrap(mu.lhs, _LEVEL_OR)} R {wrap(mu.rhs, _LEVEL_UNTIL + 1)}"
-    raise TypeError(f"not an outer formula: {mu!r}")
+    if isinstance(node, IAtom):
+        return node.name
+    if isinstance(node, Tcp):
+        group = "" if node.group is None else _group_to_text(node.group) + ", "
+        return f"[{to_text(node.inner)}, {group}{node.m}]"
+    kids = children(node)
+    symbol = _SYMBOL[type(node)]
+    if not kids:
+        return symbol
+    # A unary operand needs parentheses only below the unary level; the
+    # operands of & and | and both sides of U and R also at their own.
+    unary = isinstance(node, _Unary)
+    minimum = _level(node) + (0 if unary else 1)
+    parts = [f"({to_text(c)})" if _level(c) < minimum else to_text(c) for c in kids]
+    if unary:
+        return symbol + ("" if symbol == "!" else " ") + parts[0]
+    return f" {symbol} ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +360,10 @@ _TOKEN_RE = re.compile(
 )
 
 _RESERVED = {"true": "TRUE", "false": "FALSE",
-             "X": "NEXT", "U": "UNTIL", "R": "RELEASE",
-             "F": "FINALLY", "G": "GLOBALLY"}
+             "X": "OP", "U": "OP", "R": "OP", "F": "OP", "G": "OP"}
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
           "{": "LBRACE", "}": "RBRACE", ",": "COMMA", "@": "AT",
-          "!": "NOT", "&": "AND", "|": "OR", "-": "MINUS"}
+          "!": "OP", "&": "OP", "|": "OP", "-": "MINUS"}
 
 
 @dataclass(frozen=True)
@@ -501,56 +419,41 @@ class _Parser:
         tok = self.peek()
         raise FormulaSyntaxError(message, tok.line, tok.col)
 
-    # Shared operator levels; the ``inner`` flag selects which leaves are
-    # legal at the primary level.
+    def at(self, *tokens: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "OP" and tok.text in tokens
+
+    # Shared operator levels; the ``inner`` flag selects the layer's class
+    # for each operator and which leaves are legal at the primary level.
+
+    def build(self, token: str, inner: bool, *args):
+        return _OPS[token][0 if inner else 1](*args)
 
     def expr(self, inner: bool):
-        lhs = self.or_expr(inner)
-        tok = self.peek()
-        if tok.kind in ("UNTIL", "RELEASE"):
-            self.take()
-            rhs = self.expr(inner)  # right associative
-            if tok.kind == "UNTIL":
-                return IUntil(lhs, rhs) if inner else OUntil(lhs, rhs)
-            return IRelease(lhs, rhs) if inner else ORelease(lhs, rhs)
+        lhs = self.chain("|", inner)
+        if self.at("U", "R"):
+            token = self.take().text
+            return self.build(token, inner, lhs, self.expr(inner))  # right associative
         return lhs
 
-    def or_expr(self, inner: bool):
-        operands = [self.and_expr(inner)]
-        while self.peek().kind == "OR":
-            self.take()
-            operands.append(self.and_expr(inner))
-        if len(operands) == 1:
-            return operands[0]
-        return IOr(tuple(operands)) if inner else OOr(tuple(operands))
+    def chain(self, token: str, inner: bool):
+        """A flat ``token`` chain: ``|`` joins ``&`` chains, ``&`` joins unaries."""
 
-    def and_expr(self, inner: bool):
-        operands = [self.unary(inner)]
-        while self.peek().kind == "AND":
+        def operand():
+            return self.chain("&", inner) if token == "|" else self.unary(inner)
+
+        operands = [operand()]
+        while self.at(token):
             self.take()
-            operands.append(self.unary(inner))
+            operands.append(operand())
         if len(operands) == 1:
             return operands[0]
-        return IAnd(tuple(operands)) if inner else OAnd(tuple(operands))
+        return self.build(token, inner, tuple(operands))
 
     def unary(self, inner: bool):
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.take()
-            child = self.unary(inner)
-            return INot(child) if inner else ONot(child)
-        if tok.kind == "NEXT":
-            self.take()
-            child = self.unary(inner)
-            return INext(child) if inner else ONext(child)
-        if tok.kind == "FINALLY":
-            self.take()
-            child = self.unary(inner)
-            return IEventually(child) if inner else OEventually(child)
-        if tok.kind == "GLOBALLY":
-            self.take()
-            child = self.unary(inner)
-            return IAlways(child) if inner else OAlways(child)
+        if self.at("!", "X", "F", "G"):
+            token = self.take().text
+            return self.build(token, inner, self.unary(inner))
         return self.primary(inner)
 
     def primary(self, inner: bool):
@@ -562,10 +465,10 @@ class _Parser:
             return node
         if tok.kind == "TRUE":
             self.take()
-            return ITrue() if inner else OTrue()
+            return self.build("true", inner)
         if tok.kind == "FALSE":
             self.take()
-            return INNER_FALSE if inner else ONot(OTrue())
+            return self.build("!", inner, self.build("true", inner))
         if inner:
             if tok.kind == "IDENT":
                 self.take()
@@ -606,62 +509,45 @@ class _Parser:
         return Tcp(phi, count, group)
 
 
-def parse_formula(text: str) -> OuterFormula:
-    """Parse an outer-layer formula from concrete syntax."""
+def _parse(text: str, inner: bool):
     parser = _Parser(text)
-    node = parser.expr(inner=False)
+    node = parser.expr(inner)
     if parser.peek().kind != "EOF":
         parser.fail(f"trailing input {parser.peek().text!r}")
     return node
+
+
+def parse_formula(text: str) -> OuterFormula:
+    """Parse an outer-layer formula from concrete syntax."""
+    return _parse(text, inner=False)
 
 
 def parse_inner_formula(text: str) -> InnerFormula:
     """Parse a single-robot (inner) formula from concrete syntax."""
-    parser = _Parser(text)
-    node = parser.expr(inner=True)
-    if parser.peek().kind != "EOF":
-        parser.fail(f"trailing input {parser.peek().text!r}")
-    return node
+    return _parse(text, inner=True)
 
 
 # ---------------------------------------------------------------------------
 # Normal forms
 # ---------------------------------------------------------------------------
 
+def _nnf(node: _Formula, negate: bool,
+         leaf: Callable[[_Formula, bool], _Formula]) -> _Formula:
+    """Push negations through ``_DUAL`` down to the leaves of either layer,
+    where ``leaf(node, negate)`` supplies the result."""
+    if isinstance(node, (INot, ONot)):
+        return _nnf(node.child, not negate, leaf)
+    kids = children(node)
+    if not kids:
+        return leaf(node, negate)
+    kind = _DUAL[type(node)] if negate else type(node)
+    return rebuild(kind, [_nnf(c, negate, leaf) for c in kids])
+
+
 def inner_nnf(phi: InnerFormula, negate: bool = False) -> InnerFormula:
     """Negation normal form; negations end up only on atoms (or on ``true``,
     the representation of the constant false)."""
-    if isinstance(phi, ITrue):
-        return INNER_FALSE if negate else phi
-    if isinstance(phi, IAtom):
-        return INot(phi) if negate else phi
-    if isinstance(phi, INot):
-        return inner_nnf(phi.child, not negate)
-    if isinstance(phi, IAnd):
-        kids = tuple(inner_nnf(c, negate) for c in phi.children)
-        return IOr(kids) if negate else IAnd(kids)
-    if isinstance(phi, IOr):
-        kids = tuple(inner_nnf(c, negate) for c in phi.children)
-        return IAnd(kids) if negate else IOr(kids)
-    if isinstance(phi, INext):
-        return INext(inner_nnf(phi.child, negate))
-    if isinstance(phi, IEventually):
-        if negate:
-            return IAlways(inner_nnf(phi.child, True))
-        return IEventually(inner_nnf(phi.child, False))
-    if isinstance(phi, IAlways):
-        if negate:
-            return IEventually(inner_nnf(phi.child, True))
-        return IAlways(inner_nnf(phi.child, False))
-    if isinstance(phi, IUntil):
-        if negate:
-            return IRelease(inner_nnf(phi.lhs, True), inner_nnf(phi.rhs, True))
-        return IUntil(inner_nnf(phi.lhs, False), inner_nnf(phi.rhs, False))
-    if isinstance(phi, IRelease):
-        if negate:
-            return IUntil(inner_nnf(phi.lhs, True), inner_nnf(phi.rhs, True))
-        return IRelease(inner_nnf(phi.lhs, False), inner_nnf(phi.rhs, False))
-    raise TypeError(f"not an inner formula: {phi!r}")
+    return _nnf(phi, negate, lambda node, neg: INot(node) if neg else node)
 
 
 def _dualize_tcp(tcp: Tcp, n_robots: int) -> OuterFormula:
@@ -691,90 +577,41 @@ def to_pnf(mu: OuterFormula, n_robots: int) -> OuterFormula:
     if n_robots < 1:
         raise ValueError("n_robots must be at least 1")
 
-    def walk(node: OuterFormula, negate: bool) -> OuterFormula:
+    def leaf(node: OuterFormula, negate: bool) -> OuterFormula:
         if isinstance(node, OTrue):
             return outer_false(n_robots) if negate else node
-        if isinstance(node, Tcp):
-            if negate:
-                return _dualize_tcp(node, n_robots)
-            return Tcp(inner_nnf(node.inner), node.m, node.group)
-        if isinstance(node, ONot):
-            return walk(node.child, not negate)
-        if isinstance(node, OAnd):
-            kids = tuple(walk(c, negate) for c in node.children)
-            return OOr(kids) if negate else OAnd(kids)
-        if isinstance(node, OOr):
-            kids = tuple(walk(c, negate) for c in node.children)
-            return OAnd(kids) if negate else OOr(kids)
-        if isinstance(node, ONext):
-            return ONext(walk(node.child, negate))
-        if isinstance(node, OEventually):
-            if negate:
-                return OAlways(walk(node.child, True))
-            return OEventually(walk(node.child, False))
-        if isinstance(node, OAlways):
-            if negate:
-                return OEventually(walk(node.child, True))
-            return OAlways(walk(node.child, False))
-        if isinstance(node, OUntil):
-            if negate:
-                return ORelease(walk(node.lhs, True), walk(node.rhs, True))
-            return OUntil(walk(node.lhs, False), walk(node.rhs, False))
-        if isinstance(node, ORelease):
-            if negate:
-                return OUntil(walk(node.lhs, True), walk(node.rhs, True))
-            return ORelease(walk(node.lhs, False), walk(node.rhs, False))
-        raise TypeError(f"not an outer formula: {node!r}")
+        if negate:
+            return _dualize_tcp(node, n_robots)
+        return Tcp(inner_nnf(node.inner), node.m, node.group)
 
-    return walk(mu, False)
+    return _nnf(mu, False, leaf)
 
 
 def expand_sugar(mu: OuterFormula, n_robots: int, robust: bool = False) -> OuterFormula:
-    """Rewrite eventually/always into until/release at both layers.
+    """Rewrite eventually/always into until/release at both layers:
+    ``F x == true U x`` and ``G x == false R x``.
 
     With ``robust=True`` an outer eventually applied to a tcp uses the
     asynchrony-friendly form ``F [phi,m] == [!phi, N-m+1] U [phi,m]``,
     which also pins down *when* the counting threshold may be crossed.
     """
+    sugar = {IEventually: (IUntil, ITrue()), IAlways: (IRelease, INNER_FALSE),
+             OEventually: (OUntil, OTrue()),
+             OAlways: (ORelease, outer_false(n_robots))}
 
-    def walk_inner(phi: InnerFormula) -> InnerFormula:
-        if isinstance(phi, (ITrue, IAtom)):
-            return phi
-        if isinstance(phi, INot):
-            return INot(walk_inner(phi.child))
-        if isinstance(phi, IAnd):
-            return IAnd(tuple(walk_inner(c) for c in phi.children))
-        if isinstance(phi, IOr):
-            return IOr(tuple(walk_inner(c) for c in phi.children))
-        if isinstance(phi, INext):
-            return INext(walk_inner(phi.child))
-        if isinstance(phi, IEventually):
-            return IUntil(ITrue(), walk_inner(phi.child))
-        if isinstance(phi, IAlways):
-            return IRelease(INNER_FALSE, walk_inner(phi.child))
-        if isinstance(phi, IUntil):
-            return IUntil(walk_inner(phi.lhs), walk_inner(phi.rhs))
-        if isinstance(phi, IRelease):
-            return IRelease(walk_inner(phi.lhs), walk_inner(phi.rhs))
-        raise TypeError(f"not an inner formula: {phi!r}")
-
-    def walk(node: OuterFormula) -> OuterFormula:
-        if isinstance(node, OTrue):
-            return node
+    def walk(node: _Formula) -> _Formula:
         if isinstance(node, Tcp):
-            return Tcp(walk_inner(node.inner), node.m, node.group)
-        if isinstance(node, OEventually):
-            child = walk(node.child)
-            if robust and isinstance(child, Tcp):
-                scope = n_robots if not isinstance(child.group, frozenset) else len(child.group)
-                guard_m = max(0, scope - child.m + 1)
-                guard = Tcp(inner_nnf(child.inner, negate=True), guard_m, child.group)
-                return OUntil(guard, child)
-            return OUntil(OTrue(), child)
-        if isinstance(node, OAlways):
-            return ORelease(outer_false(n_robots), walk(node.child))
-        kids = tuple(walk(c) for c in outer_children(node))
-        return _rebuild_outer(node, kids)
+            return Tcp(walk(node.inner), node.m, node.group)
+        kids = [walk(c) for c in children(node)]
+        if type(node) not in sugar:
+            return rebuild(type(node), kids) if kids else node
+        kind, lhs = sugar[type(node)]
+        child = kids[0]
+        if robust and isinstance(node, OEventually) and isinstance(child, Tcp):
+            scope = n_robots if not isinstance(child.group, frozenset) else len(child.group)
+            guard_m = max(0, scope - child.m + 1)
+            lhs = Tcp(inner_nnf(child.inner, negate=True), guard_m, child.group)
+        return kind(lhs, child)
 
     return walk(mu)
 
@@ -784,76 +621,3 @@ def normalize(mu: OuterFormula, n_robots: int, robust: bool = False,
     """Full encoding pipeline: resolve groups, expand sugar, push negations."""
     resolved = resolve_groups(mu, groups or {})
     return to_pnf(expand_sugar(resolved, n_robots, robust=robust), n_robots)
-
-
-# ---------------------------------------------------------------------------
-# Fragment classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FragmentReport:
-    """Structural facts about a formula that gate encoder choices.
-
-    is_cltl: every tcp wraps a bare atom, so satisfaction is a function of
-        simultaneous robot counts and the aggregate-flow encoder applies.
-    inner_next_free: no next operator occurs inside any tcp.
-    is_pnf: no outer negation; inner negation only on atoms/constants.
-    in_completeness_fragment: the outer structure matches the restricted
-        grammar (true | tcp | and | tcp-or-tcp | tcp-until-tcp | next) for
-        which the robust encodings are complete.
-    mutually_exclusive_required: a tcp disjunction or tcp until occurs, so
-        the completeness guarantee additionally needs pairwise mutually
-        exclusive atomic propositions.
-    """
-
-    is_cltl: bool
-    inner_next_free: bool
-    is_pnf: bool
-    in_completeness_fragment: bool
-    mutually_exclusive_required: bool
-
-
-def _is_inner_literal(phi: InnerFormula) -> bool:
-    return isinstance(phi, (ITrue, IAtom)) or (
-        isinstance(phi, INot) and isinstance(phi.child, (IAtom, ITrue)))
-
-
-def _inner_is_nnf(phi: InnerFormula) -> bool:
-    if isinstance(phi, INot):
-        return isinstance(phi.child, (IAtom, ITrue))
-    return all(_inner_is_nnf(c) for c in inner_children(phi))
-
-
-def check_fragment(mu: OuterFormula) -> FragmentReport:
-    tcps = list(iter_tcps(mu))
-    is_cltl = all(isinstance(t.inner, IAtom) for t in tcps)
-    inner_next_free = not any(
-        isinstance(node, INext) for t in tcps for node in iter_inner(t.inner))
-    is_pnf = (not any(isinstance(n, ONot) for n in iter_outer(mu))
-              and all(_inner_is_nnf(t.inner) for t in tcps))
-
-    def in_fragment(node: OuterFormula) -> bool:
-        if isinstance(node, (OTrue, Tcp)):
-            return True
-        if isinstance(node, OAnd):
-            return all(in_fragment(c) for c in node.children)
-        if isinstance(node, OOr):
-            return all(isinstance(c, Tcp) for c in node.children)
-        if isinstance(node, OUntil):
-            return isinstance(node.lhs, Tcp) and isinstance(node.rhs, Tcp)
-        if isinstance(node, ONext):
-            return in_fragment(node.child)
-        return False
-
-    needs_exclusive = any(
-        (isinstance(n, OOr) and all(isinstance(c, Tcp) for c in n.children))
-        or (isinstance(n, OUntil) and isinstance(n.lhs, Tcp) and isinstance(n.rhs, Tcp))
-        for n in iter_outer(mu))
-
-    return FragmentReport(
-        is_cltl=is_cltl,
-        inner_next_free=inner_next_free,
-        is_pnf=is_pnf,
-        in_completeness_fragment=in_fragment(mu),
-        mutually_exclusive_required=needs_exclusive,
-    )

@@ -91,11 +91,6 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
     return {name: v for v, name in enumerate(names)}
 
 
-def export_lp(model: IlpModel, path: Union[str, Path]) -> dict[str, int]:
-    """Write ``model`` to ``path`` in LP format; deterministic byte-for-byte."""
-    return write_lp(model, path)
-
-
 # ---------------------------------------------------------------------------
 # Reader
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from .formula import (IAlways, IAnd, IAtom, IEventually, INext, INot, IOr,
                       IRelease, ITrue, IUntil, InnerFormula, OAlways, OAnd,
                       OEventually, ONext, ONot, OOr, OTrue, OUntil,
-                      OuterFormula, Tcp, iter_outer)
+                      OuterFormula, Tcp, subformulas)
 from .system import MultiRobotInstance, TransitionSystem
 from .trajectory import LassoTrajectory
 
@@ -165,6 +165,7 @@ class CollectiveExecution:
         return tuple(int(x) + tail for x in self.cumulative[self.horizon])
 
     def anchor(self, t: int) -> int:
+        """Anchor time: the smallest local counter value at global time t."""
         return min(self.counters(t))
 
     def max_spread(self) -> int:
@@ -172,11 +173,6 @@ class CollectiveExecution:
             return 0
         spreads = self.cumulative.max(axis=1) - self.cumulative.min(axis=1)
         return int(spreads.max())
-
-
-def anchor_map(execution: CollectiveExecution, t: int) -> int:
-    """Anchor time: the smallest local counter value at global time t."""
-    return execution.anchor(t)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ class CollectionOracle:
         robots = np.arange(len(self.lassos))
         value: dict[int, np.ndarray] = {}  # by node identity: hashing a tree is slow
         # Reversed pre-order visits every node after all of its subformulas.
-        for node in reversed(list(iter_outer(mu))):
+        for node in reversed(list(subformulas(mu))):
             if id(node) in value:
                 continue
             if isinstance(node, OTrue):
@@ -257,7 +253,7 @@ class CollectionOracle:
                 out = ~_until(None, ~value[id(node.child)], lock)
             elif isinstance(node, OUntil):
                 out = _until(value[id(node.lhs)], value[id(node.rhs)], lock)
-            else:  # ORelease; iter_outer rejects every other node type
+            else:  # ORelease; subformulas rejects every other node type
                 out = ~_until(~value[id(node.lhs)], ~value[id(node.rhs)], lock)
             value[id(node)] = out
         return value[id(mu)].T

@@ -86,14 +86,10 @@ class TransitionSystem:
         return a
 
     def label_vector(self, a: str) -> np.ndarray:
+        """Binary indicator over states: entry i is 1 iff ``a`` labels state i."""
         if a not in self.ap:
             raise ModelError(f"unknown proposition {a!r}")
         return np.array([1 if a in labs else 0 for labs in self.labels], dtype=np.int8)
-
-
-def label_vector(ts: TransitionSystem, a: str) -> np.ndarray:
-    """Binary indicator over states: entry i is 1 iff ``a`` labels state i."""
-    return ts.label_vector(a)
 
 
 @dataclass(frozen=True)

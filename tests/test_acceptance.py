@@ -152,12 +152,14 @@ def test_acceptance_04_disjunction_handover():
     assert check_robust(lassos, mu2, tau=1, max_T=5).falsified
 
     pooled = build_robust_problem(inst, both, h=3, tau=1)
-    assert solve_bnb(pooled.model).feasible
-    plain = build_robust_problem(inst, both, h=3, tau=1,
-                                 pool_tcp_disjunctions=False)
-    assert solve_bnb(plain.model).status == "infeasible"
+    sol = solve_bnb(pooled.model)
+    assert sol.feasible
+    lay = pooled.layout
+    assert round(sol[lay.outer_extra[(both, 0, "pool")]]) == 1
+    assert [round(sol[lay.outer[(mu, 0)]]) for mu in (mu1, mu2)] == [0, 0]
     report(4, "handover verified for the disjunction, falsified for each "
-              "disjunct; pooled encoding feasible, plain encoding infeasible")
+              "disjunct; pooled encoding feasible, with the pool row and "
+              "neither disjunct true at t = 0")
 
 
 # ---------------------------------------------------------------------------

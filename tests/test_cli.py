@@ -1,13 +1,18 @@
 """Command-line interface, end to end on small models."""
 
 import json
+import random
 import sys
 
 import pytest
 
 from cltlsynth import cli
 from cltlsynth.cli import main
+from cltlsynth.formula import to_text
 from cltlsynth.ilp import Solution
+from cltlsynth.oracle import brute_force_synth
+
+from conftest import random_instance, random_outer
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -378,3 +383,56 @@ def test_bad_simulate_input_is_a_one_line_usage_error(handover_bundle, tmp_path,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert "verdict" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under random input
+# ---------------------------------------------------------------------------
+
+def explicit_payload(inst):
+    return {"ap": list(inst.systems[0].ap),
+            "robots": [{"states": list(ts.states),
+                        "transitions": [list(e) for e in sorted(ts.transitions)],
+                        "labels": {s: sorted(l) for s, l in zip(ts.states, ts.labels)},
+                        "init": init}
+                       for ts, init in zip(inst.systems, inst.initial_states)]}
+
+
+def sweep_has_lasso(inst, mu, h_lo, h_hi, tau):
+    return any(brute_force_synth(inst, mu, h, tau=tau) is not None
+               for h in range(h_lo, h_hi + 1))
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_random_synth_runs_keep_the_exit_code_contract(tmp_path, capsys):
+    # Exit 1 under cltlplus at tau = 0 claims the whole sweep is infeasible,
+    # which exhaustive search must confirm; exit 0 at tau = 1 claims a
+    # robust lasso, which exhaustive search must find too.
+    rng = random.Random(11)
+    path = tmp_path / "model.json"
+    codes = {}
+    for trial in range(200):
+        n = rng.randint(1, 2)
+        inst = random_instance(rng, n, rng.randint(2, 3), ["a", "b"],
+                               identical=rng.random() < 0.5)
+        # thresholds up to n + 1, one above the fleet size
+        mu = random_outer(rng, rng.randint(1, 2), ["a", "b"], n + 1,
+                          bare_atoms=rng.random() < 0.4)
+        engine = rng.choice(["auto", "cltlplus", "cltl"])
+        tau = rng.randint(0, 1)
+        h_lo = rng.randint(1, 2)
+        h_hi = h_lo + rng.randint(0, 1)
+        path.write_text(json.dumps(explicit_payload(inst)))
+        code = run(["synth", "--model", path, "--formula", to_text(mu),
+                    "--horizon", h_lo, "--horizon-max", h_hi,
+                    "--engine", engine, "--tau", tau])
+        err = capsys.readouterr().err
+        case = f"trial {trial}: {engine} tau={tau} h={h_lo}..{h_hi} {to_text(mu)}"
+        assert "Traceback" not in err, case
+        assert code in (0, 1, 3, 4), case
+        if engine == "cltlplus" and tau == 0:
+            assert (code == 1) == (not sweep_has_lasso(inst, mu, h_lo, h_hi, 0)), case
+        if code == 0 and tau == 1:
+            assert sweep_has_lasso(inst, mu, h_lo, h_hi, 1), case
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0, 0) >= 20 and codes.get(1, 0) >= 20, codes

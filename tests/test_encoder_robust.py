@@ -240,9 +240,10 @@ def test_pooled_disjunction_accepts_the_handover():
     trajs = extract_trajectories(pooled.layout, sol)
     lassos = [Lasso.from_trajectory(t, ts) for t, ts in zip(trajs, inst.systems)]
     assert not check_robust(lassos, mu, tau=1, max_T=4).falsified
-    plain = build_robust_problem(inst, mu, h=3, tau=1,
-                                 pool_tcp_disjunctions=False)
-    assert solve_bnb(plain.model).status == "infeasible"
+    # the pool row, not a disjunct, carries feasibility at t = 0
+    lay = pooled.layout
+    assert round(sol[lay.outer_extra[(mu, 0, "pool")]]) == 1
+    assert [round(sol[lay.outer[(c, 0)]]) for c in mu.children] == [0, 0]
 
 
 def test_each_disjunct_alone_is_not_robust():

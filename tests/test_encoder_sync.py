@@ -16,7 +16,7 @@ from cltlsynth.formula import (IAtom, IEventually, INot, ITrue, IUntil,
                                OAlways, OAnd, OEventually, ONot, OOr, ORelease,
                                OTrue, OUntil, Tcp, parse_formula)
 from cltlsynth.ilp import LinExpr
-from cltlsynth.lp_format import export_lp
+from cltlsynth.lp_format import write_lp
 from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
                               check_robust, eval_inner, eval_outer)
 from cltlsynth.solver import solve_bnb, solve_external
@@ -109,7 +109,7 @@ def test_dead_end_chain_is_infeasible_through_both_solvers(tmp_path):
     assert all(not problem.layout.live[(0, t)] for t in (3, 4))
     assert solve_bnb(problem.model).status == "infeasible"
     lp = tmp_path / "dead.lp"
-    export_lp(problem.model, lp)
+    write_lp(problem.model, lp)
     assert "const_0 = 1" in lp.read_text()
     assert solve_external(problem.model, LP_CLI,
                           workdir=tmp_path).status == "infeasible"

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from cltlsynth.formula import (FormulaSyntaxError, IAtom, IAnd, IEventually,
-                               IAlways, INNER_FALSE, INext, INot, IOr, ITrue,
-                               IUntil, IRelease, OAlways, OAnd, OEventually,
-                               ONext, ONot, OOr, ORelease, OTrue, OUntil, Tcp,
-                               check_fragment, expand_sugar, formula_length,
+                               IAlways, INNER_FALSE, INot, ITrue, IUntil,
+                               OAlways, OAnd, OEventually, ONot, OOr, ORelease,
+                               OTrue, OUntil, Tcp,
+                               expand_sugar, formula_length, is_cltl,
                                outer_false, parse_formula, parse_inner_formula,
-                               resolve_groups, to_pnf, to_text)
+                               resolve_groups, subformulas, to_pnf, to_text)
 from cltlsynth.oracle import CollectiveExecution, eval_outer
 
 from conftest import random_lasso, random_outer
@@ -148,8 +148,11 @@ def test_pnf_preserves_semantics_randomly():
 def test_pnf_always_reaches_positive_form():
     rng = random.Random(13)
     for _ in range(200):
-        f = random_outer(rng, 4, ["a", "b"], 3)
-        assert check_fragment(to_pnf(f, 3)).is_pnf
+        g = to_pnf(random_outer(rng, 4, ["a", "b"], 3), 3)
+        assert not any(isinstance(node, ONot) for node in subformulas(g))
+        for tcp in (node for node in subformulas(g) if isinstance(node, Tcp)):
+            assert all(isinstance(node.child, (IAtom, ITrue))
+                       for node in subformulas(tcp.inner) if isinstance(node, INot))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +174,7 @@ def test_expand_sugar_always_to_release_without_negation():
     f = OAlways(Tcp(IAtom("p"), 1))
     out = expand_sugar(f, 3, robust=False)
     assert out == ORelease(outer_false(3), Tcp(IAtom("p"), 1))
-    assert not any(isinstance(n, ONot) for n in _walk(out))
-
-
-def _walk(f):
-    from cltlsynth.formula import iter_outer
-    return iter_outer(f)
+    assert not any(isinstance(n, ONot) for n in subformulas(out))
 
 
 def test_expand_sugar_preserves_semantics():
@@ -197,31 +195,11 @@ def test_expand_sugar_preserves_semantics():
 # ---------------------------------------------------------------------------
 
 def test_fragment_atomic_inner_is_cltl():
-    assert check_fragment(OAlways(OEventually(Tcp(IAtom("a"), 2)))).is_cltl
+    assert is_cltl(OAlways(OEventually(Tcp(IAtom("a"), 2))))
 
 
 def test_fragment_temporal_inner_is_not_cltl():
-    assert not check_fragment(Tcp(IAlways(IEventually(IAtom("a"))), 2)).is_cltl
-
-
-def test_fragment_inner_next_detection():
-    assert not check_fragment(Tcp(INext(IAtom("a")), 1)).inner_next_free
-    assert check_fragment(Tcp(IAtom("a"), 1)).inner_next_free
-
-
-def test_fragment_completeness_grammar():
-    tcp = Tcp(IAtom("a"), 1)
-    good = OAnd((tcp, OUntil(tcp, Tcp(IAtom("b"), 2)), ONext(tcp)))
-    assert check_fragment(good).in_completeness_fragment
-    assert check_fragment(OAlways(tcp)).in_completeness_fragment is False
-    assert check_fragment(OUntil(OAnd((tcp, tcp)), tcp)).in_completeness_fragment is False
-
-
-def test_fragment_mutual_exclusion_flag():
-    tcp_a, tcp_b = Tcp(IAtom("a"), 1), Tcp(IAtom("b"), 1)
-    assert check_fragment(OOr((tcp_a, tcp_b))).mutually_exclusive_required
-    assert check_fragment(OUntil(tcp_a, tcp_b)).mutually_exclusive_required
-    assert not check_fragment(OAnd((tcp_a, tcp_b))).mutually_exclusive_required
+    assert not is_cltl(Tcp(IAlways(IEventually(IAtom("a"))), 2))
 
 
 def test_formula_length_counts_nodes():

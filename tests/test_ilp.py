@@ -11,8 +11,8 @@ import random
 import pytest
 
 from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, IlpModel, LinExpr
-from cltlsynth.lp_format import (export_lp, parse_lp, read_solution_file,
-                                 sanitize_names, write_solution_file)
+from cltlsynth.lp_format import (parse_lp, read_solution_file, sanitize_names,
+                                 write_lp, write_solution_file)
 from cltlsynth.solver import solve_bnb
 
 
@@ -205,8 +205,8 @@ def small_model():
 def test_export_is_deterministic(tmp_path):
     m = small_model()
     p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"
-    export_lp(m, p1)
-    export_lp(m, p2)
+    write_lp(m, p1)
+    write_lp(m, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -225,7 +225,7 @@ def test_export_sanitizes_and_disambiguates(tmp_path):
 def test_lp_round_trip_preserves_model(tmp_path):
     m = small_model()
     path = tmp_path / "m.lp"
-    export_lp(m, path)
+    write_lp(m, path)
     back = parse_lp(path)
     assert back.n_vars == m.n_vars
     assert back.n_constraints == m.n_constraints
@@ -240,7 +240,7 @@ def test_empty_feasibility_model_export(tmp_path):
     m = IlpModel()
     m.add_binary("x")
     path = tmp_path / "empty.lp"
-    export_lp(m, path)
+    write_lp(m, path)
     text = path.read_text()
     assert text.startswith("\\ model\nMinimize\n obj:\nSubject To\n")
     assert text.rstrip().endswith("End")

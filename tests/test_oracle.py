@@ -19,7 +19,7 @@ from cltlsynth.formula import (IAtom, IAlways, IAnd, IEventually, INext, INot,
                                OUntil, Tcp, iter_tcps, parse_formula,
                                parse_inner_formula)
 from cltlsynth.oracle import (CHUNK, CollectiveExecution, CollectionOracle,
-                              Lasso, Verdict, anchor_map, brute_force_synth,
+                              Lasso, Verdict, brute_force_synth,
                               check_robust, eval_inner, eval_outer,
                               tcp_windowed_violation)
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
@@ -125,15 +125,15 @@ def test_inner_matches_fixpoint_reference():
 def test_anchor_of_partially_advanced_execution():
     execution = CollectiveExecution([[1, 1, 1], [0, 1, 0]])
     assert execution.counters(2) == (1, 2, 1)
-    assert anchor_map(execution, 2) == 1
+    assert execution.anchor(2) == 1
     assert execution.counters(1) == (1, 1, 1)
-    assert anchor_map(execution, 1) == 1
+    assert execution.anchor(1) == 1
 
 
 def test_anchor_of_synchronous_execution_is_identity():
     k_star = CollectiveExecution.synchronous(3)
     for t in range(6):
-        assert anchor_map(k_star, t) == t
+        assert k_star.anchor(t) == t
         assert k_star.counters(t) == (t, t, t)
 
 

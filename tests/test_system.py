@@ -7,8 +7,8 @@ import pytest
 
 from cltlsynth.system import (AggregateSystem, ContinuousSystem, ModelError,
                               MultiRobotInstance, TransitionSystem,
-                              aggregate_view, build_grid_system, label_vector,
-                              load_model, validate)
+                              aggregate_view, build_grid_system, load_model,
+                              validate)
 
 
 def chain_ts(labels_on=("s1",)):
@@ -135,18 +135,18 @@ def test_adjacency_orientation():
 
 def test_label_vector_examples():
     ts = chain_ts(labels_on=("s1",))
-    assert list(label_vector(ts, "a")) == [0, 1, 0]
+    assert list(ts.label_vector("a")) == [0, 1, 0]
     all_on = chain_ts(labels_on=("s0", "s1", "s2"))
-    assert list(label_vector(all_on, "a")) == [1, 1, 1]
+    assert list(all_on.label_vector("a")) == [1, 1, 1]
     none_on = chain_ts(labels_on=())
-    assert list(label_vector(none_on, "a")) == [0, 0, 0]
+    assert list(none_on.label_vector("a")) == [0, 0, 0]
     with pytest.raises(ModelError, match="unknown proposition"):
-        label_vector(ts, "zz")
+        ts.label_vector("zz")
 
 
 def test_label_vector_matches_membership():
     ts = build_grid_system(3, 3, {"A": [[0, 0], [2, 2]]})
-    vec = label_vector(ts, "A")
+    vec = ts.label_vector("A")
     for s in range(ts.n_states):
         assert (vec[s] == 1) == ("A" in ts.labels[s])
 
