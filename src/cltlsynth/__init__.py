@@ -19,7 +19,7 @@ from .system import (AggregateSystem, ContinuousSystem, MultiRobotInstance,
                      TransitionSystem, aggregate_view, build_grid_system,
                      load_model, validate)
 from .ilp import IlpModel, LinExpr, Solution
-from .lp_format import parse_lp, write_lp
+from .lp_format import read_lp, write_lp
 from .solver import SolveConfig, solve_bnb, solve_external
 from .trajectory import ContinuousTrajectory, LassoTrajectory
 from .oracle import (CollectiveExecution, Lasso, Verdict, brute_force_synth,
@@ -42,7 +42,7 @@ __all__ = [
     "TransitionSystem", "aggregate_view", "build_grid_system", "load_model",
     "validate",
     # ilp, lp_format, solver, trajectory
-    "IlpModel", "LinExpr", "Solution", "parse_lp", "write_lp", "SolveConfig",
+    "IlpModel", "LinExpr", "Solution", "read_lp", "write_lp", "SolveConfig",
     "solve_bnb", "solve_external", "ContinuousTrajectory", "LassoTrajectory",
     # oracle
     "CollectiveExecution", "Lasso", "Verdict", "brute_force_synth",

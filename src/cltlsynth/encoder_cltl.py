@@ -163,7 +163,7 @@ def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
     outer = CltlOuterEncoder(model, layout, agg)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
-    return EncodedProblem(model, layout, instance, norm, mu, h, 0, "cltl")
+    return EncodedProblem(model, layout, instance, h, 0, "cltl")
 
 
 # ---------------------------------------------------------------------------

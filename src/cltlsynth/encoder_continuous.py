@@ -172,7 +172,7 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
         outer = RobustOuterEncoder(model, layout, inner, sys.n_robots, tau)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
-    return EncodedProblem(model, layout, sys, norm, mu, h, tau, "continuous")
+    return EncodedProblem(model, layout, sys, h, tau, "continuous")
 
 
 def extract_continuous(problem: EncodedProblem, sol: Solution) -> list[ContinuousTrajectory]:

@@ -173,4 +173,4 @@ def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     outer = RobustOuterEncoder(model, layout, inner, inst.n_robots, tau)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
-    return EncodedProblem(model, layout, inst, norm, mu, h, tau, "cltlplus")
+    return EncodedProblem(model, layout, inst, h, tau, "cltlplus")

@@ -110,8 +110,6 @@ class EncodedProblem:
     model: IlpModel
     layout: Layout
     instance: Union[MultiRobotInstance, AggregateSystem, ContinuousSystem]
-    formula: OuterFormula          # normalized form actually encoded
-    original_formula: OuterFormula
     h: int
     tau: int
     engine: str
@@ -617,7 +615,7 @@ def build_sync_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     outer = OuterEncoder(model, layout, inner, inst.n_robots)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
-    return EncodedProblem(model, layout, inst, norm, mu, h, 0, "cltlplus")
+    return EncodedProblem(model, layout, inst, h, 0, "cltlplus")
 
 
 def extract_trajectories(layout: Layout, sol: Solution) -> list[LassoTrajectory]:

@@ -162,7 +162,6 @@ class IlpModel:
         self.name = name
         self.vars: list[Var] = []
         self.constraints: list[Constraint] = []
-        self.objective: Optional[LinExpr] = None  # None = pure feasibility
         self.var_tag_counts: dict[str, int] = {}
         self.con_tag_counts: dict[str, int] = {}
         self._const_cache: dict[int, VarId] = {}
@@ -219,9 +218,6 @@ class IlpModel:
         rhs = rhs - expr.const
         self.constraints.append(Constraint(LinExpr(expr.coeffs), sense, rhs, tag))
         self.con_tag_counts[tag] = self.con_tag_counts.get(tag, 0) + 1
-
-    def set_objective(self, expr: LinExpr) -> None:
-        self.objective = expr.copy()
 
     # -- Boolean gadgets ------------------------------------------------------
 

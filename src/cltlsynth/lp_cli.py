@@ -4,9 +4,13 @@ Usage::
 
     python -m cltlsynth.lp_cli model.lp out.sol
 
-Exit code 0 on success (including a proven-infeasible instance, reported
-in the solution file's status line); nonzero on I/O or format errors.
-This makes the module directly usable as a ``--solver-cmd`` target:
+The file is read with ``lp_format.read_lp``, so it must be in the form
+``write_lp`` writes, and solved through ``solver.solve_arrays``, the same
+HiGHS call ``solve_bnb`` makes.  Exit code 0 on success (including a
+proven-infeasible instance, reported in the solution file's status line);
+1 with one ``error:`` line on I/O, format or solver errors; 2 on a usage
+error.  This makes
+the module directly usable as a ``--solver-cmd`` target:
 ``python -m cltlsynth.lp_cli {lp} {sol}``.
 """
 
@@ -14,37 +18,16 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-
-from .lp_format import parse_lp, sanitize_names, write_solution_file
+from .lp_format import read_lp, write_solution_file
+from .solver import solve_arrays
 
 
 def solve_lp_file(lp_path: str, sol_path: str) -> str:
-    model = parse_lp(lp_path)
-    n = model.n_vars
-    names = sanitize_names(model)
-    arrays = model.to_arrays()
-
-    c = np.zeros(n)
-    if model.objective is not None:
-        for v, coef in model.objective.coeffs.items():
-            c[v] = coef
-
-    res = milp(c=c, integrality=arrays.integrality, bounds=Bounds(arrays.lb, arrays.ub),
-               constraints=LinearConstraint(arrays.matrix, arrays.row_lo, arrays.row_hi))
-    if res.status == 2:
-        write_solution_file(sol_path, "infeasible")
-        return "infeasible"
-    if res.x is None:
-        write_solution_file(sol_path, "unknown")
-        return "unknown"
-    values = {}
-    for v in range(n):
-        x = res.x[v]
-        values[names[v]] = int(round(x)) if arrays.integrality[v] else float(x)
-    write_solution_file(sol_path, "feasible", values)
-    return "feasible"
+    names, arrays = read_lp(lp_path)
+    sol = solve_arrays(arrays)
+    write_solution_file(sol_path, sol.status,
+                        {names[v]: x for v, x in sol.values.items()})
+    return sol.status
 
 
 def main(argv=None) -> int:

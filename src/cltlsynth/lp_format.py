@@ -1,5 +1,39 @@
-"""CPLEX LP text format: deterministic writer and a reader for the subset
-the writer emits (enough to round-trip models and to feed external solvers).
+"""CPLEX LP text: a deterministic writer and a reader for exactly what it
+writes.
+
+:func:`write_lp` emits this line grammar, and :func:`read_lp` accepts it
+and nothing else::
+
+    \\ <model name>
+    Minimize
+     obj:
+    Subject To
+     c0: + 1 x - 2.5 load <= 3
+     c1: + 1 n + 1 load = 2
+    Bounds
+     -1.5 <= load <= 2.5
+     0 <= n <= 4
+    Binaries
+     x
+    Generals
+     n
+    End
+
+Section headers start in the first column and every other line with a
+space.  The objective line is always empty: every program here is a
+feasibility problem.  Row K is labelled ``cK`` and lists one or more
+``sign coefficient name`` terms (sign ``+`` or ``-``, coefficient finite
+and nonzero, each variable once), then ``<=``, ``=`` or ``>=`` and a
+finite right-hand side.  ``Bounds``, ``Binaries`` and ``Generals`` are
+each present only when not empty, in this order, one entry per line.
+Every variable is either listed under ``Binaries`` or has one finite
+``lo <= name <= hi`` line, and an integer one is also listed under
+``Generals``.  Names match ``[A-Za-z][A-Za-z0-9_]*``.
+
+The reader is this strict because its one producer is the writer:
+``solve_external`` writes the file and ``lp_cli`` reads it back.  Any
+other text is a fault to report, with its line number, not a dialect to
+guess at.
 
 Solution files exchanged with external solvers are plain text: an optional
 ``status feasible|infeasible|unknown`` line followed by ``name value``
@@ -9,11 +43,15 @@ lines; variables not mentioned default to 0.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
-from .ilp import BINARY, CONTINUOUS, INTEGER, IlpModel, LinExpr
+import numpy as np
+from scipy import sparse
+
+from .ilp import BINARY, INTEGER, SENSES, IlpModel, LinExpr, ModelArrays
 
 _NAME_OK = re.compile(r"[A-Za-z0-9_]")
 
@@ -61,14 +99,9 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
     fh = open(target, "w") if own else target
     try:
         fh.write(f"\\ {model.name}\n")
-        fh.write("Minimize\n obj:")
-        if model.objective is not None and model.objective.coeffs:
-            fh.write(" " + _terms(model.objective, names))
-        fh.write("\n")
-        fh.write("Subject To\n")
+        fh.write("Minimize\n obj:\nSubject To\n")
         for idx, con in enumerate(model.constraints):
-            sense = "=" if con.sense == "=" else con.sense
-            fh.write(f" c{idx}: {_terms(con.expr, names)} {sense} {_num(con.rhs)}\n")
+            fh.write(f" c{idx}: {_terms(con.expr, names)} {con.sense} {_num(con.rhs)}\n")
         bounded = [(v, var) for v, var in enumerate(model.vars) if var.kind != BINARY]
         if bounded:
             fh.write("Bounds\n")
@@ -95,203 +128,148 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
 # Reader
 # ---------------------------------------------------------------------------
 
-_SECTION_RE = re.compile(
-    r"^(minimize|maximize|subject to|st|s\.t\.|bounds|binaries|binary|generals|general|end)$",
-    re.IGNORECASE,
-)
+_SECTIONS = ("Bounds", "Binaries", "Generals")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class LpParseError(ValueError):
     pass
 
 
-def _tokenize_lp(text: str) -> list[str]:
-    # Strip comments (backslash to end of line), then split into tokens;
-    # section keywords may contain a space ("Subject To").
-    lines = []
-    for line in text.splitlines():
-        if "\\" in line:
-            line = line[: line.index("\\")]
-        lines.append(line)
-    return "\n".join(lines).split()
+def read_lp(source: Union[str, Path, TextIO]) -> tuple[list[str], ModelArrays]:
+    """Read LP text in the grammar :func:`write_lp` writes (module docstring).
 
-
-def parse_lp(source: Union[str, Path, TextIO]) -> IlpModel:
-    """Parse the LP subset produced by :func:`write_lp`."""
+    Returns the variable names, in order of first appearance, and the
+    arrays ``IlpModel.to_arrays`` gives for the written model with its
+    columns in that order.  Any other line raises :class:`LpParseError`
+    naming the line.
+    """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
     else:
         text = source.read()
-    tokens = _tokenize_lp(text)
-    pos = 0
-    n = len(tokens)
+    lines = text.splitlines()
 
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < n else None
+    def fail(i: int, what: str) -> LpParseError:
+        found = repr(lines[i]) if i < len(lines) else "end of text"
+        return LpParseError(f"line {i + 1}: {what}, found {found}")
 
-    def section_at(i: int) -> Optional[str]:
-        if i >= n:
-            return None
-        t = tokens[i].lower()
-        if t in ("subject", "s.t.:"):
-            return "subject to"
-        if t in ("minimize", "maximize", "bounds", "end",
-                 "binaries", "binary", "generals", "general", "st", "s.t."):
-            return t
-        return None
-
-    model = IlpModel("parsed")
-    # name -> (kind, lo, hi); defaults resolved at the end
-    kinds: dict[str, str] = {}
-    bounds: dict[str, tuple[float, float]] = {}
-    order: list[str] = []
-    constraints: list[tuple[str, list[tuple[float, str]], str, float]] = []
-    objective: list[tuple[float, str]] = []
-
-    def note_var(name: str):
-        if name not in kinds:
-            kinds[name] = CONTINUOUS
-            order.append(name)
-
-    def parse_number(tok: str) -> float:
+    def number(i: int, token: str) -> float:
         try:
-            return float(tok)
+            x = float(token)
         except ValueError:
-            raise LpParseError(f"expected a number, found {tok!r}") from None
+            raise fail(i, f"bad number {token!r}") from None
+        if not math.isfinite(x):
+            raise fail(i, f"bad number {token!r}")
+        return x
 
-    def parse_linear(stop_on_sense: bool) -> tuple[list[tuple[float, str]], Optional[str]]:
-        nonlocal pos
-        terms: list[tuple[float, str]] = []
-        sign = 1.0
-        coeff: Optional[float] = None
-        while pos < n:
-            tok = tokens[pos]
-            if section_at(pos):
-                return terms, None
-            if tok in ("<=", ">=", "=", "<", ">"):
-                if stop_on_sense:
-                    return terms, tok
-                raise LpParseError(f"unexpected sense {tok}")
-            if tok == "+":
-                sign, coeff = 1.0, None
-                pos += 1
-                continue
-            if tok == "-":
-                sign, coeff = -sign, None
-                pos += 1
-                continue
-            if re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", tok):
-                coeff = sign * float(tok)
-                sign = 1.0
-                pos += 1
-                continue
-            if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*:?", tok):
-                if tok.endswith(":"):
-                    # next constraint label: caller handles
-                    return terms, None
-                c = coeff if coeff is not None else sign
-                terms.append((c, tok))
-                note_var(tok)
-                sign, coeff = 1.0, None
-                pos += 1
-                continue
-            raise LpParseError(f"unexpected token {tok!r}")
-        return terms, None
+    if not lines or not lines[0].startswith("\\"):
+        raise fail(0, "expected a '\\' comment line")
+    for i, want in ((1, "Minimize"), (2, " obj:"), (3, "Subject To")):
+        if i >= len(lines) or lines[i] != want:
+            raise fail(i, f"expected {want!r}")
 
-    # -- objective
-    sec = section_at(pos)
-    if sec not in ("minimize", "maximize"):
-        raise LpParseError("LP file must start with Minimize/Maximize")
-    pos += 1
-    if peek() and peek().lower() == "to":  # guard against odd splits
-        pos += 1
-    if peek() and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*:", peek()):
-        pos += 1
-    objective, _ = parse_linear(stop_on_sense=False)
-
-    # -- subject to
-    sec = section_at(pos)
-    if sec == "subject to":
-        pos += 2
-    elif sec in ("st", "s.t."):
-        pos += 1
-    else:
-        raise LpParseError("missing 'Subject To' section")
-
-    while pos < n and not section_at(pos):
-        label = None
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*:", tokens[pos]):
-            label = tokens[pos][:-1]
-            pos += 1
-        terms, sense = parse_linear(stop_on_sense=True)
-        if sense is None:
-            raise LpParseError(f"constraint {label or ''} missing a relational operator")
-        pos += 1
-        if pos >= n:
-            raise LpParseError("constraint missing right-hand side")
-        rhs = parse_number(tokens[pos])
-        pos += 1
-        if sense == "<":
-            sense = "<="
-        elif sense == ">":
-            sense = ">="
-        constraints.append((label or f"c{len(constraints)}", terms, sense, rhs))
-
-    # -- trailing sections
-    while pos < n:
-        sec = section_at(pos)
-        if sec is None:
-            raise LpParseError(f"unexpected token {tokens[pos]!r}")
-        if sec == "end":
-            break
-        if sec == "subject to":
-            raise LpParseError("duplicate Subject To section")
-        pos += 1 + (1 if sec == "subject to" else 0)
-        if sec == "bounds":
-            while pos < n and not section_at(pos):
-                # form: lo <= name <= hi
-                lo = parse_number(tokens[pos])
-                if tokens[pos + 1] != "<=":
-                    raise LpParseError("bounds must be of the form lo <= name <= hi")
-                name = tokens[pos + 2]
-                if tokens[pos + 3] != "<=":
-                    raise LpParseError("bounds must be of the form lo <= name <= hi")
-                hi = parse_number(tokens[pos + 4])
-                note_var(name)
-                bounds[name] = (lo, hi)
-                pos += 5
-        elif sec in ("binaries", "binary"):
-            while pos < n and not section_at(pos):
-                note_var(tokens[pos])
-                kinds[tokens[pos]] = BINARY
-                pos += 1
-        elif sec in ("generals", "general"):
-            while pos < n and not section_at(pos):
-                note_var(tokens[pos])
-                kinds[tokens[pos]] = INTEGER
-                pos += 1
-
+    names: list[str] = []
     ids: dict[str, int] = {}
-    for name in order:
-        kind = kinds[name]
-        if kind == BINARY:
-            ids[name] = model.add_binary(name)
-        else:
-            lo, hi = bounds.get(name, (0.0, math.inf))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise LpParseError(f"variable {name} needs finite bounds")
-            if kind == INTEGER:
-                ids[name] = model.add_integer(name, int(lo), int(hi))
-            else:
-                ids[name] = model.add_continuous(name, lo, hi)
-    if objective:
-        model.set_objective(LinExpr({ids[nm]: c for c, nm in objective}))
-    for label, terms, sense, rhs in constraints:
-        expr = LinExpr()
-        for c, nm in terms:
-            expr.add_term(ids[nm], c)
-        model.add_constraint(expr, sense, rhs, tag="parsed")
-    return model
+    lb: list[float] = []
+    ub: list[float] = []
+    bounded: list[bool] = []
+    binary: list[bool] = []
+    general: list[bool] = []
+
+    def column(i: int, name: str) -> int:
+        if name not in ids:
+            if not _NAME_RE.fullmatch(name):
+                raise fail(i, f"bad variable name {name!r}")
+            ids[name] = len(names)
+            names.append(name)
+            for flags in (bounded, binary, general):
+                flags.append(False)
+            lb.append(0.0)
+            ub.append(1.0)
+        return ids[name]
+
+    # -- Subject To: " cK: sign coef name ... sense rhs", K = 0, 1, ...
+    indptr, indices, data = [0], [], []
+    row_lo: list[float] = []
+    row_hi: list[float] = []
+    first_row = i = 4
+    while i < len(lines) and lines[i].startswith(" "):
+        parts = lines[i].split()
+        if not parts or parts[0] != f"c{len(row_lo)}:":
+            raise fail(i, f"expected the row label c{len(row_lo)}:")
+        if len(parts) < 3 or parts[-2] not in SENSES:
+            raise fail(i, "expected the row to end in a sense and a right-hand side")
+        if len(parts) < 6 or len(parts) % 3:
+            raise fail(i, "expected 'sign coefficient name' terms")
+        signs, coefs, cols = parts[1:-2:3], parts[2:-2:3], parts[3:-2:3]
+        if signs.count("+") + signs.count("-") != len(signs):
+            raise fail(i, "expected 'sign coefficient name' terms")
+        try:
+            data.extend(map(float, map(operator.add, signs, coefs)))
+        except ValueError:
+            raise fail(i, "bad coefficient") from None
+        try:
+            indices.extend(map(ids.__getitem__, cols))
+        except KeyError:  # a name seen for the first time
+            del indices[indptr[-1]:]
+            indices.extend(column(i, name) for name in cols)
+        if len(set(cols)) != len(cols):
+            raise fail(i, "a variable appears twice in the row")
+        indptr.append(len(indices))
+        rhs = number(i, parts[-1])
+        row_lo.append(-math.inf if parts[-2] == "<=" else rhs)
+        row_hi.append(math.inf if parts[-2] == ">=" else rhs)
+        i += 1
+    coeffs = np.array(data, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(coeffs) & (coeffs != 0)))
+    if bad.size:
+        row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+        raise fail(first_row + row, "bad coefficient")
+
+    # -- Bounds, Binaries, Generals: each optional, in this order; then End
+    section = -1
+    while i < len(lines) and lines[i] != "End":
+        line = lines[i]
+        if not line.startswith(" "):
+            if line not in _SECTIONS:
+                raise fail(i, "unknown section")
+            if _SECTIONS.index(line) <= section:
+                raise fail(i, "section out of order")
+            section = _SECTIONS.index(line)
+        elif section == 0:
+            parts = line.split()
+            if len(parts) != 5 or parts[1] != "<=" or parts[3] != "<=":
+                raise fail(i, "expected a bound 'lo <= name <= hi'")
+            v = column(i, parts[2])
+            lo, hi = number(i, parts[0]), number(i, parts[4])
+            if bounded[v] or lo > hi:
+                raise fail(i, "bounds repeated or empty")
+            bounded[v], lb[v], ub[v] = True, lo, hi
+        else:  # Binaries or Generals: the first header came before this line
+            parts = line.split()
+            if len(parts) != 1:
+                raise fail(i, "expected one name per line")
+            v = column(i, parts[0])
+            if binary[v] or general[v]:
+                raise fail(i, f"{parts[0]} listed twice")
+            (binary if section == 1 else general)[v] = True
+        i += 1
+    if i >= len(lines):
+        raise fail(i, "expected 'End'")
+    if i != len(lines) - 1:
+        raise fail(i + 1, "text after 'End'")
+    for v, name in enumerate(names):
+        if binary[v] == bounded[v]:
+            raise fail(i, f"variable {name} needs finite bounds or a Binaries entry, "
+                          "and not both")
+
+    matrix = sparse.csr_matrix(
+        (coeffs, np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(row_lo), len(names)))
+    return names, ModelArrays(
+        matrix, np.array(row_lo), np.array(row_hi), np.array(lb), np.array(ub),
+        np.array([int(b or g) for b, g in zip(binary, general)]))
 
 
 # ---------------------------------------------------------------------------

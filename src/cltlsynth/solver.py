@@ -3,7 +3,8 @@
 ``solve_bnb`` hands the whole program to HiGHS (Huangfu & Hall,
 "Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018)
 in one in-process ``scipy.optimize.milp`` call.  Node and time budgets
-become HiGHS limits, and single-threaded runs are reproducible.
+become HiGHS limits, and single-threaded runs are reproducible.  That call
+is ``solve_arrays``, which the LP-file solver ``lp_cli`` runs as well.
 
 ``solve_external`` shells out to any solver that accepts an LP file and
 writes ``name value`` solution lines.  Both paths round the returned point
@@ -23,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .ilp import IlpModel, Solution
+from .ilp import IlpModel, ModelArrays, Solution
 from .lp_format import read_solution_file, write_lp
 
 FEAS_TOL = 1e-6
@@ -48,32 +49,25 @@ class SolveConfig:
     node_budget: Optional[int] = None
 
 
-def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution:
-    """Decide feasibility with HiGHS branch-and-cut; the objective is ignored.
+def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solution:
+    """Decide whether ``arrays`` has a feasible point, in the package's one
+    HiGHS call, which ``solve_bnb`` and ``lp_cli`` share.
 
-    ``node_budget`` and ``time_budget`` become HiGHS's ``node_limit`` and
-    ``time_limit``.  A limit reached before HiGHS finds a point or proves
-    infeasibility gives ``unknown`` with ``stats["reason"]`` naming the
-    budget.  A returned point has its integer variables rounded and must
-    pass ``check_point`` at ``FEAS_TOL``; otherwise ``NumericalError`` is
-    raised.  ``stats["nodes"]`` is HiGHS's node count.
+    ``options`` go to HiGHS as they are.  Status 2 is ``infeasible``; a
+    limit reached before HiGHS finds a point or proves infeasibility gives
+    ``unknown`` with ``stats["reason"]`` naming the budget; any other
+    failure raises ``NumericalError``.  A returned point keys each column
+    index to its value, integer columns rounded; it is not checked here.
+    ``stats["nodes"]`` is HiGHS's node count.
     """
-    config = config or SolveConfig()
-    start = time.monotonic()
-    if model.n_vars == 0:  # HiGHS rejects a model without variables
-        status = "infeasible" if model.check_point({}, tol=FEAS_TOL) else "feasible"
-        return Solution(status, stats={"nodes": 0})
-    options = {}
-    if config.node_budget is not None:
-        options["node_limit"] = config.node_budget
-    if config.time_budget is not None:
-        options["time_limit"] = config.time_budget
-    arrays = model.to_arrays()
-    res = milp(np.zeros(model.n_vars), integrality=arrays.integrality,
+    if arrays.lb.size == 0:  # HiGHS rejects a model without variables
+        met = np.all(arrays.row_lo <= FEAS_TOL) and np.all(arrays.row_hi >= -FEAS_TOL)
+        return Solution("feasible" if met else "infeasible", stats={"nodes": 0})
+    res = milp(np.zeros(arrays.lb.size), integrality=arrays.integrality,
                bounds=Bounds(arrays.lb, arrays.ub),
                constraints=LinearConstraint(arrays.matrix, arrays.row_lo, arrays.row_hi),
-               options=options)
-    stats = {"nodes": res.mip_node_count or 0, "time": time.monotonic() - start}
+               options=options or {})
+    stats = {"nodes": res.mip_node_count or 0}
     if res.status == 2:
         return Solution("infeasible", stats=stats)
     if res.x is None:
@@ -81,12 +75,33 @@ def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution
             if marker in res.message:
                 return Solution("unknown", stats={**stats, "reason": reason})
         raise NumericalError(f"HiGHS failed: {res.message}")
-    values = {v: int(round(x)) if var.is_integral else x
-              for v, (var, x) in enumerate(zip(model.vars, res.x.tolist()))}
-    problems = model.check_point(values, tol=FEAS_TOL)
-    if problems:
-        raise NumericalError("HiGHS point violates the model: " + problems[0])
+    values = {v: int(round(x)) if integral else x
+              for v, (integral, x) in enumerate(zip(arrays.integrality.tolist(),
+                                                    res.x.tolist()))}
     return Solution("feasible", values, stats=stats)
+
+
+def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution:
+    """Decide feasibility with HiGHS branch-and-cut through ``solve_arrays``.
+
+    ``node_budget`` and ``time_budget`` become HiGHS's ``node_limit`` and
+    ``time_limit``.  A returned point must pass ``check_point`` at
+    ``FEAS_TOL``; otherwise ``NumericalError`` is raised.
+    """
+    config = config or SolveConfig()
+    start = time.monotonic()
+    options = {}
+    if config.node_budget is not None:
+        options["node_limit"] = config.node_budget
+    if config.time_budget is not None:
+        options["time_limit"] = config.time_budget
+    sol = solve_arrays(model.to_arrays(), options)
+    sol.stats["time"] = time.monotonic() - start
+    if sol.feasible:
+        problems = model.check_point(sol.values, tol=FEAS_TOL)
+        if problems:
+            raise NumericalError("HiGHS point violates the model: " + problems[0])
+    return sol
 
 
 # ---------------------------------------------------------------------------

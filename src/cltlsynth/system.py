@@ -66,12 +66,6 @@ class TransitionSystem:
     def n_states(self) -> int:
         return len(self.states)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ModelError(f"unknown state {name!r}") from None
-
     def successors(self, i: int) -> list[int]:
         return sorted(j for (src, j) in self.transitions if src == i)
 

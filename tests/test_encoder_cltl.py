@@ -160,7 +160,7 @@ def test_lowest_index_first_assignment():
     sol2 = solve_bnb(model2)
     assert sol2.feasible
     from cltlsynth.encoder_sync import EncodedProblem
-    problem = EncodedProblem(model2, layout2, agg, OTrue(), OTrue(), 2, 0, "cltl")
+    problem = EncodedProblem(model2, layout2, agg, 2, 0, "cltl")
     trajs = decompose_flows(problem, sol2)
     assert trajs[0].states[1] == 0  # robot 0 takes the lowest destination
     assert trajs[1].states[1] == 1

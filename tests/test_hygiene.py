@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every public name the package exports exists, and every public function
-or class is used somewhere.
+every public name the package exports exists, every public function or
+class is used somewhere, and every private module-level definition is
+read in its own module.
 
 There is no linter in the toolchain, so these AST scans are the guard.
 ``__init__`` is exempt from the import scan, since its imports are the
@@ -20,6 +21,21 @@ REPO = Path(__file__).resolve().parents[1]
 USERS = MODULES + sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """Names the tree reads, counting those inside quoted annotations such
+    as Optional["InnerEncoder"]."""
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -30,15 +46,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # names inside quoted annotations, such as Optional["InnerEncoder"]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    used = names_read(tree)
     return [f"line {line}: {name}" for name, line in sorted(imported.items(),
                                                             key=lambda kv: kv[1])
             if name not in used]
@@ -53,6 +61,34 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_definitions(source: str) -> list[str]:
+    """Module-level ``_``-prefixed functions, classes and assignments that
+    their own module never reads; dunder names such as ``__all__`` are read
+    by Python itself."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    used = names_read(tree)
+    return [name for name in defined if name.startswith("_")
+            and not name.endswith("__") and name not in used]
+
+
+def test_scan_finds_an_unread_private_definition():
+    assert unread_private_definitions(
+        "_A = 1\n_B: int = 2\ndef _f(): return _B\nclass _C: pass\n"
+        "class _D: pass\nx: '_D' = _f()\n__all__ = []\n") == ["_A", "_C"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_read(path):
+    assert unread_private_definitions(path.read_text()) == []
 
 
 def test_every_exported_name_resolves():

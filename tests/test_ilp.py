@@ -5,14 +5,18 @@ the inputs, the solver must force the output to the truth-table
 value.
 """
 
+import io
 import itertools
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, IlpModel, LinExpr
-from cltlsynth.lp_format import (parse_lp, read_solution_file, sanitize_names,
-                                 write_lp, write_solution_file)
+from cltlsynth.lp_format import (LpParseError, read_lp, read_solution_file,
+                                 sanitize_names, write_lp, write_solution_file)
 from cltlsynth.solver import solve_bnb
 
 
@@ -222,18 +226,46 @@ def test_export_sanitizes_and_disambiguates(tmp_path):
     assert len(set(names)) == 3
 
 
-def test_lp_round_trip_preserves_model(tmp_path):
-    m = small_model()
-    path = tmp_path / "m.lp"
-    write_lp(m, path)
-    back = parse_lp(path)
-    assert back.n_vars == m.n_vars
-    assert back.n_constraints == m.n_constraints
-    kinds = sorted(v.kind for v in back.vars)
-    assert kinds == sorted(v.kind for v in m.vars)
-    for c1, c2 in zip(m.constraints, back.constraints):
-        assert c1.sense == c2.sense and c1.rhs == pytest.approx(c2.rhs)
-        assert sorted(c1.expr.coeffs.values()) == sorted(c2.expr.coeffs.values())
+def assert_reads_back(model):
+    """``read_lp(write_lp(model))`` is ``model.to_arrays()`` exactly, once
+    the read columns are put back in the model's variable order."""
+    text = io.StringIO()
+    write_lp(model, text)
+    names, got = read_lp(io.StringIO(text.getvalue()))
+    want = model.to_arrays()
+    assert sorted(names) == sorted(sanitize_names(model))
+    order = [names.index(name) for name in sanitize_names(model)]
+    matrix = got.matrix[:, order]
+    assert matrix.shape == want.matrix.shape
+    assert matrix.nnz == want.matrix.nnz and (matrix != want.matrix).nnz == 0
+    assert np.array_equal(got.row_lo, want.row_lo)
+    assert np.array_equal(got.row_hi, want.row_hi)
+    for field in ("lb", "ub", "integrality"):
+        assert np.array_equal(getattr(got, field)[order], getattr(want, field)), field
+
+
+def random_lp_model(rng):
+    m = IlpModel()
+    for k in range(rng.randint(1, 8)):
+        kind = rng.choice([BINARY, INTEGER, CONTINUOUS])
+        lo = rng.choice([-3, 0, 2]) if kind == INTEGER else rng.choice([-1.5, 0.0, 1 / 3])
+        m.add_var(kind, rng.choice(["x", "y[1]", "0z", "_w"]) + str(k % 3),
+                  lo, lo + rng.choice([0, 1, 4]), tag="rnd")
+    for _ in range(rng.randint(0, 8)):
+        picks = rng.sample(range(m.n_vars), rng.randint(1, m.n_vars))
+        m.add_constraint(LinExpr({v: rng.choice([-2, -1, 1, 3, 0.5, -1.25, 1 / 7])
+                                  for v in picks}),
+                         rng.choice(["<=", "=", ">="]), rng.choice([-3, 0, 2.5, 1 / 3]),
+                         tag="rnd")
+    return m
+
+
+def test_lp_round_trip_preserves_model():
+    assert_reads_back(small_model())
+    assert_reads_back(IlpModel())
+    rng = random.Random(47)
+    for _ in range(50):
+        assert_reads_back(random_lp_model(rng))
 
 
 def test_empty_feasibility_model_export(tmp_path):
@@ -242,10 +274,67 @@ def test_empty_feasibility_model_export(tmp_path):
     path = tmp_path / "empty.lp"
     write_lp(m, path)
     text = path.read_text()
-    assert text.startswith("\\ model\nMinimize\n obj:\nSubject To\n")
-    assert text.rstrip().endswith("End")
-    back = parse_lp(path)
-    assert back.n_vars == 1 and back.n_constraints == 0
+    assert text == "\\ model\nMinimize\n obj:\nSubject To\nBinaries\n x\nEnd\n"
+    names, arrays = read_lp(path)
+    assert names == ["x"] and arrays.matrix.shape == (0, 1)
+    assert arrays.integrality.tolist() == [1]
+
+
+GOOD_LP = ["\\ m", "Minimize", " obj:", "Subject To", " c0: + 1 x - 2 n <= 3",
+           "Bounds", " 0 <= n <= 4", "Binaries", " x", "Generals", " n", "End"]
+
+
+def replaced(line, text):
+    lines = list(GOOD_LP)
+    lines[line - 1] = text
+    return lines
+
+
+def test_read_lp_reads_hand_written_text():
+    names, arrays = read_lp(io.StringIO("\n".join(GOOD_LP) + "\n"))
+    assert names == ["x", "n"] and arrays.matrix.toarray().tolist() == [[1, -2]]
+    assert arrays.integrality.tolist() == [1, 1] and arrays.ub.tolist() == [1, 4]
+
+
+@pytest.mark.parametrize("lines, line", [
+    (replaced(2, "Maximize"), 2),
+    (replaced(3, " obj: + 1 x"), 3),                    # an objective
+    (replaced(5, " c0: + 1 x - 2 n 3"), 5),             # no sense
+    (replaced(5, " c0: + 1 x - 2 n <="), 5),            # no right-hand side
+    (replaced(5, " c0: + 1 x - 2 n <= three"), 5),      # bad number
+    (replaced(5, " c0: + 1e400 x - 2 n <= 3"), 5),      # not finite
+    (replaced(5, " c0: + 0 x - 2 n <= 3"), 5),          # a zero coefficient
+    (replaced(5, " c0: + x - 2 n <= 3"), 5),            # not sign-coefficient-name triples
+    (replaced(5, " c0: 1 x - 2 n <= 3"), 5),
+    (replaced(5, " c0: * 1 x - 2 n <= 3"), 5),
+    (replaced(5, " c0: + 1 x + 1 x <= 3"), 5),          # a variable twice
+    (replaced(5, " c0: + 1 2x - 2 n <= 3"), 5),         # bad name
+    (replaced(5, " c1: + 1 x - 2 n <= 3"), 5),          # wrong row label
+    (replaced(6, "Objective"), 6),                      # unknown section
+    (replaced(10, "Bounds"), 10),                       # section out of order
+    (replaced(7, " 0 <= n"), 7),                        # bound not 'lo <= name <= hi'
+    (replaced(7, " n >= 0"), 7),
+    (replaced(7, " 0 <= n <= inf"), 7),                 # no finite bound
+    (replaced(9, " x y"), 9),                           # two names on one line
+    (replaced(12, "end"), 12),
+    (GOOD_LP[:-1], 12),                                 # no End
+    (GOOD_LP + ["Bounds"], 13),                         # text after End
+    (GOOD_LP[:6] + GOOD_LP[7:], 11),                    # integer n without bounds
+    (GOOD_LP[:6] + [" 0 <= x <= 1"] + GOOD_LP[6:], 13),  # binary x with bounds
+])
+def test_read_lp_rejects_text_write_lp_never_writes(lines, line):
+    with pytest.raises(LpParseError, match=f"^line {line}: "):
+        read_lp(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_lp_cli_reports_a_malformed_file_in_one_line(tmp_path):
+    lp = tmp_path / "bad.lp"
+    lp.write_text("\n".join(GOOD_LP[:4] + [" c0: + 1 x <= 1 2"] + GOOD_LP[5:]) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "cltlsynth.lp_cli", str(lp),
+                           str(tmp_path / "out.sol")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 5: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_solution_file_round_trip(tmp_path):

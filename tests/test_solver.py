@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from cltlsynth import solver
+from cltlsynth import lp_cli, solver
 from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.formula import parse_formula
 from cltlsynth.ilp import IlpModel, LinExpr
-from cltlsynth.lp_format import write_solution_file
+from cltlsynth.lp_format import write_lp
 from cltlsynth.solver import (NumericalError, SolveConfig, SolverError,
                               solve_bnb, solve_external)
 from cltlsynth.system import load_model
@@ -182,12 +182,16 @@ def test_point_violating_a_row_is_never_returned(monkeypatch):
         solve_bnb(m)
 
 
-def test_unexplained_failure_raises(monkeypatch):
+def test_unexplained_failure_raises(monkeypatch, tmp_path):
     m = IlpModel()
     m.add_binary("x")
     fake_milp(monkeypatch, status=4, x=None, message="HiGHS Status 4: Solve error")
     with pytest.raises(NumericalError, match="Solve error"):
         solve_bnb(m)
+    # the LP-file solver makes the same call and must not report a budget
+    write_lp(m, tmp_path / "m.lp")
+    with pytest.raises(NumericalError, match="Solve error"):
+        lp_cli.solve_lp_file(str(tmp_path / "m.lp"), str(tmp_path / "m.sol"))
 
 
 def test_meeting_at_both_corners_needs_horizon_nine(tmp_path):
@@ -225,6 +229,11 @@ def test_external_lp_cli_infeasible(tmp_path):
     m.add_constraint(LinExpr({x: 1}), ">=", 2)
     sol = solve_external(m, LP_CLI, workdir=tmp_path)
     assert sol.status == "infeasible"
+
+
+def test_external_model_without_variables(tmp_path):
+    sol = solve_external(IlpModel(), LP_CLI, workdir=tmp_path)
+    assert sol.status == "feasible" and sol.values == {}
 
 
 def test_external_agrees_with_bundled_on_random_models(tmp_path):
