@@ -17,7 +17,7 @@ from .formula import (InnerFormula, OuterFormula, Tcp, expand_sugar,
                       parse_inner_formula, to_pnf, to_text)
 from .system import (AggregateSystem, ContinuousSystem, MultiRobotInstance,
                      TransitionSystem, aggregate_view, build_grid_system,
-                     load_model, validate)
+                     load_model)
 from .ilp import IlpModel, LinExpr, Solution
 from .lp_format import read_lp, write_lp
 from .solver import SolveConfig, solve_bnb, solve_external
@@ -40,7 +40,6 @@ __all__ = [
     # system
     "AggregateSystem", "ContinuousSystem", "MultiRobotInstance",
     "TransitionSystem", "aggregate_view", "build_grid_system", "load_model",
-    "validate",
     # ilp, lp_format, solver, trajectory
     "IlpModel", "LinExpr", "Solution", "read_lp", "write_lp", "SolveConfig",
     "solve_bnb", "solve_external", "ContinuousTrajectory", "LassoTrajectory",

@@ -13,29 +13,28 @@ feasible horizon and at least one unknown one).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .formula import atoms_of, is_cltl, iter_tcps, parse_formula, resolve_groups
+from .formula import is_cltl, iter_tcps, parse_formula, resolve_groups
 from .ilp import Solution
 from .lp_format import write_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
                      eval_outer)
 from .solver import SolverError, solve_bnb, solve_external
-from .system import (ContinuousSystem, ModelError, MultiRobotInstance,
-                     aggregate_view, load_model)
+from .system import (COLLISION_ALIASES, ContinuousSystem, ModelError,
+                     MultiRobotInstance, aggregate_view, load_model)
 from .encoder_cltl import build_cltl_problem, decompose_flows
 from .encoder_continuous import (build_cont_problem, extract_continuous,
                                  membership_trace)
 from .encoder_robust import build_robust_problem
-from .encoder_sync import EncodingError, build_sync_problem, extract_trajectories
+from .encoder_sync import (EncodingError, build_sync_problem, check_formula,
+                           extract_trajectories)
 from .trajectory import ContinuousTrajectory, LassoTrajectory
-
-COLLISION_ALIASES = {"off": "off", "excl": "mutual_exclusion",
-                     "swap": "mutual_exclusion_plus_swap"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +112,7 @@ def _pick_engine(args, model_obj, mu) -> str:
     if args.tau == 0 and is_cltl(mu):
         try:
             aggregate_view(model_obj)
-        except Exception:
+        except ModelError:
             return "cltlplus"
         if any(t.group is not None for t in iter_tcps(mu)):
             return "cltlplus"
@@ -202,20 +201,26 @@ def run_synth(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     engine = _pick_engine(args, model_obj, mu)
-    collision = COLLISION_ALIASES[args.collision] if args.collision else None
     if engine == "cltl" and args.tau > 0:
         print("error: the aggregate engine cannot track identities, which "
               "robust synthesis requires; use --engine cltlplus", file=sys.stderr)
         return 3
+    if args.collision and isinstance(model_obj, MultiRobotInstance):
+        try:
+            model_obj = dataclasses.replace(
+                model_obj, collision_mode=COLLISION_ALIASES[args.collision])
+        except ModelError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
     def build(h: int):
         if engine == "continuous":
             return build_cont_problem(model_obj, mu, h, tau=args.tau)
         if engine == "cltl":
-            return build_cltl_problem(model_obj, mu, h, collision=collision)
+            return build_cltl_problem(model_obj, mu, h)
         if args.tau > 0:
-            return build_robust_problem(model_obj, mu, h, args.tau, collision=collision)
-        return build_sync_problem(model_obj, mu, h, collision=collision)
+            return build_robust_problem(model_obj, mu, h, args.tau)
+        return build_sync_problem(model_obj, mu, h)
 
     solver_cmd = args.solver_cmd or os.environ.get("CTL_SOLVER_CMD")
     if args.solver == "external" and not solver_cmd:
@@ -286,9 +291,8 @@ def run_synth(args) -> int:
                         else f"falsified at T={verdict.counterexample[1]}")
 
     collide = []
-    if problem.engine != "continuous" and isinstance(model_obj, MultiRobotInstance):
-        mode = collision or model_obj.collision_mode
-        collide = collision_violations(trajs, mode, args.tau)
+    if isinstance(model_obj, MultiRobotInstance):
+        collide = collision_violations(trajs, model_obj.collision_mode, args.tau)
 
     if args.output:
         _write_json(args.output, _trajectory_payload(problem, trajs))
@@ -346,13 +350,9 @@ def run_simulate(args) -> int:
     try:
         mu = _read_formula(args.formula)
         resolved = resolve_groups(mu, groups)
+        check_formula(resolved, model_obj)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    missing = atoms_of(mu) - set(model_obj.ap)
-    if missing:
-        print(f"error: formula uses unknown propositions: {sorted(missing)}",
-              file=sys.stderr)
         return 3
     if args.tau < 0 or args.enum_cap < 1 or (args.max_t is not None and args.max_t < 0):
         print("error: invalid budget flags", file=sys.stderr)

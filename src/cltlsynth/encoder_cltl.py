@@ -18,7 +18,8 @@ from .formula import (IAtom, INot, ITrue, OuterFormula, Tcp, is_cltl, iter_tcps,
 from .ilp import IlpModel, LinExpr, Solution
 from .system import AggregateSystem, MultiRobotInstance, aggregate_view
 from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
-                           Layout, OuterEncoder, add_loop_selectors, chosen_loop)
+                           Layout, OuterEncoder, add_loop_selectors, check_formula,
+                           chosen_loop)
 from .trajectory import LassoTrajectory
 
 
@@ -31,8 +32,6 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
     The loop is closed from one side, ``cur - final + N z_t <= N``: with
     z_l = 1 it gives w[h] >= w[l] componentwise, and flow conservation
     makes both count vectors sum to N, so they are equal."""
-    if h < 1:
-        raise EncodingError("horizon must be at least 1")
     ts = agg.shared
     n = agg.n_robots
     layout = Layout(model, n, h, tau=0)
@@ -119,10 +118,6 @@ class CltlOuterEncoder(OuterEncoder):
             f"formula: {inner}")
 
     def _tcp_row(self, tcp: Tcp) -> None:
-        if tcp.group is not None:
-            raise EncodingError(
-                "aggregate encoding cannot restrict counting to robot groups; "
-                "identities are not tracked")
         lay = self.layout
         vec = self._literal_vector(tcp)
         for t in range(lay.h):
@@ -132,19 +127,14 @@ class CltlOuterEncoder(OuterEncoder):
 
 
 def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
-                       mu: OuterFormula, h: int,
-                       collision: Optional[str] = None) -> EncodedProblem:
-    """Aggregate feasibility program; model size does not depend on the
-    number of robots."""
+                       mu: OuterFormula, h: int) -> EncodedProblem:
+    """Aggregate feasibility program, with the instance's collision mode
+    (none for a bare ``AggregateSystem``); model size does not depend on
+    the number of robots."""
     if isinstance(source, MultiRobotInstance):
-        agg = aggregate_view(source)
-        instance = source
-        if collision is None:
-            collision = source.collision_mode
+        agg, collision = aggregate_view(source), source.collision_mode
     else:
-        agg = source
-        instance = source
-    collision = collision or "off"
+        agg, collision = source, "off"
     if not is_cltl(mu):
         offender = next(t for t in iter_tcps(mu) if not isinstance(t.inner, IAtom))
         raise EncodingError(
@@ -153,9 +143,7 @@ def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
     if any(t.group is not None for t in iter_tcps(mu)):
         raise EncodingError(
             "aggregate encoding cannot restrict counting to robot groups")
-    missing = {t.inner.name for t in iter_tcps(mu)} - set(agg.shared.ap)
-    if missing:
-        raise EncodingError(f"formula uses unknown propositions: {sorted(missing)}")
+    check_formula(mu, agg)
     norm = normalize(mu, agg.n_robots, robust=False)
     model = IlpModel("cltl")
     layout = encode_aggregate(model, agg, h)
@@ -163,7 +151,7 @@ def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
     outer = CltlOuterEncoder(model, layout, agg)
     root = outer.var(norm, 0)
     model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
-    return EncodedProblem(model, layout, instance, h, 0, "cltl")
+    return EncodedProblem(model, layout, source, h, 0, "cltl")
 
 
 # ---------------------------------------------------------------------------

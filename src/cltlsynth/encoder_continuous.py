@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .formula import ONot, OuterFormula, atoms_of, normalize, subformulas
+from .formula import ONot, OuterFormula, normalize, subformulas
 from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import ContinuousSystem
 from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
                            InnerEncoder, Layout, OuterEncoder,
-                           add_loop_selectors, chosen_loop)
+                           add_loop_selectors, check_formula, chosen_loop)
 from .encoder_robust import RobustOuterEncoder
 from .trajectory import ContinuousTrajectory
 
@@ -28,9 +28,6 @@ def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
     """Input variables plus symbolic states, box constraints keeping every
     state inside the declared bounds, and big-M loop closure with the radius
     taken from the box diameter (the largest spread the box permits)."""
-    problems = sys.validate()
-    if problems:
-        raise EncodingError("; ".join(problems))
     layout = Layout(model, sys.n_robots, h, tau)
     layout.instance = sys
     lo_w, hi_w = sys.state_bounds
@@ -120,13 +117,10 @@ def polytope_atom_backend(layout: Layout, sys: ContinuousSystem,
         key = (name, n, t)
         if key in memo:
             return memo[key]
-        if name not in sys.atoms:
-            raise EncodingError(f"no polytope registered for proposition {name!r}")
         hmat, hvec = sys.atoms[name]
         state = layout.state_exprs[(n, t)]
-        rows = hmat.shape[0]
         faces = []
-        for i in range(rows):
+        for i in range(hmat.shape[0]):
             e = model.add_binary(f"e_{name}_{n}_{t}_{i}", tag="polytope")
             faces.append(e)
             expr = LinExpr()
@@ -138,15 +132,8 @@ def polytope_atom_backend(layout: Layout, sys: ContinuousSystem,
                                  tag="polytope")
             model.add_constraint(expr + LinExpr({e: m}), ">=", float(hvec[i]) + epsilon,
                                  tag="polytope")
-        z = model.add_binary(f"z_{name}_{n}_{t}", tag="polytope")
-        for e in faces:
-            model.add_constraint(LinExpr({z: 1, e: -1}), "<=", 0, tag="polytope")
-        expr = LinExpr({z: 1})
-        for e in faces:
-            expr.add_term(e, -1)
-        model.add_constraint(expr, ">=", 1 - rows, tag="polytope")
-        memo[key] = z
-        return z
+        memo[key] = model.bool_and(faces, name=f"z_{name}_{n}_{t}", tag="polytope")
+        return memo[key]
 
     return backend
 
@@ -155,9 +142,7 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
                        tau: int = 0) -> EncodedProblem:
     """Feasibility program over inputs; solutions drive every robot so the
     induced polytope-membership trace satisfies the formula."""
-    missing = atoms_of(mu) - set(sys.ap)
-    if missing:
-        raise EncodingError(f"formula uses unknown propositions: {sorted(missing)}")
+    check_formula(mu, sys)
     if tau > 0 and any(isinstance(node, ONot) for node in subformulas(mu)):
         warnings.warn("formula normalized to positive normal form for the "
                       "robust encoding")

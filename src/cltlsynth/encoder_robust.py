@@ -14,17 +14,15 @@ produces the identical constraint set.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 from .formula import (IOr, InnerFormula, ONext, ONot, OOr, OuterFormula, Tcp,
                       normalize, subformulas)
 from .ilp import IlpModel, LinExpr, VarId
 from .system import MultiRobotInstance
 from .encoder_sync import (EncodedProblem, InnerEncoder, Layout, OuterEncoder,
-                           _check_instance, add_state_vector,
-                           build_sync_problem, discrete_atom_backend,
-                           encode_collision, encode_dynamics, encode_loop,
-                           successor_set)
+                           add_state_vector, build_sync_problem, check_formula,
+                           discrete_atom_backend, encode_collision,
+                           encode_dynamics, encode_loop, successor_set)
 
 
 def extend_states(model: IlpModel, layout: Layout, h: int, tau: int) -> None:
@@ -145,19 +143,16 @@ class RobustOuterEncoder(OuterEncoder):
 
 
 def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
-                         tau: int, collision: Optional[str] = None) -> EncodedProblem:
+                         tau: int) -> EncodedProblem:
     """Feasibility program whose solutions tolerate any counter drift up to
     ``tau``.  ``tau = 0`` delegates to the synchronous builder and yields the
     identical constraint set."""
     if tau == 0:
-        return build_sync_problem(inst, mu, h, collision=collision)
+        return build_sync_problem(inst, mu, h)
     if any(isinstance(node, ONot) for node in subformulas(mu)):
         warnings.warn("formula normalized to positive normal form for the "
                       "robust encoding")
-    if collision is not None:
-        inst = MultiRobotInstance(inst.systems, inst.initial_states, inst.groups,
-                                  collision, inst.grid_shape)
-    _check_instance(inst, mu)
+    check_formula(mu, inst)
     norm = normalize(mu, inst.n_robots, robust=True, groups=inst.groups)
     if any(isinstance(node, ONext) for node in subformulas(norm)):
         warnings.warn(

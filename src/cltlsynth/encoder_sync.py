@@ -30,10 +30,9 @@ from typing import Callable, Iterable, Optional, Union
 from .formula import (IAnd, IAtom, INNER_FALSE, INext, INot, IOr, IRelease,
                       ITrue, IUntil, InnerFormula, OAnd, ONext, ONot, OOr,
                       ORelease, OTrue, OUntil, OuterFormula, Tcp, atoms_of,
-                      group_names_of, normalize)
+                      group_names_of, iter_tcps, normalize)
 from .ilp import IlpModel, LinExpr, Solution, VarId
-from .system import (AggregateSystem, ContinuousSystem, MultiRobotInstance,
-                     validate)
+from .system import AggregateSystem, ContinuousSystem, MultiRobotInstance
 from .trajectory import LassoTrajectory
 
 AtomBackend = Callable[[str, int, int], VarId]
@@ -224,8 +223,6 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
     """
     if inst.collision_mode == "off":
         return
-    if not inst.shared_state_space():
-        raise EncodingError("collision constraints require a shared state space")
     n_states = inst.systems[0].n_states
     times = sorted(t for (n, t) in layout.state_vars if n == 0)
     live = {key: set(states) for key, states in layout.live.items()}
@@ -514,14 +511,8 @@ class OuterEncoder:
     # -- counting propositions ------------------------------------------
 
     def _tcp_scope(self, tcp: Tcp) -> list[int]:
-        if tcp.group is None:
-            return list(range(self.n_robots))
-        if isinstance(tcp.group, str):
-            raise EncodingError(f"unresolved robot group {tcp.group!r}")
-        scope = sorted(tcp.group)
-        if any(not (0 <= r < self.n_robots) for r in scope):
-            raise EncodingError(f"group member out of range in {tcp}")
-        return scope
+        """Robots the tcp counts; ``check_formula`` has checked the group."""
+        return list(range(self.n_robots)) if tcp.group is None else sorted(tcp.group)
 
     def _at_least(self, count: Iterable[VarId], m: int, size: int,
                   node: OuterFormula, t: int, prefix: str = "y") -> VarId:
@@ -584,28 +575,30 @@ class OuterEncoder:
 # Problem assembly and extraction
 # ---------------------------------------------------------------------------
 
-def _check_instance(inst: MultiRobotInstance, mu: OuterFormula) -> None:
-    problems = validate(inst)
-    if problems:
-        raise EncodingError("; ".join(problems))
-    known = set(inst.ap)
-    missing = atoms_of(mu) - known
+def check_formula(mu: OuterFormula,
+                  model: Union[MultiRobotInstance, AggregateSystem, ContinuousSystem]) -> None:
+    """Reject a formula that names a proposition, a robot group or a robot
+    index the model does not have; only a ``MultiRobotInstance`` has
+    groups.  Every engine and ``simulate`` check the formula here."""
+    missing = atoms_of(mu) - set(model.ap)
     if missing:
         raise EncodingError(f"formula uses unknown propositions: {sorted(missing)}")
-    unknown_groups = group_names_of(mu) - set(inst.groups)
+    groups = model.groups if isinstance(model, MultiRobotInstance) else {}
+    unknown_groups = group_names_of(mu) - set(groups)
     if unknown_groups:
         raise EncodingError(f"formula uses unknown groups: {sorted(unknown_groups)}")
+    robots = set(range(model.n_robots))
+    for tcp in iter_tcps(mu):
+        if isinstance(tcp.group, frozenset) and not tcp.group <= robots:
+            raise EncodingError(f"group member out of range in {tcp}")
 
 
-def build_sync_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
-                       collision: Optional[str] = None) -> EncodedProblem:
+def build_sync_problem(inst: MultiRobotInstance, mu: OuterFormula,
+                       h: int) -> EncodedProblem:
     """Full synchronous feasibility program: dynamics + loop + logic
-    constraints + optional collision constraints, with the root formula
-    pinned true at step 0."""
-    if collision is not None:
-        inst = MultiRobotInstance(inst.systems, inst.initial_states, inst.groups,
-                                  collision, inst.grid_shape)
-    _check_instance(inst, mu)
+    constraints + the instance's collision constraints, with the root
+    formula pinned true at step 0."""
+    check_formula(mu, inst)
     norm = normalize(mu, inst.n_robots, robust=False, groups=inst.groups)
     model = IlpModel("sync")
     layout = encode_dynamics(model, inst, h)

@@ -2,8 +2,8 @@
 
 ``solve_bnb`` hands the whole program to HiGHS (Huangfu & Hall,
 "Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018)
-in one in-process ``scipy.optimize.milp`` call.  Node and time budgets
-become HiGHS limits, and single-threaded runs are reproducible.  That call
+in one in-process ``scipy.optimize.milp`` call.  A node budget becomes
+HiGHS's node limit, and single-threaded runs are reproducible.  That call
 is ``solve_arrays``, which the LP-file solver ``lp_cli`` runs as well.
 
 ``solve_external`` shells out to any solver that accepts an LP file and
@@ -19,7 +19,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -28,10 +28,6 @@ from .ilp import IlpModel, ModelArrays, Solution
 from .lp_format import read_solution_file, write_lp
 
 FEAS_TOL = 1e-6
-
-# How HiGHS words a reached limit in the result message; scipy passes a
-# reached node limit on only as HiGHS model status 16, "Solution limit".
-_LIMIT_REASONS = (("Time limit", "time budget"), ("Solution limit", "node budget"))
 
 
 class SolverError(RuntimeError):
@@ -45,7 +41,6 @@ class NumericalError(SolverError):
 
 @dataclass
 class SolveConfig:
-    time_budget: Optional[float] = None   # seconds
     node_budget: Optional[int] = None
 
 
@@ -54,8 +49,8 @@ def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solutio
     HiGHS call, which ``solve_bnb`` and ``lp_cli`` share.
 
     ``options`` go to HiGHS as they are.  Status 2 is ``infeasible``; a
-    limit reached before HiGHS finds a point or proves infeasibility gives
-    ``unknown`` with ``stats["reason"]`` naming the budget; any other
+    node limit reached before HiGHS finds a point or proves infeasibility
+    gives ``unknown`` with ``stats["reason"]`` "node budget"; any other
     failure raises ``NumericalError``.  A returned point keys each column
     index to its value, integer columns rounded; it is not checked here.
     ``stats["nodes"]`` is HiGHS's node count.
@@ -71,9 +66,10 @@ def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solutio
     if res.status == 2:
         return Solution("infeasible", stats=stats)
     if res.x is None:
-        for marker, reason in _LIMIT_REASONS:
-            if marker in res.message:
-                return Solution("unknown", stats={**stats, "reason": reason})
+        # scipy passes a reached node limit on only as HiGHS model status
+        # 16, "Solution limit", in the result message
+        if "Solution limit" in res.message:
+            return Solution("unknown", stats={**stats, "reason": "node budget"})
         raise NumericalError(f"HiGHS failed: {res.message}")
     values = {v: int(round(x)) if integral else x
               for v, (integral, x) in enumerate(zip(arrays.integrality.tolist(),
@@ -84,8 +80,7 @@ def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solutio
 def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution:
     """Decide feasibility with HiGHS branch-and-cut through ``solve_arrays``.
 
-    ``node_budget`` and ``time_budget`` become HiGHS's ``node_limit`` and
-    ``time_limit``.  A returned point must pass ``check_point`` at
+    ``node_budget`` becomes HiGHS's ``node_limit``.  A returned point must pass ``check_point`` at
     ``FEAS_TOL``; otherwise ``NumericalError`` is raised.
     """
     config = config or SolveConfig()
@@ -93,8 +88,6 @@ def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution
     options = {}
     if config.node_budget is not None:
         options["node_limit"] = config.node_budget
-    if config.time_budget is not None:
-        options["time_limit"] = config.time_budget
     sol = solve_arrays(model.to_arrays(), options)
     sol.stats["time"] = time.monotonic() - start
     if sol.feasible:
@@ -108,8 +101,7 @@ def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution
 # External solver adapter
 # ---------------------------------------------------------------------------
 
-def solve_external(model: IlpModel, solver_cmd: str,
-                   workdir: Optional[Union[str, Path]] = None) -> Solution:
+def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
     """Export the model, run ``solver_cmd`` and parse the returned point.
 
     ``solver_cmd`` is a template with an ``{lp}`` placeholder and an
@@ -118,12 +110,9 @@ def solve_external(model: IlpModel, solver_cmd: str,
     """
     if "{lp}" not in solver_cmd:
         raise SolverError("solver command must contain an {lp} placeholder")
-    ctx = tempfile.TemporaryDirectory() if workdir is None else None
-    base = Path(ctx.name) if ctx else Path(workdir)
-    base.mkdir(parents=True, exist_ok=True)
-    try:
-        lp_path = base / "model.lp"
-        sol_path = base / "model.sol"
+    with tempfile.TemporaryDirectory() as tmp:
+        lp_path = Path(tmp) / "model.lp"
+        sol_path = Path(tmp) / "model.sol"
         name_to_var = write_lp(model, lp_path)
         cmd = solver_cmd.replace("{lp}", str(lp_path)).replace("{sol}", str(sol_path))
         proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
@@ -151,6 +140,3 @@ def solve_external(model: IlpModel, solver_cmd: str,
                 "external solution violates the model (solver-format mismatch): "
                 + problems[0])
         return Solution("feasible", values, stats={"solver": "external"})
-    finally:
-        if ctx:
-            ctx.cleanup()

@@ -14,13 +14,19 @@ Model files are JSON.  Top-level keys:
                 4-neighbor moves, no moves off-grid
 ``groups``      optional ``{name: [robot indices]}``
 ``collision``   optional ``"off" | "mutual_exclusion" |
-                "mutual_exclusion_plus_swap"``
+                "mutual_exclusion_plus_swap"``, or the short names
+                ``"excl"`` and ``"swap"``
 ``continuous``  alternative robot description with affine dynamics
                 ``w(t+1) = F w(t) + G u(t) + c`` per robot, polytope
                 atoms ``{"H": [[...]], "h": [...]}``, and finite
                 ``state_bounds`` / ``input_bounds`` boxes
 
 All indices are 0-based.
+
+Every model class checks its invariants when it is built and raises
+``ModelError`` if one fails, so a model object, once built, is valid:
+``load_model`` only parses the file, and no encoder checks the model
+again.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-COLLISION_MODES = ("off", "mutual_exclusion", "mutual_exclusion_plus_swap")
+# short name -> collision mode; the modes are the values
+COLLISION_ALIASES = {"off": "off", "excl": "mutual_exclusion",
+                     "swap": "mutual_exclusion_plus_swap"}
 
 
 class ModelError(ValueError):
@@ -94,17 +102,41 @@ class MultiRobotInstance:
     collision_mode: str = "off"
     grid_shape: Optional[tuple[int, int]] = None  # (width, height) if generated
 
+    def __post_init__(self):
+        if not self.systems:
+            raise ModelError("instance has no robots")
+        out = []
+        first = self.systems[0]
+        for n, ts in enumerate(self.systems):
+            if ts.ap != first.ap:
+                out.append(f"robot {n}: atomic propositions differ from robot 0")
+        if len(self.initial_states) != len(self.systems):
+            out.append("one initial state required per robot")
+        else:
+            for n, s0 in enumerate(self.initial_states):
+                if not (0 <= s0 < self.systems[n].n_states):
+                    out.append(f"robot {n}: initial state {s0} out of range")
+        for name, members in self.groups.items():
+            for r in members:
+                if not (0 <= r < len(self.systems)):
+                    out.append(f"group {name!r}: robot index {r} out of range")
+            if not members:
+                out.append(f"group {name!r} is empty")
+        if self.collision_mode not in COLLISION_ALIASES.values():
+            out.append(f"unknown collision mode {self.collision_mode!r}")
+        elif (self.collision_mode != "off"
+              and any(ts.states != first.states for ts in self.systems)):
+            out.append("collision constraints require a shared state space")
+        if out:
+            raise ModelError("; ".join(out))
+
     @property
     def n_robots(self) -> int:
         return len(self.systems)
 
     @property
     def ap(self) -> tuple[str, ...]:
-        return self.systems[0].ap if self.systems else ()
-
-    def shared_state_space(self) -> bool:
-        first = self.systems[0].states
-        return all(ts.states == first for ts in self.systems)
+        return self.systems[0].ap
 
 
 @dataclass(frozen=True)
@@ -123,10 +155,15 @@ class AggregateSystem:
         if sum(self.w0) != self.n_robots:
             raise ModelError("w0 must sum to the number of robots")
 
+    @property
+    def ap(self) -> tuple[str, ...]:
+        return self.shared.ap
+
 
 @dataclass(frozen=True)
 class ContinuousSystem:
-    """Affine discrete-time robots with polytope-shaped propositions."""
+    """Affine discrete-time robots with polytope-shaped propositions.  The
+    state and input dimensions are the lengths of the bounds."""
 
     dynamics: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (F, G, c)
     init: tuple[np.ndarray, ...]
@@ -134,23 +171,9 @@ class ContinuousSystem:
     state_bounds: tuple[np.ndarray, np.ndarray]  # (lo, hi), length d_w
     input_bounds: tuple[np.ndarray, np.ndarray]  # (lo, hi), length d_u
 
-    @property
-    def n_robots(self) -> int:
-        return len(self.dynamics)
-
-    @property
-    def d_w(self) -> int:
-        return self.dynamics[0][0].shape[0]
-
-    @property
-    def d_u(self) -> int:
-        return self.dynamics[0][1].shape[1]
-
-    @property
-    def ap(self) -> tuple[str, ...]:
-        return tuple(self.atoms.keys())
-
-    def validate(self) -> list[str]:
+    def __post_init__(self):
+        if not self.dynamics:
+            raise ModelError("continuous model has no robots")
         out = []
         d_w, d_u = self.d_w, self.d_u
         for n, (f, g, c) in enumerate(self.dynamics):
@@ -172,42 +195,29 @@ class ContinuousSystem:
                 out.append(f"{tag} bounds must be finite")
             elif np.any(lo > hi):
                 out.append(f"{tag} bounds must satisfy lo <= hi")
-        return out
+        if out:
+            raise ModelError("; ".join(out))
+
+    @property
+    def n_robots(self) -> int:
+        return len(self.dynamics)
+
+    @property
+    def d_w(self) -> int:
+        return len(self.state_bounds[0])
+
+    @property
+    def d_u(self) -> int:
+        return len(self.input_bounds[0])
+
+    @property
+    def ap(self) -> tuple[str, ...]:
+        return tuple(self.atoms.keys())
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Aggregate view
 # ---------------------------------------------------------------------------
-
-def validate(inst: Union[MultiRobotInstance, ContinuousSystem]) -> list[str]:
-    """Instance-level diagnostics; empty list means all invariants hold."""
-    if isinstance(inst, ContinuousSystem):
-        return inst.validate()
-    out: list[str] = []
-    if not inst.systems:
-        return ["instance has no robots"]
-    ap0 = inst.systems[0].ap
-    for n, ts in enumerate(inst.systems):
-        if ts.ap != ap0:
-            out.append(f"robot {n}: atomic propositions differ from robot 0")
-    if len(inst.initial_states) != len(inst.systems):
-        out.append("one initial state required per robot")
-    else:
-        for n, s0 in enumerate(inst.initial_states):
-            if not (0 <= s0 < inst.systems[n].n_states):
-                out.append(f"robot {n}: initial state {s0} out of range")
-    for name, members in inst.groups.items():
-        for r in members:
-            if not (0 <= r < len(inst.systems)):
-                out.append(f"group {name!r}: robot index {r} out of range")
-        if not members:
-            out.append(f"group {name!r} is empty")
-    if inst.collision_mode not in COLLISION_MODES:
-        out.append(f"unknown collision mode {inst.collision_mode!r}")
-    elif inst.collision_mode != "off" and not inst.shared_state_space():
-        out.append("collision constraints require a shared state space")
-    return out
-
 
 def aggregate_view(inst: MultiRobotInstance) -> AggregateSystem:
     """Collapse an identical-dynamics fleet to per-state robot counts."""
@@ -217,8 +227,6 @@ def aggregate_view(inst: MultiRobotInstance) -> AggregateSystem:
             raise ModelError(f"robot {n}: state set differs from robot 0")
         if ts.transitions != first.transitions:
             raise ModelError(f"robot {n}: transition relation differs from robot 0")
-        if ts.ap != first.ap:
-            raise ModelError(f"robot {n}: atomic propositions differ from robot 0")
         if ts.labels != first.labels:
             raise ModelError(f"robot {n}: labeling differs from robot 0")
     w0 = [0] * first.n_states
@@ -304,8 +312,6 @@ def _load_explicit_robot(entry: dict, ap: tuple[str, ...], idx: int) -> tuple[Tr
         if isinstance(dst, str):
             _require(dst in name_to_idx, f"robot {idx}: transition to unknown state {dst!r}")
             dst = name_to_idx[dst]
-        _require(0 <= src < len(states) and 0 <= dst < len(states),
-                 f"robot {idx}: dangling transition [{src}, {dst}]")
         transitions.add((src, dst))
     label_sets = [set() for _ in states]
     for state_key, labs in entry["labels"].items():
@@ -315,17 +321,17 @@ def _load_explicit_robot(entry: dict, ap: tuple[str, ...], idx: int) -> tuple[Tr
             s = int(state_key)
         else:
             raise ModelError(f"robot {idx}: label on missing state {state_key!r}")
-        for a in labs:
-            _require(a in ap, f"robot {idx}: unknown label {a!r}")
-            label_sets[s].add(a)
+        label_sets[s].update(labs)
     init = entry["init"]
     if isinstance(init, str):
         _require(init in name_to_idx, f"robot {idx}: unknown initial state {init!r}")
         init = name_to_idx[init]
-    _require(isinstance(init, int) and 0 <= init < len(states),
-             f"robot {idx}: initial state out of range")
-    ts = TransitionSystem(states, frozenset(transitions), ap,
-                          tuple(frozenset(s) for s in label_sets))
+    _require(isinstance(init, int), f"robot {idx}: initial state must be a name or an index")
+    try:
+        ts = TransitionSystem(states, frozenset(transitions), ap,
+                              tuple(frozenset(s) for s in label_sets))
+    except ModelError as exc:
+        raise ModelError(f"robot {idx}: {exc}") from None
     return ts, init
 
 
@@ -351,21 +357,17 @@ def _load_continuous(data: dict) -> ContinuousSystem:
     ib = np.asarray(stanza["input_bounds"], dtype=float)
     _require(sb.ndim == 2 and sb.shape[1] == 2, "state_bounds must be [[lo, hi], ...]")
     _require(ib.ndim == 2 and ib.shape[1] == 2, "input_bounds must be [[lo, hi], ...]")
-    sys = ContinuousSystem(
+    return ContinuousSystem(
         dynamics=tuple(dynamics),
         init=tuple(init),
         atoms=atoms,
         state_bounds=(sb[:, 0].copy(), sb[:, 1].copy()),
         input_bounds=(ib[:, 0].copy(), ib[:, 1].copy()),
     )
-    problems = sys.validate()
-    if problems:
-        raise ModelError("; ".join(problems))
-    return sys
 
 
 def load_model(path: Union[str, Path]) -> Union[MultiRobotInstance, ContinuousSystem]:
-    """Load and validate a model file; see the module docstring for the schema."""
+    """Load a model file; see the module docstring for the schema."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -399,8 +401,8 @@ def load_model(path: Union[str, Path]) -> Union[MultiRobotInstance, ContinuousSy
                 _require(0 <= x < width and 0 <= y < height,
                          f"robot {idx}: initial cell {init} outside the workspace")
                 init = y * width + x
-            _require(isinstance(init, int) and 0 <= init < shared.n_states,
-                     f"robot {idx}: initial state out of range")
+            _require(isinstance(init, int),
+                     f"robot {idx}: initial cell must be an index or an [x, y] pair")
             systems.append(shared)
             inits.append(init)
     else:
@@ -411,26 +413,15 @@ def load_model(path: Union[str, Path]) -> Union[MultiRobotInstance, ContinuousSy
 
     groups = {}
     for name, members in data.get("groups", {}).items():
-        _require(isinstance(members, list) and members,
-                 f"group {name!r} must be a nonempty list of robot indices")
-        for r in members:
-            _require(isinstance(r, int) and 0 <= r < len(systems),
-                     f"group {name!r}: robot index {r} out of range")
+        _require(isinstance(members, list) and all(isinstance(r, int) for r in members),
+                 f"group {name!r} must be a list of robot indices")
         groups[name] = frozenset(members)
 
     collision = data.get("collision", "off")
-    aliases = {"off": "off", "excl": "mutual_exclusion", "swap": "mutual_exclusion_plus_swap"}
-    collision = aliases.get(collision, collision)
-    _require(collision in COLLISION_MODES, f"unknown collision mode {collision!r}")
-
-    inst = MultiRobotInstance(
+    return MultiRobotInstance(
         systems=tuple(systems),
         initial_states=tuple(inits),
         groups=groups,
-        collision_mode=collision,
+        collision_mode=COLLISION_ALIASES.get(collision, collision),
         grid_shape=grid_shape,
     )
-    problems = validate(inst)
-    if problems:
-        raise ModelError("; ".join(problems))
-    return inst

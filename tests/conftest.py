@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from cltlsynth.formula import (IAtom, IAnd, IEventually, IAlways, INext, INot,
                                IOr, ITrue, IUntil, IRelease, InnerFormula,
                                OAlways, OAnd, OEventually, ONext, ONot, OOr,

@@ -12,15 +12,12 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from cltlsynth.formula import (IAtom, OOr, OTrue, Tcp, parse_formula)
-from cltlsynth.ilp import LinExpr
+from cltlsynth.formula import IAtom, OOr, Tcp, parse_formula
 from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
                               check_robust, eval_outer)
 from cltlsynth.solver import solve_bnb, solve_external
-from cltlsynth.system import (MultiRobotInstance, TransitionSystem,
-                              aggregate_view, build_grid_system)
+from cltlsynth.system import MultiRobotInstance, TransitionSystem, build_grid_system
 from cltlsynth.encoder_cltl import build_cltl_problem, decompose_flows, reaggregate
 from cltlsynth.encoder_continuous import (build_cont_problem, extract_continuous)
 from cltlsynth.encoder_robust import build_robust_problem

@@ -255,6 +255,52 @@ def test_threshold_above_the_fleet_size_is_infeasible(two_cell_model, capsys,
     assert "infeasible for h in [2, 2]" in capsys.readouterr().out
 
 
+def test_continuous_model_rejects_a_named_group(continuous_model, capsys):
+    # a continuous model defines no robot groups
+    code = run(["synth", "--model", continuous_model, "--formula", "F [A,@g,1]",
+                "--horizon", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: formula uses unknown groups: ['g']\n"
+    assert "Traceback" not in captured.err
+
+
+@pytest.fixture
+def meeting_cell_model(tmp_path):
+    """Two robots on a 2x1 grid; only cell [1, 0], robot 1's start, is A."""
+    payload = {"ap": [], "grid": {"width": 2, "height": 1, "regions": {"A": [[1, 0]]}},
+               "robots": [{"init": [0, 0]}, {"init": [1, 0]}]}
+    path = tmp_path / "meeting_cell.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("engine", ["cltlplus", "cltl"])
+@pytest.mark.parametrize("collision, code", [(None, 0), ("excl", 1), ("swap", 1)])
+def test_collision_override_applies_to_every_discrete_engine(meeting_cell_model, capsys,
+                                                             engine, collision, code):
+    # [A, 2] needs both robots on the one A cell at once, which any
+    # collision mode forbids
+    extra = ["--collision", collision] if collision else []
+    assert run(["synth", "--model", meeting_cell_model, "--formula", "F [A,2]",
+                "--horizon", "2", "--horizon-max", "3", "--engine", engine,
+                *extra]) == code
+    out = capsys.readouterr().out
+    assert ("infeasible for h in [2, 3]" in out) == (code == 1)
+
+
+def test_collision_override_needs_a_shared_state_space(tmp_path, capsys):
+    robot = {"transitions": [[0, 0]], "labels": {}, "init": 0}
+    path = tmp_path / "two_spaces.json"
+    path.write_text(json.dumps({"ap": ["a"], "robots": [{"states": ["s0"], **robot},
+                                                        {"states": ["t0"], **robot}]}))
+    code = run(["synth", "--model", path, "--formula", "F [a,1]", "--horizon", "2",
+                "--collision", "excl"])
+    assert code == 3
+    assert capsys.readouterr().err == ("error: collision constraints require a "
+                                       "shared state space\n")
+
+
 def test_determinism_byte_identical_artifacts(grid_model, tmp_path):
     files = {}
     for tag in ("one", "two"):
@@ -367,11 +413,12 @@ CHAIN_LASSO = {"states": [0, 1, 2, 2], "loop_start": 2}
      "robot 0 starts at s1, not at its initial state s0"),
     ([CHAIN_LASSO] * 3, "discrete", "[p1, @ghost, 1]", "unknown robot group"),
     ([CHAIN_LASSO] * 3, "discrete", "[zz, 1]", "unknown propositions: ['zz']"),
+    ([CHAIN_LASSO] * 3, "discrete", "[p1, @{5}, 1]", "group member out of range"),
     ([CHAIN_LASSO] * 2, "discrete", "[p1, 2]", "has 2 robots and the model 3"),
     ([{"inputs": [[0.0]], "states": [[0.0], [0.0]], "loop_start": 0}] * 3,
      "continuous", "[p1, 2]", "the model is discrete"),
 ], ids=["formula-syntax", "not-a-path", "wrong-start", "unknown-group", "unknown-atom",
-        "robot-count", "wrong-kind"])
+        "group-index", "robot-count", "wrong-kind"])
 def test_bad_simulate_input_is_a_one_line_usage_error(handover_bundle, tmp_path, capsys,
                                                       robots, kind, formula, message):
     model, _ = handover_bundle

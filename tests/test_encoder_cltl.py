@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from cltlsynth.formula import (IAtom, IEventually, ITrue, OAlways, OAnd,
-                               OEventually, ONot, OTrue, Tcp, parse_formula)
+from cltlsynth.formula import (IAtom, IEventually, OAlways, OEventually, ONot,
+                               OTrue, Tcp)
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb

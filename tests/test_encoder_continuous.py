@@ -10,7 +10,7 @@ from cltlsynth.formula import (IAtom, OAnd, OEventually, Tcp)
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb
-from cltlsynth.system import ContinuousSystem
+from cltlsynth.system import ContinuousSystem, ModelError
 from cltlsynth.encoder_continuous import (build_cont_problem,
                                           encode_cont_dynamics_loop,
                                           extract_continuous,
@@ -64,11 +64,19 @@ def test_reach_target_in_two_steps():
 
 def test_unbounded_box_rejected():
     sys_ = integrators()
-    bad = ContinuousSystem(sys_.dynamics, sys_.init, sys_.atoms,
-                           (np.array([-np.inf]), np.array([np.inf])),
-                           sys_.input_bounds)
-    with pytest.raises(EncodingError, match="finite"):
-        build_cont_problem(bad, Tcp(IAtom("A"), 1), h=2)
+    with pytest.raises(ModelError, match="finite"):
+        ContinuousSystem(sys_.dynamics, sys_.init, sys_.atoms,
+                         (np.array([-np.inf]), np.array([np.inf])),
+                         sys_.input_bounds)
+
+
+def test_formula_checked_against_the_atoms_and_groups():
+    sys_ = integrators()
+    with pytest.raises(EncodingError, match=r"unknown propositions: \['Z'\]"):
+        build_cont_problem(sys_, Tcp(IAtom("Z"), 1), h=2)
+    # a continuous model has no robot groups
+    with pytest.raises(EncodingError, match=r"unknown groups: \['g'\]"):
+        build_cont_problem(sys_, Tcp(IAtom("A"), 1, "g"), h=2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,12 @@ from collections import Counter
 import pytest
 
 from cltlsynth.formula import (IAtom, INext, ONext, OOr, OTrue, OUntil,
-                               ORelease, ONot, OAlways, OEventually, Tcp,
-                               parse_formula)
+                               ORelease, ONot, Tcp, parse_formula)
 from cltlsynth.ilp import LinExpr
-from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
-                              check_robust, eval_inner, eval_outer)
+from cltlsynth.oracle import Lasso, brute_force_synth, check_robust, eval_inner
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
-from cltlsynth.encoder_robust import build_robust_problem, extend_states
+from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import (EncodingError, build_sync_problem,
                                     extract_trajectories)
 

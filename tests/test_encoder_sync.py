@@ -8,14 +8,13 @@ satisfaction value, so any disagreement is an encoder bug.
 
 import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cltlsynth.formula import (IAtom, IEventually, INot, ITrue, IUntil,
-                               OAlways, OAnd, OEventually, ONot, OOr, ORelease,
-                               OTrue, OUntil, Tcp, parse_formula)
-from cltlsynth.ilp import LinExpr
+from cltlsynth.formula import (IAtom, IEventually, IUntil, OAnd, OEventually,
+                               ONot, ORelease, OTrue, OUntil, Tcp, parse_formula)
 from cltlsynth.lp_format import write_lp
 from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
                               check_robust, eval_inner, eval_outer)
@@ -111,8 +110,7 @@ def test_dead_end_chain_is_infeasible_through_both_solvers(tmp_path):
     lp = tmp_path / "dead.lp"
     write_lp(problem.model, lp)
     assert "const_0 = 1" in lp.read_text()
-    assert solve_external(problem.model, LP_CLI,
-                          workdir=tmp_path).status == "infeasible"
+    assert solve_external(problem.model, LP_CLI).status == "infeasible"
 
 
 def exact_step_reachable(ts, init, steps):
@@ -335,6 +333,12 @@ def test_unknown_group_rejected():
         build_sync_problem(single(ts), parse_formula("[a, @ghost, 1]"), h=1)
 
 
+def test_group_index_out_of_range_rejected():
+    ts = ts_of(["v1"], {(0, 0)}, {})
+    with pytest.raises(EncodingError, match="group member out of range"):
+        build_sync_problem(single(ts, n_robots=2), parse_formula("[a, @{2}, 1]"), h=1)
+
+
 def test_unknown_atom_rejected():
     ts = ts_of(["v1"], {(0, 0)}, {})
     with pytest.raises(EncodingError, match="unknown propositions"):
@@ -352,7 +356,7 @@ def test_mutual_exclusion_blocks_shared_cell():
     mu = OEventually(Tcp(IAtom("a"), 2))
     relaxed = build_sync_problem(inst, mu, h=2)
     assert solve_bnb(relaxed.model).feasible
-    problem = build_sync_problem(inst, mu, h=2, collision="mutual_exclusion")
+    problem = build_sync_problem(replace(inst, collision_mode="mutual_exclusion"), mu, h=2)
     assert solve_bnb(problem.model).status == "infeasible"
 
 
@@ -363,10 +367,11 @@ def test_swap_mode_blocks_exchange():
     swap_target = OAnd((Tcp(IAtom("b"), 1, frozenset({0})),
                         Tcp(IAtom("a"), 1, frozenset({1}))))
     mu = OEventually(swap_target)
-    under_excl = build_sync_problem(inst, mu, h=2, collision="mutual_exclusion")
+    under_excl = build_sync_problem(replace(inst, collision_mode="mutual_exclusion"),
+                                    mu, h=2)
     assert solve_bnb(under_excl.model).feasible
-    under_swap = build_sync_problem(inst, mu, h=2,
-                                    collision="mutual_exclusion_plus_swap")
+    under_swap = build_sync_problem(
+        replace(inst, collision_mode="mutual_exclusion_plus_swap"), mu, h=2)
     assert solve_bnb(under_swap.model).status == "infeasible"
 
 

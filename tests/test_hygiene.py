@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module,
-every public name the package exports exists, every public function or
+"""Source hygiene: every name a module or test module imports is used in
+that module, every public name the package exports exists, every public function or
 class is used somewhere, and every private module-level definition is
 read in its own module.
 
@@ -18,7 +18,8 @@ import cltlsynth
 SRC = Path(cltlsynth.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
-USERS = MODULES + sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+TESTS = sorted((REPO / "tests").glob("*.py"))
+USERS = MODULES + TESTS + sorted((REPO / "perfbench").glob("*.py"))
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -58,7 +59,7 @@ def test_scan_finds_an_unused_import():
     assert unused_imports("from typing import Optional\ny: 'Optional[int]'\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -158,10 +158,6 @@ def fake_milp(monkeypatch, **result):
      "The HiGHS status code was not recognized. (HiGHS Status 16: "
      "model_status is Solution limit reached; primal_status is None)",
      "node budget", ("node_limit", 7)),
-    (SolveConfig(time_budget=0.5), 1,
-     "Time limit reached. (HiGHS Status 13: model_status is Time limit "
-     "reached; primal_status is None)",
-     "time budget", ("time_limit", 0.5)),
 ])
 def test_reached_limit_without_a_point_is_unknown(monkeypatch, config, status,
                                                   message, reason, option):
@@ -207,66 +203,65 @@ def test_meeting_at_both_corners_needs_horizon_nine(tmp_path):
     for h, expected in ((8, "infeasible"), (9, "feasible")):
         model = build_sync_problem(inst, mu, h).model
         assert solve_bnb(model).status == expected
-        assert solve_external(model, LP_CLI, workdir=tmp_path / str(h)).status == expected
+        assert solve_external(model, LP_CLI).status == expected
 
 
 # ---------------------------------------------------------------------------
 # External adapter
 # ---------------------------------------------------------------------------
 
-def test_external_lp_cli_feasible(tmp_path):
+def test_external_lp_cli_feasible():
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
     m.add_constraint(LinExpr({x: 1, y: 1}), ">=", 1)
-    sol = solve_external(m, LP_CLI, workdir=tmp_path)
+    sol = solve_external(m, LP_CLI)
     assert sol.feasible
     assert sol[x] + sol[y] >= 1
 
 
-def test_external_lp_cli_infeasible(tmp_path):
+def test_external_lp_cli_infeasible():
     m = IlpModel()
     x = m.add_binary("x")
     m.add_constraint(LinExpr({x: 1}), ">=", 2)
-    sol = solve_external(m, LP_CLI, workdir=tmp_path)
+    sol = solve_external(m, LP_CLI)
     assert sol.status == "infeasible"
 
 
-def test_external_model_without_variables(tmp_path):
-    sol = solve_external(IlpModel(), LP_CLI, workdir=tmp_path)
+def test_external_model_without_variables():
+    sol = solve_external(IlpModel(), LP_CLI)
     assert sol.status == "feasible" and sol.values == {}
 
 
-def test_external_agrees_with_bundled_on_random_models(tmp_path):
+def test_external_agrees_with_bundled_on_random_models():
     rng = random.Random(37)
     for trial in range(10):
         m = random_binary_model(rng, 8, 6)
         ours = solve_bnb(m)
-        theirs = solve_external(m, LP_CLI, workdir=tmp_path / str(trial))
+        theirs = solve_external(m, LP_CLI)
         assert ours.feasible == theirs.feasible
 
 
-def test_external_rejects_constraint_violations(tmp_path):
+def test_external_rejects_constraint_violations():
     m = IlpModel()
     x = m.add_binary("x")
     m.add_constraint(LinExpr({x: 1}), "=", 1)
     lie = (f"{sys.executable} -c "
            "\"import sys; open(sys.argv[2], 'w').write('x 0\\n')\" {lp} {sol}")
     with pytest.raises(SolverError, match="mismatch"):
-        solve_external(m, lie, workdir=tmp_path)
+        solve_external(m, lie)
 
 
-def test_external_rejects_corrupt_solution(tmp_path):
+def test_external_rejects_corrupt_solution():
     m = IlpModel()
     m.add_binary("x")
     junk = (f"{sys.executable} -c "
             "\"import sys; open(sys.argv[2], 'w').write('a b c\\n')\" {lp} {sol}")
     with pytest.raises(Exception, match="name value"):
-        solve_external(m, junk, workdir=tmp_path)
+        solve_external(m, junk)
 
 
-def test_external_nonzero_exit(tmp_path):
+def test_external_nonzero_exit():
     m = IlpModel()
     m.add_binary("x")
     with pytest.raises(SolverError, match="exited"):
-        solve_external(m, f"{sys.executable} -c \"raise SystemExit(3)\" {{lp}}",
-                       workdir=tmp_path)
+        solve_external(m, f"{sys.executable} -c \"raise SystemExit(3)\" {{lp}}")

@@ -1,14 +1,13 @@
-"""Model loading, validation, grid generation, aggregate views."""
+"""Model loading, construction-time checks, grid generation, aggregate views."""
 
 import json
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from cltlsynth.system import (AggregateSystem, ContinuousSystem, ModelError,
-                              MultiRobotInstance, TransitionSystem,
-                              aggregate_view, build_grid_system, load_model,
-                              validate)
+from cltlsynth.system import (ContinuousSystem, ModelError, MultiRobotInstance,
+                              TransitionSystem, aggregate_view, build_grid_system,
+                              load_model)
 
 
 def chain_ts(labels_on=("s1",)):
@@ -109,21 +108,19 @@ def test_load_rejects_unknown_label(tmp_path):
 def test_validate_flags_ap_mismatch():
     ts1 = chain_ts()
     ts2 = TransitionSystem(("s0",), frozenset({(0, 0)}), ("b",), (frozenset(),))
-    inst = MultiRobotInstance((ts1, ts2), (0, 0))
-    problems = validate(inst)
-    assert len(problems) == 1 and "propositions differ" in problems[0]
+    with pytest.raises(ModelError, match="^robot 1: atomic propositions differ from robot 0$"):
+        MultiRobotInstance((ts1, ts2), (0, 0))
 
 
 def test_validate_flags_bad_initial_state():
-    inst = MultiRobotInstance((chain_ts(),), (7,))
-    problems = validate(inst)
-    assert len(problems) == 1 and "out of range" in problems[0]
+    with pytest.raises(ModelError, match="^robot 0: initial state 7 out of range$"):
+        MultiRobotInstance((chain_ts(),), (7,))
 
 
 def test_validate_clean_grid():
     ts = build_grid_system(4, 4, {"A": [[0, 0]]})
     inst = MultiRobotInstance((ts, ts), (0, 5))
-    assert validate(inst) == []
+    assert inst.n_robots == 2 and inst.ap == ("A",)
 
 
 def test_adjacency_orientation():
@@ -192,7 +189,6 @@ def test_load_continuous_model(tmp_path):
     sys_ = load_model(path)
     assert isinstance(sys_, ContinuousSystem)
     assert sys_.n_robots == 2 and sys_.d_w == 1 and sys_.d_u == 1
-    assert sys_.validate() == []
 
 
 def test_continuous_rejects_infinite_bounds(tmp_path):
@@ -207,6 +203,65 @@ def test_continuous_rejects_infinite_bounds(tmp_path):
     path = tmp_path / "cont.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match="finite"):
+        load_model(path)
+
+
+def one_integrator(**robot):
+    return {"continuous": {
+        "robots": [{"F": [[1.0]], "G": [[1.0]], "c": [0.0], "init": [0.0], **robot}],
+        "atoms": {"A": {"H": [[1.0], [-1.0]], "h": [1.1, -0.9]}},
+        "state_bounds": [[-10.0, 10.0]],
+        "input_bounds": [[-1.0, 1.0]],
+    }}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"continuous": {**one_integrator()["continuous"], "robots": []}},
+     "continuous model has no robots"),
+    (one_integrator(F=1.0), "robot 0: F must be 1x1"),
+    (one_integrator(G=1.0), "robot 0: G must be 1x1"),
+    (one_integrator(c=0.0, init=[0.0, 1.0]),
+     "robot 0: c must have length 1; robot 0: init must have length 1"),
+    ({"continuous": {**one_integrator()["continuous"],
+                     "atoms": {"A": {"H": [1.0], "h": [1.0]}}}},
+     "atom 'A': H must have 1 columns"),
+    ({"continuous": {**one_integrator()["continuous"], "input_bounds": [[1.0, -1.0]]}},
+     "input bounds must satisfy lo <= hi"),
+], ids=["no-robots", "scalar-F", "scalar-G", "short-c-long-init", "flat-H", "empty-box"])
+def test_continuous_model_names_its_fault(tmp_path, payload, message):
+    # no robots and a scalar F or G once ended in "tuple index out of range"
+    path = tmp_path / "cont.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value) == message
+
+
+def test_instance_checks_run_at_construction():
+    ts = chain_ts()
+    other = TransitionSystem(("t0",), frozenset({(0, 0)}), ("a",), (frozenset(),))
+    inst = MultiRobotInstance((ts, other), (0, 0))
+    with pytest.raises(ModelError, match="^collision constraints require a shared state space$"):
+        replace(inst, collision_mode="mutual_exclusion")
+    with pytest.raises(ModelError, match="^unknown collision mode 'excl'$"):
+        MultiRobotInstance((ts,), (0,), collision_mode="excl")
+    with pytest.raises(ModelError, match="^group 'cam' is empty$"):
+        MultiRobotInstance((ts,), (0,), {"cam": frozenset()})
+    with pytest.raises(ModelError, match="^instance has no robots$"):
+        MultiRobotInstance((), ())
+    shared = MultiRobotInstance((ts, ts), (0, 1))
+    assert replace(shared, collision_mode="mutual_exclusion").collision_mode == "mutual_exclusion"
+
+
+def test_load_maps_collision_short_names(tmp_path):
+    payload = {"ap": [], "grid": {"width": 2, "height": 1},
+               "robots": [{"init": 0}, {"init": 1}], "collision": "swap"}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    assert load_model(path).collision_mode == "mutual_exclusion_plus_swap"
+    payload["collision"] = "sideways"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match="^unknown collision mode 'sideways'$"):
         load_model(path)
 
 
