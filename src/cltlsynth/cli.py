@@ -24,7 +24,7 @@ from .formula import is_cltl, iter_tcps, parse_formula, resolve_groups
 from .ilp import Solution
 from .lp_format import write_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
-                     eval_outer)
+                     collision_violations, eval_outer)
 from .solver import SolverError, solve_bnb, solve_external
 from .system import (COLLISION_ALIASES, ContinuousSystem, ModelError,
                      MultiRobotInstance, aggregate_view, load_model)
@@ -128,30 +128,6 @@ def _lassos_from_discrete(inst: MultiRobotInstance, trajs) -> list[Lasso]:
 def _lassos_from_continuous(sys_: ContinuousSystem, trajs) -> list[Lasso]:
     return [Lasso(membership_trace(sys_, traj), traj.loop_start)
             for traj in trajs]
-
-
-def collision_violations(trajs: list[LassoTrajectory], mode: str, tau: int = 0) -> list[str]:
-    """Independent collision checker over the infinite executions."""
-    if mode == "off" or len(trajs) < 2:
-        return []
-    import math
-    horizon = max(t.horizon for t in trajs)
-    window = horizon + math.lcm(*[t.period for t in trajs]) + tau + 1
-    out = []
-    for a in range(len(trajs)):
-        for b in range(a + 1, len(trajs)):
-            for t in range(window):
-                for dt in range(tau + 1):
-                    if trajs[a].state_at(t) == trajs[b].state_at(t + dt):
-                        out.append(f"robots {a} and {b} meet at step {t}(+{dt})")
-                    if dt and trajs[b].state_at(t) == trajs[a].state_at(t + dt):
-                        out.append(f"robots {b} and {a} meet at step {t}(+{dt})")
-                if mode == "mutual_exclusion_plus_swap":
-                    if (trajs[a].state_at(t) == trajs[b].state_at(t + 1)
-                            and trajs[b].state_at(t) == trajs[a].state_at(t + 1)
-                            and trajs[a].state_at(t) != trajs[a].state_at(t + 1)):
-                        out.append(f"robots {a} and {b} swap at step {t}")
-    return out
 
 
 def _write_json(path: str, payload) -> None:

@@ -2,21 +2,28 @@
 
 Evaluates inner formulas over single lasso traces and outer formulas over
 collective executions, checks robust satisfaction against the executions
-whose asynchrony is bounded by tau, and synthesizes solutions by
-exhaustive search at tiny scale for cross-checking the optimization
-pipeline.
+whose asynchrony is bounded by tau, checks collisions over the infinite
+executions, and synthesizes solutions by exhaustive search at tiny scale
+for cross-checking the optimization pipeline.
 
-After an execution's increment matrix ends at time T every counter
-advances each step, so from its lock, T + max(0, max_n(loop_start_n -
-k_n(T))), every robot is inside its loop and the collective state is
-periodic in global time with the joint period jp (the lcm of the lasso
-periods).  A batch of executions is therefore decided exactly on the
-window 0..W-1, W = L + jp, with L the batch's largest lock: a time u >= W
-has the value of L + (u - L) mod jp.  ``CollectionOracle.values`` labels
-every subformula bottom-up over that window for the whole batch at once,
-as in model checking a path (Markey and Schnoebelen, CONCUR 2003).
-``check_robust`` feeds it the tau-bounded executions ``CHUNK`` at a time,
-so its working set is bounded by the cap and the chunk size.
+Both logic layers are decided by one kernel, ``_label``: on a window of
+times 0..W-1 where the step after W-1 goes back to a time ``lock``, it
+labels every subformula bottom-up, as in model checking a path (Markey
+and Schnoebelen, CONCUR 2003), for a batch of words at once.
+
+- An inner formula on a lasso with horizon h is labeled on W = h with
+  ``lock`` the loop start; ``eval_inner`` reads that row, and each
+  ``CollectionOracle`` tabulates it once per tcp.
+- After an execution's increment matrix ends at time T every counter
+  advances each step, so from its lock, T + max(0, max_n(loop_start_n -
+  k_n(T))), every robot is inside its loop and the collective state is
+  periodic in global time with the joint period jp (the lcm of the lasso
+  periods).  ``CollectionOracle.values`` therefore labels an outer formula
+  for a batch of executions on W = L + jp, with L the batch's largest
+  lock: a time u >= W has the value of L + (u - L) mod jp.
+
+``check_robust`` feeds the tau-bounded executions to ``values`` ``CHUNK``
+at a time, so its working set is bounded by the cap and the chunk size.
 """
 
 from __future__ import annotations
@@ -24,16 +31,66 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .formula import (IAlways, IAnd, IAtom, IEventually, INext, INot, IOr,
+from .formula import (IAlways, IAnd, IEventually, INext, INot, IOr,
                       IRelease, ITrue, IUntil, InnerFormula, OAlways, OAnd,
-                      OEventually, ONext, ONot, OOr, OTrue, OUntil,
+                      OEventually, ONext, ONot, OOr, ORelease, OTrue, OUntil,
                       OuterFormula, Tcp, subformulas)
 from .system import MultiRobotInstance, TransitionSystem
 from .trajectory import LassoTrajectory
+
+
+# ---------------------------------------------------------------------------
+# The labeling kernel
+# ---------------------------------------------------------------------------
+
+def _label(phi: Union[InnerFormula, OuterFormula],
+           leaf: Callable[[Union[InnerFormula, OuterFormula]], np.ndarray],
+           lock: int) -> np.ndarray:
+    """(W, B) truth of ``phi`` at times 0..W-1 of B words whose time W is
+    time ``lock`` again; ``leaf`` gives the (W, B) truth of each leaf
+    (``ITrue``/``IAtom`` or ``OTrue``/``Tcp``)."""
+    value: dict[int, np.ndarray] = {}  # by node identity: hashing a tree is slow
+    # Reversed pre-order visits every node after all of its subformulas.
+    for node in reversed(list(subformulas(phi))):
+        if id(node) in value:
+            continue
+        if isinstance(node, (INot, ONot)):
+            out = ~value[id(node.child)]
+        elif isinstance(node, (IAnd, OAnd, IOr, OOr)):
+            op = np.logical_and if isinstance(node, (IAnd, OAnd)) else np.logical_or
+            out = op.reduce([value[id(c)] for c in node.children])
+        elif isinstance(node, (INext, ONext)):
+            child = value[id(node.child)]
+            out = np.concatenate([child[1:], child[lock:lock + 1]])
+        elif isinstance(node, (IEventually, OEventually)):
+            out = _until(None, value[id(node.child)], lock)
+        elif isinstance(node, (IAlways, OAlways)):
+            out = ~_until(None, ~value[id(node.child)], lock)
+        elif isinstance(node, (IUntil, OUntil)):
+            out = _until(value[id(node.lhs)], value[id(node.rhs)], lock)
+        elif isinstance(node, (IRelease, ORelease)):
+            out = ~_until(~value[id(node.lhs)], ~value[id(node.rhs)], lock)
+        else:  # a leaf; subformulas rejects every other node type
+            out = leaf(node)
+        value[id(node)] = out
+    return value[id(phi)]
+
+
+def _until(lhs: Optional[np.ndarray], rhs: np.ndarray, lock: int) -> np.ndarray:
+    """Least solution of y[u] = rhs[u] or (lhs[u] and y[u+1]) on 0..W-1 with
+    y[W] = y[lock] (``lhs`` None is true): a pass around the cycle [lock, W)
+    from y[W] = False, a second from its y[lock], then one down to 0."""
+    lhs = np.ones_like(rhs) if lhs is None else lhs
+    out = np.empty_like(rhs)
+    nxt = np.zeros(rhs.shape[1], dtype=bool)
+    cycle = range(len(rhs) - 1, lock - 1, -1)
+    for u in itertools.chain(cycle, cycle, range(lock - 1, -1, -1)):
+        nxt = out[u] = rhs[u] | (lhs[u] & nxt)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +100,16 @@ from .trajectory import LassoTrajectory
 class Lasso:
     """A labeled lasso word; evaluation positions wrap through the loop."""
 
-    def __init__(self, labels: Sequence[frozenset], loop_start: int,
-                 states: Optional[Sequence[int]] = None):
+    def __init__(self, labels: Sequence[frozenset], loop_start: int):
         h = len(labels) - 1
         if h < 1 or not (0 <= loop_start <= h - 1):
             raise ValueError("need labels for positions 0..h with loop_start < h")
         self.labels = tuple(frozenset(s) for s in labels)
         self.loop_start = loop_start
-        self.states = tuple(states) if states is not None else None
-        self._memo: dict = {}
 
     @classmethod
     def from_trajectory(cls, traj: LassoTrajectory, ts: TransitionSystem) -> "Lasso":
-        return cls([ts.labels[s] for s in traj.states], traj.loop_start, traj.states)
+        return cls([ts.labels[s] for s in traj.states], traj.loop_start)
 
     @property
     def horizon(self) -> int:
@@ -73,56 +127,22 @@ class Lasso:
         return self.loop_start + (k - self.loop_start) % self.period
 
 
+def _inner_row(lasso: Lasso, phi: InnerFormula) -> np.ndarray:
+    """(h,) truth of ``phi`` at the lasso's positions 0..h-1."""
+    h = lasso.horizon
+
+    def leaf(node: InnerFormula) -> np.ndarray:
+        if isinstance(node, ITrue):
+            return np.ones((h, 1), dtype=bool)
+        return np.array([[node.name in labels] for labels in lasso.labels[:h]])
+
+    return _label(phi, leaf, lasso.loop_start)[:, 0]
+
+
 def eval_inner(lasso: Lasso, t: int, phi: InnerFormula) -> bool:
     """Exact LTL satisfaction of ``phi`` at position ``t`` of the lasso's
-    infinite expansion.  Until/release are decided by scanning one full
-    period past the later of ``t`` and the loop, which covers every
-    distinct suffix."""
-    t = lasso.position(t)
-    key = (phi, t)
-    memo = lasso._memo
-    if key in memo:
-        return memo[key]
-    if isinstance(phi, ITrue):
-        value = True
-    elif isinstance(phi, IAtom):
-        value = phi.name in lasso.labels[t]
-    elif isinstance(phi, INot):
-        value = not eval_inner(lasso, t, phi.child)
-    elif isinstance(phi, IAnd):
-        value = all(eval_inner(lasso, t, c) for c in phi.children)
-    elif isinstance(phi, IOr):
-        value = any(eval_inner(lasso, t, c) for c in phi.children)
-    elif isinstance(phi, INext):
-        value = eval_inner(lasso, t + 1, phi.child)
-    elif isinstance(phi, IEventually):
-        end = max(t, lasso.loop_start) + lasso.period
-        value = any(eval_inner(lasso, j, phi.child) for j in range(t, end + 1))
-    elif isinstance(phi, IAlways):
-        end = max(t, lasso.loop_start) + lasso.period
-        value = all(eval_inner(lasso, j, phi.child) for j in range(t, end + 1))
-    elif isinstance(phi, IUntil):
-        end = max(t, lasso.loop_start) + lasso.period
-        value = False
-        for j in range(t, end + 1):
-            if eval_inner(lasso, j, phi.rhs):
-                value = True
-                break
-            if not eval_inner(lasso, j, phi.lhs):
-                break
-    elif isinstance(phi, IRelease):
-        end = max(t, lasso.loop_start) + lasso.period
-        value = True
-        for j in range(t, end + 1):
-            if not eval_inner(lasso, j, phi.rhs):
-                value = False
-                break
-            if eval_inner(lasso, j, phi.lhs):
-                break
-    else:
-        raise TypeError(f"not an inner formula: {phi!r}")
-    memo[key] = value
-    return value
+    infinite expansion."""
+    return bool(_inner_row(lasso, phi)[lasso.position(t)])
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +208,28 @@ class CollectionOracle:
         self.joint_period = math.lcm(*(l.period for l in self.lassos))
         self._loop_start = np.array([l.loop_start for l in self.lassos], dtype=np.int32)
         self._horizon = np.array([l.horizon for l in self.lassos], dtype=np.int32)
-
-    def _scope(self, tcp: Tcp) -> Sequence[int]:
-        if isinstance(tcp.group, str):
-            raise ValueError(f"unresolved robot group {tcp.group!r}")
-        return range(len(self.lassos)) if tcp.group is None else sorted(tcp.group)
-
-    def tcp_count(self, tcp: Tcp, counters: Sequence[int]) -> int:
-        return sum(1 for n in self._scope(tcp)
-                   if eval_inner(self.lassos[n], counters[n], tcp.inner))
+        self._tables: dict[Tcp, np.ndarray] = {}
 
     def _tcp_table(self, tcp: Tcp) -> np.ndarray:
         """(robots, largest horizon) truth of the inner formula at each
-        robot's positions 0..h-1; False for robots outside the group."""
-        table = np.zeros((len(self.lassos), max(self._horizon, default=1)), dtype=bool)
-        for n in self._scope(tcp):
-            lasso = self.lassos[n]
-            table[n, :lasso.horizon] = [eval_inner(lasso, k, tcp.inner)
-                                        for k in range(lasso.horizon)]
-        return table
+        robot's positions 0..h-1; False for robots outside the group.
+        Built once per tcp."""
+        if tcp not in self._tables:
+            if isinstance(tcp.group, str):
+                raise ValueError(f"unresolved robot group {tcp.group!r}")
+            scope = range(len(self.lassos)) if tcp.group is None else sorted(tcp.group)
+            table = np.zeros((len(self.lassos), max(self._horizon, default=1)), dtype=bool)
+            for n in scope:
+                table[n, :self.lassos[n].horizon] = _inner_row(self.lassos[n], tcp.inner)
+            self._tables[tcp] = table
+        return self._tables[tcp]
+
+    def tcp_count(self, tcp: Tcp, counters: Sequence[int]) -> int:
+        """Robots in the tcp's group whose inner formula holds at their
+        local times ``counters``."""
+        table = self._tcp_table(tcp)
+        return sum(int(table[n, lasso.position(k)])
+                   for n, (lasso, k) in enumerate(zip(self.lassos, counters)))
 
     def values(self, increments: np.ndarray, mu: OuterFormula) -> np.ndarray:
         """(E, W) truth of ``mu`` at global times 0..W-1 for the executions
@@ -230,33 +253,13 @@ class CollectionOracle:
         positions = np.where(counters < self._horizon, counters,
                              loop + (counters - loop) % (self._horizon - loop))
         robots = np.arange(len(self.lassos))
-        value: dict[int, np.ndarray] = {}  # by node identity: hashing a tree is slow
-        # Reversed pre-order visits every node after all of its subformulas.
-        for node in reversed(list(subformulas(mu))):
-            if id(node) in value:
-                continue
+
+        def leaf(node: OuterFormula) -> np.ndarray:
             if isinstance(node, OTrue):
-                out = np.ones((width, batch), dtype=bool)
-            elif isinstance(node, Tcp):
-                out = self._tcp_table(node)[robots, positions].sum(axis=2) >= node.m
-            elif isinstance(node, ONot):
-                out = ~value[id(node.child)]
-            elif isinstance(node, (OAnd, OOr)):
-                op = np.logical_and if isinstance(node, OAnd) else np.logical_or
-                out = op.reduce([value[id(c)] for c in node.children])
-            elif isinstance(node, ONext):
-                child = value[id(node.child)]
-                out = np.concatenate([child[1:], child[lock:lock + 1]])
-            elif isinstance(node, OEventually):
-                out = _until(None, value[id(node.child)], lock)
-            elif isinstance(node, OAlways):
-                out = ~_until(None, ~value[id(node.child)], lock)
-            elif isinstance(node, OUntil):
-                out = _until(value[id(node.lhs)], value[id(node.rhs)], lock)
-            else:  # ORelease; subformulas rejects every other node type
-                out = ~_until(~value[id(node.lhs)], ~value[id(node.rhs)], lock)
-            value[id(node)] = out
-        return value[id(mu)].T
+                return np.ones((width, batch), dtype=bool)
+            return self._tcp_table(node)[robots, positions].sum(axis=2) >= node.m
+
+        return _label(mu, leaf, lock).T
 
     def evaluate(self, execution: CollectiveExecution, mu: OuterFormula, t: int = 0) -> bool:
         row = self.values(execution.increments[None], mu)[0]
@@ -264,19 +267,6 @@ class CollectionOracle:
             lock = len(row) - self.joint_period
             t = lock + (t - lock) % self.joint_period
         return bool(row[t])
-
-
-def _until(lhs: Optional[np.ndarray], rhs: np.ndarray, lock: int) -> np.ndarray:
-    """Least solution of y[u] = rhs[u] or (lhs[u] and y[u+1]) on 0..W-1 with
-    y[W] = y[lock] (``lhs`` None is true): a pass around the cycle [lock, W)
-    from y[W] = False, a second from its y[lock], then one down to 0."""
-    lhs = np.ones_like(rhs) if lhs is None else lhs
-    out = np.empty_like(rhs)
-    nxt = np.zeros(rhs.shape[1], dtype=bool)
-    cycle = range(len(rhs) - 1, lock - 1, -1)
-    for u in itertools.chain(cycle, cycle, range(lock - 1, -1, -1)):
-        nxt = out[u] = rhs[u] | (lhs[u] & nxt)
-    return out
 
 
 def eval_outer(lassos: Sequence[Lasso], execution: CollectiveExecution,
@@ -421,19 +411,31 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
     return Verdict("verified_bounded", None, stats)
 
 
-def tcp_windowed_violation(lassos: Sequence[Lasso], tcp: Tcp, tau: int,
-                           t: int) -> Optional[tuple[int, ...]]:
-    """Anchored window check for a single counting proposition: a local-time
-    combination k_n in [t, t+tau] with min = t where fewer than m robots
-    satisfy the inner formula, or None."""
-    n = len(lassos)
-    oracle = CollectionOracle(lassos)
-    for combo in itertools.product(range(t, t + tau + 1), repeat=n):
-        if min(combo) != t:
-            continue
-        if oracle.tcp_count(tcp, combo) < tcp.m:
-            return combo
-    return None
+# ---------------------------------------------------------------------------
+# Collisions
+# ---------------------------------------------------------------------------
+
+def collision_violations(trajs: list[LassoTrajectory], mode: str, tau: int = 0) -> list[str]:
+    """Independent collision checker over the infinite executions."""
+    if mode == "off" or len(trajs) < 2:
+        return []
+    horizon = max(t.horizon for t in trajs)
+    window = horizon + math.lcm(*[t.period for t in trajs]) + tau + 1
+    out = []
+    for a in range(len(trajs)):
+        for b in range(a + 1, len(trajs)):
+            for t in range(window):
+                for dt in range(tau + 1):
+                    if trajs[a].state_at(t) == trajs[b].state_at(t + dt):
+                        out.append(f"robots {a} and {b} meet at step {t}(+{dt})")
+                    if dt and trajs[b].state_at(t) == trajs[a].state_at(t + dt):
+                        out.append(f"robots {b} and {a} meet at step {t}(+{dt})")
+                if mode == "mutual_exclusion_plus_swap":
+                    if (trajs[a].state_at(t) == trajs[b].state_at(t + 1)
+                            and trajs[b].state_at(t) == trajs[a].state_at(t + 1)
+                            and trajs[a].state_at(t) != trajs[a].state_at(t + 1)):
+                        out.append(f"robots {a} and {b} swap at step {t}")
+    return out
 
 
 # ---------------------------------------------------------------------------

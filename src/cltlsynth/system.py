@@ -59,7 +59,7 @@ class TransitionSystem:
         if len(set(self.states)) != n:
             raise ModelError("duplicate state names")
         for (i, j) in self.transitions:
-            if not (0 <= i < n and 0 <= j < n):
+            if not all(isinstance(k, int) and 0 <= k < n for k in (i, j)):
                 raise ModelError(f"dangling transition ({i}, {j})")
         if len(self.labels) != n:
             raise ModelError("labels must be defined for every state")
@@ -396,7 +396,8 @@ def load_model(path: Union[str, Path]) -> Union[MultiRobotInstance, ContinuousSy
             _require(isinstance(entry, dict) and "init" in entry,
                      f"robot {idx}: grid robots need an 'init' cell")
             init = entry["init"]
-            if isinstance(init, (list, tuple)):
+            if (isinstance(init, (list, tuple)) and len(init) == 2
+                    and all(isinstance(v, int) for v in init)):
                 x, y = init
                 _require(0 <= x < width and 0 <= y < height,
                          f"robot {idx}: initial cell {init} outside the workspace")

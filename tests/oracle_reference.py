@@ -1,8 +1,10 @@
-"""Reference robust-satisfaction checker, used only by the tests.
+"""Reference evaluators and robust-satisfaction checker, used only by the
+tests.  None of them calls the labeling kernel in ``cltlsynth.oracle``
+that they are compared against; ``evaluate`` and ``check_robust`` are the
+oracle's earlier algorithm.
 
-This is the oracle's earlier algorithm, kept as the reference that the
-batched kernel in ``cltlsynth.oracle`` is compared against:
-
+* ``fixpoint_eval`` decides an inner formula at every position of a
+  lasso by value iteration over the successor map of its positions;
 * ``evaluate`` decides an outer formula by a memoised top-down recursion
   over (subformula, global time), one fresh memo per call, scanning each
   temporal operator one joint period past the later of its start and the
@@ -10,7 +12,9 @@ batched kernel in ``cltlsynth.oracle`` is compared against:
 * ``check_robust`` counts the tau-bounded increment sequences first,
   then walks them depth first in lexicographic order, or draws a seeded
   random sample when they number more than the cap, and evaluates every
-  execution at every anchored time one by one.
+  execution at every anchored time one by one;
+* ``tcp_windowed_violation`` checks one tcp over the anchored local-time
+  combinations of a window.
 
 It is slow (seconds where the kernel takes milliseconds), so tests call it
 on small collections only.
@@ -18,22 +22,69 @@ on small collections only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from cltlsynth.formula import (OAlways, OAnd, OEventually, ONext, ONot, OOr,
-                               ORelease, OTrue, OUntil, OuterFormula, Tcp)
-from cltlsynth.oracle import CollectiveExecution, Lasso, Verdict, eval_inner
+from cltlsynth.formula import (IAlways, IAnd, IAtom, IEventually, INext, INot,
+                               IOr, IRelease, ITrue, IUntil, OAlways, OAnd,
+                               OEventually, ONext, ONot, OOr, ORelease, OTrue,
+                               OUntil, OuterFormula, Tcp)
+from cltlsynth.oracle import CollectiveExecution, Lasso, Verdict
+
+
+@functools.lru_cache(maxsize=None)  # a Lasso hashes by identity
+def fixpoint_eval(lasso: Lasso, phi) -> list:
+    """Reference evaluator: satisfaction per quotient position, by fixpoint
+    iteration over succ(t) = t+1 (wrapping into the loop)."""
+    h = lasso.horizon
+    positions = list(range(h))
+    succ = [t + 1 if t + 1 < h else lasso.loop_start for t in positions]
+
+    def values(node) -> list:
+        if isinstance(node, ITrue):
+            return [True] * h
+        if isinstance(node, IAtom):
+            return [node.name in lasso.labels[t] for t in positions]
+        if isinstance(node, INot):
+            return [not v for v in values(node.child)]
+        if isinstance(node, IAnd):
+            rows = [values(c) for c in node.children]
+            return [all(r[t] for r in rows) for t in positions]
+        if isinstance(node, IOr):
+            rows = [values(c) for c in node.children]
+            return [any(r[t] for r in rows) for t in positions]
+        if isinstance(node, INext):
+            child = values(node.child)
+            return [child[succ[t]] for t in positions]
+        if isinstance(node, (IUntil, IEventually)):
+            lhs = values(node.lhs) if isinstance(node, IUntil) else [True] * h
+            rhs = values(node.rhs if isinstance(node, IUntil) else node.child)
+            val = [False] * h
+            for _ in range(h + 1):
+                val = [rhs[t] or (lhs[t] and val[succ[t]]) for t in positions]
+            return val
+        if isinstance(node, (IRelease, IAlways)):
+            lhs = values(node.lhs) if isinstance(node, IRelease) else [False] * h
+            rhs = values(node.rhs if isinstance(node, IRelease) else node.child)
+            val = [True] * h
+            for _ in range(h + 1):
+                val = [rhs[t] and (lhs[t] or val[succ[t]]) for t in positions]
+            return val
+        raise TypeError(node)
+
+    return values(phi)
 
 
 def tcp_count(lassos: Sequence[Lasso], tcp: Tcp, counters: Sequence[int]) -> int:
     if isinstance(tcp.group, str):
         raise ValueError(f"unresolved robot group {tcp.group!r}")
     scope = range(len(lassos)) if tcp.group is None else sorted(tcp.group)
-    return sum(1 for n in scope if eval_inner(lassos[n], counters[n], tcp.inner))
+    return sum(1 for n in scope
+               if fixpoint_eval(lassos[n], tcp.inner)[lassos[n].position(counters[n])])
 
 
 def evaluate(lassos: Sequence[Lasso], execution: CollectiveExecution,
@@ -178,3 +229,14 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
     if found:
         return Verdict("falsified", found, stats)
     return Verdict("verified_bounded", None, stats)
+
+
+def tcp_windowed_violation(lassos: Sequence[Lasso], tcp: Tcp, tau: int,
+                           t: int) -> Optional[tuple[int, ...]]:
+    """Anchored window check for a single counting proposition: a local-time
+    combination k_n in [t, t+tau] with min = t where fewer than m robots
+    satisfy the inner formula, or None."""
+    for combo in itertools.product(range(t, t + tau + 1), repeat=len(lassos)):
+        if min(combo) == t and tcp_count(lassos, tcp, combo) < tcp.m:
+            return combo
+    return None

@@ -165,6 +165,22 @@ def test_missing_model_is_io_error(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"ap": ["a"], "robots": [{"states": ["s0", "s1"],
+                               "transitions": [[0, 0.5], [1, 1], [0, 1]],
+                               "labels": {"s1": ["a"]}, "init": 0}]},
+     "robot 0: dangling transition (0, 0.5)"),
+    ({"ap": ["a"], "grid": {"width": 2, "height": 1}, "robots": [{"init": [0, 0, 1]}]},
+     "robot 0: initial cell must be an index or an [x, y] pair"),
+], ids=["non-integer-endpoint", "grid-init-length"])
+def test_bad_model_is_a_one_line_io_error(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = run(["synth", "--model", path, "--formula", "F [a,1]", "--horizon", "2"])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bad_formula_is_usage_error(grid_model):
     code = run(["synth", "--model", grid_model, "--formula", "[A,",
                 "--horizon", "2"])
@@ -366,6 +382,20 @@ def test_simulate_synchronous_check(handover_bundle, capsys):
     code = run(["simulate", "--model", model, "--trajectories", traj,
                 "--formula", "[p1, 2]", "--tau", "0", "--max-t", "4"])
     assert code == 0  # synchronously the first two robots show p1 at t=0
+
+
+def test_simulate_prints_the_per_anchor_table(handover_bundle, capsys):
+    model, traj = handover_bundle
+    code = run(["simulate", "--model", model, "--trajectories", traj,
+                "--formula", "[p1, 2] | [p2, 2]", "--tau", "0", "--max-t", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: verified_bounded (mode=exhaustive, sequences=32, max_T=5)",
+        "t  formula tcp0 tcp1",
+        "0  sat     2/2 1/2",
+        "1  sat     1/2 2/2",
+        "2  sat     1/2 2/2",
+    ]
 
 
 def test_simulate_zero_step_budget(handover_bundle, capsys):

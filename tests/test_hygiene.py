@@ -1,7 +1,8 @@
 """Source hygiene: every name a module or test module imports is used in
 that module, every public name the package exports exists, every public function or
-class is used somewhere, and every private module-level definition is
-read in its own module.
+class is used somewhere, every private module-level definition is
+read in its own module, and every package name the benchmark imports or
+reads from a package module exists.
 
 There is no linter in the toolchain, so these AST scans are the guard.
 ``__init__`` is exempt from the import scan, since its imports are the
@@ -9,6 +10,8 @@ package's public names, and its re-exports do not count as uses.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ SRC = Path(cltlsynth.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
 TESTS = sorted((REPO / "tests").glob("*.py"))
-USERS = MODULES + TESTS + sorted((REPO / "perfbench").glob("*.py"))
+PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
+USERS = MODULES + TESTS + PERFBENCH
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -121,3 +125,45 @@ def test_every_public_definition_is_used():
     unused = [f"{path.name}: {name}" for path in MODULES
               for name in public_definitions(path.read_text()) if name not in used]
     assert unused == []
+
+
+def unresolved_package_names(source: str) -> list[str]:
+    """Names imported ``from cltlsynth...`` that do not exist, and
+    attributes read from an imported package module, such as
+    ``solver.write_lp``, that the module lacks."""
+    tree = ast.parse(source)
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "cltlsynth"):
+            continue
+        for alias in node.names:
+            name = f"{node.module}.{alias.name}"
+            try:
+                value = importlib.import_module(name)  # a submodule
+            except ImportError:
+                try:
+                    value = getattr(importlib.import_module(node.module), alias.name)
+                except (ImportError, AttributeError):
+                    missing.append(name)
+                    continue
+            if isinstance(value, types.ModuleType):
+                modules[alias.asname or alias.name] = value
+    missing += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)]
+    return missing
+
+
+def test_scan_finds_a_missing_package_name():
+    assert unresolved_package_names(
+        "from cltlsynth import solver, gone\n"
+        "from cltlsynth.oracle import Lasso, missing\n"
+        "from cltlsynth.nowhere import x\n"
+        "solver.write_lp = solver.absent\n") == [
+        "cltlsynth.gone", "cltlsynth.oracle.missing", "cltlsynth.nowhere.x", "solver.absent"]
+
+
+@pytest.mark.parametrize("path", PERFBENCH, ids=lambda p: p.name)
+def test_every_benchmark_import_resolves(path):
+    assert unresolved_package_names(path.read_text()) == []

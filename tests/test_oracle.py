@@ -1,10 +1,11 @@
 """Ground-truth evaluator cross-checks.
 
-The reference implementation here is value iteration on the lasso quotient
-graph (least fixpoint for until, greatest for release), a deliberately
-different algorithm from the oracle's scan-based evaluation.  The batched
-outer kernel and the robust search are compared with the earlier top-down
-oracle kept in ``oracle_reference.py``.
+The oracle decides both logic layers with one bottom-up labeling kernel.
+Its references in ``oracle_reference.py`` share no code with it: inner
+formulas are compared with value iteration on the lasso quotient graph
+(``fixpoint_eval``: least fixpoint for until, greatest for release), and
+the outer kernel and the robust search with the earlier top-down oracle,
+which counts tcps with ``fixpoint_eval``.
 """
 
 import random
@@ -20,54 +21,11 @@ from cltlsynth.formula import (IAtom, IAlways, IAnd, IEventually, INext, INot,
                                parse_inner_formula)
 from cltlsynth.oracle import (CHUNK, CollectiveExecution, CollectionOracle,
                               Lasso, Verdict, brute_force_synth,
-                              check_robust, eval_inner, eval_outer,
-                              tcp_windowed_violation)
+                              check_robust, eval_inner, eval_outer)
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
 
 import oracle_reference
 from conftest import random_inner, random_lasso, random_outer
-
-
-def fixpoint_eval(lasso: Lasso, phi) -> list:
-    """Reference evaluator: satisfaction per quotient position, by fixpoint
-    iteration over succ(t) = t+1 (wrapping into the loop)."""
-    h = lasso.horizon
-    positions = list(range(h))
-    succ = [t + 1 if t + 1 < h else lasso.loop_start for t in positions]
-
-    def values(node) -> list:
-        if isinstance(node, ITrue):
-            return [True] * h
-        if isinstance(node, IAtom):
-            return [node.name in lasso.labels[t] for t in positions]
-        if isinstance(node, INot):
-            return [not v for v in values(node.child)]
-        if isinstance(node, IAnd):
-            rows = [values(c) for c in node.children]
-            return [all(r[t] for r in rows) for t in positions]
-        if isinstance(node, IOr):
-            rows = [values(c) for c in node.children]
-            return [any(r[t] for r in rows) for t in positions]
-        if isinstance(node, INext):
-            child = values(node.child)
-            return [child[succ[t]] for t in positions]
-        if isinstance(node, (IUntil, IEventually)):
-            lhs = values(node.lhs) if isinstance(node, IUntil) else [True] * h
-            rhs = values(node.rhs if isinstance(node, IUntil) else node.child)
-            val = [False] * h
-            for _ in range(h + 1):
-                val = [rhs[t] or (lhs[t] and val[succ[t]]) for t in positions]
-            return val
-        if isinstance(node, (IRelease, IAlways)):
-            lhs = values(node.lhs) if isinstance(node, IRelease) else [False] * h
-            rhs = values(node.rhs if isinstance(node, IRelease) else node.child)
-            val = [True] * h
-            for _ in range(h + 1):
-                val = [rhs[t] and (lhs[t] or val[succ[t]]) for t in positions]
-            return val
-        raise TypeError(node)
-
-    return values(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +70,7 @@ def test_inner_matches_fixpoint_reference():
     for trial in range(400):
         lasso = random_lasso(rng, atoms, rng.randint(1, 7))
         phi = random_inner(rng, rng.randint(1, 4), atoms)
-        reference = fixpoint_eval(lasso, phi)
+        reference = oracle_reference.fixpoint_eval(lasso, phi)
         for t in range(lasso.horizon):
             assert eval_inner(lasso, t, phi) == reference[t], \
                 f"trial {trial}, t={t}, phi={phi}"
@@ -301,7 +259,7 @@ def test_windowed_check_matches_execution_enumeration_for_tcp():
         tcp = Tcp(random_inner(rng, 1, atoms, allow_next=False), rng.randint(0, n))
         full = check_robust(lassos, tcp, tau, max_T=4, enumeration_cap=100000)
         assert full.stats["mode"] == "exhaustive"
-        windowed = tcp_windowed_violation(lassos, tcp, tau, t=0)
+        windowed = oracle_reference.tcp_windowed_violation(lassos, tcp, tau, t=0)
         assert full.falsified == (windowed is not None), f"trial {trial}"
 
 

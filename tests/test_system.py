@@ -93,6 +93,28 @@ def test_load_rejects_dangling_transition(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_a_non_integer_transition_endpoint(tmp_path):
+    payload = {
+        "ap": ["a"],
+        "robots": [{"states": ["s0", "s1"], "transitions": [[0, 0.5], [1, 1], [0, 1]],
+                    "labels": {"s1": ["a"]}, "init": 0}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=r"^robot 0: dangling transition \(0, 0\.5\)$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("init", [[0, 0, 1], [0], [0.5, 0], "c0_0"])
+def test_grid_init_must_be_a_cell(tmp_path, init):
+    payload = {"ap": [], "grid": {"width": 2, "height": 1}, "robots": [{"init": init}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=r"^robot 0: initial cell must be an index "
+                                         r"or an \[x, y\] pair$"):
+        load_model(path)
+
+
 def test_load_rejects_unknown_label(tmp_path):
     payload = {
         "ap": [],
