@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--output", default=None, metavar="PATH",
                        help="trajectory JSON output")
     synth.add_argument("--stats", default=None, metavar="PATH",
-                       help="encoding statistics JSON output")
+                       help="encoding and solver statistics JSON output")
     synth.add_argument("--verify-max-t", type=int, default=None)
     synth.add_argument("--verify-cap", type=int, default=20000)
 
@@ -231,7 +231,7 @@ def run_synth(args) -> int:
     if args.stats:
         meta = problem.model.metadata()
         meta.update({"engine": problem.engine, "h": problem.h, "tau": problem.tau,
-                     "status": sol.status})
+                     "status": sol.status, "solver": sol.stats})
         _write_json(args.stats, meta)
 
     if unknown and not sol.feasible:

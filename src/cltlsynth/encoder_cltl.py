@@ -243,14 +243,3 @@ def decompose_flows(problem: EncodedProblem, sol: Solution,
         out.append(LassoTrajectory(tuple(states), l))
     return out
 
-
-def reaggregate(trajectories: list[LassoTrajectory], n_states: int,
-                upto: int) -> list[list[int]]:
-    """Occupancy counts per step from individual lassos, for cross-checks."""
-    out = []
-    for t in range(upto + 1):
-        counts = [0] * n_states
-        for traj in trajectories:
-            counts[traj.state_at(t)] += 1
-        out.append(counts)
-    return out

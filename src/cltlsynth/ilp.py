@@ -353,9 +353,12 @@ class IlpModel:
             np.array([float(var.hi) for var in self.vars]),
             np.array([int(var.is_integral) for var in self.vars]))
 
-    def check_point(self, values: Mapping[VarId, Number], tol: float = 1e-6) -> list[str]:
-        """Constraint violations at a point; empty list means it satisfies all."""
-        arrays = self.to_arrays()
+    def check_point(self, values: Mapping[VarId, Number], tol: float = 1e-6,
+                    arrays: Optional[ModelArrays] = None) -> list[str]:
+        """Constraint violations at a point; empty list means it satisfies all.
+        ``arrays`` is this model's ``to_arrays()``, if the caller has it."""
+        if arrays is None:
+            arrays = self.to_arrays()
         x = np.array([values.get(v, 0) for v in range(self.n_vars)], dtype=float)
         # Negated comparisons, so a NaN anywhere counts as a violation.
         bad_int = (arrays.integrality == 1) & ~(np.abs(x - np.round(x)) <= tol)

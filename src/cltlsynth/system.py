@@ -47,6 +47,12 @@ class ModelError(ValueError):
     """Raised for malformed or inconsistent model files."""
 
 
+def _is_index(x) -> bool:
+    """An integer index; JSON ``true``/``false`` are ``bool``, an ``int``
+    subclass, and are no index."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TransitionSystem:
     states: tuple[str, ...]
@@ -59,7 +65,7 @@ class TransitionSystem:
         if len(set(self.states)) != n:
             raise ModelError("duplicate state names")
         for (i, j) in self.transitions:
-            if not all(isinstance(k, int) and 0 <= k < n for k in (i, j)):
+            if not all(_is_index(k) and 0 <= k < n for k in (i, j)):
                 raise ModelError(f"dangling transition ({i}, {j})")
         if len(self.labels) != n:
             raise ModelError("labels must be defined for every state")
@@ -248,9 +254,10 @@ def build_grid_system(width: int, height: int,
         raise ModelError("grid dimensions must be positive")
 
     def cell_index(cell) -> int:
-        if isinstance(cell, int):
+        if _is_index(cell):
             idx = cell
-        elif isinstance(cell, (list, tuple)) and len(cell) == 2:
+        elif (isinstance(cell, (list, tuple)) and len(cell) == 2
+              and all(_is_index(v) for v in cell)):
             x, y = cell
             if not (0 <= x < width and 0 <= y < height):
                 raise ModelError(f"grid cell {cell} outside {width}x{height} workspace")
@@ -326,7 +333,7 @@ def _load_explicit_robot(entry: dict, ap: tuple[str, ...], idx: int) -> tuple[Tr
     if isinstance(init, str):
         _require(init in name_to_idx, f"robot {idx}: unknown initial state {init!r}")
         init = name_to_idx[init]
-    _require(isinstance(init, int), f"robot {idx}: initial state must be a name or an index")
+    _require(_is_index(init), f"robot {idx}: initial state must be a name or an index")
     try:
         ts = TransitionSystem(states, frozenset(transitions), ap,
                               tuple(frozenset(s) for s in label_sets))
@@ -397,12 +404,12 @@ def load_model(path: Union[str, Path]) -> Union[MultiRobotInstance, ContinuousSy
                      f"robot {idx}: grid robots need an 'init' cell")
             init = entry["init"]
             if (isinstance(init, (list, tuple)) and len(init) == 2
-                    and all(isinstance(v, int) for v in init)):
+                    and all(_is_index(v) for v in init)):
                 x, y = init
                 _require(0 <= x < width and 0 <= y < height,
                          f"robot {idx}: initial cell {init} outside the workspace")
                 init = y * width + x
-            _require(isinstance(init, int),
+            _require(_is_index(init),
                      f"robot {idx}: initial cell must be an index or an [x, y] pair")
             systems.append(shared)
             inits.append(init)
@@ -414,7 +421,7 @@ def load_model(path: Union[str, Path]) -> Union[MultiRobotInstance, ContinuousSy
 
     groups = {}
     for name, members in data.get("groups", {}).items():
-        _require(isinstance(members, list) and all(isinstance(r, int) for r in members),
+        _require(isinstance(members, list) and all(_is_index(r) for r in members),
                  f"group {name!r} must be a list of robot indices")
         groups[name] = frozenset(members)
 

@@ -130,3 +130,15 @@ def random_instance(rng: random.Random, n_robots: int, n_states: int,
             for _ in range(n_robots))
     inits = tuple(rng.randrange(n_states) for _ in range(n_robots))
     return MultiRobotInstance(systems, inits)
+
+
+def reaggregate(trajectories, n_states: int, upto: int) -> list[list[int]]:
+    """Occupancy counts per step from individual lassos, for cross-checks
+    against the aggregate encoding's counts."""
+    out = []
+    for t in range(upto + 1):
+        counts = [0] * n_states
+        for traj in trajectories:
+            counts[traj.state_at(t)] += 1
+        out.append(counts)
+    return out

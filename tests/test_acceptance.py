@@ -18,12 +18,12 @@ from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
                               check_robust, collision_violations, eval_outer)
 from cltlsynth.solver import solve_bnb, solve_external
 from cltlsynth.system import MultiRobotInstance, TransitionSystem, build_grid_system
-from cltlsynth.encoder_cltl import build_cltl_problem, decompose_flows, reaggregate
+from cltlsynth.encoder_cltl import build_cltl_problem, decompose_flows
 from cltlsynth.encoder_continuous import (build_cont_problem, extract_continuous)
 from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import build_sync_problem, extract_trajectories
 
-from conftest import random_instance, random_outer
+from conftest import random_instance, random_outer, reaggregate
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 

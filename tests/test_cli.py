@@ -80,6 +80,9 @@ def test_synth_writes_artifacts_and_verifies(grid_model, tmp_path):
     assert data["type"] == "discrete" and len(data["robots"]) == 2
     meta = json.loads(stats.read_text())
     assert meta["status"] == "feasible"
+    # the final solve's counters; the grid program is 0/1, so no presolve
+    assert set(meta["solver"]) == {"nodes", "presolve"}
+    assert meta["solver"]["presolve"] is False
     # only reachable cells get variables: a corner robot on the 3x3 grid
     # reaches the cells within t moves, 1, 3, 6, 8, 9, 9, 9 for t = 0..6,
     # and the two robots start in opposite corners
@@ -107,7 +110,10 @@ def test_engine_auto_picks_aggregate(identical_model, tmp_path, capsys):
     code = run(["synth", "--model", identical_model, "--formula", "G F [b, 2]",
                 "--horizon", "4", "--stats", stats])
     assert code == 0
-    assert json.loads(stats.read_text())["engine"] == "cltl"
+    meta = json.loads(stats.read_text())
+    assert meta["engine"] == "cltl"
+    # occupancy counts range over [0, 2], so HiGHS keeps its presolve
+    assert meta["solver"]["presolve"] is True
 
 
 def test_engine_auto_falls_back_for_temporal_inner(identical_model, tmp_path):
@@ -142,11 +148,13 @@ def test_cltl_engine_with_tau_is_usage_error(identical_model):
 
 def test_external_solver_path(grid_model, tmp_path):
     out = tmp_path / "traj.json"
+    stats = tmp_path / "stats.json"
     code = run(["synth", "--model", grid_model, "--formula", "F [A, 2]",
                 "--horizon", "6", "--solver", "external",
-                "--solver-cmd", LP_CLI, "--output", out])
+                "--solver-cmd", LP_CLI, "--output", out, "--stats", stats])
     assert code == 0
     assert out.exists()
+    assert json.loads(stats.read_text())["solver"] == {"solver": "external"}
 
 
 def test_continuous_end_to_end(continuous_model, tmp_path):
@@ -172,7 +180,12 @@ def test_missing_model_is_io_error(tmp_path):
      "robot 0: dangling transition (0, 0.5)"),
     ({"ap": ["a"], "grid": {"width": 2, "height": 1}, "robots": [{"init": [0, 0, 1]}]},
      "robot 0: initial cell must be an index or an [x, y] pair"),
-], ids=["non-integer-endpoint", "grid-init-length"])
+    # once loaded as states false, true, true and reported "verified"
+    ({"ap": ["a"], "robots": [{"states": ["s0", "s1"],
+                               "transitions": [[0, True], [1, 1], [0, 0]],
+                               "labels": {"s1": ["a"]}, "init": False}]},
+     "robot 0: initial state must be a name or an index"),
+], ids=["non-integer-endpoint", "grid-init-length", "bool-init"])
 def test_bad_model_is_a_one_line_io_error(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

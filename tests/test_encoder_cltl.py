@@ -13,10 +13,10 @@ from cltlsynth.system import (AggregateSystem, MultiRobotInstance,
                               TransitionSystem, aggregate_view)
 from cltlsynth.encoder_cltl import (CltlOuterEncoder, EncodingError,
                                     build_cltl_problem, decompose_flows,
-                                    encode_aggregate, reaggregate)
+                                    encode_aggregate)
 from cltlsynth.encoder_sync import build_sync_problem
 
-from conftest import random_instance, random_outer
+from conftest import random_instance, random_outer, reaggregate
 
 
 def ts_of(states, transitions, labels, ap=("a", "b")):

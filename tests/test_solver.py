@@ -8,19 +8,25 @@ import itertools
 import json
 import random
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
 from cltlsynth import lp_cli, solver
+from cltlsynth.encoder_cltl import build_cltl_problem
+from cltlsynth.encoder_continuous import build_cont_problem
+from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.formula import parse_formula
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.lp_format import write_lp
 from cltlsynth.solver import (NumericalError, SolveConfig, SolverError,
-                              solve_bnb, solve_external)
-from cltlsynth.system import load_model
+                              solve_arrays, solve_bnb, solve_external)
+from cltlsynth.system import ContinuousSystem, load_model
+
+from conftest import random_instance, random_outer
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -166,7 +172,85 @@ def test_reached_limit_without_a_point_is_unknown(monkeypatch, config, status,
     seen = fake_milp(monkeypatch, status=status, x=None, message=message)
     sol = solve_bnb(m, config)
     assert sol.status == "unknown" and sol.stats["reason"] == reason
-    assert seen == dict([option])
+    assert seen == dict([option, ("presolve", False)])
+
+
+def test_a_0_1_model_is_solved_without_presolve(monkeypatch):
+    m = IlpModel()
+    x = m.add_binary("x")
+    m.add_constraint(LinExpr({x: 1, m.constant(1): 1}), "<=", 2)
+    seen = fake_milp(monkeypatch, status=2, x=None)
+    assert solve_bnb(m).stats["presolve"] is False
+    assert seen == {"presolve": False}
+
+
+def test_a_general_integer_keeps_the_default_presolve(monkeypatch):
+    m = IlpModel()
+    m.add_binary("x")
+    m.add_integer("n", 0, 5)
+    seen = fake_milp(monkeypatch, status=2, x=None)
+    assert solve_bnb(m).stats["presolve"] is True
+    assert seen == {}
+
+
+def test_an_explicit_presolve_option_wins(monkeypatch):
+    m = IlpModel()
+    m.add_binary("x")
+    seen = fake_milp(monkeypatch, status=2, x=None)
+    assert solve_arrays(m.to_arrays(), {"presolve": True}).stats["presolve"] is True
+    assert seen == {"presolve": True}
+
+
+def integrator_fleet(n_robots):
+    """1-D integrators w(t+1) = w(t) + u(t), |u| <= 1, starting at 0, with
+    targets A = [0.9, 1.1] and C = [-0.1, 0.1]."""
+    one = (np.array([[1.0]]), np.array([[1.0]]), np.zeros(1))
+    return ContinuousSystem(
+        dynamics=(one,) * n_robots, init=(np.zeros(1),) * n_robots,
+        atoms={"A": (np.array([[1.0], [-1.0]]), np.array([1.1, -0.9])),
+               "C": (np.array([[1.0], [-1.0]]), np.array([0.1, 0.1]))},
+        state_bounds=(np.array([-10.0]), np.array([10.0])),
+        input_bounds=(np.array([-1.0]), np.array([1.0])))
+
+
+def differential_models():
+    """The synchronous instances of the tiny-scale completeness criterion,
+    the robust ones of the brute-force soundness test, and integrator
+    fleets; every one of them a 0/1 program."""
+    rng = random.Random(2025)  # test_acceptance_02_tiny_scale_completeness
+    for _ in range(30):
+        inst = random_instance(rng, 2, rng.randint(2, 3), ["a", "b"])
+        mu = random_outer(rng, rng.randint(1, 2), ["a", "b"], 2, inner_depth=1)
+        yield build_sync_problem(inst, mu, rng.randint(2, 4)).model
+    rng = random.Random(11)  # test_robust_encoding_is_sound_against_brute_force
+    for _ in range(60):
+        inst = random_instance(rng, 2, rng.randint(2, 3), ["p1", "p2"])
+        mu = random_outer(rng, 2, ["p1", "p2"], 2, inner_next=False)
+        h = rng.randint(2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield build_robust_problem(inst, mu, h, tau=1).model
+    for n, text, h, tau in [(1, "F [A, 1]", 2, 0), (2, "F [A, 2]", 5, 0),
+                            (2, "F [A, 3]", 4, 0), (2, "F [A, 2] & F [C, 2]", 2, 0),
+                            (2, "F [A, 2] & F [C, 2]", 2, 1), (2, "G F [A, 1]", 4, 1)]:
+        yield build_cont_problem(integrator_fleet(n), parse_formula(text), h, tau=tau).model
+
+
+def test_presolve_off_keeps_every_status():
+    statuses = []
+    for i, model in enumerate(differential_models()):
+        arrays = model.to_arrays()
+        ours = solve_arrays(arrays)
+        assert ours.stats["presolve"] is False, f"model {i}"
+        assert ours.status == solve_arrays(arrays, {"presolve": True}).status, f"model {i}"
+        statuses.append(ours.status)
+    assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
+
+
+def test_aggregate_counts_keep_presolve():
+    inst = random_instance(random.Random(5), 4, 3, ["a"], identical=True)
+    sol = solve_bnb(build_cltl_problem(inst, parse_formula("G F [a, 2]"), 3).model)
+    assert sol.stats["presolve"] is True
 
 
 def test_point_violating_a_row_is_never_returned(monkeypatch):

@@ -115,6 +115,41 @@ def test_grid_init_must_be_a_cell(tmp_path, init):
         load_model(path)
 
 
+def explicit_robot(**entry):
+    return {"ap": ["a"], "robots": [{"states": ["s0", "s1"],
+                                     "transitions": [[0, 1], [1, 1], [0, 0]],
+                                     "labels": {"s1": ["a"]}, "init": 0, **entry}]}
+
+
+def grid(robots, **stanza):
+    return {"ap": [], "grid": {"width": 2, "height": 1, **stanza}, "robots": robots}
+
+
+# JSON true and false load as Python bools, which are ints; none of them
+# may stand for a state, cell or robot index.
+@pytest.mark.parametrize("payload, message", [
+    (explicit_robot(transitions=[[0, True], [1, 1], [0, 0]]),
+     "robot 0: dangling transition (0, True)"),
+    (grid([{"init": 0}], regions={"A": [True]}),
+     "grid cell must be an index or [x, y] pair: True"),
+    (grid([{"init": 0}], regions={"A": [[0, False]]}),
+     "grid cell must be an index or [x, y] pair: [0, False]"),
+    (explicit_robot(init=False), "robot 0: initial state must be a name or an index"),
+    (grid([{"init": [True, 0]}]),
+     "robot 0: initial cell must be an index or an [x, y] pair"),
+    (grid([{"init": True}]), "robot 0: initial cell must be an index or an [x, y] pair"),
+    ({**grid([{"init": 0}, {"init": 1}]), "groups": {"g": [0, True]}},
+     "group 'g' must be a list of robot indices"),
+], ids=["transition-endpoint", "region-cell", "region-pair", "explicit-init",
+        "grid-init-pair", "grid-init", "group-member"])
+def test_load_rejects_a_bool_index(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value) == message
+
+
 def test_load_rejects_unknown_label(tmp_path):
     payload = {
         "ap": [],
