@@ -7,9 +7,8 @@ Usage::
 The file is read with ``lp_format.read_lp``, so it must be in the form
 ``write_lp`` writes, and solved through ``solver.solve_arrays``, the same
 HiGHS call ``solve_bnb`` makes.  ``read_lp`` gives the arrays the model's
-``to_arrays`` gives, so the child makes the same presolve choice as the
-in-process solve: off when every integer column is 0/1, HiGHS's default
-otherwise.  Exit code 0 on success (including a
+``to_arrays`` gives, and the child, like the in-process solve, runs
+HiGHS without presolve.  Exit code 0 on success (including a
 proven-infeasible instance, reported in the solution file's status line);
 1 with one ``error:`` line on I/O, format or solver errors; 2 on a usage
 error.  This makes

@@ -6,22 +6,22 @@ in one in-process ``scipy.optimize.milp`` call.  A node budget becomes
 HiGHS's node limit, and single-threaded runs are reproducible.  That call
 is ``solve_arrays``, which the LP-file solver ``lp_cli`` runs as well.
 
-HiGHS presolve runs only when some integer column ranges beyond {0, 1}.
-On the 0/1 programs of the synchronous, robust and continuous encodings
-it costs more than it saves: on the 8x8 emergency desk at h = 16 it
-takes about 0.3 s to cut 13,517 rows to 8,037, and the point then comes
-at the root from the feasibility-jump heuristic (Luteberget & Sartor,
-Math. Prog. Comp. 2023), which finds one in the unreduced model too.
-On a shared 2-vCPU machine with scipy 1.17.1,
-the desk's HiGHS calls at h = 8, 12 and 16 took 0.40, 0.56 and 0.74 s
-with presolve and 0.09, 0.16 and 0.17 s without.  Models small enough
-for presolve to settle outright (h near 1) lose a few milliseconds.  On
-the aggregate encoding's count and flow integers presolve can pay
-(Achterberg et al., "Presolve reductions in MIP", INFORMS J. Comput.
-2020): on an 8x8 aggregate instance at h = 12 it was up to twice as
-fast or up to five times as slow, depending on where the robots start,
-so those models keep HiGHS's default.  The choice depends on the arrays
-alone, so both paths make it alike.
+HiGHS presolve is off.  On the 0/1 programs of the synchronous, robust
+and continuous encodings it costs more than it saves: on the 8x8
+emergency desk at h = 16 it takes about 0.3 s to cut 13,517 rows to
+8,037, and the point then comes at the root from the feasibility-jump
+heuristic (Luteberget & Sartor, Math. Prog. Comp. 2023), which finds one
+in the unreduced model too.  On a shared 2-vCPU machine with scipy
+1.17.1, the desk's HiGHS calls at h = 8, 12 and 16 took 0.40, 0.56 and
+0.74 s with presolve and 0.09, 0.16 and 0.17 s without.  Models small
+enough for presolve to settle outright (h near 1) lose a few
+milliseconds.  The aggregate encoding's count and flow integers are
+where presolve could pay (Achterberg et al., "Presolve reductions in
+MIP", INFORMS J. Comput. 2020), but not here: on an 8x8 aggregate
+instance at h = 12, with N = 10, 30 and 60 robots in three start
+placements, the solve without presolve was faster in six of the nine
+cases and took 28 s in all against 63 s with it.  So every model is
+solved the same way.
 
 ``solve_external`` shells out to any solver that accepts an LP file and
 writes ``name value`` solution lines.  Both paths round the returned point
@@ -64,24 +64,19 @@ def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solutio
     """Decide whether ``arrays`` has a feasible point, in the package's one
     HiGHS call, which ``solve_bnb`` and ``lp_cli`` share.
 
-    Presolve is on exactly when some integer column ranges beyond {0, 1}:
-    a model whose integer columns are all 0/1 is solved without it, since
-    there it costs more than the root solve it shortens, and a model with
-    a general integer gets no presolve entry and so HiGHS's default
-    (module docstring).  ``options`` go to HiGHS as they are; an explicit
-    ``presolve`` entry overrides the choice.  Status 2 is ``infeasible``;
-    a node limit reached before HiGHS finds a point or proves
-    infeasibility gives ``unknown`` with ``stats["reason"]`` "node
-    budget"; any other failure raises ``NumericalError``.  A returned
-    point keys each column index to its value, integer columns rounded;
-    it is not checked here.  ``stats["nodes"]`` is HiGHS's node count and
-    ``stats["presolve"]`` the presolve setting it ran with.
+    HiGHS runs without presolve (module docstring); ``options`` go to
+    HiGHS as they are, and an explicit ``presolve`` entry overrides that.
+    Status 2 is ``infeasible``; a node limit reached before HiGHS finds a
+    point or proves infeasibility gives ``unknown`` with
+    ``stats["reason"]`` "node budget"; any other failure raises
+    ``NumericalError``.  A returned point keys each column index to its
+    value, integer columns rounded; it is not checked here.
+    ``stats["nodes"]`` is HiGHS's node count and ``stats["presolve"]``
+    the presolve setting it ran with.
     """
-    options = dict(options or {})  # milp pops entries from the dict it gets
-    general = (arrays.integrality == 1) & ((arrays.lb < 0) | (arrays.ub > 1))
-    if not general.any():
-        options.setdefault("presolve", False)
-    presolve = options.get("presolve", True)
+    # a fresh dict: milp pops entries from the one it gets
+    options = {"presolve": False, **(options or {})}
+    presolve = options["presolve"]
     if arrays.lb.size == 0:  # HiGHS rejects a model without variables
         met = np.all(arrays.row_lo <= FEAS_TOL) and np.all(arrays.row_hi >= -FEAS_TOL)
         return Solution("feasible" if met else "infeasible",

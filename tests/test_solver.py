@@ -175,22 +175,16 @@ def test_reached_limit_without_a_point_is_unknown(monkeypatch, config, status,
     assert seen == dict([option, ("presolve", False)])
 
 
-def test_a_0_1_model_is_solved_without_presolve(monkeypatch):
+@pytest.mark.parametrize("general", [False, True])
+def test_every_model_is_solved_without_presolve(monkeypatch, general):
     m = IlpModel()
     x = m.add_binary("x")
     m.add_constraint(LinExpr({x: 1, m.constant(1): 1}), "<=", 2)
+    if general:
+        m.add_integer("n", 0, 5)
     seen = fake_milp(monkeypatch, status=2, x=None)
     assert solve_bnb(m).stats["presolve"] is False
     assert seen == {"presolve": False}
-
-
-def test_a_general_integer_keeps_the_default_presolve(monkeypatch):
-    m = IlpModel()
-    m.add_binary("x")
-    m.add_integer("n", 0, 5)
-    seen = fake_milp(monkeypatch, status=2, x=None)
-    assert solve_bnb(m).stats["presolve"] is True
-    assert seen == {}
 
 
 def test_an_explicit_presolve_option_wins(monkeypatch):
@@ -215,8 +209,9 @@ def integrator_fleet(n_robots):
 
 def differential_models():
     """The synchronous instances of the tiny-scale completeness criterion,
-    the robust ones of the brute-force soundness test, and integrator
-    fleets; every one of them a 0/1 program."""
+    the robust ones of the brute-force soundness test, integrator fleets,
+    and the aggregate instances of the fragment-agreement test, whose
+    count and flow columns are general integers."""
     rng = random.Random(2025)  # test_acceptance_02_tiny_scale_completeness
     for _ in range(30):
         inst = random_instance(rng, 2, rng.randint(2, 3), ["a", "b"])
@@ -234,6 +229,13 @@ def differential_models():
                             (2, "F [A, 3]", 4, 0), (2, "F [A, 2] & F [C, 2]", 2, 0),
                             (2, "F [A, 2] & F [C, 2]", 2, 1), (2, "G F [A, 1]", 4, 1)]:
         yield build_cont_problem(integrator_fleet(n), parse_formula(text), h, tau=tau).model
+    rng = random.Random(83)  # test_fragment_agreement_with_sync_encoder
+    for _ in range(20):
+        inst = random_instance(rng, rng.randint(2, 3), rng.randint(2, 4),
+                               ["a", "b"], identical=True, self_loops=True)
+        mu = random_outer(rng, rng.randint(1, 3), ["a", "b"], inst.n_robots,
+                          bare_atoms=True, allow_next=False)
+        yield build_cltl_problem(inst, mu, rng.randint(2, 4)).model
 
 
 def test_presolve_off_keeps_every_status():
@@ -245,12 +247,6 @@ def test_presolve_off_keeps_every_status():
         assert ours.status == solve_arrays(arrays, {"presolve": True}).status, f"model {i}"
         statuses.append(ours.status)
     assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
-
-
-def test_aggregate_counts_keep_presolve():
-    inst = random_instance(random.Random(5), 4, 3, ["a"], identical=True)
-    sol = solve_bnb(build_cltl_problem(inst, parse_formula("G F [a, 2]"), 3).model)
-    assert sol.stats["presolve"] is True
 
 
 def test_point_violating_a_row_is_never_returned(monkeypatch):
