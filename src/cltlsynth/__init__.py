@@ -8,48 +8,43 @@ feasibility programs, solves them with HiGHS in process or with any
 external LP-file solver, extracts prefix-suffix trajectories, and verifies
 the result against an independent semantics oracle, including robustness
 to bounded asynchrony between robots.
+
+The public names below are imported from their modules on first use
+(PEP 562), so a process that needs one module, such as the LP-file solver
+``python -m cltlsynth.lp_cli``, does not import the rest.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .formula import (InnerFormula, OuterFormula, Tcp, expand_sugar,
-                      formula_length, is_cltl, normalize, parse_formula,
-                      parse_inner_formula, to_pnf, to_text)
-from .system import (AggregateSystem, ContinuousSystem, MultiRobotInstance,
-                     TransitionSystem, aggregate_view, build_grid_system,
-                     load_model)
-from .ilp import IlpModel, LinExpr, Solution
-from .lp_format import read_lp, write_lp
-from .solver import SolveConfig, solve_bnb, solve_external
-from .trajectory import ContinuousTrajectory, LassoTrajectory
-from .oracle import (CollectiveExecution, Lasso, Verdict, brute_force_synth,
-                     check_robust, eval_inner, eval_outer)
-from .encoder_sync import (EncodedProblem, Layout, build_sync_problem,
-                           encode_collision, encode_dynamics, encode_loop,
-                           extract_trajectories)
-from .encoder_cltl import build_cltl_problem, decompose_flows, encode_aggregate
-from .encoder_robust import build_robust_problem, extend_states
-from .encoder_continuous import (build_cont_problem, extract_continuous,
-                                 membership_trace)
+# module -> the public names it exports
+_EXPORTS = {
+    "formula": ("InnerFormula", "OuterFormula", "Tcp", "expand_sugar", "formula_length",
+                "is_cltl", "normalize", "parse_formula", "parse_inner_formula", "to_pnf",
+                "to_text"),
+    "system": ("AggregateSystem", "ContinuousSystem", "MultiRobotInstance",
+               "TransitionSystem", "aggregate_view", "build_grid_system", "load_model"),
+    "ilp": ("IlpModel", "LinExpr", "Solution"),
+    "lp_format": ("read_lp", "write_lp"),
+    "solver": ("SolveConfig", "solve_bnb", "solve_external"),
+    "trajectory": ("ContinuousTrajectory", "LassoTrajectory"),
+    "oracle": ("CollectiveExecution", "Lasso", "Verdict", "brute_force_synth",
+               "check_robust", "eval_inner", "eval_outer"),
+    "encoder_sync": ("EncodedProblem", "Layout", "build_sync_problem", "encode_collision",
+                     "encode_dynamics", "encode_loop", "extract_trajectories"),
+    "encoder_cltl": ("build_cltl_problem", "decompose_flows", "encode_aggregate"),
+    "encoder_robust": ("build_robust_problem", "extend_states"),
+    "encoder_continuous": ("build_cont_problem", "extract_continuous", "membership_trace"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    # formula
-    "InnerFormula", "OuterFormula", "Tcp", "expand_sugar", "formula_length",
-    "is_cltl", "normalize", "parse_formula", "parse_inner_formula", "to_pnf",
-    "to_text",
-    # system
-    "AggregateSystem", "ContinuousSystem", "MultiRobotInstance",
-    "TransitionSystem", "aggregate_view", "build_grid_system", "load_model",
-    # ilp, lp_format, solver, trajectory
-    "IlpModel", "LinExpr", "Solution", "read_lp", "write_lp", "SolveConfig",
-    "solve_bnb", "solve_external", "ContinuousTrajectory", "LassoTrajectory",
-    # oracle
-    "CollectiveExecution", "Lasso", "Verdict", "brute_force_synth",
-    "check_robust", "eval_inner", "eval_outer",
-    # encoders
-    "EncodedProblem", "Layout", "build_sync_problem", "encode_collision",
-    "encode_dynamics", "encode_loop", "extract_trajectories",
-    "build_cltl_problem", "decompose_flows", "encode_aggregate",
-    "build_robust_problem", "extend_states", "build_cont_problem",
-    "extract_continuous", "membership_trace",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -18,8 +18,9 @@ Model files are JSON.  Top-level keys:
                 ``"excl"`` and ``"swap"``
 ``continuous``  alternative robot description with affine dynamics
                 ``w(t+1) = F w(t) + G u(t) + c`` per robot, polytope
-                atoms ``{"H": [[...]], "h": [...]}``, and finite
-                ``state_bounds`` / ``input_bounds`` boxes
+                atoms ``{"H": [[...]], "h": [...]}``, and
+                ``state_bounds`` / ``input_bounds`` boxes; every number
+                must be finite
 
 All indices are 0-based.
 
@@ -191,11 +192,16 @@ class ContinuousSystem:
                 out.append(f"robot {n}: c must have length {d_w}")
             if self.init[n].shape != (d_w,):
                 out.append(f"robot {n}: init must have length {d_w}")
+            out += [f"robot {n}: {key} must be finite"
+                    for key, a in (("F", f), ("G", g), ("c", c), ("init", self.init[n]))
+                    if not np.all(np.isfinite(a))]
         for name, (hm, hv) in self.atoms.items():
             if hm.ndim != 2 or hm.shape[1] != d_w:
                 out.append(f"atom {name!r}: H must have {d_w} columns")
             elif hv.shape != (hm.shape[0],):
                 out.append(f"atom {name!r}: h length must match H rows")
+            out += [f"atom {name!r}: {key} must be finite"
+                    for key, a in (("H", hm), ("h", hv)) if not np.all(np.isfinite(a))]
         for tag, (lo, hi) in (("state", self.state_bounds), ("input", self.input_bounds)):
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
                 out.append(f"{tag} bounds must be finite")

@@ -183,7 +183,13 @@ def test_missing_model_is_io_error(tmp_path):
                                "transitions": [[0, True], [1, 1], [0, 0]],
                                "labels": {"s1": ["a"]}, "init": False}]},
      "robot 0: initial state must be a name or an index"),
-], ids=["non-integer-endpoint", "grid-init-length", "bool-init"])
+    # once solved as a program HiGHS rejects, and reported "infeasible"
+    ({"continuous": {"robots": [{"F": [[float("nan")]], "G": [[1.0]], "c": [0.0],
+                                 "init": [0.0]}],
+                     "atoms": {"a": {"H": [[1.0], [-1.0]], "h": [1.1, -0.9]}},
+                     "state_bounds": [[-10.0, 10.0]], "input_bounds": [[-1.0, 1.0]]}},
+     "robot 0: F must be finite"),
+], ids=["non-integer-endpoint", "grid-init-length", "bool-init", "nan-F"])
 def test_bad_model_is_a_one_line_io_error(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

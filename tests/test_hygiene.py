@@ -1,8 +1,9 @@
 """Source hygiene: every name a module or test module imports is used in
 that module, every public name the package exports exists, every public function or
 class is used somewhere, every private module-level definition is
-read in its own module, and every package name the benchmark imports or
-reads from a package module exists.
+read in its own module, every package name the benchmark imports or
+reads from a package module exists, and HiGHS is reached only through
+``solver.py``.
 
 There is no linter in the toolchain, so these AST scans are the guard.
 ``__init__`` is exempt from the import scan, since its imports are the
@@ -167,3 +168,37 @@ def test_scan_finds_a_missing_package_name():
 @pytest.mark.parametrize("path", PERFBENCH, ids=lambda p: p.name)
 def test_every_benchmark_import_resolves(path):
     assert unresolved_package_names(path.read_text()) == []
+
+
+def imports_highs_binding(source: str) -> bool:
+    """Whether the source imports SciPy's HiGHS binding, ``_highspy``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        else:
+            continue
+        if any("_highspy" in name for name in names):
+            return True
+    return False
+
+
+def calls_milp(source: str) -> bool:
+    return any(isinstance(node, ast.Call)
+               and "milp" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_scan_finds_highs_users():
+    assert imports_highs_binding("from scipy.optimize._highspy._core import _Highs\n")
+    assert imports_highs_binding("from scipy.optimize import _highspy\n")
+    assert imports_highs_binding("import scipy.optimize._highspy._core as hc\n")
+    assert not imports_highs_binding("from scipy.optimize import milp\n")
+    assert calls_milp("milp(c)\n") and calls_milp("scipy.optimize.milp(c)\n")
+    assert not calls_milp("from scipy.optimize import milp\nsolve(c)\n")
+
+
+def test_only_the_solver_module_calls_highs():
+    assert [p.name for p in USERS if imports_highs_binding(p.read_text())] == ["solver.py"]
+    assert [p.name for p in MODULES if calls_milp(p.read_text())] == []

@@ -9,10 +9,11 @@ import json
 import random
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cltlsynth import lp_cli, solver
 from cltlsynth.encoder_cltl import build_cltl_problem
@@ -147,32 +148,56 @@ def test_node_budget_on_a_real_search():
     assert sol.stats["reason"] == "node budget"
 
 
-def fake_milp(monkeypatch, **result):
+def fake_highs(monkeypatch, status, point=None):
+    """Make HiGHS report model status ``status``, with the primal point
+    ``point`` if one is given; return the options HiGHS receives."""
     seen = {}
+    describe = solver._Highs().modelStatusToString
 
-    def milp(c, **kwargs):
-        seen.update(kwargs["options"])
-        return OptimizeResult({"mip_node_count": None, "message": "", **result})
+    class FakeHighs:
+        def setOptionValue(self, name, value):
+            seen[name] = value
+            return solver.HighsStatus.kOk
 
-    monkeypatch.setattr(solver, "milp", milp)
+        def passModel(self, *model):
+            return solver.HighsStatus.kOk
+
+        def run(self):
+            return solver.HighsStatus.kOk
+
+        def getModelStatus(self):
+            return status
+
+        def getInfo(self):
+            found = solver.kSolutionStatusFeasible if point is not None else None
+            return SimpleNamespace(mip_node_count=-1, primal_solution_status=found)
+
+        def getSolution(self):
+            return SimpleNamespace(col_value=point)
+
+        modelStatusToString = staticmethod(describe)
+
+    monkeypatch.setattr(solver, "_Highs", FakeHighs)
     return seen
 
 
-# Messages as HiGHS words them when a limit is reached before any point.
-@pytest.mark.parametrize("config, status, message, reason, option", [
-    (SolveConfig(node_budget=7), 4,
-     "The HiGHS status code was not recognized. (HiGHS Status 16: "
-     "model_status is Solution limit reached; primal_status is None)",
-     "node budget", ("node_limit", 7)),
-])
-def test_reached_limit_without_a_point_is_unknown(monkeypatch, config, status,
-                                                  message, reason, option):
+def test_reached_limit_without_a_point_is_unknown(monkeypatch):
     m = IlpModel()
     m.add_binary("x")
-    seen = fake_milp(monkeypatch, status=status, x=None, message=message)
-    sol = solve_bnb(m, config)
-    assert sol.status == "unknown" and sol.stats["reason"] == reason
-    assert seen == dict([option, ("presolve", False)])
+    seen = fake_highs(monkeypatch, solver.HighsModelStatus.kSolutionLimit)
+    sol = solve_bnb(m, SolveConfig(node_budget=7))
+    assert sol.status == "unknown" and sol.stats["reason"] == "node budget"
+    assert seen == {"output_flag": False, "presolve": "off", "mip_max_nodes": 7}
+
+
+def test_reached_limit_after_a_point_returns_it(monkeypatch):
+    m = IlpModel()
+    x = m.add_binary("x")
+    m.add_constraint(LinExpr({x: 1}), ">=", 1)
+    fake_highs(monkeypatch, solver.HighsModelStatus.kSolutionLimit, point=[1.0])
+    sol = solve_bnb(m, SolveConfig(node_budget=7))
+    assert sol.status == "feasible" and sol.values == {x: 1}
+    assert "reason" not in sol.stats
 
 
 @pytest.mark.parametrize("general", [False, True])
@@ -182,17 +207,34 @@ def test_every_model_is_solved_without_presolve(monkeypatch, general):
     m.add_constraint(LinExpr({x: 1, m.constant(1): 1}), "<=", 2)
     if general:
         m.add_integer("n", 0, 5)
-    seen = fake_milp(monkeypatch, status=2, x=None)
+    seen = fake_highs(monkeypatch, solver.HighsModelStatus.kInfeasible)
     assert solve_bnb(m).stats["presolve"] is False
-    assert seen == {"presolve": False}
+    assert seen == {"output_flag": False, "presolve": "off"}
 
 
 def test_an_explicit_presolve_option_wins(monkeypatch):
     m = IlpModel()
     m.add_binary("x")
-    seen = fake_milp(monkeypatch, status=2, x=None)
-    assert solve_arrays(m.to_arrays(), {"presolve": True}).stats["presolve"] is True
-    assert seen == {"presolve": True}
+    seen = fake_highs(monkeypatch, solver.HighsModelStatus.kInfeasible)
+    assert solve_arrays(m.to_arrays(), {"presolve": "on"}).stats["presolve"] is True
+    assert seen == {"output_flag": False, "presolve": "on"}
+
+
+def test_model_without_integer_columns_counts_no_nodes():
+    m = IlpModel()
+    x, y = m.add_continuous("x", 0.0, 1.0), m.add_continuous("y", 0.0, 1.0)
+    m.add_constraint(LinExpr({x: 1, y: 1}), ">=", 1.5)
+    sol = solve_bnb(m)
+    assert sol.feasible and sol.stats["nodes"] == 0
+
+
+def test_a_model_highs_rejects_is_not_infeasible():
+    # HiGHS refuses a coefficient of 1e300 at load; the row has a point
+    m = IlpModel()
+    x, y = m.add_binary("x"), m.add_binary("y")
+    m.add_constraint(LinExpr({x: 1e300, y: 1}), ">=", 1)
+    with pytest.raises(NumericalError, match="rejected"):
+        solve_bnb(m)
 
 
 def integrator_fleet(n_robots):
@@ -244,8 +286,31 @@ def test_presolve_off_keeps_every_status():
         arrays = model.to_arrays()
         ours = solve_arrays(arrays)
         assert ours.stats["presolve"] is False, f"model {i}"
-        assert ours.status == solve_arrays(arrays, {"presolve": True}).status, f"model {i}"
+        assert ours.status == solve_arrays(arrays, {"presolve": "on"}).status, f"model {i}"
         statuses.append(ours.status)
+    assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
+
+
+def milp_status(arrays):
+    """The status ``scipy.optimize.milp`` gives: a reference for the
+    direct HiGHS call, not a solver path of the package."""
+    res = milp(np.zeros(arrays.lb.size), integrality=arrays.integrality,
+               bounds=Bounds(arrays.lb, arrays.ub),
+               constraints=LinearConstraint(arrays.matrix, arrays.row_lo, arrays.row_hi),
+               options={"presolve": False})
+    return {0: "feasible", 2: "infeasible"}[res.status]
+
+
+def test_direct_call_agrees_with_milp():
+    rng = random.Random(41)
+    models = [*differential_models(),
+              *(random_binary_model(rng, rng.randint(2, 9), rng.randint(1, 7))
+                for _ in range(60))]
+    statuses = []
+    for i, model in enumerate(models):
+        arrays = model.to_arrays()
+        statuses.append(solve_arrays(arrays).status)
+        assert statuses[-1] == milp_status(arrays), f"model {i}"
     assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
 
 
@@ -253,7 +318,7 @@ def test_point_violating_a_row_is_never_returned(monkeypatch):
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
     m.add_constraint(LinExpr({x: 1, y: 1}), "<=", 1, tag="atmost1")
-    fake_milp(monkeypatch, status=0, x=np.array([1.0, 1.0]))
+    fake_highs(monkeypatch, solver.HighsModelStatus.kOptimal, point=[1.0, 1.0])
     with pytest.raises(SolverError, match="atmost1"):
         solve_bnb(m)
 
@@ -261,7 +326,7 @@ def test_point_violating_a_row_is_never_returned(monkeypatch):
 def test_unexplained_failure_raises(monkeypatch, tmp_path):
     m = IlpModel()
     m.add_binary("x")
-    fake_milp(monkeypatch, status=4, x=None, message="HiGHS Status 4: Solve error")
+    fake_highs(monkeypatch, solver.HighsModelStatus.kSolveError)
     with pytest.raises(NumericalError, match="Solve error"):
         solve_bnb(m)
     # the LP-file solver makes the same call and must not report a budget

@@ -263,6 +263,9 @@ def test_continuous_rejects_infinite_bounds(tmp_path):
         load_model(path)
 
 
+NAN, INF = float("nan"), float("inf")  # JSON NaN and Infinity
+
+
 def one_integrator(**robot):
     return {"continuous": {
         "robots": [{"F": [[1.0]], "G": [[1.0]], "c": [0.0], "init": [0.0], **robot}],
@@ -284,7 +287,15 @@ def one_integrator(**robot):
      "atom 'A': H must have 1 columns"),
     ({"continuous": {**one_integrator()["continuous"], "input_bounds": [[1.0, -1.0]]}},
      "input bounds must satisfy lo <= hi"),
-], ids=["no-robots", "scalar-F", "scalar-G", "short-c-long-init", "flat-H", "empty-box"])
+    (one_integrator(F=[[NAN]], init=[INF]),
+     "robot 0: F must be finite; robot 0: init must be finite"),
+    (one_integrator(G=[[-INF]], c=[NAN]),
+     "robot 0: G must be finite; robot 0: c must be finite"),
+    ({"continuous": {**one_integrator()["continuous"],
+                     "atoms": {"A": {"H": [[NAN], [-1.0]], "h": [INF, -0.9]}}}},
+     "atom 'A': H must be finite; atom 'A': h must be finite"),
+], ids=["no-robots", "scalar-F", "scalar-G", "short-c-long-init", "flat-H", "empty-box",
+        "nan-F-inf-init", "inf-G-nan-c", "nan-H-inf-h"])
 def test_continuous_model_names_its_fault(tmp_path, payload, message):
     # no robots and a scalar F or G once ended in "tuple index out of range"
     path = tmp_path / "cont.json"
