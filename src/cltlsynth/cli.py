@@ -399,9 +399,13 @@ def _emit_frames(directory: str, inst: MultiRobotInstance,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "synth":
-        return run_synth(args)
-    return run_simulate(args)
+    try:
+        if args.command == "synth":
+            return run_synth(args)
+        return run_simulate(args)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 VarId = int
 
@@ -139,12 +138,36 @@ class Solution:
         return self.values.get(v, 0)
 
 
+class CsrMatrix(NamedTuple):
+    """A sparse matrix in compressed sparse row form, as HiGHS takes it:
+    row r holds ``data[indptr[r]:indptr[r + 1]]`` in the columns
+    ``indices[indptr[r]:indptr[r + 1]]``.  The index arrays are int32,
+    HiGHS's index type."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """Row activities ``matrix @ x``; a row without entries gives 0 and
+        a NaN in x gives NaN in every row that uses its column."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(rows, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+
 class ModelArrays(NamedTuple):
     """Matrix form of a model: ``row_lo <= matrix @ x <= row_hi`` and
     ``lb <= x <= ub``, with ``integrality[v] = 1`` for binary and integer
-    variables."""
+    variables.  The matrix is a NumPy ``CsrMatrix``, not a SciPy one, so
+    building and checking a model imports no ``scipy.sparse``."""
 
-    matrix: sparse.csr_matrix
+    matrix: CsrMatrix
     row_lo: np.ndarray
     row_hi: np.ndarray
     lb: np.ndarray
@@ -343,10 +366,9 @@ class IlpModel:
                 row_lo[r] = con.rhs
             if con.sense != ">=":
                 row_hi[r] = con.rhs
-        matrix = sparse.csr_matrix(
-            (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
-             np.array(indptr, dtype=np.int64)),
-            shape=(self.n_constraints, self.n_vars))
+        matrix = CsrMatrix(np.array(indptr, dtype=np.int32),
+                           np.array(indices, dtype=np.int32),
+                           np.array(data, dtype=float), (self.n_constraints, self.n_vars))
         return ModelArrays(
             matrix, row_lo, row_hi,
             np.array([float(var.lo) for var in self.vars]),
@@ -363,7 +385,7 @@ class IlpModel:
         # Negated comparisons, so a NaN anywhere counts as a violation.
         bad_int = (arrays.integrality == 1) & ~(np.abs(x - np.round(x)) <= tol)
         bad_bound = ~((x >= arrays.lb - tol) & (x <= arrays.ub + tol))
-        lhs = arrays.matrix @ x
+        lhs = arrays.matrix.dot(x)
         bad_row = ~((lhs >= arrays.row_lo - tol) & (lhs <= arrays.row_hi + tol))
         problems = []
         for v in np.flatnonzero(bad_int | bad_bound).tolist():

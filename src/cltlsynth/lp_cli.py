@@ -11,10 +11,13 @@ HiGHS call ``solve_bnb`` makes.  ``read_lp`` gives the arrays the model's
 HiGHS without presolve, through SciPy's HiGHS binding rather than
 ``scipy.optimize.milp`` (``solver`` docstring).  Importing this module
 loads only ``lp_format``, ``ilp`` and ``solver``, since the package
-``__init__`` imports its public names on first use: on a 2-vCPU machine
-pinned to one CPU, the child's import took a median 0.52 s instead of
-0.63 s, and the whole child on the 8x8 emergency desk at h = 16 took
-0.73 s instead of 0.85 s, with the faster HiGHS call.  Exit code 0 on
+``__init__`` imports its public names on first use, and of SciPy only
+the binding, which ``solver`` loads from its file.  On a 2-vCPU machine
+pinned to one CPU, an interpreter that only imports this module took a
+median 0.14 s instead of 0.58 s with ``scipy.optimize`` and
+``scipy.sparse``, and the whole child on the 8x8 emergency desk took
+0.33 s instead of 0.93 s at h = 8 and 0.59 s instead of 1.30 s at
+h = 16 (seven alternating runs, start-up included).  Exit code 0 on
 success (including a proven-infeasible instance, reported in the
 solution file's status line); 1 with one ``error:`` line on I/O, format
 or solver errors; 2 on a usage error.  This makes the module directly

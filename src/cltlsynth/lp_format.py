@@ -49,9 +49,8 @@ from pathlib import Path
 from typing import Optional, TextIO, Union
 
 import numpy as np
-from scipy import sparse
 
-from .ilp import BINARY, INTEGER, SENSES, IlpModel, LinExpr, ModelArrays
+from .ilp import BINARY, INTEGER, SENSES, CsrMatrix, IlpModel, LinExpr, ModelArrays
 
 _NAME_OK = re.compile(r"[A-Za-z0-9_]")
 
@@ -264,9 +263,8 @@ def read_lp(source: Union[str, Path, TextIO]) -> tuple[list[str], ModelArrays]:
             raise fail(i, f"variable {name} needs finite bounds or a Binaries entry, "
                           "and not both")
 
-    matrix = sparse.csr_matrix(
-        (coeffs, np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(row_lo), len(names)))
+    matrix = CsrMatrix(np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32),
+                       coeffs, (len(row_lo), len(names)))
     return names, ModelArrays(
         matrix, np.array(row_lo), np.array(row_hi), np.array(lb), np.array(ub),
         np.array([int(b or g) for b, g in zip(binary, general)]))

@@ -18,6 +18,21 @@ took 1.20 s through ``milp`` and 0.92 s through the binding (median of
 seven alternating rounds).  The binding is a private module of SciPy, so
 the SciPy floor in ``pyproject.toml`` is a release known to ship it.
 
+The binding is loaded from its file (``_load_highs_binding``), not
+imported.  An import of ``scipy.optimize._highspy._core`` first runs
+``scipy/optimize/__init__.py``, which pulls in ``scipy.linalg``,
+``scipy.sparse`` and most of ``scipy.optimize``; the binding itself is
+one extension module that needs only NumPy.  The module is registered
+in ``sys.modules`` under its own name, so a later ``import
+scipy.optimize`` reuses it and it is never initialised twice.  (The
+attribute ``_core`` of the package ``scipy.optimize._highspy`` is then
+not bound; ``from scipy.optimize._highspy._core import ...`` works in
+either order.)  Together with the NumPy ``CsrMatrix`` of ``ilp``, this
+keeps SciPy's packages out of the process: on the same machine, a fresh
+interpreter importing ``cltlsynth.lp_cli`` took a median 0.14 s instead
+of 0.58 s, and one importing ``cltlsynth.cli`` 0.25 s instead of 0.83 s
+(seven alternating runs each).
+
 HiGHS presolve is off.  On the 0/1 programs of the synchronous, robust
 and continuous encodings it costs more than it saves: on the 8x8
 emergency desk at h = 16 it takes about 0.3 s to cut 13,517 rows to
@@ -42,21 +57,52 @@ and revalidate it against every constraint before it is accepted.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import shlex
 import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat,
-                                           ObjSense, _Highs, kSolutionStatusFeasible)
 
 from .ilp import IlpModel, ModelArrays, Solution
 from .lp_format import read_solution_file, write_lp
 
 FEAS_TOL = 1e-6
+
+
+def _load_highs_binding():
+    """SciPy's HiGHS binding, loaded from its file without importing
+    ``scipy`` or ``scipy.optimize`` and registered under its own name, or
+    the one SciPy has already loaded (module docstring)."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    found = [] if scipy is None else [
+        path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        if (path := Path(scipy.submodule_search_locations[0], "optimize", "_highspy",
+                         f"_core{suffix}")).is_file()]
+    if not found:
+        raise ImportError(f"SciPy's HiGHS binding {name} was not found; "
+                          "cltlsynth needs scipy>=1.17.1")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(found[0]))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, found[0], loader=loader))
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+_core = _load_highs_binding()
+_Highs = _core._Highs
+HighsModelStatus, HighsStatus = _core.HighsModelStatus, _core.HighsStatus
+MatrixFormat, ObjSense = _core.MatrixFormat, _core.ObjSense
+kSolutionStatusFeasible = _core.kSolutionStatusFeasible
 
 
 class SolverError(RuntimeError):
@@ -156,7 +202,8 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
 
     ``solver_cmd`` is a template with an ``{lp}`` placeholder and an
     optional ``{sol}`` placeholder; without ``{sol}``, the solver's stdout
-    is taken as the solution file content.
+    is taken as the solution file content.  A command that cannot be
+    split or started, or that exits nonzero, raises ``SolverError``.
     """
     if "{lp}" not in solver_cmd:
         raise SolverError("solver command must contain an {lp} placeholder")
@@ -165,7 +212,10 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
         sol_path = Path(tmp) / "model.sol"
         name_to_var = write_lp(model, lp_path)
         cmd = solver_cmd.replace("{lp}", str(lp_path)).replace("{sol}", str(sol_path))
-        proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+        try:
+            proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+        except (OSError, ValueError) as exc:  # not found, not executable, bad quoting
+            raise SolverError(f"external solver could not be started: {exc}") from None
         if proc.returncode != 0:
             raise SolverError(
                 f"external solver exited with {proc.returncode}: {proc.stderr.strip()[:500]}")

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import random
 
+from scipy import sparse
+
 from cltlsynth.formula import (IAtom, IAnd, IEventually, IAlways, INext, INot,
                                IOr, ITrue, IUntil, IRelease, InnerFormula,
                                OAlways, OAnd, OEventually, ONext, ONot, OOr,
@@ -142,3 +144,10 @@ def reaggregate(trajectories, n_states: int, upto: int) -> list[list[int]]:
             counts[traj.state_at(t)] += 1
         out.append(counts)
     return out
+
+
+def scipy_csr(matrix) -> sparse.csr_matrix:
+    """The package's NumPy ``CsrMatrix`` as a SciPy matrix over the same
+    arrays: the reference its tests compare against."""
+    return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                             shape=matrix.shape)

@@ -155,6 +155,18 @@ def test_external_solver_path(grid_model, tmp_path):
     assert json.loads(stats.read_text())["solver"] == {"solver": "external"}
 
 
+@pytest.mark.parametrize("solver_cmd", ["no-such-solver-for-cltlsynth {lp} {sol}",
+                                        "{lp} {sol}"],  # the LP file is not executable
+                         ids=["missing", "not-executable"])
+def test_external_solver_that_cannot_start_is_an_io_error(grid_model, capsys, solver_cmd):
+    code = run(["synth", "--model", grid_model, "--formula", "F [A, 2]", "--horizon", "6",
+                "--solver", "external", "--solver-cmd", solver_cmd])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("error: external solver could not be started")
+    assert captured.err.count("\n") == 1
+
+
 def test_continuous_end_to_end(continuous_model, tmp_path):
     out = tmp_path / "traj.json"
     code = run(["synth", "--model", continuous_model, "--formula", "F [A, 2]",
@@ -434,6 +446,27 @@ def test_simulate_emit_frames(handover_bundle, tmp_path):
     assert files and files[0].name == "frame_000.csv"
     first = files[0].read_text().splitlines()
     assert first[0].startswith("s0,3")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--export-lp"), ("synth", "--stats"), ("synth", "--output"),
+    ("simulate", "--emit-frames"),
+])
+def test_unwritable_output_is_a_one_line_io_error(grid_model, handover_bundle, tmp_path,
+                                                  capsys, command, flag):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a file, so no directory can be made below it
+    if command == "synth":
+        args = ["synth", "--model", grid_model, "--formula", "G F [A,1]", "--horizon", "6"]
+    else:
+        model, traj = handover_bundle
+        args = ["simulate", "--model", model, "--trajectories", traj,
+                "--formula", "[p1, 2] | [p2, 2]", "--tau", "1", "--max-t", "4"]
+    code = run([*args, flag, blocker / "dir" / "out"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "feasible at" not in captured.out
 
 
 def test_simulate_invalid_budget(handover_bundle):

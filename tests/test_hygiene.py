@@ -12,6 +12,7 @@ package's public names, and its re-exports do not count as uses.
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -25,6 +26,7 @@ REPO = Path(__file__).resolve().parents[1]
 TESTS = sorted((REPO / "tests").glob("*.py"))
 PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
 USERS = MODULES + TESTS + PERFBENCH
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -171,12 +173,22 @@ def test_every_benchmark_import_resolves(path):
 
 
 def imports_highs_binding(source: str) -> bool:
-    """Whether the source imports SciPy's HiGHS binding, ``_highspy``."""
+    """Whether the source reaches SciPy's HiGHS binding, ``_highspy``: by an
+    import statement, by a string that is a dotted module name under it
+    (as a loader that looks the module up by name holds), or by loading
+    an extension module from its file with ``ExtensionFileLoader``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value] if DOTTED_NAME.fullmatch(node.value) else []
+        elif isinstance(node, ast.Call):
+            if "ExtensionFileLoader" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None)):
+                return True
+            continue
         else:
             continue
         if any("_highspy" in name for name in names):
@@ -195,6 +207,10 @@ def test_scan_finds_highs_users():
     assert imports_highs_binding("from scipy.optimize import _highspy\n")
     assert imports_highs_binding("import scipy.optimize._highspy._core as hc\n")
     assert not imports_highs_binding("from scipy.optimize import milp\n")
+    assert imports_highs_binding('sys.modules.get("scipy.optimize._highspy._core")\n')
+    assert imports_highs_binding("importlib.machinery.ExtensionFileLoader(name, path)\n")
+    assert imports_highs_binding("ExtensionFileLoader(name, path)\n")
+    assert not imports_highs_binding('print("the _highspy binding is private")\n')
     assert calls_milp("milp(c)\n") and calls_milp("scipy.optimize.milp(c)\n")
     assert not calls_milp("from scipy.optimize import milp\nsolve(c)\n")
 

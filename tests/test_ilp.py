@@ -13,11 +13,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, IlpModel, LinExpr
+from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, SENSES, IlpModel, LinExpr
 from cltlsynth.lp_format import (LpParseError, read_lp, read_solution_file,
                                  sanitize_names, write_lp, write_solution_file)
 from cltlsynth.solver import solve_bnb
+
+from conftest import scipy_csr
 
 
 def fix(model, var, value):
@@ -56,7 +59,7 @@ def test_to_arrays_matches_the_constraints():
     m.add_constraint(LinExpr({i: 4}), ">=", -1)
     m.add_constraint(LinExpr({c: 1, i: 1, b: 1}), "=", 2)
     arrays = m.to_arrays()
-    assert arrays.matrix.toarray().tolist() == [[1, 0, -2], [0, 4, 0], [1, 1, 1]]
+    assert scipy_csr(arrays.matrix).toarray().tolist() == [[1, 0, -2], [0, 4, 0], [1, 1, 1]]
     assert arrays.row_lo.tolist() == [float("-inf"), -1, 2]
     assert arrays.row_hi.tolist() == [3, float("inf"), 2]
     assert arrays.lb.tolist() == [0, -2, 0.5] and arrays.ub.tolist() == [1, 5, 1.5]
@@ -103,6 +106,67 @@ def test_check_point_matches_a_row_by_row_reference():
         assert m.check_point(values, tol=1e-6) == expected
         violated += bool(expected)
     assert 20 < violated < 180
+
+
+def reference_matrix(model):
+    """The constraint matrix SciPy builds from the rows' (row, column,
+    coefficient) triples, independently of ``to_arrays``."""
+    triples = [(r, v, c) for r, con in enumerate(model.constraints)
+               for v, c in con.expr.coeffs.items()]
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
+    return sparse.csr_matrix((vals, (rows, cols)),
+                             shape=(model.n_constraints, model.n_vars))
+
+
+def random_matrix_model(rng, n_rows):
+    """Up to five variables; a row may have no terms at all."""
+    m = IlpModel()
+    for k in range(rng.randint(0, 5)):
+        m.add_var(rng.choice([BINARY, INTEGER, CONTINUOUS]), f"v{k}", -1, 3, tag="rnd")
+    for _ in range(n_rows):
+        picks = rng.sample(range(m.n_vars), rng.randint(0, m.n_vars))
+        m.add_constraint(LinExpr({v: rng.choice([-2, -1, 0.5, 3, 1 / 7]) for v in picks}),
+                         rng.choice(SENSES), rng.choice([-1, 0, 1 / 3, 2]), tag="rnd")
+    return m
+
+
+def test_numpy_csr_agrees_with_scipy():
+    rng = random.Random(53)
+    empty_rows = nan_points = round_trips = 0
+    for trial in range(150):
+        m = random_matrix_model(rng, 0 if trial % 10 == 0 else rng.randint(1, 8))
+        want = reference_matrix(m)
+        arrays = m.to_arrays()
+        got = scipy_csr(arrays.matrix)
+        assert arrays.matrix.indptr.dtype == arrays.matrix.indices.dtype == np.int32
+        assert arrays.matrix.shape == want.shape and arrays.matrix.nnz == want.nnz
+        assert (got != want).nnz == 0
+        empty_rows += int(np.sum(np.diff(arrays.matrix.indptr) == 0))
+
+        # row activity, and the rows check_point flags with it
+        x = np.array([rng.choice([-1.5, 0, 1, 2, 1 / 3]) for _ in range(m.n_vars)],
+                     dtype=float)
+        if m.n_vars and trial % 3 == 0:
+            x[rng.randrange(m.n_vars)] = np.nan
+            nan_points += 1
+        np.testing.assert_allclose(arrays.matrix.dot(x), want @ x, rtol=1e-12, atol=1e-12)
+        lhs, tol = want @ x, 1e-6
+        flagged = np.flatnonzero(~((lhs >= arrays.row_lo - tol)
+                                   & (lhs <= arrays.row_hi + tol)))
+        problems = m.check_point(dict(enumerate(x.tolist())), tol=tol)
+        assert [int(p.split()[1]) for p in problems if p.startswith("constraint")] == \
+            flagged.tolist()
+
+        # the LP text cannot hold a row without terms
+        if all(con.expr.coeffs for con in m.constraints):
+            text = io.StringIO()
+            write_lp(m, text)
+            names, back = read_lp(io.StringIO(text.getvalue()))
+            order = [names.index(name) for name in sanitize_names(m)]
+            assert back.matrix.indices.dtype == np.int32
+            assert (scipy_csr(back.matrix)[:, order] != want).nnz == 0
+            round_trips += 1
+    assert empty_rows > 20 and nan_points > 20 and round_trips > 20
 
 
 @pytest.mark.parametrize("op", ["AND", "OR"])
@@ -235,9 +299,9 @@ def assert_reads_back(model):
     want = model.to_arrays()
     assert sorted(names) == sorted(sanitize_names(model))
     order = [names.index(name) for name in sanitize_names(model)]
-    matrix = got.matrix[:, order]
-    assert matrix.shape == want.matrix.shape
-    assert matrix.nnz == want.matrix.nnz and (matrix != want.matrix).nnz == 0
+    matrix, want_matrix = scipy_csr(got.matrix)[:, order], scipy_csr(want.matrix)
+    assert matrix.shape == want_matrix.shape
+    assert matrix.nnz == want_matrix.nnz and (matrix != want_matrix).nnz == 0
     assert np.array_equal(got.row_lo, want.row_lo)
     assert np.array_equal(got.row_hi, want.row_hi)
     for field in ("lb", "ub", "integrality"):
@@ -292,7 +356,7 @@ def replaced(line, text):
 
 def test_read_lp_reads_hand_written_text():
     names, arrays = read_lp(io.StringIO("\n".join(GOOD_LP) + "\n"))
-    assert names == ["x", "n"] and arrays.matrix.toarray().tolist() == [[1, -2]]
+    assert names == ["x", "n"] and scipy_csr(arrays.matrix).toarray().tolist() == [[1, -2]]
     assert arrays.integrality.tolist() == [1, 1] and arrays.ub.tolist() == [1, 4]
 
 

@@ -27,7 +27,7 @@ from cltlsynth.solver import (NumericalError, SolveConfig, SolverError,
                               solve_arrays, solve_bnb, solve_external)
 from cltlsynth.system import ContinuousSystem, load_model
 
-from conftest import random_instance, random_outer
+from conftest import random_instance, random_outer, scipy_csr
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -296,7 +296,8 @@ def milp_status(arrays):
     direct HiGHS call, not a solver path of the package."""
     res = milp(np.zeros(arrays.lb.size), integrality=arrays.integrality,
                bounds=Bounds(arrays.lb, arrays.ub),
-               constraints=LinearConstraint(arrays.matrix, arrays.row_lo, arrays.row_hi),
+               constraints=LinearConstraint(scipy_csr(arrays.matrix), arrays.row_lo,
+                                            arrays.row_hi),
                options={"presolve": False})
     return {0: "feasible", 2: "infeasible"}[res.status]
 
@@ -410,3 +411,16 @@ def test_external_nonzero_exit():
     m.add_binary("x")
     with pytest.raises(SolverError, match="exited"):
         solve_external(m, f"{sys.executable} -c \"raise SystemExit(3)\" {{lp}}")
+
+
+@pytest.mark.parametrize("command", [
+    "no-such-solver-for-cltlsynth {lp} {sol}",  # FileNotFoundError
+    "{lp} {sol}",                                # PermissionError: the LP file is not executable
+    "solver '{lp} {sol}",                        # ValueError: an unbalanced quote
+], ids=["missing", "not-executable", "bad-quoting"])
+def test_external_solver_that_cannot_start(command):
+    m = IlpModel()
+    m.add_binary("x")
+    with pytest.raises(SolverError, match="could not be started"):
+        solve_external(m, command)
+
