@@ -26,7 +26,7 @@ _EXPORTS = {
     "system": ("AggregateSystem", "ContinuousSystem", "MultiRobotInstance",
                "TransitionSystem", "aggregate_view", "build_grid_system", "load_model"),
     "ilp": ("IlpModel", "LinExpr", "Solution"),
-    "lp_format": ("read_lp", "write_lp"),
+    "lp_format": ("write_lp",),
     "solver": ("SolveConfig", "solve_bnb", "solve_external"),
     "trajectory": ("ContinuousTrajectory", "LassoTrajectory"),
     "oracle": ("CollectiveExecution", "Lasso", "Verdict", "brute_force_synth",

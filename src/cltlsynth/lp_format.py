@@ -1,8 +1,6 @@
-"""CPLEX LP text: a deterministic writer and a reader for exactly what it
-writes.
+"""CPLEX LP text, written deterministically, and solution files.
 
-:func:`write_lp` emits this line grammar, and :func:`read_lp` accepts it
-and nothing else::
+:func:`write_lp` emits this line grammar::
 
     \\ <model name>
     Minimize
@@ -28,40 +26,49 @@ finite right-hand side.  ``Bounds``, ``Binaries`` and ``Generals`` are
 each present only when not empty, in this order, one entry per line.
 Every variable is either listed under ``Binaries`` or has one finite
 ``lo <= name <= hi`` line, and an integer one is also listed under
-``Generals``.  Names match ``[A-Za-z][A-Za-z0-9_]*``.
-
-The reader is this strict because its one producer is the writer:
-``solve_external`` writes the file and ``lp_cli`` reads it back.  Any
-other text is a fault to report, with its line number, not a dialect to
-guess at.
+``Generals``.  Names match ``[A-Za-z][A-Za-z0-9_]*`` and are never an LP
+keyword (``sanitize_names``), so any CPLEX-LP reader, HiGHS's among them,
+reads the file as written; ``lp_cli`` hands it to HiGHS's.
 
 Solution files exchanged with external solvers are plain text: an optional
 ``status feasible|infeasible|unknown`` line followed by ``name value``
-lines; variables not mentioned default to 0.
+lines; variables not mentioned default to 0.  A file that does not
+parse raises ``SolverError``: it comes from a solver.
+
+This module imports no NumPy and, at import, nothing of ``ilp``, so the
+LP-file solver ``lp_cli`` can write its solution file without them.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import re
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import TYPE_CHECKING, Optional, TextIO, Union
 
-import numpy as np
+from .highs import SolverError
 
-from .ilp import BINARY, INTEGER, SENSES, CsrMatrix, IlpModel, LinExpr, ModelArrays
+if TYPE_CHECKING:
+    from .ilp import IlpModel, LinExpr
 
 _NAME_OK = re.compile(r"[A-Za-z0-9_]")
 
+# CPLEX LP keywords that a name can spell; HiGHS's reader rejects each, in
+# any case.  It also takes a name that starts with "inf" or "nan", such as
+# "infinity", for a number, as C's strtod does.
+_KEYWORDS = frozenset(
+    "bin binaries binary bound bounds end free gen general generals integer integers "
+    "max maximize maximum min minimize minimum semi semis sos st".split())
+
 
 def sanitize_names(model: IlpModel) -> list[str]:
-    """LP-safe variable names: [A-Za-z0-9_] only, unique, not digit-leading."""
+    """LP-safe variable names: [A-Za-z0-9_] only, unique, not digit-leading
+    and not read as an LP keyword or a number (``_KEYWORDS``)."""
     used: dict[str, int] = {}
     out = []
     for var in model.vars:
         base = "".join(ch if _NAME_OK.match(ch) else "_" for ch in var.name)
-        if not base or base[0].isdigit() or base[0] == "_":
+        if (not base or base[0].isdigit() or base[0] == "_" or base.lower() in _KEYWORDS
+                or base[:3].lower() in ("inf", "nan")):
             base = "v" + base
         name = base
         if name in used:
@@ -93,6 +100,8 @@ def _terms(expr: LinExpr, names: list[str]) -> str:
 
 def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int]:
     """Write the model; returns the LP-name -> VarId mapping."""
+    from .ilp import BINARY, INTEGER  # the caller's model has loaded ilp already
+
     names = sanitize_names(model)
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
@@ -124,153 +133,6 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
 
 
 # ---------------------------------------------------------------------------
-# Reader
-# ---------------------------------------------------------------------------
-
-_SECTIONS = ("Bounds", "Binaries", "Generals")
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-class LpParseError(ValueError):
-    pass
-
-
-def read_lp(source: Union[str, Path, TextIO]) -> tuple[list[str], ModelArrays]:
-    """Read LP text in the grammar :func:`write_lp` writes (module docstring).
-
-    Returns the variable names, in order of first appearance, and the
-    arrays ``IlpModel.to_arrays`` gives for the written model with its
-    columns in that order.  Any other line raises :class:`LpParseError`
-    naming the line.
-    """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    lines = text.splitlines()
-
-    def fail(i: int, what: str) -> LpParseError:
-        found = repr(lines[i]) if i < len(lines) else "end of text"
-        return LpParseError(f"line {i + 1}: {what}, found {found}")
-
-    def number(i: int, token: str) -> float:
-        try:
-            x = float(token)
-        except ValueError:
-            raise fail(i, f"bad number {token!r}") from None
-        if not math.isfinite(x):
-            raise fail(i, f"bad number {token!r}")
-        return x
-
-    if not lines or not lines[0].startswith("\\"):
-        raise fail(0, "expected a '\\' comment line")
-    for i, want in ((1, "Minimize"), (2, " obj:"), (3, "Subject To")):
-        if i >= len(lines) or lines[i] != want:
-            raise fail(i, f"expected {want!r}")
-
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    lb: list[float] = []
-    ub: list[float] = []
-    bounded: list[bool] = []
-    binary: list[bool] = []
-    general: list[bool] = []
-
-    def column(i: int, name: str) -> int:
-        if name not in ids:
-            if not _NAME_RE.fullmatch(name):
-                raise fail(i, f"bad variable name {name!r}")
-            ids[name] = len(names)
-            names.append(name)
-            for flags in (bounded, binary, general):
-                flags.append(False)
-            lb.append(0.0)
-            ub.append(1.0)
-        return ids[name]
-
-    # -- Subject To: " cK: sign coef name ... sense rhs", K = 0, 1, ...
-    indptr, indices, data = [0], [], []
-    row_lo: list[float] = []
-    row_hi: list[float] = []
-    first_row = i = 4
-    while i < len(lines) and lines[i].startswith(" "):
-        parts = lines[i].split()
-        if not parts or parts[0] != f"c{len(row_lo)}:":
-            raise fail(i, f"expected the row label c{len(row_lo)}:")
-        if len(parts) < 3 or parts[-2] not in SENSES:
-            raise fail(i, "expected the row to end in a sense and a right-hand side")
-        if len(parts) < 6 or len(parts) % 3:
-            raise fail(i, "expected 'sign coefficient name' terms")
-        signs, coefs, cols = parts[1:-2:3], parts[2:-2:3], parts[3:-2:3]
-        if signs.count("+") + signs.count("-") != len(signs):
-            raise fail(i, "expected 'sign coefficient name' terms")
-        try:
-            data.extend(map(float, map(operator.add, signs, coefs)))
-        except ValueError:
-            raise fail(i, "bad coefficient") from None
-        try:
-            indices.extend(map(ids.__getitem__, cols))
-        except KeyError:  # a name seen for the first time
-            del indices[indptr[-1]:]
-            indices.extend(column(i, name) for name in cols)
-        if len(set(cols)) != len(cols):
-            raise fail(i, "a variable appears twice in the row")
-        indptr.append(len(indices))
-        rhs = number(i, parts[-1])
-        row_lo.append(-math.inf if parts[-2] == "<=" else rhs)
-        row_hi.append(math.inf if parts[-2] == ">=" else rhs)
-        i += 1
-    coeffs = np.array(data, dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(coeffs) & (coeffs != 0)))
-    if bad.size:
-        row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
-        raise fail(first_row + row, "bad coefficient")
-
-    # -- Bounds, Binaries, Generals: each optional, in this order; then End
-    section = -1
-    while i < len(lines) and lines[i] != "End":
-        line = lines[i]
-        if not line.startswith(" "):
-            if line not in _SECTIONS:
-                raise fail(i, "unknown section")
-            if _SECTIONS.index(line) <= section:
-                raise fail(i, "section out of order")
-            section = _SECTIONS.index(line)
-        elif section == 0:
-            parts = line.split()
-            if len(parts) != 5 or parts[1] != "<=" or parts[3] != "<=":
-                raise fail(i, "expected a bound 'lo <= name <= hi'")
-            v = column(i, parts[2])
-            lo, hi = number(i, parts[0]), number(i, parts[4])
-            if bounded[v] or lo > hi:
-                raise fail(i, "bounds repeated or empty")
-            bounded[v], lb[v], ub[v] = True, lo, hi
-        else:  # Binaries or Generals: the first header came before this line
-            parts = line.split()
-            if len(parts) != 1:
-                raise fail(i, "expected one name per line")
-            v = column(i, parts[0])
-            if binary[v] or general[v]:
-                raise fail(i, f"{parts[0]} listed twice")
-            (binary if section == 1 else general)[v] = True
-        i += 1
-    if i >= len(lines):
-        raise fail(i, "expected 'End'")
-    if i != len(lines) - 1:
-        raise fail(i + 1, "text after 'End'")
-    for v, name in enumerate(names):
-        if binary[v] == bounded[v]:
-            raise fail(i, f"variable {name} needs finite bounds or a Binaries entry, "
-                          "and not both")
-
-    matrix = CsrMatrix(np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32),
-                       coeffs, (len(row_lo), len(names)))
-    return names, ModelArrays(
-        matrix, np.array(row_lo), np.array(row_hi), np.array(lb), np.array(ub),
-        np.array([int(b or g) for b, g in zip(binary, general)]))
-
-
-# ---------------------------------------------------------------------------
 # Solution files
 # ---------------------------------------------------------------------------
 
@@ -293,12 +155,12 @@ def read_solution_file(path: Union[str, Path]) -> tuple[str, dict[str, float]]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise LpParseError(f"solution line {lineno}: expected 'name value', got {raw!r}")
+            raise SolverError(f"solution line {lineno}: expected 'name value', got {raw!r}")
         if parts[0].lower() == "status":
             status = parts[1].lower()
             continue
         try:
             values[parts[0]] = float(parts[1])
         except ValueError:
-            raise LpParseError(f"solution line {lineno}: bad value {parts[1]!r}") from None
+            raise SolverError(f"solution line {lineno}: bad value {parts[1]!r}") from None
     return status, values

@@ -1,37 +1,25 @@
 """Feasibility solving.
 
-``solve_bnb`` hands the whole program to HiGHS (Huangfu & Hall,
-"Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018)
-in one in-process call.  A node budget becomes HiGHS's node limit, and
-single-threaded runs are reproducible.  That call is ``solve_arrays``,
-which the LP-file solver ``lp_cli`` runs as well.
+``solve_bnb`` hands the whole program to HiGHS in one in-process call.
+A node budget becomes HiGHS's node limit, and single-threaded runs are
+reproducible.  That call is ``solve_arrays``: the model's arrays go to
+HiGHS's ``passModel``, and ``highs.run_highs`` reads the outcome, as it
+does for the LP-file solver ``lp_cli``.
 
-The call goes to the HiGHS binding that SciPy ships,
-``scipy.optimize._highspy._core``, rather than ``scipy.optimize.milp``.
-A feasibility check needs only the model in and the primal point out;
-``milp`` also validates its input, converts the matrix to CSC, builds a
-HiGHS option object per option and a variable-type object per column,
-and copies out duals, slacks and per-column bound multipliers in a Python
-loop.  On a 2-vCPU machine pinned to one CPU, with scipy 1.17.1, that
-came to about 1.9 ms a call: the 144 programs of the benchmark's ladder
-took 1.20 s through ``milp`` and 0.92 s through the binding (median of
-seven alternating rounds).  The binding is a private module of SciPy, so
-the SciPy floor in ``pyproject.toml`` is a release known to ship it.
-
-The binding is loaded from its file (``_load_highs_binding``), not
-imported.  An import of ``scipy.optimize._highspy._core`` first runs
-``scipy/optimize/__init__.py``, which pulls in ``scipy.linalg``,
-``scipy.sparse`` and most of ``scipy.optimize``; the binding itself is
-one extension module that needs only NumPy.  The module is registered
-in ``sys.modules`` under its own name, so a later ``import
-scipy.optimize`` reuses it and it is never initialised twice.  (The
-attribute ``_core`` of the package ``scipy.optimize._highspy`` is then
-not bound; ``from scipy.optimize._highspy._core import ...`` works in
-either order.)  Together with the NumPy ``CsrMatrix`` of ``ilp``, this
-keeps SciPy's packages out of the process: on the same machine, a fresh
-interpreter importing ``cltlsynth.lp_cli`` took a median 0.14 s instead
-of 0.58 s, and one importing ``cltlsynth.cli`` 0.25 s instead of 0.83 s
-(seven alternating runs each).
+The call goes to the HiGHS binding that SciPy ships, which ``highs``
+loads, rather than ``scipy.optimize.milp``.  A feasibility check needs
+only the model in and the primal point out; ``milp`` also validates its
+input, converts the matrix to CSC, builds a HiGHS option object per
+option and a variable-type object per column, and copies out duals,
+slacks and per-column bound multipliers in a Python loop.  On a 2-vCPU
+machine pinned to one CPU, with scipy 1.17.1, that came to about 1.9 ms
+a call: the 144 programs of the benchmark's ladder took 1.20 s through
+``milp`` and 0.92 s through the binding (median of seven alternating
+rounds).  Together with the NumPy ``CsrMatrix`` of ``ilp``, loading the
+binding from its file keeps SciPy's packages out of the process: on the
+same machine, a fresh interpreter importing ``cltlsynth.cli`` took a
+median 0.25 s instead of 0.83 s with ``scipy.optimize`` and
+``scipy.sparse`` (seven alternating runs).
 
 HiGHS presolve is off.  On the 0/1 programs of the synchronous, robust
 and continuous encodings it costs more than it saves: on the 8x8
@@ -57,11 +45,8 @@ and revalidate it against every constraint before it is accepted.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import shlex
 import subprocess
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,49 +54,10 @@ from typing import Optional
 
 import numpy as np
 
+from .highs import (FEAS_TOL, HighsStatus, MatrixFormat, NumericalError, ObjSense,
+                    SolverError, new_highs, run_highs)
 from .ilp import IlpModel, ModelArrays, Solution
 from .lp_format import read_solution_file, write_lp
-
-FEAS_TOL = 1e-6
-
-
-def _load_highs_binding():
-    """SciPy's HiGHS binding, loaded from its file without importing
-    ``scipy`` or ``scipy.optimize`` and registered under its own name, or
-    the one SciPy has already loaded (module docstring)."""
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")
-    found = [] if scipy is None else [
-        path for suffix in importlib.machinery.EXTENSION_SUFFIXES
-        if (path := Path(scipy.submodule_search_locations[0], "optimize", "_highspy",
-                         f"_core{suffix}")).is_file()]
-    if not found:
-        raise ImportError(f"SciPy's HiGHS binding {name} was not found; "
-                          "cltlsynth needs scipy>=1.17.1")
-    loader = importlib.machinery.ExtensionFileLoader(name, str(found[0]))
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location(name, found[0], loader=loader))
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-_core = _load_highs_binding()
-_Highs = _core._Highs
-HighsModelStatus, HighsStatus = _core.HighsModelStatus, _core.HighsStatus
-MatrixFormat, ObjSense = _core.MatrixFormat, _core.ObjSense
-kSolutionStatusFeasible = _core.kSolutionStatusFeasible
-
-
-class SolverError(RuntimeError):
-    pass
-
-
-class NumericalError(SolverError):
-    """The MILP solver failed, or returned a point that violates the model;
-    never silently ignored."""
 
 
 @dataclass
@@ -121,34 +67,17 @@ class SolveConfig:
 
 def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solution:
     """Decide whether ``arrays`` has a feasible point, in the package's one
-    HiGHS call, which ``solve_bnb`` and ``lp_cli`` share.
+    in-process HiGHS call.
 
     The CSR matrix goes to HiGHS row-wise as it is, with a zero objective,
-    and only the primal point is read back (module docstring).  HiGHS
-    runs silently and without presolve; ``options`` are further HiGHS
-    options by name, set as they are, and an explicit ``presolve`` entry
-    overrides the default.  HiGHS model status "Infeasible" is
-    ``infeasible``; a point, even one found before a limit stopped the
-    search, is ``feasible``; the node limit (``mip_max_nodes``) reached
-    with no point gives ``unknown`` with ``stats["reason"]`` "node
-    budget"; a model HiGHS rejects and any other outcome raise
-    ``NumericalError``.  A returned point keys each column index to its
-    value, integer columns rounded; it is not checked here.
-    ``stats["nodes"]`` is HiGHS's branch-and-bound node count, 0 for a
-    model without integer columns, and ``stats["presolve"]`` whether
-    presolve was on.
+    and only the primal point is read back.  ``options`` go to
+    ``highs.new_highs``, and the outcome is read by ``highs.run_highs``,
+    whose docstring gives the statuses and ``stats``; a model HiGHS
+    rejects raises ``NumericalError``.  A returned point keys each column
+    index to its value; it is not checked here.
     """
-    options = {"output_flag": False, "presolve": "off", **(options or {})}
-    presolve = options["presolve"] != "off"
+    highs = new_highs(options)
     n_col, n_row = arrays.lb.size, arrays.row_lo.size
-    if n_col == 0:  # HiGHS rejects a model without variables
-        met = np.all(arrays.row_lo <= FEAS_TOL) and np.all(arrays.row_hi >= -FEAS_TOL)
-        return Solution("feasible" if met else "infeasible",
-                        stats={"nodes": 0, "presolve": presolve})
-    highs = _Highs()
-    for name, value in options.items():
-        if highs.setOptionValue(name, value) == HighsStatus.kError:
-            raise ValueError(f"HiGHS rejects option {name} = {value!r}")
     matrix = arrays.matrix
     if highs.passModel(n_col, n_row, matrix.nnz, MatrixFormat.kRowwise,
                        ObjSense.kMinimize, 0.0,
@@ -157,20 +86,8 @@ def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solutio
                        arrays.integrality) == HighsStatus.kError:
         raise NumericalError("HiGHS rejected the model: a coefficient or bound "
                              "is not a number or too large")
-    highs.run()
-    status = highs.getModelStatus()
-    info = highs.getInfo()
-    stats = {"nodes": max(info.mip_node_count, 0), "presolve": presolve}
-    if status == HighsModelStatus.kInfeasible:
-        return Solution("infeasible", stats=stats)
-    if info.primal_solution_status == kSolutionStatusFeasible:
-        values = {v: int(round(x)) if integral else x
-                  for v, (integral, x) in enumerate(zip(arrays.integrality.tolist(),
-                                                        highs.getSolution().col_value))}
-        return Solution("feasible", values, stats=stats)
-    if status == HighsModelStatus.kSolutionLimit:
-        return Solution("unknown", stats={**stats, "reason": "node budget"})
-    raise NumericalError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+    status, point, stats = run_highs(highs, arrays.integrality.tolist())
+    return Solution(status, dict(enumerate(point or ())), stats=stats)
 
 
 def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution:

@@ -167,6 +167,16 @@ def test_external_solver_that_cannot_start_is_an_io_error(grid_model, capsys, so
     assert captured.err.count("\n") == 1
 
 
+def test_malformed_external_solution_is_an_io_error(grid_model, capsys):
+    junk = (f"{sys.executable} -c "
+            "\"import sys; open(sys.argv[2], 'w').write('x 1 2\\n')\" {lp} {sol}")
+    code = run(["synth", "--model", grid_model, "--formula", "F [A, 2]", "--horizon", "6",
+                "--solver", "external", "--solver-cmd", junk])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "error: solution line 1: expected 'name value', got 'x 1 2'\n"
+
+
 def test_continuous_end_to_end(continuous_model, tmp_path):
     out = tmp_path / "traj.json"
     code = run(["synth", "--model", continuous_model, "--formula", "F [A, 2]",

@@ -3,7 +3,7 @@ that module, every public name the package exports exists, every public function
 class is used somewhere, every private module-level definition is
 read in its own module, every package name the benchmark imports or
 reads from a package module exists, and HiGHS is reached only through
-``solver.py``.
+``highs.py``.
 
 There is no linter in the toolchain, so these AST scans are the guard.
 ``__init__`` is exempt from the import scan, since its imports are the
@@ -216,5 +216,5 @@ def test_scan_finds_highs_users():
 
 
 def test_only_the_solver_module_calls_highs():
-    assert [p.name for p in USERS if imports_highs_binding(p.read_text())] == ["solver.py"]
+    assert [p.name for p in USERS if imports_highs_binding(p.read_text())] == ["highs.py"]
     assert [p.name for p in MODULES if calls_milp(p.read_text())] == []

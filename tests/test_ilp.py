@@ -1,11 +1,10 @@
-"""Model builder, Boolean/threshold gadgets, LP export/import.
+"""Model builder, Boolean/threshold gadgets, LP export as HiGHS reads it.
 
 Gadget correctness is checked exhaustively: for every complete fixing of
 the inputs, the solver must force the output to the truth-table
 value.
 """
 
-import io
 import itertools
 import random
 import subprocess
@@ -15,9 +14,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, SENSES, IlpModel, LinExpr
-from cltlsynth.lp_format import (LpParseError, read_lp, read_solution_file,
-                                 sanitize_names, write_lp, write_solution_file)
+from cltlsynth import lp_cli
+from cltlsynth.highs import HighsStatus, MatrixFormat, SolverError, new_highs
+from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, SENSES, IlpModel, LinExpr, ModelArrays
+from cltlsynth.lp_format import (read_solution_file, sanitize_names, write_lp,
+                                 write_solution_file)
 from cltlsynth.solver import solve_bnb
 
 from conftest import scipy_csr
@@ -130,7 +131,7 @@ def random_matrix_model(rng, n_rows):
     return m
 
 
-def test_numpy_csr_agrees_with_scipy():
+def test_numpy_csr_agrees_with_scipy(tmp_path):
     rng = random.Random(53)
     empty_rows = nan_points = round_trips = 0
     for trial in range(150):
@@ -159,12 +160,8 @@ def test_numpy_csr_agrees_with_scipy():
 
         # the LP text cannot hold a row without terms
         if all(con.expr.coeffs for con in m.constraints):
-            text = io.StringIO()
-            write_lp(m, text)
-            names, back = read_lp(io.StringIO(text.getvalue()))
-            order = [names.index(name) for name in sanitize_names(m)]
-            assert back.matrix.indices.dtype == np.int32
-            assert (scipy_csr(back.matrix)[:, order] != want).nnz == 0
+            back = highs_reads(m, tmp_path / f"m{trial}.lp")
+            assert back.matrix.shape == want.shape and (back.matrix != want).nnz == 0
             round_trips += 1
     assert empty_rows > 20 and nan_points > 20 and round_trips > 20
 
@@ -290,22 +287,34 @@ def test_export_sanitizes_and_disambiguates(tmp_path):
     assert len(set(names)) == 3
 
 
-def assert_reads_back(model):
-    """``read_lp(write_lp(model))`` is ``model.to_arrays()`` exactly, once
-    the read columns are put back in the model's variable order."""
-    text = io.StringIO()
-    write_lp(model, text)
-    names, got = read_lp(io.StringIO(text.getvalue()))
-    want = model.to_arrays()
-    assert sorted(names) == sorted(sanitize_names(model))
-    order = [names.index(name) for name in sanitize_names(model)]
-    matrix, want_matrix = scipy_csr(got.matrix)[:, order], scipy_csr(want.matrix)
-    assert matrix.shape == want_matrix.shape
-    assert matrix.nnz == want_matrix.nnz and (matrix != want_matrix).nnz == 0
-    assert np.array_equal(got.row_lo, want.row_lo)
-    assert np.array_equal(got.row_hi, want.row_hi)
-    for field in ("lb", "ub", "integrality"):
-        assert np.array_equal(getattr(got, field)[order], getattr(want, field)), field
+def highs_reads(model, path):
+    """``write_lp(model)`` as HiGHS's reader sees it: the matrix (SciPy),
+    row bounds, column bounds and integrality (0 or 1) it reads, with its
+    columns put back in the model's variable order by name."""
+    write_lp(model, path)
+    highs = new_highs()
+    assert highs.readModel(str(path)) == HighsStatus.kOk
+    lp, names = highs.getLp(), sanitize_names(model)
+    assert sorted(lp.col_names_) == sorted(names)
+    order = [lp.col_names_.index(name) for name in names]
+    a = lp.a_matrix_
+    assert a.format_ == MatrixFormat.kColwise
+    matrix = sparse.csc_matrix((a.value_, a.index_, a.start_),
+                               shape=(lp.num_row_, lp.num_col_))[:, order]
+    integrality = [int(kind) for kind in lp.integrality_] or [0] * lp.num_col_
+    return ModelArrays(matrix, np.array(lp.row_lower_), np.array(lp.row_upper_),
+                       np.array(lp.col_lower_)[order], np.array(lp.col_upper_)[order],
+                       np.array(integrality)[order])
+
+
+def assert_reads_back(model, path):
+    """HiGHS reads ``write_lp(model)`` as ``model.to_arrays()`` exactly."""
+    got, want = highs_reads(model, path), model.to_arrays()
+    want_matrix = scipy_csr(want.matrix)
+    assert got.matrix.shape == want_matrix.shape
+    assert got.matrix.nnz == want_matrix.nnz and (got.matrix != want_matrix).nnz == 0
+    for field in ("row_lo", "row_hi", "lb", "ub", "integrality"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def random_lp_model(rng):
@@ -324,12 +333,12 @@ def random_lp_model(rng):
     return m
 
 
-def test_lp_round_trip_preserves_model():
-    assert_reads_back(small_model())
-    assert_reads_back(IlpModel())
+def test_lp_round_trip_preserves_model(tmp_path):
+    assert_reads_back(small_model(), tmp_path / "small.lp")
+    assert_reads_back(IlpModel(), tmp_path / "empty.lp")
     rng = random.Random(47)
-    for _ in range(50):
-        assert_reads_back(random_lp_model(rng))
+    for k in range(50):
+        assert_reads_back(random_lp_model(rng), tmp_path / f"m{k}.lp")
 
 
 def test_empty_feasibility_model_export(tmp_path):
@@ -339,9 +348,45 @@ def test_empty_feasibility_model_export(tmp_path):
     write_lp(m, path)
     text = path.read_text()
     assert text == "\\ model\nMinimize\n obj:\nSubject To\nBinaries\n x\nEnd\n"
-    names, arrays = read_lp(path)
-    assert names == ["x"] and arrays.matrix.shape == (0, 1)
-    assert arrays.integrality.tolist() == [1]
+    arrays = highs_reads(m, path)
+    assert arrays.matrix.shape == (0, 1)
+    assert arrays.integrality.tolist() == [1] and arrays.ub.tolist() == [1]
+
+
+# Names an LP reader takes for a keyword or a number, in any case
+LP_KEYWORD_NAMES = ["free", "inf", "Infinity", "END", "bin", "binary", "binaries", "st",
+                    "gen", "general", "integer", "bounds", "bound", "sos", "semi",
+                    "semis", "minimize", "Min", "maximum", "max", "nan", "info", "NaN_1"]
+
+
+def test_lp_keywords_are_renamed_and_read_back(tmp_path):
+    m = IlpModel()
+    for k, name in enumerate(LP_KEYWORD_NAMES + ["x", "sos1", "stx", "e1", "in"]):
+        m.add_var([BINARY, INTEGER, CONTINUOUS][k % 3], name, 0, 2, tag="rnd")
+    for v in range(0, m.n_vars - 2, 2):
+        m.add_constraint(LinExpr({v: 1, v + 1: -2, v + 2: 0.5}), SENSES[v % 3], 1, tag="rnd")
+    assert sanitize_names(m) == ["v" + name for name in LP_KEYWORD_NAMES] + [
+        "x", "sos1", "stx", "e1", "in"]
+    assert_reads_back(m, tmp_path / "keywords.lp")
+
+
+def test_lp_cli_reports_a_malformed_file_in_one_line(tmp_path):
+    lp = tmp_path / "bad.lp"
+    lp.write_text("\\ m\nMinimize\n obj:\nSubject To\n c0: + 1 x <= 1 2\n"
+                  "Binaries\n x\nEnd\n")
+    proc = subprocess.run([sys.executable, "-m", "cltlsynth.lp_cli", str(lp),
+                           str(tmp_path / "out.sol")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: HiGHS could not read {lp} as an LP file\n"
+    assert proc.stdout == ""  # no HiGHS log text
+
+
+def test_lp_cli_reads_only_files_named_lp(tmp_path, capfd):
+    # HiGHS picks its reader by the extension: an MPS reader for .mps
+    path = tmp_path / "model.mps"
+    write_lp(small_model(), path)
+    assert lp_cli.main([str(path), str(tmp_path / "out.sol")]) == 1
+    assert capfd.readouterr() == ("", f"error: {path}: an LP file must be named *.lp\n")
 
 
 GOOD_LP = ["\\ m", "Minimize", " obj:", "Subject To", " c0: + 1 x - 2 n <= 3",
@@ -354,51 +399,29 @@ def replaced(line, text):
     return lines
 
 
-def test_read_lp_reads_hand_written_text():
-    names, arrays = read_lp(io.StringIO("\n".join(GOOD_LP) + "\n"))
-    assert names == ["x", "n"] and scipy_csr(arrays.matrix).toarray().tolist() == [[1, -2]]
-    assert arrays.integrality.tolist() == [1, 1] and arrays.ub.tolist() == [1, 4]
-
-
-@pytest.mark.parametrize("lines, line", [
-    (replaced(2, "Maximize"), 2),
-    (replaced(3, " obj: + 1 x"), 3),                    # an objective
-    (replaced(5, " c0: + 1 x - 2 n 3"), 5),             # no sense
-    (replaced(5, " c0: + 1 x - 2 n <="), 5),            # no right-hand side
-    (replaced(5, " c0: + 1 x - 2 n <= three"), 5),      # bad number
-    (replaced(5, " c0: + 1e400 x - 2 n <= 3"), 5),      # not finite
-    (replaced(5, " c0: + 0 x - 2 n <= 3"), 5),          # a zero coefficient
-    (replaced(5, " c0: + x - 2 n <= 3"), 5),            # not sign-coefficient-name triples
-    (replaced(5, " c0: 1 x - 2 n <= 3"), 5),
-    (replaced(5, " c0: * 1 x - 2 n <= 3"), 5),
-    (replaced(5, " c0: + 1 x + 1 x <= 3"), 5),          # a variable twice
-    (replaced(5, " c0: + 1 2x - 2 n <= 3"), 5),         # bad name
-    (replaced(5, " c1: + 1 x - 2 n <= 3"), 5),          # wrong row label
-    (replaced(6, "Objective"), 6),                      # unknown section
-    (replaced(10, "Bounds"), 10),                       # section out of order
-    (replaced(7, " 0 <= n"), 7),                        # bound not 'lo <= name <= hi'
-    (replaced(7, " n >= 0"), 7),
-    (replaced(7, " 0 <= n <= inf"), 7),                 # no finite bound
-    (replaced(9, " x y"), 9),                           # two names on one line
-    (replaced(12, "end"), 12),
-    (GOOD_LP[:-1], 12),                                 # no End
-    (GOOD_LP + ["Bounds"], 13),                         # text after End
-    (GOOD_LP[:6] + GOOD_LP[7:], 11),                    # integer n without bounds
-    (GOOD_LP[:6] + [" 0 <= x <= 1"] + GOOD_LP[6:], 13),  # binary x with bounds
+@pytest.mark.parametrize("lines", [
+    GOOD_LP, replaced(2, "Maximize"), replaced(3, " obj: + 1 x"),
+    replaced(5, " c0: + 1 x - 2 n 3"), replaced(5, " c0: + 1 x - 2 n <= three"),
+    replaced(5, " c0: + 1e400 x - 2 n <= 3"), replaced(5, " c0: + 0 x - 2 n <= 3"),
+    replaced(5, " c0: * 1 x - 2 n <= 3"), replaced(5, " c0: + 1 x + 1 x <= 3"),
+    replaced(5, " c0: + 1 x - 2 n >= 9"), replaced(6, "Objective"),
+    replaced(7, " 0 <= n <= inf"), replaced(9, " x y"), replaced(12, "end"),
+    GOOD_LP[:-1], GOOD_LP[:6] + GOOD_LP[7:], ["garbage"],
 ])
-def test_read_lp_rejects_text_write_lp_never_writes(lines, line):
-    with pytest.raises(LpParseError, match=f"^line {line}: "):
-        read_lp(io.StringIO("\n".join(lines) + "\n"))
-
-
-def test_lp_cli_reports_a_malformed_file_in_one_line(tmp_path):
-    lp = tmp_path / "bad.lp"
-    lp.write_text("\n".join(GOOD_LP[:4] + [" c0: + 1 x <= 1 2"] + GOOD_LP[5:]) + "\n")
-    proc = subprocess.run([sys.executable, "-m", "cltlsynth.lp_cli", str(lp),
-                           str(tmp_path / "out.sol")], capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: line 5: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+def test_lp_cli_answers_any_text_in_one_line(tmp_path, capfd, lines):
+    """On text ``write_lp`` never writes, the LP-file child either solves
+    what HiGHS's reader makes of it or rejects it, in one line each way,
+    with no HiGHS log text and no traceback."""
+    lp, sol = tmp_path / "v.lp", tmp_path / "v.sol"
+    lp.write_text("\n".join(lines) + "\n")
+    code = lp_cli.main([str(lp), str(sol)])
+    out, err = capfd.readouterr()
+    if code == 0:
+        assert err == "" and out in ("feasible\n", "infeasible\n")
+        assert read_solution_file(sol)[0] == out.strip()
+    else:
+        assert code == 1 and out == ""
+        assert err == f"error: HiGHS could not read {lp} as an LP file\n"
 
 
 def test_solution_file_round_trip(tmp_path):
@@ -414,5 +437,5 @@ def test_solution_file_round_trip(tmp_path):
 def test_solution_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.sol"
     path.write_text("x 1 2\n")
-    with pytest.raises(Exception, match="name value"):
+    with pytest.raises(SolverError, match="name value"):
         read_solution_file(path)

@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from cltlsynth import lp_cli, solver
+from cltlsynth import highs, lp_cli
 from cltlsynth.encoder_cltl import build_cltl_problem
 from cltlsynth.encoder_continuous import build_cont_problem
 from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.formula import parse_formula
 from cltlsynth.ilp import IlpModel, LinExpr
-from cltlsynth.lp_format import write_lp
-from cltlsynth.solver import (NumericalError, SolveConfig, SolverError,
+from cltlsynth.lp_format import read_solution_file, write_lp
+from cltlsynth.solver import (FEAS_TOL, NumericalError, SolveConfig, SolverError,
                               solve_arrays, solve_bnb, solve_external)
 from cltlsynth.system import ContinuousSystem, load_model
 
@@ -45,9 +45,11 @@ def enumerate_feasible(model):
     return None
 
 
-def random_binary_model(rng, n_vars, n_cons):
+def random_binary_model(rng, n_vars, n_cons, names=None):
+    """Binaries ``x0``, ``x1``, ..., or named from ``names`` in turn."""
     m = IlpModel()
-    xs = [m.add_binary(f"x{i}") for i in range(n_vars)]
+    xs = [m.add_binary(f"x{i}" if names is None else names[i % len(names)])
+          for i in range(n_vars)]
     for _ in range(n_cons):
         picks = rng.sample(xs, rng.randint(1, min(4, n_vars)))
         expr = LinExpr({v: rng.choice([-2, -1, 1, 1, 2]) for v in picks})
@@ -152,24 +154,33 @@ def fake_highs(monkeypatch, status, point=None):
     """Make HiGHS report model status ``status``, with the primal point
     ``point`` if one is given; return the options HiGHS receives."""
     seen = {}
-    describe = solver._Highs().modelStatusToString
+    describe = highs._Highs().modelStatusToString
 
     class FakeHighs:
         def setOptionValue(self, name, value):
             seen[name] = value
-            return solver.HighsStatus.kOk
+            return highs.HighsStatus.kOk
+
+        def getOptionValue(self, name):
+            return highs.HighsStatus.kOk, seen[name]
 
         def passModel(self, *model):
-            return solver.HighsStatus.kOk
+            return highs.HighsStatus.kOk
+
+        def readModel(self, path):
+            return highs.HighsStatus.kOk
+
+        def getLp(self):
+            return SimpleNamespace(num_col_=0, col_names_=[], integrality_=[])
 
         def run(self):
-            return solver.HighsStatus.kOk
+            return highs.HighsStatus.kOk
 
         def getModelStatus(self):
             return status
 
         def getInfo(self):
-            found = solver.kSolutionStatusFeasible if point is not None else None
+            found = highs.kSolutionStatusFeasible if point is not None else None
             return SimpleNamespace(mip_node_count=-1, primal_solution_status=found)
 
         def getSolution(self):
@@ -177,14 +188,14 @@ def fake_highs(monkeypatch, status, point=None):
 
         modelStatusToString = staticmethod(describe)
 
-    monkeypatch.setattr(solver, "_Highs", FakeHighs)
+    monkeypatch.setattr(highs, "_Highs", FakeHighs)
     return seen
 
 
 def test_reached_limit_without_a_point_is_unknown(monkeypatch):
     m = IlpModel()
     m.add_binary("x")
-    seen = fake_highs(monkeypatch, solver.HighsModelStatus.kSolutionLimit)
+    seen = fake_highs(monkeypatch, highs.HighsModelStatus.kSolutionLimit)
     sol = solve_bnb(m, SolveConfig(node_budget=7))
     assert sol.status == "unknown" and sol.stats["reason"] == "node budget"
     assert seen == {"output_flag": False, "presolve": "off", "mip_max_nodes": 7}
@@ -194,7 +205,7 @@ def test_reached_limit_after_a_point_returns_it(monkeypatch):
     m = IlpModel()
     x = m.add_binary("x")
     m.add_constraint(LinExpr({x: 1}), ">=", 1)
-    fake_highs(monkeypatch, solver.HighsModelStatus.kSolutionLimit, point=[1.0])
+    fake_highs(monkeypatch, highs.HighsModelStatus.kSolutionLimit, point=[1.0])
     sol = solve_bnb(m, SolveConfig(node_budget=7))
     assert sol.status == "feasible" and sol.values == {x: 1}
     assert "reason" not in sol.stats
@@ -207,7 +218,7 @@ def test_every_model_is_solved_without_presolve(monkeypatch, general):
     m.add_constraint(LinExpr({x: 1, m.constant(1): 1}), "<=", 2)
     if general:
         m.add_integer("n", 0, 5)
-    seen = fake_highs(monkeypatch, solver.HighsModelStatus.kInfeasible)
+    seen = fake_highs(monkeypatch, highs.HighsModelStatus.kInfeasible)
     assert solve_bnb(m).stats["presolve"] is False
     assert seen == {"output_flag": False, "presolve": "off"}
 
@@ -215,7 +226,7 @@ def test_every_model_is_solved_without_presolve(monkeypatch, general):
 def test_an_explicit_presolve_option_wins(monkeypatch):
     m = IlpModel()
     m.add_binary("x")
-    seen = fake_highs(monkeypatch, solver.HighsModelStatus.kInfeasible)
+    seen = fake_highs(monkeypatch, highs.HighsModelStatus.kInfeasible)
     assert solve_arrays(m.to_arrays(), {"presolve": "on"}).stats["presolve"] is True
     assert seen == {"output_flag": False, "presolve": "on"}
 
@@ -315,11 +326,45 @@ def test_direct_call_agrees_with_milp():
     assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
 
 
+def test_lp_file_solve_agrees_with_the_array_solve(tmp_path):
+    # lp_cli in process: HiGHS reads the file write_lp writes
+    rng = random.Random(59)
+    models = [*differential_models(),
+              *(random_binary_model(rng, rng.randint(2, 9), rng.randint(1, 7))
+                for _ in range(60))]
+    lp, sol = str(tmp_path / "m.lp"), str(tmp_path / "m.sol")
+    statuses = []
+    for i, model in enumerate(models):
+        name_to_var = write_lp(model, lp)
+        statuses.append(lp_cli.solve_lp_file(lp, sol))
+        assert statuses[-1] == solve_arrays(model.to_arrays()).status, f"model {i}"
+        status, named = read_solution_file(sol)
+        assert status == statuses[-1]
+        assert len(named) == (model.n_vars if status == "feasible" else 0), f"model {i}"
+        if status == "feasible":
+            values = {name_to_var[name]: x for name, x in named.items()}
+            assert model.check_point(values, tol=FEAS_TOL) == [], f"model {i}"
+    assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
+
+
+def test_lp_keyword_names_keep_the_status_through_the_lp_file_child():
+    keywords = ["free", "inf", "Infinity", "end", "bin", "binary", "st", "gen", "bounds",
+                "sos", "semi", "minimize", "max", "nan"]
+    rng = random.Random(61)
+    statuses = []
+    for trial in range(8):
+        m = random_binary_model(rng, rng.randint(4, 9), rng.randint(2, 6),
+                                names=rng.sample(keywords, 5))
+        statuses.append(solve_bnb(m).status)
+        assert solve_external(m, LP_CLI).status == statuses[-1], f"trial {trial}"
+    assert {"feasible", "infeasible"} <= set(statuses)
+
+
 def test_point_violating_a_row_is_never_returned(monkeypatch):
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
     m.add_constraint(LinExpr({x: 1, y: 1}), "<=", 1, tag="atmost1")
-    fake_highs(monkeypatch, solver.HighsModelStatus.kOptimal, point=[1.0, 1.0])
+    fake_highs(monkeypatch, highs.HighsModelStatus.kOptimal, point=[1.0, 1.0])
     with pytest.raises(SolverError, match="atmost1"):
         solve_bnb(m)
 
@@ -327,7 +372,7 @@ def test_point_violating_a_row_is_never_returned(monkeypatch):
 def test_unexplained_failure_raises(monkeypatch, tmp_path):
     m = IlpModel()
     m.add_binary("x")
-    fake_highs(monkeypatch, solver.HighsModelStatus.kSolveError)
+    fake_highs(monkeypatch, highs.HighsModelStatus.kSolveError)
     with pytest.raises(NumericalError, match="Solve error"):
         solve_bnb(m)
     # the LP-file solver makes the same call and must not report a budget
@@ -402,7 +447,7 @@ def test_external_rejects_corrupt_solution():
     m.add_binary("x")
     junk = (f"{sys.executable} -c "
             "\"import sys; open(sys.argv[2], 'w').write('a b c\\n')\" {lp} {sol}")
-    with pytest.raises(Exception, match="name value"):
+    with pytest.raises(SolverError, match="name value"):
         solve_external(m, junk)
 
 
