@@ -1,4 +1,5 @@
-"""Model builder, Boolean/threshold gadgets, LP export as HiGHS reads it.
+"""Model builder, Boolean/threshold gadgets, LP export: its grammar
+(``lp_grammar``) and what HiGHS reads of it.
 
 Gadget correctness is checked exhaustively: for every complete fixing of
 the inputs, the solver must force the output to the truth-table
@@ -22,6 +23,7 @@ from cltlsynth.lp_format import (read_solution_file, sanitize_names, write_lp,
 from cltlsynth.solver import solve_bnb
 
 from conftest import scipy_csr
+from lp_grammar import LpGrammarError, read_lp
 
 
 def fix(model, var, value):
@@ -290,11 +292,14 @@ def test_export_sanitizes_and_disambiguates(tmp_path):
 def highs_reads(model, path):
     """``write_lp(model)`` as HiGHS's reader sees it: the matrix (SciPy),
     row bounds, column bounds and integrality (0 or 1) it reads, with its
-    columns put back in the model's variable order by name."""
+    columns put back in the model's variable order by name.  The file must
+    also keep to ``write_lp``'s grammar, which HiGHS does not check."""
     write_lp(model, path)
+    names = sanitize_names(model)
+    assert sorted(read_lp(path.read_text())) == sorted(names)
     highs = new_highs()
     assert highs.readModel(str(path)) == HighsStatus.kOk
-    lp, names = highs.getLp(), sanitize_names(model)
+    lp = highs.getLp()
     assert sorted(lp.col_names_) == sorted(names)
     order = [lp.col_names_.index(name) for name in names]
     a = lp.a_matrix_
@@ -397,6 +402,51 @@ def replaced(line, text):
     lines = list(GOOD_LP)
     lines[line - 1] = text
     return lines
+
+
+def test_read_lp_reads_hand_written_text(tmp_path):
+    path = tmp_path / "good.lp"
+    path.write_text("\n".join(GOOD_LP) + "\n")
+    assert read_lp(path.read_text()) == ["x", "n"]
+    # and HiGHS's reader, which the LP-file child uses, reads the same model
+    highs = new_highs()
+    assert highs.readModel(str(path)) == HighsStatus.kOk
+    lp = highs.getLp()
+    a = lp.a_matrix_
+    matrix = sparse.csc_matrix((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_))
+    assert lp.col_names_ == ["x", "n"] and matrix.toarray().tolist() == [[1, -2]]
+    assert [int(kind) for kind in lp.integrality_] == [1, 1] and lp.col_upper_ == [1, 4]
+
+
+@pytest.mark.parametrize("lines, line", [
+    (replaced(2, "Maximize"), 2),
+    (replaced(3, " obj: + 1 x"), 3),                    # an objective
+    (replaced(5, " c0: + 1 x - 2 n 3"), 5),             # no sense
+    (replaced(5, " c0: + 1 x - 2 n <="), 5),            # no right-hand side
+    (replaced(5, " c0: + 1 x - 2 n <= three"), 5),      # bad number
+    (replaced(5, " c0: + 1e400 x - 2 n <= 3"), 5),      # not finite
+    (replaced(5, " c0: + 0 x - 2 n <= 3"), 5),          # a zero coefficient
+    (replaced(5, " c0: + x - 2 n <= 3"), 5),            # not sign-coefficient-name triples
+    (replaced(5, " c0: 1 x - 2 n <= 3"), 5),
+    (replaced(5, " c0: * 1 x - 2 n <= 3"), 5),
+    (replaced(5, " c0: + 1 x + 1 x <= 3"), 5),          # a variable twice
+    (replaced(5, " c0: + 1 2x - 2 n <= 3"), 5),         # bad name
+    (replaced(5, " c1: + 1 x - 2 n <= 3"), 5),          # wrong row label
+    (replaced(6, "Objective"), 6),                      # unknown section
+    (replaced(10, "Bounds"), 10),                       # section out of order
+    (replaced(7, " 0 <= n"), 7),                        # bound not 'lo <= name <= hi'
+    (replaced(7, " n >= 0"), 7),
+    (replaced(7, " 0 <= n <= inf"), 7),                 # no finite bound
+    (replaced(9, " x y"), 9),                           # two names on one line
+    (replaced(12, "end"), 12),
+    (GOOD_LP[:-1], 12),                                 # no End
+    (GOOD_LP + ["Bounds"], 13),                         # text after End
+    (GOOD_LP[:6] + GOOD_LP[7:], 11),                    # integer n without bounds
+    (GOOD_LP[:6] + [" 0 <= x <= 1"] + GOOD_LP[6:], 13),  # binary x with bounds
+])
+def test_read_lp_rejects_text_write_lp_never_writes(lines, line):
+    with pytest.raises(LpGrammarError, match=f"^line {line}: "):
+        read_lp("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("lines", [
