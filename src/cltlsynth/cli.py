@@ -7,7 +7,8 @@
 Exit codes for synth: 0 feasible and oracle-verified, 1 every horizon of
 the sweep proven infeasible, 2 feasible but rejected by the oracle (encoder
 bug sentinel), 3 usage errors, 4 I/O or budget problems (a sweep with no
-feasible horizon and at least one unknown one).
+feasible horizon and at least one unknown one, or a verification window
+past ``oracle.WINDOW_CAP``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from . import __version__
 from .formula import is_cltl, iter_tcps, parse_formula, resolve_groups
 from .ilp import Solution
 from .lp_format import write_lp
-from .oracle import (CollectiveExecution, CollectionOracle, Lasso, check_robust,
-                     collision_violations, eval_outer)
+from .oracle import (CollectiveExecution, CollectionOracle, Lasso,
+                     VerificationBudgetError, check_robust, collision_violations,
+                     eval_outer)
 from .solver import SolverError, solve_bnb, solve_external
 from .system import (COLLISION_ALIASES, ContinuousSystem, ModelError,
                      MultiRobotInstance, aggregate_view, load_model)
@@ -253,22 +255,26 @@ def run_synth(args) -> int:
 
     groups = model_obj.groups if isinstance(model_obj, MultiRobotInstance) else {}
     resolved = resolve_groups(mu, groups)
-    if args.tau == 0:
-        n = len(lassos)
-        ok = eval_outer(lassos, CollectiveExecution.synchronous(n), 0, resolved)
-        verdict_line = "verified (synchronous execution)" if ok else "violated"
-    else:
-        verdict = check_robust(lassos, resolved, args.tau,
-                               max_T=args.verify_max_t,
-                               enumeration_cap=args.verify_cap, seed=args.seed)
-        ok = not verdict.falsified
-        verdict_line = (f"verified_bounded ({verdict.stats['mode']}, "
-                        f"{verdict.stats['sequences']} executions)" if ok
-                        else f"falsified at T={verdict.counterexample[1]}")
+    try:
+        if args.tau == 0:
+            n = len(lassos)
+            ok = eval_outer(lassos, CollectiveExecution.synchronous(n), 0, resolved)
+            verdict_line = "verified (synchronous execution)" if ok else "violated"
+        else:
+            verdict = check_robust(lassos, resolved, args.tau,
+                                   max_T=args.verify_max_t,
+                                   enumeration_cap=args.verify_cap, seed=args.seed)
+            ok = not verdict.falsified
+            verdict_line = (f"verified_bounded ({verdict.stats['mode']}, "
+                            f"{verdict.stats['sequences']} executions)" if ok
+                            else f"falsified at T={verdict.counterexample[1]}")
 
-    collide = []
-    if isinstance(model_obj, MultiRobotInstance):
-        collide = collision_violations(trajs, model_obj.collision_mode, args.tau)
+        collide = []
+        if isinstance(model_obj, MultiRobotInstance):
+            collide = collision_violations(trajs, model_obj.collision_mode, args.tau)
+    except VerificationBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
     if args.output:
         _write_json(args.output, _trajectory_payload(problem, trajs))
@@ -342,8 +348,18 @@ def run_simulate(args) -> int:
     else:
         lassos = _lassos_from_discrete(model_obj, trajs)
 
-    verdict = check_robust(lassos, resolved, args.tau, max_T=args.max_t,
-                           enumeration_cap=args.enum_cap, seed=args.seed)
+    # The per-anchor satisfaction table is taken under the synchronous
+    # execution; its window reaches past the shortest horizon, so sat[t]
+    # needs no wrap.
+    oracle = CollectionOracle(lassos)
+    try:
+        verdict = check_robust(lassos, resolved, args.tau, max_T=args.max_t,
+                               enumeration_cap=args.enum_cap, seed=args.seed)
+        sat = oracle.values(
+            CollectiveExecution.synchronous(len(lassos)).increments[None], resolved)[0]
+    except VerificationBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     print(f"verdict: {verdict.status} "
           f"(mode={verdict.stats['mode']}, sequences={verdict.stats['sequences']}, "
           f"max_T={verdict.stats['max_T']})")
@@ -353,11 +369,6 @@ def run_simulate(args) -> int:
         for row in execution.increments.tolist():
             print(f"  {row}")
 
-    # Per-anchor satisfaction table under the synchronous execution; its
-    # window reaches past the shortest horizon, so sat[t] needs no wrap.
-    oracle = CollectionOracle(lassos)
-    sat = oracle.values(CollectiveExecution.synchronous(len(lassos)).increments[None],
-                        resolved)[0]
     h = min(l.horizon for l in lassos)
     tcps = list(iter_tcps(resolved))
     header = "t  formula " + " ".join(f"tcp{i}" for i in range(len(tcps)))

@@ -20,6 +20,13 @@ either order.)  This module imports only the standard library and the
 binding, so a process that reads its model from an LP file loads no
 NumPy at all.  The binding is a private module of SciPy, so the SciPy
 floor in ``pyproject.toml`` is a release known to ship it.
+
+Both paths run with ``OPTIONS``: silent, without presolve and without
+symmetry detection, each measured both ways in the ``solver`` docstring.
+Symmetry detection changed no status on 312 programs and took a fifth to
+a quarter of each HiGHS call on the 8x8 emergency desk: 0.061, 0.128 and
+0.154 s with it against 0.045, 0.094 and 0.124 s without at h = 8, 12
+and 16.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from typing import Optional, Sequence
 
 FEAS_TOL = 1e-6
 
-# HiGHS runs silently and without presolve (``solver`` docstring)
-OPTIONS = {"output_flag": False, "presolve": "off"}
+# HiGHS runs silently, without presolve and without symmetry detection
+# (module and ``solver`` docstrings)
+OPTIONS = {"output_flag": False, "presolve": "off", "mip_detect_symmetry": False}
 
 
 def _load_highs_binding():

@@ -188,6 +188,7 @@ class IlpModel:
         self.var_tag_counts: dict[str, int] = {}
         self.con_tag_counts: dict[str, int] = {}
         self._const_cache: dict[int, VarId] = {}
+        self._arrays: Optional[ModelArrays] = None  # to_arrays(), until the next add
 
     # -- variables ----------------------------------------------------------
 
@@ -204,6 +205,7 @@ class IlpModel:
             raise ValueError(f"unknown variable kind {kind!r}")
         vid = len(self.vars)
         self.vars.append(Var(name, kind, lo, hi))
+        self._arrays = None
         self.var_tag_counts[tag] = self.var_tag_counts.get(tag, 0) + 1
         return vid
 
@@ -240,6 +242,7 @@ class IlpModel:
         # Fold the expression constant into the right-hand side.
         rhs = rhs - expr.const
         self.constraints.append(Constraint(LinExpr(expr.coeffs), sense, rhs, tag))
+        self._arrays = None
         self.con_tag_counts[tag] = self.con_tag_counts.get(tag, 0) + 1
 
     # -- Boolean gadgets ------------------------------------------------------
@@ -354,7 +357,16 @@ class IlpModel:
 
     def to_arrays(self) -> ModelArrays:
         """The constraint matrix (CSR, one row per constraint in order) with
-        row bounds, variable bounds and integrality, as HiGHS takes them."""
+        row bounds, variable bounds and integrality, as HiGHS takes them.
+
+        Built once and kept until the next ``add_var`` or
+        ``add_constraint``, so the writer, the solver and ``check_point``
+        share one matrix; its arrays are read-only."""
+        if self._arrays is None:
+            self._arrays = self._build_arrays()
+        return self._arrays
+
+    def _build_arrays(self) -> ModelArrays:
         indptr, indices, data = [0], [], []
         row_lo = np.full(self.n_constraints, -np.inf)
         row_hi = np.full(self.n_constraints, np.inf)
@@ -369,18 +381,18 @@ class IlpModel:
         matrix = CsrMatrix(np.array(indptr, dtype=np.int32),
                            np.array(indices, dtype=np.int32),
                            np.array(data, dtype=float), (self.n_constraints, self.n_vars))
-        return ModelArrays(
+        arrays = ModelArrays(
             matrix, row_lo, row_hi,
             np.array([float(var.lo) for var in self.vars]),
             np.array([float(var.hi) for var in self.vars]),
             np.array([int(var.is_integral) for var in self.vars]))
+        for array in (*matrix[:3], *arrays[1:]):
+            array.flags.writeable = False
+        return arrays
 
-    def check_point(self, values: Mapping[VarId, Number], tol: float = 1e-6,
-                    arrays: Optional[ModelArrays] = None) -> list[str]:
-        """Constraint violations at a point; empty list means it satisfies all.
-        ``arrays`` is this model's ``to_arrays()``, if the caller has it."""
-        if arrays is None:
-            arrays = self.to_arrays()
+    def check_point(self, values: Mapping[VarId, Number], tol: float = 1e-6) -> list[str]:
+        """Constraint violations at a point; empty list means it satisfies all."""
+        arrays = self.to_arrays()
         x = np.array([values.get(v, 0) for v in range(self.n_vars)], dtype=float)
         # Negated comparisons, so a NaN anywhere counts as a violation.
         bad_int = (arrays.integrality == 1) & ~(np.abs(x - np.round(x)) <= tol)

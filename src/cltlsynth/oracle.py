@@ -24,6 +24,13 @@ and Schnoebelen, CONCUR 2003), for a batch of words at once.
 
 ``check_robust`` feeds the tau-bounded executions to ``values`` ``CHUNK``
 at a time, so its working set is bounded by the cap and the chunk size.
+
+The joint period of lassos with coprime periods grows as their product,
+so the window can be far too long to label.  ``values`` refuses a window
+of more than ``WINDOW_CAP`` entries (W x executions x robots) before it
+allocates anything, and ``collision_violations`` one of more than
+``WINDOW_CAP`` steps over all robot pairs, raising
+``VerificationBudgetError``; the CLI reports it as a budget problem.
 """
 
 from __future__ import annotations
@@ -41,6 +48,18 @@ from .formula import (IAlways, IAnd, IEventually, INext, INot, IOr,
                       OuterFormula, Tcp, subformulas)
 from .system import MultiRobotInstance, TransitionSystem
 from .trajectory import LassoTrajectory
+
+
+# Largest window the checks work through: W x executions x robots entries
+# in ``CollectionOracle.values``, each an int32 counter, an int32 position,
+# their temporaries and a bool per leaf (a few hundred MB at the cap), and
+# W x robot pairs x (tau + 1) steps of the Python loop in
+# ``collision_violations``.
+WINDOW_CAP = 1 << 24
+
+
+class VerificationBudgetError(ValueError):
+    """A check's window is longer than ``WINDOW_CAP`` allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +254,9 @@ class CollectionOracle:
         """(E, W) truth of ``mu`` at global times 0..W-1 for the executions
         whose increment matrices are the rows of the (E, T, n) 0/1 array
         ``increments``.  W = L + jp for the batch's largest lock L and the
-        joint period jp; a time u >= W has the value of L + (u - L) mod jp."""
+        joint period jp; a time u >= W has the value of L + (u - L) mod jp.
+        Raises ``VerificationBudgetError`` when W x E x n passes
+        ``WINDOW_CAP``."""
         inc = np.asarray(increments)
         if inc.ndim != 3:
             raise ValueError("increments must be an (executions, steps, robots) array")
@@ -245,6 +266,10 @@ class CollectionOracle:
         final = inc.sum(axis=1, dtype=np.int32)
         lock = steps + max(0, int((self._loop_start - final).max(initial=0)))
         width = lock + self.joint_period
+        if width * batch * len(self.lassos) > WINDOW_CAP:
+            raise VerificationBudgetError(
+                f"the oracle window of {width} steps for {batch} executions of "
+                f"{len(self.lassos)} robots exceeds {WINDOW_CAP} entries")
         # Time-major layout: each global time is one contiguous row.
         counters = np.zeros((width, batch, len(self.lassos)), dtype=np.int32)
         np.cumsum(inc.transpose(1, 0, 2), axis=0, dtype=np.int32, out=counters[1:steps + 1])
@@ -416,11 +441,18 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
 # ---------------------------------------------------------------------------
 
 def collision_violations(trajs: list[LassoTrajectory], mode: str, tau: int = 0) -> list[str]:
-    """Independent collision checker over the infinite executions."""
+    """Independent collision checker over the infinite executions.  Raises
+    ``VerificationBudgetError`` when the window times the robot pairs and
+    tau + 1 passes ``WINDOW_CAP``."""
     if mode == "off" or len(trajs) < 2:
         return []
     horizon = max(t.horizon for t in trajs)
     window = horizon + math.lcm(*[t.period for t in trajs]) + tau + 1
+    pairs = len(trajs) * (len(trajs) - 1) // 2
+    if window * pairs * (tau + 1) > WINDOW_CAP:
+        raise VerificationBudgetError(
+            f"the collision window of {window} steps for {pairs} robot pairs "
+            f"exceeds {WINDOW_CAP} steps")
     out = []
     for a in range(len(trajs)):
         for b in range(a + 1, len(trajs)):

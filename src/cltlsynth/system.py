@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -82,10 +83,21 @@ class TransitionSystem:
         return len(self.states)
 
     def successors(self, i: int) -> list[int]:
-        return sorted(j for (src, j) in self.transitions if src == i)
+        return list(self._neighbours[0][i])
 
     def predecessors(self, j: int) -> list[int]:
-        return sorted(i for (i, dst) in self.transitions if dst == j)
+        return list(self._neighbours[1][j])
+
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every state's sorted successors and predecessors, from one pass
+        over the transitions on first use."""
+        succ: list[list[int]] = [[] for _ in self.states]
+        pred: list[list[int]] = [[] for _ in self.states]
+        for (i, j) in sorted(self.transitions):
+            succ[i].append(j)
+            pred[j].append(i)
+        return tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
     def adjacency(self) -> np.ndarray:
         """A[j, i] = 1 iff state i can transition to state j."""

@@ -12,9 +12,10 @@ from scipy import sparse
 from cltlsynth.formula import (IAtom, IAnd, IEventually, IAlways, INext, INot,
                                IOr, ITrue, IUntil, IRelease, InnerFormula,
                                OAlways, OAnd, OEventually, ONext, ONot, OOr,
-                               ORelease, OTrue, OUntil, OuterFormula, Tcp)
+                               ORelease, OTrue, OUntil, OuterFormula, Tcp,
+                               parse_formula)
 from cltlsynth.oracle import Lasso
-from cltlsynth.system import MultiRobotInstance, TransitionSystem
+from cltlsynth.system import MultiRobotInstance, TransitionSystem, build_grid_system
 
 
 def random_inner(rng: random.Random, depth: int, atoms: list[str],
@@ -144,6 +145,35 @@ def reaggregate(trajectories, n_states: int, upto: int) -> list[list[int]]:
             counts[traj.state_at(t)] += 1
         out.append(counts)
     return out
+
+
+def emergency_instance():
+    """The 8x8 emergency desk: four robots, mutual exclusion, eight clause
+    types."""
+    def cells(xs, ys):
+        return [[x, y] for x in xs for y in ys]
+
+    regions = {
+        "A": cells([0, 1], [2, 3, 4, 5]),
+        "C": cells([6, 7], [2, 3, 4, 5]),
+        "D": [[4, y] for y in (0, 1, 2, 5, 6, 7)],
+        "B": [[4, 3], [4, 4]],
+        "B1": [[3, 3], [3, 4]],
+        "B2": [[5, 3], [5, 4]],
+        "Fc": [[3, 3], [3, 4], [5, 3], [5, 4]],
+    }
+    ts = build_grid_system(8, 8, regions)
+
+    def idx(x, y):
+        return y * 8 + x
+
+    inst = MultiRobotInstance(
+        (ts,) * 4, (idx(2, 3), idx(2, 4), idx(6, 3), idx(6, 4)),
+        {}, "mutual_exclusion")
+    mu = parse_formula(
+        "G !([D,1]) & G !([B,3]) & [G F Fc, 4] & G F [A,2] & G F [C,2] "
+        "& G F !([A,1]) & G F !([C,1]) & (!([B,1]) U ([B1,1] & [B2,1]))")
+    return inst, mu
 
 
 def scipy_csr(matrix) -> sparse.csr_matrix:

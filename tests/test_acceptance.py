@@ -17,13 +17,13 @@ from cltlsynth.formula import IAtom, OOr, Tcp, parse_formula
 from cltlsynth.oracle import (CollectiveExecution, Lasso, brute_force_synth,
                               check_robust, collision_violations, eval_outer)
 from cltlsynth.solver import solve_bnb, solve_external
-from cltlsynth.system import MultiRobotInstance, TransitionSystem, build_grid_system
+from cltlsynth.system import MultiRobotInstance, TransitionSystem
 from cltlsynth.encoder_cltl import build_cltl_problem, decompose_flows
 from cltlsynth.encoder_continuous import (build_cont_problem, extract_continuous)
 from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import build_sync_problem, extract_trajectories
 
-from conftest import random_instance, random_outer, reaggregate
+from conftest import emergency_instance, random_instance, random_outer, reaggregate
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -261,33 +261,6 @@ def test_acceptance_06_aggregate_scale_independence():
 # ---------------------------------------------------------------------------
 # 7. Emergency-response analog at desk scale
 # ---------------------------------------------------------------------------
-
-def emergency_instance():
-    def cells(xs, ys):
-        return [[x, y] for x in xs for y in ys]
-
-    regions = {
-        "A": cells([0, 1], [2, 3, 4, 5]),
-        "C": cells([6, 7], [2, 3, 4, 5]),
-        "D": [[4, y] for y in (0, 1, 2, 5, 6, 7)],
-        "B": [[4, 3], [4, 4]],
-        "B1": [[3, 3], [3, 4]],
-        "B2": [[5, 3], [5, 4]],
-        "Fc": [[3, 3], [3, 4], [5, 3], [5, 4]],
-    }
-    ts = build_grid_system(8, 8, regions)
-
-    def idx(x, y):
-        return y * 8 + x
-
-    inst = MultiRobotInstance(
-        (ts,) * 4, (idx(2, 3), idx(2, 4), idx(6, 3), idx(6, 4)),
-        {}, "mutual_exclusion")
-    mu = parse_formula(
-        "G !([D,1]) & G !([B,3]) & [G F Fc, 4] & G F [A,2] & G F [C,2] "
-        "& G F !([A,1]) & G F !([C,1]) & (!([B,1]) U ([B1,1] & [B2,1]))")
-    return inst, mu
-
 
 def test_acceptance_07_emergency_desk_scale():
     inst, mu = emergency_instance()

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -477,6 +478,27 @@ def test_unwritable_output_is_a_one_line_io_error(grid_model, handover_bundle, t
     assert code == 4
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "feasible at" not in captured.out
+
+
+def test_simulate_reports_a_window_past_the_cap_as_a_budget_error(tmp_path, capsys):
+    # five cycles of distinct prime lengths: a joint period of 1.4e10 steps
+    primes = (101, 103, 107, 109, 113)
+    model, traj = tmp_path / "cycles.json", tmp_path / "cycles_traj.json"
+    model.write_text(json.dumps({"ap": ["a"], "robots": [
+        {"states": [f"s{i}" for i in range(p)],
+         "transitions": [[i, (i + 1) % p] for i in range(p)],
+         "labels": {"s0": ["a"]}, "init": 0} for p in primes]}))
+    traj.write_text(json.dumps({"type": "discrete", "robots": [
+        {"states": list(range(p)) + [0], "loop_start": 0} for p in primes]}))
+    for tau in ("0", "1"):
+        start = time.perf_counter()
+        code = run(["simulate", "--model", model, "--trajectories", traj,
+                    "--formula", "G F [a, 1]", "--tau", tau, "--max-t", "5"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error: the oracle window of ")
+        assert captured.err.count("\n") == 1
 
 
 def test_simulate_invalid_budget(handover_bundle):

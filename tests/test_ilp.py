@@ -6,6 +6,7 @@ the inputs, the solver must force the output to the truth-table
 value.
 """
 
+import io
 import itertools
 import random
 import subprocess
@@ -20,10 +21,12 @@ from cltlsynth.highs import HighsStatus, MatrixFormat, SolverError, new_highs
 from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, SENSES, IlpModel, LinExpr, ModelArrays
 from cltlsynth.lp_format import (read_solution_file, sanitize_names, write_lp,
                                  write_solution_file)
+from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.solver import solve_bnb
 
-from conftest import scipy_csr
+from conftest import emergency_instance, scipy_csr
 from lp_grammar import LpGrammarError, read_lp
+from lp_reference import write_lp_rows
 
 
 def fix(model, var, value):
@@ -277,6 +280,94 @@ def test_export_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# Names that pass as they are, need sanitizing, or are renamed as keywords
+WRITER_NAMES = ["x", "y[1]", "0z", "_w", "a b", "\u00e9t\u00e9", "", "free", "Inf", "nan_1",
+                "st", "x_1", "Max", "inf-1", "nan y"]
+
+
+def random_writer_model(rng):
+    """Binary, integer and continuous columns with integer and fractional
+    bounds, rows of all three senses with integer and fractional
+    coefficients and right-hand sides; repeated names get suffixes."""
+    m = IlpModel(rng.choice(["model", "desk h=8"]))
+    for k in range(rng.randint(1, 9)):
+        kind = rng.choice([BINARY, INTEGER, CONTINUOUS])
+        if kind == INTEGER:
+            lo, hi = rng.choice([-3, 0, 2]), rng.choice([0, 1, 4])
+        else:
+            lo, hi = rng.choice([-1.5, 0.0, 1 / 3, -2]), rng.choice([0, 1, 2.5, 1e-3])
+        name = rng.choice(WRITER_NAMES) + rng.choice(["", str(k % 3)])
+        m.add_var(kind, name, lo, lo + hi, tag="rnd")
+    for _ in range(rng.randint(0, 9)):
+        picks = rng.sample(range(m.n_vars), rng.randint(1, m.n_vars))
+        m.add_constraint(LinExpr({v: rng.choice([-2, -1, 1, 1.0, -1.0, 3, 0.5, -1.25,
+                                                 1 / 7, 1e-3, 2.0, -5])
+                                  for v in picks}),
+                         rng.choice(SENSES), rng.choice([-3, 0, 2.5, 1 / 3, 7.0, -0.0]),
+                         tag="rnd")
+    return m
+
+
+def assert_writes_as_the_reference(model):
+    text, mapping = write_lp_rows(model)
+    out = io.StringIO()
+    assert write_lp(model, out) == mapping
+    assert out.getvalue() == text
+
+
+def test_write_lp_matches_the_per_row_reference():
+    rng = random.Random(61)
+    assert_writes_as_the_reference(IlpModel())
+    renamed = fractional = 0
+    for _ in range(150):
+        m = random_writer_model(rng)
+        assert_writes_as_the_reference(m)
+        renamed += sum(name != var.name for name, var in zip(sanitize_names(m), m.vars))
+        fractional += any(not float(c).is_integer() for con in m.constraints
+                           for c in con.expr.coeffs.values())
+    assert renamed > 300 and fractional > 50
+
+
+def test_write_lp_matches_the_per_row_reference_on_the_desk():
+    inst, mu = emergency_instance()
+    model = build_sync_problem(inst, mu, 8).model
+    assert_writes_as_the_reference(model)
+    # a second write, from the arrays the first one built, is the same
+    assert_writes_as_the_reference(model)
+
+
+def test_write_lp_rejects_a_row_without_terms(tmp_path):
+    m = small_model()
+    m.add_constraint(LinExpr(const=1), "<=", 2, tag="empty")
+    with pytest.raises(ValueError, match="no terms"):
+        write_lp(m, tmp_path / "m.lp")
+    assert not (tmp_path / "m.lp").exists()  # nothing is written
+
+
+def test_to_arrays_is_rebuilt_after_every_addition():
+    m = IlpModel()
+    x = m.add_binary("x")
+    steps = [lambda: m.add_binary("y"),
+             lambda: m.add_constraint(LinExpr({x: 1}), ">=", 1),
+             lambda: m.add_integer("n", 0, 3),
+             lambda: m.bool_and([x, 1]),
+             lambda: m.bool_not(x),
+             lambda: m.constant(1),
+             lambda: m.indicator_geq(LinExpr({x: 1}), 1, 2)]
+    for step in steps:
+        first = m.to_arrays()
+        assert m.to_arrays() is first  # kept while nothing is added
+        with pytest.raises(ValueError, match="read-only"):
+            first.row_lo[:] = 0
+        step()
+        fresh = m.to_arrays()
+        assert fresh is not first
+        assert fresh.matrix.shape == (m.n_constraints, m.n_vars)
+        assert fresh.lb.size == m.n_vars and fresh.row_lo.size == m.n_constraints
+    want = scipy_csr(m.to_arrays().matrix)
+    assert (want != reference_matrix(m)).nnz == 0
+
+
 def test_export_sanitizes_and_disambiguates(tmp_path):
     m = IlpModel()
     m.add_binary("y[1]")
@@ -392,6 +483,25 @@ def test_lp_cli_reads_only_files_named_lp(tmp_path, capfd):
     write_lp(small_model(), path)
     assert lp_cli.main([str(path), str(tmp_path / "out.sol")]) == 1
     assert capfd.readouterr() == ("", f"error: {path}: an LP file must be named *.lp\n")
+
+
+@pytest.mark.parametrize("text", ["garbage\n", "", "\n\n", "x + y <= 1\n"])
+def test_lp_cli_rejects_text_that_holds_no_model(tmp_path, capfd, text):
+    # HiGHS reads each as an empty model, with no columns and no rows
+    lp = tmp_path / "g.lp"
+    lp.write_text(text)
+    assert lp_cli.main([str(lp), str(tmp_path / "g.sol")]) == 1
+    assert capfd.readouterr() == ("", f"error: HiGHS could not read {lp} as an LP file\n")
+
+
+@pytest.mark.parametrize("header", ["Minimize", "MAXIMIZE", "maximize"])
+def test_lp_cli_solves_an_empty_model(tmp_path, capfd, header):
+    lp, sol = tmp_path / "e.lp", tmp_path / "e.sol"
+    write_lp(IlpModel(), lp)
+    lp.write_text(lp.read_text().replace("Minimize", header))
+    assert lp_cli.main([str(lp), str(sol)]) == 0
+    assert capfd.readouterr() == ("feasible\n", "")
+    assert read_solution_file(sol) == ("feasible", {})
 
 
 GOOD_LP = ["\\ m", "Minimize", " obj:", "Subject To", " c0: + 1 x - 2 n <= 3",

@@ -9,6 +9,7 @@ which counts tcps with ``fixpoint_eval``.
 """
 
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,10 +20,12 @@ from cltlsynth.formula import (IAtom, IAlways, IAnd, IEventually, INext, INot,
                                OEventually, ONext, ONot, OOr, ORelease, OTrue,
                                OUntil, Tcp, iter_tcps, parse_formula,
                                parse_inner_formula)
+from cltlsynth import oracle
 from cltlsynth.oracle import (CHUNK, CollectiveExecution, CollectionOracle,
-                              Lasso, Verdict, brute_force_synth,
-                              check_robust, eval_inner, eval_outer)
+                              Lasso, Verdict, VerificationBudgetError, brute_force_synth,
+                              check_robust, collision_violations, eval_inner, eval_outer)
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
+from cltlsynth.trajectory import LassoTrajectory
 
 import oracle_reference
 from conftest import random_inner, random_lasso, random_outer
@@ -412,3 +415,58 @@ def test_brute_force_space_guard():
     inst = MultiRobotInstance((ts, ts, ts), (0, 0, 0))
     with pytest.raises(ValueError, match="exceeds the cap"):
         brute_force_synth(inst, OTrue(), h=6)
+
+
+# ---------------------------------------------------------------------------
+# Window guard
+# ---------------------------------------------------------------------------
+
+PRIMES = (101, 103, 107, 109, 113)  # joint period 1.4e10
+
+
+def prime_period_lassos():
+    """One lasso per prime, looping from position 0, with ``a`` at it."""
+    return [Lasso([frozenset({"a"})] + [frozenset()] * (p - 1) + [frozenset({"a"})], 0)
+            for p in PRIMES]
+
+
+def test_a_window_past_the_cap_is_refused_before_it_is_allocated():
+    mu = parse_formula("G F [a, 1]")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationBudgetError, match="exceeds"):
+            eval_outer(prime_period_lassos(), CollectiveExecution.synchronous(5), 0, mu)
+        with pytest.raises(VerificationBudgetError, match="exceeds"):
+            check_robust(prime_period_lassos(), mu, tau=1, max_T=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 1 << 20
+
+
+def test_the_window_cap_is_inclusive(monkeypatch):
+    lassos = [lasso_from_text({"a"}, {"b"}, loop=0), lasso_from_text({"a"}, set(), {"b"}, loop=1)]
+    # W = L + jp = 1 + lcm(2, 2) = 3 time steps for two robots: the second
+    # robot is in its loop from time 1
+    mu = parse_formula("G F [a, 1]")
+    monkeypatch.setattr(oracle, "WINDOW_CAP", 6)
+    assert eval_outer(lassos, CollectiveExecution.synchronous(2), 0, mu)
+    monkeypatch.setattr(oracle, "WINDOW_CAP", 5)
+    with pytest.raises(VerificationBudgetError):
+        eval_outer(lassos, CollectiveExecution.synchronous(2), 0, mu)
+
+
+def test_a_collision_window_past_the_cap_is_refused(monkeypatch):
+    trajs = [LassoTrajectory(tuple(range(p)) + (0,), 0) for p in PRIMES]
+    start = time.perf_counter()
+    with pytest.raises(VerificationBudgetError, match="collision window"):
+        collision_violations(trajs, "mutual_exclusion")
+    assert time.perf_counter() - start < 1.0
+    # two robots of periods 2 and 3: window 3 + 6 + 0 + 1 = 10 steps, one pair
+    pair = [LassoTrajectory((0, 1, 0), 0), LassoTrajectory((2, 3, 4, 2), 0)]
+    monkeypatch.setattr(oracle, "WINDOW_CAP", 10)
+    assert collision_violations(pair, "mutual_exclusion") == []
+    monkeypatch.setattr(oracle, "WINDOW_CAP", 9)
+    with pytest.raises(VerificationBudgetError):
+        collision_violations(pair, "mutual_exclusion")

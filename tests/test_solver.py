@@ -171,7 +171,7 @@ def fake_highs(monkeypatch, status, point=None):
             return highs.HighsStatus.kOk
 
         def getLp(self):
-            return SimpleNamespace(num_col_=0, col_names_=[], integrality_=[])
+            return SimpleNamespace(num_col_=0, num_row_=0, col_names_=[], integrality_=[])
 
         def run(self):
             return highs.HighsStatus.kOk
@@ -198,7 +198,8 @@ def test_reached_limit_without_a_point_is_unknown(monkeypatch):
     seen = fake_highs(monkeypatch, highs.HighsModelStatus.kSolutionLimit)
     sol = solve_bnb(m, SolveConfig(node_budget=7))
     assert sol.status == "unknown" and sol.stats["reason"] == "node budget"
-    assert seen == {"output_flag": False, "presolve": "off", "mip_max_nodes": 7}
+    assert seen == {"output_flag": False, "presolve": "off", "mip_detect_symmetry": False,
+                    "mip_max_nodes": 7}
 
 
 def test_reached_limit_after_a_point_returns_it(monkeypatch):
@@ -220,7 +221,7 @@ def test_every_model_is_solved_without_presolve(monkeypatch, general):
         m.add_integer("n", 0, 5)
     seen = fake_highs(monkeypatch, highs.HighsModelStatus.kInfeasible)
     assert solve_bnb(m).stats["presolve"] is False
-    assert seen == {"output_flag": False, "presolve": "off"}
+    assert seen == {"output_flag": False, "presolve": "off", "mip_detect_symmetry": False}
 
 
 def test_an_explicit_presolve_option_wins(monkeypatch):
@@ -228,7 +229,7 @@ def test_an_explicit_presolve_option_wins(monkeypatch):
     m.add_binary("x")
     seen = fake_highs(monkeypatch, highs.HighsModelStatus.kInfeasible)
     assert solve_arrays(m.to_arrays(), {"presolve": "on"}).stats["presolve"] is True
-    assert seen == {"output_flag": False, "presolve": "on"}
+    assert seen == {"output_flag": False, "presolve": "on", "mip_detect_symmetry": False}
 
 
 def test_model_without_integer_columns_counts_no_nodes():
@@ -298,6 +299,17 @@ def test_presolve_off_keeps_every_status():
         ours = solve_arrays(arrays)
         assert ours.stats["presolve"] is False, f"model {i}"
         assert ours.status == solve_arrays(arrays, {"presolve": "on"}).status, f"model {i}"
+        statuses.append(ours.status)
+    assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
+
+
+def test_symmetry_detection_off_keeps_every_status():
+    statuses = []
+    for i, model in enumerate(differential_models()):
+        arrays = model.to_arrays()
+        ours = solve_arrays(arrays)
+        assert ours.status == solve_arrays(arrays, {"mip_detect_symmetry": True}).status, \
+            f"model {i}"
         statuses.append(ours.status)
     assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
 

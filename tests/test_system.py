@@ -1,6 +1,7 @@
 """Model loading, construction-time checks, grid generation, aggregate views."""
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from cltlsynth.system import (ContinuousSystem, ModelError, MultiRobotInstance,
                               TransitionSystem, aggregate_view, build_grid_system,
                               load_model)
+
+from conftest import random_transition_system
 
 
 def chain_ts(labels_on=("s1",)):
@@ -60,6 +63,21 @@ def test_load_grid_model(tmp_path):
     assert sorted(ts.successors(corner)) == [0, 1, 10]
     assert "A" in ts.labels[0] and "D" in ts.labels[55]
     assert inst.grid_shape == (10, 10)
+
+
+def test_neighbour_lists_match_a_scan_of_the_transitions():
+    rng = random.Random(17)
+    for _ in range(100):
+        ts = random_transition_system(rng, rng.randint(1, 9), ["a"],
+                                      self_loops=rng.random() < 0.5)
+        for k in range(ts.n_states):
+            assert ts.successors(k) == sorted(j for (i, j) in ts.transitions if i == k)
+            assert ts.predecessors(k) == sorted(i for (i, j) in ts.transitions if j == k)
+    # each call returns a list of its own
+    ts = chain_ts()
+    ts.successors(0).append(2)
+    ts.predecessors(2).clear()
+    assert ts.successors(0) == [0, 1] and ts.predecessors(2) == [1, 2]
 
 
 def test_grid_degree_bounds_various_sizes():
