@@ -23,7 +23,8 @@ included; the solution files are the same).
 
 HiGHS reads text without any section, an empty file included, as a model
 with no columns and no rows.  Such a model is solved only when the file
-has a ``Minimize`` or ``Maximize`` header, as ``write_lp`` output of an
+has an objective header (``Minimize``, ``Maximize``, ``min``, ``max``,
+``minimum`` or ``maximum`` in any case), as ``write_lp`` output of an
 empty model does; any other such text is an error.
 
 Exit code 0 on success (including a proven-infeasible instance, reported
@@ -42,8 +43,10 @@ from .highs import HighsStatus, HighsVarType, SolverError, new_highs, run_highs
 from .lp_format import write_solution_file
 
 
-# An objective header, which every LP file has, even one of an empty model
-_HEADER = re.compile(r"^\s*(minimize|maximize)\b", re.IGNORECASE | re.MULTILINE)
+# An objective header, which every LP file has, even one of an empty model,
+# in any of the CPLEX LP spellings ``lp_format._KEYWORDS`` lists
+_HEADER = re.compile(r"^\s*(min(imize|imum)?|max(imize|imum)?)\b",
+                     re.IGNORECASE | re.MULTILINE)
 
 
 def solve_lp_file(lp_path: str, sol_path: str) -> str:

@@ -43,11 +43,11 @@ written ``ROW_CHUNK`` at a time.  A row's sense is read off its bounds
 and each number off the float the arrays hold, so the text is a per-row
 writer's for every finite float and every integer below 2**53 in
 magnitude.  On the 8x8 emergency desk at h = 8, 12 and 16 (shared
-2-vCPU machine, one CPU, median of three alternating rounds of eleven
-passes) one pass over the three programs took 175 ms through the
-per-row writer this one replaced and 63 ms from the arrays, which take
-about 40 ms to build and which ``check_point`` then reuses; the files
-are byte-identical.
+2-vCPU machine, one CPU, median of five alternating rounds of eleven
+passes, two runs) one pass over the three programs took 184 and 191 ms
+through the per-row writer this one replaced and 67 and 72 ms from the
+arrays, which take about 42 ms to build and which ``check_point`` then
+reuses; the files are byte-identical.
 
 This module imports NumPy and ``ilp`` only inside ``write_lp``, never at
 import, so the LP-file solver ``lp_cli`` writes its solution file with
@@ -111,14 +111,6 @@ def _num(x) -> str:
     return format(x, ".17g")
 
 
-class _Texts(dict):
-    """``_num`` of each distinct number, formatted once."""
-
-    def __missing__(self, x):
-        text = self[x] = _num(x)
-        return text
-
-
 def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int]:
     """Write the model; returns the LP-name -> VarId mapping.  A row with no
     terms raises ``ValueError`` before anything is written."""
@@ -131,23 +123,21 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
     matrix = arrays.matrix
     if (matrix.indptr[1:] == matrix.indptr[:-1]).any():
         raise ValueError("LP format cannot express a constraint with no terms")
-    texts = _Texts()
-    # each term "+ 1 name" or "- 1 name" is one shared string per column;
-    # any other coefficient is formatted once and prefixed to the name
-    unit = [f"+ 1 {name}" for name in names] + [f"- 1 {name}" for name in names]
-    keys = matrix.indices + np.where(matrix.data == -1, len(names), 0)
-    terms = list(map(unit.__getitem__, keys.tolist()))
-    signed: dict[float, str] = {}
-    other = np.flatnonzero(np.abs(matrix.data) != 1)
-    for k, c, v in zip(other.tolist(), matrix.data[other].tolist(),
-                       matrix.indices[other].tolist()):
-        if c not in signed:
-            signed[c] = f"{'+' if c >= 0 else '-'} {texts[abs(c)]} "
-        terms[k] = signed[c] + names[v]
     # a row's sense from its bounds: "<=" has no lower, ">=" no upper one
     no_lo, no_hi = np.isneginf(arrays.row_lo), np.isposinf(arrays.row_hi)
     senses = np.where(no_lo, 0, np.where(no_hi, 2, 1)).tolist()
     rhs = np.where(no_lo, arrays.row_hi, arrays.row_lo).tolist()
+    lb, ub = arrays.lb.tolist(), arrays.ub.tolist()
+    other = np.flatnonzero(np.abs(matrix.data) != 1)
+    coefs = matrix.data[other].tolist()
+    text = {x: _num(x) for x in {*rhs, *lb, *ub, *map(abs, coefs)}}  # each number once
+    # each term "+ 1 name" or "- 1 name" is one shared string per column;
+    # any other coefficient gets its sign and text before the name
+    unit = [f"+ 1 {name}" for name in names] + [f"- 1 {name}" for name in names]
+    keys = matrix.indices + np.where(matrix.data == -1, len(names), 0)
+    terms = list(map(unit.__getitem__, keys.tolist()))
+    for k, c, v in zip(other.tolist(), coefs, matrix.indices[other].tolist()):
+        terms[k] = f"{'+' if c >= 0 else '-'} {text[abs(c)]} {names[v]}"
     ptr = matrix.indptr.tolist()
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
@@ -157,11 +147,10 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
         for start in range(0, len(rhs), ROW_CHUNK):
             fh.write("".join([
                 f" c{r}: {' '.join(terms[ptr[r]:ptr[r + 1]])} "
-                f"{SENSES[senses[r]]} {texts[rhs[r]]}\n"
+                f"{SENSES[senses[r]]} {text[rhs[r]]}\n"
                 for r in range(start, min(start + ROW_CHUNK, len(rhs)))]))
         kinds = [var.kind for var in model.vars]
-        lb, ub = arrays.lb.tolist(), arrays.ub.tolist()
-        bounded = [f" {texts[lb[v]]} <= {names[v]} <= {texts[ub[v]]}\n"
+        bounded = [f" {text[lb[v]]} <= {names[v]} <= {text[ub[v]]}\n"
                    for v, kind in enumerate(kinds) if kind != BINARY]
         if bounded:
             fh.write("Bounds\n" + "".join(bounded))

@@ -23,14 +23,15 @@ and Schnoebelen, CONCUR 2003), for a batch of words at once.
   lock: a time u >= W has the value of L + (u - L) mod jp.
 
 ``check_robust`` feeds the tau-bounded executions to ``values`` ``CHUNK``
-at a time, so its working set is bounded by the cap and the chunk size.
+at a time, or fewer when W x CHUNK x robots would pass ``WINDOW_CAP``.
 
 The joint period of lassos with coprime periods grows as their product,
 so the window can be far too long to label.  ``values`` refuses a window
 of more than ``WINDOW_CAP`` entries (W x executions x robots) before it
-allocates anything, and ``collision_violations`` one of more than
-``WINDOW_CAP`` steps over all robot pairs, raising
-``VerificationBudgetError``; the CLI reports it as a budget problem.
+allocates anything, and reports a window under the cap that still does
+not fit in memory the same way; ``collision_violations`` refuses one of
+more than ``WINDOW_CAP`` steps over all robot pairs.  Both raise
+``VerificationBudgetError``, which the CLI reports as a budget problem.
 """
 
 from __future__ import annotations
@@ -51,15 +52,20 @@ from .trajectory import LassoTrajectory
 
 
 # Largest window the checks work through: W x executions x robots entries
-# in ``CollectionOracle.values``, each an int32 counter, an int32 position,
-# their temporaries and a bool per leaf (a few hundred MB at the cap), and
-# W x robot pairs x (tau + 1) steps of the Python loop in
-# ``collision_violations``.
-WINDOW_CAP = 1 << 24
+# in ``CollectionOracle.values``, and W x robot pairs x (tau + 1) steps of
+# the Python loop in ``collision_violations``.  ``values`` peaks at 13.0
+# bytes per entry (tracemalloc, 8.4 M to 30 M entries, 4 to 300 robots),
+# about 6.5 GiB at the cap.  The cap admits the largest window known to
+# have been checked, 1.4 M steps x 300 robots = 421 M entries (59 s), and
+# refuses the 1000-robot one that failed asking for 602 GiB.  A collision
+# step took 2.5 to 3.1 us over windows of 3 M and 6 M steps on a shared
+# 2-vCPU machine, so a window at the cap takes 22 to 28 minutes.
+WINDOW_CAP = 1 << 29
 
 
 class VerificationBudgetError(ValueError):
-    """A check's window is longer than ``WINDOW_CAP`` allows."""
+    """A check's window is longer than ``WINDOW_CAP`` allows, or does not
+    fit in memory."""
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +262,7 @@ class CollectionOracle:
         ``increments``.  W = L + jp for the batch's largest lock L and the
         joint period jp; a time u >= W has the value of L + (u - L) mod jp.
         Raises ``VerificationBudgetError`` when W x E x n passes
-        ``WINDOW_CAP``."""
+        ``WINDOW_CAP`` or the window does not fit in memory."""
         inc = np.asarray(increments)
         if inc.ndim != 3:
             raise ValueError("increments must be an (executions, steps, robots) array")
@@ -266,25 +272,30 @@ class CollectionOracle:
         final = inc.sum(axis=1, dtype=np.int32)
         lock = steps + max(0, int((self._loop_start - final).max(initial=0)))
         width = lock + self.joint_period
+        window = (f"the oracle window of {width} steps for {batch} executions of "
+                  f"{len(self.lassos)} robots")
         if width * batch * len(self.lassos) > WINDOW_CAP:
-            raise VerificationBudgetError(
-                f"the oracle window of {width} steps for {batch} executions of "
-                f"{len(self.lassos)} robots exceeds {WINDOW_CAP} entries")
-        # Time-major layout: each global time is one contiguous row.
-        counters = np.zeros((width, batch, len(self.lassos)), dtype=np.int32)
-        np.cumsum(inc.transpose(1, 0, 2), axis=0, dtype=np.int32, out=counters[1:steps + 1])
-        counters[steps + 1:] = final + np.arange(1, width - steps, dtype=np.int32)[:, None, None]
-        loop = self._loop_start
-        positions = np.where(counters < self._horizon, counters,
-                             loop + (counters - loop) % (self._horizon - loop))
-        robots = np.arange(len(self.lassos))
+            raise VerificationBudgetError(f"{window} exceeds {WINDOW_CAP} entries")
+        try:
+            # Time-major layout: each global time is one contiguous row.
+            counters = np.zeros((width, batch, len(self.lassos)), dtype=np.int32)
+            np.cumsum(inc.transpose(1, 0, 2), axis=0, dtype=np.int32,
+                      out=counters[1:steps + 1])
+            counters[steps + 1:] = (final
+                                    + np.arange(1, width - steps, dtype=np.int32)[:, None, None])
+            loop = self._loop_start
+            positions = np.where(counters < self._horizon, counters,
+                                 loop + (counters - loop) % (self._horizon - loop))
+            robots = np.arange(len(self.lassos))
 
-        def leaf(node: OuterFormula) -> np.ndarray:
-            if isinstance(node, OTrue):
-                return np.ones((width, batch), dtype=bool)
-            return self._tcp_table(node)[robots, positions].sum(axis=2) >= node.m
+            def leaf(node: OuterFormula) -> np.ndarray:
+                if isinstance(node, OTrue):
+                    return np.ones((width, batch), dtype=bool)
+                return self._tcp_table(node)[robots, positions].sum(axis=2) >= node.m
 
-        return _label(mu, leaf, lock).T
+            return _label(mu, leaf, lock).T
+        except MemoryError:
+            raise VerificationBudgetError(f"{window} does not fit in memory") from None
 
     def evaluate(self, execution: CollectiveExecution, mu: OuterFormula, t: int = 0) -> bool:
         row = self.values(execution.increments[None], mu)[0]
@@ -304,7 +315,7 @@ def eval_outer(lassos: Sequence[Lasso], execution: CollectiveExecution,
 # Robust falsification search
 # ---------------------------------------------------------------------------
 
-CHUNK = 512  # executions per kernel call; bounds its W x CHUNK x n arrays
+CHUNK = 512  # most executions per kernel call
 _EXPAND_BLOCK = 1 << 13  # (prefix, step) candidates built at once
 
 
@@ -357,16 +368,17 @@ def _bounded_sequences(n: int, tau: int, max_T: int, cap: int) -> Optional[np.nd
 
 
 def _sampled_sequences(n: int, tau: int, max_T: int, count: int,
-                       seed: int) -> Iterator[np.ndarray]:
-    """``count`` random tau-bounded sequences, CHUNK at a time.  Every step
-    is one ``rng.integers`` draw among the valid steps in ascending order,
-    which depend only on the counters' offsets above their minimum."""
+                       seed: int, chunk_size: int) -> Iterator[np.ndarray]:
+    """``count`` random tau-bounded sequences, ``chunk_size`` at a time.
+    Every step is one ``rng.integers`` draw among the valid steps in
+    ascending order, which depend only on the counters' offsets above their
+    minimum."""
     rng = np.random.default_rng(seed)
     steps = _step_bits(n)
     moves: dict[tuple[int, ...], tuple[np.ndarray, list]] = {}
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per offset vector
-    for start in range(0, count, CHUNK):
-        chunk = np.zeros((min(CHUNK, count - start), max_T, n), dtype=np.int8)
+    for start in range(0, count, chunk_size):
+        chunk = np.zeros((min(chunk_size, count - start), max_T, n), dtype=np.int8)
         for row in chunk:
             offsets = (0,) * n
             for s in range(max_T):
@@ -395,10 +407,12 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
     are checked in lexicographic order and the counterexample is the least
     violating increment matrix with its first violating anchored time;
     otherwise ``enumeration_cap`` are drawn from ``default_rng(seed)``.
-    ``CollectionOracle.values`` checks them CHUNK at a time at every time
-    t <= max_T with anchor 0, and sampling stops after the first chunk with
-    a violation.  ``stats["evaluations"]`` counts the (execution, anchored
-    time) pairs checked up to the counterexample, in search order.
+    ``CollectionOracle.values`` checks them CHUNK at a time, or as many as
+    keep W x chunk x robots within ``WINDOW_CAP``, at every time t <= max_T
+    with anchor 0, and sampling stops after the first chunk with a
+    violation; the chunk size changes no result.  ``stats["evaluations"]``
+    counts the (execution, anchored time) pairs checked up to the
+    counterexample, in search order.
     Raises ValueError when max_T is negative or enumeration_cap below 1.
     """
     n = len(lassos)
@@ -409,12 +423,16 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
     if enumeration_cap < 1:
         raise ValueError(f"enumeration_cap must be at least 1, got {enumeration_cap}")
     oracle = CollectionOracle(lassos)
+    # a chunk's window is at most max_T + the largest loop start + jp steps
+    # (``values``); one execution whose window passes the cap is refused there
+    width = max_T + max(l.loop_start for l in lassos) + oracle.joint_period
+    size = max(1, min(CHUNK, WINDOW_CAP // (width * n)))
     sequences = _bounded_sequences(n, tau, max_T, enumeration_cap)
     exhaustive = sequences is not None
     if exhaustive:
-        chunks = (sequences[i:i + CHUNK] for i in range(0, len(sequences), CHUNK))
+        chunks = (sequences[i:i + size] for i in range(0, len(sequences), size))
     else:
-        chunks = _sampled_sequences(n, tau, max_T, enumeration_cap, seed)
+        chunks = _sampled_sequences(n, tau, max_T, enumeration_cap, seed, size)
     evaluated = 0
     found = None
     for inc in chunks:

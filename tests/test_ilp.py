@@ -494,7 +494,8 @@ def test_lp_cli_rejects_text_that_holds_no_model(tmp_path, capfd, text):
     assert capfd.readouterr() == ("", f"error: HiGHS could not read {lp} as an LP file\n")
 
 
-@pytest.mark.parametrize("header", ["Minimize", "MAXIMIZE", "maximize"])
+@pytest.mark.parametrize("header", ["Minimize", "MAXIMIZE", "maximize", "min", "MAX",
+                                    "Minimum", "maximum"])
 def test_lp_cli_solves_an_empty_model(tmp_path, capfd, header):
     lp, sol = tmp_path / "e.lp", tmp_path / "e.sol"
     write_lp(IlpModel(), lp)

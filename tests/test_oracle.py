@@ -344,6 +344,27 @@ def test_first_violation_in_a_later_chunk():
         lassos, mu, tau=3, max_T=3, enumeration_cap=5000))
 
 
+@pytest.mark.parametrize("enumeration_cap", [5000, 700])  # exhaustive, sampled
+def test_a_chunk_past_the_window_cap_is_checked_in_smaller_chunks(monkeypatch,
+                                                                   enumeration_cap):
+    # The collection above: each window is at most max_T 3 + loop start 3 +
+    # joint period 1 = 7 steps for 4 robots, so a cap of 7 x 4 x 100
+    # entries lets 100 executions through a call, not CHUNK.
+    lassos = [lasso_from_text(set(), set(), set(), {"a"}, loop=3)] + [
+        lasso_from_text(set(), loop=0) for _ in range(3)]
+    mu = ONot(Tcp(IAtom("a"), 1))
+    whole = check_robust(lassos, mu, tau=3, max_T=3, enumeration_cap=enumeration_cap)
+    sizes = []
+    values = CollectionOracle.values
+    monkeypatch.setattr(CollectionOracle, "values",
+                        lambda self, inc, mu: sizes.append(len(inc)) or values(self, inc, mu))
+    monkeypatch.setattr(oracle, "WINDOW_CAP", 7 * 4 * 100)
+    cut = check_robust(lassos, mu, tau=3, max_T=3, enumeration_cap=enumeration_cap)
+    assert max(sizes) == 100 < CHUNK
+    assert_same_verdict(cut, whole)
+    assert cut.stats == whole.stats
+
+
 def test_zero_step_budget_checks_the_initial_state():
     lassos = three_trace_collection()
     for mu, falsified in ((Tcp(IAtom("p1"), 2), False), (Tcp(IAtom("p1"), 3), True)):
@@ -443,6 +464,15 @@ def test_a_window_past_the_cap_is_refused_before_it_is_allocated():
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0 and peak < 1 << 20
+
+
+def test_a_window_that_does_not_fit_in_memory_is_a_budget_error(monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(oracle, "_label", out_of_memory)
+    with pytest.raises(VerificationBudgetError, match="does not fit in memory"):
+        eval_outer(three_trace_collection(), CollectiveExecution.synchronous(3), 0,
+                   parse_formula("G F [p1, 1]"))
 
 
 def test_the_window_cap_is_inclusive(monkeypatch):
