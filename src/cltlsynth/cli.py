@@ -8,7 +8,11 @@ Exit codes for synth: 0 feasible and oracle-verified, 1 every horizon of
 the sweep proven infeasible, 2 feasible but rejected by the oracle (encoder
 bug sentinel), 3 usage errors, 4 I/O or budget problems (a sweep with no
 feasible horizon and at least one unknown one, or a verification window
-past ``oracle.WINDOW_CAP``).
+past ``oracle.WINDOW_CAP``) and unsettled robust sweeps.  The robust
+encoding is conservative, so at tau >= 1 an infeasible sweep proves nothing
+by itself: it exits 1 only when the same engine's tau = 0 program is
+infeasible at every horizon of the sweep too, and 4 with an ``unknown:``
+line otherwise.
 """
 
 from __future__ import annotations
@@ -191,13 +195,13 @@ def run_synth(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 
-    def build(h: int):
+    def build(h: int, tau: int = args.tau):
         if engine == "continuous":
-            return build_cont_problem(model_obj, mu, h, tau=args.tau)
+            return build_cont_problem(model_obj, mu, h, tau=tau)
         if engine == "cltl":
             return build_cltl_problem(model_obj, mu, h)
-        if args.tau > 0:
-            return build_robust_problem(model_obj, mu, h, args.tau)
+        if tau > 0:
+            return build_robust_problem(model_obj, mu, h, tau)
         return build_sync_problem(model_obj, mu, h)
 
     solver_cmd = args.solver_cmd or os.environ.get("CTL_SOLVER_CMD")
@@ -212,23 +216,32 @@ def run_synth(args) -> int:
         return solve_bnb(model)
 
     h_max = args.horizon_max if args.horizon_max is not None else args.horizon
+    horizons = range(args.horizon, h_max + 1)
+    problem = None
     unknown = []  # horizons whose solve exhausted a budget
+    unsettled = None  # a horizon whose tau = 0 program is not infeasible
     try:
-        for h in range(args.horizon, h_max + 1):
+        for h in horizons:
             problem = build(h)
-            if args.export_lp:
-                write_lp(problem.model, args.export_lp)
             sol = solve(problem.model)
             if sol.feasible:
                 break
             if sol.status == "unknown":
                 unknown.append(h)
+        if not sol.feasible and not unknown and args.tau > 0:
+            unsettled = next((h for h in horizons
+                              if solve(build(h, tau=0).model).status != "infeasible"), None)
     except (EncodingError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        # the last program of the sweep: the deciding one, the last
+        # infeasible one, or the one whose solve raised
+        if args.export_lp and problem is not None:
+            write_lp(problem.model, args.export_lp)
 
     if args.stats:
         meta = problem.model.metadata()
@@ -238,6 +251,11 @@ def run_synth(args) -> int:
 
     if unknown and not sol.feasible:
         print(f"unknown: solver budget exhausted at h={', '.join(map(str, unknown))}")
+        return 4
+    if unsettled is not None:
+        print(f"unknown: no tau={args.tau} lasso found for h in [{args.horizon}, "
+              f"{h_max}], but the tau=0 program is not infeasible at "
+              f"h={unsettled} (the robust encoding is conservative)")
         return 4
     if not sol.feasible:
         print(f"infeasible for h in [{args.horizon}, {h_max}]")

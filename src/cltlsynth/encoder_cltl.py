@@ -15,10 +15,10 @@ from typing import Optional, Union
 
 from .formula import (IAtom, INot, ITrue, OuterFormula, Tcp, is_cltl, iter_tcps,
                       normalize)
-from .ilp import IlpModel, LinExpr, Solution
+from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import AggregateSystem, MultiRobotInstance, aggregate_view
 from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
-                           Layout, OuterEncoder, add_loop_selectors, check_formula,
+                           Layout, LogicEncoder, add_loop_selectors, check_formula,
                            chosen_loop)
 from .trajectory import LassoTrajectory
 
@@ -92,38 +92,34 @@ def encode_aggregate_collision(model: IlpModel, layout: Layout,
                         "<=", 1, tag="collision")
 
 
-class CltlOuterEncoder(OuterEncoder):
-    """Outer encoding over aggregate occupancies; counting propositions
+def _literal_vector(ts, tcp: Tcp):
+    """0/1 per state: whether a robot there satisfies the tcp's atomic
+    inner task."""
+    inner = tcp.inner
+    if isinstance(inner, IAtom):
+        return ts.label_vector(inner.name)
+    if isinstance(inner, INot) and isinstance(inner.child, IAtom):
+        return 1 - ts.label_vector(inner.child.name)
+    if isinstance(inner, ITrue):
+        return [1] * ts.n_states
+    if isinstance(inner, INot) and isinstance(inner.child, ITrue):
+        return [0] * ts.n_states
+    raise EncodingError(
+        f"aggregate encoding needs atomic inner tasks; offending inner "
+        f"formula: {inner}")
+
+
+class CltlOuterEncoder(LogicEncoder):
+    """Outer logic over aggregate occupancies; counting propositions
     become threshold tests on a labeled occupancy sum."""
 
-    TAG = "outer"
-
-    def __init__(self, model: IlpModel, layout: Layout, agg: AggregateSystem):
-        super().__init__(model, layout, inner=None, n_robots=agg.n_robots)
-        self.agg = agg
-
-    def _literal_vector(self, tcp: Tcp):
-        ts = self.agg.shared
-        inner = tcp.inner
-        if isinstance(inner, IAtom):
-            return ts.label_vector(inner.name)
-        if isinstance(inner, INot) and isinstance(inner.child, IAtom):
-            return 1 - ts.label_vector(inner.child.name)
-        if isinstance(inner, ITrue):
-            return [1] * ts.n_states
-        if isinstance(inner, INot) and isinstance(inner.child, ITrue):
-            return [0] * ts.n_states
-        raise EncodingError(
-            f"aggregate encoding needs atomic inner tasks; offending inner "
-            f"formula: {inner}")
-
-    def _tcp_row(self, tcp: Tcp) -> None:
+    def _tcp_row(self, tcp: Tcp) -> list[VarId]:
         lay = self.layout
-        vec = self._literal_vector(tcp)
-        for t in range(lay.h):
-            # occupancies are conserved, so the labeled sum never exceeds N
-            count = (lay.agg_state[t][i] for i, bit in enumerate(vec) if bit)
-            self._set(tcp, t, self._at_least(count, tcp.m, self.agg.n_robots, tcp, t))
+        vec = _literal_vector(lay.instance.shared, tcp)
+        # occupancies are conserved, so the labeled sum never exceeds N
+        return [self._at_least((lay.agg_state[t][i] for i, bit in enumerate(vec) if bit),
+                               tcp.m, lay.n_robots, tcp, t)
+                for t in range(lay.h)]
 
 
 def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
@@ -148,9 +144,7 @@ def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
     model = IlpModel("cltl")
     layout = encode_aggregate(model, agg, h)
     encode_aggregate_collision(model, layout, agg, collision)
-    outer = CltlOuterEncoder(model, layout, agg)
-    root = outer.var(norm, 0)
-    model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
+    CltlOuterEncoder(layout).pin_root(norm)
     return EncodedProblem(model, layout, source, h, 0, "cltl")
 
 

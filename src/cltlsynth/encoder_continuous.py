@@ -4,7 +4,9 @@ States are never decision variables: each w[n][t] is the affine image of
 the inputs by forward substitution, so only inputs, loop selectors and the
 logic binaries remain.  Atomic propositions are convex polytopes; a
 binary per polytope face plus a conjunction gadget tests membership up to
-a strictness margin epsilon (1e-6).
+a strictness margin epsilon (1e-6).  These atoms are the only leaves that
+differ from the discrete engines: the logic rows come from the shared
+``LogicEncoder``, or ``RobustLogicEncoder`` for tau >= 1.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from .formula import ONot, OuterFormula, normalize, subformulas
 from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import ContinuousSystem
 from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
-                           InnerEncoder, Layout, OuterEncoder,
-                           add_loop_selectors, check_formula, chosen_loop)
-from .encoder_robust import RobustOuterEncoder
+                           Layout, LogicEncoder, add_loop_selectors, check_formula,
+                           chosen_loop)
+from .encoder_robust import RobustLogicEncoder
 from .trajectory import ContinuousTrajectory
 
 import warnings
@@ -149,14 +151,8 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
     norm = normalize(mu, sys.n_robots, robust=tau > 0)
     model = IlpModel("continuous")
     layout = encode_cont_dynamics_loop(model, sys, h, tau)
-    backend = polytope_atom_backend(layout, sys)
-    inner = InnerEncoder(model, layout, backend)
-    if tau == 0:
-        outer = OuterEncoder(model, layout, inner, sys.n_robots)
-    else:
-        outer = RobustOuterEncoder(model, layout, inner, sys.n_robots, tau)
-    root = outer.var(norm, 0)
-    model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
+    encoder = RobustLogicEncoder if tau else LogicEncoder
+    encoder(layout, polytope_atom_backend(layout, sys)).pin_root(norm)
     return EncodedProblem(model, layout, sys, h, tau, "continuous")
 
 

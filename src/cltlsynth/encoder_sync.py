@@ -1,6 +1,6 @@
 """Synchronous ILP encoding: robot dynamics as one-hot state vectors,
-lasso loop selection, recursive inner/outer logic constraints, optional
-inter-robot collision constraints, and trajectory extraction.
+lasso loop selection, recursive logic constraints for both formula layers,
+optional inter-robot collision constraints, and trajectory extraction.
 
 Conventions: state vectors w[n][t] have one entry per state for t = 0..h
 (plus h+1..h+tau in robust mode), but only the states robot n can occupy
@@ -11,12 +11,17 @@ t = 0..h-1, with w[h] reserved for closing the loop.
 Every encoder (synchronous, robust, aggregate, continuous) builds its
 logic on one core defined here:
 
+- ``LogicEncoder`` builds the rows of inner and outer subformulas with one
+  recursion; the robust and aggregate engines subclass it only where the
+  paper's semantics differ.
+- ``tie_state`` pins a state vector past the horizon to its wrapped loop
+  position; at t = h it closes the loop.
 - ``loop_value`` reads a row at the chosen loop start, OR over l of
   (z_l AND row[l]); it closes next and every until/release at h-1.
 - ``until_release_row`` is the one until/release recurrence,
   y[t] = rhs[t] | (lhs[t] & y[t+1]) and its dual, with the auxiliary
   window pass that keeps a loop from justifying itself.
-- ``OuterEncoder._at_least`` is the one counting threshold: constant 1 for
+- ``LogicEncoder._at_least`` is the one counting threshold: constant 1 for
   m <= 0, constant 0 for m above the number of robots counted, and an
   indicator row pair in between.
 """
@@ -36,6 +41,7 @@ from .system import AggregateSystem, ContinuousSystem, MultiRobotInstance
 from .trajectory import LassoTrajectory
 
 AtomBackend = Callable[[str, int, int], VarId]
+Formula = Union[InnerFormula, OuterFormula]
 
 
 class EncodingError(ValueError):
@@ -62,9 +68,9 @@ class Layout:
         # ascending indices of the entries of state_vars that are variables
         self.live: dict[tuple[int, int], list[int]] = {}
         self.loop_vars: list[VarId] = []
-        self.inner: dict[tuple[InnerFormula, int, int], VarId] = {}
+        # logic rows by (subformula, robot), robot None for outer formulas
+        self.rows: dict[tuple[Formula, Optional[int]], list[VarId]] = {}
         self.robust: dict[tuple[InnerFormula, int, int], VarId] = {}
-        self.outer: dict[tuple[OuterFormula, int], VarId] = {}
         self.outer_extra: dict[tuple, VarId] = {}
         # aggregate-encoding slots
         self.agg_state: dict[int, list[VarId]] = {}
@@ -75,11 +81,6 @@ class Layout:
         self.instance = None
         self._formula_ids: dict = {}
 
-    @property
-    def horizon_ext(self) -> int:
-        """Inner variables exist for t = 0 .. horizon_ext - 1."""
-        return self.h + self.tau
-
     def fid(self, node) -> int:
         if node not in self._formula_ids:
             self._formula_ids[node] = len(self._formula_ids)
@@ -89,17 +90,6 @@ class Layout:
         """Position of time t >= h on the lasso that loops at loop_start."""
         period = self.h - loop_start
         return loop_start + (t - loop_start) % period
-
-    def tie_to_loop(self, var: VarId, n: Optional[int], t: int,
-                    lookup: Callable[[int], VarId], tag: str) -> None:
-        """Force ``var`` to equal its loop-equivalent value: for the chosen
-        loop start l, var = lookup(wrap(l, t))."""
-        for l, z in enumerate(self.loop_vars):
-            target = lookup(self.wrap_index(l, t))
-            self.model.add_constraint(
-                LinExpr({var: 1, target: -1, z: 1}), "<=", 1, tag=tag)
-            self.model.add_constraint(
-                LinExpr({var: -1, target: 1, z: 1}), "<=", 1, tag=tag)
 
 
 @dataclass
@@ -188,26 +178,31 @@ def chosen_loop(layout: Layout, sol: Solution) -> int:
     return hits[0]
 
 
-def encode_loop(model: IlpModel, layout: Layout, h: int) -> list[VarId]:
-    """Select a unique loop start l with w[n][h] = w[n][l] for every robot.
+def tie_state(model: IlpModel, layout: Layout, n: int, t: int, tag: str) -> None:
+    """Pin w[n][t], t >= h, to w[n][wrap(l, t)] for the chosen loop start l.
 
-    One side suffices: ``w[n][t][i] + z_t - w[n][h][i] <= 1`` for each live
-    entry of w[n][t] gives w[n][h] >= w[n][l] once z_l = 1, and two one-hot
-    vectors with w[h] >= w[l] are equal.  Where w[n][h][i] is the constant
-    0 the row reads ``w[n][t][i] + z_t <= 1``."""
+    One side suffices: ``src[i] + z_l - w[n][t][i] <= 1`` for each live
+    entry i of the wrapped source gives w[n][t] >= src once z_l = 1, and
+    two one-hot vectors with w[t] >= src are equal.  Where w[n][t][i] is
+    the constant 0 the row reads ``src[i] + z_l <= 1``.  At t = h the
+    source is w[n][l] itself, since wrap(l, h) = l."""
+    dst = layout.state_vars[(n, t)]
+    dst_live = set(layout.live[(n, t)])
+    for l, z in enumerate(layout.loop_vars):
+        src_t = layout.wrap_index(l, t)
+        src = layout.state_vars[(n, src_t)]
+        for i in layout.live[(n, src_t)]:
+            expr = LinExpr({src[i]: 1, z: 1})
+            if i in dst_live:
+                expr.add_term(dst[i], -1)
+            model.add_constraint(expr, "<=", 1, tag=tag)
+
+
+def encode_loop(model: IlpModel, layout: Layout, h: int) -> None:
+    """Select a unique loop start l with w[n][h] = w[n][l] for every robot."""
     add_loop_selectors(model, layout)
-    for (n, t), row in list(layout.state_vars.items()):
-        if t >= h:
-            continue
-        final = layout.state_vars[(n, h)]
-        final_live = set(layout.live[(n, h)])
-        z = layout.loop_vars[t]
-        for i in layout.live[(n, t)]:
-            expr = LinExpr({row[i]: 1, z: 1})
-            if i in final_live:
-                expr.add_term(final[i], -1)
-            model.add_constraint(expr, "<=", 1, tag="loop")
-    return layout.loop_vars
+    for n in range(layout.n_robots):
+        tie_state(model, layout, n, h, "loop")
 
 
 def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
@@ -313,7 +308,7 @@ def until_release_row(model: IlpModel, loop_vars: list[VarId], lhs: list[VarId],
 
 
 # ---------------------------------------------------------------------------
-# Inner logic
+# Logic rows
 # ---------------------------------------------------------------------------
 
 def discrete_atom_backend(layout: Layout, inst: MultiRobotInstance) -> AtomBackend:
@@ -339,180 +334,129 @@ def discrete_atom_backend(layout: Layout, inst: MultiRobotInstance) -> AtomBacke
     return backend
 
 
-class InnerEncoder:
-    """Creates z[phi][n][t] rows with z = 1 iff robot n satisfies phi at
-    position t of its lasso, for t = 0 .. h+tau-1.
+class LogicEncoder:
+    """Rows of truth values for the subformulas of both formula layers,
+    built by one recursion, as ``oracle._label`` evaluates them.
 
-    Temporal operators recurse backward in time with an auxiliary pass so
-    satisfaction cannot be deferred forever around the loop; positions past
-    the horizon (robust mode) are pinned to their loop-equivalent values.
-    """
-
-    def __init__(self, model: IlpModel, layout: Layout, atom_backend: AtomBackend):
-        self.model = model
-        self.layout = layout
-        self.atom_backend = atom_backend
-        self._done: set[tuple[InnerFormula, int]] = set()
-
-    def var(self, phi: InnerFormula, n: int, t: int) -> VarId:
-        self.ensure_row(phi, n)
-        return self.layout.inner[(phi, n, t)]
-
-    def row(self, phi: InnerFormula, n: int) -> list[VarId]:
-        self.ensure_row(phi, n)
-        return [self.layout.inner[(phi, n, t)] for t in range(self.layout.horizon_ext)]
-
-    # -- helpers ---------------------------------------------------------
-
-    def _set(self, phi, n, t, var: VarId):
-        self.layout.inner[(phi, n, t)] = var
-
-    def _tie_extended(self, phi, n):
-        """Positions h .. h+tau-1 of a temporal row equal their wrapped
-        loop positions once the loop start is chosen."""
-        lay = self.layout
-        for t in range(lay.h, lay.horizon_ext):
-            v = self.model.add_binary(f"z{lay.fid(phi)}_n{n}_t{t}", tag="inner")
-            lay.tie_to_loop(v, n, t, lambda w, phi=phi, n=n: lay.inner[(phi, n, w)],
-                            tag="inner")
-            self._set(phi, n, t, v)
-
-    # -- row construction -------------------------------------------------
-
-    def ensure_row(self, phi: InnerFormula, n: int) -> None:
-        if (phi, n) in self._done:
-            return
-        self._done.add((phi, n))
-        lay = self.layout
-        model = self.model
-        h, h_ext = lay.h, lay.horizon_ext
-
-        if isinstance(phi, ITrue):
-            one = model.constant(1)
-            for t in range(h_ext):
-                self._set(phi, n, t, one)
-        elif phi == INNER_FALSE:
-            zero = model.constant(0)
-            for t in range(h_ext):
-                self._set(phi, n, t, zero)
-        elif isinstance(phi, IAtom):
-            for t in range(h_ext):
-                self._set(phi, n, t, self.atom_backend(phi.name, n, t))
-        elif isinstance(phi, INot):
-            if not isinstance(phi.child, (IAtom, ITrue)):
-                raise EncodingError(
-                    "inner negation must sit on atoms; normalize the formula first")
-            self.ensure_row(phi.child, n)
-            for t in range(h_ext):
-                v = model.bool_not(lay.inner[(phi.child, n, t)],
-                                   name=f"z{lay.fid(phi)}_n{n}_t{t}", tag="inner")
-                self._set(phi, n, t, v)
-        elif isinstance(phi, (IAnd, IOr)):
-            for c in phi.children:
-                self.ensure_row(c, n)
-            op = "AND" if isinstance(phi, IAnd) else "OR"
-            for t in range(h_ext):
-                v = model.bool_gadget(
-                    op, [lay.inner[(c, n, t)] for c in phi.children],
-                    name=f"z{lay.fid(phi)}_n{n}_t{t}", tag="inner")
-                self._set(phi, n, t, v)
-        elif isinstance(phi, INext):
-            if lay.tau:
-                raise EncodingError(
-                    "inner next is not robust to asynchrony: a single delayed "
-                    "robot can violate it")
-            child = self.row(phi.child, n)
-            for t in range(h - 1):
-                self._set(phi, n, t, child[t + 1])
-            self._set(phi, n, h - 1, loop_value(model, lay.loop_vars, child,
-                                                tag="inner"))
-        elif isinstance(phi, (IUntil, IRelease)):
-            self._until_release_row(phi, n, release=isinstance(phi, IRelease))
-        else:
-            raise TypeError(f"not an inner formula: {phi!r}")
-
-    def _until_release_row(self, phi, n, release: bool):
-        lay = self.layout
-        lhs, rhs = self.row(phi.lhs, n), self.row(phi.rhs, n)
-        row = until_release_row(self.model, lay.loop_vars, lhs, rhs, release,
-                                f"z{{aux}}{lay.fid(phi)}_n{n}_t{{t}}", "inner")
-        for t, v in enumerate(row):
-            self._set(phi, n, t, v)
-        if lay.tau:
-            self._tie_extended(phi, n)
-
-
-# ---------------------------------------------------------------------------
-# Outer logic
-# ---------------------------------------------------------------------------
-
-class OuterEncoder:
-    """Creates y[mu][t] rows for t = 0..h-1 with y = 1 iff the collection
-    satisfies mu at step t under the synchronous execution."""
+    ``row(phi, n)`` for an inner formula and robot n holds z[t] = 1 iff
+    robot n satisfies phi at position t of its lasso, t = 0 .. h+tau-1;
+    ``row(mu)`` for an outer formula holds y[t] = 1 iff the collection
+    satisfies mu at step t under the synchronous execution, t = 0 .. h-1.
+    The layers share every operator.  They differ only in their leaves
+    (atoms through ``atom_backend``, counting propositions through
+    ``_tcp_row``), in inner next, which no asynchrony tolerates, and in the
+    robust tail: positions h .. h+tau-1 of an inner until or release row
+    equal their wrapped loop positions.  Negation must sit on atoms."""
 
     TAG = "outer"
 
-    def __init__(self, model: IlpModel, layout: Layout, inner: Optional[InnerEncoder],
-                 n_robots: int):
-        self.model = model
+    def __init__(self, layout: Layout, atom_backend: Optional[AtomBackend] = None):
         self.layout = layout
-        self.inner = inner
-        self.n_robots = n_robots
-        self._done: set[OuterFormula] = set()
+        self.model = layout.model
+        self.atom_backend = atom_backend
 
-    def var(self, mu: OuterFormula, t: int) -> VarId:
-        self.ensure_row(mu)
-        return self.layout.outer[(mu, t)]
+    def row(self, node: Formula, n: Optional[int] = None) -> list[VarId]:
+        """The row of ``node``: inner for robot ``n``, outer for n None."""
+        key = (node, n)
+        if key not in self.layout.rows:
+            self.layout.rows[key] = self._build(node, n)
+        return self.layout.rows[key]
 
-    def row(self, mu: OuterFormula) -> list[VarId]:
-        self.ensure_row(mu)
-        return [self.layout.outer[(mu, t)] for t in range(self.layout.h)]
+    def pin_root(self, mu: OuterFormula) -> None:
+        """Require ``mu`` at step 0."""
+        self.model.add_constraint(LinExpr({self.row(mu)[0]: 1}), "=", 1, tag="root")
 
-    def _set(self, mu, t, var: VarId):
-        self.layout.outer[(mu, t)] = var
+    def _tag(self, n: Optional[int]) -> str:
+        return "inner" if n is not None else self.TAG
 
-    def ensure_row(self, mu: OuterFormula) -> None:
-        if mu in self._done:
-            return
-        self._done.add(mu)
-        lay = self.layout
-        model = self.model
+    def _name(self, node: Formula, n: Optional[int], t: Union[int, str],
+              aux: str = "") -> str:
+        """``z{aux}{fid}_n{n}_t{t}`` for an inner row, ``y{aux}{fid}_t{t}``
+        for an outer one; t and aux may be ``until_release_row``'s template
+        fields."""
+        fid = self.layout.fid(node)
+        return f"z{aux}{fid}_n{n}_t{t}" if n is not None else f"y{aux}{fid}_t{t}"
+
+    def _build(self, node: Formula, n: Optional[int]) -> list[VarId]:
+        lay, model = self.layout, self.model
         h = lay.h
-        if isinstance(mu, OTrue):
-            one = model.constant(1)
-            for t in range(h):
-                self._set(mu, t, one)
-        elif isinstance(mu, ONot):
-            raise EncodingError(
-                "outer negation must be eliminated first; normalize to "
-                "positive normal form")
-        elif isinstance(mu, Tcp):
-            self._tcp_row(mu)
-        elif isinstance(mu, OAnd):
-            for c in mu.children:
-                self.ensure_row(c)
-            for t in range(h):
-                v = model.bool_and([lay.outer[(c, t)] for c in mu.children],
-                                   name=f"y{lay.fid(mu)}_t{t}", tag=self.TAG)
-                self._set(mu, t, v)
-        elif isinstance(mu, OOr):
-            self._or_row(mu)
-        elif isinstance(mu, ONext):
-            child = self.row(mu.child)
-            for t in range(h - 1):
-                self._set(mu, t, child[t + 1])
-            self._set(mu, h - 1, loop_value(model, lay.loop_vars, child,
-                                            f"y{lay.fid(mu)}_t{h - 1}", tag=self.TAG))
-        elif isinstance(mu, (OUntil, ORelease)):
-            self._until_release_row(mu, release=isinstance(mu, ORelease))
-        else:
-            raise TypeError(f"not an outer formula: {mu!r}")
+        size = h + lay.tau if n is not None else h
+        tag = self._tag(n)
+        if isinstance(node, (ITrue, OTrue)):
+            return [model.constant(1)] * size
+        if node == INNER_FALSE:
+            return [model.constant(0)] * size
+        if isinstance(node, IAtom):
+            return [self.atom_backend(node.name, n, t) for t in range(size)]
+        if isinstance(node, Tcp):
+            return self._tcp_row(node)
+        if isinstance(node, (INot, ONot)):
+            if not isinstance(node.child, IAtom):
+                raise EncodingError("negation must sit on atoms; normalize the "
+                                    "formula to positive normal form first")
+            child = self.row(node.child, n)
+            return [model.bool_not(child[t], name=self._name(node, n, t), tag=tag)
+                    for t in range(size)]
+        if isinstance(node, (IAnd, OAnd)):
+            return self._gate_row(model.bool_and, node, n)
+        if isinstance(node, (IOr, OOr)):
+            return self._or_row(node, n)
+        if isinstance(node, (INext, ONext)):
+            if n is not None and lay.tau:
+                raise EncodingError(
+                    "inner next is not robust to asynchrony: a single delayed "
+                    "robot can violate it")
+            child = self.row(node.child, n)
+            return child[1:h] + [loop_value(model, lay.loop_vars, child,
+                                            self._name(node, n, h - 1), tag=tag)]
+        if isinstance(node, (IUntil, OUntil, IRelease, ORelease)):
+            release = isinstance(node, (IRelease, ORelease))
+            lhs = self.row(node.lhs if release else self._until_guard(node), n)
+            rhs = self.row(node.rhs, n)
+            row = until_release_row(model, lay.loop_vars, lhs, rhs, release,
+                                    self._name(node, n, "{t}", "{aux}"), tag)
+            if n is not None:
+                row += [self._tie_to_loop(node, n, t, row) for t in range(h, size)]
+            return row
+        raise TypeError(f"not a formula: {node!r}")
+
+    def _tie_to_loop(self, phi: InnerFormula, n: int, t: int,
+                     row: list[VarId]) -> VarId:
+        """A fresh z for position t >= h of an inner row, equal to the row
+        at wrap(l, t) for the chosen loop start l."""
+        lay, model = self.layout, self.model
+        var = model.add_binary(self._name(phi, n, t), tag="inner")
+        for l, z in enumerate(lay.loop_vars):
+            target = row[lay.wrap_index(l, t)]
+            model.add_constraint(LinExpr({var: 1, target: -1, z: 1}), "<=", 1, tag="inner")
+            model.add_constraint(LinExpr({var: -1, target: 1, z: 1}), "<=", 1, tag="inner")
+        return var
+
+    def _gate_row(self, gate: Callable, node: Formula, n: Optional[int]) -> list[VarId]:
+        kids = [self.row(c, n) for c in node.children]
+        return [gate([k[t] for k in kids], name=self._name(node, n, t), tag=self._tag(n))
+                for t in range(len(kids[0]))]
+
+    def _or_row(self, node: Union[IOr, OOr], n: Optional[int]) -> list[VarId]:
+        return self._gate_row(self.model.bool_or, node, n)
+
+    def _until_guard(self, node: Union[IUntil, OUntil]) -> Formula:
+        """Formula that must keep holding while waiting for the right side
+        of an until (the ``lhs`` of ``until_release_row``); plain until uses
+        the left side itself.  The robust encoder widens an outer one to
+        ``lhs | rhs`` for tau >= 1: under counter drift the handover step
+        can show some robots still on the left task and others already on
+        the right one, so only the disjunction holds robustly there.  In the
+        recurrence the guard matters only at steps where the right side does
+        not hold, so the wider guard accepts the mixed handover without
+        otherwise changing the until."""
+        return node.lhs
 
     # -- counting propositions ------------------------------------------
 
     def _tcp_scope(self, tcp: Tcp) -> list[int]:
         """Robots the tcp counts; ``check_formula`` has checked the group."""
-        return list(range(self.n_robots)) if tcp.group is None else sorted(tcp.group)
+        return list(range(self.layout.n_robots)) if tcp.group is None else sorted(tcp.group)
 
     def _at_least(self, count: Iterable[VarId], m: int, size: int,
                   node: OuterFormula, t: int, prefix: str = "y") -> VarId:
@@ -532,43 +476,11 @@ class OuterEncoder:
             expr, m, size + 1, name=f"{prefix}{self.layout.fid(node)}_t{t}",
             tag=self.TAG, known_bounds=(0, size))
 
-    def _tcp_row(self, tcp: Tcp) -> None:
+    def _tcp_row(self, tcp: Tcp) -> list[VarId]:
         scope = self._tcp_scope(tcp)
-        for t in range(self.layout.h):
-            count = (self.inner.var(tcp.inner, n, t) for n in scope)
-            self._set(tcp, t, self._at_least(count, tcp.m, len(scope), tcp, t))
-
-    # -- composite operators ----------------------------------------------
-
-    def _or_row(self, mu: OOr) -> None:
-        lay = self.layout
-        for c in mu.children:
-            self.ensure_row(c)
-        for t in range(lay.h):
-            v = self.model.bool_or([lay.outer[(c, t)] for c in mu.children],
-                                   name=f"y{lay.fid(mu)}_t{t}", tag=self.TAG)
-            self._set(mu, t, v)
-
-    def _until_guard(self, mu: OUntil) -> OuterFormula:
-        """Formula that must keep holding while waiting for the right side
-        of an until (the ``lhs`` of ``until_release_row``); plain until uses
-        the left side itself.  The robust encoder widens it to ``lhs | rhs``
-        for tau >= 1: under counter drift the handover step can show some
-        robots still on the left task and others already on the right one,
-        so only the disjunction holds robustly there.  In the recurrence the
-        guard matters only at steps where the right side does not hold, so
-        the wider guard accepts the mixed handover without otherwise
-        changing the until."""
-        return mu.lhs
-
-    def _until_release_row(self, mu: Union[OUntil, ORelease], release: bool) -> None:
-        lay = self.layout
-        lhs = self.row(mu.lhs if release else self._until_guard(mu))
-        rhs = self.row(mu.rhs)
-        row = until_release_row(self.model, lay.loop_vars, lhs, rhs, release,
-                                f"y{{aux}}{lay.fid(mu)}_t{{t}}", self.TAG)
-        for t, v in enumerate(row):
-            self._set(mu, t, v)
+        return [self._at_least((self.row(tcp.inner, n)[t] for n in scope),
+                               tcp.m, len(scope), tcp, t)
+                for t in range(self.layout.h)]
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +516,7 @@ def build_sync_problem(inst: MultiRobotInstance, mu: OuterFormula,
     layout = encode_dynamics(model, inst, h)
     encode_loop(model, layout, h)
     encode_collision(model, layout, inst, h, tau=0)
-    inner = InnerEncoder(model, layout, discrete_atom_backend(layout, inst))
-    outer = OuterEncoder(model, layout, inner, inst.n_robots)
-    root = outer.var(norm, 0)
-    model.add_constraint(LinExpr({root: 1}), "=", 1, tag="root")
+    LogicEncoder(layout, discrete_atom_backend(layout, inst)).pin_root(norm)
     return EncodedProblem(model, layout, inst, h, 0, "cltlplus")
 
 

@@ -29,8 +29,8 @@ The joint period of lassos with coprime periods grows as their product,
 so the window can be far too long to label.  ``values`` refuses a window
 of more than ``WINDOW_CAP`` entries (W x executions x robots) before it
 allocates anything, and reports a window under the cap that still does
-not fit in memory the same way; ``collision_violations`` refuses one of
-more than ``WINDOW_CAP`` steps over all robot pairs.  Both raise
+not fit in memory the same way; ``collision_violations`` refuses pair
+windows of more than ``WINDOW_CAP`` steps in all.  Both raise
 ``VerificationBudgetError``, which the CLI reports as a budget problem.
 """
 
@@ -52,8 +52,8 @@ from .trajectory import LassoTrajectory
 
 
 # Largest window the checks work through: W x executions x robots entries
-# in ``CollectionOracle.values``, and W x robot pairs x (tau + 1) steps of
-# the Python loop in ``collision_violations``.  ``values`` peaks at 13.0
+# in ``CollectionOracle.values``, and the sum over robot pairs of the pair's
+# window x (tau + 1) steps of the Python loop in ``collision_violations``.  ``values`` peaks at 13.0
 # bytes per entry (tracemalloc, 8.4 M to 30 M entries, 4 to 300 robots),
 # about 6.5 GiB at the cap.  The cap admits the largest window known to
 # have been checked, 1.4 M steps x 300 robots = 421 M entries (59 s), and
@@ -459,32 +459,36 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
 # ---------------------------------------------------------------------------
 
 def collision_violations(trajs: list[LassoTrajectory], mode: str, tau: int = 0) -> list[str]:
-    """Independent collision checker over the infinite executions.  Raises
-    ``VerificationBudgetError`` when the window times the robot pairs and
-    tau + 1 passes ``WINDOW_CAP``."""
+    """Independent collision checker over the infinite executions.
+
+    A pair's positions, and so its meetings and swaps, repeat with the
+    pair's own period past both horizons, so each pair (a, b) is walked
+    over max(h_a, h_b) + lcm(p_a, p_b) + tau + 1 steps, and a repeated
+    meeting is reported once per pair period.  Raises
+    ``VerificationBudgetError`` when the pair windows times tau + 1 pass
+    ``WINDOW_CAP`` in all."""
     if mode == "off" or len(trajs) < 2:
         return []
-    horizon = max(t.horizon for t in trajs)
-    window = horizon + math.lcm(*[t.period for t in trajs]) + tau + 1
-    pairs = len(trajs) * (len(trajs) - 1) // 2
-    if window * pairs * (tau + 1) > WINDOW_CAP:
+    windows = {(a, b): (max(trajs[a].horizon, trajs[b].horizon)
+                        + math.lcm(trajs[a].period, trajs[b].period) + tau + 1)
+               for a, b in itertools.combinations(range(len(trajs)), 2)}
+    if sum(windows.values()) * (tau + 1) > WINDOW_CAP:
         raise VerificationBudgetError(
-            f"the collision window of {window} steps for {pairs} robot pairs "
-            f"exceeds {WINDOW_CAP} steps")
+            f"the collision windows of {sum(windows.values())} steps for "
+            f"{len(windows)} robot pairs exceed {WINDOW_CAP} steps")
     out = []
-    for a in range(len(trajs)):
-        for b in range(a + 1, len(trajs)):
-            for t in range(window):
-                for dt in range(tau + 1):
-                    if trajs[a].state_at(t) == trajs[b].state_at(t + dt):
-                        out.append(f"robots {a} and {b} meet at step {t}(+{dt})")
-                    if dt and trajs[b].state_at(t) == trajs[a].state_at(t + dt):
-                        out.append(f"robots {b} and {a} meet at step {t}(+{dt})")
-                if mode == "mutual_exclusion_plus_swap":
-                    if (trajs[a].state_at(t) == trajs[b].state_at(t + 1)
-                            and trajs[b].state_at(t) == trajs[a].state_at(t + 1)
-                            and trajs[a].state_at(t) != trajs[a].state_at(t + 1)):
-                        out.append(f"robots {a} and {b} swap at step {t}")
+    for (a, b), window in windows.items():
+        for t in range(window):
+            for dt in range(tau + 1):
+                if trajs[a].state_at(t) == trajs[b].state_at(t + dt):
+                    out.append(f"robots {a} and {b} meet at step {t}(+{dt})")
+                if dt and trajs[b].state_at(t) == trajs[a].state_at(t + dt):
+                    out.append(f"robots {b} and {a} meet at step {t}(+{dt})")
+            if mode == "mutual_exclusion_plus_swap":
+                if (trajs[a].state_at(t) == trajs[b].state_at(t + 1)
+                        and trajs[b].state_at(t) == trajs[a].state_at(t + 1)
+                        and trajs[a].state_at(t) != trajs[a].state_at(t + 1)):
+                    out.append(f"robots {a} and {b} swap at step {t}")
     return out
 
 

@@ -1,4 +1,5 @@
-"""Shared generators for randomized cross-checks.
+"""Shared generators for randomized cross-checks, and the check of every
+logic row of a solved program against the oracle.
 
 Everything is seeded; tests state their seeds so failures replay exactly.
 """
@@ -14,7 +15,8 @@ from cltlsynth.formula import (IAtom, IAnd, IEventually, IAlways, INext, INot,
                                OAlways, OAnd, OEventually, ONext, ONot, OOr,
                                ORelease, OTrue, OUntil, OuterFormula, Tcp,
                                parse_formula)
-from cltlsynth.oracle import Lasso
+from cltlsynth.encoder_sync import extract_trajectories
+from cltlsynth.oracle import CollectiveExecution, Lasso, eval_inner, eval_outer
 from cltlsynth.system import MultiRobotInstance, TransitionSystem, build_grid_system
 
 
@@ -181,3 +183,30 @@ def scipy_csr(matrix) -> sparse.csr_matrix:
     arrays: the reference its tests compare against."""
     return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
                              shape=matrix.shape)
+
+
+def discrete_lassos(problem, sol) -> list[Lasso]:
+    """The labeled lassos of a per-robot discrete solution."""
+    trajs = extract_trajectories(problem.layout, sol)
+    return [Lasso.from_trajectory(t, ts) for t, ts in zip(trajs, problem.instance.systems)]
+
+
+def oracle_check_all_logic_vars(layout, sol, lassos, outer: bool = True) -> int:
+    """Assert that every entry of every logic row in ``layout.rows`` has
+    its exact truth value in ``sol``: an inner row by ``eval_inner`` on its
+    robot's lasso, an outer row (robot None) by ``eval_outer`` under the
+    synchronous execution.  ``outer=False`` skips the outer rows, whose
+    robust form certifies anchor times instead.  Returns the number of
+    entries checked."""
+    sync = CollectiveExecution.synchronous(len(lassos))
+    checked = 0
+    for (node, n), row in layout.rows.items():
+        if n is None and not outer:
+            continue
+        for t, var in enumerate(row):
+            expected = (eval_outer(lassos, sync, t, node) if n is None
+                        else eval_inner(lassos[n], t, node))
+            assert round(sol[var]) == int(expected), \
+                f"{node} robot {n} t={t}: ilp={sol[var]} oracle={expected}"
+            checked += 1
+    return checked

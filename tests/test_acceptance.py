@@ -152,7 +152,7 @@ def test_acceptance_04_disjunction_handover():
     assert sol.feasible
     lay = pooled.layout
     assert round(sol[lay.outer_extra[(both, 0, "pool")]]) == 1
-    assert [round(sol[lay.outer[(mu, 0)]]) for mu in (mu1, mu2)] == [0, 0]
+    assert [round(sol[lay.rows[(mu, None)][0]]) for mu in (mu1, mu2)] == [0, 0]
     report(4, "handover verified for the disjunction, falsified for each "
               "disjunct; pooled encoding feasible, with the pool row and "
               "neither disjunct true at t = 0")
@@ -337,8 +337,8 @@ def test_acceptance_09_continuous_extension():
     trajs = extract_continuous(problem, sol)
     # locate the certified step through the counting indicator variables
     layout = problem.layout
-    hits = [t for (node, t), var in layout.outer.items()
-            if isinstance(node, Tcp) and round(sol[var]) == 1]
+    hits = [t for (node, n), row in layout.rows.items() if isinstance(node, Tcp)
+            for t, var in enumerate(row) if round(sol[var]) == 1]
     assert hits, "no certified step"
     t_star = hits[0]
     for traj in trajs:

@@ -9,9 +9,11 @@ import pytest
 
 from cltlsynth import cli
 from cltlsynth.cli import main
-from cltlsynth.formula import to_text
+from cltlsynth.encoder_sync import build_sync_problem
+from cltlsynth.formula import parse_formula, to_text
 from cltlsynth.ilp import Solution
 from cltlsynth.oracle import brute_force_synth
+from cltlsynth.system import load_model
 
 from conftest import random_instance, random_outer
 
@@ -282,6 +284,53 @@ def test_sweep_with_an_unknown_horizon(grid_model, capsys, monkeypatch,
     assert run(["synth", "--model", grid_model, "--formula", formula,
                 "--horizon", "1", "--horizon-max", "3" if code else "8"]) == code
     assert line in capsys.readouterr().out
+
+
+def test_export_lp_writes_the_last_program_of_the_sweep_once(grid_model, tmp_path,
+                                                             monkeypatch):
+    # [A, 3] asks for three robots on A with two in the fleet: all five
+    # horizons are infeasible, and the file holds the h = 5 program
+    real = cli.write_lp
+    written = []
+
+    def counting_write_lp(model, target):
+        written.append(model)
+        return real(model, target)
+
+    monkeypatch.setattr(cli, "write_lp", counting_write_lp)
+    lp = tmp_path / "model.lp"
+    assert run(["synth", "--model", grid_model, "--formula", "[A, 3]",
+                "--horizon", "1", "--horizon-max", "5", "--engine", "cltlplus",
+                "--export-lp", lp]) == 1
+    assert len(written) == 1
+    expected = tmp_path / "expected.lp"
+    real(build_sync_problem(load_model(grid_model), parse_formula("[A, 3]"), 5).model,
+         expected)
+    assert lp.read_text() == expected.read_text()
+
+
+def test_an_infeasible_robust_sweep_with_a_synchronous_lasso_is_unknown(tmp_path, capsys):
+    # The robust program is infeasible at every horizon, yet tau = 0 finds
+    # a lasso at h = 2 that also survives one step of drift: robot 0 parks
+    # on {p1, p2} and robot 1 alternates between {p1} and {}, so some
+    # robot is off p1 at every step of every 1-bounded execution.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"ap": ["p1", "p2"], "robots": [
+        {"states": ["s0", "s1"], "transitions": [[0, 0], [1, 1]],
+         "labels": {"s1": ["p1", "p2"]}, "init": 1},
+        {"states": ["s0", "s1"], "transitions": [[0, 1], [1, 0]],
+         "labels": {"s0": ["p1"]}, "init": 0}]}))
+    sweep = ["synth", "--model", model, "--formula", "F [!p1, 1]",
+             "--horizon", "1", "--horizon-max", "8"]
+    assert run([*sweep, "--tau", "1"]) == 4
+    out = capsys.readouterr().out
+    assert out.startswith("unknown: ") and "tau=0 program is not infeasible at h=2" in out
+    bundle = tmp_path / "traj.json"
+    assert run([*sweep, "--tau", "0", "--output", bundle]) == 0
+    assert "feasible at h=2" in capsys.readouterr().out
+    assert run(["simulate", "--model", model, "--trajectories", bundle,
+                "--formula", "F [!p1, 1]", "--tau", "1"]) == 0
+    assert "verified_bounded" in capsys.readouterr().out
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ from cltlsynth.encoder_cltl import (CltlOuterEncoder, EncodingError,
                                     encode_aggregate)
 from cltlsynth.encoder_sync import build_sync_problem
 
-from conftest import random_instance, random_outer, reaggregate
+from conftest import (oracle_check_all_logic_vars, random_instance, random_outer,
+                      reaggregate)
 
 
 def ts_of(states, transitions, labels, ap=("a", "b")):
@@ -70,8 +71,7 @@ def test_counting_threshold_on_fixed_occupancies():
         for i in (0, 1):
             model.add_constraint(LinExpr({layout.agg_state[1][i]: 1}), "=",
                                  agg.w0[i], tag="fix")
-        enc = CltlOuterEncoder(model, layout, agg)
-        y = enc.var(Tcp(IAtom("a"), m), 0)
+        y = CltlOuterEncoder(layout).row(Tcp(IAtom("a"), m))[0]
         sol = solve_bnb(model)
         assert sol.feasible
         assert bool(sol[y]) == expected
@@ -270,3 +270,26 @@ def test_decomposed_trajectories_satisfy_formula():
         assert eval_outer(lassos, CollectiveExecution.synchronous(len(lassos)),
                           0, mu)
     assert hits >= 8
+
+
+def test_every_outer_row_matches_oracle_on_decomposed_lassos():
+    # The decomposition reproduces the occupancy of every step, so each
+    # outer row entry equals its synchronous truth value on the lassos.
+    # The aggregate program has no inner rows.
+    rng = random.Random(131)
+    atoms = ["a", "b"]
+    hits = 0
+    for _ in range(30):
+        inst = random_instance(rng, rng.randint(2, 4), rng.randint(2, 4),
+                               atoms, identical=True)
+        mu = random_outer(rng, rng.randint(1, 3), atoms, inst.n_robots,
+                          bare_atoms=True)
+        problem = build_cltl_problem(inst, mu, rng.randint(2, 4))
+        sol = solve_bnb(problem.model)
+        if not sol.feasible:
+            continue
+        assert all(n is None for _, n in problem.layout.rows)
+        lassos = [Lasso.from_trajectory(t, inst.systems[0])
+                  for t in decompose_flows(problem, sol)]
+        hits += oracle_check_all_logic_vars(problem.layout, sol, lassos) > 0
+    assert hits >= 10

@@ -18,6 +18,8 @@ from cltlsynth.encoder_continuous import (build_cont_problem,
                                           polytope_atom_backend)
 from cltlsynth.encoder_sync import EncodingError
 
+from conftest import oracle_check_all_logic_vars, random_outer
+
 
 def integrators(n_robots=1, init=0.0, box=10.0, u_max=1.0):
     """1-D integrator robots: w(t+1) = w(t) + u(t)."""
@@ -209,3 +211,40 @@ def test_instantaneous_visits_fail_under_asynchrony():
               for traj in trajs]
     from cltlsynth.oracle import check_robust
     assert not check_robust(lassos, mu, tau=1, max_T=6).falsified
+
+
+
+def seeded_cases(count: int = 20, seed: int = 137) -> list:
+    """(robots, formula, horizon) triples drawn from one seeded stream."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 2)
+        cases.append((n, random_outer(rng, rng.randint(1, 2), ["A", "C"], n,
+                                      inner_depth=2), rng.randint(2, 4)))
+    return cases
+
+
+# Case 14 asks for [F F A, 2]: HiGHS puts robot 1 at 1.100001, which the
+# face row w <= 1.1 accepts within its 1e-6 feasibility tolerance, so the
+# atom row reads 1; membership_trace's 1e-9 tolerance puts the state
+# outside A.  The encoding has no margin on the inside of a face.
+OUTSIDE_BY_TOLERANCE = pytest.mark.xfail(
+    reason="a state 1e-6 outside a polytope counts as inside it")
+
+
+@pytest.mark.parametrize("n, mu, h", [
+    pytest.param(*case, id=str(k),
+                 marks=OUTSIDE_BY_TOLERANCE if k == 14 else ())
+    for k, case in enumerate(seeded_cases())])
+def test_every_logic_row_matches_oracle_on_membership_traces(n, mu, h):
+    # Each inner row entry must equal the robot's truth value on its
+    # polytope-membership lasso, and each outer one the synchronous truth
+    # value of the collection.
+    sys_ = integrators(n_robots=n)
+    problem = build_cont_problem(sys_, mu, h)
+    sol = solve_bnb(problem.model)
+    if sol.feasible:
+        lassos = [Lasso(membership_trace(sys_, t), t.loop_start)
+                  for t in extract_continuous(problem, sol)]
+        assert oracle_check_all_logic_vars(problem.layout, sol, lassos) > 0

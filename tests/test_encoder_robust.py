@@ -14,14 +14,15 @@ import pytest
 from cltlsynth.formula import (IAtom, INext, ONext, OOr, OTrue, OUntil,
                                ORelease, ONot, Tcp, parse_formula)
 from cltlsynth.ilp import LinExpr
-from cltlsynth.oracle import Lasso, brute_force_synth, check_robust, eval_inner
+from cltlsynth.oracle import Lasso, brute_force_synth, check_robust
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
 from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import (EncodingError, build_sync_problem,
                                     extract_trajectories)
 
-from conftest import random_instance, random_outer
+from conftest import (discrete_lassos, oracle_check_all_logic_vars,
+                      random_instance, random_outer)
 
 
 def forced_chain(labels_per_step, ap=("p1", "p2")):
@@ -132,7 +133,7 @@ def test_windowed_and_monotone_below_window():
         lay = problem.layout
         for (phi, n, t), r in lay.robust.items():
             for k in range(2):
-                z = lay.inner[(phi, n, t + k)]
+                z = lay.rows[(phi, n)][t + k]
                 assert round(sol[r]) <= round(sol[z])
 
 
@@ -148,12 +149,8 @@ def test_extended_inner_rows_match_oracle():
         if not sol.feasible:
             continue
         hits += 1
-        trajs = extract_trajectories(problem.layout, sol)
-        lassos = [Lasso.from_trajectory(t, ts)
-                  for t, ts in zip(trajs, inst.systems)]
-        for (phi, n, t), var in problem.layout.inner.items():
-            assert round(sol[var]) == int(eval_inner(lassos[n], t, phi)), \
-                f"{phi} robot {n} t={t}"
+        oracle_check_all_logic_vars(problem.layout, sol, discrete_lassos(problem, sol),
+                                    outer=False)
     assert hits >= 4
 
 
@@ -241,7 +238,7 @@ def test_pooled_disjunction_accepts_the_handover():
     # the pool row, not a disjunct, carries feasibility at t = 0
     lay = pooled.layout
     assert round(sol[lay.outer_extra[(mu, 0, "pool")]]) == 1
-    assert [round(sol[lay.outer[(c, 0)]]) for c in mu.children] == [0, 0]
+    assert [round(sol[lay.rows[(c, None)][0]]) for c in mu.children] == [0, 0]
 
 
 def test_each_disjunct_alone_is_not_robust():

@@ -25,7 +25,8 @@ from cltlsynth.encoder_sync import (EncodingError, ExtractionError,
 from cltlsynth.encoder_cltl import build_cltl_problem
 from cltlsynth.encoder_robust import build_robust_problem
 
-from conftest import random_instance, random_outer
+from conftest import (discrete_lassos, oracle_check_all_logic_vars,
+                      random_instance, random_outer)
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -45,20 +46,6 @@ def solve_and_extract(problem):
     sol = solve_bnb(problem.model)
     assert sol.feasible, "expected a feasible model"
     return sol, extract_trajectories(problem.layout, sol)
-
-
-def oracle_check_all_logic_vars(problem, sol, inst):
-    trajs = extract_trajectories(problem.layout, sol)
-    lassos = [Lasso.from_trajectory(t, ts) for t, ts in zip(trajs, inst.systems)]
-    for (phi, n, t), var in problem.layout.inner.items():
-        expected = eval_inner(lassos[n], t, phi)
-        assert round(sol[var]) == int(expected), \
-            f"inner {phi} robot {n} t={t}: ilp={sol[var]} oracle={expected}"
-    sync = CollectiveExecution.synchronous(inst.n_robots)
-    for (mu, t), var in problem.layout.outer.items():
-        expected = eval_outer(lassos, sync, t, mu)
-        assert round(sol[var]) == int(expected), \
-            f"outer {mu} t={t}: ilp={sol[var]} oracle={expected}"
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +163,7 @@ def test_alternating_reachable_sets_agree_with_brute_force(ts, horizons):
         assert sol.feasible == cltl == brute, \
             f"trial {trial}: sync={sol.feasible} cltl={cltl} brute={brute} mu={mu}"
         if sol.feasible:
-            oracle_check_all_logic_vars(sync, sol, inst)
+            oracle_check_all_logic_vars(sync.layout, sol, discrete_lassos(sync, sol))
         verdicts.append(brute)
     assert any(verdicts) and not all(verdicts)
 
@@ -249,8 +236,7 @@ def test_parked_robot_satisfies_atom_everywhere():
     ts = ts_of(["v1"], {(0, 0)}, {0: ("a",)})
     problem = build_sync_problem(single(ts), Tcp(IAtom("a"), 1), h=3)
     sol, _ = solve_and_extract(problem)
-    atom_vars = [v for (phi, n, t), v in problem.layout.inner.items()
-                 if phi == IAtom("a")]
+    atom_vars = problem.layout.rows[(IAtom("a"), 0)]
     assert atom_vars and all(round(sol[v]) == 1 for v in atom_vars)
 
 
@@ -261,7 +247,7 @@ def test_eventually_via_loop_only():
     sol, trajs = solve_and_extract(problem)
     lasso = Lasso.from_trajectory(trajs[0], ts)
     assert eval_inner(lasso, 0, IEventually(IAtom("a")))
-    oracle_check_all_logic_vars(problem, sol, problem.instance)
+    oracle_check_all_logic_vars(problem.layout, sol, discrete_lassos(problem, sol))
 
 
 def test_until_row_matches_oracle_on_forced_trace():
@@ -271,7 +257,7 @@ def test_until_row_matches_oracle_on_forced_trace():
     phi = IUntil(IAtom("a"), IAtom("b"))
     problem = build_sync_problem(single(ts), Tcp(phi, 1), h=3)
     sol, _ = solve_and_extract(problem)
-    oracle_check_all_logic_vars(problem, sol, problem.instance)
+    oracle_check_all_logic_vars(problem.layout, sol, discrete_lassos(problem, sol))
     ts_no_b = ts_of(["x", "y", "z"], {(0, 1), (1, 2), (2, 2)},
                     {0: ("a",), 1: ("a",)})
     problem2 = build_sync_problem(single(ts_no_b), Tcp(phi, 1), h=3)
@@ -315,7 +301,7 @@ def test_until_settled_by_rhs_alone():
     sync = build_sync_problem(inst, mu, h=2)
     sol = solve_bnb(sync.model)
     assert sol.feasible
-    oracle_check_all_logic_vars(sync, sol, inst)
+    oracle_check_all_logic_vars(sync.layout, sol, discrete_lassos(sync, sol))
     assert solve_bnb(build_cltl_problem(inst, mu, 2).model).feasible
     assert solve_bnb(build_robust_problem(inst, mu, 2, tau=0).model).feasible
 
@@ -439,7 +425,7 @@ def test_every_logic_variable_matches_oracle_on_random_instances():
         if not sol.feasible:
             continue
         feasible_count += 1
-        oracle_check_all_logic_vars(problem, sol, inst)
+        oracle_check_all_logic_vars(problem.layout, sol, discrete_lassos(problem, sol))
         trajs = extract_trajectories(problem.layout, sol)
         for traj, ts in zip(trajs, inst.systems):
             assert traj.validate_against(ts) == []

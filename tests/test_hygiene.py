@@ -31,7 +31,7 @@ DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 def names_read(tree: ast.AST) -> set[str]:
     """Names the tree reads, counting those inside quoted annotations such
-    as Optional["InnerEncoder"]."""
+    as Optional["LogicEncoder"]."""
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
     for node in ast.walk(tree):

@@ -487,8 +487,15 @@ def test_the_window_cap_is_inclusive(monkeypatch):
         eval_outer(lassos, CollectiveExecution.synchronous(2), 0, mu)
 
 
+def cycle(period: int, offset: int = 0) -> LassoTrajectory:
+    """A robot going round states offset .. offset + period - 1 from the
+    start, looping at once."""
+    return LassoTrajectory(tuple(range(offset, offset + period)) + (offset,), 0)
+
+
 def test_a_collision_window_past_the_cap_is_refused(monkeypatch):
-    trajs = [LassoTrajectory(tuple(range(p)) + (0,), 0) for p in PRIMES]
+    # the pair's own window, 23,209 + 537,822,157 + 1 steps, passes 2^29
+    trajs = [cycle(23173), cycle(23209)]
     start = time.perf_counter()
     with pytest.raises(VerificationBudgetError, match="collision window"):
         collision_violations(trajs, "mutual_exclusion")
@@ -500,3 +507,22 @@ def test_a_collision_window_past_the_cap_is_refused(monkeypatch):
     monkeypatch.setattr(oracle, "WINDOW_CAP", 9)
     with pytest.raises(VerificationBudgetError):
         collision_violations(pair, "mutual_exclusion")
+
+
+def test_collisions_are_checked_over_each_pair_window():
+    # disjoint cycles of 97, 101 and 103 states: a joint period of about a
+    # million steps, but pair periods of about ten thousand
+    trajs = [cycle(97), cycle(101, 100), cycle(103, 300)]
+    start = time.perf_counter()
+    assert collision_violations(trajs, "mutual_exclusion_plus_swap", tau=1) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_repeated_meeting_is_reported_once_per_pair_period():
+    # periods 2 and 3 share state 0 at every multiple of 6; the pair window
+    # is 3 + 6 + 0 + 1 = 10 steps, so the meetings at 0 and 6 are reported,
+    # and a third robot far away does not lengthen it
+    trajs = [LassoTrajectory((0, 1, 0), 0), LassoTrajectory((0, 2, 3, 0), 0),
+             cycle(5, 10)]
+    assert collision_violations(trajs, "mutual_exclusion") == [
+        "robots 0 and 1 meet at step 0(+0)", "robots 0 and 1 meet at step 6(+0)"]
