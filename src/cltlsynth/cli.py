@@ -4,15 +4,23 @@
 ``cltlsynth simulate``  replay a trajectory bundle against a formula under
                         bounded asynchrony and report a verdict
 
-Exit codes for synth: 0 feasible and oracle-verified, 1 every horizon of
-the sweep proven infeasible, 2 feasible but rejected by the oracle (encoder
-bug sentinel), 3 usage errors, 4 I/O or budget problems (a sweep with no
-feasible horizon and at least one unknown one, or a verification window
-past ``oracle.WINDOW_CAP``) and unsettled robust sweeps.  The robust
-encoding is conservative, so at tau >= 1 an infeasible sweep proves nothing
-by itself: it exits 1 only when the same engine's tau = 0 program is
-infeasible at every horizon of the sweep too, and 4 with an ``unknown:``
-line otherwise.
+Both verify with ``oracle.check_robust`` at ``--tau`` and, on a discrete
+model, the collision checker.  tau = 0 is the synchronous execution alone,
+so the search flags (``--verify-max-t``, ``--verify-cap``, ``--max-t``,
+``--enum-cap``, ``--seed``) change nothing there.
+
+Exit codes for synth: 0 feasible and verified, 1 every horizon of the
+sweep proven infeasible, 2 feasible but rejected by the oracle or the
+collision checker (encoder bug sentinel), 3 usage errors, 4 I/O or budget
+problems (a sweep with no feasible horizon and at least one unknown one,
+or a verification window past ``oracle.WINDOW_CAP``) and unsettled robust
+sweeps.  The robust encoding is conservative, so at tau >= 1 an
+infeasible sweep proves nothing by itself.  A tau = 0 lasso at h unrolls
+to one at h + 1 with the same word, so one proof solve of the engine's
+tau = 0 program at the sweep's last horizon settles it: exit 1 when that
+program is infeasible, 4 with an ``unknown:`` line otherwise.  simulate
+exits 0 verified without collisions, 1 falsified or colliding, 3 and 4 as
+synth.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,8 +36,7 @@ from .formula import is_cltl, iter_tcps, parse_formula, resolve_groups
 from .ilp import Solution
 from .lp_format import write_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso,
-                     VerificationBudgetError, check_robust, collision_violations,
-                     eval_outer)
+                     VerificationBudgetError, check_robust, collision_violations)
 from .solver import SolverError, solve_bnb, solve_external
 from .system import (COLLISION_ALIASES, ContinuousSystem, ModelError,
                      MultiRobotInstance, aggregate_view, load_model)
@@ -38,8 +44,7 @@ from .encoder_cltl import build_cltl_problem, decompose_flows
 from .encoder_continuous import (build_cont_problem, extract_continuous,
                                  membership_trace)
 from .encoder_robust import build_robust_problem
-from .encoder_sync import (EncodingError, build_sync_problem, check_formula,
-                           extract_trajectories)
+from .encoder_sync import EncodingError, check_formula, extract_trajectories
 from .trajectory import ContinuousTrajectory, LassoTrajectory
 
 
@@ -70,8 +75,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--solver", choices=("bundled", "external"), default="bundled",
                        help="bundled: HiGHS in process; external: --solver-cmd")
     synth.add_argument("--solver-cmd", default=None,
-                       help="external solver template with {lp} and {sol}; "
-                            "falls back to the CTL_SOLVER_CMD environment variable")
+                       help="external solver template with {lp} and {sol}")
     synth.add_argument("--export-lp", default=None, metavar="PATH")
     synth.add_argument("--seed", type=int, default=0,
                        help="seed for the sampled robustness check")
@@ -88,7 +92,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--model", required=True)
     sim.add_argument("--trajectories", required=True)
     sim.add_argument("--formula", required=True)
-    sim.add_argument("--tau", type=int, default=0)
+    sim.add_argument("--tau", type=int, default=0,
+                     help="asynchrony bound (0 = synchronous)")
     sim.add_argument("--max-t", type=int, default=None)
     sim.add_argument("--enum-cap", type=int, default=20000)
     sim.add_argument("--seed", type=int, default=0)
@@ -126,14 +131,18 @@ def _pick_engine(args, model_obj, mu) -> str:
     return "cltlplus"
 
 
-def _lassos_from_discrete(inst: MultiRobotInstance, trajs) -> list[Lasso]:
-    return [Lasso.from_trajectory(traj, ts)
-            for traj, ts in zip(trajs, inst.systems)]
+def _lassos(model_obj, trajs) -> list[Lasso]:
+    """The labeled lassos of a trajectory bundle of the model."""
+    if isinstance(model_obj, ContinuousSystem):
+        return [Lasso(membership_trace(model_obj, t), t.loop_start) for t in trajs]
+    return [Lasso.from_trajectory(t, ts) for t, ts in zip(trajs, model_obj.systems)]
 
 
-def _lassos_from_continuous(sys_: ContinuousSystem, trajs) -> list[Lasso]:
-    return [Lasso(membership_trace(sys_, traj), traj.loop_start)
-            for traj in trajs]
+def _collisions(model_obj, trajs, tau: int) -> list[str]:
+    """The collision checker's findings; a continuous model has none."""
+    if isinstance(model_obj, MultiRobotInstance):
+        return collision_violations(trajs, model_obj.collision_mode, tau)
+    return []
 
 
 def _write_json(path: str, payload) -> None:
@@ -200,26 +209,22 @@ def run_synth(args) -> int:
             return build_cont_problem(model_obj, mu, h, tau=tau)
         if engine == "cltl":
             return build_cltl_problem(model_obj, mu, h)
-        if tau > 0:
-            return build_robust_problem(model_obj, mu, h, tau)
-        return build_sync_problem(model_obj, mu, h)
+        return build_robust_problem(model_obj, mu, h, tau)
 
-    solver_cmd = args.solver_cmd or os.environ.get("CTL_SOLVER_CMD")
-    if args.solver == "external" and not solver_cmd:
-        print("error: --solver external needs --solver-cmd or CTL_SOLVER_CMD",
-              file=sys.stderr)
+    if args.solver == "external" and not args.solver_cmd:
+        print("error: --solver external needs --solver-cmd", file=sys.stderr)
         return 3
 
     def solve(model) -> Solution:
         if args.solver == "external":
-            return solve_external(model, solver_cmd)
+            return solve_external(model, args.solver_cmd)
         return solve_bnb(model)
 
     h_max = args.horizon_max if args.horizon_max is not None else args.horizon
     horizons = range(args.horizon, h_max + 1)
     problem = None
     unknown = []  # horizons whose solve exhausted a budget
-    unsettled = None  # a horizon whose tau = 0 program is not infeasible
+    unsettled = False  # the tau = 0 program at h_max is not infeasible
     try:
         for h in horizons:
             problem = build(h)
@@ -229,8 +234,9 @@ def run_synth(args) -> int:
             if sol.status == "unknown":
                 unknown.append(h)
         if not sol.feasible and not unknown and args.tau > 0:
-            unsettled = next((h for h in horizons
-                              if solve(build(h, tau=0).model).status != "infeasible"), None)
+            # a tau = 0 lasso at h unrolls to one at h + 1, so one solve at
+            # h_max settles every horizon of the sweep
+            unsettled = solve(build(h_max, tau=0).model).status != "infeasible"
     except (EncodingError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -252,10 +258,10 @@ def run_synth(args) -> int:
     if unknown and not sol.feasible:
         print(f"unknown: solver budget exhausted at h={', '.join(map(str, unknown))}")
         return 4
-    if unsettled is not None:
+    if unsettled:
         print(f"unknown: no tau={args.tau} lasso found for h in [{args.horizon}, "
               f"{h_max}], but the tau=0 program is not infeasible at "
-              f"h={unsettled} (the robust encoding is conservative)")
+              f"h={h_max} (the robust encoding is conservative)")
         return 4
     if not sol.feasible:
         print(f"infeasible for h in [{args.horizon}, {h_max}]")
@@ -263,42 +269,32 @@ def run_synth(args) -> int:
 
     if problem.engine == "continuous":
         trajs = extract_continuous(problem, sol)
-        lassos = _lassos_from_continuous(model_obj, trajs)
     elif problem.engine == "cltl":
         trajs = decompose_flows(problem, sol)
-        lassos = _lassos_from_discrete(model_obj, trajs)
     else:
         trajs = extract_trajectories(problem.layout, sol)
-        lassos = _lassos_from_discrete(model_obj, trajs)
+    lassos = _lassos(model_obj, trajs)
 
     groups = model_obj.groups if isinstance(model_obj, MultiRobotInstance) else {}
     resolved = resolve_groups(mu, groups)
     try:
-        if args.tau == 0:
-            n = len(lassos)
-            ok = eval_outer(lassos, CollectiveExecution.synchronous(n), 0, resolved)
-            verdict_line = "verified (synchronous execution)" if ok else "violated"
-        else:
-            verdict = check_robust(lassos, resolved, args.tau,
-                                   max_T=args.verify_max_t,
-                                   enumeration_cap=args.verify_cap, seed=args.seed)
-            ok = not verdict.falsified
-            verdict_line = (f"verified_bounded ({verdict.stats['mode']}, "
-                            f"{verdict.stats['sequences']} executions)" if ok
-                            else f"falsified at T={verdict.counterexample[1]}")
-
-        collide = []
-        if isinstance(model_obj, MultiRobotInstance):
-            collide = collision_violations(trajs, model_obj.collision_mode, args.tau)
+        verdict = check_robust(lassos, resolved, args.tau, max_T=args.verify_max_t,
+                               enumeration_cap=args.verify_cap, seed=args.seed)
+        collide = _collisions(model_obj, trajs, args.tau)
     except VerificationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    ok = not verdict.falsified
 
     if args.output:
         _write_json(args.output, _trajectory_payload(problem, trajs))
 
     print(f"feasible at h={problem.h} (engine={problem.engine}, tau={problem.tau})")
-    print(f"oracle: {verdict_line}")
+    if ok:
+        print(f"oracle: {verdict.status} ({verdict.stats['mode']}, "
+              f"{verdict.stats['sequences']} executions)")
+    else:
+        print(f"oracle: falsified at T={verdict.counterexample[1]}")
     if collide:
         print(f"collision check: {len(collide)} violations, e.g. {collide[0]}")
     if not ok or collide:
@@ -361,10 +357,7 @@ def run_simulate(args) -> int:
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return 3
-    if isinstance(model_obj, ContinuousSystem):
-        lassos = _lassos_from_continuous(model_obj, trajs)
-    else:
-        lassos = _lassos_from_discrete(model_obj, trajs)
+    lassos = _lassos(model_obj, trajs)
 
     # The per-anchor satisfaction table is taken under the synchronous
     # execution; its window reaches past the shortest horizon, so sat[t]
@@ -373,6 +366,7 @@ def run_simulate(args) -> int:
     try:
         verdict = check_robust(lassos, resolved, args.tau, max_T=args.max_t,
                                enumeration_cap=args.enum_cap, seed=args.seed)
+        collide = _collisions(model_obj, trajs, args.tau)
         sat = oracle.values(
             CollectiveExecution.synchronous(len(lassos)).increments[None], resolved)[0]
     except VerificationBudgetError as exc:
@@ -386,6 +380,8 @@ def run_simulate(args) -> int:
         print(f"counterexample at T={t_bad}; local counter increments:")
         for row in execution.increments.tolist():
             print(f"  {row}")
+    if collide:
+        print(f"collision check: {len(collide)} violations, e.g. {collide[0]}")
 
     h = min(l.horizon for l in lassos)
     tcps = list(iter_tcps(resolved))
@@ -401,7 +397,7 @@ def run_simulate(args) -> int:
     if args.emit_frames and isinstance(model_obj, MultiRobotInstance):
         _emit_frames(args.emit_frames, model_obj, trajs)
 
-    return 1 if verdict.falsified else 0
+    return 1 if verdict.falsified or collide else 0
 
 
 def _emit_frames(directory: str, inst: MultiRobotInstance,

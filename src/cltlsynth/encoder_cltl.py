@@ -10,9 +10,6 @@ decomposing the flow.
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Union
-
 from .formula import (IAtom, INot, ITrue, OuterFormula, Tcp, is_cltl, iter_tcps,
                       normalize)
 from .ilp import IlpModel, LinExpr, Solution, VarId
@@ -122,15 +119,12 @@ class CltlOuterEncoder(LogicEncoder):
                 for t in range(lay.h)]
 
 
-def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
-                       mu: OuterFormula, h: int) -> EncodedProblem:
-    """Aggregate feasibility program, with the instance's collision mode
-    (none for a bare ``AggregateSystem``); model size does not depend on
-    the number of robots."""
-    if isinstance(source, MultiRobotInstance):
-        agg, collision = aggregate_view(source), source.collision_mode
-    else:
-        agg, collision = source, "off"
+def build_cltl_problem(inst: MultiRobotInstance, mu: OuterFormula,
+                       h: int) -> EncodedProblem:
+    """Aggregate feasibility program over the fleet's ``aggregate_view``,
+    with the instance's collision mode; model size does not depend on the
+    number of robots."""
+    agg = aggregate_view(inst)
     if not is_cltl(mu):
         offender = next(t for t in iter_tcps(mu) if not isinstance(t.inner, IAtom))
         raise EncodingError(
@@ -139,25 +133,25 @@ def build_cltl_problem(source: Union[AggregateSystem, MultiRobotInstance],
     if any(t.group is not None for t in iter_tcps(mu)):
         raise EncodingError(
             "aggregate encoding cannot restrict counting to robot groups")
-    check_formula(mu, agg)
+    check_formula(mu, inst)
     norm = normalize(mu, agg.n_robots, robust=False)
     model = IlpModel("cltl")
     layout = encode_aggregate(model, agg, h)
-    encode_aggregate_collision(model, layout, agg, collision)
+    encode_aggregate_collision(model, layout, agg, inst.collision_mode)
     CltlOuterEncoder(layout).pin_root(norm)
-    return EncodedProblem(model, layout, source, h, 0, "cltl")
+    return EncodedProblem(model, layout, inst, h, 0, "cltl")
 
 
 # ---------------------------------------------------------------------------
 # Flow decomposition
 # ---------------------------------------------------------------------------
 
-def decompose_flows(problem: EncodedProblem, sol: Solution,
-                    rng: Optional[random.Random] = None) -> list[LassoTrajectory]:
-    """Individual lassos matching the aggregate solution.
+def decompose_flows(problem: EncodedProblem, sol: Solution) -> list[LassoTrajectory]:
+    """Individual lassos matching the aggregate solution, robot n starting
+    at the instance's initial state n.
 
     Robots at a state are assigned to outgoing transitions lowest index
-    first (or shuffled when ``rng`` is given).  When the loop permutes
+    first.  When the loop permutes
     robots among states, trajectories are closed by concatenating the loop
     segments along each permutation cycle, which multiplies the period but
     reproduces the occupancies of every step exactly.
@@ -165,9 +159,8 @@ def decompose_flows(problem: EncodedProblem, sol: Solution,
     if not sol.feasible:
         raise ExtractionError("solution is not feasible")
     layout = problem.layout
-    agg = problem.instance if isinstance(problem.instance, AggregateSystem) else None
-    inst = problem.instance if isinstance(problem.instance, MultiRobotInstance) else None
-    shared = (agg.shared if agg else inst.systems[0])
+    inst: MultiRobotInstance = problem.instance
+    shared = inst.systems[0]
     n_states = shared.n_states
     h = problem.h
     w = {t: [int(round(sol[v])) for v in layout.agg_state[t]]
@@ -176,12 +169,7 @@ def decompose_flows(problem: EncodedProblem, sol: Solution,
     l = chosen_loop(layout, sol)
     n_robots = layout.n_robots
 
-    if inst is not None:
-        positions = list(inst.initial_states)
-    else:
-        positions = []
-        for i in range(n_states):
-            positions.extend([i] * w[0][i])
+    positions = list(inst.initial_states)
     counts = [0] * n_states
     for p in positions:
         counts[p] += 1
@@ -193,8 +181,6 @@ def decompose_flows(problem: EncodedProblem, sol: Solution,
         nxt = list(positions)
         for i in range(n_states):
             here = [r for r in range(n_robots) if positions[r] == i]
-            if rng is not None:
-                rng.shuffle(here)
             cursor = 0
             for j in shared.successors(i):
                 take = flow.get((i, j, t), 0)

@@ -28,8 +28,9 @@ import warnings
 def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
                               tau: int = 0) -> Layout:
     """Input variables plus symbolic states, box constraints keeping every
-    state inside the declared bounds, and big-M loop closure with the radius
-    taken from the box diameter (the largest spread the box permits)."""
+    state inside the declared bounds, and one big-M tie, with the radius
+    taken from the box diameter (the largest spread the box permits), that
+    closes the loop at h and pins the robust tail h+1 .. h+tau."""
     layout = Layout(model, sys.n_robots, h, tau)
     layout.instance = sys
     lo_w, hi_w = sys.state_bounds
@@ -68,33 +69,31 @@ def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
                 model.add_constraint(nxt[i], "<=", float(hi_w[i]), tag="continuous")
                 model.add_constraint(nxt[i], ">=", float(lo_w[i]), tag="continuous")
 
-    add_loop_selectors(model, layout)
-    for n in range(sys.n_robots):
-        final = layout.state_exprs[(n, h)]
-        for t in range(h):
-            z = layout.loop_vars[t]
-            cur = layout.state_exprs[(n, t)]
+    def tie(n: int, t: int, tag: str) -> None:
+        """Pin w[n][t], t >= h, to w[n][wrap(l, t)] for the chosen loop
+        start l: |w[n][t] - src| <= m (1 - z_l) per dimension, two rows
+        each.  At t = h the source is w[n][l] and the rows close the loop."""
+        dst = layout.state_exprs[(n, t)]
+        for l, z in enumerate(layout.loop_vars):
+            src = layout.state_exprs[(n, layout.wrap_index(l, t))]
             for i in range(d_w):
                 m = float(radius[i]) if radius[i] > 0 else 1.0
-                diff = final[i] - cur[i]
-                model.add_constraint(diff + LinExpr({z: m}), "<=", m, tag="loop")
-                model.add_constraint(diff - LinExpr({z: m}), ">=", -m, tag="loop")
+                diff = dst[i] - src[i]
+                model.add_constraint(diff + LinExpr({z: m}), "<=", m, tag=tag)
+                model.add_constraint(diff - LinExpr({z: m}), ">=", -m, tag=tag)
 
+    add_loop_selectors(model, layout)
+    for n in range(sys.n_robots):
+        tie(n, h, "loop")
     # Post-loop states for robust windows are genuine variables pinned to
     # their wrapped loop positions.
     for n in range(sys.n_robots):
         for k in range(1, tau + 1):
-            row = [model.add_continuous(f"w_{n}_{h + k}_{i}", float(lo_w[i]),
-                                        float(hi_w[i]), tag="robust")
-                   for i in range(d_w)]
-            layout.state_exprs[(n, h + k)] = [LinExpr({v: 1}) for v in row]
-            for l, z in enumerate(layout.loop_vars):
-                src = layout.state_exprs[(n, layout.wrap_index(l, h + k))]
-                for i in range(d_w):
-                    m = float(radius[i]) if radius[i] > 0 else 1.0
-                    diff = LinExpr({row[i]: 1}) - src[i]
-                    model.add_constraint(diff + LinExpr({z: m}), "<=", m, tag="robust")
-                    model.add_constraint(diff - LinExpr({z: m}), ">=", -m, tag="robust")
+            layout.state_exprs[(n, h + k)] = [
+                LinExpr({model.add_continuous(f"w_{n}_{h + k}_{i}", float(lo_w[i]),
+                                              float(hi_w[i]), tag="robust"): 1})
+                for i in range(d_w)]
+            tie(n, h + k, "robust")
     return layout
 
 

@@ -37,7 +37,7 @@ from .formula import (IAnd, IAtom, INNER_FALSE, INext, INot, IOr, IRelease,
                       ORelease, OTrue, OUntil, OuterFormula, Tcp, atoms_of,
                       group_names_of, iter_tcps, normalize)
 from .ilp import IlpModel, LinExpr, Solution, VarId
-from .system import AggregateSystem, ContinuousSystem, MultiRobotInstance
+from .system import ContinuousSystem, MultiRobotInstance
 from .trajectory import LassoTrajectory
 
 AtomBackend = Callable[[str, int, int], VarId]
@@ -98,7 +98,7 @@ class EncodedProblem:
 
     model: IlpModel
     layout: Layout
-    instance: Union[MultiRobotInstance, AggregateSystem, ContinuousSystem]
+    instance: Union[MultiRobotInstance, ContinuousSystem]
     h: int
     tau: int
     engine: str
@@ -209,12 +209,14 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
                      h: int, tau: int = 0) -> None:
     """Inter-robot exclusion over a shared state space.
 
-    With tau = 0, at most one robot per state per step.  With tau > 0 the
-    exclusion is widened to every pair of steps at most tau apart, since
-    asynchrony can bring those positions together at the same wall-clock
-    instant.  The swap variant additionally forbids two robots exchanging
-    states across one step.  A row that mentions a constant-0 state entry
-    holds in every point, so only rows over live entries are emitted.
+    At every step, at most one robot per state: one clique row per state.
+    With tau > 0 the exclusion is widened to every pair of steps dt =
+    1..tau apart, since asynchrony can bring those positions together at
+    the same wall-clock instant: two directed pair rows per robot pair and
+    state, one for each robot ahead.  The swap variant additionally
+    forbids two robots exchanging states across one step.  A row that
+    mentions a constant-0 state entry holds in every point, so only rows
+    over live entries are emitted.
     """
     if inst.collision_mode == "off":
         return
@@ -222,32 +224,26 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
     times = sorted(t for (n, t) in layout.state_vars if n == 0)
     live = {key: set(states) for key, states in layout.live.items()}
     w = layout.state_vars
-    if tau == 0:
-        for t in times:
-            for i in range(n_states):
-                here = [w[(n, t)][i] for n in range(inst.n_robots) if i in live[(n, t)]]
-                if len(here) > 1:
-                    model.add_constraint(LinExpr.sum_of(here), "<=", 1, tag="collision")
-    else:
+    for t in times:
+        for i in range(n_states):
+            here = [w[(n, t)][i] for n in range(inst.n_robots) if i in live[(n, t)]]
+            if len(here) > 1:
+                model.add_constraint(LinExpr.sum_of(here), "<=", 1, tag="collision")
         for a, b in itertools.combinations(range(inst.n_robots), 2):
-            for t in times:
-                for dt in range(tau + 1):
-                    if (a, t + dt) not in w:
-                        continue
-                    for i in range(n_states):
-                        if i in live[(a, t)] and i in live[(b, t + dt)]:
+            for dt in range(1, tau + 1):
+                if (a, t + dt) not in w:
+                    continue
+                for i in range(n_states):
+                    for early, late in ((a, b), (b, a)):
+                        if i in live[(early, t)] and i in live[(late, t + dt)]:
                             model.add_constraint(
-                                LinExpr({w[(a, t)][i]: 1, w[(b, t + dt)][i]: 1}),
-                                "<=", 1, tag="collision")
-                        if dt and i in live[(b, t)] and i in live[(a, t + dt)]:
-                            model.add_constraint(
-                                LinExpr({w[(b, t)][i]: 1, w[(a, t + dt)][i]: 1}),
+                                LinExpr({w[(early, t)][i]: 1, w[(late, t + dt)][i]: 1}),
                                 "<=", 1, tag="collision")
     if inst.collision_mode == "mutual_exclusion_plus_swap":
-        ts0 = inst.systems[0]
-        swappable = [(i, j) for (i, j) in sorted(ts0.transitions)
-                     if i != j and (j, i) in ts0.transitions]
         for a, b in itertools.combinations(range(inst.n_robots), 2):
+            # a moves i -> j while b moves j -> i, each by its own transitions
+            swappable = [(i, j) for (i, j) in sorted(inst.systems[a].transitions)
+                         if i != j and (j, i) in inst.systems[b].transitions]
             for t in times:
                 if (a, t + 1) not in w:
                     continue
@@ -488,7 +484,7 @@ class LogicEncoder:
 # ---------------------------------------------------------------------------
 
 def check_formula(mu: OuterFormula,
-                  model: Union[MultiRobotInstance, AggregateSystem, ContinuousSystem]) -> None:
+                  model: Union[MultiRobotInstance, ContinuousSystem]) -> None:
     """Reject a formula that names a proposition, a robot group or a robot
     index the model does not have; only a ``MultiRobotInstance`` has
     groups.  Every engine and ``simulate`` check the formula here."""

@@ -22,8 +22,9 @@ and Schnoebelen, CONCUR 2003), for a batch of words at once.
   for a batch of executions on W = L + jp, with L the batch's largest
   lock: a time u >= W has the value of L + (u - L) mod jp.
 
-``check_robust`` feeds the tau-bounded executions to ``values`` ``CHUNK``
-at a time, or fewer when W x CHUNK x robots would pass ``WINDOW_CAP``.
+``check_robust`` checks the synchronous execution alone at tau = 0, and
+for tau >= 1 feeds the tau-bounded executions to ``values`` ``CHUNK`` at
+a time, or fewer when W x CHUNK x robots would pass ``WINDOW_CAP``.
 
 The joint period of lassos with coprime periods grows as their product,
 so the window can be far too long to label.  ``values`` refuses a window
@@ -321,14 +322,16 @@ _EXPAND_BLOCK = 1 << 13  # (prefix, step) candidates built at once
 
 @dataclass
 class Verdict:
-    """Outcome of a bounded falsification search.
+    """Outcome of a falsification search.
 
-    ``verified_bounded`` means no counterexample exists *within the searched
-    window*; it is not a proof over all executions unless the search was
-    exhaustive and the window arguments cover the formula's horizon.
+    ``verified`` (tau = 0) means the synchronous execution satisfies the
+    formula.  ``verified_bounded`` means no counterexample exists *within
+    the searched window*; it is not a proof over all executions unless the
+    search was exhaustive and the window arguments cover the formula's
+    horizon.
     """
 
-    status: str  # "verified_bounded" | "falsified"
+    status: str  # "verified" | "verified_bounded" | "falsified"
     counterexample: Optional[tuple[CollectiveExecution, int]] = None
     stats: dict = field(default_factory=dict)
 
@@ -403,10 +406,14 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
 
     The executions are the increment sequences of length ``max_T``
     (default: the longest lasso horizon + tau + 1) whose counter spread
-    stays within tau.  If at most ``enumeration_cap`` of them exist, all
-    are checked in lexicographic order and the counterexample is the least
-    violating increment matrix with its first violating anchored time;
-    otherwise ``enumeration_cap`` are drawn from ``default_rng(seed)``.
+    stays within tau.  At tau = 0 that is the synchronous execution alone,
+    the one the tau = 0 program encodes (max_T is 0, mode ``synchronous``
+    and the verdict exact, ``verified`` or ``falsified``): a global stutter
+    step would refute every outer next.  If at most ``enumeration_cap`` of
+    them exist, all are checked in lexicographic order and the
+    counterexample is the least violating increment matrix with its first
+    violating anchored time; otherwise ``enumeration_cap`` are drawn from
+    ``default_rng(seed)``.
     ``CollectionOracle.values`` checks them CHUNK at a time, or as many as
     keep W x chunk x robots within ``WINDOW_CAP``, at every time t <= max_T
     with anchor 0, and sampling stops after the first chunk with a
@@ -422,6 +429,8 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
         raise ValueError(f"max_T must not be negative, got {max_T}")
     if enumeration_cap < 1:
         raise ValueError(f"enumeration_cap must be at least 1, got {enumeration_cap}")
+    if tau == 0:
+        max_T = 0
     oracle = CollectionOracle(lassos)
     # a chunk's window is at most max_T + the largest loop start + jp steps
     # (``values``); one execution whose window passes the cap is refused there
@@ -446,12 +455,13 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
             break
         evaluated += int(anchored.sum())
 
-    stats = {"mode": "exhaustive" if exhaustive else "sampled",
+    mode = "exhaustive" if tau else "synchronous"
+    stats = {"mode": mode if exhaustive else "sampled",
              "sequences": len(sequences) if exhaustive else enumeration_cap,
              "evaluations": evaluated, "max_T": max_T}
     if found:
         return Verdict("falsified", found, stats)
-    return Verdict("verified_bounded", None, stats)
+    return Verdict("verified_bounded" if tau else "verified", None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +526,9 @@ def brute_force_synth(inst: MultiRobotInstance, mu: OuterFormula, h: int,
                       tau: int = 0, space_cap: int = 10_000_000,
                       max_T: Optional[int] = None,
                       enumeration_cap: int = 100000) -> Optional[list[LassoTrajectory]]:
-    """First (lexicographic) joint lasso with a common loop point whose
-    collection satisfies ``mu`` (robustly, when tau > 0); None if the whole
-    space is exhausted without a hit."""
+    """First (lexicographic) joint lasso with a common loop point that
+    ``collision_violations`` and ``check_robust`` accept at ``tau``; None
+    if the whole space is exhausted without a hit."""
     n = inst.n_robots
     largest = max(ts.n_states for ts in inst.systems)
     if largest ** (n * (h + 1)) > space_cap:
@@ -533,16 +543,14 @@ def brute_force_synth(inst: MultiRobotInstance, mu: OuterFormula, h: int,
             if not all(path[h] == path[l] for path in joint):
                 continue
             trajectories = [LassoTrajectory(path, l) for path in joint]
+            if collision_violations(trajectories, inst.collision_mode, tau):
+                continue
             lassos = [Lasso.from_trajectory(traj, ts)
                       for traj, ts in zip(trajectories, inst.systems)]
-            if tau == 0:
-                ok = eval_outer(lassos, CollectiveExecution.synchronous(n), 0, mu)
-            else:
-                verdict = check_robust(lassos, mu, tau, max_T=max_T,
-                                       enumeration_cap=enumeration_cap)
-                if verdict.stats["mode"] != "exhaustive":
-                    raise ValueError("enumeration cap too small for exhaustive search")
-                ok = not verdict.falsified
-            if ok:
+            verdict = check_robust(lassos, mu, tau, max_T=max_T,
+                                   enumeration_cap=enumeration_cap)
+            if verdict.stats["mode"] == "sampled":
+                raise ValueError("enumeration cap too small for exhaustive search")
+            if not verdict.falsified:
                 return trajectories
     return None

@@ -9,7 +9,8 @@ oracle's earlier algorithm.
   over (subformula, global time), one fresh memo per call, scanning each
   temporal operator one joint period past the later of its start and the
   execution's lock;
-* ``check_robust`` counts the tau-bounded increment sequences first,
+* ``check_robust`` checks the synchronous execution alone at tau = 0;
+  for tau >= 1 it counts the tau-bounded increment sequences first,
   then walks them depth first in lexicographic order, or draws a seeded
   random sample when they number more than the cap, and evaluates every
   execution at every anchored time one by one;
@@ -179,6 +180,12 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
                  max_T: Optional[int] = None, enumeration_cap: int = 100000,
                  seed: int = 0) -> Verdict:
     n = len(lassos)
+    if tau == 0:  # the synchronous execution, checked at t = 0 only
+        execution = CollectiveExecution(np.zeros((0, n), dtype=np.int64))
+        stats = {"mode": "synchronous", "sequences": 1, "evaluations": 1, "max_T": 0}
+        if evaluate(lassos, execution, mu, 0):
+            return Verdict("verified", None, stats)
+        return Verdict("falsified", (execution, 0), stats)
     if max_T is None:
         max_T = max(l.horizon for l in lassos) + tau + 1
     total = _count_sequences(n, tau, max_T, enumeration_cap)

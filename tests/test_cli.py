@@ -313,7 +313,8 @@ def test_an_infeasible_robust_sweep_with_a_synchronous_lasso_is_unknown(tmp_path
     # The robust program is infeasible at every horizon, yet tau = 0 finds
     # a lasso at h = 2 that also survives one step of drift: robot 0 parks
     # on {p1, p2} and robot 1 alternates between {p1} and {}, so some
-    # robot is off p1 at every step of every 1-bounded execution.
+    # robot is off p1 at every step of every 1-bounded execution.  The one
+    # proof solve is the tau = 0 program at the sweep's last horizon, 8.
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"ap": ["p1", "p2"], "robots": [
         {"states": ["s0", "s1"], "transitions": [[0, 0], [1, 1]],
@@ -324,7 +325,7 @@ def test_an_infeasible_robust_sweep_with_a_synchronous_lasso_is_unknown(tmp_path
              "--horizon", "1", "--horizon-max", "8"]
     assert run([*sweep, "--tau", "1"]) == 4
     out = capsys.readouterr().out
-    assert out.startswith("unknown: ") and "tau=0 program is not infeasible at h=2" in out
+    assert out.startswith("unknown: ") and "tau=0 program is not infeasible at h=8" in out
     bundle = tmp_path / "traj.json"
     assert run([*sweep, "--tau", "0", "--output", bundle]) == 0
     assert "feasible at h=2" in capsys.readouterr().out
@@ -479,7 +480,7 @@ def test_simulate_prints_the_per_anchor_table(handover_bundle, capsys):
                 "--formula", "[p1, 2] | [p2, 2]", "--tau", "0", "--max-t", "5"])
     assert code == 0
     assert capsys.readouterr().out.splitlines() == [
-        "verdict: verified_bounded (mode=exhaustive, sequences=32, max_T=5)",
+        "verdict: verified (mode=synchronous, sequences=1, max_T=0)",
         "t  formula tcp0 tcp1",
         "0  sat     2/2 1/2",
         "1  sat     1/2 2/2",
@@ -548,6 +549,57 @@ def test_simulate_reports_a_window_past_the_cap_as_a_budget_error(tmp_path, caps
         assert code == 4 and captured.out == ""
         assert captured.err.startswith("error: the oracle window of ")
         assert captured.err.count("\n") == 1
+
+
+ALTERNATING = {"states": ["s0", "s1"], "transitions": [[0, 1], [1, 0]],
+               "labels": {"s1": ["A"]}, "init": 0}
+
+
+def test_synth_and_simulate_agree_on_outer_next_at_tau_zero(tmp_path, capsys):
+    # tau = 0 is the synchronous execution for both commands: a global
+    # stutter step, where no counter moves, is none of its executions
+    model, bundle = tmp_path / "alternating.json", tmp_path / "traj.json"
+    model.write_text(json.dumps({"ap": ["A"], "robots": [ALTERNATING]}))
+    assert run(["synth", "--model", model, "--formula", "X [A, 1]",
+                "--horizon", "2", "--output", bundle]) == 0
+    assert "oracle: verified (synchronous, 1 executions)" in capsys.readouterr().out
+    assert run(["simulate", "--model", model, "--trajectories", bundle,
+                "--formula", "X [A, 1]", "--tau", "0"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "verdict: verified (mode=synchronous, sequences=1, max_T=0)\n")
+
+
+@pytest.mark.parametrize("tau", ["0", "1"])
+def test_simulate_reports_collisions(tmp_path, capsys, tau):
+    # two robots trade s0 and s1 at every step, which the swap mode forbids
+    model, bundle = tmp_path / "swap.json", tmp_path / "traj.json"
+    model.write_text(json.dumps({"ap": ["A"], "collision": "mutual_exclusion_plus_swap",
+                                 "robots": [ALTERNATING, {**ALTERNATING, "init": 1}]}))
+    bundle.write_text(json.dumps({"type": "discrete", "robots": [
+        {"states": [0, 1, 0], "loop_start": 0}, {"states": [1, 0, 1], "loop_start": 0}]}))
+    assert run(["simulate", "--model", model, "--trajectories", bundle,
+                "--formula", "G F [A, 1]", "--tau", tau]) == 1
+    out = capsys.readouterr().out
+    assert "falsified" not in out
+    first = ("robots 0 and 1 swap at step 0" if tau == "0"
+             else "robots 0 and 1 meet at step 0(+1)")  # one step of drift
+    assert "collision check: " in out and f" violations, e.g. {first}\n" in out
+
+
+def test_integrator_solve_is_not_a_numerical_error(tmp_path, capsys):
+    # HiGHS used to miss its own polytope margin here by float rounding
+    # and then fail outright ("Solve error", exit 4)
+    interval = {"H": [[1.0], [-1.0]], "h": [0.1, 0.1]}
+    model = tmp_path / "integrator.json"
+    model.write_text(json.dumps({"continuous": {
+        "robots": [{"F": [[1.0]], "G": [[1.0]], "c": [0.0], "init": [1.0]}],
+        "atoms": {"A": interval, "C": interval},
+        "state_bounds": [[-3.0, 3.0]], "input_bounds": [[-1.0, 1.0]]}}))
+    assert run(["synth", "--model", model, "--formula", "G F [A, 1] & G F [C, 1]",
+                "--horizon", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "feasible at h=7 (engine=continuous, tau=0)",
+        "oracle: verified (synchronous, 1 executions)"]
 
 
 def test_simulate_invalid_budget(handover_bundle):

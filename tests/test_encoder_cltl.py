@@ -9,8 +9,7 @@ from cltlsynth.formula import (IAtom, IEventually, OAlways, OEventually, ONot,
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb
-from cltlsynth.system import (AggregateSystem, MultiRobotInstance,
-                              TransitionSystem, aggregate_view)
+from cltlsynth.system import MultiRobotInstance, TransitionSystem, aggregate_view
 from cltlsynth.encoder_cltl import (CltlOuterEncoder, EncodingError,
                                     build_cltl_problem, decompose_flows,
                                     encode_aggregate)
@@ -26,10 +25,15 @@ def ts_of(states, transitions, labels, ap=("a", "b")):
                             label_map)
 
 
+def fleet(ts, w0):
+    """Identical robots on ``ts``, w0[i] of them starting at state i."""
+    starts = tuple(i for i, count in enumerate(w0) for _ in range(count))
+    return MultiRobotInstance((ts,) * len(starts), starts)
+
+
 def test_single_state_flock_is_stationary():
     ts = ts_of(["v1"], {(0, 0)}, {0: ("a",)})
-    agg = AggregateSystem(ts, (5,), 5)
-    problem = build_cltl_problem(agg, OTrue(), h=3)
+    problem = build_cltl_problem(fleet(ts, (5,)), OTrue(), h=3)
     sol = solve_bnb(problem.model)
     assert sol.feasible
     for t in range(4):
@@ -38,8 +42,7 @@ def test_single_state_flock_is_stationary():
 
 def test_swap_graph_supports_period_two_counts():
     ts = ts_of(["v1", "v2"], {(0, 1), (1, 0)}, {})
-    agg = AggregateSystem(ts, (3, 2), 5)
-    problem = build_cltl_problem(agg, OTrue(), h=2)
+    problem = build_cltl_problem(fleet(ts, (3, 2)), OTrue(), h=2)
     sol = solve_bnb(problem.model)
     assert sol.feasible
     w = {t: [sol[v] for v in problem.layout.agg_state[t]] for t in range(3)}
@@ -51,19 +54,18 @@ def test_conservation_in_every_feasible_solution():
     for _ in range(10):
         inst = random_instance(rng, rng.randint(2, 5), rng.randint(2, 4),
                                ["a", "b"], identical=True)
-        agg = aggregate_view(inst)
-        problem = build_cltl_problem(agg, OTrue(), h=3)
+        problem = build_cltl_problem(inst, OTrue(), h=3)
         sol = solve_bnb(problem.model)
         if not sol.feasible:
             continue
         for t in range(4):
             total = sum(sol[v] for v in problem.layout.agg_state[t])
-            assert total == agg.n_robots
+            assert total == inst.n_robots
 
 
 def test_counting_threshold_on_fixed_occupancies():
     ts = ts_of(["v1", "v2"], {(0, 0), (1, 1), (0, 1), (1, 0)}, {0: ("a",)})
-    agg = AggregateSystem(ts, (3, 2), 5)
+    agg = aggregate_view(fleet(ts, (3, 2)))
     for m, expected in ((3, True), (4, False)):
         model = IlpModel()
         layout = encode_aggregate(model, agg, h=1)
@@ -79,31 +81,27 @@ def test_counting_threshold_on_fixed_occupancies():
 
 def test_zero_threshold_always_true():
     ts = ts_of(["v1"], {(0, 0)}, {})
-    problem = build_cltl_problem(AggregateSystem(ts, (2,), 2),
-                                 Tcp(IAtom("a"), 0), h=2)
+    problem = build_cltl_problem(fleet(ts, (2,)), Tcp(IAtom("a"), 0), h=2)
     assert solve_bnb(problem.model).feasible
 
 
 def test_rejects_temporal_inner_formula():
     ts = ts_of(["v1"], {(0, 0)}, {0: ("a",)})
-    agg = AggregateSystem(ts, (1,), 1)
     with pytest.raises(EncodingError, match="offending inner formula: F a"):
-        build_cltl_problem(agg, Tcp(IEventually(IAtom("a")), 1), h=2)
+        build_cltl_problem(fleet(ts, (1,)), Tcp(IEventually(IAtom("a")), 1), h=2)
 
 
 def test_rejects_group_restrictions():
     ts = ts_of(["v1"], {(0, 0)}, {0: ("a",)})
-    agg = AggregateSystem(ts, (2,), 2)
     with pytest.raises(EncodingError, match="group"):
-        build_cltl_problem(agg, Tcp(IAtom("a"), 1, frozenset({0})), h=2)
+        build_cltl_problem(fleet(ts, (2,)), Tcp(IAtom("a"), 1, frozenset({0})), h=2)
 
 
 def test_negated_atoms_survive_normalization():
     # outer negation dualizes to a negated-atom literal, which the
     # aggregate counting handles through the complement label vector
     ts = ts_of(["v1", "v2"], {(0, 0), (1, 1), (0, 1), (1, 0)}, {0: ("a",)})
-    agg = AggregateSystem(ts, (0, 2), 2)
-    problem = build_cltl_problem(agg, OAlways(ONot(Tcp(IAtom("a"), 1))), h=2)
+    problem = build_cltl_problem(fleet(ts, (0, 2)), OAlways(ONot(Tcp(IAtom("a"), 1))), h=2)
     sol = solve_bnb(problem.model)
     assert sol.feasible
     for t in range(3):
@@ -113,8 +111,8 @@ def test_negated_atoms_survive_normalization():
 def test_model_size_independent_of_fleet_size():
     ts = ts_of(["v1", "v2", "v3"], {(0, 1), (1, 2), (2, 0), (0, 0)}, {0: ("a",)})
     mu = OAlways(OEventually(Tcp(IAtom("a"), 3)))
-    small = build_cltl_problem(AggregateSystem(ts, (10, 0, 0), 10), mu, h=5)
-    large = build_cltl_problem(AggregateSystem(ts, (500, 0, 0), 500), mu, h=5)
+    small = build_cltl_problem(fleet(ts, (10, 0, 0)), mu, h=5)
+    large = build_cltl_problem(fleet(ts, (500, 0, 0)), mu, h=5)
     assert small.model.n_vars == large.model.n_vars
     assert small.model.n_constraints == large.model.n_constraints
 
@@ -125,9 +123,7 @@ def test_model_size_independent_of_fleet_size():
 
 def decompose_ok(problem, sol):
     trajs = decompose_flows(problem, sol)
-    shared = (problem.instance.shared
-              if isinstance(problem.instance, AggregateSystem)
-              else problem.instance.systems[0])
+    shared = problem.instance.systems[0]
     for traj in trajs:
         assert traj.validate_against(shared) == []
     w = {t: [round(sol[v]) for v in problem.layout.agg_state[t]]
@@ -144,7 +140,8 @@ def decompose_ok(problem, sol):
 
 def test_lowest_index_first_assignment():
     ts = ts_of(["v1", "v2"], {(0, 0), (0, 1), (1, 1), (1, 0)}, {})
-    agg = AggregateSystem(ts, (2, 0), 2)
+    inst = fleet(ts, (2, 0))
+    agg = aggregate_view(inst)
     model = IlpModel()
     layout = encode_aggregate(model, agg, h=1)
     # force the split: one robot stays, one moves
@@ -160,7 +157,7 @@ def test_lowest_index_first_assignment():
     sol2 = solve_bnb(model2)
     assert sol2.feasible
     from cltlsynth.encoder_sync import EncodedProblem
-    problem = EncodedProblem(model2, layout2, agg, 2, 0, "cltl")
+    problem = EncodedProblem(model2, layout2, inst, 2, 0, "cltl")
     trajs = decompose_flows(problem, sol2)
     assert trajs[0].states[1] == 0  # robot 0 takes the lowest destination
     assert trajs[1].states[1] == 1
@@ -168,8 +165,7 @@ def test_lowest_index_first_assignment():
 
 def test_swap_decomposition_reaggregates_exactly():
     ts = ts_of(["v1", "v2"], {(0, 1), (1, 0)}, {})
-    agg = AggregateSystem(ts, (1, 1), 2)
-    problem = build_cltl_problem(agg, OTrue(), h=2)
+    problem = build_cltl_problem(fleet(ts, (1, 1)), OTrue(), h=2)
     sol = solve_bnb(problem.model)
     assert sol.feasible
     trajs = decompose_ok(problem, sol)
@@ -178,8 +174,7 @@ def test_swap_decomposition_reaggregates_exactly():
 
 def test_single_robot_decomposition_is_unit_flow():
     ts = ts_of(["v1", "v2", "v3"], {(0, 1), (1, 2), (2, 0)}, {0: ("a",)})
-    agg = AggregateSystem(ts, (1, 0, 0), 1)
-    problem = build_cltl_problem(agg, Tcp(IAtom("a"), 1), h=3)
+    problem = build_cltl_problem(fleet(ts, (1, 0, 0)), Tcp(IAtom("a"), 1), h=3)
     sol = solve_bnb(problem.model)
     assert sol.feasible
     trajs = decompose_ok(problem, sol)
@@ -211,14 +206,14 @@ def test_decomposition_respects_real_initial_states():
     assert [t.states[0] for t in trajs] == [1, 0, 1]
 
 
-def test_seeded_decomposition_is_reproducible_and_valid():
+def test_decomposition_is_reproducible_and_valid():
     ts = ts_of(["v1", "v2"], {(0, 1), (1, 0), (0, 0), (1, 1)}, {})
     inst = MultiRobotInstance(tuple([ts] * 4), (0, 0, 1, 1))
     problem = build_cltl_problem(inst, OTrue(), h=3)
     sol = solve_bnb(problem.model)
     assert sol.feasible
-    t1 = decompose_flows(problem, sol, rng=random.Random(5))
-    t2 = decompose_flows(problem, sol, rng=random.Random(5))
+    t1 = decompose_flows(problem, sol)
+    t2 = decompose_flows(problem, sol)
     assert t1 == t2
     shared = inst.systems[0]
     for traj in t1:

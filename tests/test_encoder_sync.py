@@ -8,6 +8,8 @@ satisfaction value, so any disagreement is an encoder bug.
 
 import random
 import sys
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -359,6 +361,47 @@ def test_swap_mode_blocks_exchange():
     under_swap = build_sync_problem(
         replace(inst, collision_mode="mutual_exclusion_plus_swap"), mu, h=2)
     assert solve_bnb(under_swap.model).status == "infeasible"
+
+
+def test_swap_rows_follow_each_robots_own_transitions():
+    # robot 0 can only go v1 -> v2 and robot 1 only v2 -> v1, so their one
+    # joint lasso swaps at step 0; robot 0's system alone has no edge back
+    forward = ts_of(["v1", "v2"], {(0, 1), (1, 1)}, {})
+    backward = ts_of(["v1", "v2"], {(1, 0), (0, 0)}, {})
+    inst = MultiRobotInstance((forward, backward), (0, 1), {},
+                              "mutual_exclusion_plus_swap")
+    assert brute_force_synth(inst, OTrue(), 2) is None
+    assert solve_bnb(build_sync_problem(inst, OTrue(), h=2).model).status == "infeasible"
+
+
+@pytest.mark.parametrize("mode", ["mutual_exclusion", "mutual_exclusion_plus_swap"])
+def test_collision_programs_agree_with_brute_force(mode):
+    # brute force runs the collision checker: the synchronous program is
+    # exact on fleets over one state set, whose transition relations may
+    # differ from robot to robot, and the robust tau = 1 program is sound
+    rng = random.Random(137)
+    outcomes = Counter()
+    for trial in range(60):
+        n = rng.randint(2, 3)
+        inst = replace(random_instance(rng, n, rng.randint(2, 3), ["a", "b"],
+                                       identical=rng.random() < 0.5,
+                                       self_loops=rng.random() < 0.5),
+                       collision_mode=mode)
+        mu = random_outer(rng, rng.randint(1, 2), ["a", "b"], n, inner_next=False)
+        h = rng.randint(1, 3)
+        brute = brute_force_synth(inst, mu, h) is not None
+        sync = solve_bnb(build_sync_problem(inst, mu, h).model).feasible
+        assert sync == brute, f"trial {trial}: sync={sync} brute={brute} {mu} h={h}"
+        outcomes["sync", sync] += 1
+        if n == 2:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                robust = solve_bnb(build_robust_problem(inst, mu, h, tau=1).model).feasible
+            if robust:
+                assert brute_force_synth(inst, mu, h, tau=1) is not None, \
+                    f"trial {trial}: robust lasso rejected, {mu} h={h}"
+            outcomes["robust", robust] += 1
+    assert min(outcomes.values()) >= 3, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_windowed_check_matches_execution_enumeration_for_tcp():
         lassos = [random_lasso(rng, atoms, rng.randint(1, 4)) for _ in range(n)]
         tcp = Tcp(random_inner(rng, 1, atoms, allow_next=False), rng.randint(0, n))
         full = check_robust(lassos, tcp, tau, max_T=4, enumeration_cap=100000)
-        assert full.stats["mode"] == "exhaustive"
+        assert full.stats["mode"] == ("exhaustive" if tau else "synchronous")
         windowed = oracle_reference.tcp_windowed_violation(lassos, tcp, tau, t=0)
         assert full.falsified == (windowed is not None), f"trial {trial}"
 
@@ -325,7 +325,9 @@ def test_check_robust_matches_reference():
         got = check_robust(lassos, mu, tau, **kwargs)
         assert_same_verdict(got, oracle_reference.check_robust(lassos, mu, tau, **kwargs))
         modes.add((got.status, got.stats["mode"]))
-    assert len(modes) == 4  # both verdicts, exhaustive and sampled
+    # both verdicts of each mode: synchronous at tau = 0, exhaustive and
+    # sampled above
+    assert len(modes) == 6
 
 
 def test_first_violation_in_a_later_chunk():

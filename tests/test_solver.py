@@ -133,21 +133,27 @@ def test_node_budget_reports_unknown():
         assert sol.stats["reason"] == "node budget"
 
 
-def subset_sum_model(n=60):
-    """A subset-sum equality that HiGHS cannot settle at its root node."""
+def market_split_model():
+    """A market split instance (Cornuejols & Dawande, "A class of hard
+    small 0-1 programs", INFORMS J. Comput. 1999): three equalities over
+    20 binaries, each with weights in [0, 99] and half their sum as its
+    right-hand side.  HiGHS cannot settle it at its root node; it is
+    infeasible, after about 2,000 nodes."""
     rng = random.Random(1)
     m = IlpModel()
-    xs = [m.add_binary(f"x{i}") for i in range(n)]
-    weights = [2 * rng.randint(1000, 100000) for _ in xs]
-    m.add_constraint(LinExpr(dict(zip(xs, weights))), "=", sum(weights) // 4 * 2 + 2,
-                     tag="subset_sum")
+    xs = [m.add_binary(f"x{i}") for i in range(20)]
+    for _ in range(3):
+        weights = [rng.randint(0, 99) for _ in xs]
+        m.add_constraint(LinExpr(dict(zip(xs, weights))), "=", sum(weights) // 2,
+                         tag="market_split")
     return m
 
 
 def test_node_budget_on_a_real_search():
-    sol = solve_bnb(subset_sum_model(), SolveConfig(node_budget=1))
+    sol = solve_bnb(market_split_model(), SolveConfig(node_budget=1))
     assert sol.status == "unknown"
     assert sol.stats["reason"] == "node budget"
+    assert solve_bnb(market_split_model()).status == "infeasible"
 
 
 def fake_highs(monkeypatch, status, point=None):
@@ -199,7 +205,7 @@ def test_reached_limit_without_a_point_is_unknown(monkeypatch):
     sol = solve_bnb(m, SolveConfig(node_budget=7))
     assert sol.status == "unknown" and sol.stats["reason"] == "node budget"
     assert seen == {"output_flag": False, "presolve": "off", "mip_detect_symmetry": False,
-                    "mip_max_nodes": 7}
+                    "mip_feasibility_tolerance": FEAS_TOL / 10, "mip_max_nodes": 7}
 
 
 def test_reached_limit_after_a_point_returns_it(monkeypatch):
@@ -221,7 +227,8 @@ def test_every_model_is_solved_without_presolve(monkeypatch, general):
         m.add_integer("n", 0, 5)
     seen = fake_highs(monkeypatch, highs.HighsModelStatus.kInfeasible)
     assert solve_bnb(m).stats["presolve"] is False
-    assert seen == {"output_flag": False, "presolve": "off", "mip_detect_symmetry": False}
+    assert seen == {"output_flag": False, "presolve": "off", "mip_detect_symmetry": False,
+                    "mip_feasibility_tolerance": FEAS_TOL / 10}
 
 
 def test_an_explicit_presolve_option_wins(monkeypatch):
@@ -229,7 +236,8 @@ def test_an_explicit_presolve_option_wins(monkeypatch):
     m.add_binary("x")
     seen = fake_highs(monkeypatch, highs.HighsModelStatus.kInfeasible)
     assert solve_arrays(m.to_arrays(), {"presolve": "on"}).stats["presolve"] is True
-    assert seen == {"output_flag": False, "presolve": "on", "mip_detect_symmetry": False}
+    assert seen == {"output_flag": False, "presolve": "on", "mip_detect_symmetry": False,
+                    "mip_feasibility_tolerance": FEAS_TOL / 10}
 
 
 def test_model_without_integer_columns_counts_no_nodes():
