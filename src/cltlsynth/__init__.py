@@ -23,8 +23,8 @@ _EXPORTS = {
     "formula": ("InnerFormula", "OuterFormula", "Tcp", "expand_sugar", "formula_length",
                 "is_cltl", "normalize", "parse_formula", "parse_inner_formula", "to_pnf",
                 "to_text"),
-    "system": ("AggregateSystem", "ContinuousSystem", "MultiRobotInstance",
-               "TransitionSystem", "aggregate_view", "build_grid_system", "load_model"),
+    "system": ("ContinuousSystem", "MultiRobotInstance", "TransitionSystem",
+               "build_grid_system", "load_model", "shared_system"),
     "ilp": ("IlpModel", "LinExpr", "Solution"),
     "lp_format": ("write_lp",),
     "solver": ("SolveConfig", "solve_bnb", "solve_external"),

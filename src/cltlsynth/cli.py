@@ -4,6 +4,10 @@
 ``cltlsynth simulate``  replay a trajectory bundle against a formula under
                         bounded asynchrony and report a verdict
 
+``--engine auto`` picks ``continuous`` on a continuous model, else ``cltl``
+exactly where ``encoder_cltl.cltl_obstacle`` finds no reason against the
+aggregate engine, and ``cltlplus`` everywhere else.
+
 Both verify with ``oracle.check_robust`` at ``--tau`` and, on a discrete
 model, the collision checker.  tau = 0 is the synchronous execution alone,
 so the search flags (``--verify-max-t``, ``--verify-cap``, ``--max-t``,
@@ -11,7 +15,9 @@ so the search flags (``--verify-max-t``, ``--verify-cap``, ``--max-t``,
 
 Exit codes for synth: 0 feasible and verified, 1 every horizon of the
 sweep proven infeasible, 2 feasible but rejected by the oracle or the
-collision checker (encoder bug sentinel), 3 usage errors, 4 I/O or budget
+collision checker (encoder bug sentinel), 3 usage errors (among them
+``--solver-cmd`` without ``--solver external``, ``--collision`` on a
+continuous model, and an engine that does not apply), 4 I/O or budget
 problems (a sweep with no feasible horizon and at least one unknown one,
 or a verification window past ``oracle.WINDOW_CAP``) and unsettled robust
 sweeps.  The robust encoding is conservative, so at tau >= 1 an
@@ -32,20 +38,24 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .formula import is_cltl, iter_tcps, parse_formula, resolve_groups
+from .formula import iter_tcps, parse_formula, resolve_groups
 from .ilp import Solution
 from .lp_format import write_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso,
                      VerificationBudgetError, check_robust, collision_violations)
 from .solver import SolverError, solve_bnb, solve_external
 from .system import (COLLISION_ALIASES, ContinuousSystem, ModelError,
-                     MultiRobotInstance, aggregate_view, load_model)
-from .encoder_cltl import build_cltl_problem, decompose_flows
+                     MultiRobotInstance, load_model)
+from .encoder_cltl import build_cltl_problem, cltl_obstacle, decompose_flows
 from .encoder_continuous import (build_cont_problem, extract_continuous,
                                  membership_trace)
 from .encoder_robust import build_robust_problem
 from .encoder_sync import EncodingError, check_formula, extract_trajectories
 from .trajectory import ContinuousTrajectory, LassoTrajectory
+
+# engine -> builder; every builder takes (model, formula, h, tau)
+BUILDERS = {"cltlplus": build_robust_problem, "cltl": build_cltl_problem,
+            "continuous": build_cont_problem}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,15 +130,7 @@ def _pick_engine(args, model_obj, mu) -> str:
         raise SystemExit(3)
     if args.engine != "auto":
         return args.engine
-    if args.tau == 0 and is_cltl(mu):
-        try:
-            aggregate_view(model_obj)
-        except ModelError:
-            return "cltlplus"
-        if any(t.group is not None for t in iter_tcps(mu)):
-            return "cltlplus"
-        return "cltl"
-    return "cltlplus"
+    return "cltlplus" if cltl_obstacle(model_obj, mu, args.tau) else "cltl"
 
 
 def _lassos(model_obj, trajs) -> list[Lasso]:
@@ -173,6 +175,10 @@ def _bad_synth_args(args) -> str:
         return "--verify-max-t must not be negative"
     if args.verify_cap < 1:
         return "--verify-cap must be at least 1"
+    if args.solver == "external" and not args.solver_cmd:
+        return "--solver external needs --solver-cmd"
+    if args.solver_cmd is not None and args.solver != "external":
+        return "--solver-cmd needs --solver external"
     return ""
 
 
@@ -192,11 +198,10 @@ def run_synth(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     engine = _pick_engine(args, model_obj, mu)
-    if engine == "cltl" and args.tau > 0:
-        print("error: the aggregate engine cannot track identities, which "
-              "robust synthesis requires; use --engine cltlplus", file=sys.stderr)
-        return 3
-    if args.collision and isinstance(model_obj, MultiRobotInstance):
+    if args.collision:
+        if isinstance(model_obj, ContinuousSystem):
+            print("error: --collision needs a discrete model", file=sys.stderr)
+            return 3
         try:
             model_obj = dataclasses.replace(
                 model_obj, collision_mode=COLLISION_ALIASES[args.collision])
@@ -204,16 +209,7 @@ def run_synth(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 
-    def build(h: int, tau: int = args.tau):
-        if engine == "continuous":
-            return build_cont_problem(model_obj, mu, h, tau=tau)
-        if engine == "cltl":
-            return build_cltl_problem(model_obj, mu, h)
-        return build_robust_problem(model_obj, mu, h, tau)
-
-    if args.solver == "external" and not args.solver_cmd:
-        print("error: --solver external needs --solver-cmd", file=sys.stderr)
-        return 3
+    build = BUILDERS[engine]
 
     def solve(model) -> Solution:
         if args.solver == "external":
@@ -227,7 +223,7 @@ def run_synth(args) -> int:
     unsettled = False  # the tau = 0 program at h_max is not infeasible
     try:
         for h in horizons:
-            problem = build(h)
+            problem = build(model_obj, mu, h, args.tau)
             sol = solve(problem.model)
             if sol.feasible:
                 break
@@ -236,7 +232,7 @@ def run_synth(args) -> int:
         if not sol.feasible and not unknown and args.tau > 0:
             # a tau = 0 lasso at h unrolls to one at h + 1, so one solve at
             # h_max settles every horizon of the sweep
-            unsettled = solve(build(h_max, tau=0).model).status != "infeasible"
+            unsettled = solve(build(model_obj, mu, h_max, 0).model).status != "infeasible"
     except (EncodingError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -275,8 +271,7 @@ def run_synth(args) -> int:
         trajs = extract_trajectories(problem.layout, sol)
     lassos = _lassos(model_obj, trajs)
 
-    groups = model_obj.groups if isinstance(model_obj, MultiRobotInstance) else {}
-    resolved = resolve_groups(mu, groups)
+    resolved = resolve_groups(mu, model_obj.groups)
     try:
         verdict = check_robust(lassos, resolved, args.tau, max_T=args.verify_max_t,
                                enumeration_cap=args.verify_cap, seed=args.seed)
@@ -342,10 +337,9 @@ def run_simulate(args) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    groups = model_obj.groups if isinstance(model_obj, MultiRobotInstance) else {}
     try:
         mu = _read_formula(args.formula)
-        resolved = resolve_groups(mu, groups)
+        resolved = resolve_groups(mu, model_obj.groups)
         check_formula(resolved, model_obj)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

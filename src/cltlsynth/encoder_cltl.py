@@ -1,38 +1,40 @@
 """Aggregate-flow encoding for identical fleets.
 
-When every robot has the same dynamics and all counting propositions wrap
-bare atoms, robot identities are irrelevant: the encoding keeps one
-integer per state (how many robots are there) and one integer per
-transition (how many robots take it).  Model size is then independent of
-the number of robots.  Solutions are turned back into per-robot lassos by
-decomposing the flow.
+When every counting proposition counts a literal (cLTL, ``is_cltl``) and
+every robot runs on one shared transition system, robot identities are
+irrelevant: the encoding keeps one integer per state (how many robots are
+there) and one integer per transition (how many robots take it), read off
+the ``MultiRobotInstance`` itself.  Model size is then independent of the
+number of robots; ``cltl_obstacle`` holds every precondition.  Solutions
+are turned back into per-robot lassos by decomposing the flow.
 """
 
 from __future__ import annotations
 
-from .formula import (IAtom, INot, ITrue, OuterFormula, Tcp, is_cltl, iter_tcps,
-                      normalize)
+import numpy as np
+
+from .formula import INot, ITrue, InnerFormula, OuterFormula, Tcp, is_cltl, iter_tcps
 from .ilp import IlpModel, LinExpr, Solution, VarId
-from .system import AggregateSystem, MultiRobotInstance, aggregate_view
+from .system import ModelError, MultiRobotInstance, shared_system
 from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
-                           Layout, LogicEncoder, add_loop_selectors, check_formula,
-                           chosen_loop)
+                           Layout, LogicEncoder, add_loop_selectors, chosen_loop,
+                           prepare_formula)
 from .trajectory import LassoTrajectory
 
 
-def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
-    """Robot-count dynamics: per-state occupancies w and per-transition
-    flows u with outflow sum equal to occupancy and next occupancy equal to
-    inflow sum; the loop constraint radius scales with the fleet size since
-    occupancies range over [0, N].
+def encode_aggregate(model: IlpModel, inst: MultiRobotInstance, h: int) -> Layout:
+    """Robot-count dynamics on the fleet's ``shared_system``: per-state
+    occupancies w, pinned at t = 0 to the fleet's start counts, and
+    per-transition flows u with outflow sum equal to occupancy and next
+    occupancy equal to inflow sum; the loop constraint radius scales with
+    the fleet size since occupancies range over [0, N].
 
     The loop is closed from one side, ``cur - final + N z_t <= N``: with
     z_l = 1 it gives w[h] >= w[l] componentwise, and flow conservation
     makes both count vectors sum to N, so they are equal."""
-    ts = agg.shared
-    n = agg.n_robots
-    layout = Layout(model, n, h, tau=0)
-    layout.instance = agg
+    ts = shared_system(inst)
+    n = inst.n_robots
+    layout = Layout(model, inst, h)
     edges = sorted(ts.transitions)
     for t in range(h + 1):
         layout.agg_state[t] = [
@@ -42,8 +44,8 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
         for (i, j) in edges:
             layout.agg_flow[(i, j, t)] = model.add_integer(
                 f"u_{i}_{j}_t{t}", 0, n, tag="aggregate")
-    for i, count in enumerate(agg.w0):
-        model.add_constraint(LinExpr({layout.agg_state[0][i]: 1}), "=", count,
+    for i, count in enumerate(np.bincount(inst.initial_states, minlength=ts.n_states)):
+        model.add_constraint(LinExpr({layout.agg_state[0][i]: 1}), "=", int(count),
                              tag="aggregate")
     for t in range(h):
         for i in range(ts.n_states):
@@ -56,7 +58,7 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
             for i in ts.predecessors(j):
                 expr.add_term(layout.agg_flow[(i, j, t)], 1)
             model.add_constraint(expr, "=", 0, tag="aggregate")
-    add_loop_selectors(model, layout)
+    add_loop_selectors(layout)
     for t in range(h):
         z = layout.loop_vars[t]
         for i in range(ts.n_states):
@@ -67,14 +69,14 @@ def encode_aggregate(model: IlpModel, agg: AggregateSystem, h: int) -> Layout:
     return layout
 
 
-def encode_aggregate_collision(model: IlpModel, layout: Layout,
-                               agg: AggregateSystem, mode: str) -> None:
-    """Occupancy-capacity form of the collision rules: at most one robot per
-    state, and (for the swap variant) never one robot each way across the
-    same edge in one step."""
+def encode_aggregate_collision(layout: Layout) -> None:
+    """Occupancy-capacity form of the fleet's collision rules: at most one
+    robot per state, and (for the swap variant) never one robot each way
+    across the same edge in one step."""
+    model, mode = layout.model, layout.instance.collision_mode
     if mode == "off":
         return
-    ts = agg.shared
+    ts = layout.instance.systems[0]
     for t in sorted(layout.agg_state):
         for i in range(ts.n_states):
             model.add_constraint(LinExpr({layout.agg_state[t][i]: 1}), "<=", 1,
@@ -89,21 +91,14 @@ def encode_aggregate_collision(model: IlpModel, layout: Layout,
                         "<=", 1, tag="collision")
 
 
-def _literal_vector(ts, tcp: Tcp):
-    """0/1 per state: whether a robot there satisfies the tcp's atomic
-    inner task."""
-    inner = tcp.inner
-    if isinstance(inner, IAtom):
-        return ts.label_vector(inner.name)
-    if isinstance(inner, INot) and isinstance(inner.child, IAtom):
-        return 1 - ts.label_vector(inner.child.name)
+def _literal_vector(ts, inner: InnerFormula) -> np.ndarray:
+    """0/1 per state: whether a robot there satisfies the literal
+    ``inner``, which ``prepare_formula`` has put in negation normal form."""
+    if isinstance(inner, INot):
+        return 1 - _literal_vector(ts, inner.child)
     if isinstance(inner, ITrue):
-        return [1] * ts.n_states
-    if isinstance(inner, INot) and isinstance(inner.child, ITrue):
-        return [0] * ts.n_states
-    raise EncodingError(
-        f"aggregate encoding needs atomic inner tasks; offending inner "
-        f"formula: {inner}")
+        return np.ones(ts.n_states, dtype=np.int8)
+    return ts.label_vector(inner.name)
 
 
 class CltlOuterEncoder(LogicEncoder):
@@ -112,32 +107,44 @@ class CltlOuterEncoder(LogicEncoder):
 
     def _tcp_row(self, tcp: Tcp) -> list[VarId]:
         lay = self.layout
-        vec = _literal_vector(lay.instance.shared, tcp)
+        vec = _literal_vector(lay.instance.systems[0], tcp.inner)
         # occupancies are conserved, so the labeled sum never exceeds N
         return [self._at_least((lay.agg_state[t][i] for i, bit in enumerate(vec) if bit),
                                tcp.m, lay.n_robots, tcp, t)
                 for t in range(lay.h)]
 
 
-def build_cltl_problem(inst: MultiRobotInstance, mu: OuterFormula,
-                       h: int) -> EncodedProblem:
-    """Aggregate feasibility program over the fleet's ``aggregate_view``,
-    with the instance's collision mode; model size does not depend on the
-    number of robots."""
-    agg = aggregate_view(inst)
+def cltl_obstacle(inst: MultiRobotInstance, mu: OuterFormula, tau: int = 0) -> str:
+    """Why the aggregate engine does not apply to ``mu`` on ``inst`` at
+    asynchrony bound ``tau``; empty when it does: at tau = 0, for cLTL
+    without robot groups, on a fleet with one ``shared_system``."""
+    if tau:
+        return ("the aggregate engine cannot track identities, which robust "
+                "synthesis requires; use --engine cltlplus")
     if not is_cltl(mu):
-        offender = next(t for t in iter_tcps(mu) if not isinstance(t.inner, IAtom))
-        raise EncodingError(
-            f"formula is outside the atomic-inner fragment; offending inner "
-            f"formula: {offender.inner}")
+        offender = next(t for t in iter_tcps(mu) if not is_cltl(t))
+        return (f"formula is outside cLTL, where every tcp counts a literal; "
+                f"offending inner formula: {offender.inner}")
     if any(t.group is not None for t in iter_tcps(mu)):
-        raise EncodingError(
-            "aggregate encoding cannot restrict counting to robot groups")
-    check_formula(mu, inst)
-    norm = normalize(mu, agg.n_robots, robust=False)
+        return "aggregate encoding cannot restrict counting to robot groups"
+    try:
+        shared_system(inst)
+    except ModelError as exc:
+        return str(exc)
+    return ""
+
+
+def build_cltl_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
+                       tau: int = 0) -> EncodedProblem:
+    """Aggregate feasibility program over the fleet's occupancies, with the
+    instance's collision mode; ``EncodingError`` with ``cltl_obstacle``'s
+    reason where the engine does not apply."""
+    if reason := cltl_obstacle(inst, mu, tau):
+        raise EncodingError(reason)
+    norm = prepare_formula(mu, inst)
     model = IlpModel("cltl")
-    layout = encode_aggregate(model, agg, h)
-    encode_aggregate_collision(model, layout, agg, inst.collision_mode)
+    layout = encode_aggregate(model, inst, h)
+    encode_aggregate_collision(layout)
     CltlOuterEncoder(layout).pin_root(norm)
     return EncodedProblem(model, layout, inst, h, 0, "cltl")
 
@@ -170,10 +177,7 @@ def decompose_flows(problem: EncodedProblem, sol: Solution) -> list[LassoTraject
     n_robots = layout.n_robots
 
     positions = list(inst.initial_states)
-    counts = [0] * n_states
-    for p in positions:
-        counts[p] += 1
-    if counts != w[0]:
+    if np.bincount(positions, minlength=n_states).tolist() != w[0]:
         raise ExtractionError("initial occupancies do not match the solution")
 
     history = [list(positions)]

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .formula import ONot, OuterFormula, normalize, subformulas
+from .formula import OuterFormula
 from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import ContinuousSystem
 from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
-                           Layout, LogicEncoder, add_loop_selectors, check_formula,
-                           chosen_loop)
+                           Layout, LogicEncoder, add_loop_selectors, chosen_loop,
+                           prepare_formula)
 from .encoder_robust import RobustLogicEncoder
 from .trajectory import ContinuousTrajectory
-
-import warnings
 
 
 def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
@@ -31,8 +29,7 @@ def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
     state inside the declared bounds, and one big-M tie, with the radius
     taken from the box diameter (the largest spread the box permits), that
     closes the loop at h and pins the robust tail h+1 .. h+tau."""
-    layout = Layout(model, sys.n_robots, h, tau)
-    layout.instance = sys
+    layout = Layout(model, sys, h, tau)
     lo_w, hi_w = sys.state_bounds
     lo_u, hi_u = sys.input_bounds
     d_w, d_u = sys.d_w, sys.d_u
@@ -82,7 +79,7 @@ def encode_cont_dynamics_loop(model: IlpModel, sys: ContinuousSystem, h: int,
                 model.add_constraint(diff + LinExpr({z: m}), "<=", m, tag=tag)
                 model.add_constraint(diff - LinExpr({z: m}), ">=", -m, tag=tag)
 
-    add_loop_selectors(model, layout)
+    add_loop_selectors(layout)
     for n in range(sys.n_robots):
         tie(n, h, "loop")
     # Post-loop states for robust windows are genuine variables pinned to
@@ -105,12 +102,11 @@ def _face_big_m(hrow: np.ndarray, offset: float, lo: np.ndarray, hi: np.ndarray)
     return reach + 1.0
 
 
-def polytope_atom_backend(layout: Layout, sys: ContinuousSystem,
-                          epsilon: float = 1e-6):
+def polytope_atom_backend(layout: Layout, epsilon: float = 1e-6):
     """Membership test for polytope atoms: one binary per face, true iff the
     face inequality holds (with margin epsilon on the violating side), and a
     conjunction binary equal to full membership."""
-    model = layout.model
+    model, sys = layout.model, layout.instance
     lo_w, hi_w = sys.state_bounds
     memo: dict[tuple[str, int, int], VarId] = {}
 
@@ -143,15 +139,11 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
                        tau: int = 0) -> EncodedProblem:
     """Feasibility program over inputs; solutions drive every robot so the
     induced polytope-membership trace satisfies the formula."""
-    check_formula(mu, sys)
-    if tau > 0 and any(isinstance(node, ONot) for node in subformulas(mu)):
-        warnings.warn("formula normalized to positive normal form for the "
-                      "robust encoding")
-    norm = normalize(mu, sys.n_robots, robust=tau > 0)
+    norm = prepare_formula(mu, sys, tau)
     model = IlpModel("continuous")
     layout = encode_cont_dynamics_loop(model, sys, h, tau)
     encoder = RobustLogicEncoder if tau else LogicEncoder
-    encoder(layout, polytope_atom_backend(layout, sys)).pin_root(norm)
+    encoder(layout, polytope_atom_backend(layout)).pin_root(norm)
     return EncodedProblem(model, layout, sys, h, tau, "continuous")
 
 

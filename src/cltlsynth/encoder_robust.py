@@ -17,20 +17,19 @@ encoder and produces the identical constraint set.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
-from .formula import (IOr, IUntil, InnerFormula, ONext, ONot, OOr, OUntil,
-                      OuterFormula, Tcp, normalize, subformulas)
+from .formula import IOr, IUntil, InnerFormula, OOr, OUntil, OuterFormula, Tcp
 from .ilp import IlpModel, VarId
 from .system import MultiRobotInstance
 from .encoder_sync import (EncodedProblem, Formula, Layout, LogicEncoder,
-                           add_state_vector, build_sync_problem, check_formula,
+                           add_state_vector, build_sync_problem,
                            discrete_atom_backend, encode_collision,
-                           encode_dynamics, encode_loop, successor_set, tie_state)
+                           encode_dynamics, encode_loop, prepare_formula,
+                           successor_set, tie_state)
 
 
-def extend_states(model: IlpModel, layout: Layout, h: int, tau: int) -> None:
+def extend_states(layout: Layout) -> None:
     """One-hot state vectors for steps h+1 .. h+tau, pinned by ``tie_state``
     to their wrapped loop positions once the loop start is chosen.
 
@@ -39,10 +38,10 @@ def extend_states(model: IlpModel, layout: Layout, h: int, tau: int) -> None:
     ``encode_dynamics``; the other entries are the constant 0."""
     for n, ts in enumerate(layout.instance.systems):
         succ = [ts.successors(i) for i in range(ts.n_states)]
-        for k in range(1, tau + 1):
-            live = successor_set(succ, layout.live[(n, h + k - 1)])
-            add_state_vector(model, layout, n, h + k, ts.n_states, live, "robust")
-            tie_state(model, layout, n, h + k, "robust")
+        for t in range(layout.h + 1, layout.h + layout.tau + 1):
+            live = successor_set(succ, layout.live[(n, t - 1)])
+            add_state_vector(layout, n, t, live, "robust")
+            tie_state(layout, n, t, "robust")
 
 
 class RobustLogicEncoder(LogicEncoder):
@@ -134,20 +133,11 @@ def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     identical constraint set."""
     if tau == 0:
         return build_sync_problem(inst, mu, h)
-    if any(isinstance(node, ONot) for node in subformulas(mu)):
-        warnings.warn("formula normalized to positive normal form for the "
-                      "robust encoding")
-    check_formula(mu, inst)
-    norm = normalize(mu, inst.n_robots, robust=True, groups=inst.groups)
-    if any(isinstance(node, ONext) for node in subformulas(norm)):
-        warnings.warn(
-            "outer next under asynchrony is encoded as a plain one-step "
-            "shift of anchor times; interleavings inside the shifted window "
-            "are not constrained beyond that")
+    norm = prepare_formula(mu, inst, tau)
     model = IlpModel("robust")
     layout = encode_dynamics(model, inst, h, tau=tau)
-    encode_loop(model, layout, h)
-    extend_states(model, layout, h, tau)
-    encode_collision(model, layout, inst, h, tau=tau)
-    RobustLogicEncoder(layout, discrete_atom_backend(layout, inst)).pin_root(norm)
+    encode_loop(layout)
+    extend_states(layout)
+    encode_collision(layout)
+    RobustLogicEncoder(layout, discrete_atom_backend(layout)).pin_root(norm)
     return EncodedProblem(model, layout, inst, h, tau, "cltlplus")

@@ -9,8 +9,10 @@ shared constant 0, and no row mentions it.  Logic variables z/y exist for
 t = 0..h-1, with w[h] reserved for closing the loop.
 
 Every encoder (synchronous, robust, aggregate, continuous) builds its
-logic on one core defined here:
+program on one core defined here:
 
+- ``prepare_formula`` is the one formula front end of every builder, and
+  ``Layout`` holds each program's fleet, h and tau for the row helpers.
 - ``LogicEncoder`` builds the rows of inner and outer subformulas with one
   recursion; the robust and aggregate engines subclass it only where the
   paper's semantics differ.
@@ -29,19 +31,21 @@ logic on one core defined here:
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .formula import (IAnd, IAtom, INNER_FALSE, INext, INot, IOr, IRelease,
                       ITrue, IUntil, InnerFormula, OAnd, ONext, ONot, OOr,
                       ORelease, OTrue, OUntil, OuterFormula, Tcp, atoms_of,
-                      group_names_of, iter_tcps, normalize)
+                      group_names_of, iter_tcps, normalize, subformulas)
 from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import ContinuousSystem, MultiRobotInstance
 from .trajectory import LassoTrajectory
 
 AtomBackend = Callable[[str, int, int], VarId]
 Formula = Union[InnerFormula, OuterFormula]
+Fleet = Union[MultiRobotInstance, ContinuousSystem]
 
 
 class EncodingError(ValueError):
@@ -53,15 +57,17 @@ class ExtractionError(RuntimeError):
 
 
 class Layout:
-    """Bookkeeping that maps (robot, time, subformula) to variable ids."""
+    """Bookkeeping that maps (robot, time, subformula) to variable ids; the
+    one source of the program's model, fleet, h and tau for every helper."""
 
-    def __init__(self, model: IlpModel, n_robots: int, h: int, tau: int = 0):
+    def __init__(self, model: IlpModel, instance: Fleet, h: int, tau: int = 0):
         if h < 1:
             raise EncodingError("horizon must be at least 1")
         if tau < 0:
             raise EncodingError("asynchrony bound must be nonnegative")
         self.model = model
-        self.n_robots = n_robots
+        self.instance = instance
+        self.n_robots = instance.n_robots
         self.h = h
         self.tau = tau
         self.state_vars: dict[tuple[int, int], list[VarId]] = {}
@@ -78,7 +84,6 @@ class Layout:
         # continuous-encoding slots
         self.input_vars: dict[tuple[int, int], list[VarId]] = {}
         self.state_exprs: dict[tuple[int, int], list[LinExpr]] = {}
-        self.instance = None
         self._formula_ids: dict = {}
 
     def fid(self, node) -> int:
@@ -98,7 +103,7 @@ class EncodedProblem:
 
     model: IlpModel
     layout: Layout
-    instance: Union[MultiRobotInstance, ContinuousSystem]
+    instance: Fleet
     h: int
     tau: int
     engine: str
@@ -108,11 +113,12 @@ class EncodedProblem:
 # Dynamics, loop, collision
 # ---------------------------------------------------------------------------
 
-def add_state_vector(model: IlpModel, layout: Layout, n: int, t: int,
-                     n_states: int, live: list[int], tag: str) -> None:
-    """w[n][t]: a binary for each state in ``live`` (ascending), the shared
-    constant 0 everywhere else, and the one-hot row over the live entries.
-    With nothing live the row reads ``const_0 = 1``, which no point meets."""
+def add_state_vector(layout: Layout, n: int, t: int, live: list[int], tag: str) -> None:
+    """w[n][t] over robot n's states: a binary for each state in ``live``
+    (ascending), the shared constant 0 everywhere else, and the one-hot row
+    over the live entries.  With nothing live the row reads
+    ``const_0 = 1``, which no point meets."""
+    model, n_states = layout.model, layout.instance.systems[n].n_states
     zero = model.constant(0) if len(live) < n_states else None
     row = [zero] * n_states
     for i in live:
@@ -141,18 +147,17 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
     its predecessors in R_t.  An empty R_t (a dead end) leaves the
     infeasible row ``const_0 = 1``.
     """
-    layout = Layout(model, inst.n_robots, h, tau)
-    layout.instance = inst
+    layout = Layout(model, inst, h, tau)
     for n, ts in enumerate(inst.systems):
         succ = [ts.successors(i) for i in range(ts.n_states)]
         preds = [ts.predecessors(j) for j in range(ts.n_states)]
         live = [inst.initial_states[n]]
-        add_state_vector(model, layout, n, 0, ts.n_states, live, "dynamics")
+        add_state_vector(layout, n, 0, live, "dynamics")
         for t in range(h):
             cur = layout.state_vars[(n, t)]
             cur_live = set(live)
             live = successor_set(succ, live)
-            add_state_vector(model, layout, n, t + 1, ts.n_states, live, "dynamics")
+            add_state_vector(layout, n, t + 1, live, "dynamics")
             nxt = layout.state_vars[(n, t + 1)]
             for j in live:
                 expr = LinExpr({nxt[j]: 1})
@@ -163,11 +168,11 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
     return layout
 
 
-def add_loop_selectors(model: IlpModel, layout: Layout) -> None:
+def add_loop_selectors(layout: Layout) -> None:
     """Loop-start selectors z_0 .. z_{h-1}, exactly one of them 1."""
-    layout.loop_vars = [model.add_binary(f"zloop_{t}", tag="loop")
+    layout.loop_vars = [layout.model.add_binary(f"zloop_{t}", tag="loop")
                         for t in range(layout.h)]
-    model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
+    layout.model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
 
 
 def chosen_loop(layout: Layout, sol: Solution) -> int:
@@ -178,7 +183,7 @@ def chosen_loop(layout: Layout, sol: Solution) -> int:
     return hits[0]
 
 
-def tie_state(model: IlpModel, layout: Layout, n: int, t: int, tag: str) -> None:
+def tie_state(layout: Layout, n: int, t: int, tag: str) -> None:
     """Pin w[n][t], t >= h, to w[n][wrap(l, t)] for the chosen loop start l.
 
     One side suffices: ``src[i] + z_l - w[n][t][i] <= 1`` for each live
@@ -195,19 +200,18 @@ def tie_state(model: IlpModel, layout: Layout, n: int, t: int, tag: str) -> None
             expr = LinExpr({src[i]: 1, z: 1})
             if i in dst_live:
                 expr.add_term(dst[i], -1)
-            model.add_constraint(expr, "<=", 1, tag=tag)
+            layout.model.add_constraint(expr, "<=", 1, tag=tag)
 
 
-def encode_loop(model: IlpModel, layout: Layout, h: int) -> None:
+def encode_loop(layout: Layout) -> None:
     """Select a unique loop start l with w[n][h] = w[n][l] for every robot."""
-    add_loop_selectors(model, layout)
+    add_loop_selectors(layout)
     for n in range(layout.n_robots):
-        tie_state(model, layout, n, h, "loop")
+        tie_state(layout, n, layout.h, "loop")
 
 
-def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
-                     h: int, tau: int = 0) -> None:
-    """Inter-robot exclusion over a shared state space.
+def encode_collision(layout: Layout) -> None:
+    """Inter-robot exclusion over the fleet's shared state space.
 
     At every step, at most one robot per state: one clique row per state.
     With tau > 0 the exclusion is widened to every pair of steps dt =
@@ -218,6 +222,7 @@ def encode_collision(model: IlpModel, layout: Layout, inst: MultiRobotInstance,
     mentions a constant-0 state entry holds in every point, so only rows
     over live entries are emitted.
     """
+    model, inst, tau = layout.model, layout.instance, layout.tau
     if inst.collision_mode == "off":
         return
     n_states = inst.systems[0].n_states
@@ -307,14 +312,14 @@ def until_release_row(model: IlpModel, loop_vars: list[VarId], lhs: list[VarId],
 # Logic rows
 # ---------------------------------------------------------------------------
 
-def discrete_atom_backend(layout: Layout, inst: MultiRobotInstance) -> AtomBackend:
+def discrete_atom_backend(layout: Layout) -> AtomBackend:
     """Couples an atom variable to the labeled states the robot may occupy:
     z equals the label indicator applied to the one-hot state vector.  The
     sum skips constant-0 entries; with no live labeled state it pins z to
     0."""
 
     def backend(name: str, n: int, t: int) -> VarId:
-        ts = inst.systems[n]
+        ts = layout.instance.systems[n]
         vec = ts.label_vector(name)
         z = layout.model.add_binary(f"z{layout.fid(IAtom(name))}_n{n}_t{t}", tag="inner")
         expr = LinExpr({z: 1})
@@ -483,16 +488,14 @@ class LogicEncoder:
 # Problem assembly and extraction
 # ---------------------------------------------------------------------------
 
-def check_formula(mu: OuterFormula,
-                  model: Union[MultiRobotInstance, ContinuousSystem]) -> None:
+def check_formula(mu: OuterFormula, model: Fleet) -> None:
     """Reject a formula that names a proposition, a robot group or a robot
-    index the model does not have; only a ``MultiRobotInstance`` has
-    groups.  Every engine and ``simulate`` check the formula here."""
+    index the model does not have.  ``simulate`` checks the formula here,
+    and every engine through ``prepare_formula``."""
     missing = atoms_of(mu) - set(model.ap)
     if missing:
         raise EncodingError(f"formula uses unknown propositions: {sorted(missing)}")
-    groups = model.groups if isinstance(model, MultiRobotInstance) else {}
-    unknown_groups = group_names_of(mu) - set(groups)
+    unknown_groups = group_names_of(mu) - set(model.groups)
     if unknown_groups:
         raise EncodingError(f"formula uses unknown groups: {sorted(unknown_groups)}")
     robots = set(range(model.n_robots))
@@ -501,18 +504,33 @@ def check_formula(mu: OuterFormula,
             raise EncodingError(f"group member out of range in {tcp}")
 
 
+def prepare_formula(mu: OuterFormula, model: Fleet, tau: int = 0) -> OuterFormula:
+    """The one formula front end of every engine: ``check_formula``, then
+    ``normalize`` with the model's groups (the robust form at tau >= 1).
+    At tau >= 1 it warns that an outer negation was pushed to the leaves,
+    and that an outer next only shifts anchor times by one step."""
+    check_formula(mu, model)
+    if tau and any(isinstance(node, ONot) for node in subformulas(mu)):
+        warnings.warn("formula normalized to positive normal form for the robust encoding")
+    norm = normalize(mu, model.n_robots, robust=tau > 0, groups=model.groups)
+    if tau and any(isinstance(node, ONext) for node in subformulas(norm)):
+        warnings.warn("outer next under asynchrony is encoded as a plain one-step shift of "
+                      "anchor times; interleavings inside the shifted window are not "
+                      "constrained beyond that")
+    return norm
+
+
 def build_sync_problem(inst: MultiRobotInstance, mu: OuterFormula,
                        h: int) -> EncodedProblem:
     """Full synchronous feasibility program: dynamics + loop + logic
     constraints + the instance's collision constraints, with the root
     formula pinned true at step 0."""
-    check_formula(mu, inst)
-    norm = normalize(mu, inst.n_robots, robust=False, groups=inst.groups)
+    norm = prepare_formula(mu, inst)
     model = IlpModel("sync")
     layout = encode_dynamics(model, inst, h)
-    encode_loop(model, layout, h)
-    encode_collision(model, layout, inst, h, tau=0)
-    LogicEncoder(layout, discrete_atom_backend(layout, inst)).pin_root(norm)
+    encode_loop(layout)
+    encode_collision(layout)
+    LogicEncoder(layout, discrete_atom_backend(layout)).pin_root(norm)
     return EncodedProblem(model, layout, inst, h, 0, "cltlplus")
 
 

@@ -264,9 +264,12 @@ def group_names_of(mu: OuterFormula) -> set[str]:
 
 
 def is_cltl(mu: OuterFormula) -> bool:
-    """Every tcp wraps a bare atom, so satisfaction is a function of
-    simultaneous robot counts and the aggregate-flow encoder applies."""
-    return all(isinstance(t.inner, IAtom) for t in iter_tcps(mu))
+    """``mu`` is in cLTL: once ``inner_nnf`` has pushed negations inward,
+    every tcp counts a literal, an atom or ``true`` or the negation of one.
+    ``normalize`` keeps such tcps literal."""
+    inners = (inner_nnf(t.inner) for t in iter_tcps(mu))
+    return all(isinstance(phi.child if isinstance(phi, INot) else phi, (IAtom, ITrue))
+               for phi in inners)
 
 
 def formula_length(mu: OuterFormula) -> int:

@@ -28,6 +28,11 @@ a quarter of each HiGHS call on the 8x8 emergency desk: 0.061, 0.128 and
 0.154 s with it against 0.045, 0.094 and 0.124 s without at h = 8, 12
 and 16.
 
+HiGHS writes a debug line to stdout, ``output_flag`` or not, in its MIP
+search on the subset sum of ``tests/test_solver.py``; it would interleave
+with the CLI's lines.  So ``run_highs`` flushes ``sys.stdout`` and points
+fd 1 at ``os.devnull`` while HiGHS runs: a flush and a few system calls.
+
 HiGHS meets rows to ``FEAS_TOL`` / 10 on a model with integer columns,
 since every point is rechecked at ``FEAS_TOL``.  At HiGHS's default,
 ``FEAS_TOL``, 30 of the 216 programs h = 1..12, tau = 0..2 of the
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -121,9 +127,18 @@ def run_highs(highs, integral: Sequence[bool]) -> tuple[str, Optional[list], dic
     ``stats["reason"]`` "node budget".  Any other outcome raises
     ``NumericalError``.  ``stats["nodes"]`` is HiGHS's branch-and-bound
     node count, 0 for a model without integer columns, and
-    ``stats["presolve"]`` whether presolve was on.
+    ``stats["presolve"]`` whether presolve was on.  HiGHS runs with fd 1
+    pointed at ``os.devnull`` (module docstring).
     """
-    highs.run()
+    sys.stdout.flush()
+    saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    try:
+        highs.run()
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(devnull)
     status = highs.getModelStatus()
     info = highs.getInfo()
     stats = {"nodes": max(info.mip_node_count, 0),

@@ -1,5 +1,6 @@
-"""Robot models: labeled transition systems, multirobot instances,
-aggregate views for identical fleets, and affine continuous-state systems.
+"""Robot models: labeled transition systems, multirobot instances (with
+``shared_system``, the one system of an identical fleet), and affine
+continuous-state systems.
 
 Model files are JSON.  Top-level keys:
 
@@ -159,27 +160,6 @@ class MultiRobotInstance:
 
 
 @dataclass(frozen=True)
-class AggregateSystem:
-    """Robot-count view of a fleet with identical dynamics."""
-
-    shared: TransitionSystem
-    w0: tuple[int, ...]
-    n_robots: int
-
-    def __post_init__(self):
-        if len(self.w0) != self.shared.n_states:
-            raise ModelError("w0 length must match the state count")
-        if any(c < 0 for c in self.w0):
-            raise ModelError("w0 entries must be nonnegative")
-        if sum(self.w0) != self.n_robots:
-            raise ModelError("w0 must sum to the number of robots")
-
-    @property
-    def ap(self) -> tuple[str, ...]:
-        return self.shared.ap
-
-
-@dataclass(frozen=True)
 class ContinuousSystem:
     """Affine discrete-time robots with polytope-shaped propositions.  The
     state and input dimensions are the lengths of the bounds."""
@@ -238,13 +218,19 @@ class ContinuousSystem:
     def ap(self) -> tuple[str, ...]:
         return tuple(self.atoms.keys())
 
+    @property
+    def groups(self) -> Mapping[str, frozenset]:
+        return {}  # continuous models name no robot groups
+
 
 # ---------------------------------------------------------------------------
-# Aggregate view
+# Shared system
 # ---------------------------------------------------------------------------
 
-def aggregate_view(inst: MultiRobotInstance) -> AggregateSystem:
-    """Collapse an identical-dynamics fleet to per-state robot counts."""
+def shared_system(inst: MultiRobotInstance) -> TransitionSystem:
+    """The one transition system every robot of the fleet runs on, robot
+    0's; raises ``ModelError`` naming the first robot whose states,
+    transitions or labels differ from it."""
     first = inst.systems[0]
     for n, ts in enumerate(inst.systems[1:], start=1):
         if ts.states != first.states:
@@ -253,10 +239,7 @@ def aggregate_view(inst: MultiRobotInstance) -> AggregateSystem:
             raise ModelError(f"robot {n}: transition relation differs from robot 0")
         if ts.labels != first.labels:
             raise ModelError(f"robot {n}: labeling differs from robot 0")
-    w0 = [0] * first.n_states
-    for s0 in inst.initial_states:
-        w0[s0] += 1
-    return AggregateSystem(first, tuple(w0), inst.n_robots)
+    return first
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface, end to end on small models."""
 
+import argparse
 import json
 import random
 import sys
@@ -9,8 +10,9 @@ import pytest
 
 from cltlsynth import cli
 from cltlsynth.cli import main
-from cltlsynth.encoder_sync import build_sync_problem
-from cltlsynth.formula import parse_formula, to_text
+from cltlsynth.encoder_cltl import build_cltl_problem
+from cltlsynth.encoder_sync import EncodingError, build_sync_problem
+from cltlsynth.formula import IAtom, OAnd, Tcp, parse_formula, to_text
 from cltlsynth.ilp import Solution
 from cltlsynth.oracle import brute_force_synth
 from cltlsynth.system import load_model
@@ -141,6 +143,43 @@ def test_robust_synth_with_a_zero_step_verify_budget(identical_model, capsys):
     assert "oracle: verified_bounded (exhaustive, 1 executions)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("formula", ["F [!a, 1]", "G [true, 2]", "F [!!a, 2]",
+                                     "G F [!a, 2] & G F [a, 2]"])
+def test_literal_tcps_verify_on_both_discrete_engines(identical_model, capsys, formula):
+    lines = []
+    for engine in ("cltl", "cltlplus"):
+        code = run(["synth", "--model", identical_model, "--formula", formula,
+                    "--horizon", "1", "--horizon-max", "4", "--engine", engine])
+        out = capsys.readouterr().out
+        assert code == 0 and "oracle: verified" in out, out
+        lines.append(out.splitlines()[0].replace(engine, "ENGINE"))
+    assert lines[0] == lines[1]
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_auto_picks_the_aggregate_engine_exactly_where_it_builds():
+    rng = random.Random(17)
+    picks = {"cltl": 0, "cltlplus": 0}
+    for trial in range(150):
+        n = rng.randint(1, 3)
+        inst = random_instance(rng, n, rng.randint(2, 3), ["a", "b"],
+                               identical=rng.random() < 0.7)
+        mu = random_outer(rng, rng.randint(1, 2), ["a", "b"], n,
+                          bare_atoms=rng.random() < 0.5)
+        if rng.random() < 0.2:
+            mu = OAnd((mu, Tcp(IAtom("a"), 1, frozenset({0}))))
+        tau = rng.choice([0, 0, 1])
+        engine = cli._pick_engine(argparse.Namespace(engine="auto", tau=tau), inst, mu)
+        try:
+            build_cltl_problem(inst, mu, 2, tau)
+            builds = True
+        except EncodingError:
+            builds = False
+        assert (engine == "cltl") == builds, f"trial {trial}: tau={tau} {to_text(mu)}"
+        picks[engine] += 1
+    assert min(picks.values()) >= 30, picks
+
+
 def test_cltl_engine_with_tau_is_usage_error(identical_model):
     code = run(["synth", "--model", identical_model, "--formula", "G F [b, 2]",
                 "--horizon", "4", "--tau", "1", "--engine", "cltl"])
@@ -255,6 +294,8 @@ def mixed_model(tmp_path):
     ("grid_model", ["--horizon", "3", "--tau", "1", "--verify-max-t", "-1"], "F [A, 2]"),
     ("grid_model", ["--horizon", "3", "--tau", "1", "--verify-cap", "0"], "F [A, 2]"),
     ("grid_model", ["--horizon", "3", "--tau", "1", "--verify-cap", "-5"], "F [A, 2]"),
+    ("grid_model", ["--horizon", "3", "--solver-cmd", "false {lp}"], "F [A, 2]"),
+    ("continuous_model", ["--horizon", "3", "--collision", "excl"], "F [A, 2]"),
 ])
 def test_bad_synth_input_is_a_one_line_usage_error(request, capsys, model, extra, formula):
     code = run(["synth", "--model", request.getfixturevalue(model), "--formula", formula,

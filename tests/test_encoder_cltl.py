@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from cltlsynth.formula import (IAtom, IEventually, OAlways, OEventually, ONot,
-                               OTrue, Tcp)
+from cltlsynth.formula import (IAtom, IEventually, INot, ITrue, OAlways, OEventually,
+                               ONot, OTrue, Tcp, children, iter_tcps, rebuild)
 from cltlsynth.ilp import IlpModel, LinExpr
-from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
+from cltlsynth.oracle import CollectiveExecution, Lasso, brute_force_synth, eval_outer
 from cltlsynth.solver import solve_bnb
-from cltlsynth.system import MultiRobotInstance, TransitionSystem, aggregate_view
+from cltlsynth.system import MultiRobotInstance, TransitionSystem
 from cltlsynth.encoder_cltl import (CltlOuterEncoder, EncodingError,
                                     build_cltl_problem, decompose_flows,
                                     encode_aggregate)
@@ -65,14 +65,14 @@ def test_conservation_in_every_feasible_solution():
 
 def test_counting_threshold_on_fixed_occupancies():
     ts = ts_of(["v1", "v2"], {(0, 0), (1, 1), (0, 1), (1, 0)}, {0: ("a",)})
-    agg = aggregate_view(fleet(ts, (3, 2)))
+    w0 = (3, 2)
     for m, expected in ((3, True), (4, False)):
         model = IlpModel()
-        layout = encode_aggregate(model, agg, h=1)
+        layout = encode_aggregate(model, fleet(ts, w0), h=1)
         # freeze occupancies at their initial values
         for i in (0, 1):
             model.add_constraint(LinExpr({layout.agg_state[1][i]: 1}), "=",
-                                 agg.w0[i], tag="fix")
+                                 w0[i], tag="fix")
         y = CltlOuterEncoder(layout).row(Tcp(IAtom("a"), m))[0]
         sol = solve_bnb(model)
         assert sol.feasible
@@ -141,9 +141,8 @@ def decompose_ok(problem, sol):
 def test_lowest_index_first_assignment():
     ts = ts_of(["v1", "v2"], {(0, 0), (0, 1), (1, 1), (1, 0)}, {})
     inst = fleet(ts, (2, 0))
-    agg = aggregate_view(inst)
     model = IlpModel()
-    layout = encode_aggregate(model, agg, h=1)
+    layout = encode_aggregate(model, inst, h=1)
     # force the split: one robot stays, one moves
     model.add_constraint(LinExpr({layout.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
     model.add_constraint(LinExpr({layout.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
@@ -151,7 +150,7 @@ def test_lowest_index_first_assignment():
     sol = solve_bnb(model)
     assert not sol.feasible  # h=1 cannot close the loop after a split
     model2 = IlpModel()
-    layout2 = encode_aggregate(model2, agg, h=2)
+    layout2 = encode_aggregate(model2, inst, h=2)
     model2.add_constraint(LinExpr({layout2.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
     model2.add_constraint(LinExpr({layout2.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
     sol2 = solve_bnb(model2)
@@ -243,6 +242,38 @@ def test_fragment_agreement_with_sync_encoder():
         assert agg_feasible == sync_feasible, f"trial {trial}: {mu}"
         agree += 1
     assert agree == 20
+
+
+def with_literals(rng, mu):
+    """``mu`` with the atom a of each tcp replaced at random by a, !a, !!a
+    or true: every literal the aggregate engine counts."""
+    if isinstance(mu, Tcp):
+        atom = mu.inner
+        return Tcp(rng.choice([atom, INot(atom), INot(INot(atom)), ITrue()]), mu.m)
+    kids = children(mu)
+    return rebuild(type(mu), [with_literals(rng, k) for k in kids]) if kids else mu
+
+
+def test_literal_tcps_agree_with_brute_force_and_the_per_robot_engine():
+    # the fragment where the aggregate model is horizon-exact (see
+    # test_fragment_agreement_with_sync_encoder)
+    rng = random.Random(139)
+    atoms = ["a", "b"]
+    verdicts, literals = [], set()
+    for trial in range(24):
+        inst = random_instance(rng, 2, rng.randint(2, 3), atoms,
+                               identical=True, self_loops=True)
+        mu = with_literals(rng, random_outer(rng, rng.randint(1, 2), atoms, 2,
+                                             bare_atoms=True, allow_next=False))
+        literals |= {str(t.inner).replace("b", "a") for t in iter_tcps(mu)}
+        h = rng.randint(2, 3)
+        brute = brute_force_synth(inst, mu, h) is not None
+        agg = solve_bnb(build_cltl_problem(inst, mu, h).model).feasible
+        sync = solve_bnb(build_sync_problem(inst, mu, h).model).feasible
+        assert agg == sync == brute, f"trial {trial}: {agg} {sync} {brute} {mu}"
+        verdicts.append(brute)
+    assert literals == {"a", "!a", "!!a", "true"}
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_decomposed_trajectories_satisfy_formula():

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cltlsynth.formula import (IAtom, OAnd, OEventually, Tcp)
+from cltlsynth.formula import IAtom, OAnd, OEventually, ONext, Tcp
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb
@@ -100,7 +100,7 @@ def membership_model(point, epsilon=1e-6):
     )
     model = IlpModel()
     layout = encode_cont_dynamics_loop(model, sys_, h=1)
-    backend = polytope_atom_backend(layout, sys_, epsilon)
+    backend = polytope_atom_backend(layout, epsilon)
     z = backend("B", 0, 0)
     return model, z
 
@@ -212,6 +212,11 @@ def test_instantaneous_visits_fail_under_asynchrony():
     from cltlsynth.oracle import check_robust
     assert not check_robust(lassos, mu, tau=1, max_T=6).falsified
 
+
+def test_outer_next_warns_under_asynchrony():
+    # the discrete robust engine's warning: both go through prepare_formula
+    with pytest.warns(UserWarning, match="outer next"):
+        build_cont_problem(integrators(n_robots=2), ONext(Tcp(IAtom("A"), 1)), 3, tau=1)
 
 
 def seeded_cases(count: int = 20, seed: int = 137) -> list:

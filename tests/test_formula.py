@@ -196,6 +196,11 @@ def test_expand_sugar_preserves_semantics():
 
 def test_fragment_atomic_inner_is_cltl():
     assert is_cltl(OAlways(OEventually(Tcp(IAtom("a"), 2))))
+    # a tcp counts a literal: an atom or true, or the negation of one
+    assert is_cltl(Tcp(INot(IAtom("a")), 2))
+    assert is_cltl(Tcp(INot(INot(IAtom("a"))), 2))
+    assert is_cltl(Tcp(ITrue(), 2))
+    assert not is_cltl(Tcp(INot(IAnd((IAtom("a"), IAtom("b")))), 2))
 
 
 def test_fragment_temporal_inner_is_not_cltl():

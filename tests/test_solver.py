@@ -156,6 +156,19 @@ def test_node_budget_on_a_real_search():
     assert solve_bnb(market_split_model()).status == "infeasible"
 
 
+def test_highs_writes_nothing_to_stdout(capfd):
+    # HiGHS prints a line to fd 1 during this search, output_flag or not;
+    # run_highs points fd 1 at os.devnull around the run
+    rng = random.Random(2)
+    m = IlpModel()
+    xs = [m.add_binary(f"x{i}") for i in range(60)]
+    weights = [2 * rng.randint(1000, 100000) for _ in xs]
+    m.add_constraint(LinExpr(dict(zip(xs, weights))), "=", sum(weights) // 4 * 2 + 2,
+                     tag="subset_sum")
+    assert solve_bnb(m).feasible
+    assert capfd.readouterr().out == ""
+
+
 def fake_highs(monkeypatch, status, point=None):
     """Make HiGHS report model status ``status``, with the primal point
     ``point`` if one is given; return the options HiGHS receives."""

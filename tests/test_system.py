@@ -1,4 +1,5 @@
-"""Model loading, construction-time checks, grid generation, aggregate views."""
+"""Model loading, construction-time checks, grid generation, and the
+aggregate engine's view of a fleet: its shared system and start counts."""
 
 import json
 import random
@@ -6,9 +7,12 @@ from dataclasses import replace
 
 import pytest
 
+from cltlsynth.encoder_cltl import encode_aggregate
+from cltlsynth.ilp import IlpModel
+from cltlsynth.solver import solve_bnb
 from cltlsynth.system import (ContinuousSystem, ModelError, MultiRobotInstance,
-                              TransitionSystem, aggregate_view, build_grid_system,
-                              load_model)
+                              TransitionSystem, build_grid_system, load_model,
+                              shared_system)
 
 from conftest import random_transition_system
 
@@ -223,20 +227,25 @@ def test_label_vector_matches_membership():
         assert (vec[s] == 1) == ("A" in ts.labels[s])
 
 
+def start_counts(inst: MultiRobotInstance) -> tuple[int, ...]:
+    """The occupancies the aggregate program pins at t = 0."""
+    model = IlpModel()
+    layout = encode_aggregate(model, inst, h=1)
+    sol = solve_bnb(model)
+    assert sol.feasible
+    return tuple(round(sol[v]) for v in layout.agg_state[0])
+
+
 def test_aggregate_view_counts_robots():
     ts = chain_ts()
-    inst = MultiRobotInstance((ts, ts), (0, 0))
-    agg = aggregate_view(inst)
-    assert agg.w0 == (2, 0, 0)
-    inst3 = MultiRobotInstance((ts, ts, ts), (0, 0, 1))
-    assert aggregate_view(inst3).w0 == (2, 1, 0)
+    assert start_counts(MultiRobotInstance((ts, ts), (0, 0))) == (2, 0, 0)
+    assert start_counts(MultiRobotInstance((ts, ts, ts), (0, 0, 1))) == (2, 1, 0)
 
 
 def test_aggregate_view_total_is_exact():
     ts = build_grid_system(3, 2, {})
     inst = MultiRobotInstance(tuple([ts] * 5), (0, 1, 1, 4, 5))
-    agg = aggregate_view(inst)
-    assert sum(agg.w0) == 5
+    assert start_counts(inst) == (1, 2, 0, 0, 1, 1)
 
 
 def test_aggregate_view_rejects_different_labels():
@@ -244,7 +253,7 @@ def test_aggregate_view_rejects_different_labels():
     ts2 = chain_ts(labels_on=("s2",))
     inst = MultiRobotInstance((ts1, ts2), (0, 0))
     with pytest.raises(ModelError, match="labeling differs"):
-        aggregate_view(inst)
+        shared_system(inst)
 
 
 def test_load_continuous_model(tmp_path):
