@@ -112,8 +112,10 @@ def _build_parser() -> _Parser:
 
 
 def _read_formula(arg: str):
+    """The formula in the file ``arg`` names, or ``arg`` itself when it
+    names no file (a directory, such as ``''`` or ``.``, is formula text)."""
     path = Path(arg)
-    if path.exists():
+    if path.is_file():
         return parse_formula(path.read_text())
     return parse_formula(arg)
 

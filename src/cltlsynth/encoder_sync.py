@@ -26,6 +26,14 @@ program on one core defined here:
 - ``LogicEncoder._at_least`` is the one counting threshold: constant 1 for
   m <= 0, constant 0 for m above the number of robots counted, and an
   indicator row pair in between.
+
+Rows go to the model through ``IlpModel.add_row`` in a fixed order, and a
+gadget keeps a constant input (the shared ``const_0`` or ``const_1``)
+rather than folding it away.  HiGHS's time swings per instance on any
+change to the program (``solver``): folding constant gadget inputs cut
+the benchmark's ``emergency-lp`` synth.total by 12% but raised
+``ladder-bnb`` synth.max by 20%.  ``tests/test_program_identity.py`` pins
+the programs byte for byte.
 """
 
 from __future__ import annotations
@@ -125,8 +133,8 @@ def add_state_vector(layout: Layout, n: int, t: int, live: list[int], tag: str) 
         row[i] = model.add_binary(f"w_{n}_{t}_{i}", tag=tag)
     layout.state_vars[(n, t)] = row
     layout.live[(n, t)] = live
-    one_hot = LinExpr.sum_of(row[i] for i in live) if live else LinExpr({zero: 1})
-    model.add_constraint(one_hot, "=", 1, tag=tag)
+    one_hot = [row[i] for i in live] if live else [zero]
+    model.add_row(one_hot, [1] * len(one_hot), "=", 1, tag)
 
 
 def successor_set(succ: list[list[int]], live: list[int]) -> list[int]:
@@ -160,11 +168,8 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
             add_state_vector(layout, n, t + 1, live, "dynamics")
             nxt = layout.state_vars[(n, t + 1)]
             for j in live:
-                expr = LinExpr({nxt[j]: 1})
-                for i in preds[j]:
-                    if i in cur_live:
-                        expr.add_term(cur[i], -1)
-                model.add_constraint(expr, "<=", 0, tag="dynamics")
+                cols = [nxt[j]] + [cur[i] for i in preds[j] if i in cur_live]
+                model.add_row(cols, [1] + [-1] * (len(cols) - 1), "<=", 0, "dynamics")
     return layout
 
 
@@ -172,7 +177,7 @@ def add_loop_selectors(layout: Layout) -> None:
     """Loop-start selectors z_0 .. z_{h-1}, exactly one of them 1."""
     layout.loop_vars = [layout.model.add_binary(f"zloop_{t}", tag="loop")
                         for t in range(layout.h)]
-    layout.model.add_constraint(LinExpr.sum_of(layout.loop_vars), "=", 1, tag="loop")
+    layout.model.add_row(layout.loop_vars, [1] * layout.h, "=", 1, "loop")
 
 
 def chosen_loop(layout: Layout, sol: Solution) -> int:
@@ -191,16 +196,17 @@ def tie_state(layout: Layout, n: int, t: int, tag: str) -> None:
     two one-hot vectors with w[t] >= src are equal.  Where w[n][t][i] is
     the constant 0 the row reads ``src[i] + z_l <= 1``.  At t = h the
     source is w[n][l] itself, since wrap(l, h) = l."""
+    model = layout.model
     dst = layout.state_vars[(n, t)]
     dst_live = set(layout.live[(n, t)])
     for l, z in enumerate(layout.loop_vars):
         src_t = layout.wrap_index(l, t)
         src = layout.state_vars[(n, src_t)]
         for i in layout.live[(n, src_t)]:
-            expr = LinExpr({src[i]: 1, z: 1})
             if i in dst_live:
-                expr.add_term(dst[i], -1)
-            layout.model.add_constraint(expr, "<=", 1, tag=tag)
+                model.add_row((src[i], z, dst[i]), (1, 1, -1), "<=", 1, tag)
+            else:
+                model.add_row((src[i], z), (1, 1), "<=", 1, tag)
 
 
 def encode_loop(layout: Layout) -> None:
@@ -233,7 +239,7 @@ def encode_collision(layout: Layout) -> None:
         for i in range(n_states):
             here = [w[(n, t)][i] for n in range(inst.n_robots) if i in live[(n, t)]]
             if len(here) > 1:
-                model.add_constraint(LinExpr.sum_of(here), "<=", 1, tag="collision")
+                model.add_row(here, [1] * len(here), "<=", 1, "collision")
         for a, b in itertools.combinations(range(inst.n_robots), 2):
             for dt in range(1, tau + 1):
                 if (a, t + dt) not in w:
@@ -241,9 +247,8 @@ def encode_collision(layout: Layout) -> None:
                 for i in range(n_states):
                     for early, late in ((a, b), (b, a)):
                         if i in live[(early, t)] and i in live[(late, t + dt)]:
-                            model.add_constraint(
-                                LinExpr({w[(early, t)][i]: 1, w[(late, t + dt)][i]: 1}),
-                                "<=", 1, tag="collision")
+                            model.add_row((w[(early, t)][i], w[(late, t + dt)][i]),
+                                          (1, 1), "<=", 1, "collision")
     if inst.collision_mode == "mutual_exclusion_plus_swap":
         for a, b in itertools.combinations(range(inst.n_robots), 2):
             # a moves i -> j while b moves j -> i, each by its own transitions
@@ -255,10 +260,9 @@ def encode_collision(layout: Layout) -> None:
                 for (i, j) in swappable:
                     if (i in live[(a, t)] and j in live[(b, t)]
                             and j in live[(a, t + 1)] and i in live[(b, t + 1)]):
-                        model.add_constraint(
-                            LinExpr({w[(a, t)][i]: 1, w[(b, t)][j]: 1,
-                                     w[(a, t + 1)][j]: 1, w[(b, t + 1)][i]: 1}),
-                            "<=", 3, tag="collision")
+                        model.add_row((w[(a, t)][i], w[(b, t)][j],
+                                       w[(a, t + 1)][j], w[(b, t + 1)][i]),
+                                      (1, 1, 1, 1), "<=", 3, "collision")
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +326,13 @@ def discrete_atom_backend(layout: Layout) -> AtomBackend:
         ts = layout.instance.systems[n]
         vec = ts.label_vector(name)
         z = layout.model.add_binary(f"z{layout.fid(IAtom(name))}_n{n}_t{t}", tag="inner")
-        expr = LinExpr({z: 1})
-        for i in layout.live[(n, t)]:
-            if vec[i]:
-                expr.add_term(layout.state_vars[(n, t)][i], -1)
+        state = layout.state_vars[(n, t)]
+        cols = [z] + [state[i] for i in layout.live[(n, t)] if vec[i]]
+        coefs = [1] + [-1] * (len(cols) - 1)
         # label_count >= z and label_count <= z (strict < z+1 tightened by
         # integrality), i.e. z tracks membership exactly
-        layout.model.add_constraint(expr, "<=", 0, tag="inner")
-        layout.model.add_constraint(expr, ">=", 0, tag="inner")
+        layout.model.add_row(cols, coefs, "<=", 0, "inner")
+        layout.model.add_row(cols, coefs, ">=", 0, "inner")
         return z
 
     return backend
@@ -365,7 +368,7 @@ class LogicEncoder:
 
     def pin_root(self, mu: OuterFormula) -> None:
         """Require ``mu`` at step 0."""
-        self.model.add_constraint(LinExpr({self.row(mu)[0]: 1}), "=", 1, tag="root")
+        self.model.add_row((self.row(mu)[0],), (1,), "=", 1, "root")
 
     def _tag(self, n: Optional[int]) -> str:
         return "inner" if n is not None else self.TAG
@@ -429,8 +432,8 @@ class LogicEncoder:
         var = model.add_binary(self._name(phi, n, t), tag="inner")
         for l, z in enumerate(lay.loop_vars):
             target = row[lay.wrap_index(l, t)]
-            model.add_constraint(LinExpr({var: 1, target: -1, z: 1}), "<=", 1, tag="inner")
-            model.add_constraint(LinExpr({var: -1, target: 1, z: 1}), "<=", 1, tag="inner")
+            model.add_row((var, target, z), (1, -1, 1), "<=", 1, "inner")
+            model.add_row((var, target, z), (-1, 1, 1), "<=", 1, "inner")
         return var
 
     def _gate_row(self, gate: Callable, node: Formula, n: Optional[int]) -> list[VarId]:

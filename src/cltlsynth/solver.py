@@ -51,6 +51,26 @@ one CPU, every status was the same.  The desk's HiGHS calls at h = 8,
 all, and the aggregate ones 22.2 and 22.6 s, none more than 1.16 times
 slower without it (the faster of two runs each way).
 
+About 90% of each solve goes to that heuristic, and its time swings per
+instance on any change to the program.  These probes (HiGHS 1.12.0
+through SciPy 1.17.1, shared 2-vCPU machine) found nothing to gain, so
+they need not be repeated:
+
+- A start point helps only when it is feasible.  The desk at h = 16
+  takes about 90-117 ms from scratch and 9-13 ms when handed a feasible
+  point through ``setSolution``; infeasible start points did not help.
+  The log shows the feasibility jump restarting after it has the point:
+  15,195 restarts on the desk at h = 16, 3,467 on
+  ``FAB-3x3-r2-mutual_exclusion-1`` at h = 4.
+- ``mip_max_improving_sols`` = 1, ``objective_target`` = 0,
+  ``mip_heuristic_effort`` 0 or 1, and ``threads`` = 1 changed nothing or
+  made solves slower.
+- Any nonzero objective was slower: the desk at h = 16 went from 74 ms
+  to 230-1,258 ms.
+- The LP relaxation was not integral on any of the benchmark's 147
+  programs (every h_lo..h_w of both workloads), so no LP solve can stand
+  in for the integer one.
+
 ``solve_external`` shells out to any solver that accepts an LP file and
 writes ``name value`` solution lines.  Both paths round the returned point
 and revalidate it against every constraint before it is accepted.

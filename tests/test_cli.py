@@ -490,6 +490,21 @@ def handover_bundle(tmp_path):
     return model, traj
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("", "unexpected end of input"),
+    (".", "unexpected character '.'"),  # names the working directory
+])
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_a_formula_that_names_no_file_is_parsed_as_text(handover_bundle, capsys,
+                                                        command, formula, message):
+    model, traj = handover_bundle
+    extra = (["--trajectories", traj, "--tau", "1"] if command == "simulate"
+             else ["--horizon", "1"])
+    assert run([command, "--model", model, "--formula", formula, *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_simulate_verified(handover_bundle, capsys):
     model, traj = handover_bundle
     code = run(["simulate", "--model", model, "--trajectories", traj,
