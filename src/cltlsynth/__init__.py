@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports
 _EXPORTS = {
-    "formula": ("InnerFormula", "OuterFormula", "Tcp", "expand_sugar", "formula_length",
-                "is_cltl", "normalize", "parse_formula", "parse_inner_formula", "to_pnf",
-                "to_text"),
+    "formula": ("InnerFormula", "OuterFormula", "Tcp", "expand_sugar", "is_cltl",
+                "normalize", "parse_formula", "parse_inner_formula", "to_pnf", "to_text"),
     "system": ("ContinuousSystem", "MultiRobotInstance", "TransitionSystem",
                "build_grid_system", "load_model", "shared_system"),
     "ilp": ("IlpModel", "LinExpr", "Solution"),

@@ -332,7 +332,22 @@ def _bundle_mismatch(model_obj, trajs) -> str:
     return ""
 
 
+def _bad_simulate_args(args) -> str:
+    """Why the simulate budget flags are invalid; empty if they are not."""
+    if args.tau < 0:
+        return "--tau must not be negative"
+    if args.max_t is not None and args.max_t < 0:
+        return "--max-t must not be negative"
+    if args.enum_cap < 1:
+        return "--enum-cap must be at least 1"
+    return ""
+
+
 def run_simulate(args) -> int:
+    bad = _bad_simulate_args(args)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 3
     try:
         model_obj = load_model(args.model)
         trajs = _load_trajectories(args.trajectories)
@@ -345,9 +360,6 @@ def run_simulate(args) -> int:
         check_formula(resolved, model_obj)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if args.tau < 0 or args.enum_cap < 1 or (args.max_t is not None and args.max_t < 0):
-        print("error: invalid budget flags", file=sys.stderr)
         return 3
     bad = _bundle_mismatch(model_obj, trajs)
     if bad:

@@ -272,16 +272,6 @@ def is_cltl(mu: OuterFormula) -> bool:
                for phi in inners)
 
 
-def formula_length(mu: OuterFormula) -> int:
-    """Number of AST nodes, counting each tcp leaf plus its inner subtree."""
-    total = 0
-    for node in subformulas(mu):
-        total += 1
-        if isinstance(node, Tcp):
-            total += sum(1 for _ in subformulas(node.inner))
-    return total
-
-
 def resolve_groups(mu: OuterFormula, groups: Mapping[str, frozenset]) -> OuterFormula:
     """Replace named robot groups with explicit index sets."""
 

@@ -33,7 +33,8 @@ reads the file as written; ``lp_cli`` hands it to HiGHS's.
 Solution files exchanged with external solvers are plain text: an optional
 ``status feasible|infeasible|unknown`` line followed by ``name value``
 lines; variables not mentioned default to 0.  A file that does not
-parse raises ``SolverError``: it comes from a solver.
+parse, or names any other status, raises ``SolverError``: it comes from a
+solver.
 
 ``write_lp`` writes from the model's ``to_arrays()``, the matrix the
 solver and ``check_point`` share: each column's ``+ 1 name`` and ``- 1
@@ -85,8 +86,7 @@ def sanitize_names(model: IlpModel) -> list[str]:
     does, goes straight to the keyword check."""
     used: dict[str, int] = {}
     out = []
-    for var in model.vars:
-        base = var.name
+    for base in model.names:
         if not _NAME.fullmatch(base):
             base = _NOT_NAME_CHAR.sub("_", base)
             if not base or base[0].isdigit() or base[0] == "_":
@@ -149,7 +149,7 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
                 f" c{r}: {' '.join(terms[ptr[r]:ptr[r + 1]])} "
                 f"{SENSES[senses[r]]} {text[rhs[r]]}\n"
                 for r in range(start, min(start + ROW_CHUNK, len(rhs)))]))
-        kinds = [var.kind for var in model.vars]
+        kinds = model.kinds()
         bounded = [f" {text[lb[v]]} <= {names[v]} <= {text[ub[v]]}\n"
                    for v, kind in enumerate(kinds) if kind != BINARY]
         if bounded:
@@ -193,6 +193,8 @@ def read_solution_file(path: Union[str, Path]) -> tuple[str, dict[str, float]]:
             raise SolverError(f"solution line {lineno}: expected 'name value', got {raw!r}")
         if parts[0].lower() == "status":
             status = parts[1].lower()
+            if status not in ("feasible", "infeasible", "unknown"):
+                raise SolverError(f"solution line {lineno}: unknown status {parts[1]!r}")
             continue
         try:
             values[parts[0]] = float(parts[1])

@@ -214,12 +214,6 @@ class CollectiveExecution:
         """Anchor time: the smallest local counter value at global time t."""
         return min(self.counters(t))
 
-    def max_spread(self) -> int:
-        if self.n_robots <= 1:
-            return 0
-        spreads = self.cumulative.max(axis=1) - self.cumulative.min(axis=1)
-        return int(spreads.max())
-
 
 # ---------------------------------------------------------------------------
 # Outer evaluation

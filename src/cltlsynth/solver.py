@@ -180,9 +180,9 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
             if name not in name_to_var:
                 raise SolverError(f"solution mentions unknown variable {name!r}")
             values[name_to_var[name]] = value
-        for v, var in enumerate(model.vars):
+        for v, integral in enumerate(model.to_arrays().integrality.tolist()):
             x = values.get(v, 0.0)
-            values[v] = int(round(x)) if var.is_integral else float(x)
+            values[v] = int(round(x)) if integral else float(x)
         problems = model.check_point(values, tol=FEAS_TOL)
         if problems:
             raise SolverError(

@@ -21,8 +21,8 @@ _KEYWORDS = frozenset(
 def sanitize_names(model) -> list[str]:
     used: dict[str, int] = {}
     out = []
-    for var in model.vars:
-        base = "".join(ch if _NAME_OK.match(ch) else "_" for ch in var.name)
+    for name in model.names:
+        base = "".join(ch if _NAME_OK.match(ch) else "_" for ch in name)
         if (not base or base[0].isdigit() or base[0] == "_" or base.lower() in _KEYWORDS
                 or base[:3].lower() in ("inf", "nan")):
             base = "v" + base
@@ -62,17 +62,19 @@ def write_lp_rows(model) -> tuple[str, dict[str, int]]:
     fh.write("Minimize\n obj:\nSubject To\n")
     for idx, con in enumerate(model.constraints):
         fh.write(f" c{idx}: {_terms(con.expr, names)} {con.sense} {_num(con.rhs)}\n")
-    bounded = [(v, var) for v, var in enumerate(model.vars) if var.kind != BINARY]
+    kinds, arrays = model.kinds(), model.to_arrays()
+    bounded = [v for v, kind in enumerate(kinds) if kind != BINARY]
     if bounded:
         fh.write("Bounds\n")
-        for v, var in bounded:
-            fh.write(f" {_num(var.lo)} <= {names[v]} <= {_num(var.hi)}\n")
-    binaries = [names[v] for v, var in enumerate(model.vars) if var.kind == BINARY]
+        for v in bounded:
+            fh.write(f" {_num(arrays.lb[v].item())} <= {names[v]} <= "
+                     f"{_num(arrays.ub[v].item())}\n")
+    binaries = [names[v] for v, kind in enumerate(kinds) if kind == BINARY]
     if binaries:
         fh.write("Binaries\n")
         for name in binaries:
             fh.write(f" {name}\n")
-    generals = [names[v] for v, var in enumerate(model.vars) if var.kind == INTEGER]
+    generals = [names[v] for v, kind in enumerate(kinds) if kind == INTEGER]
     if generals:
         fh.write("Generals\n")
         for name in generals:

@@ -674,26 +674,33 @@ def _bundle(tmp_path, robots, kind="discrete"):
 CHAIN_LASSO = {"states": [0, 1, 2, 2], "loop_start": 2}
 
 
-@pytest.mark.parametrize("robots, kind, formula, message", [
-    ([CHAIN_LASSO] * 3, "discrete", "[p1,", "expected"),
-    ([{"states": [2, 0, 2, 2], "loop_start": 2}] * 3, "discrete", "[p1, 2]",
+# A bad flag is reported before the bundle and the formula are read, so the
+# flag cases pair it with a formula that does not parse.
+@pytest.mark.parametrize("robots, kind, formula, flags, message", [
+    ([CHAIN_LASSO] * 3, "discrete", "[p1,", (), "expected"),
+    ([{"states": [2, 0, 2, 2], "loop_start": 2}] * 3, "discrete", "[p1, 2]", (),
      "invalid transition at step 0: s2 -> s0"),
-    ([{"states": [1, 2, 2, 2], "loop_start": 2}] * 3, "discrete", "[p1, 2]",
+    ([{"states": [1, 2, 2, 2], "loop_start": 2}] * 3, "discrete", "[p1, 2]", (),
      "robot 0 starts at s1, not at its initial state s0"),
-    ([CHAIN_LASSO] * 3, "discrete", "[p1, @ghost, 1]", "unknown robot group"),
-    ([CHAIN_LASSO] * 3, "discrete", "[zz, 1]", "unknown propositions: ['zz']"),
-    ([CHAIN_LASSO] * 3, "discrete", "[p1, @{5}, 1]", "group member out of range"),
-    ([CHAIN_LASSO] * 2, "discrete", "[p1, 2]", "has 2 robots and the model 3"),
+    ([CHAIN_LASSO] * 3, "discrete", "[p1, @ghost, 1]", (), "unknown robot group"),
+    ([CHAIN_LASSO] * 3, "discrete", "[zz, 1]", (), "unknown propositions: ['zz']"),
+    ([CHAIN_LASSO] * 3, "discrete", "[p1, @{5}, 1]", (), "group member out of range"),
+    ([CHAIN_LASSO] * 2, "discrete", "[p1, 2]", (), "has 2 robots and the model 3"),
     ([{"inputs": [[0.0]], "states": [[0.0], [0.0]], "loop_start": 0}] * 3,
-     "continuous", "[p1, 2]", "the model is discrete"),
+     "continuous", "[p1, 2]", (), "the model is discrete"),
+    ([CHAIN_LASSO] * 3, "discrete", "[p1,", ("--tau", "-1"), "--tau must not be negative"),
+    ([CHAIN_LASSO] * 3, "discrete", "[p1,", ("--enum-cap", "0"),
+     "--enum-cap must be at least 1"),
+    ([CHAIN_LASSO] * 3, "discrete", "[p1,", ("--max-t", "-2"),
+     "--max-t must not be negative"),
 ], ids=["formula-syntax", "not-a-path", "wrong-start", "unknown-group", "unknown-atom",
-        "group-index", "robot-count", "wrong-kind"])
+        "group-index", "robot-count", "wrong-kind", "tau", "enum-cap", "max-t"])
 def test_bad_simulate_input_is_a_one_line_usage_error(handover_bundle, tmp_path, capsys,
-                                                      robots, kind, formula, message):
+                                                      robots, kind, formula, flags, message):
     model, _ = handover_bundle
     code = run(["simulate", "--model", model,
                 "--trajectories", _bundle(tmp_path, robots, kind),
-                "--formula", formula, "--tau", "1", "--max-t", "3"])
+                "--formula", formula, "--tau", "1", "--max-t", "3", *flags])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

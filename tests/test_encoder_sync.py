@@ -134,7 +134,7 @@ def test_state_variables_are_exactly_the_reachable_states():
                 assert {i for i, v in enumerate(row) if v != zero} == reach[t]
                 assert lay.live[(r, t)] == sorted(reach[t])
             total += sum(len(s) for s in reach)
-        assert problem.model.var_tag_counts["dynamics"] == total
+        assert problem.model.metadata()["variables"]["dynamics"] == total
 
 
 # Two systems without self-loops whose reachable sets cycle: a bipartite
@@ -422,8 +422,8 @@ def test_dynamics_variable_count_scales_linearly_with_fleet():
     h = 4
     two = build_sync_problem(single(ts, n_robots=2), Tcp(IAtom("a"), 1), h)
     four = build_sync_problem(single(ts, n_robots=4), Tcp(IAtom("a"), 1), h)
-    v2 = two.model.var_tag_counts["dynamics"]
-    v4 = four.model.var_tag_counts["dynamics"]
+    v2 = two.model.metadata()["variables"]["dynamics"]
+    v4 = four.model.metadata()["variables"]["dynamics"]
     assert v4 == 2 * v2
     # only reachable states get variables: from v1 the sets after t steps
     # are {v1}, {v1, v2}, {v1, v2, v3}, then all three, so 1+2+3+3+3 = 12

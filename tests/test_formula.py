@@ -8,7 +8,7 @@ from cltlsynth.formula import (FormulaSyntaxError, IAtom, IAnd, IEventually,
                                IAlways, INNER_FALSE, INot, ITrue, IUntil,
                                OAlways, OAnd, OEventually, ONot, OOr, ORelease,
                                OTrue, OUntil, Tcp,
-                               expand_sugar, formula_length, is_cltl,
+                               expand_sugar, is_cltl,
                                outer_false, parse_formula, parse_inner_formula,
                                resolve_groups, subformulas, to_pnf, to_text)
 from cltlsynth.oracle import CollectiveExecution, eval_outer
@@ -205,12 +205,6 @@ def test_fragment_atomic_inner_is_cltl():
 
 def test_fragment_temporal_inner_is_not_cltl():
     assert not is_cltl(Tcp(IAlways(IEventually(IAtom("a"))), 2))
-
-
-def test_formula_length_counts_nodes():
-    assert formula_length(OTrue()) == 1
-    assert formula_length(Tcp(IAtom("a"), 1)) == 2
-    assert formula_length(OAlways(OEventually(Tcp(IAtom("a"), 2)))) == 4
 
 
 def test_resolve_groups():

@@ -2,8 +2,9 @@
 that module, every public name the package exports exists, every public function or
 class is used somewhere, every private module-level definition is
 read in its own module, every package name the benchmark imports or
-reads from a package module exists, and HiGHS is reached only through
-``highs.py``.
+reads from a package module exists, HiGHS is reached only through
+``highs.py``, and only ``ilp.py`` reads the private buffers an
+``IlpModel`` stores its program in.
 
 There is no linter in the toolchain, so these AST scans are the guard.
 ``__init__`` is exempt from the import scan, since its imports are the
@@ -218,3 +219,35 @@ def test_scan_finds_highs_users():
 def test_only_the_solver_module_calls_highs():
     assert [p.name for p in USERS if imports_highs_binding(p.read_text())] == ["highs.py"]
     assert [p.name for p in MODULES if calls_milp(p.read_text())] == []
+
+
+def private_model_attributes() -> set[str]:
+    """The private attributes ``IlpModel.__init__`` sets: the model's
+    storage format, which only ``ilp.py`` may read."""
+    tree = ast.parse((SRC / "ilp.py").read_text())
+    model = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "IlpModel")
+    init = next(node for node in model.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    return {node.attr for node in ast.walk(init)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr.startswith("_")}
+
+
+def private_reads(source: str, private: set[str]) -> list[str]:
+    return [f"line {node.lineno}: {node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in private]
+
+
+def test_scan_finds_a_read_of_the_model_format():
+    private = private_model_attributes()
+    assert {"_indptr", "_row_tag", "_tag_ids", "_lb", "_ub", "_kind", "_col_tag"} <= private
+    assert "names" not in private
+    assert private_reads("n = len(model._indptr)\nm.names\nx = m._lb[0] + model.n_vars\n",
+                         private) == ["line 1: _indptr", "line 3: _lb"]
+
+
+@pytest.mark.parametrize("path", [p for p in USERS if p.name != "ilp.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_ilp_reads_the_model_format(path):
+    assert private_reads(path.read_text(), private_model_attributes()) == []

@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of a program's ``to_arrays()`` arrays, its
 ``metadata()`` and its ``write_lp`` text, recorded while every row was
-still stored as its own ``LinExpr``.  Most of a HiGHS solve goes to a
+still stored as its own ``LinExpr`` (the aggregate program's while every
+column was still its own object).  Most of a HiGHS solve goes to a
 heuristic whose time swings with any change to the program, so a change
 to how programs are stored must leave every digest as it is.  A change
 that means to alter a program records the new digest and says why.
@@ -15,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from cltlsynth.encoder_cltl import build_cltl_problem
 from cltlsynth.encoder_continuous import build_cont_problem
 from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import build_sync_problem
@@ -64,6 +66,12 @@ def desk_robust(h):
                                 h, 1)
 
 
+def desk_aggregate(h):
+    """The aggregate engine's program: integer occupancy and flow columns."""
+    inst, _ = emergency_instance()
+    return build_cltl_problem(inst, parse_formula("G F [A,2] & G F [C,2] & G [!D,4]"), h)
+
+
 def integrators(h):
     return build_cont_problem(double_integrators(),
                               parse_formula("G F [A, 1] & F [B, 2] & G !([A, 2])"), h)
@@ -78,6 +86,8 @@ PROGRAMS = {  # name: (builder, h, SHA-256 of the program)
                  "5c2ade5e65eaa46887ba3a1f974cc38c72c2eb9af6974e4d364e549a5695637b"),
     "desk-tau1-h6": (desk_robust, 6,
                      "907ec086df51c43219b60ba2c77e0cfcb8db740601f596ac35998fe8b98bc9fb"),
+    "desk-aggregate-h8": (
+        desk_aggregate, 8, "9ba57a3efbd32a9fa562076bea5a3fd35482662562f2330f66b8905cfe2e8307"),
     "double-integrators-h5": (
         integrators, 5, "4246ce0b4021c54ac1af6fd536e8aeea1c41d2b7a00e0cccba4fca7d3a785ae5"),
 }

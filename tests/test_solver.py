@@ -35,9 +35,8 @@ LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 def enumerate_feasible(model):
     """Brute-force satisfiability over all integer assignments (binaries and
     small integer ranges only)."""
-    domains = []
-    for var in model.vars:
-        domains.append(range(int(var.lo), int(var.hi) + 1))
+    arrays = model.to_arrays()
+    domains = [range(int(lo), int(hi) + 1) for lo, hi in zip(arrays.lb, arrays.ub)]
     for point in itertools.product(*domains):
         values = dict(enumerate(point))
         if not model.check_point(values, tol=1e-9):
@@ -482,6 +481,19 @@ def test_external_rejects_corrupt_solution():
             "\"import sys; open(sys.argv[2], 'w').write('a b c\\n')\" {lp} {sol}")
     with pytest.raises(SolverError, match="name value"):
         solve_external(m, junk)
+
+
+@pytest.mark.parametrize("status", ["error", "infeasable"])
+@pytest.mark.parametrize("pinned", [False, True], ids=["zeros-feasible", "x-is-1"])
+def test_external_rejects_an_unknown_status(status, pinned):
+    m = IlpModel()
+    x = m.add_binary("x")
+    if pinned:
+        m.add_constraint(LinExpr({x: 1}), "=", 1)
+    fake = (f"{sys.executable} -c \"import sys; "
+            f"open(sys.argv[2], 'w').write('status {status}\\n')\" {{lp}} {{sol}}")
+    with pytest.raises(SolverError, match=f"line 1: unknown status '{status}'"):
+        solve_external(m, fake)
 
 
 def test_external_nonzero_exit():
