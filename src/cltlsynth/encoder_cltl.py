@@ -109,9 +109,9 @@ class CltlOuterEncoder(LogicEncoder):
         lay = self.layout
         vec = _literal_vector(lay.instance.systems[0], tcp.inner)
         # occupancies are conserved, so the labeled sum never exceeds N
-        return [self._at_least((lay.agg_state[t][i] for i, bit in enumerate(vec) if bit),
-                               tcp.m, lay.n_robots, tcp, t)
-                for t in range(lay.h)]
+        steps = range(lay.h)
+        return self._at_least(((lay.agg_state[t][i] for i, bit in enumerate(vec) if bit)
+                               for t in steps), tcp.m, lay.n_robots, tcp, steps)
 
 
 def cltl_obstacle(inst: MultiRobotInstance, mu: OuterFormula, tau: int = 0) -> str:

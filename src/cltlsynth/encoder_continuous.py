@@ -108,12 +108,8 @@ def polytope_atom_backend(layout: Layout, epsilon: float = 1e-6):
     conjunction binary equal to full membership."""
     model, sys = layout.model, layout.instance
     lo_w, hi_w = sys.state_bounds
-    memo: dict[tuple[str, int, int], VarId] = {}
 
-    def backend(name: str, n: int, t: int) -> VarId:
-        key = (name, n, t)
-        if key in memo:
-            return memo[key]
+    def member(name: str, n: int, t: int) -> VarId:
         hmat, hvec = sys.atoms[name]
         state = layout.state_exprs[(n, t)]
         faces = []
@@ -129,8 +125,10 @@ def polytope_atom_backend(layout: Layout, epsilon: float = 1e-6):
                                  tag="polytope")
             model.add_constraint(expr + LinExpr({e: m}), ">=", float(hvec[i]) + epsilon,
                                  tag="polytope")
-        memo[key] = model.bool_and(faces, name=f"z_{name}_{n}_{t}", tag="polytope")
-        return memo[key]
+        return model.bool_and(faces, name=f"z_{name}_{n}_{t}", tag="polytope")
+
+    def backend(name: str, n: int, size: int) -> list[VarId]:
+        return [member(name, n, t) for t in range(size)]
 
     return backend
 

@@ -8,7 +8,7 @@ strengthens the counting, disjunction and until encodings so that every
 anchored interleaving of local times keeps the formula true.
 
 The steps past the loop are tied to it by the synchronous encoder's
-``tie_state``, the same row that closes the loop at h, and the inner rows
+``tie_rows``, the same rows that close the loop at h, and the inner rows
 run to h+tau-1 in the shared ``LogicEncoder``.  ``RobustLogicEncoder``
 overrides only the counting leaves, the outer disjunction and the outer
 until guard.  With tau = 0 the whole pipeline reduces to the synchronous
@@ -23,25 +23,22 @@ from .formula import IOr, IUntil, InnerFormula, OOr, OUntil, OuterFormula, Tcp
 from .ilp import IlpModel, VarId
 from .system import MultiRobotInstance
 from .encoder_sync import (EncodedProblem, Formula, Layout, LogicEncoder,
-                           add_state_vector, build_sync_problem,
+                           add_state_vectors, build_sync_problem,
                            discrete_atom_backend, encode_collision,
-                           encode_dynamics, encode_loop, prepare_formula,
-                           successor_set, tie_state)
+                           encode_dynamics, encode_loop, prepare_formula)
 
 
 def extend_states(layout: Layout) -> None:
-    """One-hot state vectors for steps h+1 .. h+tau, pinned by ``tie_state``
-    to their wrapped loop positions once the loop start is chosen.
+    """One-hot state vectors for steps h+1 .. h+tau, tied by
+    ``add_state_vectors`` to their wrapped loop positions once the loop
+    start is chosen.
 
     The lasso's state at h+k is k steps past w[h] = w[l], so it lies in
     R_{h+k} = succ(R_{h+k-1}), continuing the reachable sets of
-    ``encode_dynamics``; the other entries are the constant 0."""
-    for n, ts in enumerate(layout.instance.systems):
-        succ = [ts.successors(i) for i in range(ts.n_states)]
-        for t in range(layout.h + 1, layout.h + layout.tau + 1):
-            live = successor_set(succ, layout.live[(n, t - 1)])
-            add_state_vector(layout, n, t, live, "robust")
-            tie_state(layout, n, t, "robust")
+    ``encode_dynamics``; the other entries are the constant 0.  Each
+    robot's vectors come step by step, each step's one-hot row followed by
+    its ties."""
+    add_state_vectors(layout, range(layout.h + 1, layout.h + layout.tau + 1), "robust")
 
 
 class RobustLogicEncoder(LogicEncoder):
@@ -78,15 +75,15 @@ class RobustLogicEncoder(LogicEncoder):
                 # Either some robot holds phi through the whole window, or
                 # every robot holds phi at exactly t: the anchoring robot's
                 # local time is t, so one of them is caught satisfying phi.
-                y_tilde = self._at_least(robust, 1, size, tcp, t, "yt")
+                y_tilde, = self._at_least([robust], 1, size, tcp, [t], "yt")
                 plain = (self.row(tcp.inner, n)[t] for n in scope)
-                y_bar = self._at_least(plain, size, size, tcp, t, "yb")
+                y_bar, = self._at_least([plain], size, size, tcp, [t], "yb")
                 lay.outer_extra[(tcp, t, "tilde")] = y_tilde
                 lay.outer_extra[(tcp, t, "bar")] = y_bar
                 row.append(self.model.bool_or([y_tilde, y_bar],
                                               name=self._name(tcp, None, t), tag="robust"))
             else:
-                row.append(self._at_least(robust, tcp.m, size, tcp, t))
+                row += self._at_least([robust], tcp.m, size, tcp, [t])
         return row
 
     # -- disjunction -----------------------------------------------------------
@@ -108,7 +105,7 @@ class RobustLogicEncoder(LogicEncoder):
         row = []
         for t in range(lay.h):
             pool = (self.robust_var(phi_or, r, t) for r in range(lay.n_robots))
-            pool_y = self._at_least(pool, threshold, lay.n_robots, node, t, "yp")
+            pool_y, = self._at_least([pool], threshold, lay.n_robots, node, [t], "yp")
             lay.outer_extra[(node, t, "pool")] = pool_y
             row.append(self.model.bool_or([k[t] for k in kids] + [pool_y],
                                           name=self._name(node, None, t), tag="robust"))

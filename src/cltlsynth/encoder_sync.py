@@ -16,7 +16,7 @@ program on one core defined here:
 - ``LogicEncoder`` builds the rows of inner and outer subformulas with one
   recursion; the robust and aggregate engines subclass it only where the
   paper's semantics differ.
-- ``tie_state`` pins a state vector past the horizon to its wrapped loop
+- ``tie_rows`` pins a state vector past the horizon to its wrapped loop
   position; at t = h it closes the loop.
 - ``loop_value`` reads a row at the chosen loop start, OR over l of
   (z_l AND row[l]); it closes next and every until/release at h-1.
@@ -27,8 +27,21 @@ program on one core defined here:
   m <= 0, constant 0 for m above the number of robots counted, and an
   indicator row pair in between.
 
-Rows go to the model through ``IlpModel.add_row`` in a fixed order, and a
-gadget keeps a constant input (the shared ``const_0`` or ``const_1``)
+Rows and columns go to the model as blocks (``IlpModel.add_binaries``
+and ``IlpModel.add_rows``) gathered in Python lists, in the order a
+row-by-row build would add them.  ``Layout.reach`` holds each robot's
+reachable sets and ``Layout.state_ids`` its state vectors' column ids,
+step by step.  Each robot's state vectors with their dynamics rows (or
+their loop ties past h) are one block, and so are its loop ties at h,
+each of its atom rows and the fleet's collision rows.
+The logic rows come one formula row at a time: the gates, negations,
+loop reads and until/release steps of a row as one
+``IlpModel.bool_gadgets`` call, the counting thresholds as one
+``IlpModel.indicators_geq`` call, and the robust tails as one block.
+Column ids are reserved from ``IlpModel.n_vars`` where a block's rows
+must name columns the same block adds, as in the until/release chain.
+
+A gadget keeps a constant input (the shared ``const_0`` or ``const_1``)
 rather than folding it away.  HiGHS's time swings per instance on any
 change to the program (``solver``): folding constant gadget inputs cut
 the benchmark's ``emergency-lp`` synth.total by 12% but raised
@@ -40,7 +53,9 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from array import array
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Iterable, Optional, Union
 
 from .formula import (IAnd, IAtom, INNER_FALSE, INext, INot, IOr, IRelease,
@@ -48,10 +63,10 @@ from .formula import (IAnd, IAtom, INNER_FALSE, INext, INot, IOr, IRelease,
                       ORelease, OTrue, OUntil, OuterFormula, Tcp, atoms_of,
                       group_names_of, iter_tcps, normalize, subformulas)
 from .ilp import IlpModel, LinExpr, Solution, VarId
-from .system import ContinuousSystem, MultiRobotInstance
+from .system import ContinuousSystem, MultiRobotInstance, TransitionSystem
 from .trajectory import LassoTrajectory
 
-AtomBackend = Callable[[str, int, int], VarId]
+AtomBackend = Callable[[str, int, int], list[VarId]]  # (atom, robot, size) -> row
 Formula = Union[InnerFormula, OuterFormula]
 Fleet = Union[MultiRobotInstance, ContinuousSystem]
 
@@ -78,9 +93,11 @@ class Layout:
         self.n_robots = instance.n_robots
         self.h = h
         self.tau = tau
-        self.state_vars: dict[tuple[int, int], list[VarId]] = {}
-        # ascending indices of the entries of state_vars that are variables
-        self.live: dict[tuple[int, int], list[int]] = {}
+        # per robot and step t = 0 .. h + tau, R_t as one flag per state (the
+        # entries of w[n][t] that are variables), and per step added so far
+        # w[n][t]'s column ids, the shared constant 0 off R_t
+        self.reach: dict[int, list[list[bool]]] = {}
+        self.state_ids: dict[int, list[array]] = {}
         self.loop_vars: list[VarId] = []
         # logic rows by (subformula, robot), robot None for outer formulas
         self.rows: dict[tuple[Formula, Optional[int]], list[VarId]] = {}
@@ -121,25 +138,99 @@ class EncodedProblem:
 # Dynamics, loop, collision
 # ---------------------------------------------------------------------------
 
-def add_state_vector(layout: Layout, n: int, t: int, live: list[int], tag: str) -> None:
-    """w[n][t] over robot n's states: a binary for each state in ``live``
-    (ascending), the shared constant 0 everywhere else, and the one-hot row
-    over the live entries.  With nothing live the row reads
-    ``const_0 = 1``, which no point meets."""
-    model, n_states = layout.model, layout.instance.systems[n].n_states
-    zero = model.constant(0) if len(live) < n_states else None
-    row = [zero] * n_states
-    for i in live:
-        row[i] = model.add_binary(f"w_{n}_{t}_{i}", tag=tag)
-    layout.state_vars[(n, t)] = row
-    layout.live[(n, t)] = live
-    one_hot = [row[i] for i in live] if live else [zero]
-    model.add_row(one_hot, [1] * len(one_hot), "=", 1, tag)
+def reachable_sets(ts: TransitionSystem, init: int, steps: int) -> list[list[bool]]:
+    """R_0 .. R_steps, each as one flag per state: R_0 = {init}, and
+    R_{t+1} holds the successors of R_t, so it is empty from a dead end
+    on."""
+    succ = [ts.successors(i) for i in range(ts.n_states)]
+    reach, live = [], {init}
+    for _ in range(steps + 1):
+        reach.append([i in live for i in range(ts.n_states)])
+        live = {j for i in live for j in succ[i]}
+    return reach
 
 
-def successor_set(succ: list[list[int]], live: list[int]) -> list[int]:
-    """Ascending states one step from some state in ``live``."""
-    return sorted({j for i in live for j in succ[i]})
+class _Rows:
+    """Rows gathered in Python lists for one ``IlpModel.add_rows`` call;
+    the dynamics rows and loop ties, the most numerous, append to the
+    lists without ``add``."""
+
+    def __init__(self):
+        self.lengths: list[int] = []
+        self.indices: list[VarId] = []
+        self.values: list[float] = []
+        self.row_lo: list[float] = []
+        self.row_hi: list[float] = []
+
+    def add(self, cols: list[VarId], coefs: list[float], lo: float, hi: float) -> None:
+        self.lengths.append(len(cols))
+        self.indices += cols
+        self.values += coefs
+        self.row_lo.append(lo)
+        self.row_hi.append(hi)
+
+    def store(self, model: IlpModel, tag: str, names: list[str]) -> None:
+        """Add the columns ``names``, then the rows; both lists start
+        afresh."""
+        if names:
+            model.add_binaries(names, tag)
+        model.add_rows([0, *itertools.accumulate(self.lengths)], self.indices, self.values,
+                       self.row_lo, self.row_hi, tag)
+        for gathered in (names, self.lengths, self.indices, self.values, self.row_lo,
+                         self.row_hi):
+            gathered.clear()
+
+
+def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
+    """w[n][t] for each robot n and step t of ``steps``: a binary for each
+    state of R_t (``layout.reach[n][t]``), the shared constant 0
+    everywhere else, and the one-hot row over the live entries.  With
+    nothing live the row reads ``const_0 = 1``, which no point meets.
+    Each one-hot row is followed, for 1 <= t <= h, by the step's dynamics
+    rows: for each j in R_t,
+    w[n][t][j] - (sum of w[n][t-1][i] over the predecessors i of j in
+    R_{t-1}, ascending) <= 0; and for t > h by its ties to the loop
+    (``tie_rows``).
+
+    Each robot's columns are one block and its rows another.  The shared
+    constant 0 enters the model where the first vector that needs it
+    begins, so a robot's blocks are cut there."""
+    model, h = layout.model, layout.h
+    rows, names = _Rows(), []
+    for n, ts in enumerate(layout.instance.systems):
+        ids, reach = layout.state_ids[n], layout.reach[n]
+        pred = [ts.predecessors(j) for j in range(ts.n_states)]
+        # a dynamics row's coefficients by its number of sources
+        signed = [[1.0] + [-1.0] * k for k in range(1 + max(map(len, pred), default=0))]
+        column, zero = model.n_vars, -1
+        for t in steps:
+            live = [i for i, here in enumerate(reach[t]) if here]
+            if zero < 0 and len(live) < ts.n_states:
+                rows.store(model, tag, names)
+                zero = model.constant(0)
+                column = model.n_vars
+            vector = [zero] * ts.n_states
+            for i in live:
+                vector[i] = column
+                column += 1
+            prefix = f"w_{n}_{t}_"
+            names += [prefix + str(i) for i in live]
+            one_hot = [vector[i] for i in live] or [zero]
+            rows.add(one_hot, [1.0] * len(one_hot), 1.0, 1.0)
+            if 0 < t <= h:
+                before, was = ids[t - 1], reach[t - 1]
+                for j in live:
+                    sources = [before[i] for i in pred[j] if was[i]]
+                    rows.lengths.append(1 + len(sources))
+                    rows.indices.append(vector[j])
+                    rows.indices += sources
+                    rows.values += signed[len(sources)]
+                rows.row_lo += [-inf] * len(live)
+                rows.row_hi += [0.0] * len(live)
+            ids.append(array("i", vector))
+            if t > h:
+                tie_rows(layout, ids, reach, t, rows)
+        rows.store(model, tag, names)
 
 
 def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
@@ -153,23 +244,19 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
     the live entries get variables and rows: the one-hot row sums R_t (for
     t = 0 it is the pin itself) and the dynamics row of j in R_{t+1} sums
     its predecessors in R_t.  An empty R_t (a dead end) leaves the
-    infeasible row ``const_0 = 1``.
+    infeasible row ``const_0 = 1``.  R_t is computed up to h + tau, once
+    per transition system and start state (``reachable_sets``), and the
+    vectors are added by ``add_state_vectors``.
     """
     layout = Layout(model, inst, h, tau)
-    for n, ts in enumerate(inst.systems):
-        succ = [ts.successors(i) for i in range(ts.n_states)]
-        preds = [ts.predecessors(j) for j in range(ts.n_states)]
-        live = [inst.initial_states[n]]
-        add_state_vector(layout, n, 0, live, "dynamics")
-        for t in range(h):
-            cur = layout.state_vars[(n, t)]
-            cur_live = set(live)
-            live = successor_set(succ, live)
-            add_state_vector(layout, n, t + 1, live, "dynamics")
-            nxt = layout.state_vars[(n, t + 1)]
-            for j in live:
-                cols = [nxt[j]] + [cur[i] for i in preds[j] if i in cur_live]
-                model.add_row(cols, [1] + [-1] * (len(cols) - 1), "<=", 0, "dynamics")
+    known: dict[tuple[int, int], list[list[bool]]] = {}
+    for n, (ts, init) in enumerate(zip(inst.systems, inst.initial_states)):
+        key = (id(ts), init)
+        if key not in known:
+            known[key] = reachable_sets(ts, init, h + tau)
+        layout.reach[n] = known[key]
+        layout.state_ids[n] = []
+    add_state_vectors(layout, range(h + 1), "dynamics")
     return layout
 
 
@@ -188,32 +275,45 @@ def chosen_loop(layout: Layout, sol: Solution) -> int:
     return hits[0]
 
 
-def tie_state(layout: Layout, n: int, t: int, tag: str) -> None:
-    """Pin w[n][t], t >= h, to w[n][wrap(l, t)] for the chosen loop start l.
+def tie_rows(layout: Layout, ids: list[array], reach: list[list[bool]], t: int,
+             rows: _Rows) -> None:
+    """Pin w[n][t], t >= h, to w[n][wrap(l, t)] for the chosen loop start
+    l: rows into ``rows``, from robot n's state-vector ids and reachable
+    sets (``Layout.state_ids[n]`` and ``Layout.reach[n]``).
 
     One side suffices: ``src[i] + z_l - w[n][t][i] <= 1`` for each live
     entry i of the wrapped source gives w[n][t] >= src once z_l = 1, and
     two one-hot vectors with w[t] >= src are equal.  Where w[n][t][i] is
     the constant 0 the row reads ``src[i] + z_l <= 1``.  At t = h the
-    source is w[n][l] itself, since wrap(l, h) = l."""
-    model = layout.model
-    dst = layout.state_vars[(n, t)]
-    dst_live = set(layout.live[(n, t)])
+    source is w[n][l] itself, since wrap(l, h) = l.  Rows go by loop
+    start l and live source state i."""
+    dst, dst_live = ids[t], reach[t]
+    lengths, indices, values = rows.lengths, rows.indices, rows.values
+    before = len(lengths)
     for l, z in enumerate(layout.loop_vars):
         src_t = layout.wrap_index(l, t)
-        src = layout.state_vars[(n, src_t)]
-        for i in layout.live[(n, src_t)]:
-            if i in dst_live:
-                model.add_row((src[i], z, dst[i]), (1, 1, -1), "<=", 1, tag)
-            else:
-                model.add_row((src[i], z), (1, 1), "<=", 1, tag)
+        src = ids[src_t]
+        for i, here in enumerate(reach[src_t]):
+            if here and dst_live[i]:
+                lengths.append(3)
+                indices += (src[i], z, dst[i])
+                values += (1.0, 1.0, -1.0)
+            elif here:
+                lengths.append(2)
+                indices += (src[i], z)
+                values += (1.0, 1.0)
+    rows.row_lo += [-inf] * (len(lengths) - before)
+    rows.row_hi += [1.0] * (len(lengths) - before)
 
 
 def encode_loop(layout: Layout) -> None:
-    """Select a unique loop start l with w[n][h] = w[n][l] for every robot."""
+    """Select a unique loop start l with w[n][h] = w[n][l] for every robot:
+    ``tie_rows`` at t = h, one block per robot."""
     add_loop_selectors(layout)
+    rows = _Rows()
     for n in range(layout.n_robots):
-        tie_state(layout, n, layout.h, "loop")
+        tie_rows(layout, layout.state_ids[n], layout.reach[n], layout.h, rows)
+        rows.store(layout.model, "loop", [])
 
 
 def encode_collision(layout: Layout) -> None:
@@ -226,43 +326,41 @@ def encode_collision(layout: Layout) -> None:
     state, one for each robot ahead.  The swap variant additionally
     forbids two robots exchanging states across one step.  A row that
     mentions a constant-0 state entry holds in every point, so only rows
-    over live entries are emitted.
+    over live entries are emitted.  The rows are one block of Python
+    lists.
     """
-    model, inst, tau = layout.model, layout.instance, layout.tau
+    inst, tau = layout.instance, layout.tau
     if inst.collision_mode == "off":
         return
-    n_states = inst.systems[0].n_states
-    times = sorted(t for (n, t) in layout.state_vars if n == 0)
-    live = {key: set(states) for key, states in layout.live.items()}
-    w = layout.state_vars
-    for t in times:
-        for i in range(n_states):
-            here = [w[(n, t)][i] for n in range(inst.n_robots) if i in live[(n, t)]]
+    steps = len(layout.state_ids[0])  # the vectors added so far
+    robots = range(inst.n_robots)
+    w = [layout.state_ids[n] for n in robots]
+    live = [layout.reach[n] for n in robots]
+    pairs = list(itertools.combinations(robots, 2))
+    rows = _Rows()
+    for t in range(steps):
+        for i in range(inst.systems[0].n_states):
+            here = [w[n][t][i] for n in robots if live[n][t][i]]
             if len(here) > 1:
-                model.add_row(here, [1] * len(here), "<=", 1, "collision")
-        for a, b in itertools.combinations(range(inst.n_robots), 2):
-            for dt in range(1, tau + 1):
-                if (a, t + dt) not in w:
-                    continue
-                for i in range(n_states):
+                rows.add(here, [1.0] * len(here), -inf, 1.0)
+        for a, b in pairs:
+            for dt in range(1, min(tau, steps - 1 - t) + 1):
+                for i in range(inst.systems[0].n_states):
                     for early, late in ((a, b), (b, a)):
-                        if i in live[(early, t)] and i in live[(late, t + dt)]:
-                            model.add_row((w[(early, t)][i], w[(late, t + dt)][i]),
-                                          (1, 1), "<=", 1, "collision")
+                        if live[early][t][i] and live[late][t + dt][i]:
+                            rows.add([w[early][t][i], w[late][t + dt][i]], [1.0, 1.0],
+                                     -inf, 1.0)
     if inst.collision_mode == "mutual_exclusion_plus_swap":
-        for a, b in itertools.combinations(range(inst.n_robots), 2):
+        for a, b in pairs:
             # a moves i -> j while b moves j -> i, each by its own transitions
-            swappable = [(i, j) for (i, j) in sorted(inst.systems[a].transitions)
-                         if i != j and (j, i) in inst.systems[b].transitions]
-            for t in times:
-                if (a, t + 1) not in w:
-                    continue
-                for (i, j) in swappable:
-                    if (i in live[(a, t)] and j in live[(b, t)]
-                            and j in live[(a, t + 1)] and i in live[(b, t + 1)]):
-                        model.add_row((w[(a, t)][i], w[(b, t)][j],
-                                       w[(a, t + 1)][j], w[(b, t + 1)][i]),
-                                      (1, 1, 1, 1), "<=", 3, "collision")
+            arcs = [(i, j) for (i, j) in sorted(inst.systems[a].transitions)
+                    if i != j and (j, i) in inst.systems[b].transitions]
+            for t in range(steps - 1):
+                for (i, j) in arcs:
+                    if live[a][t][i] and live[b][t][j] and live[a][t + 1][j] and live[b][t + 1][i]:
+                        rows.add([w[a][t][i], w[b][t][j], w[a][t + 1][j], w[b][t + 1][i]],
+                                 [1.0] * 4, -inf, 3.0)
+    rows.store(layout.model, "collision", [])
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +371,9 @@ def loop_value(model: IlpModel, loop_vars: list[VarId], row: list[VarId],
                name: Optional[str] = None, *, tag: str) -> VarId:
     """The value of ``row`` at the chosen loop start: OR over l of
     (z_l AND row[l]).  Exactly one loop selector z_l is 1, so the OR has
-    one live term, and position h of the lasso reads row[l]."""
-    terms = [model.bool_and([z, row[l]], tag=tag) for l, z in enumerate(loop_vars)]
+    one live term, and position h of the lasso reads row[l].  The h ANDs
+    are one block."""
+    terms = model.bool_gadgets("AND", list(zip(loop_vars, row)), tag=tag)
     return model.bool_or(terms, name=name, tag=tag)
 
 
@@ -294,22 +393,26 @@ def until_release_row(model: IlpModel, loop_vars: list[VarId], lhs: list[VarId],
     ``loop_value`` of yt.  This is the linear bounded-lasso encoding of
     Biere et al., "Linear Encodings of Bounded LTL Model Checking", LMCS
     2006.  ``name`` is a template with ``{aux}`` ("t" in the auxiliary pass,
-    empty in the main one) and ``{t}`` fields."""
+    empty in the main one) and ``{t}`` fields.
+
+    Each pass is one block of gadget pairs, t = h-1 (h-2 in the auxiliary
+    pass) down to 0: the wait gadget of step t, then its settle gadget,
+    whose id the next step's wait gadget reads."""
     h = len(loop_vars)
-    wait, settle = ((model.bool_or, model.bool_and) if release
-                    else (model.bool_and, model.bool_or))
+    wait, settle = ("OR", "AND") if release else ("AND", "OR")
 
-    def step(t: int, nxt: VarId, aux: str) -> VarId:
-        return settle([rhs[t], wait([lhs[t], nxt], tag=tag)],
-                      name=name.format(aux=aux, t=t), tag=tag)
+    def chain(last: int, nxt: VarId, aux: str) -> list[VarId]:
+        """y[0..last], y[t] from the step gadgets and y[last + 1] = nxt."""
+        first = model.n_vars  # wait of step t is first + 2k, settle first + 2k + 1
+        inputs, names = [], []
+        for k, t in enumerate(range(last, -1, -1)):
+            inputs += ([lhs[t], nxt], [rhs[t], first + 2 * k])
+            names += (None, name.format(aux=aux, t=t))
+            nxt = first + 2 * k + 1
+        return model.bool_gadgets([wait, settle] * (last + 1), inputs, names, tag)[1::2][::-1]
 
-    window = [rhs[h - 1]] * h
-    for t in range(h - 2, -1, -1):
-        window[t] = step(t, window[t + 1], "t")
-    row = [step(h - 1, loop_value(model, loop_vars, window, tag=tag), "")] * h
-    for t in range(h - 2, -1, -1):
-        row[t] = step(t, row[t + 1], "")
-    return row
+    window = chain(h - 2, rhs[h - 1], "t") + [rhs[h - 1]]
+    return chain(h - 1, loop_value(model, loop_vars, window, tag=tag), "")
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +420,30 @@ def until_release_row(model: IlpModel, loop_vars: list[VarId], lhs: list[VarId],
 # ---------------------------------------------------------------------------
 
 def discrete_atom_backend(layout: Layout) -> AtomBackend:
-    """Couples an atom variable to the labeled states the robot may occupy:
-    z equals the label indicator applied to the one-hot state vector.  The
-    sum skips constant-0 entries; with no live labeled state it pins z to
-    0."""
+    """Couples an atom's row of robot n to the labeled states the robot may
+    occupy: z[t] equals the label indicator applied to the one-hot state
+    vector w[n][t], t = 0 .. size-1.  The sum skips constant-0 entries;
+    with no live labeled state it pins z to 0.  The row's columns are one
+    block and its rows another: per t, ``z - label count <= 0`` then
+    ``>= 0``."""
 
-    def backend(name: str, n: int, t: int) -> VarId:
-        ts = layout.instance.systems[n]
-        vec = ts.label_vector(name)
-        z = layout.model.add_binary(f"z{layout.fid(IAtom(name))}_n{n}_t{t}", tag="inner")
-        state = layout.state_vars[(n, t)]
-        cols = [z] + [state[i] for i in layout.live[(n, t)] if vec[i]]
-        coefs = [1] + [-1] * (len(cols) - 1)
-        # label_count >= z and label_count <= z (strict < z+1 tightened by
-        # integrality), i.e. z tracks membership exactly
-        layout.model.add_row(cols, coefs, "<=", 0, "inner")
-        layout.model.add_row(cols, coefs, ">=", 0, "inner")
-        return z
+    def backend(name: str, n: int, size: int) -> list[VarId]:
+        model = layout.model
+        first = model.n_vars
+        fid = layout.fid(IAtom(name))
+        labeled = [i for i, labels in enumerate(layout.instance.systems[n].labels)
+                   if name in labels]
+        rows = _Rows()
+        for z, ids, live in zip(range(first, first + size), layout.state_ids[n],
+                                layout.reach[n]):
+            cols = [z] + [ids[i] for i in labeled if live[i]]
+            coefs = [1.0] + [-1.0] * (len(cols) - 1)
+            # label_count >= z and label_count <= z (strict < z+1 tightened by
+            # integrality), i.e. z tracks membership exactly
+            rows.add(cols, coefs, -inf, 0.0)
+            rows.add(cols, coefs, 0.0, inf)
+        rows.store(model, "inner", [f"z{fid}_n{n}_t{t}" for t in range(size)])
+        return list(range(first, first + size))
 
     return backend
 
@@ -391,7 +501,7 @@ class LogicEncoder:
         if node == INNER_FALSE:
             return [model.constant(0)] * size
         if isinstance(node, IAtom):
-            return [self.atom_backend(node.name, n, t) for t in range(size)]
+            return self.atom_backend(node.name, n, size)
         if isinstance(node, Tcp):
             return self._tcp_row(node)
         if isinstance(node, (INot, ONot)):
@@ -399,10 +509,10 @@ class LogicEncoder:
                 raise EncodingError("negation must sit on atoms; normalize the "
                                     "formula to positive normal form first")
             child = self.row(node.child, n)
-            return [model.bool_not(child[t], name=self._name(node, n, t), tag=tag)
-                    for t in range(size)]
+            return model.bool_gadgets("NOT", [[v] for v in child],
+                                      [self._name(node, n, t) for t in range(size)], tag)
         if isinstance(node, (IAnd, OAnd)):
-            return self._gate_row(model.bool_and, node, n)
+            return self._gate_row("AND", node, n)
         if isinstance(node, (IOr, OOr)):
             return self._or_row(node, n)
         if isinstance(node, (INext, ONext)):
@@ -419,30 +529,39 @@ class LogicEncoder:
             rhs = self.row(node.rhs, n)
             row = until_release_row(model, lay.loop_vars, lhs, rhs, release,
                                     self._name(node, n, "{t}", "{aux}"), tag)
-            if n is not None:
-                row += [self._tie_to_loop(node, n, t, row) for t in range(h, size)]
+            if n is not None and size > h:
+                row += self._tie_to_loop(node, n, row)
             return row
         raise TypeError(f"not a formula: {node!r}")
 
-    def _tie_to_loop(self, phi: InnerFormula, n: int, t: int,
-                     row: list[VarId]) -> VarId:
-        """A fresh z for position t >= h of an inner row, equal to the row
-        at wrap(l, t) for the chosen loop start l."""
+    def _tie_to_loop(self, phi: InnerFormula, n: int, row: list[VarId]) -> list[VarId]:
+        """Fresh z for the positions t = h .. h+tau-1 of an inner row, each
+        equal to the row at wrap(l, t) for the chosen loop start l: per t
+        and l, ``z - row[wrap] + z_l <= 1`` and ``-z + row[wrap] + z_l <= 1``.
+        The columns are one block and the rows another."""
         lay, model = self.layout, self.model
-        var = model.add_binary(self._name(phi, n, t), tag="inner")
-        for l, z in enumerate(lay.loop_vars):
-            target = row[lay.wrap_index(l, t)]
-            model.add_row((var, target, z), (1, -1, 1), "<=", 1, "inner")
-            model.add_row((var, target, z), (-1, 1, 1), "<=", 1, "inner")
-        return var
+        steps = range(lay.h, lay.h + lay.tau)
+        first = model.add_binaries([self._name(phi, n, t) for t in steps], "inner")
+        indices = []
+        for z, t in zip(itertools.count(first), steps):
+            for l, loop in enumerate(lay.loop_vars):
+                target = row[lay.wrap_index(l, t)]
+                indices += (z, target, loop, z, target, loop)
+        pairs = len(indices) // 6
+        model.add_rows(list(range(0, 6 * pairs + 1, 3)), indices,
+                       [1.0, -1.0, 1.0, -1.0, 1.0, 1.0] * pairs, -inf, 1.0, tag="inner")
+        return list(range(first, first + len(steps)))
 
-    def _gate_row(self, gate: Callable, node: Formula, n: Optional[int]) -> list[VarId]:
+    def _gate_row(self, op: str, node: Formula, n: Optional[int]) -> list[VarId]:
+        """One ``op`` gadget per position over the children's rows, as one
+        block."""
         kids = [self.row(c, n) for c in node.children]
-        return [gate([k[t] for k in kids], name=self._name(node, n, t), tag=self._tag(n))
-                for t in range(len(kids[0]))]
+        return self.model.bool_gadgets(op, list(zip(*kids)),
+                                       [self._name(node, n, t) for t in range(len(kids[0]))],
+                                       self._tag(n))
 
     def _or_row(self, node: Union[IOr, OOr], n: Optional[int]) -> list[VarId]:
-        return self._gate_row(self.model.bool_or, node, n)
+        return self._gate_row("OR", node, n)
 
     def _until_guard(self, node: Union[IUntil, OUntil]) -> Formula:
         """Formula that must keep holding while waiting for the right side
@@ -462,29 +581,31 @@ class LogicEncoder:
         """Robots the tcp counts; ``check_formula`` has checked the group."""
         return list(range(self.layout.n_robots)) if tcp.group is None else sorted(tcp.group)
 
-    def _at_least(self, count: Iterable[VarId], m: int, size: int,
-                  node: OuterFormula, t: int, prefix: str = "y") -> VarId:
-        """Binary equal to [sum of ``count`` >= m], for a count of at most
-        ``size`` robots.  A threshold m <= 0 always holds and one above
-        ``size`` never does: both are constants, and the lazy ``count`` is
-        never consumed, so nothing that only it would read gets built.
-        Otherwise the count is summed before the indicator's name
-        ``{prefix}{fid(node)}_t{t}`` is made, so formula ids follow
-        creation order."""
+    def _at_least(self, counts: Iterable[Iterable[VarId]], m: int, size: int,
+                  node: OuterFormula, steps: Iterable[int], prefix: str = "y") -> list[VarId]:
+        """Binaries equal to [sum of counts[k] >= m] for the k-th step of
+        ``steps``, each count over at most ``size`` robots.  A threshold
+        m <= 0 always holds and one above ``size`` never does: both are
+        constants, and the lazy ``counts`` are never consumed, so nothing
+        that only they would read gets built.  Otherwise every count is
+        summed before the indicators' names ``{prefix}{fid(node)}_t{t}``
+        are made, so formula ids follow creation order, and the
+        indicators are one block (``IlpModel.indicators_geq``)."""
         if m <= 0:
-            return self.model.constant(1)
+            return [self.model.constant(1) for _ in steps]
         if m > size:
-            return self.model.constant(0)
-        expr = LinExpr.sum_of(count)
-        return self.model.indicator_geq(
-            expr, m, size + 1, name=f"{prefix}{self.layout.fid(node)}_t{t}",
-            tag=self.TAG, known_bounds=(0, size))
+            return [self.model.constant(0) for _ in steps]
+        exprs = [LinExpr.sum_of(count) for count in counts]
+        fid = self.layout.fid(node)
+        return self.model.indicators_geq(exprs, m, size + 1,
+                                         [f"{prefix}{fid}_t{t}" for t in steps],
+                                         tag=self.TAG, known_bounds=(0, size))
 
     def _tcp_row(self, tcp: Tcp) -> list[VarId]:
         scope = self._tcp_scope(tcp)
-        return [self._at_least((self.row(tcp.inner, n)[t] for n in scope),
-                               tcp.m, len(scope), tcp, t)
-                for t in range(self.layout.h)]
+        steps = range(self.layout.h)
+        return self._at_least(((self.row(tcp.inner, n)[t] for n in scope) for t in steps),
+                              tcp.m, len(scope), tcp, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +666,7 @@ def extract_trajectories(layout: Layout, sol: Solution) -> list[LassoTrajectory]
     out = []
     for n in range(layout.n_robots):
         states = []
-        for t in range(layout.h + 1):
-            row = layout.state_vars[(n, t)]
+        for t, row in enumerate(layout.state_ids[n][:layout.h + 1]):
             ones = [i for i, v in enumerate(row) if round(sol[v]) == 1]
             if len(ones) != 1:
                 raise ExtractionError(

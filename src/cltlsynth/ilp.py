@@ -6,27 +6,38 @@ variables, and big-M threshold indicators.  Construction is single-writer;
 a finished model is read-only and can be exported or solved concurrently.
 
 Rows and columns are stored in flat buffers, not as one object each.
-``add_row`` appends a row's columns and coefficients to the CSR index and
-value buffers, its bounds to the row-bound buffers and its tag id to the
-row-tag buffer.  ``add_var`` appends a column's name to ``names`` and its
-bounds, kind code and tag id to the column buffers; rows and columns
-share one tag table, and ``metadata`` counts both from their tag ids.
+Rows enter in two ways that fill the same CSR buffers (column indices,
+values, row pointers, row bounds and a tag id per row): ``add_row``
+appends one row, and ``add_rows`` appends a whole CSR block given as
+Python sequences, checked once per block.  Columns enter through
+``add_var`` one at a time or ``add_binaries`` by the block; each
+column's name goes to ``names``, its bounds, kind code and tag id to the
+column buffers.  Rows and columns live in separate buffers, so a caller
+can reserve column ids before writing the rows that use them, and
+``bool_gadgets`` and ``indicators_geq`` emit G same-kind gadgets as one
+block, row for row as G calls of ``bool_gadget`` or ``indicator_geq``
+would; one gadget alone goes row by row, at half the cost of a block of
+one.  Rows and columns share one tag table, and ``metadata`` counts both
+from their tag ids.
+
 ``to_arrays`` copies the buffers into NumPy arrays, and every reader of
 the program goes through it, ``names`` or the model's methods.  A
 three-term row takes about 60 bytes, against about 390 as a ``LinExpr``
 plus a row object, and a column about 80 bytes less than as a
 dataclass.  The 8x8 emergency desk's program at h = 16 (13,517 rows,
-5,615 columns) retains 1.69 MB under ``tracemalloc``: 2.14 MB with a
-dataclass per column, and 6.8 MB with an object per row as well.  ``add_constraint`` is the
-``LinExpr`` front end of the row path, and ``constraints`` is a read-only
-view of the row buffers.
+5,615 columns) retains 1.58 MB under ``tracemalloc``, its layout
+included: 1.69 MB when it was built row by row, 2.14 MB with a dataclass
+per column, and 6.8 MB with an object per row as well.
+``add_constraint`` is the ``LinExpr`` front end of the row path, and
+``constraints`` is a read-only view of the row buffers.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, count, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -163,6 +174,15 @@ class ModelArrays(NamedTuple):
 
 SENSES = ("<=", "=", ">=")
 _INF = float("inf")
+_INDEX_MAX = np.iinfo(np.intc).max  # array("i") holds C ints, HiGHS's index type
+
+
+def _gadget_bounds(op: str, width: int) -> tuple[list[float], list[float]]:
+    """Lower and upper row bounds of one AND or OR gadget over ``width``
+    inputs: ``width`` rows z - x then the row z - sum of the inputs."""
+    if op == "AND":
+        return [-_INF] * width + [1.0 - width], [0.0] * width + [_INF]
+    return [0.0] * width + [-_INF], [_INF] * width + [0.0]
 
 
 class _Row:
@@ -286,6 +306,18 @@ class IlpModel:
                        tag: str = "untagged") -> VarId:
         return self.add_var(CONTINUOUS, name, lo, hi, tag=tag)
 
+    def add_binaries(self, names: Sequence[str], tag: str = "untagged") -> VarId:
+        """One binary per name, in order, as ``add_binary`` adds them one at
+        a time; returns the first one's id, and the others follow it."""
+        first, k = len(self.names), len(names)
+        self.names.extend(names)
+        self._lb.extend(array("d", [0.0]) * k)
+        self._ub.extend(array("d", [1.0]) * k)
+        self._kind.extend(array("b", [_KINDS.index(BINARY)]) * k)
+        self._col_tag.extend(array("i", [self._tag_ids.setdefault(tag, len(self._tag_ids))]) * k)
+        self._arrays = None
+        return first
+
     def constant(self, value: int, tag: str = "const") -> VarId:
         """A binary variable pinned to 0 or 1, shared across callers."""
         if value not in (0, 1):
@@ -324,6 +356,60 @@ class IlpModel:
         self._row_tag.append(self._tag_ids.setdefault(tag, len(self._tag_ids)))
         self._arrays = None
 
+    def add_rows(self, indptr: Sequence[int], indices: Sequence[VarId],
+                 values: Sequence[Number], row_lo: Union[Number, Sequence[Number]],
+                 row_hi: Union[Number, Sequence[Number]], tag: str = "untagged") -> None:
+        """Append a CSR block of rows to the buffers ``add_row`` fills: row r
+        holds ``values[indptr[r]:indptr[r + 1]]`` in the columns
+        ``indices[indptr[r]:indptr[r + 1]]`` and reads
+        ``row_lo[r] <= row <= row_hi[r]`` (a bound given as one number
+        holds for every row; -inf and inf leave a side open).  ``indptr``
+        starts at 0.  The block is checked once, as a whole: the lengths
+        agree and every column is registered; nothing is stored if a check
+        fails."""
+        indptr = list(indptr)
+        lengths = list(map(operator.sub, indptr[1:], indptr[:-1]))
+        if indptr[:1] != [0] or min(lengths, default=0) < 0:
+            raise ValueError("indptr must start at 0 and never decrease")
+        try:
+            columns = array("i", indices)
+        except TypeError:
+            raise ValueError("column indices must be integers") from None
+        values = array("d", values)
+        n_rows = len(lengths)
+        if not len(columns) == len(values) == indptr[-1]:
+            raise ValueError(f"block has {indptr[-1]} entries by indptr but {len(columns)} "
+                             f"columns and {len(values)} coefficients")
+        # min and max run faster over a list than over the array
+        if columns and (min(indices) < 0 or max(indices) >= len(self.names)):
+            bad = next(v for v in columns if not 0 <= v < len(self.names))
+            raise ValueError(f"constraint references unregistered variable {bad}")
+        bounds = []
+        for side, bound in (("lower", row_lo), ("upper", row_hi)):
+            if isinstance(bound, (int, float)):
+                bound = array("d", [bound]) * n_rows
+            elif len(bound) != n_rows:
+                raise ValueError(f"block has {n_rows} rows but {len(bound)} {side} bounds")
+            bounds.append(bound)
+        self._append_rows(lengths, columns, values, *bounds, tag)
+
+    def _append_rows(self, lengths: list[int], indices: Sequence[VarId],
+                     values: Sequence[Number], row_lo: Sequence[Number],
+                     row_hi: Sequence[Number], tag: str) -> None:
+        """Store checked rows, row r with ``lengths[r]`` entries, as
+        ``add_rows`` takes them."""
+        base = len(self._indices)
+        if base + len(indices) > _INDEX_MAX:
+            raise OverflowError("the matrix would hold more entries than a C int counts")
+        self._indptr.fromlist(list(accumulate(lengths, initial=base))[1:])
+        for buffer, data in ((self._indices, indices), (self._values, values),
+                             (self._row_lo, row_lo), (self._row_hi, row_hi)):
+            # fromlist converts a list faster than extend does
+            (buffer.fromlist if isinstance(data, list) else buffer.extend)(data)
+        self._row_tag.extend(array("i", [self._tag_ids.setdefault(tag, len(self._tag_ids))])
+                             * len(lengths))
+        self._arrays = None
+
     def add_constraint(self, expr: LinExpr, sense: str, rhs: Number,
                        tag: str = "untagged") -> None:
         """``add_row`` for a ``LinExpr``, whose constant is folded into the
@@ -356,14 +442,92 @@ class IlpModel:
 
     # -- Boolean gadgets ------------------------------------------------------
 
+    def bool_gadgets(self, op: Union[str, Sequence[str]], inputs: Sequence[Sequence[VarId]],
+                     names: Optional[Sequence[Optional[str]]] = None,
+                     tag: str = "gadget") -> list[VarId]:
+        """One fresh binary per gadget, constrained to equal op(inputs[g]) in
+        every feasible point:
+
+        AND:  z <= x for each input x,  z >= 1 - I + sum of the I inputs
+        OR:   z >= x for each input x,  z <= sum of the inputs
+        NOT:  z = 1 - x (single input)
+
+        Every gadget takes the same number I >= 1 of inputs, and a
+        repeated input is one term of the sum row.  ``op`` is every
+        gadget's operator, or one "AND" or "OR" per gadget.  Gadget g's
+        binary gets id ``n_vars + g``, and an input may be an earlier
+        gadget of the same call, so a caller can chain gadgets through
+        those ids.  A name that is None becomes ``and_<id>``, ``or_<id>``
+        or ``not_<input>``.  Once every gadget is checked, the columns and
+        then the rows, gadget by gadget, are stored as one block; a single
+        gadget goes row by row (``bool_gadget``), at half the cost of a
+        block of one."""
+        first, n_gates = len(self.names), len(inputs)
+        ops = [op] * n_gates if isinstance(op, str) else op
+        names = [None] * n_gates if names is None else names
+        if not len(ops) == len(names) == n_gates:
+            raise ValueError("gadgets need one operator and one name each")
+        width = len(inputs[0]) if n_gates else 1
+        if width == 0 or any(len(xs) != width for xs in inputs):
+            raise ValueError("bool_gadget needs at least one input, and every gadget "
+                             "of a call as many as the others")
+        if op == "NOT" and width != 1:
+            raise ValueError("NOT takes exactly one input")
+        if op != "NOT" and not set(ops) <= {"AND", "OR"}:
+            raise ValueError(f"unknown gadget {next(o for o in ops if o not in ('AND', 'OR'))!r}")
+        flat = [v for xs in inputs for v in xs]
+        if flat and (min(flat) < 0 or max(flat) >= first):  # chained, or not a column
+            for z, xs in zip(count(first), inputs):
+                for v in xs:
+                    if not 0 <= v < z:
+                        raise ValueError(f"gadget input references unregistered variable {v}")
+        kind, binary = self._kind, _KINDS.index(BINARY)
+        other = [v for v in flat if v < first and kind[v] != binary]
+        if other:
+            raise ValueError(f"gadget inputs must be binary, got {_KINDS[kind[other[0]]]}")
+        if n_gates < 2:
+            return [self.bool_gadget(o, xs, nm, tag) for o, xs, nm in zip(ops, inputs, names)]
+        gates, columns = range(first, first + n_gates), list(zip(*inputs))
+        if op == "NOT":
+            labels = [name or f"not_{x}" for name, x in zip(names, columns[0])]
+            lengths, values = [2] * n_gates, [1.0] * (2 * n_gates)
+            row_lo = row_hi = [1.0] * n_gates
+            indices = [0] * (2 * n_gates)
+            indices[0::2], indices[1::2] = gates, columns[0]
+        else:
+            labels = [name or f"{o.lower()}_{z}" for name, o, z in zip(names, ops, gates)]
+            # per gadget: (z, x_1), .., (z, x_I), then (z, x_1, .., x_I)
+            stride = 3 * width + 1
+            indices = [0] * (stride * n_gates)
+            indices[2 * width::stride] = gates
+            for p, column in enumerate(columns):
+                indices[2 * p::stride] = gates
+                indices[2 * p + 1::stride] = column
+                indices[2 * width + 1 + p::stride] = column
+            lengths = ([2] * width + [width + 1]) * n_gates
+            values = ([1.0, -1.0] * width + [1.0] + [-1.0] * width) * n_gates
+            # a repeated input keeps a pair row each time but is one term of the sum row
+            for g in reversed([g for g, xs in enumerate(inputs) if len(set(xs)) < width]):
+                terms = {first + g: 1.0}
+                for x in inputs[g]:
+                    terms[x] = terms.get(x, 0.0) - 1.0
+                at = stride * g + 2 * width
+                indices[at:at + width + 1] = terms
+                values[at:at + width + 1] = terms.values()
+                lengths[(width + 1) * g + width] = len(terms)
+            if isinstance(op, str):
+                row_lo, row_hi = (side * n_gates for side in _gadget_bounds(op, width))
+            else:
+                bounds = {o: _gadget_bounds(o, width) for o in ("AND", "OR")}
+                row_lo, row_hi = ([b for o in ops for b in bounds[o][side]] for side in (0, 1))
+        self.add_binaries(labels, tag)
+        self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
+        return list(gates)
+
     def bool_gadget(self, op: str, inputs: Sequence[VarId], name: Optional[str] = None,
                     tag: str = "gadget") -> VarId:
-        """Fresh binary constrained to equal op(inputs) in every feasible point.
-
-        AND:  z <= z_i for all i,  z >= 1 - I + sum z_i
-        OR:   z >= z_i for all i,  z <= sum z_i
-        NOT:  z = 1 - x (single input)
-        """
+        """One ``bool_gadgets`` gadget, added row by row: a block of one
+        costs twice as much."""
         if not inputs:
             raise ValueError("bool_gadget needs at least one input")
         for v in inputs:
@@ -414,17 +578,60 @@ class IlpModel:
                 hi += c * self._lb[v]
         return lo, hi
 
-    def indicator_geq(self, expr: LinExpr, m: Number, big_m: Number,
-                      name: Optional[str] = None, tag: str = "indicator",
-                      known_bounds: Optional[tuple[Number, Number]] = None) -> VarId:
-        """Fresh binary y with y = 1 iff expr >= m, for integer-valued expr.
+    def indicators_geq(self, exprs: Sequence[LinExpr], m: Number, big_m: Number,
+                       names: Optional[Sequence[Optional[str]]] = None,
+                       tag: str = "indicator",
+                       known_bounds: Optional[tuple[Number, Number]] = None) -> list[VarId]:
+        """One fresh binary y per expression with y = 1 iff expr >= m, for
+        integer-valued expressions.
 
         Encoded as  expr - M*y <= m - 1  and  expr - M*y >= m - M; the
         strict side uses integrality (expr < m becomes expr <= m - 1).
         ``known_bounds`` lets callers supply a tighter reachable range than
         the one variable bounds imply (e.g. a conserved total is invisible
-        per-variable); M is rejected if it cannot cover the range.
-        """
+        per-variable); M is rejected if it cannot cover the range.  A name
+        that is None becomes ``geq_<id>``.  As with ``bool_gadgets``, the
+        columns and rows are stored as one block once all are checked, and
+        a single indicator goes row by row (``indicator_geq``)."""
+        first = len(self.names)
+        names = [None] * len(exprs) if names is None else names
+        if len(exprs) < 2:
+            return [self.indicator_geq(e, m, big_m, nm, tag, known_bounds)
+                    for e, nm in zip(exprs, names)]
+        labels, lengths, indices, values, row_lo, row_hi = [], [], [], [], [], []
+        for y, expr, name in zip(count(first), exprs, names):
+            cols, coefs = self._indicator_terms(expr, m, big_m, known_bounds)
+            if cols and (min(cols) < 0 or max(cols) >= first):
+                bad = next(v for v in cols if not 0 <= v < first)
+                raise ValueError(f"constraint references unregistered variable {bad}")
+            labels.append(name or f"geq_{y}")
+            cols.append(y)
+            indices += cols * 2
+            values += coefs * 2
+            lengths += (len(cols), len(cols))
+            row_lo += (-_INF, m - big_m - expr.const)
+            row_hi += (m - 1 - expr.const, _INF)
+        self.add_binaries(labels, tag)
+        self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
+        return list(range(first, first + len(labels)))
+
+    def indicator_geq(self, expr: LinExpr, m: Number, big_m: Number,
+                      name: Optional[str] = None, tag: str = "indicator",
+                      known_bounds: Optional[tuple[Number, Number]] = None) -> VarId:
+        """One ``indicators_geq`` indicator, added row by row: a block of one
+        costs more."""
+        cols, coefs = self._indicator_terms(expr, m, big_m, known_bounds)
+        y = self.add_binary(name or f"geq_{len(self.names)}", tag=tag)
+        cols.append(y)
+        self.add_row(cols, coefs, "<=", m - 1 - expr.const, tag)
+        self.add_row(cols, coefs, ">=", m - big_m - expr.const, tag)
+        return y
+
+    def _indicator_terms(self, expr: LinExpr, m: Number, big_m: Number,
+                         known_bounds: Optional[tuple[Number, Number]]) -> tuple[list, list]:
+        """The columns of ``expr`` and the coefficients of an indicator's
+        rows, the indicator's own -M last, once M is checked to cover the
+        expression's range."""
         lo, hi = self.expr_bounds(expr)
         if known_bounds is not None:
             lo, hi = max(lo, known_bounds[0]), min(hi, known_bounds[1])
@@ -432,11 +639,7 @@ class IlpModel:
             raise ValueError(
                 f"big-M {big_m} too small for expression range [{lo}, {hi}] "
                 f"against threshold {m}")
-        y = self.add_binary(name or f"geq_{len(self.names)}", tag=tag)
-        cols, coefs = [*expr.coeffs, y], [*expr.coeffs.values(), -big_m]
-        self.add_row(cols, coefs, "<=", m - 1 - expr.const, tag)
-        self.add_row(cols, coefs, ">=", m - big_m - expr.const, tag)
-        return y
+        return [*expr.coeffs], [*expr.coeffs.values(), -big_m]
 
     # -- inspection ---------------------------------------------------------------
 

@@ -101,7 +101,7 @@ def membership_model(point, epsilon=1e-6):
     model = IlpModel()
     layout = encode_cont_dynamics_loop(model, sys_, h=1)
     backend = polytope_atom_backend(layout, epsilon)
-    z = backend("B", 0, 0)
+    z, = backend("B", 0, 1)
     return model, z
 
 

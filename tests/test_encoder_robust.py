@@ -63,7 +63,7 @@ def wrap_states_after_loop(loop_start, h, tau, trail):
     assert sol.feasible
     out = []
     for k in range(1, tau + 1):
-        row = problem.layout.state_vars[(0, h + k)]
+        row = problem.layout.state_ids[0][h + k].tolist()
         ones = [i for i, v in enumerate(row) if round(sol[v]) == 1]
         assert len(ones) == 1
         out.append(ones[0])
@@ -83,7 +83,7 @@ def test_extension_wraps_short_loop():
     traj = trajs[0]
     assert traj.loop_start == 0 and traj.states == (0, 1, 0)
     for k in (1, 2):
-        row = problem.layout.state_vars[(0, 2 + k)]
+        row = problem.layout.state_ids[0][2 + k].tolist()
         ones = [i for i, v in enumerate(row) if round(sol[v]) == 1]
         assert ones == [traj.state_at(2 + k)]
 
@@ -93,7 +93,7 @@ def test_extension_period_one_loop():
     inst = instance_of([{"p1"}, {"p1"}])
     _, sol, problem = wrap_states_after_loop(1, 2, 2, inst)
     for k in (1, 2):
-        row = problem.layout.state_vars[(0, 2 + k)]
+        row = problem.layout.state_ids[0][2 + k].tolist()
         ones = [i for i, v in enumerate(row) if round(sol[v]) == 1]
         assert ones == [1]
 
@@ -101,7 +101,12 @@ def test_extension_period_one_loop():
 def test_tau_zero_adds_no_extension():
     inst = instance_of([{"p1"}, {"p1"}])
     problem = build_robust_problem(inst, Tcp(IAtom("p1"), 1), h=2, tau=0)
-    assert (0, 3) not in problem.layout.state_vars
+    meta = problem.model.metadata()
+    assert "robust" not in meta["variables"] and "robust" not in meta["constraints"]
+    assert not [name for name in problem.model.names if name.startswith("w_0_3_")]
+    sync = build_sync_problem(inst, Tcp(IAtom("p1"), 1), 2).model
+    assert (problem.model.n_vars, problem.model.n_constraints) == (sync.n_vars,
+                                                                   sync.n_constraints)
 
 
 # ---------------------------------------------------------------------------

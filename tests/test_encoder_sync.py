@@ -94,7 +94,7 @@ def test_dead_end_chain_is_infeasible_through_both_solvers(tmp_path):
     # no state is reachable after 3 steps, so w[3] and w[4] have no live
     # entry; the model must stay infeasible and still export
     problem = build_sync_problem(single(DEAD_END), OTrue(), h=4)
-    assert all(not problem.layout.live[(0, t)] for t in (3, 4))
+    assert not any(any(step) for step in problem.layout.reach[0][3:5])
     assert solve_bnb(problem.model).status == "infeasible"
     lp = tmp_path / "dead.lp"
     write_lp(problem.model, lp)
@@ -129,10 +129,10 @@ def test_state_variables_are_exactly_the_reachable_states():
         for r, (ts, init) in enumerate(zip(inst.systems, inst.initial_states)):
             reach = exact_step_reachable(ts, init, h)
             for t in range(h + 1):
-                row = lay.state_vars[(r, t)]
+                row = lay.state_ids[r][t].tolist()
                 assert len(row) == ts.n_states
                 assert {i for i, v in enumerate(row) if v != zero} == reach[t]
-                assert lay.live[(r, t)] == sorted(reach[t])
+                assert [i for i, here in enumerate(lay.reach[r][t]) if here] == sorted(reach[t])
             total += sum(len(s) for s in reach)
         assert problem.model.metadata()["variables"]["dynamics"] == total
 

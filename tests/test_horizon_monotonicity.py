@@ -79,7 +79,7 @@ def test_per_robot_lassos_unroll_and_agree_with_brute_force():
             longer_problem = build_robust_problem(inst, mu, h + 1, 0)
             lay = longer_problem.layout
             pin(longer_problem.model,
-                [(lay.state_vars[(r, t)][s], 1)
+                [(lay.state_ids[r][t][s], 1)
                  for r, traj in enumerate(trajs)
                  for t, s in enumerate(unrolled(traj).states)]
                 + [(lay.loop_vars[trajs[0].loop_start + 1], 1)])

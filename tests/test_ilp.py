@@ -357,7 +357,12 @@ def test_to_arrays_is_rebuilt_after_every_addition():
              lambda: m.bool_and([x, 1]),
              lambda: m.bool_not(x),
              lambda: m.constant(1),
-             lambda: m.indicator_geq(LinExpr({x: 1}), 1, 2)]
+             lambda: m.indicator_geq(LinExpr({x: 1}), 1, 2),
+             lambda: m.add_binaries(["p", "q"], tag="block"),
+             lambda: m.add_rows([0, 2, 3], [x, 1, x], [1.0, -1.0, 2.0], -np.inf, [1.0, 4.0]),
+             lambda: m.add_rows([0], [], [], 0.0, 0.0),
+             lambda: m.bool_gadgets(["AND", "OR"], [[x, 1], [1, x]]),
+             lambda: m.indicators_geq([LinExpr({x: 1}), LinExpr({1: 1})], 1, 2)]
     for step in steps:
         first = m.to_arrays()
         assert m.to_arrays() is first  # kept while nothing is added
@@ -409,10 +414,12 @@ def test_gadget_merges_a_repeated_input():
 
 
 def test_the_desk_program_holds_no_object_per_row():
-    """Rows and columns live in flat buffers: the h = 16 desk program
-    (13,517 rows, 5,615 columns) retains about 1.69 MB.  With a dataclass
-    per column it retained 2.14 MB, and with a ``LinExpr`` and a dataclass
-    per row as well about 6.8 MB."""
+    """Rows and columns live in flat buffers, and the program is built from
+    row blocks: the h = 16 desk program (13,517 rows, 5,615 columns)
+    retains about 1.58 MB, below the 1.69 MB of the row-by-row build.
+    With a dataclass per column it retained 2.14 MB, and with a
+    ``LinExpr`` and a dataclass per row as well about 6.8 MB.  It keeps
+    no NumPy array, so no block's temporaries."""
     inst, mu = emergency_instance()
     build_sync_problem(inst, mu, 8)  # caches of the fleet and the formula
     gc.collect()
@@ -424,7 +431,223 @@ def test_the_desk_program_holds_no_object_per_row():
     finally:
         tracemalloc.stop()
     assert (problem.model.n_constraints, problem.model.n_vars) == (13517, 5615)
-    assert retained <= 1.8e6, f"{retained / 1e6:.2f} MB"
+    assert retained <= 1.69e6, f"{retained / 1e6:.2f} MB"
+    layout = problem.layout
+    kept = {id(a) for a in arrays_held(problem.model)}
+    kept |= {id(a) for key, value in vars(layout).items() if key not in ("model", "instance")
+             for a in arrays_held(value)}
+    assert not kept
+
+
+def arrays_held(obj) -> list:
+    """The NumPy arrays an object's attributes, dicts, lists and tuples
+    hold, the object's model and fleet aside."""
+    found, todo, seen = [], [obj], set()
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, (str, bytes, int, float)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            todo += item.values()
+        elif isinstance(item, (list, tuple, set)):
+            todo += item
+        elif hasattr(item, "__dict__"):
+            todo += vars(item).values()
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+# ---------------------------------------------------------------------------
+
+def model_snapshot(model):
+    """Everything a reader gets of a model: the arrays with their dtypes,
+    the metadata, the names, the row view and, when every row has terms,
+    the LP text."""
+    arrays = model.to_arrays()
+    rows = [(list(r.expr.coeffs.items()), r.sense, r.rhs, r.tag, r.index)
+            for r in model.constraints]
+    text = None
+    if all(len(r.expr.coeffs) for r in model.constraints):
+        out = io.StringIO()
+        write_lp(model, out)
+        text = out.getvalue()
+    return ([(a.dtype.str, a.tobytes()) for a in (*arrays.matrix[:3], *arrays[1:])],
+            arrays.matrix.shape, model.metadata(), model.names, model.kinds(), rows, text)
+
+
+def random_rows(rng, n_vars, n_rows):
+    """Rows as (columns, coefficients, lower, upper) with every sense, an
+    empty row now and then, and fractional numbers."""
+    rows = []
+    for _ in range(n_rows):
+        cols = rng.sample(range(n_vars), rng.randint(0, n_vars)) if n_vars else []
+        coefs = [rng.choice([-2, -1, 1, 0.5, 3, 1 / 7]) for _ in cols]
+        rhs = rng.choice([-1, 0, 1 / 3, 2])
+        lo, hi = rng.choice([(-np.inf, rhs), (rhs, np.inf), (rhs, rhs)])
+        rows.append((cols, coefs, lo, hi))
+    return rows
+
+
+def test_a_block_is_the_rows_and_columns_added_one_by_one():
+    rng = random.Random(71)
+    for trial in range(200):
+        n_bin, n_int = rng.randint(0, 6), rng.randint(0, 2)
+        tags = [rng.choice(["a", "b", "c"]) for _ in range(3)]
+        rows = random_rows(rng, n_bin + n_int, rng.randint(0, 7))
+        one, block = IlpModel(), IlpModel()
+        for k in range(n_bin):
+            one.add_binary(f"x{k}", tag=tags[0])
+        if n_bin or trial % 2:
+            assert block.add_binaries([f"x{k}" for k in range(n_bin)], tag=tags[0]) == 0
+        for model in (one, block):
+            for k in range(n_int):
+                model.add_integer(f"n{k}", -1, 3, tag=tags[1])
+        for cols, coefs, lo, hi in rows:
+            sense = "=" if lo == hi else "<=" if lo == -np.inf else ">="
+            one.add_row(cols, coefs, sense, hi if sense == "<=" else lo, tags[2])
+        indptr = [0, *itertools.accumulate(len(cols) for cols, *_ in rows)]
+        indices = [v for cols, *_ in rows for v in cols]
+        values = [c for _, coefs, *_ in rows for c in coefs]
+        row_lo, row_hi = [r[2] for r in rows], [r[3] for r in rows]
+        if trial % 3 == 0:  # one block
+            block.add_rows(indptr, indices, values, row_lo, row_hi, tags[2])
+        else:  # two blocks, as tuples
+            cut = rng.randint(0, len(rows))
+            for part in (slice(0, cut), slice(cut, len(rows))):
+                ptr = tuple(end - indptr[part.start] for end in indptr[part.start:part.stop + 1])
+                ents = slice(indptr[part.start], indptr[part.stop])
+                block.add_rows(ptr, tuple(indices[ents]), tuple(values[ents]),
+                               tuple(row_lo[part]), tuple(row_hi[part]), tags[2])
+        assert model_snapshot(block) == model_snapshot(one)
+
+
+def test_add_rows_checks_the_block():
+    m = IlpModel()
+    x, y = m.add_binary("x"), m.add_integer("y", 0, 4)
+    bad = [
+        (([0, 2], [x, 2], [1, 1], 0, 1), "unregistered variable 2"),
+        (([0, 2], [x, -1], [1, 1], 0, 1), "unregistered variable -1"),
+        (([0, 2], [x, y], [1], 0, 1), "2 columns and 1 coefficients"),
+        (([0, 3], [x, y], [1, 1], 0, 1), "3 entries"),
+        (([1, 2], [x, y], [1, 1], 0, 1), "start at 0"),
+        (([0, 2, 1], [x, y], [1, 1], 0, 1), "never decrease"),
+        (([0, 1, 2], [x, y], [1, 1], [0, 0, 0], 1), "2 rows but 3 lower bounds"),
+        (([0, 1, 2], [x, y], [1, 1], 0, [1]), "2 rows but 1 upper bounds"),
+        (([0, 2], [x, 5], [1, 1], 0, 1), "unregistered variable 5"),
+        (([0, 1], [0.5], [1], 0, 1), "integers"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            m.add_rows(*args)
+    assert m.n_constraints == 0 and m.to_arrays().matrix.nnz == 0  # nothing was stored
+    m.add_rows([0, 2, 2], [y, x], [2.0, -1.0], [-np.inf, 0.0], 3.0, tag="a")
+    assert [(list(r.expr.coeffs.items()), r.sense, r.rhs, r.tag) for r in m.constraints] == [
+        ([(y, 2.0), (x, -1.0)], "<=", 3.0, "a"), ([], "=", 0.0, "a")]
+    assert m.check_point({x: 0, y: 2}) == ["constraint 0 [a] violated: 4.0 <= 3.0"]
+
+
+def gadget_row_by_row(m, op, inputs, name, tag):
+    """One gadget as ``add_binary`` and ``add_row`` calls: the rows
+    ``bool_gadget`` documents, a repeated input one term of the sum row."""
+    if op == "NOT":
+        z = m.add_binary(name or f"not_{inputs[0]}", tag=tag)
+        m.add_row((z, inputs[0]), (1, 1), "=", 1, tag)
+        return z
+    z = m.add_binary(name or f"{op.lower()}_{m.n_vars}", tag=tag)
+    each, total = ("<=", ">=") if op == "AND" else (">=", "<=")
+    for v in inputs:
+        m.add_row((z, v), (1, -1), each, 0, tag)
+    terms = {z: 1}
+    for v in inputs:
+        terms[v] = terms.get(v, 0) - 1
+    m.add_row(list(terms), list(terms.values()), total, 1 - len(inputs) if op == "AND" else 0,
+              tag)
+    return z
+
+
+def indicator_row_by_row(m, expr, threshold, big_m, name, tag):
+    """One counting indicator as ``add_binary`` and ``add_row`` calls."""
+    y = m.add_binary(name or f"geq_{m.n_vars}", tag=tag)
+    cols, coefs = [*expr.coeffs, y], [*expr.coeffs.values(), -big_m]
+    m.add_row(cols, coefs, "<=", threshold - 1 - expr.const, tag)
+    m.add_row(cols, coefs, ">=", threshold - big_m - expr.const, tag)
+    return y
+
+
+def test_gadget_blocks_are_the_gadgets_added_one_at_a_time():
+    rng = random.Random(79)
+    repeats = chains = 0
+    for trial in range(300):
+        one, block = IlpModel(), IlpModel()
+        for model in (one, block):
+            for k in range(5):
+                model.add_binary(f"x{k}")
+            model.add_integer("n", 0, 3)
+        n_gates, first = rng.randint(1, 6), block.n_vars
+        if trial % 4 == 0:
+            op, width = "NOT", 1
+        else:
+            op = rng.choice(["AND", "OR", "mixed"])
+            width = rng.randint(1, 4)
+        ops = [rng.choice(["AND", "OR"]) for _ in range(n_gates)] if op == "mixed" else \
+            [op] * n_gates
+        inputs = [[rng.randrange(5) for _ in range(width)] for _ in range(n_gates)]
+        for g in range(1, n_gates):
+            if rng.random() < 0.3:  # an earlier gadget of the same call
+                inputs[g][rng.randrange(width)] = first + rng.randrange(g)
+                chains += 1
+        repeats += any(len(set(xs)) < width for xs in inputs)
+        names = [rng.choice([None, f"g{g}"]) for g in range(n_gates)]
+        tag = rng.choice(["gadget", "outer"])
+        want = [gadget_row_by_row(one, o, xs, nm, tag) for o, xs, nm in zip(ops, inputs, names)]
+        if n_gates == 1 and trial % 2:
+            assert [block.bool_gadget(ops[0], inputs[0], names[0], tag)] == want
+        else:
+            assert block.bool_gadgets(ops if op == "mixed" else op, inputs, names, tag) == want
+        assert model_snapshot(block) == model_snapshot(one)
+    assert repeats > 30 and chains > 50
+    for trial in range(100):
+        one, block = IlpModel(), IlpModel()
+        for model in (one, block):
+            for k in range(4):
+                model.add_binary(f"x{k}")
+            model.add_integer("n", 0, 2)
+        exprs = [LinExpr.sum_of(rng.choice(range(5)) for _ in range(rng.randint(0, 4)))
+                 for _ in range(rng.randint(1, 5))]
+        threshold, bounds = rng.randint(1, 3), rng.choice([None, (0, 4)])
+        names = [rng.choice([None, f"y{g}"]) for g in range(len(exprs))]
+        want = [indicator_row_by_row(one, e, threshold, 9, nm, "outer")
+                for e, nm in zip(exprs, names)]
+        if len(exprs) == 1 and trial % 2:
+            assert [block.indicator_geq(exprs[0], threshold, 9, names[0], "outer", bounds)] == want
+        else:
+            assert block.indicators_geq(exprs, threshold, 9, names, "outer", bounds) == want
+        assert model_snapshot(block) == model_snapshot(one)
+
+
+def test_gadget_blocks_check_every_gadget_first():
+    m = IlpModel()
+    x, y, n = m.add_binary("x"), m.add_binary("y"), m.add_integer("n", 0, 3)
+    bad = [
+        (("AND", [[x, y], [x, 9]]), "unregistered variable 9"),
+        (("AND", [[x, y], [x, 4]]), "unregistered variable 4"),  # not yet made
+        (("OR", [[x, y], [x, n]]), "binary, got integer"),
+        (("NOT", [[x, y]]), "exactly one input"),
+        (("XOR", [[x, y]]), "unknown gadget 'XOR'"),
+        ((["AND", "NOT"], [[x], [y]]), "unknown gadget 'NOT'"),
+        (("AND", [[x, y], [x]]), "as many as the others"),
+        (("AND", [[]]), "at least one input"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            m.bool_gadgets(*args)
+    with pytest.raises(ValueError, match="big-M 2 too small"):
+        m.indicators_geq([LinExpr({x: 1}), LinExpr({x: 1, y: 1, n: 1})], 1, 2)
+    assert (m.n_vars, m.n_constraints) == (3, 0)  # nothing was stored
 
 
 def test_export_sanitizes_and_disambiguates(tmp_path):
