@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -47,7 +47,7 @@ VarId = int
 BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
-_KINDS = (CONTINUOUS, BINARY, INTEGER)  # a column's kind code is its index: 0 is continuous
+KINDS = (CONTINUOUS, BINARY, INTEGER)  # a column's kind code is its index: 0 is continuous
 
 Number = Union[int, float]
 
@@ -120,7 +120,7 @@ class Solution:
     """Variable assignment with a solve status.
 
     ``values`` holds exact integers for binary/integer variables whenever
-    the status is feasible.
+    the status is feasible; a column it does not list is 0.
     """
 
     status: str  # "feasible" | "infeasible" | "unknown"
@@ -249,8 +249,8 @@ class _RowView:
         return _Row(self._model, index, ptr[index], ptr[index + 1])
 
     def __iter__(self):
-        ptr = self._model._indptr.tolist()
-        return map(_Row, repeat(self._model), range(len(self)), ptr, ptr[1:])
+        ptr = self._model._indptr  # read as the walk goes, not copied
+        return map(_Row, repeat(self._model), range(len(self)), ptr, islice(ptr, 1, None))
 
 
 class IlpModel:
@@ -259,7 +259,7 @@ class IlpModel:
     def __init__(self, name: str = "model"):
         self.name = name
         self.names: list[str] = []  # one per column, read-only outside the model
-        # columns: bounds, a code into _KINDS, and an id per column into _tag_ids
+        # columns: bounds, a code into KINDS, and an id per column into _tag_ids
         self._lb = array("d")
         self._ub = array("d")
         self._kind = array("b")
@@ -291,7 +291,7 @@ class IlpModel:
         self.names.append(name)
         self._lb.append(lo)
         self._ub.append(hi)
-        self._kind.append(_KINDS.index(kind))
+        self._kind.append(KINDS.index(kind))
         self._col_tag.append(self._tag_ids.setdefault(tag, len(self._tag_ids)))
         self._arrays = None
         return len(self.names) - 1
@@ -313,7 +313,7 @@ class IlpModel:
         self.names.extend(names)
         self._lb.extend(array("d", [0.0]) * k)
         self._ub.extend(array("d", [1.0]) * k)
-        self._kind.extend(array("b", [_KINDS.index(BINARY)]) * k)
+        self._kind.extend(array("b", [KINDS.index(BINARY)]) * k)
         self._col_tag.extend(array("i", [self._tag_ids.setdefault(tag, len(self._tag_ids))]) * k)
         self._arrays = None
         return first
@@ -435,10 +435,10 @@ class IlpModel:
     def _tag(self, r: int) -> str:
         return list(self._tag_ids)[self._row_tag[r]]
 
-    def kinds(self) -> list[str]:
-        """Each column's kind (``BINARY``, ``INTEGER`` or ``CONTINUOUS``), in
-        column order."""
-        return [_KINDS[k] for k in self._kind]
+    def kind_codes(self) -> np.ndarray:
+        """Each column's kind (``BINARY``, ``INTEGER`` or ``CONTINUOUS``) as
+        its index into ``KINDS``, an int8 array in column order."""
+        return np.array(self._kind, dtype=np.int8)
 
     # -- Boolean gadgets ------------------------------------------------------
 
@@ -481,10 +481,10 @@ class IlpModel:
                 for v in xs:
                     if not 0 <= v < z:
                         raise ValueError(f"gadget input references unregistered variable {v}")
-        kind, binary = self._kind, _KINDS.index(BINARY)
+        kind, binary = self._kind, KINDS.index(BINARY)
         other = [v for v in flat if v < first and kind[v] != binary]
         if other:
-            raise ValueError(f"gadget inputs must be binary, got {_KINDS[kind[other[0]]]}")
+            raise ValueError(f"gadget inputs must be binary, got {KINDS[kind[other[0]]]}")
         if n_gates < 2:
             return [self.bool_gadget(o, xs, nm, tag) for o, xs, nm in zip(ops, inputs, names)]
         gates, columns = range(first, first + n_gates), list(zip(*inputs))
@@ -533,7 +533,7 @@ class IlpModel:
         for v in inputs:
             if not (0 <= v < len(self.names)):
                 raise ValueError(f"gadget input references unregistered variable {v}")
-            kind = _KINDS[self._kind[v]]
+            kind = KINDS[self._kind[v]]
             if kind != BINARY:
                 raise ValueError(f"gadget inputs must be binary, got {kind}")
         if op == "NOT":
@@ -686,11 +686,16 @@ class IlpModel:
             self._arrays = arrays
         return self._arrays
 
-    def check_point(self, values: Mapping[VarId, Number], tol: float = 1e-6) -> list[str]:
+    def check_point(self, values: Union[Mapping[VarId, Number], np.ndarray],
+                    tol: float = 1e-6) -> list[str]:
         """Constraint violations at a point; empty list means it satisfies
-        all.  A violated row is named by its index and tag."""
+        all.  The point maps columns to values, a column it does not list
+        being 0, or is a NumPy array of every column's value.  A violated
+        row is named by its index and tag."""
         arrays = self.to_arrays()
-        x = np.array([values.get(v, 0) for v in range(self.n_vars)], dtype=float)
+        dense = isinstance(values, np.ndarray)
+        x = values if dense else np.array([values.get(v, 0) for v in range(self.n_vars)],
+                                          dtype=float)
         # Negated comparisons, so a NaN anywhere counts as a violation.
         bad_int = (arrays.integrality == 1) & ~(np.abs(x - np.round(x)) <= tol)
         bad_bound = ~((x >= arrays.lb - tol) & (x <= arrays.ub + tol))
@@ -698,7 +703,7 @@ class IlpModel:
         bad_row = ~((lhs >= arrays.row_lo - tol) & (lhs <= arrays.row_hi + tol))
         problems = []
         for v in np.flatnonzero(bad_int | bad_bound).tolist():
-            name, value = self.names[v], values.get(v, 0)
+            name, value = self.names[v], x[v].item() if dense else values.get(v, 0)
             if bad_int[v]:
                 problems.append(f"variable {name} = {value} is not integral")
             if bad_bound[v]:

@@ -8,10 +8,10 @@ HiGHS reads the file itself (``readModel``), so the file must be named
 ``*.lp`` and be CPLEX LP text that HiGHS's reader accepts, as
 ``write_lp`` writes it.  The outcome is read by ``highs.run_highs``, as
 for the in-process solve, with the same options (silent, no presolve),
-and the solution file names each column as the LP file does.  From
-``write_lp`` output HiGHS reads the arrays the model's ``to_arrays``
-gives, with the columns in order of first appearance in the file;
-``solve_external`` maps them back by name.
+and the solution file lists each nonzero column under its name in the LP
+file; an unlisted one is 0.  From ``write_lp`` output HiGHS reads the
+arrays the model's ``to_arrays`` gives, with the columns in order of first
+appearance in the file; ``solve_external`` maps them back by name.
 
 Importing this module loads only ``highs``, with SciPy's HiGHS binding,
 and ``lp_format``: no NumPy, no ``ilp``, since the package ``__init__``
@@ -63,7 +63,7 @@ def solve_lp_file(lp_path: str, sol_path: str) -> str:
                 raise unreadable
     integral = [kind == HighsVarType.kInteger for kind in lp.integrality_]
     status, point, _ = run_highs(highs, integral or [False] * lp.num_col_)
-    write_solution_file(sol_path, status, dict(zip(lp.col_names_, point or ())))
+    write_solution_file(sol_path, status, {c: x for c, x in zip(lp.col_names_, point or ()) if x})
     return status
 
 

@@ -30,29 +30,25 @@ Every variable is either listed under ``Binaries`` or has one finite
 keyword (``sanitize_names``), so any CPLEX-LP reader, HiGHS's among them,
 reads the file as written; ``lp_cli`` hands it to HiGHS's.
 
-Solution files exchanged with external solvers are plain text: an optional
-``status feasible|infeasible|unknown`` line followed by ``name value``
-lines; variables not mentioned default to 0.  A file that does not
-parse, or names any other status, raises ``SolverError``: it comes from a
-solver.
+Solution files are plain text: an optional ``status feasible|infeasible|
+unknown`` line, then ``name value`` lines, each name once and an unlisted
+one 0 (``lp_cli`` lists the nonzero values).  Any other text, status or a
+repeated name raises ``SolverError``: the file comes from a solver.
 
-``write_lp`` writes from the model's ``to_arrays()``, the matrix the
-solver and ``check_point`` share: each column's ``+ 1 name`` and ``- 1
-name`` terms are built once, every other coefficient, right-hand side and
-bound is formatted once per distinct value, and the rows are joined and
-written ``ROW_CHUNK`` at a time.  A row's sense is read off its bounds
-and each number off the float the arrays hold, so the text is a per-row
-writer's for every finite float and every integer below 2**53 in
-magnitude.  On the 8x8 emergency desk at h = 8, 12 and 16 (shared
-2-vCPU machine, one CPU, median of five alternating rounds of eleven
-passes, two runs) one pass over the three programs took 184 and 191 ms
-through the per-row writer this one replaced and 67 and 72 ms from the
-arrays, which take about 42 ms to build and which ``check_point`` then
-reuses; the files are byte-identical.
-
-This module imports NumPy and ``ilp`` only inside ``write_lp``, never at
-import, so the LP-file solver ``lp_cli`` writes its solution file with
-neither loaded.
+``write_lp`` streams ``to_arrays()``, the matrix the solver and
+``check_point`` share, ``ROW_CHUNK`` rows, then columns, at a time.  A
+chunk is one join of shared pieces: the column names, and each sign and
+coefficient, sense, right-hand side or bound formatted once per distinct
+value (``np.unique``); only row labels are built per row, nothing per
+term.  Numbers are read off the floats the arrays hold, so the text is a
+per-row writer's for every finite float and every integer below 2**53 in
+magnitude.  A second write of the 8x8 emergency desk at h = 16 allocates
+0.64 MB under ``tracemalloc`` (4.57 MB when built for the whole model at
+once); on aggregate-n (ROADMAP) it adds 14 and 47 MB to peak RSS at N =
+300 and 1000 (130 and 449 MB before).  A pass over the desk at h = 8, 12
+and 16 took 41-42 ms against 61-65 ms (one CPU of a shared 2-vCPU
+machine, least of 15 interleaved passes, four runs).  NumPy and ``ilp``
+are imported in ``write_lp`` only, so ``lp_cli`` loads neither.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ _KEYWORDS = frozenset(
     "bin binaries binary bound bounds end free gen general generals integer integers "
     "max maximize maximum min minimize minimum semi semis sos st".split())
 
-ROW_CHUNK = 4096  # rows formatted and written at a time
+ROW_CHUNK = 1024  # rows, or columns, formatted and written at a time
 
 
 def sanitize_names(model: IlpModel) -> list[str]:
@@ -94,12 +90,9 @@ def sanitize_names(model: IlpModel) -> list[str]:
         if base.lower() in _KEYWORDS or base[:3].lower() in ("inf", "nan"):
             base = "v" + base
         name = base
-        if name in used:
+        while name in used:
             used[base] += 1
             name = f"{base}_{used[base]}"
-            while name in used:
-                used[base] += 1
-                name = f"{base}_{used[base]}"
         used[name] = 0
         out.append(name)
     return out
@@ -116,55 +109,61 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
     terms raises ``ValueError`` before anything is written."""
     import numpy as np  # not at import: lp_cli loads no NumPy
 
-    from .ilp import BINARY, INTEGER, SENSES  # the caller's model has loaded ilp
+    from .ilp import BINARY, INTEGER, KINDS  # the caller's model has loaded ilp
 
-    names = sanitize_names(model)
     arrays = model.to_arrays()
-    matrix = arrays.matrix
-    if (matrix.indptr[1:] == matrix.indptr[:-1]).any():
+    ptr, cols, coefs = arrays.matrix[:3]
+    if (ptr[1:] == ptr[:-1]).any():
         raise ValueError("LP format cannot express a constraint with no terms")
-    # a row's sense from its bounds: "<=" has no lower, ">=" no upper one
-    no_lo, no_hi = np.isneginf(arrays.row_lo), np.isposinf(arrays.row_hi)
-    senses = np.where(no_lo, 0, np.where(no_hi, 2, 1)).tolist()
-    rhs = np.where(no_lo, arrays.row_hi, arrays.row_lo).tolist()
-    lb, ub = arrays.lb.tolist(), arrays.ub.tolist()
-    other = np.flatnonzero(np.abs(matrix.data) != 1)
-    coefs = matrix.data[other].tolist()
-    text = {x: _num(x) for x in {*rhs, *lb, *ub, *map(abs, coefs)}}  # each number once
-    # each term "+ 1 name" or "- 1 name" is one shared string per column;
-    # any other coefficient gets its sign and text before the name
-    unit = [f"+ 1 {name}" for name in names] + [f"- 1 {name}" for name in names]
-    keys = matrix.indices + np.where(matrix.data == -1, len(names), 0)
-    terms = list(map(unit.__getitem__, keys.tolist()))
-    for k, c, v in zip(other.tolist(), coefs, matrix.indices[other].tolist()):
-        terms[k] = f"{'+' if c >= 0 else '-'} {text[abs(c)]} {names[v]}"
-    ptr = matrix.indptr.tolist()
+    names = sanitize_names(model)
+    n, name_of = len(names), np.array(names, dtype=object)
+
+    def texts(values, piece):  # piece(x) once per distinct value, looked up for each
+        distinct, at = np.unique(values, return_inverse=True)
+        return np.array([piece(x) for x in distinct.tolist()], dtype=object)[at]
+
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
     try:
-        fh.write(f"\\ {model.name}\n")
-        fh.write("Minimize\n obj:\nSubject To\n")
-        for start in range(0, len(rhs), ROW_CHUNK):
-            fh.write("".join([
-                f" c{r}: {' '.join(terms[ptr[r]:ptr[r + 1]])} "
-                f"{SENSES[senses[r]]} {text[rhs[r]]}\n"
-                for r in range(start, min(start + ROW_CHUNK, len(rhs)))]))
-        kinds = model.kinds()
-        bounded = [f" {text[lb[v]]} <= {names[v]} <= {text[ub[v]]}\n"
-                   for v, kind in enumerate(kinds) if kind != BINARY]
-        if bounded:
-            fh.write("Bounds\n" + "".join(bounded))
-        binaries = [f" {names[v]}\n" for v, kind in enumerate(kinds) if kind == BINARY]
-        if binaries:
-            fh.write("Binaries\n" + "".join(binaries))
-        generals = [f" {names[v]}\n" for v, kind in enumerate(kinds) if kind == INTEGER]
-        if generals:
-            fh.write("Generals\n" + "".join(generals))
+        fh.write(f"\\ {model.name}\nMinimize\n obj:\nSubject To\n")
+        for r0 in range(0, arrays.row_lo.size, ROW_CHUNK):
+            r1 = min(r0 + ROW_CHUNK, arrays.row_lo.size)
+            bounds, j = ptr[r0:r1 + 1] - ptr[r0], np.arange(r1 - r0)
+            col, coef = cols[ptr[r0]:ptr[r1]], coefs[ptr[r0]:ptr[r1]]
+            # a row's pieces: " cR:", " sign coefficient " and name per term, " sense", " rhs\n"
+            pieces = np.empty(2 * col.size + 3 * j.size, dtype=object)
+            pieces[2 * bounds[:-1] + 3 * j] = [f" c{r}:" for r in range(r0, r1)]
+            term = 2 * np.arange(col.size) + 3 * np.repeat(j, np.diff(bounds)) + 1
+            pieces[term] = texts(coef, lambda c: f" {'+' if c >= 0 else '-'} {_num(abs(c))} ")
+            pieces[term + 1] = name_of[col]
+            # a row's sense from its bounds: "<=" has no lower, ">=" no upper one
+            row_lo, row_hi = arrays.row_lo[r0:r1], arrays.row_hi[r0:r1]
+            sense = np.where(np.isneginf(row_lo), 0, np.where(np.isposinf(row_hi), 2, 1))
+            tail = 2 * bounds[1:] + 3 * j + 1
+            pieces[tail] = np.array([" <=", " =", " >="], dtype=object)[sense]  # ilp.SENSES
+            pieces[tail + 1] = texts(np.where(sense == 0, row_hi, row_lo),
+                                     lambda x: f" {_num(x)}\n")
+            fh.write("".join(pieces.tolist()))
+        kinds = model.kind_codes()
+        binary, integer = kinds == KINDS.index(BINARY), kinds == KINDS.index(INTEGER)
+        for section, listed in (("Bounds", ~binary), ("Binaries", binary), ("Generals", integer)):
+            if listed.any():
+                fh.write(f"{section}\n")
+            for c0 in range(0, n, ROW_CHUNK):
+                chunk = np.flatnonzero(listed[c0:c0 + ROW_CHUNK]) + c0
+                lines = np.empty((chunk.size, 3), dtype=object)  # " lo <= ", name, " <= hi\n"
+                lines[:, 1] = name_of[chunk]
+                if section == "Bounds":
+                    lines[:, 0] = texts(arrays.lb[chunk], lambda x: f" {_num(x)} <= ")
+                    lines[:, 2] = texts(arrays.ub[chunk], lambda x: f" <= {_num(x)}\n")
+                else:
+                    lines[:, 0], lines[:, 2] = " ", "\n"
+                fh.write("".join(lines.ravel().tolist()))
         fh.write("End\n")
     finally:
         if own:
             fh.close()
-    return {name: v for v, name in enumerate(names)}
+    return dict(zip(names, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +174,7 @@ def write_solution_file(path: Union[str, Path], status: str,
                         values: Optional[dict[str, float]] = None) -> None:
     with open(path, "w") as fh:
         fh.write(f"status {status}\n")
-        for name, value in (values or {}).items():
-            fh.write(f"{name} {_num(value)}\n")
+        fh.writelines(f"{name} {_num(value)}\n" for name, value in (values or {}).items())
 
 
 def read_solution_file(path: Union[str, Path]) -> tuple[str, dict[str, float]]:
@@ -196,6 +194,8 @@ def read_solution_file(path: Union[str, Path]) -> tuple[str, dict[str, float]]:
             if status not in ("feasible", "infeasible", "unknown"):
                 raise SolverError(f"solution line {lineno}: unknown status {parts[1]!r}")
             continue
+        if parts[0] in values:
+            raise SolverError(f"solution line {lineno}: {parts[0]!r} is listed twice")
         try:
             values[parts[0]] = float(parts[1])
         except ValueError:

@@ -153,6 +153,12 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
     optional ``{sol}`` placeholder; without ``{sol}``, the solver's stdout
     is taken as the solution file content.  A command that cannot be
     split or started, or that exits nonzero, raises ``SolverError``.
+
+    The listed values go into a NumPy point, 0 for every unlisted column,
+    whose integral columns are rounded in NumPy; it must pass
+    ``check_point`` at ``FEAS_TOL``, or ``SolverError`` is raised.  The
+    solution's values list the point's nonzero columns, integral ones as
+    ints.
     """
     if "{lp}" not in solver_cmd:
         raise SolverError("solver command must contain an {lp} placeholder")
@@ -171,21 +177,23 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
         if "{sol}" not in solver_cmd:
             sol_path.write_text(proc.stdout)
         status, named = read_solution_file(sol_path)
-        if status == "infeasible":
-            return Solution("infeasible", stats={"solver": "external"})
-        if status == "unknown":
-            return Solution("unknown", stats={"solver": "external"})
-        values: dict[int, float] = {}
-        for name, value in named.items():
-            if name not in name_to_var:
-                raise SolverError(f"solution mentions unknown variable {name!r}")
-            values[name_to_var[name]] = value
-        for v, integral in enumerate(model.to_arrays().integrality.tolist()):
-            x = values.get(v, 0.0)
-            values[v] = int(round(x)) if integral else float(x)
-        problems = model.check_point(values, tol=FEAS_TOL)
+        if status != "feasible":
+            return Solution(status, stats={"solver": "external"})
+        try:
+            listed = [name_to_var[name] for name in named]
+        except KeyError as exc:
+            raise SolverError(f"solution mentions unknown variable {exc.args[0]!r}") from None
+        integral = model.to_arrays().integrality == 1
+        point = np.zeros(integral.size)
+        point[listed] = list(named.values())
+        point[integral] = np.round(point[integral])
+        problems = model.check_point(point, tol=FEAS_TOL)
         if problems:
             raise SolverError(
                 "external solution violates the model (solver-format mismatch): "
                 + problems[0])
+        nonzero = np.flatnonzero(point)
+        values = dict(zip(nonzero.tolist(), point[nonzero].tolist()))
+        whole = nonzero[integral[nonzero]]
+        values.update(zip(whole.tolist(), map(int, point[whole].tolist())))
         return Solution("feasible", values, stats={"solver": "external"})

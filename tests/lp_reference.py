@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import re
 
-from cltlsynth.ilp import BINARY, INTEGER
+from cltlsynth.ilp import BINARY, INTEGER, KINDS
 
 _NAME_OK = re.compile(r"[A-Za-z0-9_]")
 _KEYWORDS = frozenset(
@@ -62,7 +62,7 @@ def write_lp_rows(model) -> tuple[str, dict[str, int]]:
     fh.write("Minimize\n obj:\nSubject To\n")
     for idx, con in enumerate(model.constraints):
         fh.write(f" c{idx}: {_terms(con.expr, names)} {con.sense} {_num(con.rhs)}\n")
-    kinds, arrays = model.kinds(), model.to_arrays()
+    kinds, arrays = [KINDS[k] for k in model.kind_codes()], model.to_arrays()
     bounded = [v for v, kind in enumerate(kinds) if kind != BINARY]
     if bounded:
         fh.write("Bounds\n")

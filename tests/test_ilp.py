@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from cltlsynth import lp_cli
+from cltlsynth import lp_cli, lp_format
 from cltlsynth.highs import HighsStatus, MatrixFormat, SolverError, new_highs
-from cltlsynth.ilp import BINARY, CONTINUOUS, INTEGER, SENSES, IlpModel, LinExpr, ModelArrays
+from cltlsynth.ilp import (BINARY, CONTINUOUS, INTEGER, KINDS, SENSES, IlpModel, LinExpr,
+                           ModelArrays)
 from cltlsynth.lp_format import (read_solution_file, sanitize_names, write_lp,
                                  write_solution_file)
 from cltlsynth.encoder_sync import build_sync_problem
@@ -40,7 +41,7 @@ def test_add_var_kinds_and_errors():
     b = m.add_binary("b")
     assert m.to_arrays().lb[b] == 0 and m.to_arrays().ub[b] == 1
     i = m.add_integer("i", 0, 5)
-    assert m.kinds()[i] == INTEGER
+    assert KINDS[m.kind_codes()[i]] == INTEGER
     with pytest.raises(ValueError, match="lo"):
         m.add_continuous("c", 2.0, 1.0)
     with pytest.raises(ValueError, match="finite"):
@@ -79,7 +80,8 @@ def check_point_row_by_row(model, values, tol):
     problems = []
     arrays = model.to_arrays()
     for v, (name, kind, lo, hi) in enumerate(zip(
-            model.names, model.kinds(), arrays.lb.tolist(), arrays.ub.tolist())):
+            model.names, [KINDS[k] for k in model.kind_codes()], arrays.lb.tolist(),
+            arrays.ub.tolist())):
         x = values.get(v, 0)
         if kind != CONTINUOUS and abs(x - round(x)) > tol:
             problems.append(f"variable {name} = {x} is not integral")
@@ -340,6 +342,37 @@ def test_write_lp_matches_the_per_row_reference_on_the_desk():
     assert_writes_as_the_reference(model)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_write_lp_matches_the_reference_across_chunk_edges(monkeypatch, chunk):
+    """Rows and columns written a few at a time, so chunk edges fall next
+    to and between non-unit and negative coefficients."""
+    monkeypatch.setattr(lp_format, "ROW_CHUNK", chunk)
+    rng = random.Random(61)  # the models of the test above
+    for _ in range(150):
+        assert_writes_as_the_reference(random_writer_model(rng))
+    inst, mu = emergency_instance()
+    assert_writes_as_the_reference(build_sync_problem(inst, mu, 8).model)
+
+
+def test_write_lp_streams_the_desk_program(tmp_path):
+    """The writer holds one chunk of rows or columns at a time: a second
+    write of the h = 16 desk program, whose arrays the first one built,
+    allocates about 0.64 MB, the returned name map included.  Built for
+    the whole model at once, its terms, numbers and lines took 4.57 MB."""
+    inst, mu = emergency_instance()
+    model = build_sync_problem(inst, mu, 16).model
+    write_lp(model, tmp_path / "first.lp")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_lp(model, tmp_path / "second.lp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0e6, f"{peak / 1e6:.2f} MB"
+    assert (tmp_path / "second.lp").read_bytes() == (tmp_path / "first.lp").read_bytes()
+
+
 def test_write_lp_rejects_a_row_without_terms(tmp_path):
     m = small_model()
     m.add_constraint(LinExpr(const=1), "<=", 2, tag="empty")
@@ -403,6 +436,20 @@ def test_add_row_checks_and_the_row_view():
         rows[3]
     assert m.metadata()["constraints"] == {"a": 2, "b": 1}
     assert m.check_point({x: 1, y: 3}) == ["constraint 0 [a] violated: 5.0 <= 3.0"]
+
+
+def test_iterating_the_rows_gives_the_rows_indexing_gives():
+    rng = random.Random(67)
+    inst, mu = emergency_instance()
+    models = [IlpModel(), build_sync_problem(inst, mu, 8).model,
+              *(random_writer_model(rng) for _ in range(40))]
+
+    def read(row):
+        return row.index, list(row.expr.coeffs.items()), row.sense, row.rhs, row.tag
+
+    for m in models:
+        rows = m.constraints
+        assert [read(row) for row in rows] == [read(rows[r]) for r in range(len(rows))]
 
 
 def test_gadget_merges_a_repeated_input():
@@ -476,7 +523,8 @@ def model_snapshot(model):
         write_lp(model, out)
         text = out.getvalue()
     return ([(a.dtype.str, a.tobytes()) for a in (*arrays.matrix[:3], *arrays[1:])],
-            arrays.matrix.shape, model.metadata(), model.names, model.kinds(), rows, text)
+            arrays.matrix.shape, model.metadata(), model.names, model.kind_codes().tolist(), rows,
+            text)
 
 
 def random_rows(rng, n_vars, n_rows):
@@ -881,4 +929,11 @@ def test_solution_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.sol"
     path.write_text("x 1 2\n")
     with pytest.raises(SolverError, match="name value"):
+        read_solution_file(path)
+
+
+def test_solution_file_rejects_a_name_listed_twice(tmp_path):
+    path = tmp_path / "twice.sol"
+    path.write_text("status feasible\nx 1\ny 2\nx 0\n")
+    with pytest.raises(SolverError, match="^solution line 4: 'x' is listed twice$"):
         read_solution_file(path)

@@ -9,6 +9,7 @@ import json
 import random
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from cltlsynth.solver import (FEAS_TOL, NumericalError, SolveConfig, SolverError
 from cltlsynth.system import ContinuousSystem, load_model
 
 from conftest import random_instance, random_outer, scipy_csr
+from lp_grammar import read_lp
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -372,10 +374,14 @@ def test_lp_file_solve_agrees_with_the_array_solve(tmp_path):
         assert statuses[-1] == solve_arrays(model.to_arrays()).status, f"model {i}"
         status, named = read_solution_file(sol)
         assert status == statuses[-1]
-        assert len(named) == (model.n_vars if status == "feasible" else 0), f"model {i}"
+        # only nonzero values are listed, each under a column of the file
+        assert set(named) <= set(read_lp(Path(lp).read_text())), f"model {i}"
+        assert all(x != 0 for x in named.values()), f"model {i}"
         if status == "feasible":
-            values = {name_to_var[name]: x for name, x in named.items()}
+            values = {v: named.get(name, 0) for name, v in name_to_var.items()}
             assert model.check_point(values, tol=FEAS_TOL) == [], f"model {i}"
+        else:
+            assert named == {}, f"model {i}"
     assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
 
 
@@ -481,6 +487,24 @@ def test_external_rejects_corrupt_solution():
             "\"import sys; open(sys.argv[2], 'w').write('a b c\\n')\" {lp} {sol}")
     with pytest.raises(SolverError, match="name value"):
         solve_external(m, junk)
+
+
+def test_external_point_is_rounded_and_lists_its_nonzero_columns():
+    m = IlpModel()
+    x, y, z = m.add_binary("x"), m.add_continuous("y", 0, 1), m.add_integer("z", 0, 3)
+    m.add_constraint(LinExpr({x: 1, y: 1}), ">=", 1.5)
+
+    def fake(text):
+        return (f"{sys.executable} -c \"import sys; "
+                f"open(sys.argv[2], 'w').write('{text}')\" {{lp}} {{sol}}")
+
+    sol = solve_external(m, fake("x 0.9999999\\ny 0.5\\n"))
+    assert sol.feasible and sol.values == {x: 1, y: 0.5} and sol[z] == 0
+    assert type(sol.values[x]) is int and type(sol.values[y]) is float
+    with pytest.raises(SolverError, match="unknown variable 'w'"):
+        solve_external(m, fake("x 1\\nw 1\\n"))
+    with pytest.raises(SolverError, match="mismatch"):  # no rounding makes NaN integral
+        solve_external(m, fake("x nan\\ny 1\\n"))
 
 
 @pytest.mark.parametrize("status", ["error", "infeasable"])
