@@ -112,10 +112,10 @@ def polytope_atom_backend(layout: Layout, epsilon: float = 1e-6):
     def member(name: str, n: int, t: int) -> VarId:
         hmat, hvec = sys.atoms[name]
         state = layout.state_exprs[(n, t)]
-        faces = []
-        for i in range(hmat.shape[0]):
-            e = model.add_binary(f"e_{name}_{n}_{t}_{i}", tag="polytope")
-            faces.append(e)
+        first = model.add_binaries([f"e_{name}_{n}_{t}_{i}" for i in range(hmat.shape[0])],
+                                   tag="polytope")
+        faces = list(range(first, first + hmat.shape[0]))
+        for i, e in enumerate(faces):
             expr = LinExpr()
             for j, coef in enumerate(hmat[i]):
                 if coef:
@@ -125,7 +125,7 @@ def polytope_atom_backend(layout: Layout, epsilon: float = 1e-6):
                                  tag="polytope")
             model.add_constraint(expr + LinExpr({e: m}), ">=", float(hvec[i]) + epsilon,
                                  tag="polytope")
-        return model.bool_and(faces, name=f"z_{name}_{n}_{t}", tag="polytope")
+        return model.bool_gadgets("AND", [faces], [f"z_{name}_{n}_{t}"], "polytope")[0]
 
     def backend(name: str, n: int, size: int) -> list[VarId]:
         return [member(name, n, t) for t in range(size)]

@@ -58,8 +58,8 @@ class RobustLogicEncoder(LogicEncoder):
         key = (phi, n, t)
         if key not in lay.robust:
             window = self.row(phi, n)[t:t + lay.tau + 1]
-            lay.robust[key] = self.model.bool_and(
-                window, name=f"r{lay.fid(phi)}_n{n}_t{t}", tag="robust")
+            lay.robust[key], = self.model.bool_gadgets(
+                "AND", [window], [f"r{lay.fid(phi)}_n{n}_t{t}"], "robust")
         return lay.robust[key]
 
     # -- counting propositions ------------------------------------------------
@@ -80,8 +80,8 @@ class RobustLogicEncoder(LogicEncoder):
                 y_bar, = self._at_least([plain], size, size, tcp, [t], "yb")
                 lay.outer_extra[(tcp, t, "tilde")] = y_tilde
                 lay.outer_extra[(tcp, t, "bar")] = y_bar
-                row.append(self.model.bool_or([y_tilde, y_bar],
-                                              name=self._name(tcp, None, t), tag="robust"))
+                row += self.model.bool_gadgets("OR", [[y_tilde, y_bar]],
+                                               [self._name(tcp, None, t)], "robust")
             else:
                 row += self._at_least([robust], tcp.m, size, tcp, [t])
         return row
@@ -107,8 +107,8 @@ class RobustLogicEncoder(LogicEncoder):
             pool = (self.robust_var(phi_or, r, t) for r in range(lay.n_robots))
             pool_y, = self._at_least([pool], threshold, lay.n_robots, node, [t], "yp")
             lay.outer_extra[(node, t, "pool")] = pool_y
-            row.append(self.model.bool_or([k[t] for k in kids] + [pool_y],
-                                          name=self._name(node, None, t), tag="robust"))
+            row += self.model.bool_gadgets("OR", [[k[t] for k in kids] + [pool_y]],
+                                           [self._name(node, None, t)], "robust")
         return row
 
     # -- until ----------------------------------------------------------------

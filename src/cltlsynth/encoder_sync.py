@@ -34,10 +34,13 @@ reachable sets and ``Layout.state_ids`` its state vectors' column ids,
 step by step.  Each robot's state vectors with their dynamics rows (or
 their loop ties past h) are one block, and so are its loop ties at h,
 each of its atom rows and the fleet's collision rows.
-The logic rows come one formula row at a time: the gates, negations,
-loop reads and until/release steps of a row as one
-``IlpModel.bool_gadgets`` call, the counting thresholds as one
-``IlpModel.indicators_geq`` call, and the robust tails as one block.
+The logic rows come one formula row at a time: the gates, negations and
+until/release steps of a row as one ``IlpModel.bool_gadgets`` call, a
+loop read as a block of h ANDs and a block of one OR, the counting
+thresholds as one ``IlpModel.indicators_geq`` call, and the robust tails
+as one block.  Every gadget and indicator, the robust windows and the
+polytope atoms' conjunctions among them, goes through those two calls,
+a lone one as a block of one.
 Column ids are reserved from ``IlpModel.n_vars`` where a block's rows
 must name columns the same block adds, as in the until/release chain.
 
@@ -262,8 +265,8 @@ def encode_dynamics(model: IlpModel, inst: MultiRobotInstance, h: int,
 
 def add_loop_selectors(layout: Layout) -> None:
     """Loop-start selectors z_0 .. z_{h-1}, exactly one of them 1."""
-    layout.loop_vars = [layout.model.add_binary(f"zloop_{t}", tag="loop")
-                        for t in range(layout.h)]
+    first = layout.model.add_binaries([f"zloop_{t}" for t in range(layout.h)], tag="loop")
+    layout.loop_vars = list(range(first, first + layout.h))
     layout.model.add_row(layout.loop_vars, [1] * layout.h, "=", 1, "loop")
 
 
@@ -372,9 +375,9 @@ def loop_value(model: IlpModel, loop_vars: list[VarId], row: list[VarId],
     """The value of ``row`` at the chosen loop start: OR over l of
     (z_l AND row[l]).  Exactly one loop selector z_l is 1, so the OR has
     one live term, and position h of the lasso reads row[l].  The h ANDs
-    are one block."""
+    are one block and the OR a block of one."""
     terms = model.bool_gadgets("AND", list(zip(loop_vars, row)), tag=tag)
-    return model.bool_or(terms, name=name, tag=tag)
+    return model.bool_gadgets("OR", [terms], [name], tag)[0]
 
 
 def until_release_row(model: IlpModel, loop_vars: list[VarId], lhs: list[VarId],

@@ -5,20 +5,20 @@ linear constraints grouped by an encoder tag, Boolean gadgets over binary
 variables, and big-M threshold indicators.  Construction is single-writer;
 a finished model is read-only and can be exported or solved concurrently.
 
-Rows and columns are stored in flat buffers, not as one object each.
-Rows enter in two ways that fill the same CSR buffers (column indices,
-values, row pointers, row bounds and a tag id per row): ``add_row``
-appends one row, and ``add_rows`` appends a whole CSR block given as
-Python sequences, checked once per block.  Columns enter through
-``add_var`` one at a time or ``add_binaries`` by the block; each
-column's name goes to ``names``, its bounds, kind code and tag id to the
-column buffers.  Rows and columns live in separate buffers, so a caller
-can reserve column ids before writing the rows that use them, and
-``bool_gadgets`` and ``indicators_geq`` emit G same-kind gadgets as one
-block, row for row as G calls of ``bool_gadget`` or ``indicator_geq``
-would; one gadget alone goes row by row, at half the cost of a block of
-one.  Rows and columns share one tag table, and ``metadata`` counts both
-from their tag ids.
+Rows and columns are stored in flat buffers, not as one object each,
+and each set of buffers has one writer.  Rows go to the CSR buffers
+(column indices, values, row pointers, row bounds and a tag id per row)
+only through ``_append_rows``: ``add_row`` hands it one row, and
+``add_rows`` a whole CSR block given as Python sequences, checked once
+per block.  Columns go to ``names`` and the column buffers (bounds, kind
+code and tag id) only through ``_append_columns``: ``add_var`` hands it
+one column and ``add_binaries`` a run of binaries.  Rows and columns
+live in separate buffers, so a caller can reserve column ids before
+writing the rows that use them.  Every Boolean gadget goes through
+``bool_gadgets`` and every threshold indicator through
+``indicators_geq``, which store G same-kind gadgets, one or many, as one
+block of columns and one of rows.  Rows and columns share one tag table,
+and ``metadata`` counts both from their tag ids.
 
 ``to_arrays`` copies the buffers into NumPy arrays, and every reader of
 the program goes through it, ``names`` or the model's methods.  A
@@ -288,13 +288,7 @@ class IlpModel:
                 raise ValueError(f"variable {name!r}: bounds must be finite")
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
-        self.names.append(name)
-        self._lb.append(lo)
-        self._ub.append(hi)
-        self._kind.append(KINDS.index(kind))
-        self._col_tag.append(self._tag_ids.setdefault(tag, len(self._tag_ids)))
-        self._arrays = None
-        return len(self.names) - 1
+        return self._append_columns([name], kind, lo, hi, tag)
 
     def add_binary(self, name: str, tag: str = "untagged") -> VarId:
         return self.add_var(BINARY, name, tag=tag)
@@ -309,11 +303,18 @@ class IlpModel:
     def add_binaries(self, names: Sequence[str], tag: str = "untagged") -> VarId:
         """One binary per name, in order, as ``add_binary`` adds them one at
         a time; returns the first one's id, and the others follow it."""
+        return self._append_columns(names, BINARY, 0, 1, tag)
+
+    def _append_columns(self, names: Sequence[str], kind: str, lo: Number, hi: Number,
+                        tag: str) -> VarId:
+        """Store one column per name, each of ``kind`` with bounds [lo, hi],
+        as ``add_var`` and ``add_binaries`` take them; returns the first
+        one's id."""
         first, k = len(self.names), len(names)
         self.names.extend(names)
-        self._lb.extend(array("d", [0.0]) * k)
-        self._ub.extend(array("d", [1.0]) * k)
-        self._kind.extend(array("b", [KINDS.index(BINARY)]) * k)
+        self._lb.extend(array("d", [lo]) * k)
+        self._ub.extend(array("d", [hi]) * k)
+        self._kind.extend(array("b", [KINDS.index(kind)]) * k)
         self._col_tag.extend(array("i", [self._tag_ids.setdefault(tag, len(self._tag_ids))]) * k)
         self._arrays = None
         return first
@@ -332,9 +333,9 @@ class IlpModel:
 
     def add_row(self, cols: Sequence[VarId], coefs: Sequence[Number], sense: str,
                 rhs: Number, tag: str = "untagged") -> None:
-        """Append the row ``sum coefs[k] * x[cols[k]]  sense  rhs``, the one
-        way rows enter the model.  The caller lists each column once, with
-        a nonzero coefficient, in the order the matrix should hold them."""
+        """Append the row ``sum coefs[k] * x[cols[k]]  sense  rhs``, a block
+        of one row.  The caller lists each column once, with a nonzero
+        coefficient, in the order the matrix should hold them."""
         if sense == "<=":
             lo, hi = -_INF, rhs
         elif sense == ">=":
@@ -345,16 +346,8 @@ class IlpModel:
             raise ValueError(f"unknown sense {sense!r}")
         if len(cols) != len(coefs):
             raise ValueError(f"row has {len(cols)} columns but {len(coefs)} coefficients")
-        if cols and (min(cols) < 0 or max(cols) >= len(self.names)):
-            bad = next(v for v in cols if not 0 <= v < len(self.names))
-            raise ValueError(f"constraint references unregistered variable {bad}")
-        self._indices.extend(cols)
-        self._values.extend(coefs)
-        self._indptr.append(len(self._indices))
-        self._row_lo.append(lo)
-        self._row_hi.append(hi)
-        self._row_tag.append(self._tag_ids.setdefault(tag, len(self._tag_ids)))
-        self._arrays = None
+        self._check_columns(cols)
+        self._append_rows([len(cols)], cols, coefs, [lo], [hi], tag)
 
     def add_rows(self, indptr: Sequence[int], indices: Sequence[VarId],
                  values: Sequence[Number], row_lo: Union[Number, Sequence[Number]],
@@ -380,10 +373,7 @@ class IlpModel:
         if not len(columns) == len(values) == indptr[-1]:
             raise ValueError(f"block has {indptr[-1]} entries by indptr but {len(columns)} "
                              f"columns and {len(values)} coefficients")
-        # min and max run faster over a list than over the array
-        if columns and (min(indices) < 0 or max(indices) >= len(self.names)):
-            bad = next(v for v in columns if not 0 <= v < len(self.names))
-            raise ValueError(f"constraint references unregistered variable {bad}")
+        self._check_columns(indices)  # min and max run faster over a list than over columns
         bounds = []
         for side, bound in (("lower", row_lo), ("upper", row_hi)):
             if isinstance(bound, (int, float)):
@@ -393,11 +383,18 @@ class IlpModel:
             bounds.append(bound)
         self._append_rows(lengths, columns, values, *bounds, tag)
 
+    def _check_columns(self, cols: Sequence[VarId]) -> None:
+        """Raise unless every id in ``cols`` is a registered column."""
+        n = len(self.names)
+        if len(cols) and (min(cols) < 0 or max(cols) >= n):
+            bad = next(v for v in cols if not 0 <= v < n)
+            raise ValueError(f"constraint references unregistered variable {bad}")
+
     def _append_rows(self, lengths: list[int], indices: Sequence[VarId],
                      values: Sequence[Number], row_lo: Sequence[Number],
                      row_hi: Sequence[Number], tag: str) -> None:
         """Store checked rows, row r with ``lengths[r]`` entries, as
-        ``add_rows`` takes them."""
+        ``add_rows`` takes them: the one writer of the row buffers."""
         base = len(self._indices)
         if base + len(indices) > _INDEX_MAX:
             raise OverflowError("the matrix would hold more entries than a C int counts")
@@ -459,17 +456,18 @@ class IlpModel:
         gadget of the same call, so a caller can chain gadgets through
         those ids.  A name that is None becomes ``and_<id>``, ``or_<id>``
         or ``not_<input>``.  Once every gadget is checked, the columns and
-        then the rows, gadget by gadget, are stored as one block; a single
-        gadget goes row by row (``bool_gadget``), at half the cost of a
-        block of one."""
+        then the rows, gadget by gadget, are stored as one block, however
+        many gadgets there are."""
         first, n_gates = len(self.names), len(inputs)
         ops = [op] * n_gates if isinstance(op, str) else op
         names = [None] * n_gates if names is None else names
         if not len(ops) == len(names) == n_gates:
             raise ValueError("gadgets need one operator and one name each")
-        width = len(inputs[0]) if n_gates else 1
+        if not n_gates:
+            return []
+        width = len(inputs[0])
         if width == 0 or any(len(xs) != width for xs in inputs):
-            raise ValueError("bool_gadget needs at least one input, and every gadget "
+            raise ValueError("a gadget needs at least one input, and every gadget "
                              "of a call as many as the others")
         if op == "NOT" and width != 1:
             raise ValueError("NOT takes exactly one input")
@@ -485,8 +483,6 @@ class IlpModel:
         other = [v for v in flat if v < first and kind[v] != binary]
         if other:
             raise ValueError(f"gadget inputs must be binary, got {KINDS[kind[other[0]]]}")
-        if n_gates < 2:
-            return [self.bool_gadget(o, xs, nm, tag) for o, xs, nm in zip(ops, inputs, names)]
         gates, columns = range(first, first + n_gates), list(zip(*inputs))
         if op == "NOT":
             labels = [name or f"not_{x}" for name, x in zip(names, columns[0])]
@@ -524,47 +520,6 @@ class IlpModel:
         self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
         return list(gates)
 
-    def bool_gadget(self, op: str, inputs: Sequence[VarId], name: Optional[str] = None,
-                    tag: str = "gadget") -> VarId:
-        """One ``bool_gadgets`` gadget, added row by row: a block of one
-        costs twice as much."""
-        if not inputs:
-            raise ValueError("bool_gadget needs at least one input")
-        for v in inputs:
-            if not (0 <= v < len(self.names)):
-                raise ValueError(f"gadget input references unregistered variable {v}")
-            kind = KINDS[self._kind[v]]
-            if kind != BINARY:
-                raise ValueError(f"gadget inputs must be binary, got {kind}")
-        if op == "NOT":
-            if len(inputs) != 1:
-                raise ValueError("NOT takes exactly one input")
-            z = self.add_binary(name or f"not_{inputs[0]}", tag=tag)
-            self.add_row((z, inputs[0]), (1, 1), "=", 1, tag)
-            return z
-        if op not in ("AND", "OR"):
-            raise ValueError(f"unknown gadget {op!r}")
-        z = self.add_binary(name or f"{op.lower()}_{len(self.names)}", tag=tag)
-        each, total = ("<=", ">=") if op == "AND" else (">=", "<=")
-        for v in inputs:
-            self.add_row((z, v), (1, -1), each, 0, tag)
-        # z against the sum of the inputs, a repeated input merged into one term
-        terms = {z: 1}
-        for v in inputs:
-            terms[v] = terms.get(v, 0) - 1
-        self.add_row(list(terms), list(terms.values()), total,
-                     1 - len(inputs) if op == "AND" else 0, tag)
-        return z
-
-    def bool_and(self, inputs: Sequence[VarId], name=None, tag="gadget") -> VarId:
-        return self.bool_gadget("AND", inputs, name, tag)
-
-    def bool_or(self, inputs: Sequence[VarId], name=None, tag="gadget") -> VarId:
-        return self.bool_gadget("OR", inputs, name, tag)
-
-    def bool_not(self, x: VarId, name=None, tag="gadget") -> VarId:
-        return self.bool_gadget("NOT", [x], name, tag)
-
     # -- threshold indicator ----------------------------------------------------
 
     def expr_bounds(self, expr: LinExpr) -> tuple[Number, Number]:
@@ -591,19 +546,16 @@ class IlpModel:
         the one variable bounds imply (e.g. a conserved total is invisible
         per-variable); M is rejected if it cannot cover the range.  A name
         that is None becomes ``geq_<id>``.  As with ``bool_gadgets``, the
-        columns and rows are stored as one block once all are checked, and
-        a single indicator goes row by row (``indicator_geq``)."""
+        columns and rows are stored as one block once all are checked,
+        however many indicators there are."""
         first = len(self.names)
         names = [None] * len(exprs) if names is None else names
-        if len(exprs) < 2:
-            return [self.indicator_geq(e, m, big_m, nm, tag, known_bounds)
-                    for e, nm in zip(exprs, names)]
+        if not exprs:
+            return []
         labels, lengths, indices, values, row_lo, row_hi = [], [], [], [], [], []
         for y, expr, name in zip(count(first), exprs, names):
             cols, coefs = self._indicator_terms(expr, m, big_m, known_bounds)
-            if cols and (min(cols) < 0 or max(cols) >= first):
-                bad = next(v for v in cols if not 0 <= v < first)
-                raise ValueError(f"constraint references unregistered variable {bad}")
+            self._check_columns(cols)
             labels.append(name or f"geq_{y}")
             cols.append(y)
             indices += cols * 2
@@ -614,18 +566,6 @@ class IlpModel:
         self.add_binaries(labels, tag)
         self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
         return list(range(first, first + len(labels)))
-
-    def indicator_geq(self, expr: LinExpr, m: Number, big_m: Number,
-                      name: Optional[str] = None, tag: str = "indicator",
-                      known_bounds: Optional[tuple[Number, Number]] = None) -> VarId:
-        """One ``indicators_geq`` indicator, added row by row: a block of one
-        costs more."""
-        cols, coefs = self._indicator_terms(expr, m, big_m, known_bounds)
-        y = self.add_binary(name or f"geq_{len(self.names)}", tag=tag)
-        cols.append(y)
-        self.add_row(cols, coefs, "<=", m - 1 - expr.const, tag)
-        self.add_row(cols, coefs, ">=", m - big_m - expr.const, tag)
-        return y
 
     def _indicator_terms(self, expr: LinExpr, m: Number, big_m: Number,
                          known_bounds: Optional[tuple[Number, Number]]) -> tuple[list, list]:
@@ -696,11 +636,13 @@ class IlpModel:
         dense = isinstance(values, np.ndarray)
         x = values if dense else np.array([values.get(v, 0) for v in range(self.n_vars)],
                                           dtype=float)
-        # Negated comparisons, so a NaN anywhere counts as a violation.
-        bad_int = (arrays.integrality == 1) & ~(np.abs(x - np.round(x)) <= tol)
-        bad_bound = ~((x >= arrays.lb - tol) & (x <= arrays.ub + tol))
-        lhs = arrays.matrix.dot(x)
-        bad_row = ~((lhs >= arrays.row_lo - tol) & (lhs <= arrays.row_hi + tol))
+        # Negated comparisons, so a NaN anywhere counts as a violation, and
+        # the NaN that an infinite value gives (inf - inf) warns of nothing.
+        with np.errstate(invalid="ignore"):
+            bad_int = (arrays.integrality == 1) & ~(np.abs(x - np.round(x)) <= tol)
+            bad_bound = ~((x >= arrays.lb - tol) & (x <= arrays.ub + tol))
+            lhs = arrays.matrix.dot(x)
+            bad_row = ~((lhs >= arrays.row_lo - tol) & (lhs <= arrays.row_hi + tol))
         problems = []
         for v in np.flatnonzero(bad_int | bad_bound).tolist():
             name, value = self.names[v], x[v].item() if dense else values.get(v, 0)

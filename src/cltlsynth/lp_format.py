@@ -179,10 +179,15 @@ def write_solution_file(path: Union[str, Path], status: str,
 
 def read_solution_file(path: Union[str, Path]) -> tuple[str, dict[str, float]]:
     """Returns (status, name->value).  Lines are ``name value``; an optional
-    leading ``status ...`` line overrides the default feasible status."""
+    leading ``status ...`` line overrides the default feasible status.  A
+    file that is not UTF-8 raises ``SolverError``, as a malformed line does."""
     status = "feasible"
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SolverError(f"solution file {path} is not UTF-8: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("\\"):
             continue

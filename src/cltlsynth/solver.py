@@ -168,14 +168,14 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
         name_to_var = write_lp(model, lp_path)
         cmd = solver_cmd.replace("{lp}", str(lp_path)).replace("{sol}", str(sol_path))
         try:
-            proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+            proc = subprocess.run(shlex.split(cmd), capture_output=True)
         except (OSError, ValueError) as exc:  # not found, not executable, bad quoting
             raise SolverError(f"external solver could not be started: {exc}") from None
         if proc.returncode != 0:
-            raise SolverError(
-                f"external solver exited with {proc.returncode}: {proc.stderr.strip()[:500]}")
+            stderr = proc.stderr.decode(errors="replace").strip()
+            raise SolverError(f"external solver exited with {proc.returncode}: {stderr[:500]}")
         if "{sol}" not in solver_cmd:
-            sol_path.write_text(proc.stdout)
+            sol_path.write_bytes(proc.stdout)
         status, named = read_solution_file(sol_path)
         if status != "feasible":
             return Solution(status, stats={"solver": "external"})

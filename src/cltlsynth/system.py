@@ -100,13 +100,6 @@ class TransitionSystem:
             pred[j].append(i)
         return tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
-    def adjacency(self) -> np.ndarray:
-        """A[j, i] = 1 iff state i can transition to state j."""
-        a = np.zeros((self.n_states, self.n_states), dtype=np.int8)
-        for (i, j) in self.transitions:
-            a[j, i] = 1
-        return a
-
     def label_vector(self, a: str) -> np.ndarray:
         """Binary indicator over states: entry i is 1 iff ``a`` labels state i."""
         if a not in self.ap:

@@ -219,6 +219,21 @@ def test_malformed_external_solution_is_an_io_error(grid_model, capsys):
     assert captured.err == "error: solution line 1: expected 'name value', got 'x 1 2'\n"
 
 
+@pytest.mark.parametrize("script, sol", [
+    ("open(sys.argv[2], 'wb').write(b'status feasible\\n\\xff 1\\n')", " {sol}"),
+    ("sys.stdout.buffer.write(b'\\xff 1\\n')", ""),  # stdout is the solution
+    ("sys.stderr.buffer.write(b'\\xff'); sys.exit(3)", " {sol}"),
+], ids=["solution-file", "stdout", "stderr"])
+def test_external_output_that_is_not_utf8_is_an_io_error(grid_model, capsys, script, sol):
+    solver_cmd = f"{sys.executable} -c \"import sys; {script}\" {{lp}}{sol}"
+    code = run(["synth", "--model", grid_model, "--formula", "F [A, 2]", "--horizon", "6",
+                "--solver", "external", "--solver-cmd", solver_cmd])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_continuous_end_to_end(continuous_model, tmp_path):
     out = tmp_path / "traj.json"
     code = run(["synth", "--model", continuous_model, "--formula", "F [A, 2]",

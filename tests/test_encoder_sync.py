@@ -104,8 +104,10 @@ def test_dead_end_chain_is_infeasible_through_both_solvers(tmp_path):
 
 def exact_step_reachable(ts, init, steps):
     """States reachable in exactly t steps, t = 0..steps, from powers of
-    the adjacency matrix."""
-    a = ts.adjacency().astype(np.int64)
+    the adjacency matrix: a[j, i] = 1 iff state i can move to state j."""
+    a = np.zeros((ts.n_states, ts.n_states), dtype=np.int64)
+    for (i, j) in ts.transitions:
+        a[j, i] = 1
     vec = np.zeros(ts.n_states, dtype=np.int64)
     vec[init] = 1
     out = []

@@ -1,10 +1,11 @@
 """Source hygiene: every name a module or test module imports is used in
-that module, every public name the package exports exists, every public function or
-class is used somewhere, every private module-level definition is
-read in its own module, every package name the benchmark imports or
-reads from a package module exists, HiGHS is reached only through
-``highs.py``, and only ``ilp.py`` reads the private buffers an
-``IlpModel`` stores its program in.
+that module, every public name the package exports exists, every public
+function, class or method is read by the package or the benchmark (tests
+do not count), every private module-level definition is read in its own
+module, every package name the benchmark imports or reads from a package
+module exists, HiGHS is reached only through ``highs.py``, only
+``ilp.py`` reads the private buffers an ``IlpModel`` stores its program
+in, and each of those buffers has one writer.
 
 There is no linter in the toolchain, so these AST scans are the guard.
 ``__init__`` is exempt from the import scan, since its imports are the
@@ -27,6 +28,7 @@ REPO = Path(__file__).resolve().parents[1]
 TESTS = sorted((REPO / "tests").glob("*.py"))
 PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
 USERS = MODULES + TESTS + PERFBENCH
+READERS = MODULES + [p for p in PERFBENCH if not p.name.startswith("test_")]
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
@@ -104,10 +106,23 @@ def test_every_exported_name_resolves():
     assert [name for name in cltlsynth.__all__ if not hasattr(cltlsynth, name)] == []
 
 
-def public_definitions(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def public_definitions(path: Path) -> list[str]:
+    """The module's public functions and classes, and the public methods of
+    its classes as ``Class.method``, but for a method that overrides one
+    of a base class from outside the package (such as
+    ``argparse.ArgumentParser.error``)."""
+    module = importlib.import_module(f"cltlsynth.{path.stem}")
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            outside = [base for base in getattr(module, node.name).__mro__[1:]
+                       if base.__module__.split(".")[0] != "cltlsynth"]
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                      and not any(hasattr(base, item.name) for base in outside)]
+    return found
 
 
 def names_used(source: str) -> set[str]:
@@ -122,12 +137,20 @@ def names_used(source: str) -> set[str]:
     return used
 
 
+def test_scan_lists_public_methods_but_outside_overrides():
+    found = public_definitions(SRC / "cli.py")
+    assert "main" in found and "_Parser.error" not in found
+    assert {"IlpModel", "IlpModel.bool_gadgets", "LinExpr.sum_of"} <= set(
+        public_definitions(SRC / "ilp.py"))
+
+
 def test_every_public_definition_is_used():
     # a use is any reference outside the definition itself, in the package
-    # (its own module included), its tests or the benchmark
-    used = set().union(*(names_used(path.read_text()) for path in USERS))
-    unused = [f"{path.name}: {name}" for path in MODULES
-              for name in public_definitions(path.read_text()) if name not in used]
+    # (its own module included) or the benchmark, not in a test; the names
+    # the package exports are its interface, used or not
+    used = set().union(*(names_used(path.read_text()) for path in READERS))
+    unused = [f"{path.name}: {name}" for path in MODULES for name in public_definitions(path)
+              if name not in cltlsynth.__all__ and name.split(".")[-1] not in used]
     assert unused == []
 
 
@@ -251,3 +274,68 @@ def test_scan_finds_a_read_of_the_model_format():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_only_ilp_reads_the_model_format(path):
     assert private_reads(path.read_text(), private_model_attributes()) == []
+
+
+ROW_BUFFERS = {"_indptr", "_indices", "_values", "_row_lo", "_row_hi", "_row_tag"}
+COLUMN_BUFFERS = {"names", "_lb", "_ub", "_kind", "_col_tag"}
+MUTATORS = {"append", "extend", "fromlist", "frombytes", "fromfile", "insert", "pop",
+            "remove", "reverse", "byteswap", "clear", "sort"}
+
+
+def buffer_writers(source: str, buffers: set[str]) -> dict[str, set[str]]:
+    """For each ``IlpModel`` method but ``__init__``, the buffers it writes:
+    assigns, assigns into, deletes or calls a mutating method of, directly
+    or through a local name bound to an expression that holds the buffer
+    (``for buffer, data in ((self._indices, indices), ...)``)."""
+    model = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.ClassDef) and node.name == "IlpModel")
+    writers = {}
+    for method in model.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+            continue
+        aliases: dict[str, set[str]] = {}
+        for node in ast.walk(method):
+            if isinstance(node, (ast.For, ast.Assign)):
+                held = {a.attr for a in ast.walk(node.iter if isinstance(node, ast.For)
+                                                 else node.value)
+                        if isinstance(a, ast.Attribute) and a.attr in buffers}
+                targets = [node.target] if isinstance(node, ast.For) else node.targets
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(name, ast.Name):
+                        aliases.setdefault(name.id, set()).update(held)
+        written = set()
+        for node in ast.walk(method):
+            store = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+            if isinstance(node, ast.Attribute) and node.attr in buffers and store:
+                written.add(node.attr)
+            elif isinstance(node, ast.Subscript) and store \
+                    and isinstance(node.value, ast.Attribute) and node.value.attr in buffers:
+                written.add(node.value.attr)
+            elif isinstance(node, ast.Attribute) and node.attr in MUTATORS:
+                if isinstance(node.value, ast.Attribute) and node.value.attr in buffers:
+                    written.add(node.value.attr)
+                elif isinstance(node.value, ast.Name):
+                    written |= aliases.get(node.value.id, set())
+        if written:
+            writers[method.name] = written
+    return writers
+
+
+def test_scan_finds_a_buffer_writer():
+    source = ("class IlpModel:\n"
+              "    def __init__(self): self._a = []\n"
+              "    def one(self): self._a.append(1)\n"
+              "    def two(self): self._a[0] = 2; self._b += [1]\n"
+              "    def three(self):\n"
+              "        for buf, x in ((self._a, 1), (self._c, 2)): buf.extend([x])\n"
+              "    def reads(self): n = len(self._a); v = self._b[0]; return self._c.index(n)\n")
+    assert buffer_writers(source, {"_a", "_b", "_c"}) == {
+        "one": {"_a"}, "two": {"_a", "_b"}, "three": {"_a", "_c"}}
+
+
+@pytest.mark.parametrize("buffers, writer", [(ROW_BUFFERS, "_append_rows"),
+                                             (COLUMN_BUFFERS, "_append_columns")],
+                         ids=["rows", "columns"])
+def test_each_model_buffer_has_one_writer(buffers, writer):
+    assert private_model_attributes() >= buffers - {"names"}
+    assert buffer_writers((SRC / "ilp.py").read_text(), buffers) == {writer: buffers}

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_gadgets_match_truth_tables(op, arity):
     for bits in itertools.product((0, 1), repeat=arity):
         m = IlpModel()
         inputs = [m.add_binary(f"x{i}") for i in range(arity)]
-        z = m.bool_gadget(op, inputs)
+        z, = m.bool_gadgets(op, [inputs])
         for v, bit in zip(inputs, bits):
             fix(m, v, bit)
         expected = all(bits) if op == "AND" else any(bits)
@@ -199,7 +200,7 @@ def test_not_gadget():
     for bit in (0, 1):
         m = IlpModel()
         x = m.add_binary("x")
-        z = m.bool_not(x)
+        z, = m.bool_gadgets("NOT", [[x]])
         fix(m, x, bit)
         sol = solve_bnb(m)
         assert sol.feasible and sol[z] == 1 - bit
@@ -208,7 +209,7 @@ def test_not_gadget():
 def test_gadget_rejects_empty_inputs():
     m = IlpModel()
     with pytest.raises(ValueError, match="at least one"):
-        m.bool_gadget("AND", [])
+        m.bool_gadgets("AND", [[]])
 
 
 def test_indicator_threshold_exhaustive():
@@ -216,7 +217,7 @@ def test_indicator_threshold_exhaustive():
     for bits in itertools.product((0, 1), repeat=3):
         m = IlpModel()
         xs = [m.add_binary(f"x{i}") for i in range(3)]
-        y = m.indicator_geq(LinExpr.sum_of(xs), 2, 4)
+        y, = m.indicators_geq([LinExpr.sum_of(xs)], 2, 4)
         for v, bit in zip(xs, bits):
             fix(m, v, bit)
         sol = solve_bnb(m)
@@ -227,7 +228,7 @@ def test_indicator_threshold_exhaustive():
 def test_indicator_zero_threshold_always_true():
     m = IlpModel()
     xs = [m.add_binary(f"x{i}") for i in range(2)]
-    y = m.indicator_geq(LinExpr.sum_of(xs), 0, 3)
+    y, = m.indicators_geq([LinExpr.sum_of(xs)], 0, 3)
     m.add_constraint(LinExpr({y: 1}), "=", 0, tag="force")
     assert solve_bnb(m).status == "infeasible"
 
@@ -235,7 +236,7 @@ def test_indicator_zero_threshold_always_true():
 def test_indicator_unreachable_threshold_always_false():
     m = IlpModel()
     xs = [m.add_binary(f"x{i}") for i in range(2)]
-    y = m.indicator_geq(LinExpr.sum_of(xs), 3, 3)
+    y, = m.indicators_geq([LinExpr.sum_of(xs)], 3, 3)
     m.add_constraint(LinExpr({y: 1}), "=", 1, tag="force")
     assert solve_bnb(m).status == "infeasible"
 
@@ -244,7 +245,20 @@ def test_indicator_rejects_small_big_m():
     m = IlpModel()
     xs = [m.add_binary(f"x{i}") for i in range(5)]
     with pytest.raises(ValueError, match="big-M"):
-        m.indicator_geq(LinExpr.sum_of(xs), 1, 2)
+        m.indicators_geq([LinExpr.sum_of(xs)], 1, 2)
+
+
+def test_check_point_flags_an_infinite_value_without_a_warning():
+    m = IlpModel()
+    x = m.add_binary("x")
+    m.add_row((x,), (1,), "<=", 1)
+    for point in ({x: float("inf")}, np.array([np.inf])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problems = m.check_point(point)
+        assert problems == ["variable x = inf is not integral",
+                            "variable x = inf outside [0.0, 1.0]",
+                            "constraint 0 [untagged] violated: inf <= 1.0"]
 
 
 def test_metadata_counts_are_exact():
@@ -387,10 +401,10 @@ def test_to_arrays_is_rebuilt_after_every_addition():
     steps = [lambda: m.add_binary("y"),
              lambda: m.add_constraint(LinExpr({x: 1}), ">=", 1),
              lambda: m.add_integer("n", 0, 3),
-             lambda: m.bool_and([x, 1]),
-             lambda: m.bool_not(x),
+             lambda: m.bool_gadgets("AND", [[x, 1]]),
+             lambda: m.bool_gadgets("NOT", [[x]]),
              lambda: m.constant(1),
-             lambda: m.indicator_geq(LinExpr({x: 1}), 1, 2),
+             lambda: m.indicators_geq([LinExpr({x: 1})], 1, 2),
              lambda: m.add_binaries(["p", "q"], tag="block"),
              lambda: m.add_rows([0, 2, 3], [x, 1, x], [1.0, -1.0, 2.0], -np.inf, [1.0, 4.0]),
              lambda: m.add_rows([0], [], [], 0.0, 0.0),
@@ -455,7 +469,7 @@ def test_iterating_the_rows_gives_the_rows_indexing_gives():
 def test_gadget_merges_a_repeated_input():
     m = IlpModel()
     x = m.add_binary("x")
-    z = m.bool_and([x, x])
+    z, = m.bool_gadgets("AND", [[x, x]])
     assert [(dict(r.expr.coeffs.items()), r.sense, r.rhs) for r in m.constraints] == [
         ({z: 1, x: -1}, "<=", 0), ({z: 1, x: -1}, "<=", 0), ({z: 1, x: -2}, ">=", -1)]
 
@@ -600,7 +614,7 @@ def test_add_rows_checks_the_block():
 
 def gadget_row_by_row(m, op, inputs, name, tag):
     """One gadget as ``add_binary`` and ``add_row`` calls: the rows
-    ``bool_gadget`` documents, a repeated input one term of the sum row."""
+    ``bool_gadgets`` documents, a repeated input one term of the sum row."""
     if op == "NOT":
         z = m.add_binary(name or f"not_{inputs[0]}", tag=tag)
         m.add_row((z, inputs[0]), (1, 1), "=", 1, tag)
@@ -652,10 +666,7 @@ def test_gadget_blocks_are_the_gadgets_added_one_at_a_time():
         names = [rng.choice([None, f"g{g}"]) for g in range(n_gates)]
         tag = rng.choice(["gadget", "outer"])
         want = [gadget_row_by_row(one, o, xs, nm, tag) for o, xs, nm in zip(ops, inputs, names)]
-        if n_gates == 1 and trial % 2:
-            assert [block.bool_gadget(ops[0], inputs[0], names[0], tag)] == want
-        else:
-            assert block.bool_gadgets(ops if op == "mixed" else op, inputs, names, tag) == want
+        assert block.bool_gadgets(ops if op == "mixed" else op, inputs, names, tag) == want
         assert model_snapshot(block) == model_snapshot(one)
     assert repeats > 30 and chains > 50
     for trial in range(100):
@@ -670,10 +681,7 @@ def test_gadget_blocks_are_the_gadgets_added_one_at_a_time():
         names = [rng.choice([None, f"y{g}"]) for g in range(len(exprs))]
         want = [indicator_row_by_row(one, e, threshold, 9, nm, "outer")
                 for e, nm in zip(exprs, names)]
-        if len(exprs) == 1 and trial % 2:
-            assert [block.indicator_geq(exprs[0], threshold, 9, names[0], "outer", bounds)] == want
-        else:
-            assert block.indicators_geq(exprs, threshold, 9, names, "outer", bounds) == want
+        assert block.indicators_geq(exprs, threshold, 9, names, "outer", bounds) == want
         assert model_snapshot(block) == model_snapshot(one)
 
 
@@ -695,6 +703,7 @@ def test_gadget_blocks_check_every_gadget_first():
             m.bool_gadgets(*args)
     with pytest.raises(ValueError, match="big-M 2 too small"):
         m.indicators_geq([LinExpr({x: 1}), LinExpr({x: 1, y: 1, n: 1})], 1, 2)
+    assert m.bool_gadgets("NOT", []) == [] and m.indicators_geq([], 1, 2) == []
     assert (m.n_vars, m.n_constraints) == (3, 0)  # nothing was stored
 
 

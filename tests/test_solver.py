@@ -489,6 +489,28 @@ def test_external_rejects_corrupt_solution():
         solve_external(m, junk)
 
 
+def test_external_solver_output_that_is_not_utf8():
+    m = IlpModel()
+    x = m.add_binary("x")
+    m.add_constraint(LinExpr({x: 1}), "=", 1)
+
+    def fake(script, sol=" {sol}"):
+        return f"{sys.executable} -c \"import sys; {script}\" {{lp}}{sol}"
+
+    binary = fake("open(sys.argv[2], 'wb').write(b'status feasible\\n\\xff 1\\n')")
+    with pytest.raises(SolverError, match=r"solution file \S*model\.sol is not UTF-8"):
+        solve_external(m, binary)
+    on_stdout = fake("sys.stdout.buffer.write(b'\\xff 1\\n')", sol="")  # stdout is the solution
+    with pytest.raises(SolverError, match="is not UTF-8"):
+        solve_external(m, on_stdout)
+    with pytest.raises(SolverError, match="exited with 3: bad \ufffd byte"):
+        solve_external(m, fake("sys.stderr.buffer.write(b'bad \\xff byte'); sys.exit(3)"))
+    # a solver that ran and answered is heard, whatever its stderr holds
+    noisy = fake("sys.stderr.buffer.write(b'\\xff'); open(sys.argv[2], 'w').write('x 1\\n')")
+    sol = solve_external(m, noisy)
+    assert sol.feasible and sol[x] == 1
+
+
 def test_external_point_is_rounded_and_lists_its_nonzero_columns():
     m = IlpModel()
     x, y, z = m.add_binary("x"), m.add_continuous("y", 0, 1), m.add_integer("z", 0, 3)

@@ -202,13 +202,6 @@ def test_validate_clean_grid():
     assert inst.n_robots == 2 and inst.ap == ("A",)
 
 
-def test_adjacency_orientation():
-    ts = chain_ts()
-    a = ts.adjacency()
-    # entry [j][i] says i can move to j
-    assert a[1][0] == 1 and a[0][1] == 0
-
-
 def test_label_vector_examples():
     ts = chain_ts(labels_on=("s1",))
     assert list(ts.label_vector("a")) == [0, 1, 0]
