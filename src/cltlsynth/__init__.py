@@ -33,7 +33,7 @@ _EXPORTS = {
     "encoder_sync": ("EncodedProblem", "Layout", "build_sync_problem", "encode_collision",
                      "encode_dynamics", "encode_loop", "extract_trajectories"),
     "encoder_cltl": ("build_cltl_problem", "decompose_flows", "encode_aggregate"),
-    "encoder_robust": ("build_robust_problem", "extend_states"),
+    "encoder_robust": ("build_robust_problem",),
     "encoder_continuous": ("build_cont_problem", "extract_continuous", "membership_trace"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

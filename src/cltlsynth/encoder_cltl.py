@@ -5,14 +5,21 @@ every robot runs on one shared transition system, robot identities are
 irrelevant: the encoding keeps one integer per state (how many robots are
 there) and one integer per transition (how many robots take it), read off
 the ``MultiRobotInstance`` itself.  Model size is then independent of the
-number of robots; ``cltl_obstacle`` holds every precondition.  Solutions
-are turned back into per-robot lassos by decomposing the flow.
+number of robots: the start counts decide the same entries for fleets
+spread alike over the same start states, and only the constants that
+hold the counts differ (``AggregateCounts``).  ``cltl_obstacle`` holds
+every precondition.  Solutions are turned back into per-robot lassos by
+decomposing the flow.
 """
 
 from __future__ import annotations
 
+from math import inf
+from typing import Callable, Optional
+
 import numpy as np
 
+from .circuit import ONE, ZERO, Intervals, Signal
 from .formula import INot, ITrue, InnerFormula, OuterFormula, Tcp, is_cltl, iter_tcps
 from .ilp import IlpModel, LinExpr, Solution, VarId
 from .system import ModelError, MultiRobotInstance, shared_system
@@ -22,73 +29,185 @@ from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
 from .trajectory import LassoTrajectory
 
 
-def encode_aggregate(model: IlpModel, inst: MultiRobotInstance, h: int) -> Layout:
-    """Robot-count dynamics on the fleet's ``shared_system``: per-state
-    occupancies w, pinned at t = 0 to the fleet's start counts, and
-    per-transition flows u with outflow sum equal to occupancy and next
-    occupancy equal to inflow sum; the loop constraint radius scales with
-    the fleet size since occupancies range over [0, N].
+class AggregateCounts:
+    """The aggregate engine's occupancies and flows before they are
+    columns, as ``Intervals`` variables: per-state occupancies w, fixed at
+    t = 0 to the fleet's start counts, and per-transition flows u, both in
+    [0, N] (occupancies in [0, 1] under a collision mode), with outflow
+    sum equal to occupancy and next occupancy equal to inflow sum, the
+    swap rows, and the loop rows of every start l (``add_aggregate_loop``)
+    over binaries for the loop selectors.
 
-    The loop is closed from one side, ``cur - final + N z_t <= N``: with
-    z_l = 1 it gives w[h] >= w[l] componentwise, and flow conservation
-    makes both count vectors sum to N, so they are equal."""
-    ts = shared_system(inst)
-    n = inst.n_robots
+    They are the leaves of the outer logic's circuit: ``refine`` adds the
+    row a decided counting threshold forces, narrows the bounds to the
+    fixpoint of all rows, and decides the thresholds and loop selectors
+    the bounds settle.  ``emit`` then makes each occupancy and flow a
+    column with its narrowed bounds, or the shared constant of its value,
+    and stores the conservation rows that still constrain anything."""
+
+    def __init__(self, layout: Layout):
+        inst, h = layout.instance, layout.h
+        ts, n = shared_system(inst), inst.n_robots
+        self.layout, self.ts = layout, ts
+        self.edges = sorted(ts.transitions)
+        iv = self.intervals = Intervals()
+        cap = 1 if inst.collision_mode != "off" else n
+        self.occupancy = [[iv.var(0, cap, True) for _ in range(ts.n_states)]
+                          for _ in range(h + 1)]
+        self.flow = {(i, j, t): iv.var(0, n, True) for t in range(h) for (i, j) in self.edges}
+        for v, count in zip(self.occupancy[0], np.bincount(inst.initial_states,
+                                                           minlength=ts.n_states).tolist()):
+            iv.bound(v, count, count)
+        for out, into in self._conservation():
+            for cols, coefs in (*out, *into):
+                iv.add(cols, coefs, 0, 0)
+        if inst.collision_mode == "mutual_exclusion_plus_swap":
+            for t in range(h):
+                for (i, j) in self.edges:
+                    if i < j and (j, i) in ts.transitions:
+                        iv.add([self.flow[(i, j, t)], self.flow[(j, i, t)]], [1, 1], -inf, 1)
+        self.loop = [iv.var(0, 1, True) for _ in range(h)]
+        iv.add(self.loop, [1] * h, 1, 1)
+        for l, z in enumerate(self.loop):
+            for cur, final in zip(self.occupancy[l], self.occupancy[h]):
+                iv.add([final, cur, z], [-1, 1, n], -inf, n)
+        self.thresholds: list[tuple[Signal, list[int], int]] = []
+        self._sent: set[Signal] = set()
+
+    def _conservation(self):
+        """Per step t, the outflow rows of w[t] and the inflow rows of
+        w[t+1], as (variables, coefficients)."""
+        ts, occ, flow = self.ts, self.occupancy, self.flow
+        for t in range(self.layout.h):
+            out = [([occ[t][i]] + [flow[(i, j, t)] for j in ts.successors(i)],
+                    [-1] + [1] * len(ts.successors(i))) for i in range(ts.n_states)]
+            into = [([occ[t + 1][j]] + [flow[(i, j, t)] for i in ts.predecessors(j)],
+                     [-1] + [1] * len(ts.predecessors(j))) for j in range(ts.n_states)]
+            yield out, into
+
+    def at_least(self, signal: Signal, cols: list[int], m: int) -> None:
+        """Tie circuit leaf ``signal`` to [sum of the occupancies cols >= m]."""
+        self.thresholds.append((signal, cols, m))
+        self._decide(signal, cols, m)
+
+    def _decide(self, signal: Signal, cols: list[int], m: int) -> bool:
+        circuit = self.layout.circuit
+        if circuit.val[signal] is not None:
+            return False
+        low, high = self.intervals.range(cols, [1] * len(cols))
+        if low >= m or high < m:
+            circuit.assign(signal, int(low >= m))
+            return True
+        return False
+
+    def refine(self) -> bool:
+        """Add the rows of the decided thresholds and loop selectors,
+        narrow the bounds, and decide what they settle; True if that
+        assigned a signal (False also when no point is left, which marks
+        the circuit in conflict)."""
+        lay, iv = self.layout, self.intervals
+        circuit = lay.circuit
+        val = circuit.val
+        for signal, cols, m in self.thresholds:
+            if val[signal] is not None and signal not in self._sent:
+                self._sent.add(signal)
+                iv.add(cols, [1] * len(cols), m if val[signal] else -inf,
+                       inf if val[signal] else m - 1)
+        for z, v in zip(self.loop, (val[s] for s in lay.loop_signals)):
+            if v is not None:
+                iv.bound(z, v, v)
+        if not iv.propagate():
+            circuit.conflict = True
+            return False
+        assigned = False
+        for signal, cols, m in self.thresholds:
+            assigned |= self._decide(signal, cols, m)
+        for z, s in zip(self.loop, lay.loop_signals):
+            if val[s] is None and iv.fixed(z):
+                circuit.assign(s, int(iv.lo[z]))
+                assigned = True
+        return assigned
+
+    def emit(self) -> None:
+        """The occupancy and flow columns, then the conservation rows."""
+        lay, iv = self.layout, self.intervals
+        model = lay.model
+
+        def column(v: int, name: str) -> VarId:
+            if iv.fixed(v):
+                return model.constant(int(round(iv.lo[v])))
+            return model.add_integer(name, int(iv.lo[v]), int(iv.hi[v]), tag="aggregate")
+
+        column_of = {}
+        for t, row in enumerate(self.occupancy):
+            lay.agg_state[t] = [column(v, f"wagg_{i}_t{t}") for i, v in enumerate(row)]
+            column_of.update(zip(row, lay.agg_state[t]))
+        for (i, j, t), v in self.flow.items():
+            lay.agg_flow[(i, j, t)] = column_of[v] = column(v, f"u_{i}_{j}_t{t}")
+        for out, into in self._conservation():
+            for cols, coefs in (*out, *into):
+                model.add_folded(_terms([column_of[v] for v in cols], coefs), 0, 0,
+                                 "aggregate")
+
+
+def encode_aggregate(model: IlpModel, inst: MultiRobotInstance, h: int,
+                     settle: Optional[Callable[[Layout, AggregateCounts], None]] = None
+                     ) -> Layout:
+    """Robot-count dynamics on the fleet's ``shared_system``
+    (``AggregateCounts``), with the loop closed from one side.  Before any
+    column exists, ``settle(layout, counts)`` may pin a formula over the
+    counts (``build_cltl_problem`` does); the counts settle either way."""
     layout = Layout(model, inst, h)
-    edges = sorted(ts.transitions)
-    for t in range(h + 1):
-        layout.agg_state[t] = [
-            model.add_integer(f"wagg_{i}_t{t}", 0, n, tag="aggregate")
-            for i in range(ts.n_states)]
-    for t in range(h):
-        for (i, j) in edges:
-            layout.agg_flow[(i, j, t)] = model.add_integer(
-                f"u_{i}_{j}_t{t}", 0, n, tag="aggregate")
-    for i, count in enumerate(np.bincount(inst.initial_states, minlength=ts.n_states)):
-        model.add_constraint(LinExpr({layout.agg_state[0][i]: 1}), "=", int(count),
-                             tag="aggregate")
-    for t in range(h):
-        for i in range(ts.n_states):
-            expr = LinExpr({layout.agg_state[t][i]: -1})
-            for j in ts.successors(i):
-                expr.add_term(layout.agg_flow[(i, j, t)], 1)
-            model.add_constraint(expr, "=", 0, tag="aggregate")
-        for j in range(ts.n_states):
-            expr = LinExpr({layout.agg_state[t + 1][j]: -1})
-            for i in ts.predecessors(j):
-                expr.add_term(layout.agg_flow[(i, j, t)], 1)
-            model.add_constraint(expr, "=", 0, tag="aggregate")
+    counts = AggregateCounts(layout)
+    if settle is None:
+        layout.circuit.propagate()
+        counts.refine()
+    else:
+        settle(layout, counts)
+    counts.emit()
+    add_aggregate_loop(layout)
+    return layout
+
+
+def _terms(cols: list[VarId], coefs: list[int]) -> LinExpr:
+    """``sum coefs[k] * x[cols[k]]``, a repeated column (a shared constant
+    can be) summed."""
+    expr = LinExpr()
+    for v, c in zip(cols, coefs):
+        expr.add_term(v, c)
+    return expr
+
+
+def add_aggregate_loop(layout: Layout) -> None:
+    """Close the loop from one side, ``cur - final + N z_t <= N``: with
+    z_l = 1 it gives w[h] >= w[l] componentwise, and flow conservation
+    makes both count vectors sum to N, so they are equal.  A loop start
+    decided 0 has no rows, and a row the bounds already meet is not
+    stored."""
+    model, n, h = layout.model, layout.n_robots, layout.h
     add_loop_selectors(layout)
     for t in range(h):
         z = layout.loop_vars[t]
-        for i in range(ts.n_states):
-            final = layout.agg_state[h][i]
-            cur = layout.agg_state[t][i]
-            model.add_constraint(
-                LinExpr({final: -1, cur: 1, z: n}), "<=", n, tag="loop")
-    return layout
+        if model.constant_value(z) == 0:
+            continue
+        for cur, final in zip(layout.agg_state[t], layout.agg_state[h]):
+            model.add_folded(_terms([final, cur, z], [-1, 1, n]), -inf, n, "loop")
 
 
 def encode_aggregate_collision(layout: Layout) -> None:
     """Occupancy-capacity form of the fleet's collision rules: at most one
-    robot per state, and (for the swap variant) never one robot each way
-    across the same edge in one step."""
+    robot per state (the occupancy columns' bounds), and for the swap
+    variant never one robot each way across the same edge in one step."""
     model, mode = layout.model, layout.instance.collision_mode
-    if mode == "off":
+    if mode != "mutual_exclusion_plus_swap":
         return
     ts = layout.instance.systems[0]
-    for t in sorted(layout.agg_state):
-        for i in range(ts.n_states):
-            model.add_constraint(LinExpr({layout.agg_state[t][i]: 1}), "<=", 1,
-                                 tag="collision")
-    if mode == "mutual_exclusion_plus_swap":
-        for (i, j) in sorted(ts.transitions):
-            if i < j and (j, i) in ts.transitions:
-                for t in range(layout.h):
-                    model.add_constraint(
-                        LinExpr({layout.agg_flow[(i, j, t)]: 1,
-                                 layout.agg_flow[(j, i, t)]: 1}),
-                        "<=", 1, tag="collision")
+    for (i, j) in sorted(ts.transitions):
+        if i < j and (j, i) in ts.transitions:
+            for t in range(layout.h):
+                model.add_folded(_terms([layout.agg_flow[(i, j, t)],
+                                         layout.agg_flow[(j, i, t)]], [1, 1]),
+                                 -inf, 1, "collision")
 
 
 def _literal_vector(ts, inner: InnerFormula) -> np.ndarray:
@@ -103,15 +222,32 @@ def _literal_vector(ts, inner: InnerFormula) -> np.ndarray:
 
 class CltlOuterEncoder(LogicEncoder):
     """Outer logic over aggregate occupancies; counting propositions
-    become threshold tests on a labeled occupancy sum."""
+    become threshold tests on a labeled occupancy sum, decided where the
+    occupancies' bounds settle it (``AggregateCounts``)."""
 
-    def _tcp_row(self, tcp: Tcp) -> list[VarId]:
-        lay = self.layout
+    def _tcp_row(self, tcp: Tcp) -> list[Signal]:
+        lay, model, circuit = self.layout, self.model, self.circuit
+        size, steps = lay.n_robots, range(lay.h)
+        if tcp.m <= 0:
+            return [ONE for _ in steps]
+        if tcp.m > size:
+            return [ZERO for _ in steps]
         vec = _literal_vector(lay.instance.systems[0], tcp.inner)
-        # occupancies are conserved, so the labeled sum never exceeds N
-        steps = range(lay.h)
-        return self._at_least(((lay.agg_state[t][i] for i, bit in enumerate(vec) if bit)
-                               for t in steps), tcp.m, lay.n_robots, tcp, steps)
+        counts = self.leaves
+        fid = lay.fid(tcp)
+
+        def lower(ids: range) -> None:
+            # occupancies are conserved, so the labeled sum never exceeds N
+            exprs = [LinExpr.sum_of(lay.agg_state[t][i] for i, bit in enumerate(vec) if bit)
+                     for t in steps]
+            circuit.col[ids.start:ids.stop] = model.indicators_geq(
+                exprs, tcp.m, size + 1, [f"y{fid}_t{t}" for t in steps], tag=self.TAG,
+                known_bounds=(0, size), pins=circuit.val[ids.start:ids.stop])
+
+        row = circuit.leaves(lay.h, lower)
+        for s, t in zip(row, steps):
+            counts.at_least(s, [v for v, bit in zip(counts.occupancy[t], vec) if bit], tcp.m)
+        return row
 
 
 def cltl_obstacle(inst: MultiRobotInstance, mu: OuterFormula, tau: int = 0) -> str:
@@ -143,9 +279,15 @@ def build_cltl_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
         raise EncodingError(reason)
     norm = prepare_formula(mu, inst)
     model = IlpModel("cltl")
-    layout = encode_aggregate(model, inst, h)
+    encoders = []
+
+    def settle(layout: Layout, counts: AggregateCounts) -> None:
+        encoders.append(CltlOuterEncoder(layout, counts))
+        encoders[0].pin_root(norm)
+
+    layout = encode_aggregate(model, inst, h, settle)
     encode_aggregate_collision(layout)
-    CltlOuterEncoder(layout).pin_root(norm)
+    encoders[0].lower()
     return EncodedProblem(model, layout, inst, h, 0, "cltl")
 
 

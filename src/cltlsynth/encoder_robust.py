@@ -17,28 +17,13 @@ encoder and produces the identical constraint set.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
+from .circuit import Signal
 from .formula import IOr, IUntil, InnerFormula, OOr, OUntil, OuterFormula, Tcp
-from .ilp import IlpModel, VarId
 from .system import MultiRobotInstance
-from .encoder_sync import (EncodedProblem, Formula, Layout, LogicEncoder,
-                           add_state_vectors, build_sync_problem,
-                           discrete_atom_backend, encode_collision,
-                           encode_dynamics, encode_loop, prepare_formula)
-
-
-def extend_states(layout: Layout) -> None:
-    """One-hot state vectors for steps h+1 .. h+tau, tied by
-    ``add_state_vectors`` to their wrapped loop positions once the loop
-    start is chosen.
-
-    The lasso's state at h+k is k steps past w[h] = w[l], so it lies in
-    R_{h+k} = succ(R_{h+k-1}), continuing the reachable sets of
-    ``encode_dynamics``; the other entries are the constant 0.  Each
-    robot's vectors come step by step, each step's one-hot row followed by
-    its ties."""
-    add_state_vectors(layout, range(layout.h + 1, layout.h + layout.tau + 1), "robust")
+from .encoder_sync import (EncodedProblem, Formula, LogicEncoder, build_discrete_problem,
+                           build_sync_problem, prepare_formula)
 
 
 class RobustLogicEncoder(LogicEncoder):
@@ -51,44 +36,49 @@ class RobustLogicEncoder(LogicEncoder):
 
     # -- windowed per-robot satisfaction -----------------------------------
 
-    def robust_var(self, phi: InnerFormula, n: int, t: int) -> VarId:
-        """Conjunction of z[phi][n][t..t+tau]: robot n satisfies phi at
-        every local time an anchored adversary could pick."""
+    def robust_vars(self, phi: InnerFormula, robots: Sequence[int],
+                    steps: range) -> list[list[Signal]]:
+        """Per step t of ``steps``, the conjunction of z[phi][n][t..t+tau]
+        for each robot n of ``robots``: robot n satisfies phi at every
+        local time an anchored adversary could pick.  The ones not built
+        yet are one block."""
         lay = self.layout
-        key = (phi, n, t)
-        if key not in lay.robust:
-            window = self.row(phi, n)[t:t + lay.tau + 1]
-            lay.robust[key], = self.model.bool_gadgets(
-                "AND", [window], [f"r{lay.fid(phi)}_n{n}_t{t}"], "robust")
-        return lay.robust[key]
+        missing = [(n, t) for t in steps for n in robots if (phi, n, t) not in self.robust]
+        if missing:
+            windows = [self.row(phi, n)[t:t + lay.tau + 1] for n, t in missing]
+            fid = lay.fid(phi)
+            made = self.circuit.gates("AND", windows,
+                                      [f"r{fid}_n{n}_t{t}" for n, t in missing], "robust")
+            for (n, t), s in zip(missing, made):
+                self.robust[(phi, n, t)] = s
+        return [[self.robust[(phi, n, t)] for n in robots] for t in steps]
 
     # -- counting propositions ------------------------------------------------
 
-    def _tcp_row(self, tcp: Tcp) -> list[VarId]:
+    def _tcp_row(self, tcp: Tcp) -> list[Signal]:
         lay = self.layout
         scope = self._tcp_scope(tcp)
-        size = len(scope)
-        row = []
-        for t in range(lay.h):
-            robust = (self.robust_var(tcp.inner, n, t) for n in scope)
-            if tcp.m == 1 and size == lay.n_robots:
-                # Either some robot holds phi through the whole window, or
-                # every robot holds phi at exactly t: the anchoring robot's
-                # local time is t, so one of them is caught satisfying phi.
-                y_tilde, = self._at_least([robust], 1, size, tcp, [t], "yt")
-                plain = (self.row(tcp.inner, n)[t] for n in scope)
-                y_bar, = self._at_least([plain], size, size, tcp, [t], "yb")
-                lay.outer_extra[(tcp, t, "tilde")] = y_tilde
-                lay.outer_extra[(tcp, t, "bar")] = y_bar
-                row += self.model.bool_gadgets("OR", [[y_tilde, y_bar]],
-                                               [self._name(tcp, None, t)], "robust")
-            else:
-                row += self._at_least([robust], tcp.m, size, tcp, [t])
-        return row
+        size, steps = len(scope), range(lay.h)
+        if not 1 <= tcp.m <= size:
+            return self._at_least((), tcp.m, size, tcp, steps)
+        robust = self.robust_vars(tcp.inner, scope, steps)
+        if tcp.m > 1 or size < lay.n_robots:
+            return self._at_least(robust, tcp.m, size, tcp, steps)
+        # Either some robot holds phi through the whole window, or every
+        # robot holds phi at exactly t: the anchoring robot's local time is
+        # t, so one of them is caught satisfying phi.
+        y_tilde = self._at_least(robust, 1, size, tcp, steps, "yt")
+        plain = [[self.row(tcp.inner, n)[t] for n in scope] for t in steps]
+        y_bar = self._at_least(plain, size, size, tcp, steps, "yb")
+        for t in steps:
+            self.outer_extra[(tcp, t, "tilde")] = y_tilde[t]
+            self.outer_extra[(tcp, t, "bar")] = y_bar[t]
+        return self.circuit.gates("OR", [list(pair) for pair in zip(y_tilde, y_bar)],
+                                  [self._name(tcp, None, t) for t in steps], "robust")
 
     # -- disjunction -----------------------------------------------------------
 
-    def _or_row(self, node: Union[IOr, OOr], n: Optional[int]) -> list[VarId]:
+    def _or_row(self, node: Union[IOr, OOr], n: Optional[int]) -> list[Signal]:
         lay = self.layout
         kids = [self.row(c, n) for c in node.children]
         pooled = [c for c in node.children
@@ -102,14 +92,14 @@ class RobustLogicEncoder(LogicEncoder):
         # anchored interleaving.
         phi_or = IOr(tuple(c.inner for c in pooled))
         threshold = 1 + sum(c.m - 1 for c in pooled)
-        row = []
-        for t in range(lay.h):
-            pool = (self.robust_var(phi_or, r, t) for r in range(lay.n_robots))
-            pool_y, = self._at_least([pool], threshold, lay.n_robots, node, [t], "yp")
-            lay.outer_extra[(node, t, "pool")] = pool_y
-            row += self.model.bool_gadgets("OR", [[k[t] for k in kids] + [pool_y]],
-                                           [self._name(node, None, t)], "robust")
-        return row
+        steps = range(lay.h)
+        pool = self.robust_vars(phi_or, range(lay.n_robots), steps) \
+            if threshold <= lay.n_robots else ()
+        pool_y = self._at_least(pool, threshold, lay.n_robots, node, steps, "yp")
+        for t in steps:
+            self.outer_extra[(node, t, "pool")] = pool_y[t]
+        return self.circuit.gates("OR", [[k[t] for k in kids] + [pool_y[t]] for t in steps],
+                                  [self._name(node, None, t) for t in steps], "robust")
 
     # -- until ----------------------------------------------------------------
 
@@ -130,11 +120,5 @@ def build_robust_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     identical constraint set."""
     if tau == 0:
         return build_sync_problem(inst, mu, h)
-    norm = prepare_formula(mu, inst, tau)
-    model = IlpModel("robust")
-    layout = encode_dynamics(model, inst, h, tau=tau)
-    encode_loop(layout)
-    extend_states(layout)
-    encode_collision(layout)
-    RobustLogicEncoder(layout, discrete_atom_backend(layout)).pin_root(norm)
-    return EncodedProblem(model, layout, inst, h, tau, "cltlplus")
+    return build_discrete_problem(inst, prepare_formula(mu, inst, tau), h, tau,
+                                  RobustLogicEncoder, "robust")

@@ -57,6 +57,31 @@ class _Formula:
     def __str__(self) -> str:
         return to_text(self)
 
+    def __getstate__(self) -> dict:
+        # the cached hash stays behind: string hashes differ between interpreters
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+def _hash_once(self) -> int:
+    """The dataclass hash of a node's fields, computed on first use and kept
+    on the node.  A subtree's hash is then read, not recomputed, when the
+    node keys a dict; equality still compares the fields."""
+    fields = self.__dict__
+    value = fields.get("_hash")
+    if value is None:
+        value = fields["_hash"] = hash((type(self), *(fields[name] for name in
+                                                       self.__dataclass_fields__)))
+    return value
+
+
+def _node(cls):
+    """``dataclass(frozen=True)`` whose hash is computed once per node."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _hash_once
+    return cls
+
 
 class InnerFormula(_Formula):
     """Base class for inner-logic (single robot) formulas."""
@@ -70,12 +95,12 @@ class OuterFormula(_Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class _Unary:
     child: _Formula
 
 
-@dataclass(frozen=True)
+@_node
 class _NAry:
     children: tuple[_Formula, ...]
 
@@ -84,18 +109,18 @@ class _NAry:
             raise ValueError(f"{_SYMBOL[type(self)]!r} needs at least two operands")
 
 
-@dataclass(frozen=True)
+@_node
 class _Binary:
     lhs: _Formula
     rhs: _Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ITrue(InnerFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class IAtom(InnerFormula):
     name: str
 
@@ -132,7 +157,7 @@ class IAlways(_Unary, InnerFormula):
     """``G phi``"""
 
 
-@dataclass(frozen=True)
+@_node
 class OTrue(OuterFormula):
     pass
 
@@ -140,7 +165,7 @@ class OTrue(OuterFormula):
 GroupSpec = Union[str, frozenset]
 
 
-@dataclass(frozen=True)
+@_node
 class Tcp(OuterFormula):
     """Temporal counting proposition: at least ``m`` robots satisfy ``inner``.
 

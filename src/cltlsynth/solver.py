@@ -70,6 +70,26 @@ they need not be repeated:
 - The LP relaxation was not integral on any of the benchmark's 147
   programs (every h_lo..h_w of both workloads), so no LP solve can stand
   in for the integer one.
+- Neither ``time_limit`` nor a user interrupt from the
+  ``kCallbackMipInterrupt`` or ``kCallbackMipImprovingSolution``
+  callbacks stops the feasibility jump once it has started: the unfolded
+  desk at h = 16 ran 82-95 ms under a 0.02 s limit, as long as without
+  one.
+- A feasible start given through ``setSolution`` is where the time
+  goes: the 140 feasible programs of the benchmark's ladder took 0.73 s
+  from scratch and 0.06 s with their own point as the start (0.93 and
+  0.13 s in a busier spell).  Only a start that is already feasible
+  helps (first probe above).
+
+The programs HiGHS gets are folded (``encoder_sync``): with presolve
+off, its setup reports 2 domain-fixed columns on the desk at h = 16, the
+kept constants, where the unfolded program had 1,432.  In process the
+folded desk programs at h = 8, 12 and 16 took 27-48, 88-148 and 143-196
+ms against 41-63, 88-144 and 132-192 ms unfolded (median of 7, three
+alternating runs on one CPU of a shared 2-vCPU machine in a noisy
+spell): no clear difference.  The LP-file route gains (about 11% of the
+benchmark's ``emergency-lp`` time, CHANGES.md), since HiGHS's reader
+pays for every nonzero and the desk has 29% fewer.
 
 ``solve_external`` shells out to any solver that accepts an LP file and
 writes ``name value`` solution lines.  Both paths round the returned point

@@ -100,6 +100,32 @@ class TransitionSystem:
             pred[j].append(i)
         return tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
+    def step_mask(self, mask: int, backward: bool = False) -> int:
+        """The states one transition from the states of the bit mask
+        ``mask`` (to them, with ``backward``), as a bit mask; each mask's
+        image is computed once per system."""
+        table, memo = self._masks[backward]
+        out = memo.get(mask)
+        if out is None:
+            out, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                out |= table[low.bit_length() - 1]
+                rest ^= low
+            memo[mask] = out
+        return out
+
+    def label_mask(self, a: str) -> int:
+        """The states ``a`` labels, as a bit mask."""
+        return sum(1 << i for i, labs in enumerate(self.labels) if a in labs)
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[tuple[int, ...], dict], tuple[tuple[int, ...], dict]]:
+        """Each state's successors and predecessors as bit masks, and the
+        images ``step_mask`` has computed, forward and backward."""
+        return tuple((tuple(sum(1 << j for j in near) for near in side), {})
+                     for side in self._neighbours)
+
     def label_vector(self, a: str) -> np.ndarray:
         """Binary indicator over states: entry i is 1 iff ``a`` labels state i."""
         if a not in self.ap:

@@ -90,8 +90,9 @@ def test_synth_writes_artifacts_and_verifies(grid_model, tmp_path):
     assert meta["solver"]["presolve"] is False
     # only reachable cells get variables: a corner robot on the 3x3 grid
     # reaches the cells within t moves, 1, 3, 6, 8, 9, 9, 9 for t = 0..6,
-    # and the two robots start in opposite corners
-    assert meta["variables"]["dynamics"] == 2 * (1 + 3 + 6 + 8 + 9 + 9 + 9)
+    # its start cell is the constant 1, and the two robots start in
+    # opposite corners
+    assert meta["variables"]["dynamics"] == 2 * (3 + 6 + 8 + 9 + 9 + 9)
     assert lp.exists()
 
 

@@ -68,12 +68,22 @@ def test_counting_threshold_on_fixed_occupancies():
     w0 = (3, 2)
     for m, expected in ((3, True), (4, False)):
         model = IlpModel()
-        layout = encode_aggregate(model, fleet(ts, w0), h=1)
+        tcp, logic = Tcp(IAtom("a"), m), []
+
+        def settle(layout, counts):
+            # the threshold's row, unpinned, settled with the counts
+            logic.append(CltlOuterEncoder(layout, counts))
+            logic[0].row(tcp)
+            layout.circuit.propagate()
+            counts.refine()
+
+        layout = encode_aggregate(model, fleet(ts, w0), h=1, settle=settle)
         # freeze occupancies at their initial values
         for i in (0, 1):
             model.add_constraint(LinExpr({layout.agg_state[1][i]: 1}), "=",
                                  w0[i], tag="fix")
-        y = CltlOuterEncoder(layout).row(Tcp(IAtom("a"), m))[0]
+        logic[0].lower()
+        y = layout.rows[(tcp, None)][0]
         sol = solve_bnb(model)
         assert sol.feasible
         assert bool(sol[y]) == expected

@@ -11,12 +11,11 @@ from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import ContinuousSystem, ModelError
-from cltlsynth.encoder_continuous import (build_cont_problem,
-                                          encode_cont_dynamics_loop,
+from cltlsynth.encoder_continuous import (ContinuousPlan, build_cont_problem,
+                                          encode_cont_dynamics, encode_cont_loop,
                                           extract_continuous,
-                                          membership_trace,
-                                          polytope_atom_backend)
-from cltlsynth.encoder_sync import EncodingError
+                                          membership_trace)
+from cltlsynth.encoder_sync import EncodingError, Layout
 
 from conftest import oracle_check_all_logic_vars, random_outer
 
@@ -43,7 +42,8 @@ def integrators(n_robots=1, init=0.0, box=10.0, u_max=1.0):
 def test_zero_input_constant_state_loops_immediately():
     sys_ = integrators()
     model = IlpModel()
-    layout = encode_cont_dynamics_loop(model, sys_, h=3)
+    layout = encode_cont_dynamics(model, sys_, h=3)
+    encode_cont_loop(layout)
     for t in range(3):
         for v in layout.input_vars[(0, t)]:
             model.add_constraint(LinExpr({v: 1}), "=", 0, tag="fix")
@@ -85,8 +85,9 @@ def test_formula_checked_against_the_atoms_and_groups():
 # Polytope membership gadget
 # ---------------------------------------------------------------------------
 
-def membership_model(point, epsilon=1e-6):
-    """Pin a 2-D state to `point` and encode membership in the unit box."""
+def membership_model(point, margin=1e-5):
+    """Pin a 2-D state to `point` and encode membership in the unit box;
+    returns the model and the column of the membership value."""
     f = np.eye(2)
     g = np.zeros((2, 1))
     c = np.zeros(2)
@@ -99,10 +100,15 @@ def membership_model(point, epsilon=1e-6):
         input_bounds=(np.zeros(1), np.zeros(1)),
     )
     model = IlpModel()
-    layout = encode_cont_dynamics_loop(model, sys_, h=1)
-    backend = polytope_atom_backend(layout, epsilon)
-    z, = backend("B", 0, 1)
-    return model, z
+    layout = Layout(model, sys_, 1)
+    plan = ContinuousPlan(layout, margin)
+    z, = plan.row("B", 0, 1)
+    layout.circuit.propagate()
+    plan.refine()
+    plan.emit()
+    encode_cont_loop(layout)
+    layout.circuit.lower()
+    return model, layout.circuit.column(z)
 
 
 def test_point_inside_forces_membership():
@@ -124,13 +130,16 @@ def test_point_outside_forces_nonmembership():
 
 
 def test_boundary_shell_is_excluded():
-    # the closed face itself still counts as inside; the open shell
-    # (face, face + epsilon) admits no face assignment at all
-    model, z = membership_model([1.0, 0.5], epsilon=1e-3)
-    sol = solve_bnb(model)
-    assert sol.feasible and sol[z] == 1
-    model, _ = membership_model([1.0 + 5e-4, 0.5], epsilon=1e-3)
-    assert solve_bnb(model).status == "infeasible"
+    # the band (face - margin, face + margin) admits no face assignment at
+    # all, the face itself included; just past it on either side the state
+    # is inside or outside
+    for x in (1.0, 1.0 - 5e-4, 1.0 + 5e-4):
+        model, _ = membership_model([x, 0.5], margin=1e-3)
+        assert solve_bnb(model).status == "infeasible"
+    for x, inside in ((1.0 - 2e-3, 1), (1.0 + 2e-3, 0)):
+        model, z = membership_model([x, 0.5], margin=1e-3)
+        sol = solve_bnb(model)
+        assert sol.feasible and sol[z] == inside
 
 
 def test_membership_gadget_matches_direct_evaluation():
@@ -230,20 +239,8 @@ def seeded_cases(count: int = 20, seed: int = 137) -> list:
     return cases
 
 
-# Case 14 asks for [F F A, 2]: HiGHS puts robot 1 at 1.100001, which the
-# face row w <= 1.1 accepts within its 1e-6 feasibility tolerance, so the
-# atom row reads 1; membership_trace's 1e-9 tolerance puts the state
-# outside A.  The encoding has no margin on the inside of a face.  Since
-# HiGHS meets integer rows at 1e-7 (``highs.OPTIONS``) it returns another
-# point and the case passes, but ``check_point`` still admits such a state.
-OUTSIDE_BY_TOLERANCE = pytest.mark.xfail(
-    reason="a state 1e-6 outside a polytope counts as inside it")
-
-
-@pytest.mark.parametrize("n, mu, h", [
-    pytest.param(*case, id=str(k),
-                 marks=OUTSIDE_BY_TOLERANCE if k == 14 else ())
-    for k, case in enumerate(seeded_cases())])
+@pytest.mark.parametrize("n, mu, h", [pytest.param(*case, id=str(k))
+                                      for k, case in enumerate(seeded_cases())])
 def test_every_logic_row_matches_oracle_on_membership_traces(n, mu, h):
     # Each inner row entry must equal the robot's truth value on its
     # polytope-membership lasso, and each outer one the synchronous truth

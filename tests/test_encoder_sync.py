@@ -117,7 +117,33 @@ def exact_step_reachable(ts, init, steps):
     return out
 
 
-def test_state_variables_are_exactly_the_reachable_states():
+def lasso_states(ts, init, h, loop):
+    """Per step t = 0..h, the states some lasso s_0 .. s_h with s_h =
+    s_loop visits at t, from boolean powers of the adjacency matrix."""
+    a = np.zeros((ts.n_states, ts.n_states), dtype=bool)
+    for (i, j) in ts.transitions:
+        a[i, j] = True
+    power = [np.eye(ts.n_states, dtype=bool)]
+    for _ in range(h):
+        power.append((power[-1].astype(int) @ a.astype(int)) > 0)
+    used = [set() for _ in range(h + 1)]
+    for anchor in range(ts.n_states):
+        if not (power[loop][init, anchor] and power[h - loop][anchor, anchor]):
+            continue
+        for t in range(h + 1):
+            if t <= loop:
+                here = power[t][init] & power[loop - t][:, anchor]
+            else:
+                here = power[t - loop][anchor] & power[h - t][:, anchor]
+            used[t] |= set(np.flatnonzero(here).tolist())
+    return used
+
+
+def test_state_variables_are_the_reachable_states_a_lasso_can_use():
+    """Without a formula the state sets keep every state that a lasso
+    closing at a loop start open to every robot visits, and only states
+    reachable in exactly t steps; a step with one state left is the
+    constant 1 there, and every other step has a column per state."""
     rng = random.Random(113)
     for _ in range(20):
         n = rng.randint(1, 3)
@@ -126,17 +152,27 @@ def test_state_variables_are_exactly_the_reachable_states():
         h = rng.randint(1, 6)
         problem = build_sync_problem(inst, OTrue(), h)
         lay = problem.layout
-        zero = problem.model.constant(0)
+        zero, one = problem.model.constant(0), problem.model.constant(1)
+        systems = list(zip(inst.systems, inst.initial_states))
+        loops = [l for l in range(h) if all(lasso_states(ts, init, h, l)[0]
+                                            for ts, init in systems)]
+        if not loops:
+            assert solve_bnb(problem.model).status == "infeasible"
+            continue
         total = 0
-        for r, (ts, init) in enumerate(zip(inst.systems, inst.initial_states)):
+        for r, (ts, init) in enumerate(systems):
             reach = exact_step_reachable(ts, init, h)
+            used = [set().union(*(lasso_states(ts, init, h, l)[t] for l in loops))
+                    for t in range(h + 1)]
             for t in range(h + 1):
                 row = lay.state_ids[r][t].tolist()
+                possible = {i for i, here in enumerate(lay.reach[r][t]) if here}
                 assert len(row) == ts.n_states
-                assert {i for i, v in enumerate(row) if v != zero} == reach[t]
-                assert [i for i, here in enumerate(lay.reach[r][t]) if here] == sorted(reach[t])
-            total += sum(len(s) for s in reach)
-        assert problem.model.metadata()["variables"]["dynamics"] == total
+                assert used[t] <= possible <= reach[t]
+                assert {i for i, v in enumerate(row) if v != zero} == possible
+                assert (len(possible) == 1) == (one in row)
+                total += len(possible) if len(possible) > 1 else 0
+        assert problem.model.metadata()["variables"].get("dynamics", 0) == total
 
 
 # Two systems without self-loops whose reachable sets cycle: a bipartite
@@ -428,9 +464,9 @@ def test_dynamics_variable_count_scales_linearly_with_fleet():
     v4 = four.model.metadata()["variables"]["dynamics"]
     assert v4 == 2 * v2
     # only reachable states get variables: from v1 the sets after t steps
-    # are {v1}, {v1, v2}, {v1, v2, v3}, then all three, so 1+2+3+3+3 = 12
-    # per robot
-    assert v2 == 2 * (1 + 2 + 3 + 3 + 3)
+    # are {v1}, {v1, v2}, {v1, v2, v3}, then all three, and the start state
+    # is the constant 1, so 0+2+3+3+3 = 11 per robot
+    assert v2 == 2 * (2 + 3 + 3 + 3)
 
 
 def test_outer_negation_handled_by_normalization():

@@ -467,20 +467,25 @@ def test_iterating_the_rows_gives_the_rows_indexing_gives():
 
 
 def test_gadget_merges_a_repeated_input():
+    # a repeated input counts once, so AND(x, x) is x itself, and a gadget
+    # over x, x and y is AND(x, y)
     m = IlpModel()
-    x = m.add_binary("x")
+    x, y = m.add_binary("x"), m.add_binary("y")
     z, = m.bool_gadgets("AND", [[x, x]])
+    assert z == x and m.n_vars == 2 and m.n_constraints == 0
+    z, = m.bool_gadgets("AND", [[x, y, x]])
     assert [(dict(r.expr.coeffs.items()), r.sense, r.rhs) for r in m.constraints] == [
-        ({z: 1, x: -1}, "<=", 0), ({z: 1, x: -1}, "<=", 0), ({z: 1, x: -2}, ">=", -1)]
+        ({z: 1, x: -1}, "<=", 0), ({z: 1, y: -1}, "<=", 0), ({z: 1, x: -1, y: -1}, ">=", -1)]
 
 
 def test_the_desk_program_holds_no_object_per_row():
     """Rows and columns live in flat buffers, and the program is built from
-    row blocks: the h = 16 desk program (13,517 rows, 5,615 columns)
-    retains about 1.58 MB, below the 1.69 MB of the row-by-row build.
-    With a dataclass per column it retained 2.14 MB, and with a
-    ``LinExpr`` and a dataclass per row as well about 6.8 MB.  It keeps
-    no NumPy array, so no block's temporaries."""
+    row blocks: the folded h = 16 desk program (8,601 rows, 3,847 columns)
+    retains about 1.11 MB.  Before folding (13,517 rows, 5,615 columns) it
+    retained 1.58 MB, 1.69 MB built row by row, 2.14 MB with a dataclass
+    per column, and with a ``LinExpr`` and a dataclass per row as well
+    about 6.8 MB.  It keeps no NumPy array, so no block's temporaries, and
+    no logic circuit once the signals are columns."""
     inst, mu = emergency_instance()
     build_sync_problem(inst, mu, 8)  # caches of the fleet and the formula
     gc.collect()
@@ -491,8 +496,8 @@ def test_the_desk_program_holds_no_object_per_row():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (problem.model.n_constraints, problem.model.n_vars) == (13517, 5615)
-    assert retained <= 1.69e6, f"{retained / 1e6:.2f} MB"
+    assert (problem.model.n_constraints, problem.model.n_vars) == (8601, 3847)
+    assert retained <= 1.2e6, f"{retained / 1e6:.2f} MB"
     layout = problem.layout
     kept = {id(a) for a in arrays_held(problem.model)}
     kept |= {id(a) for key, value in vars(layout).items() if key not in ("model", "instance")
@@ -614,7 +619,12 @@ def test_add_rows_checks_the_block():
 
 def gadget_row_by_row(m, op, inputs, name, tag):
     """One gadget as ``add_binary`` and ``add_row`` calls: the rows
-    ``bool_gadgets`` documents, a repeated input one term of the sum row."""
+    ``bool_gadgets`` documents, a repeated input counted once, and a gadget
+    over one distinct input that input itself."""
+    if op != "NOT":
+        inputs = list(dict.fromkeys(inputs))
+        if len(inputs) == 1:
+            return inputs[0]
     if op == "NOT":
         z = m.add_binary(name or f"not_{inputs[0]}", tag=tag)
         m.add_row((z, inputs[0]), (1, 1), "=", 1, tag)
@@ -623,16 +633,20 @@ def gadget_row_by_row(m, op, inputs, name, tag):
     each, total = ("<=", ">=") if op == "AND" else (">=", "<=")
     for v in inputs:
         m.add_row((z, v), (1, -1), each, 0, tag)
-    terms = {z: 1}
-    for v in inputs:
-        terms[v] = terms.get(v, 0) - 1
-    m.add_row(list(terms), list(terms.values()), total, 1 - len(inputs) if op == "AND" else 0,
-              tag)
+    m.add_row([z, *inputs], [1] + [-1] * len(inputs), total,
+              1 - len(inputs) if op == "AND" else 0, tag)
     return z
 
 
-def indicator_row_by_row(m, expr, threshold, big_m, name, tag):
-    """One counting indicator as ``add_binary`` and ``add_row`` calls."""
+def indicator_row_by_row(m, expr, threshold, big_m, name, tag, bounds=None):
+    """One counting indicator as ``add_binary`` and ``add_row`` calls; an
+    expression whose range lies on one side of the threshold is the
+    constant it decides, which the caller has made."""
+    lo, hi = m.expr_bounds(expr)
+    if bounds is not None:
+        lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
+    if lo >= threshold or hi < threshold:
+        return m.constant(int(lo >= threshold))
     y = m.add_binary(name or f"geq_{m.n_vars}", tag=tag)
     cols, coefs = [*expr.coeffs, y], [*expr.coeffs.values(), -big_m]
     m.add_row(cols, coefs, "<=", threshold - 1 - expr.const, tag)
@@ -649,7 +663,7 @@ def test_gadget_blocks_are_the_gadgets_added_one_at_a_time():
             for k in range(5):
                 model.add_binary(f"x{k}")
             model.add_integer("n", 0, 3)
-        n_gates, first = rng.randint(1, 6), block.n_vars
+        n_gates = rng.randint(1, 6)
         if trial % 4 == 0:
             op, width = "NOT", 1
         else:
@@ -660,12 +674,15 @@ def test_gadget_blocks_are_the_gadgets_added_one_at_a_time():
         inputs = [[rng.randrange(5) for _ in range(width)] for _ in range(n_gates)]
         for g in range(1, n_gates):
             if rng.random() < 0.3:  # an earlier gadget of the same call
-                inputs[g][rng.randrange(width)] = first + rng.randrange(g)
+                inputs[g][rng.randrange(width)] = ~rng.randrange(g)
                 chains += 1
         repeats += any(len(set(xs)) < width for xs in inputs)
         names = [rng.choice([None, f"g{g}"]) for g in range(n_gates)]
         tag = rng.choice(["gadget", "outer"])
-        want = [gadget_row_by_row(one, o, xs, nm, tag) for o, xs, nm in zip(ops, inputs, names)]
+        want = []
+        for o, xs, nm in zip(ops, inputs, names):
+            want.append(gadget_row_by_row(one, o, [want[~x] if x < 0 else x for x in xs],
+                                          nm, tag))
         assert block.bool_gadgets(ops if op == "mixed" else op, inputs, names, tag) == want
         assert model_snapshot(block) == model_snapshot(one)
     assert repeats > 30 and chains > 50
@@ -679,7 +696,16 @@ def test_gadget_blocks_are_the_gadgets_added_one_at_a_time():
                  for _ in range(rng.randint(1, 5))]
         threshold, bounds = rng.randint(1, 3), rng.choice([None, (0, 4)])
         names = [rng.choice([None, f"y{g}"]) for g in range(len(exprs))]
-        want = [indicator_row_by_row(one, e, threshold, 9, nm, "outer")
+        decided = set()
+        for e in exprs:  # the block makes the constants it returns first, in order
+            lo, hi = one.expr_bounds(e)
+            if bounds is not None:
+                lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
+            if lo >= threshold or hi < threshold:
+                decided.add(int(lo >= threshold))
+        for value in sorted(decided):
+            one.constant(value)
+        want = [indicator_row_by_row(one, e, threshold, 9, nm, "outer", bounds)
                 for e, nm in zip(exprs, names)]
         assert block.indicators_geq(exprs, threshold, 9, names, "outer", bounds) == want
         assert model_snapshot(block) == model_snapshot(one)
@@ -717,6 +743,27 @@ def test_export_sanitizes_and_disambiguates(tmp_path):
     assert names[1] != names[0]
     assert not names[2][0].isdigit()
     assert len(set(names)) == 3
+
+
+def test_names_checked_at_once_are_the_names_repaired_one_by_one():
+    """A model whose names are all LP-safe and unique keeps them as they
+    are, checked at once; with one name that needs repair, every name
+    goes through the repair.  Both give the same names for the names that
+    pass: the extra bad name, appended last, only selects the repair."""
+    rng = random.Random(83)
+    pool = ["x", "x", "st", "ST", "Bin", "bounds", "boundsx", "inf", "info", "NaNx", "nan_1",
+            "e\u212a", "K", "\u212a", "y[1]", "0a", "_a", "a b", ""]
+    for _ in range(2000):
+        names = [rng.choice(pool) if rng.random() < 0.5 else
+                 "".join(rng.choice("abxIiNnFf_1") for _ in range(rng.randint(1, 5)))
+                 for _ in range(rng.randint(0, 5))]
+        names = [n for n in names if n != "v0bad"]
+        fast, slow = IlpModel(), IlpModel()
+        for n in names:
+            fast.add_binary(n)
+            slow.add_binary(n)
+        slow.add_binary("0bad")
+        assert sanitize_names(fast) == sanitize_names(slow)[:-1], names
 
 
 def highs_reads(model, path):

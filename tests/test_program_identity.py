@@ -1,14 +1,21 @@
 """The programs the engines build, pinned byte for byte.
 
 Each digest is the SHA-256 of a program's ``to_arrays()`` arrays, its
-``metadata()`` and its ``write_lp`` text, recorded while every row was
-still stored as its own ``LinExpr`` (the aggregate program's while every
-column was still its own object, and the swap, tau = 2, mixed-fleet and
-random-fleet programs while every row was still added one at a time).
-Most of a HiGHS solve goes to a heuristic whose time swings with any
-change to the program, so a change to how programs are stored must leave
-every digest as it is.  A change that means to alter a program records
-the new digest and says why.
+``metadata()`` and its ``write_lp`` text.  Most of a HiGHS solve goes to
+a heuristic whose time swings with any change to the program, so a
+change to how programs are stored must leave every digest as it is.  A
+change that means to alter a program records the new digest and says
+why.
+
+Every digest was recorded again when the engines began to fold what the
+pinned root forces (``circuit``): entries the root pin, the constants
+and the start states decide are the shared constants, the state sets
+and occupancies narrow to what the rows allow, the block builders fold
+constant inputs and store no row that always holds, and the polytope
+faces gained a margin on their inside.  Every program changed; the
+folded desk at h = 16 has 3,847 columns and 8,601 rows where it had
+5,615 and 13,517.  The earlier digests had been recorded while every
+row was still stored as its own ``LinExpr``.
 """
 
 import dataclasses
@@ -119,23 +126,23 @@ def integrators(h):
 
 PROGRAMS = {  # name: (builder, h, SHA-256 of the program)
     "desk-h8": (desk, 8,
-                "245d17314888f30c06f90c695dc6213bf936c7967dd058b0f7cccaf27e159f71"),
+                "89aa4165d8baf4f610c9c45f8796b10ea678477d9ceb519d5d2f02d99d89ee31"),
     "desk-h12": (desk, 12,
-                 "bae1b02d4ab535ba64f0ad17d164c9a8bfccdf8e4165723fda51ff2324fda9a9"),
+                 "cc9ff5b91e2b1d53e9ad8cc6518986934a6a2bf454c5468d3e8d2af296966cc1"),
     "desk-h16": (desk, 16,
-                 "5c2ade5e65eaa46887ba3a1f974cc38c72c2eb9af6974e4d364e549a5695637b"),
+                 "f50fd4ef39fdf78e92348050af59e69ac90ecaea5fd3bcea20c941f093499ec1"),
     "desk-tau1-h6": (desk_robust, 6,
-                     "907ec086df51c43219b60ba2c77e0cfcb8db740601f596ac35998fe8b98bc9fb"),
+                     "d6f684dfad1fe76ac4e0994ea28afe2d25f1ba3aeb45b2704478d00e4e69c60e"),
     "desk-aggregate-h8": (
-        desk_aggregate, 8, "9ba57a3efbd32a9fa562076bea5a3fd35482662562f2330f66b8905cfe2e8307"),
+        desk_aggregate, 8, "20e0427206d54e28488c218bbc61cfaa08db9857922b76dfb8e8c75d2e6dd5ff"),
     "desk-swap-h8": (desk_swap, 8,
-                     "2d067d9b1c5d5ce3457ab1bac373f2bf12dd8538c36dffd57f6871e411ca0947"),
+                     "be78cd81d7f483f6238fe7e1e0bdc64ad03f69906da85c2a9fec7d8a802af1c1"),
     "desk-tau2-h5": (desk_tau2, 5,
-                     "8636a05983c556c363b7449bf6134f5c9092e2856ef97103b4de6691b6428187"),
+                     "69c139bda6bdd90b743e685b35f77bbc4ac9efe83983646944c7263e6a70a96c"),
     "mixed-dead-end-h5": (
-        mixed, 5, "3f46e700e118b61440ef94a8b937a8ab7d8ffbec47594c353ff400eda4a2153d"),
+        mixed, 5, "01f3a5fb0ed5cf43b1dca67ae52c77ede0b1a662eb130cc6793f6a19dd54a02e"),
     "double-integrators-h5": (
-        integrators, 5, "4246ce0b4021c54ac1af6fd536e8aeea1c41d2b7a00e0cccba4fca7d3a785ae5"),
+        integrators, 5, "3b6c1cf7ddeac7bf1136bec7b76b51513378e5acb97b525aec5608d602f11c54"),
 }
 
 
@@ -147,8 +154,7 @@ def test_program_is_identical_to_the_recorded_one(name):
 
 def test_random_fleets_build_the_recorded_programs():
     """60 seeded random fleets (dead ends, mixed systems, every collision
-    mode, tau 0 to 2): the SHA-256 over their digests, recorded while every
-    row was still added one at a time."""
+    mode, tau 0 to 2): the SHA-256 over their digests."""
     rng = random.Random(97)
     modes = ["off", "mutual_exclusion", "mutual_exclusion_plus_swap"]
     digests = []
@@ -170,4 +176,4 @@ def test_random_fleets_build_the_recorded_programs():
         h, tau = rng.randint(1, 4), rng.randint(0, 2)
         digests.append(program_digest(build_robust_problem(inst, mu, h, tau).model))
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
-        "7c7f4ce3fe27219df6cbe8482e0a67a84e61ed65e3bb5f84a62d477ef6d3578d")
+        "221c897cad67cd12e51148237c78ea4ba9dfc48bac5687df8ced208adc92c254")
