@@ -24,10 +24,12 @@ bound-propagation fixpoint of the program's rows (Achterberg et al.,
   infeasible.
 - ``lower`` turns the undecided signals into columns and rows, block by
   block in creation order, through ``IlpModel.bool_gadgets`` and
-  ``IlpModel.indicators_geq``, which fold the decided inputs.  A decided
-  signal becomes the model's shared constant; where its inputs do not
-  already force its value, the builder stores the one residual row that
-  does (an OR pinned to 1 over undecided inputs keeps their sum >= 1).
+  ``IlpModel.indicators_geq``, over the undecided inputs alone.  A
+  decided signal becomes the model's shared constant; where its inputs
+  do not already force its value, the one residual row that does is
+  stored (an OR pinned to 1 over undecided inputs keeps their sum >= 1).
+  This module is the one place the fold rules live: the builders store
+  what they are given.
 
 The engine's own layer may decide leaves and read leaf values in turn;
 ``encoder_sync.LogicEncoder`` runs that exchange to its fixpoint.  The
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-from .ilp import LinExpr
+from .ilp import LinExpr, RowBlock
 
 LEAF, AND, OR, NOT, GEQ, SELECT, ONE_OF = range(7)
 ZERO, ONE = 0, 1  # the constant signals
@@ -93,13 +95,12 @@ class Circuit:
 
     def gates(self, op, inputs: Sequence[Sequence[Signal]],
               names: Optional[Sequence[Optional[str]]], tag: str) -> list[Signal]:
-        """One gadget per input list, as ``IlpModel.bool_gadgets`` takes
-        them, returning the signal of each; an input ``~k`` reads gadget k
-        of the same call.  Inputs already decided fold as the builder
-        folds them: a gadget they decide is the constant signal, inputs at
-        the identity drop, and a gadget left with one input is that input,
-        so only a gadget over two or more undecided inputs (or a NOT of
-        one) is a new signal."""
+        """One AND, OR or NOT gadget per input list, returning the signal
+        of each; an input ``~k`` reads gadget k of the same call.  Inputs
+        already decided fold: a gadget they decide is the constant signal,
+        inputs at the identity drop, a repeated input counts once, and a
+        gadget left with one input is that input, so only a gadget over two
+        or more undecided inputs (or a NOT of one) is a new signal."""
         if not inputs:
             return []
         ops = [_OPS[op]] * len(inputs) if isinstance(op, str) else [_OPS[o] for o in op]
@@ -302,60 +303,72 @@ class Circuit:
         values = [val[x] for x in args]
         return absorb in values if out == absorb else None not in values
 
-    def _needed(self, signals: range) -> list[Signal]:
-        """The signals of a block that need a column or a residual row: the
-        undecided ones, and the decided ones their inputs do not force."""
-        val, implied = self.val, self._implied
-        return [s for s in signals if val[s] is None or not implied(s)]
-
     def _lower_gates(self, signals: range, names: list, tag: str) -> None:
-        """The block's gadgets through ``IlpModel.bool_gadgets``, one call per
-        run of gadgets of one width (NOTs apart), the decided ones as pins
-        where their inputs do not force them."""
-        val, col, args, opcode, first = self.val, self.col, self.args, self.op, signals.start
-        width = len(args[first])
-        if opcode[first] != NOT and all(val[s] is None and len(args[s]) == width and
-                                        all(val[x] is None for x in args[s]) for s in signals):
-            # one run of undecided AND and OR gadgets over undecided inputs
-            ops = ["AND" if o == AND else "OR" for o in opcode[first:signals.stop]]
-            col[first:signals.stop] = self.model.bool_gadgets(
-                ops, [[col[x] if x < first else ~(x - first) for x in args[s]] for s in signals],
-                names, tag)
-            return
-        needed = self._needed(signals)
+        """The block's gadgets.  An undecided gadget reads its undecided
+        inputs only (a decided input is at the identity, or the gadget
+        would be decided): over one distinct column it is that column, and
+        otherwise a fresh gadget through ``IlpModel.bool_gadgets``, one
+        call per run of fresh gadgets of one width (NOTs apart).  A decided
+        gadget its inputs do not force keeps the one row that does: an AND
+        at 0 whose undecided inputs sum to at most their number less one,
+        an OR at 1 whose undecided inputs sum to at least 1."""
+        model, val, col, args, opcode = self.model, self.val, self.col, self.args, self.op
+        first, base = signals.start, model.n_vars
+        fresh: list[Signal] = []
+        inputs: dict[Signal, list[int]] = {}
+        residual = RowBlock(model)
+        for s in signals:
+            if val[s] is None:
+                cols = list(dict.fromkeys([col[x] for x in args[s] if val[x] is None]))
+                if len(cols) == 1 and opcode[s] != NOT:
+                    col[s] = cols[0]
+                    continue
+                col[s] = base + len(fresh)  # the ids the calls below give
+                fresh.append(s)
+                inputs[s] = cols
+            elif not self._implied(s):
+                cols = list(dict.fromkeys([col[x] for x in args[s] if val[x] is None]))
+                residual.add(cols, [1.0] * len(cols), -math.inf if opcode[s] == AND else 1.0,
+                             len(cols) - 1.0 if opcode[s] == AND else math.inf)
         k = 0
-        while k < len(needed):
-            width, negate = len(args[needed[k]]), opcode[needed[k]] == NOT
+        while k < len(fresh):
+            width, negate = len(inputs[fresh[k]]), opcode[fresh[k]] == NOT
             end = k + 1
-            while end < len(needed) and len(args[needed[end]]) == width and \
-                    (opcode[needed[end]] == NOT) == negate:
+            while end < len(fresh) and len(inputs[fresh[end]]) == width and \
+                    (opcode[fresh[end]] == NOT) == negate:
                 end += 1
-            run = needed[k:end]
-            index = {s: i for i, s in enumerate(run)}
-            ops = ["AND" if o == AND else "OR" if o == OR else "NOT"
-                   for o in (opcode[s] for s in run)]
-            pins = [val[s] for s in run]
-            out = self.model.bool_gadgets(
-                ops[0] if len(set(ops)) == 1 else ops,
-                [[~index[x] if x in index else self.column(x) for x in args[s]] for s in run],
-                [names[s - first] for s in run], tag,
-                pins=None if pins.count(None) == len(pins) else pins)
-            for s, c in zip(run, out):
-                col[s] = c
+            run = fresh[k:end]
+            model.bool_gadgets("NOT" if negate else ["AND" if opcode[s] == AND else "OR"
+                                                      for s in run],
+                               [inputs[s] for s in run], [names[s - first] for s in run], tag)
             k = end
+        residual.store(tag, [])
 
     def _lower_geq(self, signals: range, m: int, size: int, names: Sequence[str],
                    tag: str) -> None:
-        needed = self._needed(signals)
-        if not needed:
-            return
-        column, val, first = self.column, self.val, signals.start
-        exprs = [LinExpr.sum_of(column(x) for x in self.args[s]) for s in needed]
-        out = self.model.indicators_geq(exprs, m, size + 1, [names[s - first] for s in needed],
-                                        tag=tag, known_bounds=(0, size),
-                                        pins=[val[s] for s in needed])
-        for s, c in zip(needed, out):
-            self.col[s] = c
+        """The block's thresholds: an undecided one an indicator over its
+        undecided members, the ones already 1 in its constant term, through
+        ``IlpModel.indicators_geq``; a decided one its members do not force
+        keeps the one row that does (its undecided members sum to at least
+        m less the ones, or to at most m - 1 less them)."""
+        val, col, first = self.val, self.col, signals.start
+        exprs, kept, residual = [], [], RowBlock(self.model)
+        for s in signals:
+            members = self.args[s]
+            values = [val[x] for x in members]
+            ones = values.count(1)
+            cols = [col[x] for x, v in zip(members, values) if v is None]
+            if val[s] is None:
+                exprs.append(LinExpr.sum_of(cols) + ones)
+                kept.append(s)
+            elif not self._implied(s):
+                residual.add(cols, [1.0] * len(cols), m - ones if val[s] else -math.inf,
+                             math.inf if val[s] else m - 1 - ones)
+        out = self.model.indicators_geq(exprs, m, size + 1, [names[s - first] for s in kept],
+                                        tag=tag, known_bounds=(0, size))
+        for s, c in zip(kept, out):
+            col[s] = c
+        residual.store(tag, [])
 
 
 class Intervals:

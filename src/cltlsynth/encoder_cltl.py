@@ -4,10 +4,11 @@ When every counting proposition counts a literal (cLTL, ``is_cltl``) and
 every robot runs on one shared transition system, robot identities are
 irrelevant: the encoding keeps one integer per state (how many robots are
 there) and one integer per transition (how many robots take it), read off
-the ``MultiRobotInstance`` itself.  Model size is then independent of the
-number of robots: the start counts decide the same entries for fleets
-spread alike over the same start states, and only the constants that
-hold the counts differ (``AggregateCounts``).  ``cltl_obstacle`` holds
+the ``MultiRobotInstance`` itself.  Model size is then bounded
+independently of the number of robots: the start counts only decide
+entries (``AggregateCounts``), more or fewer with the states they occupy,
+and fleets spread alike over the same start states differ only in the
+constants that hold the counts.  ``cltl_obstacle`` holds
 every precondition.  Solutions are turned back into per-robot lassos by
 decomposing the flow.
 """
@@ -15,7 +16,6 @@ decomposing the flow.
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -150,23 +150,13 @@ class AggregateCounts:
                                  "aggregate")
 
 
-def encode_aggregate(model: IlpModel, inst: MultiRobotInstance, h: int,
-                     settle: Optional[Callable[[Layout, AggregateCounts], None]] = None
-                     ) -> Layout:
-    """Robot-count dynamics on the fleet's ``shared_system``
-    (``AggregateCounts``), with the loop closed from one side.  Before any
-    column exists, ``settle(layout, counts)`` may pin a formula over the
-    counts (``build_cltl_problem`` does); the counts settle either way."""
-    layout = Layout(model, inst, h)
-    counts = AggregateCounts(layout)
-    if settle is None:
-        layout.circuit.propagate()
-        counts.refine()
-    else:
-        settle(layout, counts)
+def encode_aggregate(layout: Layout, counts: AggregateCounts) -> None:
+    """Robot-count dynamics on the fleet's ``shared_system``: the
+    occupancies and flows of ``counts`` as columns with their conservation
+    rows (``AggregateCounts.emit``), and the loop closed from one side
+    (``add_aggregate_loop``)."""
     counts.emit()
     add_aggregate_loop(layout)
-    return layout
 
 
 def _terms(cols: list[VarId], coefs: list[int]) -> LinExpr:
@@ -233,16 +223,27 @@ class CltlOuterEncoder(LogicEncoder):
         if tcp.m > size:
             return [ZERO for _ in steps]
         vec = _literal_vector(lay.instance.systems[0], tcp.inner)
+        labeled = [i for i, bit in enumerate(vec) if bit]
         counts = self.leaves
         fid = lay.fid(tcp)
 
         def lower(ids: range) -> None:
+            """An indicator per undecided step; a decided one keeps the row
+            its value forces, unless the occupancies' bounds meet it."""
+            val = circuit.val
+            exprs = [model.folded(_terms([lay.agg_state[t][i] for i in labeled],
+                                         [1] * len(labeled))) for t in steps]
+            open_ = [t for t in steps if val[ids[t]] is None]
             # occupancies are conserved, so the labeled sum never exceeds N
-            exprs = [LinExpr.sum_of(lay.agg_state[t][i] for i, bit in enumerate(vec) if bit)
-                     for t in steps]
-            circuit.col[ids.start:ids.stop] = model.indicators_geq(
-                exprs, tcp.m, size + 1, [f"y{fid}_t{t}" for t in steps], tag=self.TAG,
-                known_bounds=(0, size), pins=circuit.val[ids.start:ids.stop])
+            made = model.indicators_geq([exprs[t] for t in open_], tcp.m, size + 1,
+                                        [f"y{fid}_t{t}" for t in open_], tag=self.TAG,
+                                        known_bounds=(0, size))
+            for t, y in zip(open_, made):
+                circuit.col[ids[t]] = y
+            for t in steps:
+                if val[ids[t]] is not None:
+                    model.add_folded(exprs[t], tcp.m if val[ids[t]] else -inf,
+                                     inf if val[ids[t]] else tcp.m - 1, self.TAG)
 
         row = circuit.leaves(lay.h, lower)
         for s, t in zip(row, steps):
@@ -279,15 +280,13 @@ def build_cltl_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
         raise EncodingError(reason)
     norm = prepare_formula(mu, inst)
     model = IlpModel("cltl")
-    encoders = []
-
-    def settle(layout: Layout, counts: AggregateCounts) -> None:
-        encoders.append(CltlOuterEncoder(layout, counts))
-        encoders[0].pin_root(norm)
-
-    layout = encode_aggregate(model, inst, h, settle)
+    layout = Layout(model, inst, h)
+    counts = AggregateCounts(layout)
+    logic = CltlOuterEncoder(layout, counts)
+    logic.pin_root(norm)
+    encode_aggregate(layout, counts)
     encode_aggregate_collision(layout)
-    encoders[0].lower()
+    logic.lower()
     return EncodedProblem(model, layout, inst, h, 0, "cltl")
 
 

@@ -4,7 +4,8 @@ States are never decision variables: each w[n][t] is the affine image of
 the inputs by forward substitution, so only inputs, loop selectors and the
 logic binaries remain.  Atomic propositions are convex polytopes; a
 binary per polytope face plus a conjunction gadget tests membership with
-a margin (``MARGIN``) on both sides of each face.  These atoms are the
+a margin (``MARGIN``) on both sides of each face; a state no input moves
+is known, and its faces are decided exactly.  These atoms are the
 only leaves that differ from the discrete engines: the logic rows come
 from the shared ``LogicEncoder``, or ``RobustLogicEncoder`` for tau >= 1.
 
@@ -15,8 +16,6 @@ tie whose start is decided 0) is not stored.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,12 +30,16 @@ from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
 from .encoder_robust import RobustLogicEncoder
 from .trajectory import ContinuousTrajectory
 
-# A state meets a face when H_i w <= h_i - MARGIN and misses it when
-# H_i w >= h_i + MARGIN; the band between belongs to neither.  The margin is
-# ten times the tolerance a returned point is rechecked at, so every point
-# the program admits is inside or outside each face by more than that
-# tolerance, and ``membership_trace``, which cuts at h_i itself, agrees.
+# A state the program chooses meets a face when H_i w <= h_i - MARGIN and
+# misses it when H_i w >= h_i + MARGIN; the band between belongs to
+# neither.  The margin is ten times the tolerance a returned point is
+# rechecked at, so every point the program admits is inside or outside
+# each face by more than that tolerance, and ``membership_trace``, which
+# cuts at h_i itself, agrees.  A state no input moves (every start state
+# is one) is known exactly: it meets a face when H_i w <= h_i + CUT, as
+# ``membership_trace`` reads it, on the face or not.
 MARGIN = 10 * FEAS_TOL
+CUT = 1e-9
 
 
 class ContinuousPlan:
@@ -49,7 +52,9 @@ class ContinuousPlan:
     the big-M ties of ``encode_cont_loop`` over binaries for the loop
     selectors.  Each polytope face a state meets or misses is a circuit
     leaf (``row``), true iff H_i w <= h_i - ``margin`` and false iff
-    H_i w >= h_i + ``margin``; an atom is the conjunction of its faces.
+    H_i w >= h_i + ``margin``, or, for a state no input moves, decided at
+    once by H_i w <= h_i + ``CUT``; an atom is the conjunction of its
+    faces.
 
     ``refine`` adds the row each decided face forces, narrows the bounds
     to the fixpoint of all rows, and decides the faces and loop selectors
@@ -143,10 +148,14 @@ class ContinuousPlan:
     def _decide(self, s: Signal, expr: LinExpr, offset: float) -> bool:
         """Decide face s where the state's range leaves it one side: 1 when
         it cannot reach offset + margin, 0 when it cannot reach offset -
-        margin (both: a conflict)."""
+        margin (both: a conflict).  A constant state is decided exactly,
+        at offset + ``CUT``."""
         circuit = self.layout.circuit
         if circuit.val[s] is not None:
             return False
+        if not expr.coeffs:
+            circuit.assign(s, int(expr.const <= offset + CUT))
+            return True
         low, high = self._range(expr)
         if high < offset + self.margin:
             circuit.assign(s, 1)
@@ -163,7 +172,7 @@ class ContinuousPlan:
         circuit = lay.circuit
         val = circuit.val
         for s, expr, offset in self.faces:
-            if val[s] is not None and s not in self._sent:
+            if val[s] is not None and s not in self._sent and expr.coeffs:
                 self._sent.add(s)
                 if val[s]:
                     self._add(expr, -np.inf, offset - self.margin)
@@ -219,7 +228,7 @@ class ContinuousPlan:
     def _lower(self, name: str, n: int, ids: range, exprs: list[LinExpr]) -> None:
         """An undecided face is a binary e with its two big-M rows; a
         decided one keeps the one row that forces its side, where the
-        bounds do not already."""
+        bounds do not already (a constant state needs none)."""
         lay = self.layout
         model, circuit, sys = lay.model, lay.circuit, lay.instance
         hmat, hvec = sys.atoms[name]
@@ -228,6 +237,8 @@ class ContinuousPlan:
         for s, expr, face in zip(ids, exprs, range(len(ids))):
             t, i = divmod(face, k)
             offset, decided, margin = float(hvec[i]), circuit.val[s], self.margin
+            if not expr.coeffs:
+                continue  # decided exactly
             expr = self.columns(expr)
             if decided == 1:
                 model.add_folded(expr, -np.inf, offset - margin, "polytope")
@@ -251,25 +262,6 @@ def _ties(layout: Layout, states: dict, n: int, t: int, l: int):
     for i, dst in enumerate(states[(n, t)]):
         m = float(hi_w[i] - lo_w[i]) if hi_w[i] > lo_w[i] else 1.0
         yield dst - src[i], m
-
-
-def encode_cont_dynamics(model: IlpModel, sys: ContinuousSystem, h: int, tau: int = 0,
-                         settle: Optional[Callable[[Layout, ContinuousPlan], None]] = None
-                         ) -> Layout:
-    """Input variables plus symbolic states and the box rows
-    (``ContinuousPlan``).  Before any column exists, ``settle(layout,
-    plan)`` may pin a formula over the plan's atoms (``build_cont_problem``
-    does); the bounds settle either way.  ``encode_cont_loop`` adds the
-    loop."""
-    layout = Layout(model, sys, h, tau)
-    plan = ContinuousPlan(layout)
-    if settle is None:
-        layout.circuit.propagate()
-        plan.refine()
-    else:
-        settle(layout, plan)
-    plan.emit()
-    return layout
 
 
 def encode_cont_loop(layout: Layout) -> None:
@@ -303,15 +295,13 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
     induced polytope-membership trace satisfies the formula."""
     norm = prepare_formula(mu, sys, tau)
     model = IlpModel("continuous")
-    encoders = []
-
-    def settle(layout: Layout, plan: ContinuousPlan) -> None:
-        encoders.append((RobustLogicEncoder if tau else LogicEncoder)(layout, plan))
-        encoders[0].pin_root(norm)
-
-    layout = encode_cont_dynamics(model, sys, h, tau, settle)
+    layout = Layout(model, sys, h, tau)
+    plan = ContinuousPlan(layout)
+    logic = (RobustLogicEncoder if tau else LogicEncoder)(layout, plan)
+    logic.pin_root(norm)
+    plan.emit()
     encode_cont_loop(layout)
-    encoders[0].lower()
+    logic.lower()
     return EncodedProblem(model, layout, sys, h, tau, "continuous")
 
 
@@ -340,16 +330,17 @@ def extract_continuous(problem: EncodedProblem, sol: Solution) -> list[Continuou
 def membership_trace(sys: ContinuousSystem,
                      traj: ContinuousTrajectory) -> list[frozenset]:
     """Atom sets per step from direct polytope evaluation: ``H w <= h``
-    up to a 1e-9 rounding tolerance; feeds the oracle for verification.
-    The cut at h itself lies in the middle of the band of width 2 *
-    ``MARGIN`` that the encoding leaves to neither side of a face, so it
+    up to a rounding tolerance ``CUT``; feeds the oracle for verification.
+    The cut lies in the middle of the band of width 2 * ``MARGIN`` that
+    the encoding leaves to neither side of a face for the states it
+    chooses, and is the encoding's own cut for a constant state, so it
     reads every point the program admits as the program does."""
     out = []
     for w in traj.states:
         vec = np.asarray(w, dtype=float)
         labels = set()
         for name, (hmat, hvec) in sys.atoms.items():
-            if np.all(hmat @ vec <= hvec + 1e-9):
+            if np.all(hmat @ vec <= hvec + CUT):
                 labels.add(name)
         out.append(frozenset(labels))
     return out

@@ -49,9 +49,11 @@ both against a NumPy propagation):
   continuous engines do the same with their occupancies, flows and
   inputs (``circuit.Intervals``).  A step with one state left is the
   constant 1, as the start state is.
-- ``IlpModel.bool_gadgets`` and ``IlpModel.indicators_geq`` fold constant
-  inputs, and the row gatherers move constants into the row bounds and
-  drop rows that always hold.
+- ``Circuit.lower`` gives the block builders (``IlpModel.bool_gadgets``,
+  ``IlpModel.indicators_geq``) the undecided signals over their
+  undecided inputs, and stores the one row that forces a decided signal
+  where its inputs do not; the row gatherers (``IlpModel.fold_row``)
+  move constants into the row bounds and drop rows that always hold.
 
 The desk at h = 16 then has 3,847 columns and 8,601 rows, and its HiGHS
 setup reports no domain-fixed column but the two kept constants.
@@ -84,7 +86,7 @@ from .formula import (IAnd, IAtom, INNER_FALSE, INext, INot, IOr, IRelease,
                       ORelease, OTrue, OUntil, OuterFormula, Tcp, atoms_of,
                       group_names_of, iter_tcps, normalize, subformulas)
 from .circuit import ONE, ZERO, Circuit, Signal
-from .ilp import IlpModel, LinExpr, Solution, VarId
+from .ilp import IlpModel, LinExpr, RowBlock, Solution, VarId
 from .system import ContinuousSystem, MultiRobotInstance
 from .trajectory import LassoTrajectory
 
@@ -318,49 +320,6 @@ class StateSets:
             self.layout.state_ids[n] = []
 
 
-class _Rows:
-    """Rows gathered in Python lists for one ``IlpModel.add_rows`` call;
-    the dynamics rows and loop ties, the most numerous, append to the
-    lists without ``add`` where no shared constant is among their
-    columns."""
-
-    def __init__(self, model: IlpModel):
-        self.model = model
-        self.lengths: list[int] = []
-        self.indices: list[VarId] = []
-        self.values: list[float] = []
-        self.row_lo: list[float] = []
-        self.row_hi: list[float] = []
-
-    def add(self, cols: list[VarId], coefs: list[float], lo: float, hi: float) -> None:
-        """The row, its shared constants folded as ``IlpModel.fold_row``
-        folds them; a row over binaries alone is stored as given, since the
-        emitters add none that always holds."""
-        if not self.model.constant_ids.isdisjoint(cols):
-            row = self.model.fold_row(cols, coefs, lo, hi)
-            if row is None:
-                return
-            cols, coefs, lo, hi = row
-        self.lengths.append(len(cols))
-        self.indices += cols
-        self.values += coefs
-        self.row_lo.append(lo)
-        self.row_hi.append(hi)
-
-    def store(self, tag: str, names: list[str]) -> None:
-        """Add the columns ``names``, then the rows; both lists start
-        afresh."""
-        model = self.model
-        if names:
-            model.add_binaries(names, tag)
-        if self.lengths:
-            model.add_rows([0, *itertools.accumulate(self.lengths)], self.indices,
-                           self.values, self.row_lo, self.row_hi, tag)
-        for gathered in (names, self.lengths, self.indices, self.values, self.row_lo,
-                         self.row_hi):
-            gathered.clear()
-
-
 def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
     """w[n][t] for each robot n and step t of ``steps``, over the states
     the robot can occupy (``layout.reach[n][t]``): a binary per state and
@@ -378,7 +337,7 @@ def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
         return
     model, h = layout.model, layout.h
     zero, one = model.constant(0), model.constant(1)
-    rows, names = _Rows(model), []
+    rows, names = RowBlock(model), []
     column = model.n_vars
     for n, ts in enumerate(layout.instance.systems):
         ids, reach = layout.state_ids[n], layout.reach[n]
@@ -463,7 +422,7 @@ def chosen_loop(layout: Layout, sol: Solution) -> int:
 
 
 def tie_rows(layout: Layout, ids: list[array], reach: list[list[bool]], t: int,
-             rows: _Rows) -> None:
+             rows: RowBlock) -> None:
     """Pin w[n][t], t >= h, to w[n][wrap(l, t)] for the chosen loop start
     l: rows into ``rows``, from robot n's state-vector ids and reachable
     sets (``Layout.state_ids[n]`` and ``Layout.reach[n]``).
@@ -510,7 +469,7 @@ def encode_loop(layout: Layout) -> None:
     """Select a unique loop start l with w[n][h] = w[n][l] for every robot:
     ``tie_rows`` at t = h, one block for the fleet."""
     add_loop_selectors(layout)
-    rows = _Rows(layout.model)
+    rows = RowBlock(layout.model)
     for n in range(layout.n_robots):
         tie_rows(layout, layout.state_ids[n], layout.reach[n], layout.h, rows)
     rows.store("loop", [])
@@ -538,7 +497,7 @@ def encode_collision(layout: Layout) -> None:
     w = [layout.state_ids[n] for n in robots]
     live = [layout.reach[n] for n in robots]
     pairs = list(itertools.combinations(robots, 2))
-    rows = _Rows(layout.model)
+    rows = RowBlock(layout.model)
     for t in range(steps):
         for i in range(inst.systems[0].n_states):
             here = [w[n][t][i] for n in robots if live[n][t][i]]
@@ -706,7 +665,7 @@ class DiscreteAtoms:
                    if name in labels]
         open_ = [t for t, s in enumerate(ids) if circuit.val[s] is None]
         first = model.n_vars
-        rows = _Rows(model)
+        rows = RowBlock(model)
         for z, t in zip(itertools.count(first), open_):
             ids_t, live = lay.state_ids[n][t], lay.reach[n][t]
             cols = [z] + [ids_t[i] for i in labeled if live[i]]
@@ -861,14 +820,17 @@ class LogicEncoder:
 
         def lower(ids: range) -> None:
             model, circuit = lay.model, lay.circuit
-            open_ = [k for k, s in enumerate(ids) if circuit.val[s] is None]
+            # every column that exists or is a constant first, so that the
+            # ids counted from n_vars are the new columns'
+            loops = [circuit.column(z) for z in lay.loop_signals]
+            targets = [[circuit.column(x) for x in row] for row in sources]
+            own = [None if circuit.val[s] is None else circuit.column(s) for s in ids]
+            open_ = [k for k, z in enumerate(own) if z is None]
             for z, k in zip(itertools.count(model.n_vars), open_):
-                circuit.col[ids[k]] = z
-            rows = _Rows(model)
-            for s, targets in zip(ids, sources):
-                z = circuit.column(s)
-                for loop, target in zip(lay.loop_signals, targets):
-                    loop, target = circuit.column(loop), circuit.column(target)
+                circuit.col[ids[k]] = own[k] = z
+            rows = RowBlock(model)
+            for z, row in zip(own, targets):
+                for loop, target in zip(loops, row):
                     rows.add([z, target, loop], [1.0, -1.0, 1.0], -inf, 1.0)
                     rows.add([z, target, loop], [-1.0, 1.0, 1.0], -inf, 1.0)
             rows.store("inner", [self._name(phi, n, lay.h + k) for k in open_])

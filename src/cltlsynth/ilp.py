@@ -20,17 +20,16 @@ writing the rows that use them.  Every Boolean gadget goes through
 block of columns and one of rows.  Rows and columns share one tag table,
 and ``metadata`` counts both from their tag ids.
 
-Folding.  ``constant`` makes the shared constant of a value, and the
-builders fold constants: a gadget with an absorbing constant input is
-that constant, inputs at the identity drop, a repeated input counts
-once and a gadget left with one input is that input; an indicator whose
-expression's range lies on one side of its threshold is a constant.  A
-gadget or indicator whose value the rest of the program forces (a pin)
-is that constant, and only the one row that forces it is stored.
-``fold_row`` moves constants into a row's bounds and drops a row that
-holds at every point of its columns' bounds; ``add_folded`` stores what
-it leaves.  ``add_row``, ``add_rows`` and ``add_constraint`` store rows
-as given.
+Folding.  ``constant`` makes the shared constant of a value, a column
+pinned to it.  ``fold_row`` moves constants into a row's bounds and drops
+a row that holds at every point of its columns' bounds; ``add_folded``
+stores what it leaves, ``RowBlock`` gathers rows so folded for one
+``add_rows`` call, and ``folded`` moves the constants of an expression
+into its constant term.  ``add_row``, ``add_rows``,
+``add_constraint`` and the block builders store what they are given:
+which gadgets and indicators a program needs, and the one row that
+forces a decided one, is settled before they are called
+(``circuit.Circuit``).
 
 ``to_arrays`` copies the buffers into NumPy arrays, and every reader of
 the program goes through it, ``names`` or the model's methods.  A
@@ -50,7 +49,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -190,32 +189,12 @@ _INF = float("inf")
 _INDEX_MAX = np.iinfo(np.intc).max  # array("i") holds C ints, HiGHS's index type
 
 
-def _gadget_rows(ops: Sequence[str], inputs: Sequence[Sequence[VarId]],
-                 first: VarId) -> tuple[list, list, list, list, list]:
-    """Row lengths, column indices, values and bounds of the gadgets
-    ``first``, ``first`` + 1, .. over ``inputs``, which all take I inputs
-    and are all NOT or all AND and OR, written with strided list slices:
-    per gadget the pair rows (z, x_1) .. (z, x_I), then (z, x_1, .., x_I);
-    a NOT's one row (z, x)."""
-    n_gates, width = len(inputs), len(inputs[0])
-    gates, columns = range(first, first + n_gates), list(zip(*inputs))
-    if ops[0] == "NOT":
-        indices = [0] * (2 * n_gates)
-        indices[0::2], indices[1::2] = gates, columns[0]
-        return [2] * n_gates, indices, [1.0] * (2 * n_gates), [1.0] * n_gates, [1.0] * n_gates
-    stride = 3 * width + 1
-    indices = [0] * (stride * n_gates)
-    indices[2 * width::stride] = gates
-    for p, column in enumerate(columns):
-        indices[2 * p::stride] = gates
-        indices[2 * p + 1::stride] = column
-        indices[2 * width + 1 + p::stride] = column
-    lengths = ([2] * width + [width + 1]) * n_gates
-    values = ([1.0, -1.0] * width + [1.0] + [-1.0] * width) * n_gates
-    bounds = {"AND": ([-_INF] * width + [1.0 - width], [0.0] * width + [_INF]),
-              "OR": ([0.0] * width + [-_INF], [_INF] * width + [0.0])}
-    return (lengths, indices, values, [b for o in ops for b in bounds[o][0]],
-            [b for o in ops for b in bounds[o][1]])
+def _gadget_bounds(op: str, width: int) -> tuple[list[float], list[float]]:
+    """Lower and upper row bounds of one AND or OR gadget over ``width``
+    inputs: ``width`` rows z - x then the row z - sum of the inputs."""
+    if op == "AND":
+        return [-_INF] * width + [1.0 - width], [0.0] * width + [_INF]
+    return [0.0] * width + [-_INF], [_INF] * width + [0.0]
 
 
 class _Row:
@@ -503,6 +482,15 @@ class IlpModel:
             self._check_columns(cols)
             self._append_rows([len(cols)], cols, coefs, [lo], [hi], tag)
 
+    def folded(self, expr: LinExpr) -> LinExpr:
+        """``expr`` with its shared constants moved into its constant term."""
+        const = self._const_value
+        if const.keys().isdisjoint(expr.coeffs):
+            return expr
+        return LinExpr({v: c for v, c in expr.coeffs.items() if v not in const},
+                       expr.const + sum(c * const[v] for v, c in expr.coeffs.items()
+                                        if v in const))
+
     def add_constraint(self, expr: LinExpr, sense: str, rhs: Number,
                        tag: str = "untagged") -> None:
         """``add_row`` for a ``LinExpr``, whose constant is folded into the
@@ -537,40 +525,28 @@ class IlpModel:
 
     def bool_gadgets(self, op: Union[str, Sequence[str]], inputs: Sequence[Sequence[VarId]],
                      names: Optional[Sequence[Optional[str]]] = None,
-                     tag: str = "gadget",
-                     pins: Optional[Sequence[Optional[int]]] = None) -> list[VarId]:
-        """One binary per gadget, equal to op(inputs[g]) in every feasible
-        point:
+                     tag: str = "gadget") -> list[VarId]:
+        """One fresh binary per gadget, constrained to equal op(inputs[g]) in
+        every feasible point:
 
         AND:  z <= x for each input x,  z >= 1 - I + sum of the I inputs
         OR:   z >= x for each input x,  z <= sum of the inputs
         NOT:  z = 1 - x (single input)
 
-        Every gadget is given the same number of inputs, and returns the id
-        that holds its value.  The builder folds the shared constants
-        (``constant``): an AND with a 0 input is the constant 0 and an OR
-        with a 1 input the constant 1, inputs equal to 1 (AND) or 0 (OR)
-        drop, a repeated input counts once, and a gadget left with one
-        input is that input, so only a gadget over I >= 2 undecided inputs
-        (or a NOT of one) gets a fresh column and rows.  An input ``~k``
-        reads gadget k of the same call.  ``op`` is every gadget's
-        operator, or one "AND" or "OR" per gadget.  A name that is None
-        becomes ``and_<id>``, ``or_<id>`` or ``not_<input>``.
-
-        ``pins[g]``, when not None, is the value that the rest of the
-        program forces on gadget g: it returns that constant, and where the
-        folded inputs do not already force it, stores the one row that does
-        (AND at 0: the inputs sum to at most I - 1; OR at 1: to at least 1;
-        AND at 1 or OR at 0: every input at the pin; NOT: its input at the
-        other value; a constant at the other value: the row ``const = pin``,
-        which no point meets).  Once every gadget is checked, the columns
-        and then the rows, gadget by gadget, are stored as one block."""
+        Every gadget takes the same number I >= 1 of inputs, and a
+        repeated input is one term of the sum row.  ``op`` is every
+        gadget's operator, or one "AND" or "OR" per gadget.  Gadget g's
+        binary gets id ``n_vars + g``, and an input may be an earlier
+        gadget of the same call, so a caller can chain gadgets through
+        those ids.  A name that is None becomes ``and_<id>``, ``or_<id>``
+        or ``not_<input>``.  Once every gadget is checked, the columns and
+        then the rows, gadget by gadget, are stored as one block, however
+        many gadgets there are."""
         first, n_gates = len(self.names), len(inputs)
         ops = [op] * n_gates if isinstance(op, str) else op
         names = [None] * n_gates if names is None else names
-        pins = [None] * n_gates if pins is None else pins
-        if not len(ops) == len(names) == len(pins) == n_gates:
-            raise ValueError("gadgets need one operator, name and pin each")
+        if not len(ops) == len(names) == n_gates:
+            raise ValueError("gadgets need one operator and one name each")
         if not n_gates:
             return []
         width = len(inputs[0])
@@ -582,137 +558,58 @@ class IlpModel:
         if op != "NOT" and not set(ops) <= {"AND", "OR"}:
             raise ValueError(f"unknown gadget {next(o for o in ops if o not in ('AND', 'OR'))!r}")
         flat = [v for xs in inputs for v in xs]
-        if min(flat) < 0 or max(flat) >= first:  # a gadget of the call, or not a column
-            for g, xs in enumerate(inputs):
+        if flat and (min(flat) < 0 or max(flat) >= first):  # chained, or not a column
+            for z, xs in zip(count(first), inputs):
                 for v in xs:
-                    if not (0 <= v < first or 0 <= ~v < g):
+                    if not 0 <= v < z:
                         raise ValueError(f"gadget input references unregistered variable {v}")
         kind, binary = self._kind, KINDS.index(BINARY)
-        other = [v for v in flat if 0 <= v and kind[v] != binary]
+        other = [v for v in flat if v < first and kind[v] != binary]
         if other:
             raise ValueError(f"gadget inputs must be binary, got {KINDS[kind[other[0]]]}")
-        # Fold: each gadget's result is a constant (0 or 1 in `value`), or
-        # `ref`: a column id, or ~j for the j-th fresh column.
-        const = self._const_value
-        value: list[Optional[int]] = []
-        ref: list[Optional[int]] = []
-        fresh: list[tuple[int, str, list[int]]] = []  # (gadget, op, folded inputs)
-        residual: list[tuple[str, list[int], int]] = []  # (op, inputs, pin) rows
-        if (op == "NOT" or width > 1) and pins.count(None) == n_gates and \
-                const.keys().isdisjoint(flat) and \
-                (width == 1 or all(len(set(xs)) == width for xs in inputs)):
-            # nothing folds: every gadget is a fresh column, and ~k is the k-th
-            value, ref = [None] * n_gates, [~g for g in range(n_gates)]
-            fresh = list(zip(range(n_gates), ops, inputs))
+        gates, columns = range(first, first + n_gates), list(zip(*inputs))
+        if op == "NOT":
+            labels = [name or f"not_{x}" for name, x in zip(names, columns[0])]
+            lengths, values = [2] * n_gates, [1.0] * (2 * n_gates)
+            row_lo = row_hi = [1.0] * n_gates
+            indices = [0] * (2 * n_gates)
+            indices[0::2], indices[1::2] = gates, columns[0]
         else:
-            for g, (o, xs, pin) in enumerate(zip(ops, inputs, pins)):
-                terms: dict[int, None] = {}
-                result = None
-                if o == "NOT":
-                    x = xs[0]
-                    if x < 0:
-                        x, result = ref[~x], value[~x]
-                        result = None if result is None else 1 - result
-                    elif x in const:
-                        result = 1 - const[x]
-                    terms[x] = None
-                else:
-                    absorb = 0 if o == "AND" else 1
-                    for x in xs:
-                        k = const.get(x) if x >= 0 else value[~x]
-                        if k is None:
-                            terms[x if x >= 0 else ref[~x]] = None
-                        elif k == absorb:
-                            result = absorb
-                            break
-                    if result is None and not terms:
-                        result = 1 - absorb
-                if result is None and o != "NOT" and len(terms) == 1:
-                    alias = next(iter(terms))  # one input left: the gadget is that input
-                    if pin is not None:
-                        residual.append(("AND", [alias], pin))
-                    value.append(pin)
-                    ref.append(alias)
-                    continue
-                if result is not None:
-                    if pin is not None and pin != result:
-                        residual.append(("FALSE", [], pin))
-                    value.append(result)
-                    ref.append(None)
-                    continue
-                if pin is not None:
-                    residual.append((o, list(terms), pin))
-                    value.append(pin)
-                    ref.append(None)
-                    continue
-                value.append(None)
-                ref.append(~len(fresh))
-                fresh.append((g, o, list(terms)))
-        for needed in sorted({v for v in value if v is not None}
-                             | {pin for o, _, pin in residual if o == "FALSE"}
-                             | {1 - pin for o, _, pin in residual if o == "FALSE"}):
-            self.constant(needed, "const")
-        first = len(self.names)
-
-        def column(x: int) -> int:
-            return x if x >= 0 else first + ~x
-
-        labels = [names[g] or (f"not_{column(terms[0])}" if o == "NOT" else
-                               f"{o.lower()}_{first + j}")
-                  for j, (g, o, terms) in enumerate(fresh)]
-        lengths, indices, values, row_lo, row_hi = [], [], [], [], []
-        start = 0
-        while start < len(fresh):  # runs of one width, NOTs apart, with strided writes
-            width, negate = len(fresh[start][2]), fresh[start][1] == "NOT"
-            end = start + 1
-            while end < len(fresh) and len(fresh[end][2]) == width and \
-                    (fresh[end][1] == "NOT") == negate:
-                end += 1
-            run = fresh[start:end]
-            block = _gadget_rows([o for _, o, _ in run],
-                                 [[column(x) for x in terms] for _, _, terms in run],
-                                 first + start)
-            for gathered, part in zip((lengths, indices, values, row_lo, row_hi), block):
-                gathered += part
-            start = end
-        for o, terms, pin in residual:
-            xs = [column(x) for x in terms]
-            k = len(xs)
-            if o == "FALSE":  # a constant forced to the other value
-                xs, k, o = [self._const_cache[1 - pin]], 1, "AND"
-            if o == "NOT":
-                lo = hi = 1.0 - pin
-            elif (o == "AND") == (pin == 1):  # every input at the pin
-                lo = hi = float(pin * k)
-            elif o == "AND":  # AND at 0
-                lo, hi = -_INF, k - 1.0
-            else:  # OR at 1
-                lo, hi = 1.0, _INF
-            lengths.append(k)
-            indices += xs
-            values += [1.0] * k
-            row_lo.append(lo)
-            row_hi.append(hi)
-        if labels:
-            self.add_binaries(labels, tag)
-        if lengths:
-            self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
-        return [self._const_cache[v] if v is not None else column(r)
-                for v, r in zip(value, ref)]
+            labels = [name or f"{o.lower()}_{z}" for name, o, z in zip(names, ops, gates)]
+            # per gadget: (z, x_1), .., (z, x_I), then (z, x_1, .., x_I)
+            stride = 3 * width + 1
+            indices = [0] * (stride * n_gates)
+            indices[2 * width::stride] = gates
+            for p, column in enumerate(columns):
+                indices[2 * p::stride] = gates
+                indices[2 * p + 1::stride] = column
+                indices[2 * width + 1 + p::stride] = column
+            lengths = ([2] * width + [width + 1]) * n_gates
+            values = ([1.0, -1.0] * width + [1.0] + [-1.0] * width) * n_gates
+            # a repeated input keeps a pair row each time but is one term of the sum row
+            for g in reversed([g for g, xs in enumerate(inputs) if len(set(xs)) < width]):
+                terms = {first + g: 1.0}
+                for x in inputs[g]:
+                    terms[x] = terms.get(x, 0.0) - 1.0
+                at = stride * g + 2 * width
+                indices[at:at + width + 1] = terms
+                values[at:at + width + 1] = terms.values()
+                lengths[(width + 1) * g + width] = len(terms)
+            if isinstance(op, str):
+                row_lo, row_hi = (side * n_gates for side in _gadget_bounds(op, width))
+            else:
+                bounds = {o: _gadget_bounds(o, width) for o in ("AND", "OR")}
+                row_lo, row_hi = ([b for o in ops for b in bounds[o][side]] for side in (0, 1))
+        self.add_binaries(labels, tag)
+        self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
+        return list(gates)
 
     # -- threshold indicator ----------------------------------------------------
 
     def expr_bounds(self, expr: LinExpr) -> tuple[Number, Number]:
-        """The range of ``expr`` over the columns' bounds, a shared constant
-        at its value."""
         lo = hi = expr.const
-        const = self._const_value
         for v, c in expr.coeffs.items():
-            k = const.get(v)
-            if k is not None:
-                lo += c * k
-                hi += c * k
-            elif c >= 0:
+            if c >= 0:
                 lo += c * self._lb[v]
                 hi += c * self._ub[v]
             else:
@@ -723,63 +620,24 @@ class IlpModel:
     def indicators_geq(self, exprs: Sequence[LinExpr], m: Number, big_m: Number,
                        names: Optional[Sequence[Optional[str]]] = None,
                        tag: str = "indicator",
-                       known_bounds: Optional[tuple[Number, Number]] = None,
-                       pins: Optional[Sequence[Optional[int]]] = None) -> list[VarId]:
-        """One binary y per expression with y = 1 iff expr >= m, for
+                       known_bounds: Optional[tuple[Number, Number]] = None) -> list[VarId]:
+        """One fresh binary y per expression with y = 1 iff expr >= m, for
         integer-valued expressions.
 
         Encoded as  expr - M*y <= m - 1  and  expr - M*y >= m - M; the
         strict side uses integrality (expr < m becomes expr <= m - 1).
         ``known_bounds`` lets callers supply a tighter reachable range than
         the one variable bounds imply (e.g. a conserved total is invisible
-        per-variable); M is rejected if it cannot cover the range.  The
-        shared constants in an expression fold into its constant term, and
-        an expression whose range lies on one side of m is the constant
-        0 or 1 with no column.  ``pins[g]``, when not None, is the value the
-        rest of the program forces on indicator g: it returns that
-        constant and stores the one row that forces it (expr >= m, or
-        expr <= m - 1), or ``const = pin`` if the range already rules the
-        pin out.  A name that is None becomes ``geq_<id>``.  As with
-        ``bool_gadgets``, the columns and rows are stored as one block once
-        all are checked, however many indicators there are."""
+        per-variable); M is rejected if it cannot cover the range.  A name
+        that is None becomes ``geq_<id>``.  As with ``bool_gadgets``, the
+        columns and rows are stored as one block once all are checked,
+        however many indicators there are."""
+        first = len(self.names)
         names = [None] * len(exprs) if names is None else names
-        pins = [None] * len(exprs) if pins is None else pins
         if not exprs:
             return []
-        const = self._const_value
-        folded, value = [], []
-        for expr in exprs:
-            if not const.keys().isdisjoint(expr.coeffs):
-                expr = LinExpr({v: c for v, c in expr.coeffs.items() if v not in const},
-                               expr.const + sum(c * const[v] for v, c in expr.coeffs.items()
-                                                if v in const))
-            lo, hi = self.expr_bounds(expr)
-            if known_bounds is not None:
-                lo, hi = max(lo, known_bounds[0]), min(hi, known_bounds[1])
-            folded.append(expr)
-            value.append(1 if lo >= m else 0 if hi < m else None)
-        for v in sorted({v for v in (*value, *pins) if v is not None}):
-            self.constant(v, "const")
-        first = len(self.names)
-        labels, lengths, indices, values, row_lo, row_hi, out = [], [], [], [], [], [], []
-        for expr, name, pin, decided in zip(folded, names, pins, value):
-            if decided is not None or pin is not None:
-                out.append(self._const_cache[decided if pin is None else pin])
-                if pin is None or pin == decided:
-                    continue
-                if decided is not None:  # the range rules the pin out
-                    cols, coefs = [self._const_cache[decided]], [1.0]
-                    lo = hi = float(pin)
-                else:
-                    cols, coefs = list(expr.coeffs), list(expr.coeffs.values())
-                    lo, hi = ((m - expr.const, _INF) if pin else (-_INF, m - 1 - expr.const))
-                indices += cols
-                values += coefs
-                lengths.append(len(cols))
-                row_lo.append(lo)
-                row_hi.append(hi)
-                continue
-            y = first + len(labels)
+        labels, lengths, indices, values, row_lo, row_hi = [], [], [], [], [], []
+        for y, expr, name in zip(count(first), exprs, names):
             cols, coefs = self._indicator_terms(expr, m, big_m, known_bounds)
             self._check_columns(cols)
             labels.append(name or f"geq_{y}")
@@ -789,12 +647,9 @@ class IlpModel:
             lengths += (len(cols), len(cols))
             row_lo += (-_INF, m - big_m - expr.const)
             row_hi += (m - 1 - expr.const, _INF)
-            out.append(y)
-        if labels:
-            self.add_binaries(labels, tag)
-        if lengths:
-            self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
-        return out
+        self.add_binaries(labels, tag)
+        self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
+        return list(range(first, first + len(labels)))
 
     def _indicator_terms(self, expr: LinExpr, m: Number, big_m: Number,
                          known_bounds: Optional[tuple[Number, Number]]) -> tuple[list, list]:
@@ -884,6 +739,49 @@ class IlpModel:
             problems.append(f"constraint {idx} [{self._tag(idx)}] violated: "
                             f"{lhs[idx].item()} {self._sense(idx)} {self._rhs(idx)}")
         return problems
+
+
+class RowBlock:
+    """Rows gathered in Python lists for one ``IlpModel.add_rows`` call,
+    after the columns ``store`` is given.  The dynamics rows and loop ties
+    of ``encoder_sync``, the most numerous, append to the lists without
+    ``add`` where no shared constant is among their columns."""
+
+    def __init__(self, model: IlpModel):
+        self.model = model
+        self.lengths: list[int] = []
+        self.indices: list[VarId] = []
+        self.values: list[float] = []
+        self.row_lo: list[float] = []
+        self.row_hi: list[float] = []
+
+    def add(self, cols: list[VarId], coefs: list[float], lo: float, hi: float) -> None:
+        """The row, its shared constants folded as ``IlpModel.fold_row``
+        folds them; a row over binaries alone is stored as given, since the
+        emitters add none that always holds."""
+        if not self.model.constant_ids.isdisjoint(cols):
+            row = self.model.fold_row(cols, coefs, lo, hi)
+            if row is None:
+                return
+            cols, coefs, lo, hi = row
+        self.lengths.append(len(cols))
+        self.indices += cols
+        self.values += coefs
+        self.row_lo.append(lo)
+        self.row_hi.append(hi)
+
+    def store(self, tag: str, names: list[str]) -> None:
+        """Add the columns ``names``, then the rows; both lists start
+        afresh."""
+        model = self.model
+        if names:
+            model.add_binaries(names, tag)
+        if self.lengths:
+            model.add_rows([0, *accumulate(self.lengths)], self.indices,
+                           self.values, self.row_lo, self.row_hi, tag)
+        for gathered in (names, self.lengths, self.indices, self.values, self.row_lo,
+                         self.row_hi):
+            gathered.clear()
 
 
 def _finite(x: Number) -> bool:

@@ -10,10 +10,10 @@ from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.oracle import CollectiveExecution, Lasso, brute_force_synth, eval_outer
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
-from cltlsynth.encoder_cltl import (CltlOuterEncoder, EncodingError,
+from cltlsynth.encoder_cltl import (AggregateCounts, CltlOuterEncoder, EncodingError,
                                     build_cltl_problem, decompose_flows,
                                     encode_aggregate)
-from cltlsynth.encoder_sync import build_sync_problem
+from cltlsynth.encoder_sync import Layout, build_sync_problem
 
 from conftest import (oracle_check_all_logic_vars, random_instance, random_outer,
                       reaggregate)
@@ -68,21 +68,17 @@ def test_counting_threshold_on_fixed_occupancies():
     w0 = (3, 2)
     for m, expected in ((3, True), (4, False)):
         model = IlpModel()
-        tcp, logic = Tcp(IAtom("a"), m), []
-
-        def settle(layout, counts):
-            # the threshold's row, unpinned, settled with the counts
-            logic.append(CltlOuterEncoder(layout, counts))
-            logic[0].row(tcp)
-            layout.circuit.propagate()
-            counts.refine()
-
-        layout = encode_aggregate(model, fleet(ts, w0), h=1, settle=settle)
+        layout = Layout(model, fleet(ts, w0), h=1)
+        counts = AggregateCounts(layout)
+        logic = CltlOuterEncoder(layout, counts)
+        tcp = Tcp(IAtom("a"), m)
+        logic.row(tcp)  # the threshold's row, unpinned, decided by the counts
+        encode_aggregate(layout, counts)
         # freeze occupancies at their initial values
         for i in (0, 1):
             model.add_constraint(LinExpr({layout.agg_state[1][i]: 1}), "=",
                                  w0[i], tag="fix")
-        logic[0].lower()
+        logic.lower()
         y = layout.rows[(tcp, None)][0]
         sol = solve_bnb(model)
         assert sol.feasible
@@ -152,7 +148,8 @@ def test_lowest_index_first_assignment():
     ts = ts_of(["v1", "v2"], {(0, 0), (0, 1), (1, 1), (1, 0)}, {})
     inst = fleet(ts, (2, 0))
     model = IlpModel()
-    layout = encode_aggregate(model, inst, h=1)
+    layout = Layout(model, inst, h=1)
+    encode_aggregate(layout, AggregateCounts(layout))
     # force the split: one robot stays, one moves
     model.add_constraint(LinExpr({layout.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
     model.add_constraint(LinExpr({layout.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
@@ -160,7 +157,8 @@ def test_lowest_index_first_assignment():
     sol = solve_bnb(model)
     assert not sol.feasible  # h=1 cannot close the loop after a split
     model2 = IlpModel()
-    layout2 = encode_aggregate(model2, inst, h=2)
+    layout2 = Layout(model2, inst, h=2)
+    encode_aggregate(layout2, AggregateCounts(layout2))
     model2.add_constraint(LinExpr({layout2.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
     model2.add_constraint(LinExpr({layout2.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
     sol2 = solve_bnb(model2)

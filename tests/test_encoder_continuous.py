@@ -6,14 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from cltlsynth.formula import IAtom, OAnd, OEventually, ONext, Tcp
-from cltlsynth.ilp import IlpModel, LinExpr
+from cltlsynth.formula import (IAtom, IEventually, IUntil, OAnd, OEventually, ONext, ONot,
+                               Tcp)
+from cltlsynth.ilp import BINARY, KINDS, IlpModel, LinExpr
 from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import ContinuousSystem, ModelError
 from cltlsynth.encoder_continuous import (ContinuousPlan, build_cont_problem,
-                                          encode_cont_dynamics, encode_cont_loop,
-                                          extract_continuous,
+                                          encode_cont_loop, extract_continuous,
                                           membership_trace)
 from cltlsynth.encoder_sync import EncodingError, Layout
 
@@ -42,7 +42,8 @@ def integrators(n_robots=1, init=0.0, box=10.0, u_max=1.0):
 def test_zero_input_constant_state_loops_immediately():
     sys_ = integrators()
     model = IlpModel()
-    layout = encode_cont_dynamics(model, sys_, h=3)
+    layout = Layout(model, sys_, h=3)
+    ContinuousPlan(layout).emit()
     encode_cont_loop(layout)
     for t in range(3):
         for v in layout.input_vars[(0, t)]:
@@ -86,28 +87,29 @@ def test_formula_checked_against_the_atoms_and_groups():
 # ---------------------------------------------------------------------------
 
 def membership_model(point, margin=1e-5):
-    """Pin a 2-D state to `point` and encode membership in the unit box;
-    returns the model and the column of the membership value."""
-    f = np.eye(2)
-    g = np.zeros((2, 1))
-    c = np.zeros(2)
+    """Drive a 2-D state from the origin to `point` in one step and encode
+    its membership in the unit box; returns the model and the column of
+    the membership value at that step.  The state is the program's
+    choice, so the margin applies."""
     sys_ = ContinuousSystem(
-        dynamics=((f, g, c),),
-        init=(np.array(point, dtype=float),),
+        dynamics=((np.eye(2), np.eye(2), np.zeros(2)),),
+        init=(np.zeros(2),),
         atoms={"B": (np.vstack([np.eye(2), -np.eye(2)]),
                      np.array([1.0, 1.0, 0.0, 0.0]))},
         state_bounds=(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
-        input_bounds=(np.zeros(1), np.zeros(1)),
+        input_bounds=(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
     )
     model = IlpModel()
-    layout = Layout(model, sys_, 1)
+    layout = Layout(model, sys_, 2)
     plan = ContinuousPlan(layout, margin)
-    z, = plan.row("B", 0, 1)
+    z = plan.row("B", 0, 2)[1]
     layout.circuit.propagate()
     plan.refine()
     plan.emit()
     encode_cont_loop(layout)
     layout.circuit.lower()
+    for v, x in zip(layout.input_vars[(0, 0)], point):
+        model.add_constraint(LinExpr({v: 1}), "=", x, tag="fix")
     return model, layout.circuit.column(z)
 
 
@@ -140,6 +142,52 @@ def test_boundary_shell_is_excluded():
         model, z = membership_model([x, 0.5], margin=1e-3)
         sol = solve_bnb(model)
         assert sol.feasible and sol[z] == inside
+
+
+def unit_interval(init):
+    """One 1-D integrator starting at ``init``, atom B = [0, 1]."""
+    f, g = np.array([[1.0]]), np.array([[1.0]])
+    return ContinuousSystem(
+        dynamics=((f, g, np.zeros(1)),), init=(np.array([init]),),
+        atoms={"B": (np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))},
+        state_bounds=(np.array([-5.0]), np.array([5.0])),
+        input_bounds=(np.array([-1.0]), np.array([1.0])))
+
+
+def test_a_start_state_on_a_face_is_inside():
+    # a state no input moves is known exactly: on a face it is inside, as
+    # membership_trace reads it, and 1e-6 past the face it is outside
+    for x, inside in ((0.0, True), (1.0, True), (-1e-6, False), (1.0 + 1e-6, False)):
+        sys_ = unit_interval(x)
+        problem = build_cont_problem(sys_, Tcp(IAtom("B"), 1), h=2)
+        sol = solve_bnb(problem.model)
+        assert sol.feasible == inside, x
+        if inside:
+            traj, = extract_continuous(problem, sol)
+            assert "B" in membership_trace(sys_, traj)[0]
+        # the start is in B at step 1 only if it is now, one step of at most 1 away
+        problem = build_cont_problem(sys_, ONot(Tcp(IAtom("B"), 1)), h=2)
+        assert solve_bnb(problem.model).feasible != inside, x
+
+
+def test_tail_of_a_row_decided_at_its_start_is_new_binaries():
+    # F B holds at step 0 for a robot that starts in B, so its row starts
+    # with the constant 1; the robust tail (t = h .. h + tau - 1) reads
+    # the row at the loop start, and its entry is a binary of its own, in
+    # rows, although the constant is first made for the tail's rows
+    sys_ = unit_interval(0.5)
+    problem = build_cont_problem(sys_, Tcp(IEventually(IAtom("B")), 1), h=3, tau=1)
+    model, layout = problem.model, problem.layout
+    row, = [row for (node, n), row in layout.rows.items() if isinstance(node, IUntil)]
+    assert model.constant_value(row[0]) == 1
+    used = set(model.to_arrays().matrix.indices.tolist())
+    tail, = row[3:]
+    assert model.constant_value(tail) is None
+    assert model.names[tail].endswith("_n0_t3") and tail in used
+    binaries = np.flatnonzero(model.kind_codes() == KINDS.index(BINARY)).tolist()
+    assert set(binaries) <= used | set(model.constant_ids)
+    sol = solve_bnb(model)
+    assert sol.feasible
 
 
 def test_membership_gadget_matches_direct_evaluation():

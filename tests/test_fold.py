@@ -1,7 +1,7 @@
 """Every engine folds what the pinned root forces while it builds the
 program: bound propagation over the built rows (``propagation_reference``)
-fixes no column but the shared constants, and no row holds at every
-point of the bounds it leaves.  Folded programs keep the engines' verdicts:
+fixes no column but the shared constants, no row holds at every point
+of the bounds it leaves, and every binary is in some row.  Folded programs keep the engines' verdicts:
 brute-force agreement on conjunctions of G, GF, F G and negated counting
 clauses, with every logic row checked against the oracle."""
 
@@ -17,6 +17,7 @@ from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.formula import (IAlways, IAtom, IEventually, INot, OAlways, OAnd,
                                OEventually, ONot, Tcp, parse_formula)
+from cltlsynth.ilp import BINARY, KINDS
 from cltlsynth.oracle import Lasso, brute_force_synth, check_robust
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import ContinuousSystem, MultiRobotInstance, build_grid_system
@@ -27,12 +28,19 @@ from propagation_reference import fold_leftovers
 
 
 def assert_at_fixpoint(problem, what):
-    columns, rows = fold_leftovers(problem.model)
+    model = problem.model
+    columns, rows = fold_leftovers(model)
     if columns == ["<infeasible>"]:
-        assert solve_bnb(problem.model).status == "infeasible", what
+        assert solve_bnb(model).status == "infeasible", what
         return
     assert not columns, f"{what}: propagation fixes {columns[:5]}"
     assert not rows, f"{what}: rows {rows[:5]} always hold"
+    # and every binary but the constants is in some row: no column is made
+    # that the program does not use
+    used = set(model.to_arrays().matrix.indices.tolist()) | set(model.constant_ids)
+    orphans = [model.names[c] for c in np.flatnonzero(model.kind_codes() == KINDS.index(BINARY)).tolist()
+               if c not in used]
+    assert not orphans, f"{what}: binaries {orphans[:5]} are in no row"
 
 
 @pytest.mark.parametrize("h", [8, 12])

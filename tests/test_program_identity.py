@@ -10,12 +10,12 @@ why.
 Every digest was recorded again when the engines began to fold what the
 pinned root forces (``circuit``): entries the root pin, the constants
 and the start states decide are the shared constants, the state sets
-and occupancies narrow to what the rows allow, the block builders fold
-constant inputs and store no row that always holds, and the polytope
-faces gained a margin on their inside.  Every program changed; the
-folded desk at h = 16 has 3,847 columns and 8,601 rows where it had
-5,615 and 13,517.  The earlier digests had been recorded while every
-row was still stored as its own ``LinExpr``.
+and occupancies narrow to what the rows allow, the logic circuit folds
+decided inputs and stores no row that always holds, and the polytope
+faces of the states the inputs move gained a margin on both sides.
+Every program changed; the folded desk at h = 16 has 3,847 columns and
+8,601 rows where it had 5,615 and 13,517.  The earlier digests had been
+recorded while every row was still stored as its own ``LinExpr``.
 """
 
 import dataclasses
@@ -138,11 +138,11 @@ PROGRAMS = {  # name: (builder, h, SHA-256 of the program)
     "desk-swap-h8": (desk_swap, 8,
                      "be78cd81d7f483f6238fe7e1e0bdc64ad03f69906da85c2a9fec7d8a802af1c1"),
     "desk-tau2-h5": (desk_tau2, 5,
-                     "69c139bda6bdd90b743e685b35f77bbc4ac9efe83983646944c7263e6a70a96c"),
+                     "dffdb4215634e9ba41def365dd96bc28ecd1d837fd2eaf372e8e2c8e51b65ffc"),
     "mixed-dead-end-h5": (
         mixed, 5, "01f3a5fb0ed5cf43b1dca67ae52c77ede0b1a662eb130cc6793f6a19dd54a02e"),
     "double-integrators-h5": (
-        integrators, 5, "3b6c1cf7ddeac7bf1136bec7b76b51513378e5acb97b525aec5608d602f11c54"),
+        integrators, 5, "cd920a7a342354b55d26ff726127538fdb764efe5e6203b148d6288670e85779"),
 }
 
 

@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from cltlsynth.encoder_cltl import encode_aggregate
+from cltlsynth.encoder_cltl import AggregateCounts, encode_aggregate
+from cltlsynth.encoder_sync import Layout
 from cltlsynth.ilp import IlpModel
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import (ContinuousSystem, ModelError, MultiRobotInstance,
@@ -223,7 +224,8 @@ def test_label_vector_matches_membership():
 def start_counts(inst: MultiRobotInstance) -> tuple[int, ...]:
     """The occupancies the aggregate program pins at t = 0."""
     model = IlpModel()
-    layout = encode_aggregate(model, inst, h=1)
+    layout = Layout(model, inst, h=1)
+    encode_aggregate(layout, AggregateCounts(layout))
     sol = solve_bnb(model)
     assert sol.feasible
     return tuple(round(sol[v]) for v in layout.agg_state[0])
