@@ -10,8 +10,9 @@ the result against an independent semantics oracle, including robustness
 to bounded asynchrony between robots.
 
 The public names below are imported from their modules on first use
-(PEP 562), so a process that needs one module, such as the LP-file solver
-``python -m cltlsynth.lp_cli``, does not import the rest.
+(PEP 562), so a process that needs one module does not import the rest:
+the LP-file solver ``python -m cltlsynth.lp_cli`` loads ``highs`` and
+itself, with no NumPy and not even ``lp_format``.
 """
 
 import importlib

@@ -16,8 +16,9 @@ so the search flags (``--verify-max-t``, ``--verify-cap``, ``--max-t``,
 Exit codes for synth: 0 feasible and verified, 1 every horizon of the
 sweep proven infeasible, 2 feasible but rejected by the oracle or the
 collision checker (encoder bug sentinel), 3 usage errors (among them
-``--solver-cmd`` without ``--solver external``, ``--collision`` on a
-continuous model, and an engine that does not apply), 4 I/O or budget
+``--solver-cmd`` without ``--solver external``, without an ``{lp}``
+placeholder or with quoting ``shlex.split`` cannot parse, ``--collision``
+on a continuous model, and an engine that does not apply), 4 I/O or budget
 problems (a sweep with no feasible horizon and at least one unknown one,
 or a verification window past ``oracle.WINDOW_CAP``) and unsettled robust
 sweeps.  The robust encoding is conservative, so at tau >= 1 an
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -181,6 +183,13 @@ def _bad_synth_args(args) -> str:
         return "--solver external needs --solver-cmd"
     if args.solver_cmd is not None and args.solver != "external":
         return "--solver-cmd needs --solver external"
+    if args.solver_cmd is not None:
+        if "{lp}" not in args.solver_cmd:
+            return "--solver-cmd must contain an {lp} placeholder"
+        try:
+            shlex.split(args.solver_cmd)
+        except ValueError as exc:  # such as an unbalanced quote
+            return f"--solver-cmd cannot be split into words: {exc}"
     return ""
 
 

@@ -13,13 +13,26 @@ file; an unlisted one is 0.  From ``write_lp`` output HiGHS reads the
 arrays the model's ``to_arrays`` gives, with the columns in order of first
 appearance in the file; ``solve_external`` maps them back by name.
 
-Importing this module loads only ``highs``, with SciPy's HiGHS binding,
-and ``lp_format``: no NumPy, no ``ilp``, since the package ``__init__``
-imports its public names on first use.  On a shared 2-vCPU machine
-pinned to one CPU, the whole child on the 8x8 emergency desk took 0.15,
-0.24 and 0.31 s at h = 8, 12 and 16 without HiGHS symmetry detection and
-0.18, 0.26 and 0.32 s with it (median of ten alternating runs, start-up
-included; the solution files are the same).
+Importing this module loads only ``highs``, with SciPy's HiGHS binding:
+no NumPy, no ``ilp`` and not ``lp_format`` either, since the package
+``__init__`` imports its public names on first use and the solution
+lines are written here (``_number`` writes numbers as ``write_lp`` does).
+Run as ``__main__``, the child ends with ``os._exit`` once ``main`` has
+returned: the solution file is closed by then and stdout and stderr are
+flushed, so nothing is lost, and the interpreter's teardown of its
+modules and the HiGHS instance, which solves nothing, is skipped.
+The hard exit also drops libc's stdio buffers, so any output HiGHS wrote
+while fd 1 pointed at ``os.devnull`` (``run_highs``) cannot reach stdout
+at exit.  ``main`` and ``solve_lp_file`` return as usual in process.
+
+A child's time is the interpreter's start (about 47 ms, outside the
+package), loading the binding (8-9 ms), HiGHS reading the file and
+solving.  On the 8x8 emergency desk at h = 8, 12 and 16 the read took
+15, 29 and 43 ms and the solve 23, 67 and 90 ms, and the whole child 88,
+147 and 185 ms, against 105, 171 and 199 ms when it imported
+``lp_format`` and tore the interpreter down (one CPU of a shared 2-vCPU
+machine, median of 12 interleaved rounds; the solution files are the
+same).
 
 HiGHS reads text without any section, an empty file included, as a model
 with no columns and no rows.  Such a model is solved only when the file
@@ -36,11 +49,11 @@ target: ``python -m cltlsynth.lp_cli {lp} {sol}``.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 
 from .highs import HighsStatus, HighsVarType, SolverError, new_highs, run_highs
-from .lp_format import write_solution_file
 
 
 # An objective header, which every LP file has, even one of an empty model,
@@ -63,8 +76,18 @@ def solve_lp_file(lp_path: str, sol_path: str) -> str:
                 raise unreadable
     integral = [kind == HighsVarType.kInteger for kind in lp.integrality_]
     status, point, _ = run_highs(highs, integral or [False] * lp.num_col_)
-    write_solution_file(sol_path, status, {c: x for c, x in zip(lp.col_names_, point or ()) if x})
+    with open(sol_path, "w") as fh:  # as ``lp_format`` describes: the nonzero values
+        fh.write(f"status {status}\n")
+        fh.writelines(f"{c} {_number(x)}\n" for c, x in zip(lp.col_names_, point or ()) if x)
     return status
+
+
+def _number(x) -> str:
+    """A value as ``write_lp`` writes numbers: an integral one as an
+    integer, any other with 17 significant digits."""
+    if isinstance(x, int) or (x.is_integer() and abs(x) < 1e15):
+        return str(int(x))
+    return format(x, ".17g")
 
 
 def main(argv=None) -> int:
@@ -82,4 +105,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()  # the solution file is closed once main returns
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)  # no interpreter teardown (module docstring)

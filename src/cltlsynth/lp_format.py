@@ -32,8 +32,11 @@ reads the file as written; ``lp_cli`` hands it to HiGHS's.
 
 Solution files are plain text: an optional ``status feasible|infeasible|
 unknown`` line, then ``name value`` lines, each name once and an unlisted
-one 0 (``lp_cli`` lists the nonzero values).  Any other text, status or a
-repeated name raises ``SolverError``: the file comes from a solver.
+one 0.  A solver writes them: the LP-file child ``lp_cli`` writes its own
+lines, the nonzero values with numbers as ``write_lp`` writes them, and
+any other command ``solve_external`` runs writes its own.
+``read_solution_file`` is the one reader; any other text, status or a
+repeated name raises ``SolverError``.
 
 ``write_lp`` streams ``to_arrays()``, the matrix the solver and
 ``check_point`` share, ``ROW_CHUNK`` rows, then columns, at a time.  A
@@ -48,14 +51,15 @@ once); on aggregate-n (ROADMAP) it adds 14 and 47 MB to peak RSS at N =
 300 and 1000 (130 and 449 MB before).  A pass over the desk at h = 8, 12
 and 16 took 41-42 ms against 61-65 ms (one CPU of a shared 2-vCPU
 machine, least of 15 interleaved passes, four runs).  NumPy and ``ilp``
-are imported in ``write_lp`` only, so ``lp_cli`` loads neither.
+are imported in ``write_lp`` only.  Solving an LP file needs neither
+NumPy nor this module, and ``lp_cli`` loads neither.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, TextIO, Union
+from typing import TYPE_CHECKING, TextIO, Union
 
 from .highs import SolverError
 
@@ -183,13 +187,6 @@ def write_lp(model: IlpModel, target: Union[str, Path, TextIO]) -> dict[str, int
 # ---------------------------------------------------------------------------
 # Solution files
 # ---------------------------------------------------------------------------
-
-def write_solution_file(path: Union[str, Path], status: str,
-                        values: Optional[dict[str, float]] = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"status {status}\n")
-        fh.writelines(f"{name} {_num(value)}\n" for name, value in (values or {}).items())
-
 
 def read_solution_file(path: Union[str, Path]) -> tuple[str, dict[str, float]]:
     """Returns (status, name->value).  Lines are ``name value``; an optional

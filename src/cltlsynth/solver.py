@@ -171,8 +171,13 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
 
     ``solver_cmd`` is a template with an ``{lp}`` placeholder and an
     optional ``{sol}`` placeholder; without ``{sol}``, the solver's stdout
-    is taken as the solution file content.  A command that cannot be
-    split or started, or that exits nonzero, raises ``SolverError``.
+    is taken as the solution file content.  A command without ``{lp}``,
+    or one that cannot be split or started, or that exits nonzero, raises
+    ``SolverError`` (``cltlsynth synth`` rejects the first two as usage
+    errors before it reads the model).  The bundled target is
+    ``python -m cltlsynth.lp_cli {lp} {sol}``: a child that loads only
+    ``highs`` of the package, writes the solution file itself and exits
+    without interpreter teardown (its docstring gives its time).
 
     The listed values go into a NumPy point, 0 for every unlisted column,
     whose integral columns are rounded in NumPy; it must pass

@@ -210,6 +210,19 @@ def test_external_solver_that_cannot_start_is_an_io_error(grid_model, capsys, so
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("solver_cmd, message", [
+    ("cat", "--solver-cmd must contain an {lp} placeholder"),
+    ("python3 'unclosed {lp}", "--solver-cmd cannot be split into words: No closing quotation"),
+], ids=["no-placeholder", "bad-quoting"])
+def test_a_solver_command_that_cannot_run_is_a_usage_error(tmp_path, capsys, solver_cmd,
+                                                           message):
+    # rejected before the model is read: there is no model file
+    code = run(["synth", "--model", tmp_path / "nope.json", "--formula", "F [A, 2]",
+                "--horizon", "6", "--solver", "external", "--solver-cmd", solver_cmd])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_external_solution_is_an_io_error(grid_model, capsys):
     junk = (f"{sys.executable} -c "
             "\"import sys; open(sys.argv[2], 'w').write('x 1 2\\n')\" {lp} {sol}")

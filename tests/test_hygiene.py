@@ -3,9 +3,11 @@ that module, every public name the package exports exists, every public
 function, class or method is read by the package or the benchmark (tests
 do not count), every private module-level definition is read in its own
 module, every package name the benchmark imports or reads from a package
-module exists, HiGHS is reached only through ``highs.py``, only
-``ilp.py`` reads the private buffers an ``IlpModel`` stores its program
-in, and each of those buffers has one writer.
+module exists, HiGHS is reached only through ``highs.py``, the LP-file
+child ``lp_cli.py`` imports no package module but ``highs`` and ends
+the process only from its ``__main__`` block, only ``ilp.py`` reads the
+private buffers an ``IlpModel`` stores its program in, and each of those
+buffers has one writer.
 
 There is no linter in the toolchain, so these AST scans are the guard.
 ``__init__`` is exempt from the import scan, since its imports are the
@@ -242,6 +244,64 @@ def test_scan_finds_highs_users():
 def test_only_the_solver_module_calls_highs():
     assert [p.name for p in USERS if imports_highs_binding(p.read_text())] == ["highs.py"]
     assert [p.name for p in MODULES if calls_milp(p.read_text())] == []
+
+
+def exit_calls(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "_exit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def lean_child_faults(source: str) -> list[str]:
+    """What would slow or break the LP-file child ``lp_cli``: an import of
+    a package module other than ``highs``, and an ``os._exit`` call outside
+    the module's top-level ``if __name__ == "__main__":`` block or before
+    that block flushes ``sys.stdout`` and ``sys.stderr``."""
+    tree = ast.parse(source)
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = f"cltlsynth.{node.module or ''}".rstrip(".") if node.level \
+                else node.module or ""
+            # a name imported from the package itself is a module
+            names = [f"{module}.{alias.name}" if module == "cltlsynth" else module
+                     for alias in node.names]
+        else:
+            continue
+        faults += [f"line {node.lineno}: imports {name.split('.')[1]}"
+                   for name in dict.fromkeys(names)
+                   if name.startswith("cltlsynth.") and name.split(".")[1] != "highs"]
+    main = [node for node in tree.body if isinstance(node, ast.If)
+            and ast.unparse(node.test) in ("__name__ == '__main__'", '__name__ == "__main__"')]
+    in_main, flushed = set(), set()
+    for statement in (s for block in main for s in block.body):
+        for call in exit_calls(statement):
+            in_main.add(id(call))
+            if not {"sys.stdout.flush()", "sys.stderr.flush()"} <= flushed:
+                faults.append(f"line {call.lineno}: os._exit before the flushes")
+        flushed |= {ast.unparse(node) for node in ast.walk(statement)
+                    if isinstance(node, ast.Call)}
+    faults += [f"line {call.lineno}: os._exit outside the __main__ block"
+               for call in exit_calls(tree) if id(call) not in in_main]
+    return faults
+
+
+def test_scan_finds_what_slows_the_lp_file_child():
+    assert lean_child_faults(
+        "import os, sys\nimport cltlsynth.lp_format\n"
+        "from cltlsynth import highs, ilp\nfrom cltlsynth.solver import solve_bnb\n"
+        "from .highs import run_highs\nfrom . import lp_format\nfrom .ilp import IlpModel\n"
+        "def main():\n    os._exit(0)\n"
+        "if __name__ == '__main__':\n    sys.stdout.flush()\n    os._exit(main())\n"
+        "    sys.stderr.flush()\n    os._exit(1)\n") == [
+        "line 2: imports lp_format", "line 3: imports ilp", "line 4: imports solver",
+        "line 6: imports lp_format", "line 7: imports ilp",
+        "line 12: os._exit before the flushes", "line 9: os._exit outside the __main__ block"]
+
+
+def test_the_lp_file_child_stays_lean():
+    assert lean_child_faults((SRC / "lp_cli.py").read_text()) == []
 
 
 def private_model_attributes() -> set[str]:

@@ -9,6 +9,7 @@ value.
 import gc
 import io
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -20,11 +21,10 @@ import pytest
 from scipy import sparse
 
 from cltlsynth import lp_cli, lp_format
-from cltlsynth.highs import HighsStatus, MatrixFormat, SolverError, new_highs
+from cltlsynth.highs import FEAS_TOL, HighsStatus, MatrixFormat, SolverError, new_highs
 from cltlsynth.ilp import (BINARY, CONTINUOUS, INTEGER, KINDS, SENSES, IlpModel, LinExpr,
                            ModelArrays)
-from cltlsynth.lp_format import (read_solution_file, sanitize_names, write_lp,
-                                 write_solution_file)
+from cltlsynth.lp_format import read_solution_file, sanitize_names, write_lp
 from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.solver import solve_bnb
 
@@ -827,15 +827,79 @@ def test_lp_keywords_are_renamed_and_read_back(tmp_path):
     assert_reads_back(m, tmp_path / "keywords.lp")
 
 
+def run_lp_cli(*args) -> subprocess.CompletedProcess:
+    """The LP-file child as ``solve_external`` runs it, stdout and stderr
+    piped and block-buffered, so a line lost at its hard exit shows as
+    missing output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "cltlsynth.lp_cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
 def test_lp_cli_reports_a_malformed_file_in_one_line(tmp_path):
     lp = tmp_path / "bad.lp"
     lp.write_text("\\ m\nMinimize\n obj:\nSubject To\n c0: + 1 x <= 1 2\n"
                   "Binaries\n x\nEnd\n")
-    proc = subprocess.run([sys.executable, "-m", "cltlsynth.lp_cli", str(lp),
-                           str(tmp_path / "out.sol")], capture_output=True, text=True)
+    proc = run_lp_cli(lp, tmp_path / "out.sol")
     assert proc.returncode == 1
     assert proc.stderr == f"error: HiGHS could not read {lp} as an LP file\n"
     assert proc.stdout == ""  # no HiGHS log text
+
+
+def wide_model() -> IlpModel:
+    """3,000 binaries fixed at 1: a solution file of about 23 KB."""
+    m = IlpModel()
+    for k in range(3000):
+        fix(m, m.add_binary(f"x{k}"), 1)
+    return m
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_sync_problem(*emergency_instance(), 16).model,  # 469 lines, 5.3 KB
+    wide_model,
+], ids=["desk-h16", "wide"])
+def test_lp_cli_child_writes_what_the_in_process_solve_writes(tmp_path, build):
+    """The child exits without interpreter teardown, so every line of its
+    solution file and its status line on stdout must be out before it
+    does; the wide program's file spans several write buffers."""
+    lp, child, here = tmp_path / "m.lp", tmp_path / "child.sol", tmp_path / "here.sol"
+    model = build()
+    name_to_var = write_lp(model, lp)
+    proc = run_lp_cli(lp, child)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "feasible\n", "")
+    assert lp_cli.solve_lp_file(str(lp), str(here)) == "feasible"
+    assert child.read_text() == here.read_text()
+    named = read_solution_file(child)[1]
+    assert len(named) > 400  # a file cut short would miss values the rows need
+    assert model.check_point({name_to_var[name]: x for name, x in named.items()},
+                             tol=FEAS_TOL) == []
+
+
+def test_lp_cli_child_reports_an_infeasible_model(tmp_path):
+    m = IlpModel()
+    fix(m, m.add_binary("x"), 2)
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    write_lp(m, lp)
+    proc = run_lp_cli(lp, sol)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "infeasible\n", "")
+    assert sol.read_text() == "status infeasible\n"
+
+
+def test_lp_cli_child_reports_an_unwritable_solution_path_in_one_line(tmp_path):
+    lp, sol = tmp_path / "m.lp", tmp_path / "missing" / "m.sol"
+    write_lp(small_model(), lp)
+    proc = run_lp_cli(lp, sol)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(sol) in proc.stderr
+
+
+@pytest.mark.parametrize("args", [[], ["m.lp"], ["m.lp", "m.sol", "extra"]],
+                         ids=["none", "one", "three"])
+def test_lp_cli_child_rejects_a_wrong_argument_count(args):
+    proc = run_lp_cli(*args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: python -m cltlsynth.lp_cli model.lp out.sol\n"
 
 
 def test_lp_cli_reads_only_files_named_lp(tmp_path, capfd):
@@ -947,13 +1011,37 @@ def test_lp_cli_answers_any_text_in_one_line(tmp_path, capfd, lines):
 
 
 def test_solution_file_round_trip(tmp_path):
-    path = tmp_path / "s.sol"
-    write_solution_file(path, "feasible", {"x": 1, "load": 2.25})
-    status, values = read_solution_file(path)
-    assert status == "feasible"
-    assert values == {"x": 1.0, "load": 2.25}
-    write_solution_file(path, "infeasible")
-    assert read_solution_file(path)[0] == "infeasible"
+    """The LP-file child lists each nonzero value, an integral one as an
+    integer and any other to 17 digits, as ``write_lp`` writes numbers,
+    and ``read_solution_file`` reads back the floats that text gives."""
+    m = IlpModel()
+    x, zero = m.add_binary("x"), m.add_binary("zero")
+    fixed = {x: 1, zero: 0, m.add_var(INTEGER, "n", -3, -3): -3,
+             m.add_var(CONTINUOUS, "load", 2.25, 2.25): 2.25,
+             m.add_var(CONTINUOUS, "third", 1 / 3, 1 / 3): 1 / 3,
+             m.add_var(CONTINUOUS, "big", 1e15, 1e15): 1e15}
+    m.add_constraint(LinExpr(dict.fromkeys(fixed, 1)), ">=", -10, tag="all")
+    fix(m, x, 1)
+    fix(m, zero, 0)
+    lp, sol = tmp_path / "s.lp", tmp_path / "s.sol"
+    write_lp(m, lp)
+    assert lp_cli.solve_lp_file(str(lp), str(sol)) == "feasible"
+    numbers = {m.names[v]: lp_format._num(x) for v, x in fixed.items() if x}
+    assert sol.read_text() == "status feasible\n" + "".join(
+        f"{name} {text}\n" for name, text in numbers.items())
+    assert numbers["third"] == "0.33333333333333331" and numbers["big"] == "1000000000000000"
+    assert read_solution_file(sol) == (
+        "feasible", {name: float(text) for name, text in numbers.items()})
+    fix(m, zero, 1)
+    write_lp(m, lp)
+    assert lp_cli.solve_lp_file(str(lp), str(sol)) == "infeasible"
+    assert read_solution_file(sol) == ("infeasible", {})
+
+
+@pytest.mark.parametrize("value", [1, -3, 0.5, 3.0, -2.0, 1 / 3, -1e-300, 1e15 - 1, 1e15,
+                                   2.0 ** 60, float("inf")])
+def test_the_child_writes_numbers_as_write_lp_does(value):
+    assert lp_cli._number(value) == lp_format._num(value)
 
 
 def test_solution_file_rejects_garbage(tmp_path):

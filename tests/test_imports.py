@@ -1,7 +1,8 @@
 """Start-up cost: the LP-file solver child loads SciPy's HiGHS binding
-and nothing else of SciPy, and no NumPy; the CLI loads NumPy and the
-binding, but neither ``scipy.optimize`` nor ``scipy.sparse``; and the
-binding the package loads is the one SciPy uses.
+and nothing else of SciPy, no NumPy, and of the package only ``highs``
+(not even ``lp_format``); the CLI loads NumPy and the binding, but
+neither ``scipy.optimize`` nor ``scipy.sparse``; and the binding the
+package loads is the one SciPy uses.
 
 Each check runs in a fresh interpreter, since this one has imported SciPy
 already.
@@ -42,6 +43,9 @@ def test_the_lp_file_solver_loads_no_numpy():
     loaded = modules_after("cltlsynth.lp_cli")[1]
     assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
     assert "cltlsynth.ilp" not in loaded and "cltlsynth.solver" not in loaded
+    # it writes its solution lines itself: of the package, only the binding's module
+    assert [name for name in loaded if name.split(".")[0] == "cltlsynth"] == [
+        "cltlsynth", "cltlsynth.highs", "cltlsynth.lp_cli"]
 
 
 @pytest.mark.parametrize("imports", [
