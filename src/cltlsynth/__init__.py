@@ -32,8 +32,8 @@ _EXPORTS = {
     "oracle": ("CollectiveExecution", "Lasso", "Verdict", "brute_force_synth",
                "check_robust", "eval_inner", "eval_outer"),
     "encoder_sync": ("EncodedProblem", "Layout", "build_sync_problem", "encode_collision",
-                     "encode_dynamics", "encode_loop", "extract_trajectories"),
-    "encoder_cltl": ("build_cltl_problem", "decompose_flows", "encode_aggregate"),
+                     "encode_loop", "extract_trajectories"),
+    "encoder_cltl": ("build_cltl_problem", "decompose_flows"),
     "encoder_robust": ("build_robust_problem",),
     "encoder_continuous": ("build_cont_problem", "extract_continuous", "membership_trace"),
 }

@@ -33,9 +33,13 @@ bound-propagation fixpoint of the program's rows (Achterberg et al.,
 
 The engine's own layer may decide leaves and read leaf values in turn;
 ``encoder_sync.LogicEncoder`` runs that exchange to its fixpoint.  The
-discrete engines narrow bit-mask state sets (``encoder_sync.StateSets``);
-the aggregate and continuous engines keep their numeric variables as
-``Intervals`` until then, bounds propagated over their rows.
+discrete engines narrow bit-mask state sets (``encoder_sync.StateSets``).
+The aggregate and continuous engines share one layer, ``IntervalLeaves``:
+their numeric variables are ``Intervals`` until then, bounds propagated
+over their rows, and each leaf tests a linear expression of them against
+one interval per value.  ``Intervals`` is also the one store of their
+program rows: a row added with a tag is written to the model once, in
+order (``Intervals.store``), and a row added without one only propagates.
 """
 
 from __future__ import annotations
@@ -387,11 +391,14 @@ class Intervals:
         self.lo: list[float] = []
         self.hi: list[float] = []
         self.integral: list[bool] = []
-        self.rows: list[tuple[list[int], list[float], float, float]] = []
+        # per row: its variables, coefficients, bounds and program tag (None
+        # for a row that only propagates)
+        self.rows: list[tuple[list[int], list[float], float, float, Optional[str]]] = []
         self.uses: list[list[int]] = []  # the rows each variable is in
         self._width: list[float] = []
         self._dirty: set[int] = set()
         self._empty = False
+        self._stored = 0  # the rows ``store`` has passed
 
     def var(self, lo: float, hi: float, integral: bool) -> int:
         self.lo.append(lo)
@@ -401,13 +408,30 @@ class Intervals:
         self._width.append(max(hi - lo, 1.0))
         return len(self.lo) - 1
 
-    def add(self, cols: Sequence[int], coefs: Sequence[float], lo: float, hi: float) -> None:
-        """The row ``lo <= coefs . x[cols] <= hi``; each variable once."""
+    def add(self, cols: Sequence[int], coefs: Sequence[float], lo: float, hi: float,
+            tag: Optional[str] = None) -> None:
+        """The row ``lo <= coefs . x[cols] <= hi``, each variable once; the
+        program keeps it (``store``) if it has a ``tag``."""
         r = len(self.rows)
-        self.rows.append((list(cols), list(coefs), lo, hi))
+        self.rows.append((list(cols), list(coefs), lo, hi, tag))
         for c in cols:
             self.uses[c].append(r)
         self._dirty.add(r)
+
+    def store(self, model, columns: dict[int, int]) -> None:
+        """Write the tagged rows not written yet, in order, through
+        ``IlpModel.add_folded`` over ``columns`` (each variable's column or
+        the shared constant of its value), up to the first row with a
+        variable that has no column yet."""
+        for r in range(self._stored, len(self.rows)):
+            cols, coefs, lo, hi, tag = self.rows[r]
+            if tag is not None:
+                try:
+                    expr = _column_expr(columns, cols, coefs)
+                except KeyError:  # a variable that is not a column yet
+                    return
+                model.add_folded(expr, lo, hi, tag)
+            self._stored = r + 1
 
     def bound(self, v: int, lo: float, hi: float) -> None:
         """Narrow variable v to [lo, hi]; an empty range makes the next
@@ -438,7 +462,7 @@ class Intervals:
         if self._empty:
             return False
         while dirty:
-            cols, coefs, row_lo, row_hi = self.rows[dirty.pop()]
+            cols, coefs, row_lo, row_hi, _ = self.rows[dirty.pop()]
             low, high = self.range(cols, coefs)
             if low > row_hi + 1e-7 or high < row_lo - 1e-7:
                 return False
@@ -463,3 +487,119 @@ class Intervals:
                     dirty.update(self.uses[c])
         return True
 
+
+def _column_expr(columns, cols: Sequence[int], coefs: Sequence[float],
+                 const: float = 0) -> LinExpr:
+    """``const + coefs . x[cols]`` over the variables' ``columns``."""
+    expr = LinExpr(const=const)
+    for c, a in zip(cols, coefs):
+        expr.add_term(columns[c], a)
+    return expr
+
+
+class IntervalLeaves:
+    """Circuit leaves over an engine's ``Intervals`` variables: the layer
+    the aggregate and continuous engines share.
+
+    A leaf says: signal s puts e = coefs . x + const in ``one`` when 1 and
+    in ``zero`` when 0 (a counting threshold [m, inf) / (-inf, m - 1], a
+    polytope face (-inf, h_i - margin] / [h_i + margin, inf)).  The loop
+    selectors are 0/1 variables with their tagged one-of row.  ``refine``
+    adds the untagged row of each newly decided leaf, fixes the decided
+    selectors, propagates, and decides the leaves whose range misses a
+    side and the selectors the bounds fix.  A subclass adds its variables
+    and tagged rows; ``make_column`` and ``store`` write them to the
+    model, and ``side`` the row a decided leaf forces at lowering."""
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.intervals = Intervals()
+        self.loop: list[int] = []
+        self.column: dict[int, int] = {}
+        self._leaves: dict[Signal, tuple[LinExpr, tuple, tuple]] = {}
+        self._sent: set[Signal] = set()
+
+    def loop_selectors(self) -> None:
+        """The loop selectors, exactly one of them 1."""
+        self.loop = [self.intervals.var(0, 1, True) for _ in range(self.layout.h)]
+        self.intervals.add(self.loop, [1] * len(self.loop), 1, 1, "loop")
+
+    def add(self, expr: LinExpr, lo: float, hi: float, tag: Optional[str] = None) -> None:
+        """The row ``lo <= expr <= hi`` over the variables."""
+        self.intervals.add(list(expr.coeffs), list(expr.coeffs.values()),
+                           lo - expr.const, hi - expr.const, tag)
+
+    def leaf(self, s: Signal, expr: LinExpr, one: tuple, zero: tuple) -> None:
+        """Tie circuit leaf s to ``expr``: in ``one`` when s is 1, in
+        ``zero`` when it is 0."""
+        self._leaves[s] = (expr, one, zero)
+        self._decide(s)
+
+    def _decide(self, s: Signal) -> bool:
+        """Decide leaf s where its range misses ``zero`` (1) or ``one``
+        (0; both is a conflict); True if s is newly decided."""
+        circuit = self.layout.circuit
+        if circuit.val[s] is not None:
+            return False
+        expr, one, zero = self._leaves[s]
+        low, high = self.intervals.range(list(expr.coeffs), list(expr.coeffs.values()))
+        low, high = low + expr.const, high + expr.const
+        if high < zero[0] or low > zero[1]:
+            circuit.assign(s, 1)
+        if high < one[0] or low > one[1]:
+            circuit.assign(s, 0)
+        return circuit.val[s] is not None
+
+    def refine(self) -> bool:
+        """True if a signal was assigned; False also when no point is left,
+        which marks the circuit in conflict."""
+        lay, iv = self.layout, self.intervals
+        circuit, val = lay.circuit, lay.circuit.val
+        for s, (expr, one, zero) in self._leaves.items():
+            if val[s] is not None and s not in self._sent:
+                self._sent.add(s)
+                self.add(expr, *(one if val[s] else zero))
+        for z, s in zip(self.loop, lay.loop_signals):
+            if val[s] is not None:
+                iv.bound(z, val[s], val[s])
+        if not iv.propagate():
+            circuit.conflict = True
+            return False
+        assigned = False
+        for s in self._leaves:
+            assigned |= self._decide(s)
+        for z, s in zip(self.loop, lay.loop_signals):
+            if val[s] is None and iv.fixed(z):
+                circuit.assign(s, int(iv.lo[z]))
+                assigned = True
+        return assigned
+
+    def make_column(self, v: int, name: str, tag: str) -> int:
+        """Variable v's column within its narrowed bounds, or the shared
+        constant of its value once they meet."""
+        iv, model = self.intervals, self.layout.model
+        lo, hi = iv.lo[v], iv.hi[v]
+        if iv.fixed(v):
+            self.column[v] = model.constant(int(round(lo)) if iv.integral[v] else lo)
+        elif iv.integral[v]:
+            self.column[v] = model.add_integer(name, int(lo), int(hi), tag=tag)
+        else:
+            self.column[v] = model.add_continuous(name, lo, hi, tag=tag)
+        return self.column[v]
+
+    def columns(self, expr: LinExpr) -> LinExpr:
+        """``expr`` over the variables' columns."""
+        return _column_expr(self.column, list(expr.coeffs), list(expr.coeffs.values()),
+                            expr.const)
+
+    def store(self) -> None:
+        """Write the tagged rows whose variables are columns by now."""
+        lay = self.layout
+        self.column.update(zip(self.loop, lay.loop_vars))
+        self.intervals.store(lay.model, self.column)
+
+    def side(self, s: Signal, tag: str) -> None:
+        """At lowering, the row decided leaf s forces over the columns."""
+        expr, one, zero = self._leaves[s]
+        lo, hi = one if self.layout.circuit.val[s] else zero
+        self.layout.model.add_folded(self.columns(expr), lo, hi, tag)

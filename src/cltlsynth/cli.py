@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import shlex
 import sys
 from pathlib import Path
 
@@ -45,7 +44,7 @@ from .ilp import Solution
 from .lp_format import write_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso,
                      VerificationBudgetError, check_robust, collision_violations)
-from .solver import SolverError, solve_bnb, solve_external
+from .solver import SolverError, solve_bnb, solve_external, solver_words
 from .system import (COLLISION_ALIASES, ContinuousSystem, ModelError,
                      MultiRobotInstance, load_model)
 from .encoder_cltl import build_cltl_problem, cltl_obstacle, decompose_flows
@@ -184,12 +183,10 @@ def _bad_synth_args(args) -> str:
     if args.solver_cmd is not None and args.solver != "external":
         return "--solver-cmd needs --solver external"
     if args.solver_cmd is not None:
-        if "{lp}" not in args.solver_cmd:
-            return "--solver-cmd must contain an {lp} placeholder"
         try:
-            shlex.split(args.solver_cmd)
-        except ValueError as exc:  # such as an unbalanced quote
-            return f"--solver-cmd cannot be split into words: {exc}"
+            solver_words(args.solver_cmd)
+        except ValueError as exc:
+            return f"--solver-cmd {exc}"
     return ""
 
 

@@ -19,9 +19,9 @@ from math import inf
 
 import numpy as np
 
-from .circuit import ONE, ZERO, Intervals, Signal
+from .circuit import ONE, ZERO, IntervalLeaves, Signal
 from .formula import INot, ITrue, InnerFormula, OuterFormula, Tcp, is_cltl, iter_tcps
-from .ilp import IlpModel, LinExpr, Solution, VarId
+from .ilp import IlpModel, LinExpr, Solution
 from .system import ModelError, MultiRobotInstance, shared_system
 from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
                            Layout, LogicEncoder, add_loop_selectors, chosen_loop,
@@ -29,175 +29,60 @@ from .encoder_sync import (EncodedProblem, EncodingError, ExtractionError,
 from .trajectory import LassoTrajectory
 
 
-class AggregateCounts:
-    """The aggregate engine's occupancies and flows before they are
-    columns, as ``Intervals`` variables: per-state occupancies w, fixed at
-    t = 0 to the fleet's start counts, and per-transition flows u, both in
-    [0, N] (occupancies in [0, 1] under a collision mode), with outflow
-    sum equal to occupancy and next occupancy equal to inflow sum, the
-    swap rows, and the loop rows of every start l (``add_aggregate_loop``)
-    over binaries for the loop selectors.
-
-    They are the leaves of the outer logic's circuit: ``refine`` adds the
-    row a decided counting threshold forces, narrows the bounds to the
-    fixpoint of all rows, and decides the thresholds and loop selectors
-    the bounds settle.  ``emit`` then makes each occupancy and flow a
-    column with its narrowed bounds, or the shared constant of its value,
-    and stores the conservation rows that still constrain anything."""
+class AggregateCounts(IntervalLeaves):
+    """The aggregate engine's occupancies and flows as ``Intervals``
+    variables: per-state occupancies w, fixed at t = 0 to the fleet's start
+    counts, and per-transition flows u, both in [0, N] (occupancies in
+    [0, 1] under a collision mode).  Their rows, each written once:
+    outflow sum equal to occupancy and next occupancy equal to inflow sum
+    ("aggregate"); the one-of row and ``cur - final + N z_l <= N`` per
+    start l and state ("loop": with z_l = 1, w[h] >= w[l] componentwise,
+    and both sum to N, so they are equal); under
+    ``mutual_exclusion_plus_swap``, never one robot each way across an
+    edge in one step ("collision").  The outer logic's counting thresholds
+    are leaves over occupancy sums (``IntervalLeaves``)."""
 
     def __init__(self, layout: Layout):
-        inst, h = layout.instance, layout.h
+        super().__init__(layout)
+        iv, inst, h = self.intervals, layout.instance, layout.h
         ts, n = shared_system(inst), inst.n_robots
-        self.layout, self.ts = layout, ts
-        self.edges = sorted(ts.transitions)
-        iv = self.intervals = Intervals()
         cap = 1 if inst.collision_mode != "off" else n
-        self.occupancy = [[iv.var(0, cap, True) for _ in range(ts.n_states)]
-                          for _ in range(h + 1)]
-        self.flow = {(i, j, t): iv.var(0, n, True) for t in range(h) for (i, j) in self.edges}
-        for v, count in zip(self.occupancy[0], np.bincount(inst.initial_states,
-                                                           minlength=ts.n_states).tolist()):
+        occ = self.occupancy = [[iv.var(0, cap, True) for _ in range(ts.n_states)]
+                                for _ in range(h + 1)]
+        flow = self.flow = {(i, j, t): iv.var(0, n, True)
+                            for t in range(h) for (i, j) in sorted(ts.transitions)}
+        starts = np.bincount(inst.initial_states, minlength=ts.n_states).tolist()
+        for v, count in zip(occ[0], starts):
             iv.bound(v, count, count)
-        for out, into in self._conservation():
-            for cols, coefs in (*out, *into):
-                iv.add(cols, coefs, 0, 0)
-        if inst.collision_mode == "mutual_exclusion_plus_swap":
-            for t in range(h):
-                for (i, j) in self.edges:
-                    if i < j and (j, i) in ts.transitions:
-                        iv.add([self.flow[(i, j, t)], self.flow[(j, i, t)]], [1, 1], -inf, 1)
-        self.loop = [iv.var(0, 1, True) for _ in range(h)]
-        iv.add(self.loop, [1] * h, 1, 1)
+        for t in range(h):
+            for i in range(ts.n_states):
+                iv.add([occ[t][i]] + [flow[(i, j, t)] for j in ts.successors(i)],
+                       [-1] + [1] * len(ts.successors(i)), 0, 0, "aggregate")
+            for j in range(ts.n_states):
+                iv.add([occ[t + 1][j]] + [flow[(i, j, t)] for i in ts.predecessors(j)],
+                       [-1] + [1] * len(ts.predecessors(j)), 0, 0, "aggregate")
+        self.loop_selectors()
         for l, z in enumerate(self.loop):
-            for cur, final in zip(self.occupancy[l], self.occupancy[h]):
-                iv.add([final, cur, z], [-1, 1, n], -inf, n)
-        self.thresholds: list[tuple[Signal, list[int], int]] = []
-        self._sent: set[Signal] = set()
-
-    def _conservation(self):
-        """Per step t, the outflow rows of w[t] and the inflow rows of
-        w[t+1], as (variables, coefficients)."""
-        ts, occ, flow = self.ts, self.occupancy, self.flow
-        for t in range(self.layout.h):
-            out = [([occ[t][i]] + [flow[(i, j, t)] for j in ts.successors(i)],
-                    [-1] + [1] * len(ts.successors(i))) for i in range(ts.n_states)]
-            into = [([occ[t + 1][j]] + [flow[(i, j, t)] for i in ts.predecessors(j)],
-                     [-1] + [1] * len(ts.predecessors(j))) for j in range(ts.n_states)]
-            yield out, into
-
-    def at_least(self, signal: Signal, cols: list[int], m: int) -> None:
-        """Tie circuit leaf ``signal`` to [sum of the occupancies cols >= m]."""
-        self.thresholds.append((signal, cols, m))
-        self._decide(signal, cols, m)
-
-    def _decide(self, signal: Signal, cols: list[int], m: int) -> bool:
-        circuit = self.layout.circuit
-        if circuit.val[signal] is not None:
-            return False
-        low, high = self.intervals.range(cols, [1] * len(cols))
-        if low >= m or high < m:
-            circuit.assign(signal, int(low >= m))
-            return True
-        return False
-
-    def refine(self) -> bool:
-        """Add the rows of the decided thresholds and loop selectors,
-        narrow the bounds, and decide what they settle; True if that
-        assigned a signal (False also when no point is left, which marks
-        the circuit in conflict)."""
-        lay, iv = self.layout, self.intervals
-        circuit = lay.circuit
-        val = circuit.val
-        for signal, cols, m in self.thresholds:
-            if val[signal] is not None and signal not in self._sent:
-                self._sent.add(signal)
-                iv.add(cols, [1] * len(cols), m if val[signal] else -inf,
-                       inf if val[signal] else m - 1)
-        for z, v in zip(self.loop, (val[s] for s in lay.loop_signals)):
-            if v is not None:
-                iv.bound(z, v, v)
-        if not iv.propagate():
-            circuit.conflict = True
-            return False
-        assigned = False
-        for signal, cols, m in self.thresholds:
-            assigned |= self._decide(signal, cols, m)
-        for z, s in zip(self.loop, lay.loop_signals):
-            if val[s] is None and iv.fixed(z):
-                circuit.assign(s, int(iv.lo[z]))
-                assigned = True
-        return assigned
+            for cur, final in zip(occ[l], occ[h]):
+                iv.add([final, cur, z], [-1, 1, n], -inf, n, "loop")
+        if inst.collision_mode == "mutual_exclusion_plus_swap":
+            for (i, j) in sorted(ts.transitions):
+                if i < j and (j, i) in ts.transitions:
+                    for t in range(h):
+                        iv.add([flow[(i, j, t)], flow[(j, i, t)]], [1, 1], -inf, 1,
+                               "collision")
 
     def emit(self) -> None:
-        """The occupancy and flow columns, then the conservation rows."""
-        lay, iv = self.layout, self.intervals
-        model = lay.model
-
-        def column(v: int, name: str) -> VarId:
-            if iv.fixed(v):
-                return model.constant(int(round(iv.lo[v])))
-            return model.add_integer(name, int(iv.lo[v]), int(iv.hi[v]), tag="aggregate")
-
-        column_of = {}
+        """The occupancy and flow columns, the selectors, and the rows."""
+        lay, column = self.layout, self.make_column
         for t, row in enumerate(self.occupancy):
-            lay.agg_state[t] = [column(v, f"wagg_{i}_t{t}") for i, v in enumerate(row)]
-            column_of.update(zip(row, lay.agg_state[t]))
+            lay.agg_state[t] = [column(v, f"wagg_{i}_t{t}", "aggregate")
+                                for i, v in enumerate(row)]
         for (i, j, t), v in self.flow.items():
-            lay.agg_flow[(i, j, t)] = column_of[v] = column(v, f"u_{i}_{j}_t{t}")
-        for out, into in self._conservation():
-            for cols, coefs in (*out, *into):
-                model.add_folded(_terms([column_of[v] for v in cols], coefs), 0, 0,
-                                 "aggregate")
-
-
-def encode_aggregate(layout: Layout, counts: AggregateCounts) -> None:
-    """Robot-count dynamics on the fleet's ``shared_system``: the
-    occupancies and flows of ``counts`` as columns with their conservation
-    rows (``AggregateCounts.emit``), and the loop closed from one side
-    (``add_aggregate_loop``)."""
-    counts.emit()
-    add_aggregate_loop(layout)
-
-
-def _terms(cols: list[VarId], coefs: list[int]) -> LinExpr:
-    """``sum coefs[k] * x[cols[k]]``, a repeated column (a shared constant
-    can be) summed."""
-    expr = LinExpr()
-    for v, c in zip(cols, coefs):
-        expr.add_term(v, c)
-    return expr
-
-
-def add_aggregate_loop(layout: Layout) -> None:
-    """Close the loop from one side, ``cur - final + N z_t <= N``: with
-    z_l = 1 it gives w[h] >= w[l] componentwise, and flow conservation
-    makes both count vectors sum to N, so they are equal.  A loop start
-    decided 0 has no rows, and a row the bounds already meet is not
-    stored."""
-    model, n, h = layout.model, layout.n_robots, layout.h
-    add_loop_selectors(layout)
-    for t in range(h):
-        z = layout.loop_vars[t]
-        if model.constant_value(z) == 0:
-            continue
-        for cur, final in zip(layout.agg_state[t], layout.agg_state[h]):
-            model.add_folded(_terms([final, cur, z], [-1, 1, n]), -inf, n, "loop")
-
-
-def encode_aggregate_collision(layout: Layout) -> None:
-    """Occupancy-capacity form of the fleet's collision rules: at most one
-    robot per state (the occupancy columns' bounds), and for the swap
-    variant never one robot each way across the same edge in one step."""
-    model, mode = layout.model, layout.instance.collision_mode
-    if mode != "mutual_exclusion_plus_swap":
-        return
-    ts = layout.instance.systems[0]
-    for (i, j) in sorted(ts.transitions):
-        if i < j and (j, i) in ts.transitions:
-            for t in range(layout.h):
-                model.add_folded(_terms([layout.agg_flow[(i, j, t)],
-                                         layout.agg_flow[(j, i, t)]], [1, 1]),
-                                 -inf, 1, "collision")
+            lay.agg_flow[(i, j, t)] = column(v, f"u_{i}_{j}_t{t}", "aggregate")
+        self.store()
+        add_loop_selectors(lay)
+        self.store()
 
 
 def _literal_vector(ts, inner: InnerFormula) -> np.ndarray:
@@ -229,25 +114,25 @@ class CltlOuterEncoder(LogicEncoder):
 
         def lower(ids: range) -> None:
             """An indicator per undecided step; a decided one keeps the row
-            its value forces, unless the occupancies' bounds meet it."""
+            its value forces (``IntervalLeaves.side``)."""
             val = circuit.val
-            exprs = [model.folded(_terms([lay.agg_state[t][i] for i in labeled],
-                                         [1] * len(labeled))) for t in steps]
             open_ = [t for t in steps if val[ids[t]] is None]
             # occupancies are conserved, so the labeled sum never exceeds N
-            made = model.indicators_geq([exprs[t] for t in open_], tcp.m, size + 1,
-                                        [f"y{fid}_t{t}" for t in open_], tag=self.TAG,
-                                        known_bounds=(0, size))
+            made = model.indicators_geq(
+                [model.folded(LinExpr.sum_of([lay.agg_state[t][i] for i in labeled]))
+                 for t in open_],
+                tcp.m, size + 1, [f"y{fid}_t{t}" for t in open_], tag=self.TAG,
+                known_bounds=(0, size))
             for t, y in zip(open_, made):
                 circuit.col[ids[t]] = y
             for t in steps:
                 if val[ids[t]] is not None:
-                    model.add_folded(exprs[t], tcp.m if val[ids[t]] else -inf,
-                                     inf if val[ids[t]] else tcp.m - 1, self.TAG)
+                    counts.side(ids[t], self.TAG)
 
         row = circuit.leaves(lay.h, lower)
         for s, t in zip(row, steps):
-            counts.at_least(s, [v for v, bit in zip(counts.occupancy[t], vec) if bit], tcp.m)
+            counts.leaf(s, LinExpr.sum_of([counts.occupancy[t][i] for i in labeled]),
+                        (tcp.m, inf), (-inf, tcp.m - 1))
         return row
 
 
@@ -284,8 +169,7 @@ def build_cltl_problem(inst: MultiRobotInstance, mu: OuterFormula, h: int,
     counts = AggregateCounts(layout)
     logic = CltlOuterEncoder(layout, counts)
     logic.pin_root(norm)
-    encode_aggregate(layout, counts)
-    encode_aggregate_collision(layout)
+    counts.emit()
     logic.lower()
     return EncodedProblem(model, layout, inst, h, 0, "cltl")
 

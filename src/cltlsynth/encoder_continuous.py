@@ -8,18 +8,16 @@ a margin (``MARGIN``) on both sides of each face; a state no input moves
 is known, and its faces are decided exactly.  These atoms are the
 only leaves that differ from the discrete engines: the logic rows come
 from the shared ``LogicEncoder``, or ``RobustLogicEncoder`` for tau >= 1.
-
-A face whose range over the input bounds lies on one side is decided
-before the logic settles (at t = 0 every face is), and a row whose range
-over the bounds always holds (a box row the inputs cannot leave, a loop
-tie whose start is decided 0) is not stored.
+A face the input bounds keep on one side is decided before the logic
+settles (at t = 0 every face is), and a row the bounds always meet is not
+stored (``circuit.IntervalLeaves``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Intervals, Signal
+from .circuit import IntervalLeaves, Signal
 from .formula import OuterFormula
 from .highs import FEAS_TOL
 from .ilp import IlpModel, LinExpr, Solution
@@ -42,35 +40,29 @@ MARGIN = 10 * FEAS_TOL
 CUT = 1e-9
 
 
-class ContinuousPlan:
+class ContinuousPlan(IntervalLeaves):
     """The continuous engine's program before its inputs are columns.
 
     Each input, and each state of the robust tail h+1 .. h+tau, is an
-    ``Intervals`` variable within its declared bounds; the other states
-    are affine expressions over them (forward substitution).  The rows
-    over them are the box rows keeping every state inside its bounds and
-    the big-M ties of ``encode_cont_loop`` over binaries for the loop
-    selectors.  Each polytope face a state meets or misses is a circuit
-    leaf (``row``), true iff H_i w <= h_i - ``margin`` and false iff
-    H_i w >= h_i + ``margin``, or, for a state no input moves, decided at
-    once by H_i w <= h_i + ``CUT``; an atom is the conjunction of its
-    faces.
-
-    ``refine`` adds the row each decided face forces, narrows the bounds
-    to the fixpoint of all rows, and decides the faces and loop selectors
-    the bounds settle; ``emit`` makes each input a column with its
-    narrowed bounds, or the shared constant of its value, and stores the
-    box rows the bounds do not already meet."""
+    ``Intervals`` variable; the other states are affine expressions over
+    them (forward substitution).  Their rows, each written once: the box
+    rows of every state a choice moves ("continuous"), the one-of row, and
+    the big-M ties that close the loop at h and pin the robust tail
+    ("loop", "robust"): |w[n][t] - w[n][wrap(l, t)]| <= m (1 - z_l) per
+    dimension, m the box diameter.  Each polytope face is a leaf
+    (``IntervalLeaves``, built by ``row``): 1 puts H_i w at most
+    h_i - ``margin``, 0 at least h_i + ``margin``; a state no input moves
+    decides its faces at once, by H_i w <= h_i + ``CUT``.  An atom is the
+    conjunction of its faces."""
 
     def __init__(self, layout: Layout, margin: float = MARGIN):
+        super().__init__(layout)
         sys, h, tau = layout.instance, layout.h, layout.tau
-        self.layout, self.margin = layout, margin
-        iv = self.intervals = Intervals()
+        iv, self.margin = self.intervals, margin
         lo_w, hi_w = sys.state_bounds
         lo_u, hi_u = sys.input_bounds
         self.inputs: dict[tuple[int, int], list[int]] = {}
         self.states: dict[tuple[int, int], list[LinExpr]] = {}
-        self.boxes: list[tuple[LinExpr, float, float]] = []
         for n in range(sys.n_robots):
             f, g, c = sys.dynamics[n]
             state = [LinExpr(const=float(x)) for x in sys.init[n]]
@@ -96,31 +88,22 @@ class ContinuousPlan:
                             raise EncodingError(
                                 f"robot {n} dimension {i} leaves its bounds at step {t + 1}")
                         continue
-                    self.boxes.append((expr, float(lo_w[i]), float(hi_w[i])))
-                    self._add(expr, float(lo_w[i]), float(hi_w[i]))
+                    self.add(expr, float(lo_w[i]), float(hi_w[i]), "continuous")
             for t in range(h + 1, h + tau + 1):
                 # post-loop states for robust windows: variables tied to the loop
                 self.states[(n, t)] = [LinExpr({iv.var(float(lo_w[i]), float(hi_w[i]), False): 1})
                                        for i in range(sys.d_w)]
-        self.loop = [iv.var(0, 1, True) for _ in range(h)]
-        iv.add(self.loop, [1] * h, 1, 1)
-        for n in range(sys.n_robots):
-            for t in range(h, h + tau + 1):
+        self.loop_selectors()
+        radii = [float(hi - lo) if hi > lo else 1.0 for lo, hi in zip(lo_w, hi_w)]
+        for t in range(h, h + tau + 1):
+            tag = "loop" if t == h else "robust"
+            for n in range(sys.n_robots):
                 for l, z in enumerate(self.loop):
-                    for diff, m in _ties(layout, self.states, n, t, l):
-                        self._add(diff + LinExpr({z: m}), -np.inf, m)
-                        self._add(diff - LinExpr({z: m}), -m, np.inf)
-        self.faces: list[tuple[Signal, LinExpr, float]] = []
-        self._sent: set[Signal] = set()
-        self.column: dict[int, int] = {}
-
-    def _add(self, expr: LinExpr, lo: float, hi: float) -> None:
-        self.intervals.add(list(expr.coeffs), list(expr.coeffs.values()),
-                           lo - expr.const, hi - expr.const)
-
-    def _range(self, expr: LinExpr) -> tuple[float, float]:
-        low, high = self.intervals.range(list(expr.coeffs), list(expr.coeffs.values()))
-        return low + expr.const, high + expr.const
+                    src = self.states[(n, layout.wrap_index(l, t))]
+                    for dst, was, m in zip(self.states[(n, t)], src, radii):
+                        diff = dst - was
+                        self.add(diff + LinExpr({z: m}), -np.inf, m, tag)
+                        self.add(diff - LinExpr({z: m}), -m, np.inf, tag)
 
     def row(self, name: str, n: int, size: int) -> list[Signal]:
         """Robot n's membership in polytope ``name`` at t = 0 .. size-1:
@@ -140,145 +123,54 @@ class ContinuousPlan:
                 exprs.append(expr)
         faces = circuit.leaves(size * k, lambda ids: self._lower(name, n, ids, exprs))
         for s, expr, offset in zip(faces, exprs, np.tile(hvec, size).tolist()):
-            self.faces.append((s, expr, offset))
-            self._decide(s, expr, offset)
+            if expr.coeffs:
+                self.leaf(s, expr, (-np.inf, offset - self.margin),
+                          (offset + self.margin, np.inf))
+            else:
+                circuit.assign(s, int(expr.const <= offset + CUT))
         return circuit.gates("AND", [faces[t * k:(t + 1) * k] for t in range(size)],
                              [f"z_{name}_{n}_{t}" for t in range(size)], "polytope")
 
-    def _decide(self, s: Signal, expr: LinExpr, offset: float) -> bool:
-        """Decide face s where the state's range leaves it one side: 1 when
-        it cannot reach offset + margin, 0 when it cannot reach offset -
-        margin (both: a conflict).  A constant state is decided exactly,
-        at offset + ``CUT``."""
-        circuit = self.layout.circuit
-        if circuit.val[s] is not None:
-            return False
-        if not expr.coeffs:
-            circuit.assign(s, int(expr.const <= offset + CUT))
-            return True
-        low, high = self._range(expr)
-        if high < offset + self.margin:
-            circuit.assign(s, 1)
-        if low > offset - self.margin:
-            circuit.assign(s, 0)
-        return circuit.val[s] is not None
-
-    def refine(self) -> bool:
-        """Add the rows of the decided faces and loop selectors, narrow the
-        bounds, and decide what they settle; True if that assigned a
-        signal (False also when no point is left, which marks the circuit
-        in conflict)."""
-        lay, iv = self.layout, self.intervals
-        circuit = lay.circuit
-        val = circuit.val
-        for s, expr, offset in self.faces:
-            if val[s] is not None and s not in self._sent and expr.coeffs:
-                self._sent.add(s)
-                if val[s]:
-                    self._add(expr, -np.inf, offset - self.margin)
-                else:
-                    self._add(expr, offset + self.margin, np.inf)
-        for z, v in zip(self.loop, (val[s] for s in lay.loop_signals)):
-            if v is not None:
-                iv.bound(z, v, v)
-        if not iv.propagate():
-            circuit.conflict = True
-            return False
-        assigned = False
-        for s, expr, offset in self.faces:
-            assigned |= self._decide(s, expr, offset)
-        for z, s in zip(self.loop, lay.loop_signals):
-            if val[s] is None and iv.fixed(z):
-                circuit.assign(s, int(iv.lo[z]))
-                assigned = True
-        return assigned
-
-    def columns(self, expr: LinExpr) -> LinExpr:
-        """``expr`` over the variables' columns, once ``emit`` made them."""
-        out = LinExpr(const=expr.const)
-        for v, c in expr.coeffs.items():
-            out.add_term(self.column[v], c)
-        return out
-
     def emit(self) -> None:
         """The input columns (the tail states' too), the state expressions
-        over them, and the box rows."""
-        lay, iv = self.layout, self.intervals
-        model = lay.model
-
-        def column(v: int, name: str, tag: str) -> int:
-            if iv.fixed(v):
-                return model.constant(iv.lo[v])
-            return model.add_continuous(name, iv.lo[v], iv.hi[v], tag=tag)
-
+        over them, the loop selectors, and the rows."""
+        lay, column = self.layout, self.make_column
         for (n, t), row in self.inputs.items():
             lay.input_vars[(n, t)] = [column(v, f"u_{n}_{t}_{k}", "continuous")
                                       for k, v in enumerate(row)]
-            self.column.update(zip(row, lay.input_vars[(n, t)]))
         for (n, t), state in self.states.items():
-            if t > lay.h:
-                for i, expr in enumerate(state):
-                    v, = expr.coeffs
-                    self.column[v] = column(v, f"w_{n}_{t}_{i}", "robust")
-        for expr, lo, hi in self.boxes:
-            model.add_folded(self.columns(expr), lo, hi, "continuous")
+            for i, expr in enumerate(state if t > lay.h else ()):  # the tail's variables
+                v, = expr.coeffs
+                column(v, f"w_{n}_{t}_{i}", "robust")
+        self.store()
         for key, state in self.states.items():
             lay.state_exprs[key] = [self.columns(expr) for expr in state]
+        add_loop_selectors(lay)
+        self.store()
 
     def _lower(self, name: str, n: int, ids: range, exprs: list[LinExpr]) -> None:
         """An undecided face is a binary e with its two big-M rows; a
-        decided one keeps the one row that forces its side, where the
-        bounds do not already (a constant state needs none)."""
+        decided one keeps the one row that forces its side
+        (``IntervalLeaves.side``; a constant state needs none)."""
         lay = self.layout
         model, circuit, sys = lay.model, lay.circuit, lay.instance
         hmat, hvec = sys.atoms[name]
         lo_w, hi_w = sys.state_bounds
         k = hmat.shape[0]
         for s, expr, face in zip(ids, exprs, range(len(ids))):
-            t, i = divmod(face, k)
-            offset, decided, margin = float(hvec[i]), circuit.val[s], self.margin
             if not expr.coeffs:
                 continue  # decided exactly
-            expr = self.columns(expr)
-            if decided == 1:
-                model.add_folded(expr, -np.inf, offset - margin, "polytope")
-            elif decided == 0:
-                model.add_folded(expr, offset + margin, np.inf, "polytope")
-            else:
-                e = model.add_binary(f"e_{name}_{n}_{t}_{i}", tag="polytope")
-                circuit.col[s] = e
-                m = _face_big_m(hmat[i], offset, lo_w, hi_w)
-                model.add_constraint(expr + LinExpr({e: m}), "<=", offset - margin + m,
-                                     tag="polytope")
-                model.add_constraint(expr + LinExpr({e: m}), ">=", offset + margin,
-                                     tag="polytope")
-
-
-def _ties(layout: Layout, states: dict, n: int, t: int, l: int):
-    """The per-dimension differences w[n][t] - w[n][wrap(l, t)] and their
-    radii m, the box diameter (the largest spread the box permits)."""
-    lo_w, hi_w = layout.instance.state_bounds
-    src = states[(n, layout.wrap_index(l, t))]
-    for i, dst in enumerate(states[(n, t)]):
-        m = float(hi_w[i] - lo_w[i]) if hi_w[i] > lo_w[i] else 1.0
-        yield dst - src[i], m
-
-
-def encode_cont_loop(layout: Layout) -> None:
-    """Loop selectors and the big-M ties that close the loop at h and pin
-    the robust tail h+1 .. h+tau: |w[n][t] - src| <= m (1 - z_l) per
-    dimension, two rows each, for src = w[n][wrap(l, t)] and m the box
-    diameter (``_ties``).  At t = h the source is w[n][l].  A loop start
-    decided 0 leaves rows the box already meets, which are not stored."""
-    model, h = layout.model, layout.h
-    add_loop_selectors(layout)
-    for t in range(h, h + layout.tau + 1):
-        for n in range(layout.n_robots):
-            for l, z in enumerate(layout.loop_vars):
-                for diff, m in _ties(layout, layout.state_exprs, n, t, l):
-                    tag = "loop" if t == h else "robust"
-                    model.add_folded(diff + LinExpr({z: m}), -np.inf, m, tag)
-                    model.add_folded(diff - LinExpr({z: m}), -m, np.inf, tag)
+            if circuit.val[s] is not None:
+                self.side(s, "polytope")
+                continue
+            t, i = divmod(face, k)
+            offset, margin = float(hvec[i]), self.margin
+            e = model.add_binary(f"e_{name}_{n}_{t}_{i}", tag="polytope")
+            circuit.col[s] = e
+            m = _face_big_m(hmat[i], offset, lo_w, hi_w)
+            expr = self.columns(expr) + LinExpr({e: m})
+            model.add_constraint(expr, "<=", offset - margin + m, tag="polytope")
+            model.add_constraint(expr, ">=", offset + margin, tag="polytope")
 
 
 def _face_big_m(hrow: np.ndarray, offset: float, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -300,7 +192,6 @@ def build_cont_problem(sys: ContinuousSystem, mu: OuterFormula, h: int,
     logic = (RobustLogicEncoder if tau else LogicEncoder)(layout, plan)
     logic.pin_root(norm)
     plan.emit()
-    encode_cont_loop(layout)
     logic.lower()
     return EncodedProblem(model, layout, sys, h, tau, "continuous")
 

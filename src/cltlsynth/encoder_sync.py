@@ -37,38 +37,29 @@ fix and no row that then always holds (``tests/test_fold.py`` checks
 both against a NumPy propagation):
 
 - The logic is a ``circuit.Circuit`` first.  ``LogicEncoder.pin_root``
-  pins the root and settles the values the gadget algebra forces, both
-  ways: an AND at 1 pins its inputs, an OR at 0 refutes them, NOT flips,
-  a G chain (a release whose left side is false) carries 1 to every
-  step, a count held true at m = group size pins each member's inner
-  row, one refuted at m = 1 refutes them, and so on.  A decided entry is
-  a shared constant; an undecided one keeps its two-sided gadget.
-- The engine's leaves take part: ``DiscreteAtoms`` narrows each robot's
-  states (``StateSets``) to the atoms the logic decides, and decides the
-  atoms the states settle, until nothing changes.  The aggregate and
-  continuous engines do the same with their occupancies, flows and
-  inputs (``circuit.Intervals``).  A step with one state left is the
-  constant 1, as the start state is.
+  pins the root and settles what the gadget algebra forces both ways (an
+  AND at 1 pins its inputs, a G chain carries 1 to every step, a count
+  held true at m = group size pins each member's row, ...), together with
+  the engine's leaves until nothing changes: ``DiscreteAtoms`` narrows
+  each robot's states (``StateSets``) to the atoms the logic decides and
+  decides the atoms the states settle; the aggregate and continuous
+  engines do the same through ``circuit.IntervalLeaves``.  A decided
+  entry is a shared constant, an undecided one keeps its two-sided
+  gadget, and a step with one state left is the constant 1.
 - ``Circuit.lower`` gives the block builders (``IlpModel.bool_gadgets``,
-  ``IlpModel.indicators_geq``) the undecided signals over their
-  undecided inputs, and stores the one row that forces a decided signal
-  where its inputs do not; the row gatherers (``IlpModel.fold_row``)
-  move constants into the row bounds and drop rows that always hold.
+  ``IlpModel.indicators_geq``) the undecided signals over their undecided
+  inputs, and stores the one row that forces a decided signal where its
+  inputs do not; ``IlpModel.fold_row`` moves constants into the row
+  bounds and drops rows that always hold.
 
-The desk at h = 16 then has 3,847 columns and 8,601 rows, and its HiGHS
-setup reports no domain-fixed column but the two kept constants.
-
-Rows and columns go to the model as blocks (``IlpModel.add_binaries``
-and ``IlpModel.add_rows``) gathered in Python lists, in the order a
-row-by-row build would add them.  ``Layout.reach`` holds each robot's
-possible states and ``Layout.state_ids`` its state vectors' column ids,
-step by step.  The fleet's state vectors with their dynamics rows (or
-their loop ties past h) are one block, and so are its loop ties at h,
-each atom row and the collision rows.  The logic rows come one formula
-row at a time, as circuit blocks: the gates, negations or counting
-thresholds of a row, and a whole until/release row with its loop read.
-``Circuit.lower`` hands each block to ``IlpModel.bool_gadgets`` (one
-call per run of gadgets of one width) or ``IlpModel.indicators_geq``.
+The desk at h = 16 then has 3,847 columns and 8,601 rows.  Rows and
+columns go to the model as blocks (``IlpModel.add_binaries``,
+``IlpModel.add_rows``) gathered in Python lists, in the order a
+row-by-row build would add them: the fleet's state vectors with their
+dynamics rows (or their loop ties past h), its loop selectors' one-of row
+with the loop ties at h, each atom row, the collision rows, and the logic
+one circuit block at a time.  ``Layout.reach`` holds each robot's
+possible states and ``Layout.state_ids`` its state vectors' column ids.
 ``tests/test_program_identity.py`` pins the programs byte for byte.
 """
 
@@ -331,8 +322,9 @@ def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
     w[n][t][j] - (sum of w[n][t-1][i] over the possible predecessors i of
     j, ascending) <= 0, left out where w[n][t-1] is the constant 1 (the
     row always holds); and for t > h by its ties to the loop
-    (``tie_rows``).  The
-    fleet's columns are one block and its rows another."""
+    (``tie_rows``).  The fleet's columns are one block and its rows
+    another.  Over t = 0 .. h these are the dynamics: w[n][t] can only be
+    1 on R_t (``StateSets``), as w[n][t+1] <= A_n w[n][t] componentwise."""
     if not steps:
         return
     model, h = layout.model, layout.h
@@ -383,24 +375,11 @@ def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
     rows.store(tag, names)
 
 
-def encode_dynamics(layout: Layout) -> None:
-    """One-hot state vectors under the adjacency relation.
-
-    w[n][0] is pinned to the initial state and w[n][t+1] <= A_n w[n][t]
-    componentwise, so w[n][t] can only be 1 on R_t, the states reachable
-    in exactly t steps: R_0 = {init}, R_{t+1} = succ(R_t).  ``StateSets``
-    narrows R_t further to what the rest of the program allows, and only
-    the states left get variables and rows (``add_state_vectors``); a
-    step left with one state is the constant 1 there, as the start state
-    is.  An empty set (a dead end) leaves the infeasible row
-    ``const_0 = 1``."""
-    add_state_vectors(layout, range(layout.h + 1), "dynamics")
-
-
 def add_loop_selectors(layout: Layout) -> None:
-    """Loop-start selectors z_0 .. z_{h-1}, exactly one of them 1: a
-    binary for each start the logic leaves undecided, with the row that
-    sums them to 1, and the shared constant for each decided one."""
+    """Columns for the loop-start selectors z_0 .. z_{h-1}: a binary for
+    each start the logic leaves undecided, the shared constant for each
+    decided one.  Their one-of row is the engine's (``encode_loop``, or
+    ``circuit.IntervalLeaves`` for the numeric engines)."""
     model, circuit = layout.model, layout.circuit
     open_ = [l for l, z in enumerate(layout.loop_signals) if circuit.val[z] is None]
     if open_:
@@ -408,9 +387,6 @@ def add_loop_selectors(layout: Layout) -> None:
         for k, l in enumerate(open_):
             circuit.col[layout.loop_signals[l]] = first + k
     layout.loop_vars = [circuit.column(z) for z in layout.loop_signals]
-    if open_:
-        model.add_row([layout.loop_vars[l] for l in open_], [1] * len(open_), "=",
-                      1 - sum(circuit.val[z] == 1 for z in layout.loop_signals), "loop")
 
 
 def chosen_loop(layout: Layout, sol: Solution) -> int:
@@ -467,9 +443,11 @@ def tie_rows(layout: Layout, ids: list[array], reach: list[list[bool]], t: int,
 
 def encode_loop(layout: Layout) -> None:
     """Select a unique loop start l with w[n][h] = w[n][l] for every robot:
-    ``tie_rows`` at t = h, one block for the fleet."""
+    the loop selectors' one-of row and ``tie_rows`` at t = h, one block for
+    the fleet."""
     add_loop_selectors(layout)
     rows = RowBlock(layout.model)
+    rows.add(layout.loop_vars, [1.0] * layout.h, 1.0, 1.0)  # exactly one loop start
     for n in range(layout.n_robots):
         tie_rows(layout, layout.state_ids[n], layout.reach[n], layout.h, rows)
     rows.store("loop", [])
@@ -941,7 +919,7 @@ def build_discrete_problem(inst: MultiRobotInstance, norm: OuterFormula, h: int,
     logic = encoder(layout, atoms)
     logic.pin_root(norm)
     atoms.states.commit()
-    encode_dynamics(layout)
+    add_state_vectors(layout, range(h + 1), "dynamics")
     encode_loop(layout)
     # the lasso's state at h+k is k steps past w[h] = w[l]: vectors tied to the loop
     add_state_vectors(layout, range(h + 1, h + tau + 1), "robust")

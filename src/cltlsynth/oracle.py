@@ -345,9 +345,15 @@ def _bounded_sequences(n: int, tau: int, max_T: int, cap: int) -> Optional[np.nd
     None when there are more than ``cap``.  Each level (step) lists every
     prefix's valid steps in ascending order, a block of prefixes at a
     time.  A level never shrinks, as the all-ones step is always valid, so
-    the first level over the cap ends the enumeration."""
-    steps = _step_bits(n)
+    the first level over the cap ends the enumeration.  No step table is
+    built for max_T = 0 (one empty sequence) or when the first level, all
+    2^n steps at tau >= 1, is over the cap."""
     seqs = np.zeros((1, 0, n), dtype=np.int8)
+    if not max_T:
+        return seqs
+    if tau and 2 ** n > cap:
+        return None
+    steps = _step_bits(n)
     block = max(1, _EXPAND_BLOCK >> n)
     for depth in range(1, max_T + 1):
         grown = [np.zeros((0, depth, n), dtype=np.int8)]

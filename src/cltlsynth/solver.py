@@ -166,15 +166,28 @@ def solve_bnb(model: IlpModel, config: Optional[SolveConfig] = None) -> Solution
 # External solver adapter
 # ---------------------------------------------------------------------------
 
+def solver_words(solver_cmd: str) -> list[str]:
+    """The words of the template ``solver_cmd`` (``shlex.split``), split
+    before any path goes in, so a path with a space or a quote stays one
+    word; ValueError without ``{lp}`` or with quoting it cannot split."""
+    if "{lp}" not in solver_cmd:
+        raise ValueError("must contain an {lp} placeholder")
+    try:
+        return shlex.split(solver_cmd)
+    except ValueError as exc:  # such as an unbalanced quote
+        raise ValueError(f"cannot be split into words: {exc}") from None
+
+
 def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
     """Export the model, run ``solver_cmd`` and parse the returned point.
 
     ``solver_cmd`` is a template with an ``{lp}`` placeholder and an
     optional ``{sol}`` placeholder; without ``{sol}``, the solver's stdout
-    is taken as the solution file content.  A command without ``{lp}``,
-    or one that cannot be split or started, or that exits nonzero, raises
-    ``SolverError`` (``cltlsynth synth`` rejects the first two as usage
-    errors before it reads the model).  The bundled target is
+    is taken as the solution file content; the paths go into the words of
+    ``solver_words``.  A command without ``{lp}``, or one that cannot be
+    split or started, or that exits nonzero, raises ``SolverError``
+    (``cltlsynth synth`` rejects the first two as usage errors before it
+    reads the model, by ``solver_words`` too).  The bundled target is
     ``python -m cltlsynth.lp_cli {lp} {sol}``: a child that loads only
     ``highs`` of the package, writes the solution file itself and exits
     without interpreter teardown (its docstring gives its time).
@@ -185,16 +198,18 @@ def solve_external(model: IlpModel, solver_cmd: str) -> Solution:
     solution's values list the point's nonzero columns, integral ones as
     ints.
     """
-    if "{lp}" not in solver_cmd:
-        raise SolverError("solver command must contain an {lp} placeholder")
+    try:
+        words = solver_words(solver_cmd)
+    except ValueError as exc:
+        raise SolverError(f"external solver could not be started: its command {exc}") from None
     with tempfile.TemporaryDirectory() as tmp:
         lp_path = Path(tmp) / "model.lp"
         sol_path = Path(tmp) / "model.sol"
         name_to_var = write_lp(model, lp_path)
-        cmd = solver_cmd.replace("{lp}", str(lp_path)).replace("{sol}", str(sol_path))
+        cmd = [w.replace("{lp}", str(lp_path)).replace("{sol}", str(sol_path)) for w in words]
         try:
-            proc = subprocess.run(shlex.split(cmd), capture_output=True)
-        except (OSError, ValueError) as exc:  # not found, not executable, bad quoting
+            proc = subprocess.run(cmd, capture_output=True)
+        except (OSError, ValueError) as exc:  # not found, not executable, a NUL byte
             raise SolverError(f"external solver could not be started: {exc}") from None
         if proc.returncode != 0:
             stderr = proc.stderr.decode(errors="replace").strip()

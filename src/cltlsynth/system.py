@@ -325,13 +325,21 @@ def _load_explicit_robot(entry: dict, ap: tuple[str, ...], idx: int) -> tuple[Tr
     _require(isinstance(entry, dict), f"robot {idx}: entry must be an object")
     for key in ("states", "transitions", "labels", "init"):
         _require(key in entry, f"robot {idx}: missing key {key!r}")
-    states = tuple(entry["states"])
-    _require(all(isinstance(s, str) for s in states), f"robot {idx}: state names must be strings")
+    states, labels = entry["states"], entry["labels"]
+    _require(isinstance(states, list) and all(isinstance(s, str) for s in states),
+             f"robot {idx}: 'states' must be a list of state names")
+    _require(isinstance(entry["transitions"], list),
+             f"robot {idx}: 'transitions' must be a list of [src, dst] pairs")
+    _require(isinstance(labels, dict) and all(
+        isinstance(labs, list) and all(isinstance(a, str) for a in labs)
+        for labs in labels.values()),
+        f"robot {idx}: 'labels' must map states to lists of proposition names")
+    states = tuple(states)
     name_to_idx = {s: i for i, s in enumerate(states)}
     transitions = set()
     for pair in entry["transitions"]:
         _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
-                 f"robot {idx}: transitions must be [src, dst] pairs")
+                 f"robot {idx}: 'transitions' must be a list of [src, dst] pairs")
         src, dst = pair
         if isinstance(src, str):
             _require(src in name_to_idx, f"robot {idx}: transition from unknown state {src!r}")
@@ -341,7 +349,7 @@ def _load_explicit_robot(entry: dict, ap: tuple[str, ...], idx: int) -> tuple[Tr
             dst = name_to_idx[dst]
         transitions.add((src, dst))
     label_sets = [set() for _ in states]
-    for state_key, labs in entry["labels"].items():
+    for state_key, labs in labels.items():
         if state_key in name_to_idx:
             s = name_to_idx[state_key]
         elif state_key.isdigit() and int(state_key) < len(states):

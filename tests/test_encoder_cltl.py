@@ -11,8 +11,7 @@ from cltlsynth.oracle import CollectiveExecution, Lasso, brute_force_synth, eval
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
 from cltlsynth.encoder_cltl import (AggregateCounts, CltlOuterEncoder, EncodingError,
-                                    build_cltl_problem, decompose_flows,
-                                    encode_aggregate)
+                                    build_cltl_problem, decompose_flows)
 from cltlsynth.encoder_sync import Layout, build_sync_problem
 
 from conftest import (oracle_check_all_logic_vars, random_instance, random_outer,
@@ -73,7 +72,7 @@ def test_counting_threshold_on_fixed_occupancies():
         logic = CltlOuterEncoder(layout, counts)
         tcp = Tcp(IAtom("a"), m)
         logic.row(tcp)  # the threshold's row, unpinned, decided by the counts
-        encode_aggregate(layout, counts)
+        counts.emit()
         # freeze occupancies at their initial values
         for i in (0, 1):
             model.add_constraint(LinExpr({layout.agg_state[1][i]: 1}), "=",
@@ -149,7 +148,7 @@ def test_lowest_index_first_assignment():
     inst = fleet(ts, (2, 0))
     model = IlpModel()
     layout = Layout(model, inst, h=1)
-    encode_aggregate(layout, AggregateCounts(layout))
+    AggregateCounts(layout).emit()
     # force the split: one robot stays, one moves
     model.add_constraint(LinExpr({layout.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
     model.add_constraint(LinExpr({layout.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
@@ -158,7 +157,7 @@ def test_lowest_index_first_assignment():
     assert not sol.feasible  # h=1 cannot close the loop after a split
     model2 = IlpModel()
     layout2 = Layout(model2, inst, h=2)
-    encode_aggregate(layout2, AggregateCounts(layout2))
+    AggregateCounts(layout2).emit()
     model2.add_constraint(LinExpr({layout2.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
     model2.add_constraint(LinExpr({layout2.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
     sol2 = solve_bnb(model2)

@@ -13,8 +13,7 @@ from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import ContinuousSystem, ModelError
 from cltlsynth.encoder_continuous import (ContinuousPlan, build_cont_problem,
-                                          encode_cont_loop, extract_continuous,
-                                          membership_trace)
+                                          extract_continuous, membership_trace)
 from cltlsynth.encoder_sync import EncodingError, Layout
 
 from conftest import oracle_check_all_logic_vars, random_outer
@@ -44,7 +43,6 @@ def test_zero_input_constant_state_loops_immediately():
     model = IlpModel()
     layout = Layout(model, sys_, h=3)
     ContinuousPlan(layout).emit()
-    encode_cont_loop(layout)
     for t in range(3):
         for v in layout.input_vars[(0, t)]:
             model.add_constraint(LinExpr({v: 1}), "=", 0, tag="fix")
@@ -106,7 +104,6 @@ def membership_model(point, margin=1e-5):
     layout.circuit.propagate()
     plan.refine()
     plan.emit()
-    encode_cont_loop(layout)
     layout.circuit.lower()
     for v, x in zip(layout.input_vars[(0, 0)], point):
         model.add_constraint(LinExpr({v: 1}), "=", x, tag="fix")

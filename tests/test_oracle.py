@@ -397,6 +397,27 @@ def test_sampling_many_robots_stays_small():
     assert peak < 4 << 20
 
 
+def test_the_synchronous_check_of_a_large_fleet_builds_no_step_table():
+    # at tau = 0 the one execution is the synchronous one; a table of all
+    # 2^1000 increment vectors would never fit
+    lassos = [lasso_from_text({"a"} if k % 2 else set(), {"a"}, loop=1) for k in range(1000)]
+    for mu, status in ((parse_formula("G F [a, 1000]"), "verified"),
+                       (parse_formula("[a, 501]"), "falsified")):
+        start = time.perf_counter()
+        verdict = check_robust(lassos, mu, tau=0)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.status == status
+        assert verdict.stats == {"mode": "synchronous", "sequences": 1, "evaluations": 1,
+                                 "max_T": 0}
+    tracemalloc.start()
+    try:
+        check_robust(lassos, mu, tau=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive synthesis
 # ---------------------------------------------------------------------------

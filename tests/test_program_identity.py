@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ def desk_aggregate(h):
     return build_cltl_problem(inst, parse_formula("G F [A,2] & G F [C,2] & G [!D,4]"), h)
 
 
+def desk_aggregate_swap(h):
+    """The aggregate program under ``mutual_exclusion_plus_swap``: the
+    occupancy caps and the swap rows over the flows."""
+    inst, _ = emergency_instance()
+    return build_cltl_problem(
+        dataclasses.replace(inst, collision_mode="mutual_exclusion_plus_swap"),
+        parse_formula("G F [A,2] & G F [C,2] & G [!D,4]"), h)
+
+
 def desk_swap(h):
     """The desk under ``mutual_exclusion_plus_swap``: the swap rows."""
     inst, mu = emergency_instance()
@@ -124,6 +134,15 @@ def integrators(h):
                               parse_formula("G F [A, 1] & F [B, 2] & G !([A, 2])"), h)
 
 
+def integrators_tau1(h):
+    """tau = 1: the tail states past h as variables, their loop ties and
+    the robust logic over the faces."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the formula's negation is normalized away
+        return build_cont_problem(double_integrators(),
+                                  parse_formula("G F [A, 1] & F [B, 2] & G !([A, 2])"), h, 1)
+
+
 PROGRAMS = {  # name: (builder, h, SHA-256 of the program)
     "desk-h8": (desk, 8,
                 "89aa4165d8baf4f610c9c45f8796b10ea678477d9ceb519d5d2f02d99d89ee31"),
@@ -135,6 +154,9 @@ PROGRAMS = {  # name: (builder, h, SHA-256 of the program)
                      "d6f684dfad1fe76ac4e0994ea28afe2d25f1ba3aeb45b2704478d00e4e69c60e"),
     "desk-aggregate-h8": (
         desk_aggregate, 8, "20e0427206d54e28488c218bbc61cfaa08db9857922b76dfb8e8c75d2e6dd5ff"),
+    "desk-aggregate-swap-h8": (
+        desk_aggregate_swap, 8,
+        "2edb833aaa0f8cf9d6186c5ce8600846d99bf4cb9bb5daa24164310697e78bb6"),
     "desk-swap-h8": (desk_swap, 8,
                      "be78cd81d7f483f6238fe7e1e0bdc64ad03f69906da85c2a9fec7d8a802af1c1"),
     "desk-tau2-h5": (desk_tau2, 5,
@@ -143,6 +165,9 @@ PROGRAMS = {  # name: (builder, h, SHA-256 of the program)
         mixed, 5, "01f3a5fb0ed5cf43b1dca67ae52c77ede0b1a662eb130cc6793f6a19dd54a02e"),
     "double-integrators-h5": (
         integrators, 5, "cd920a7a342354b55d26ff726127538fdb764efe5e6203b148d6288670e85779"),
+    "double-integrators-tau1-h5": (
+        integrators_tau1, 5,
+        "2e402e157847b50af3d622aab1602ef5fa74dc6a4b3c0558bb6cfeb996b2d5c2"),
 }
 
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -446,6 +447,18 @@ def test_external_lp_cli_feasible():
     sol = solve_external(m, LP_CLI)
     assert sol.feasible
     assert sol[x] + sol[y] >= 1
+
+
+def test_external_paths_with_a_space_and_a_quote_stay_one_word(tmp_path, monkeypatch):
+    # the template is split before the temporary paths go into its words
+    spaced = tmp_path / "tmp dir 'q"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    m = IlpModel()
+    x, y = m.add_binary("x"), m.add_binary("y")
+    m.add_constraint(LinExpr({x: 1, y: 1}), "=", 1)
+    sol = solve_external(m, LP_CLI)
+    assert sol.feasible and sol[x] + sol[y] == 1
 
 
 def test_external_lp_cli_infeasible():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from cltlsynth.encoder_cltl import AggregateCounts, encode_aggregate
+from cltlsynth.encoder_cltl import AggregateCounts
 from cltlsynth.encoder_sync import Layout
 from cltlsynth.ilp import IlpModel
 from cltlsynth.solver import solve_bnb
@@ -102,6 +102,27 @@ def test_load_rejects_label_on_missing_state(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match="missing state"):
         load_model(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("labels", [["A"], []], "'labels' must map states to lists of proposition names"),
+    ("labels", {"s1": "A"}, "'labels' must map states to lists of proposition names"),
+    ("transitions", 5, "'transitions' must be a list of [src, dst] pairs"),
+    ("transitions", [[0, 1, 1]], "'transitions' must be a list of [src, dst] pairs"),
+    ("states", "s0", "'states' must be a list of state names"),
+    ("states", ["s0", 1], "'states' must be a list of state names"),
+], ids=["labels-list", "label-string", "transitions-number", "transition-triple",
+        "states-string", "state-number"])
+def test_load_names_the_mistyped_field(tmp_path, field, value, message):
+    # these once ended in "'list' object has no attribute 'items'", in "'int'
+    # object is not iterable", or, for a string, in its characters
+    robot = {"states": ["s0", "s1"], "transitions": [[0, 1], [1, 1]],
+             "labels": {"s1": ["A"]}, "init": 0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"ap": ["A"], "robots": [robot, {**robot, field: value}]}))
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value) == f"robot 1: {message}"
 
 
 def test_load_rejects_dangling_transition(tmp_path):
@@ -225,7 +246,7 @@ def start_counts(inst: MultiRobotInstance) -> tuple[int, ...]:
     """The occupancies the aggregate program pins at t = 0."""
     model = IlpModel()
     layout = Layout(model, inst, h=1)
-    encode_aggregate(layout, AggregateCounts(layout))
+    AggregateCounts(layout).emit()
     sol = solve_bnb(model)
     assert sol.feasible
     return tuple(round(sol[v]) for v in layout.agg_state[0])
