@@ -27,7 +27,9 @@ to one at h + 1 with the same word, so one proof solve of the engine's
 tau = 0 program at the sweep's last horizon settles it: exit 1 when that
 program is infeasible, 4 with an ``unknown:`` line otherwise.  simulate
 exits 0 verified without collisions, 1 falsified or colliding, 3 and 4 as
-synth.
+synth.  As a backstop, a ``MemoryError`` from either command exits 4 with
+one ``error:`` line that names the step it hit (``args.step``: load,
+build, solve, extract or verify) in place of a traceback.
 """
 
 from __future__ import annotations
@@ -231,7 +233,9 @@ def run_synth(args) -> int:
     unsettled = False  # the tau = 0 program at h_max is not infeasible
     try:
         for h in horizons:
+            args.step = "build"
             problem = build(model_obj, mu, h, args.tau)
+            args.step = "solve"
             sol = solve(problem.model)
             if sol.feasible:
                 break
@@ -240,7 +244,10 @@ def run_synth(args) -> int:
         if not sol.feasible and not unknown and args.tau > 0:
             # a tau = 0 lasso at h unrolls to one at h + 1, so one solve at
             # h_max settles every horizon of the sweep
-            unsettled = solve(build(model_obj, mu, h_max, 0).model).status != "infeasible"
+            args.step = "build"
+            proof = build(model_obj, mu, h_max, 0).model
+            args.step = "solve"
+            unsettled = solve(proof).status != "infeasible"
     except (EncodingError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -271,6 +278,7 @@ def run_synth(args) -> int:
         print(f"infeasible for h in [{args.horizon}, {h_max}]")
         return 1
 
+    args.step = "extract"
     if problem.engine == "continuous":
         trajs = extract_continuous(problem, sol)
     elif problem.engine == "cltl":
@@ -280,6 +288,7 @@ def run_synth(args) -> int:
     lassos = _lassos(model_obj, trajs)
 
     resolved = resolve_groups(mu, model_obj.groups)
+    args.step = "verify"
     try:
         verdict = check_robust(lassos, resolved, args.tau, max_T=args.verify_max_t,
                                enumeration_cap=args.verify_cap, seed=args.seed)
@@ -377,6 +386,7 @@ def run_simulate(args) -> int:
     # execution; its window reaches past the shortest horizon, so sat[t]
     # needs no wrap.
     oracle = CollectionOracle(lassos)
+    args.step = "verify"
     try:
         verdict = check_robust(lassos, resolved, args.tau, max_T=args.max_t,
                                enumeration_cap=args.enum_cap, seed=args.seed)
@@ -438,12 +448,16 @@ def _emit_frames(directory: str, inst: MultiRobotInstance,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    args.step = "load"
     try:
         if args.command == "synth":
             return run_synth(args)
         return run_simulate(args)
     except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:  # a backstop (module docstring)
+        print(f"error: out of memory in the {args.step} step", file=sys.stderr)
         return 4
 
 

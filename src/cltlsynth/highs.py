@@ -119,8 +119,8 @@ def run_highs(highs, integral: Sequence[bool]) -> tuple[str, Optional[list], dic
 
     Model status "Infeasible" is ``infeasible``.  A point, even one found
     before a limit stopped the search, is ``feasible``, and ``point``
-    lists its column values, with the columns ``integral`` marks rounded
-    to ints; it is not checked here.  A model without columns ("Empty")
+    lists the values of the first ``len(integral)`` columns, with the
+    columns ``integral`` marks rounded to ints; it is not checked here.  A model without columns ("Empty")
     is ``feasible`` with an empty point when every row admits 0 at
     ``FEAS_TOL``, and ``infeasible`` otherwise.  The node limit
     (``mip_max_nodes``) reached with no point gives ``unknown`` with

@@ -34,6 +34,14 @@ solving.  On the 8x8 emergency desk at h = 8, 12 and 16 the read took
 machine, median of 12 interleaved rounds; the solution files are the
 same).
 
+The child solves the file's model as it is, without the idle columns
+that ``solver.solve_arrays`` appends (the ``solver`` docstring gives
+their gain).  Adding them after ``readModel`` takes the binding's array
+calls (``addVars``, ``changeColsIntegrality``), and the first of them
+imports NumPy: an ``addVars`` of 10 columns took 121-126 ms in three
+children on the desk at h = 8.  That is more than idle columns save on
+any desk program (in process at most about 50 ms, at h = 16).
+
 HiGHS reads text without any section, an empty file included, as a model
 with no columns and no rows.  Such a model is solved only when the file
 has an objective header (``Minimize``, ``Maximize``, ``min``, ``max``,

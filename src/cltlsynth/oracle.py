@@ -372,30 +372,48 @@ def _bounded_sequences(n: int, tau: int, max_T: int, cap: int) -> Optional[np.nd
 
 def _sampled_sequences(n: int, tau: int, max_T: int, count: int,
                        seed: int, chunk_size: int) -> Iterator[np.ndarray]:
-    """``count`` random tau-bounded sequences, ``chunk_size`` at a time.
-    Every step is one ``rng.integers`` draw among the valid steps in
-    ascending order, which depend only on the counters' offsets above their
-    minimum."""
+    """``count`` random tau-bounded sequences (tau >= 1), ``chunk_size``
+    at a time or fewer; they are drawn ``CHUNK`` at a time, so the chunk
+    size changes no sequence.  Each step is drawn uniformly among the
+    valid steps in O(n), without listing them.  With the counters'
+    offsets above their minimum, Z the robots at offset 0 and T those at
+    tau, every step is valid when T is empty; otherwise a step is valid
+    exactly when every robot in Z advances or no robot in T does.  Those
+    are 2^(n-|Z|) + 2^(n-|T|) - 2^(n-|Z|-|T|) steps, so a draw picks the
+    first branch with weight 2^|T| against 2^|Z| - 1, then flips a coin
+    per robot, and in the second branch flips Z's coins again while they
+    all come up advance."""
     rng = np.random.default_rng(seed)
-    steps = _step_bits(n)
-    moves: dict[tuple[int, ...], tuple[np.ndarray, list]] = {}
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per offset vector
-    for start in range(0, count, chunk_size):
-        chunk = np.zeros((min(chunk_size, count - start), max_T, n), dtype=np.int8)
-        for row in chunk:
-            offsets = (0,) * n
-            for s in range(max_T):
-                if offsets not in moves:
-                    cand = np.array(offsets, dtype=np.int32) + steps
-                    ok = cand.max(axis=1) - cand.min(axis=1) <= tau
-                    reached = (cand[ok] - cand[ok].min(axis=1, keepdims=True)).tolist()
-                    moves[offsets] = steps[ok], [shared.setdefault(a, a)
-                                                 for a in map(tuple, reached)]
-                valid, after = moves[offsets]
-                pick = rng.integers(len(valid))
-                row[s] = valid[pick]
-                offsets = after[pick]
-        yield chunk
+    for start in range(0, count, CHUNK):
+        block = _sample_block(rng, n, tau, max_T, min(CHUNK, count - start))
+        for i in range(0, len(block), chunk_size):
+            yield block[i:i + chunk_size]
+
+
+def _sample_block(rng: np.random.Generator, n: int, tau: int, max_T: int,
+                  rows: int) -> np.ndarray:
+    """``rows`` sequences of ``_sampled_sequences``, drawn step by step."""
+    seqs = np.empty((rows, max_T, n), dtype=np.int8)
+    offsets = np.zeros((rows, n), dtype=np.int32)
+    for s in range(max_T):
+        zero, top = offsets == 0, offsets == tau
+        z, t = zero.sum(axis=1), top.sum(axis=1)
+        with np.errstate(over="ignore"):  # 2^(|Z|-|T|) past a float: weight 0
+            first = rng.random(rows) < 1 / (1 + np.exp2(z - t) - np.exp2(-t))
+        bound = t > 0  # otherwise every step is valid
+        all_of_z, none_of_t = bound & first, bound & ~first
+        step = rng.random((rows, n)) < 0.5
+        step |= zero & all_of_z[:, None]
+        step &= ~(top & none_of_t[:, None])
+        redo = none_of_t & (step | ~zero).all(axis=1)  # every robot in Z advanced
+        while redo.any():
+            step[redo] = np.where(zero[redo], rng.random((int(redo.sum()), n)) < 0.5,
+                                  step[redo])
+            redo = none_of_t & (step | ~zero).all(axis=1)
+        seqs[:, s] = step
+        offsets += step
+        offsets -= offsets.min(axis=1, keepdims=True)
+    return seqs
 
 
 def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,

@@ -52,9 +52,57 @@ all, and the aggregate ones 22.2 and 22.6 s, none more than 1.16 times
 slower without it (the faster of two runs each way).
 
 About 90% of each solve goes to that heuristic, and its time swings per
-instance on any change to the program.  These probes (HiGHS 1.12.0
-through SciPy 1.17.1, shared 2-vCPU machine) found nothing to gain, so
-they need not be repeated:
+instance on any change to the program.  Most of that time comes after
+the point is found.  With ``log_dev_level`` 3, the ladder's
+``GF-3x3-r2-off-0`` at h = 3 reaches its point at the heuristic's 14th
+local minimum and runs on to the 3,923rd before "Feasibility Jump:
+quitting".  No option or callback stops it sooner (probes below), but
+the shape of the model does: ``solve_arrays`` appends idle columns,
+continuous, fixed at 0 and in no row, so that a model without integer
+columns stays an LP (integer ones gave the same logs).  With 168 of them
+(three per column) the heuristic takes the same path to the same point
+and quits at the 2,086th local minimum.  So a program of n columns gets
+k = max(0, min(3n, 3,072 - n)) idle columns: three per column while the
+total stays within ``IDLE_LIMIT``, fewer up to it, and none from it up.
+HiGHS's time per program, with k idle columns by the rule and with 3n,
+on one CPU of a shared 2-vCPU machine (HiGHS 1.12.0 through SciPy
+1.17.1; the range of two to five alternating runs each way; aggregate-n
+is the 8x8 instance of ROADMAP's standing notes at h = 12, on the
+aggregate and the per-robot engine):
+
+=========================  =======  =====  ===========  ===========  ===========
+program                    n        k      no idle      k idle       3n idle
+=========================  =======  =====  ===========  ===========  ===========
+144 ladder programs        28-356   3n     0.55-0.71 s  0.27-0.32 s  (as k)
+desk h = 4                 405      1,215  10-14 ms     4-5 ms       (as k)
+desk h = 8                 1,449    1,623  19-28 ms     14-15 ms     15-19 ms
+desk h = 12                2,655    417    57-84 ms     72-74 ms     35-37 ms
+desk h = 16                3,847    0      74-86 ms     (no idle)    31-37 ms
+aggregate-n N = 10         3,072    0      1.39-1.43 s  (no idle)    1.65-1.74 s
+aggregate-n N = 60         3,905    0      2.84-2.88 s  (no idle)    1.66-1.77 s
+aggregate-n N = 300        3,906    0      3.97-4.43 s  (no idle)    3.85-4.03 s
+per-robot N = 10           4,152    0      26-28 ms     (no idle)    26-29 ms
+per-robot N = 60           26,959   0      198-205 ms   (no idle)    294-296 ms
+per-robot N = 300          132,840  0      1.48-1.64 s  (no idle)    1.70-1.81 s
+=========================  =======  =====  ===========  ===========  ===========
+
+Large per-robot programs lose: at N = 60, 4,096 to 16,384 idle columns
+took 213-309 ms.  The aggregate engine's first point comes from cuts and
+a sub-MIP rather than the heuristic, and idle columns move it, so its
+time swings either way: with 4,096 idle columns N = 10 took 2.82-3.16 s
+and N = 60 3.53-3.66 s.  On smaller programs (aggregate-n at h = 4, 6, 8
+and 10 on the aggregate engine for N = 3, 10, 30 and 60, 240 to 3,187
+columns, and on the per-robot one for N = 3 and 10, 133 to 2,934) the
+rule moved 8 of 24 points, and the 24 took 12.9-14.2 s in all against
+14.4-17.4 s, but single aggregate programs went both ways: N = 3 at
+h = 8 from 0.69 to 1.21 s, N = 60 at h = 6 from 2.6 to 1.4 s.  The limit of 3,072 columns is the smallest of the aggregate-n
+programs at h = 12, so none of them gets an idle column.  On the 144
+ladder programs and the desk at h = 1..16 every status, and every point
+on the program's columns, was the same with and without idle columns.
+
+These probes (HiGHS 1.12.0 through SciPy 1.17.1, shared 2-vCPU machine)
+found no option that shortens the heuristic, so they need not be
+repeated:
 
 - A start point helps only when it is feasible.  The desk at h = 16
   takes about 90-117 ms from scratch and 9-13 ms when handed a feasible
@@ -118,27 +166,44 @@ class SolveConfig:
     node_budget: Optional[int] = None
 
 
+# A program of n columns goes to HiGHS with min(3n, IDLE_LIMIT - n) idle
+# columns, none from IDLE_LIMIT columns up (module docstring)
+IDLE_LIMIT = 3072
+
+
+def idle_columns(n_col: int) -> int:
+    """How many idle columns ``solve_arrays`` adds to a program of
+    ``n_col`` columns."""
+    return max(0, min(3 * n_col, IDLE_LIMIT - n_col))
+
+
 def solve_arrays(arrays: ModelArrays, options: Optional[dict] = None) -> Solution:
     """Decide whether ``arrays`` has a feasible point, in the package's one
     in-process HiGHS call.
 
     The CSR matrix goes to HiGHS row-wise as it is, with a zero objective,
-    and only the primal point is read back.  ``options`` go to
-    ``highs.new_highs``, and the outcome is read by ``highs.run_highs``,
-    whose docstring gives the statuses and ``stats``; a model HiGHS
-    rejects raises ``NumericalError``.  A returned point keys each column
-    index to its value; it is not checked here.
+    followed by ``idle_columns`` continuous columns fixed at 0 that appear
+    in no row, and only the program's columns of the primal point are read
+    back.  ``options`` go to ``highs.new_highs``, and the outcome is read
+    by ``highs.run_highs``, whose docstring gives the statuses and
+    ``stats``; a model HiGHS rejects raises ``NumericalError``.  A
+    returned point keys each column index to its value; it is not checked
+    here.
     """
     highs = new_highs(options)
-    n_col, n_row = arrays.lb.size, arrays.row_lo.size
+    idle = idle_columns(arrays.lb.size)
+    lb, ub, integrality = (np.concatenate([a, np.zeros(idle, a.dtype)])
+                           for a in (arrays.lb, arrays.ub, arrays.integrality))
     matrix = arrays.matrix
-    if highs.passModel(n_col, n_row, matrix.nnz, MatrixFormat.kRowwise,
+    if highs.passModel(lb.size, arrays.row_lo.size, matrix.nnz, MatrixFormat.kRowwise,
                        ObjSense.kMinimize, 0.0,
-                       np.zeros(n_col), arrays.lb, arrays.ub, arrays.row_lo, arrays.row_hi,
+                       np.zeros(lb.size), lb, ub, arrays.row_lo, arrays.row_hi,
                        matrix.indptr, matrix.indices, matrix.data,
-                       arrays.integrality) == HighsStatus.kError:
+                       integrality) == HighsStatus.kError:
         raise NumericalError("HiGHS rejected the model: a coefficient or bound "
                              "is not a number or too large")
+    # run_highs zips the point with this list of the program's columns, so
+    # no idle column's value is read back
     status, point, stats = run_highs(highs, arrays.integrality.tolist())
     return Solution(status, dict(enumerate(point or ())), stats=stats)
 

@@ -11,9 +11,11 @@ oracle's earlier algorithm.
   execution's lock;
 * ``check_robust`` checks the synchronous execution alone at tau = 0;
   for tau >= 1 it counts the tau-bounded increment sequences first,
-  then walks them depth first in lexicographic order, or draws a seeded
-  random sample when they number more than the cap, and evaluates every
-  execution at every anchored time one by one;
+  then walks them depth first in lexicographic order, or, when they
+  number more than the cap, takes the package's seeded sample
+  (``oracle._sampled_sequences``) and checks that each of its steps keeps
+  the spread within tau, and evaluates every execution at every anchored
+  time one by one;
 * ``tcp_windowed_violation`` checks one tcp over the anchored local-time
   combinations of a window.
 
@@ -34,6 +36,7 @@ from cltlsynth.formula import (IAlways, IAnd, IAtom, IEventually, INext, INot,
                                IOr, IRelease, ITrue, IUntil, OAlways, OAnd,
                                OEventually, ONext, ONot, OOr, ORelease, OTrue,
                                OUntil, OuterFormula, Tcp)
+from cltlsynth import oracle
 from cltlsynth.oracle import CollectiveExecution, Lasso, Verdict
 
 
@@ -176,6 +179,14 @@ def _count_sequences(n: int, tau: int, max_t: int, cap: int) -> int:
     return total
 
 
+def _sampled(n: int, tau: int, max_T: int, count: int, seed: int):
+    """The package's sampled sequences for ``seed``, one list of step
+    tuples each (which steps it draws is tested on its own)."""
+    for chunk in oracle._sampled_sequences(n, tau, max_T, count, seed, oracle.CHUNK):
+        for seq in chunk.tolist():
+            yield [tuple(bits) for bits in seq]
+
+
 def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
                  max_T: Optional[int] = None, enumeration_cap: int = 100000,
                  seed: int = 0) -> Verdict:
@@ -216,15 +227,11 @@ def check_robust(lassos: Sequence[Lasso], mu: OuterFormula, tau: int,
 
         found = dfs((0,) * n, [])
     else:
-        rng = np.random.default_rng(seed)
         found = None
-        for _ in range(enumeration_cap):
+        for increments in _sampled(n, tau, max_T, enumeration_cap, seed):
             counters = (0,) * n
-            increments = []
-            for _ in range(max_T):
-                options = list(_valid_steps(counters, tau))
-                bits = options[rng.integers(len(options))]
-                increments.append(bits)
+            for bits in increments:
+                assert bits in set(_valid_steps(counters, tau))
                 counters = tuple(c + b for c, b in zip(counters, bits))
             found = violation(increments)
             if found:

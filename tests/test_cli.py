@@ -788,3 +788,34 @@ def test_random_synth_runs_keep_the_exit_code_contract(tmp_path, capsys):
             assert sweep_has_lasso(inst, mu, h_lo, h_hi, 1), case
         codes[code] = codes.get(code, 0) + 1
     assert codes.get(0, 0) >= 20 and codes.get(1, 0) >= 20, codes
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("step, target", [
+    ("build", "BUILDERS"), ("solve", "solve_bnb"), ("extract", "extract_trajectories"),
+    ("verify", "check_robust"),
+])
+def test_running_out_of_memory_names_the_step(grid_model, capsys, monkeypatch, step, target):
+    if target == "BUILDERS":
+        monkeypatch.setitem(cli.BUILDERS, "cltlplus", out_of_memory)
+    else:
+        monkeypatch.setattr(cli, target, out_of_memory)
+    rc = main(["synth", "--model", str(grid_model), "--formula", "F [A, 1]",
+               "--horizon", "3", "--engine", "cltlplus"])
+    assert rc == 4
+    assert capsys.readouterr().err == f"error: out of memory in the {step} step\n"
+
+
+def test_simulate_running_out_of_memory_names_the_step(grid_model, tmp_path, capsys,
+                                                       monkeypatch):
+    lassos = tmp_path / "lassos.json"
+    lassos.write_text(json.dumps({"type": "discrete", "robots": [
+        {"states": [0, 0], "loop_start": 0}, {"states": [8, 8], "loop_start": 0}]}))
+    monkeypatch.setattr(cli, "check_robust", out_of_memory)
+    rc = main(["simulate", "--model", str(grid_model), "--trajectories", str(lassos),
+               "--formula", "F [A, 1]"])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: out of memory in the verify step\n"

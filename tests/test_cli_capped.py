@@ -61,6 +61,21 @@ def test_a_fleet_of_30_is_synthesized_and_verified(tmp_path):
     assert proc.returncode == 0
 
 
+def test_a_fleet_of_24_is_checked_at_tau_1(tmp_path):
+    # the sampled check at tau >= 1 once drew from a table of all 2^24
+    # increment vectors per offset vector: a MemoryError traceback, exit 1
+    robot = {"states": ["s0", "s1"], "transitions": [[0, 1], [1, 0]],
+             "labels": {"s1": ["a"]}, "init": 0}
+    model, lassos = tmp_path / "fleet.json", tmp_path / "lassos.json"
+    model.write_text(json.dumps({"ap": ["a"], "robots": [robot] * 24}))
+    lassos.write_text(json.dumps({"type": "discrete", "robots": [
+        {"states": [0, 1, 0], "loop_start": 0}] * 24}))
+    proc = cltlsynth("simulate", "--model", model, "--trajectories", lassos,
+                     "--formula", "G F [a, 1]", "--tau", 1)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verdict: verified_bounded (mode=sampled, sequences=20000")
+
+
 ROBOT = {"states": ["s0", "s1"], "transitions": [[0, 1], [1, 1]],
          "labels": {"s1": ["A"]}, "init": 0}
 

@@ -8,6 +8,8 @@ the outer kernel and the robust search with the earlier top-down oracle,
 which counts tcps with ``fixpoint_eval``.
 """
 
+import collections
+import itertools
 import random
 import time
 import tracemalloc
@@ -393,7 +395,7 @@ def test_sampling_many_robots_stays_small():
     finally:
         tracemalloc.stop()
     assert verdict.stats == {"mode": "sampled", "sequences": 2000,
-                             "evaluations": 5150, "max_T": 3}
+                             "evaluations": 5149, "max_T": 3}
     assert peak < 4 << 20
 
 
@@ -543,3 +545,53 @@ def test_a_repeated_meeting_is_reported_once_per_pair_period():
              cycle(5, 10)]
     assert collision_violations(trajs, "mutual_exclusion") == [
         "robots 0 and 1 meet at step 0(+0)", "robots 0 and 1 meet at step 6(+0)"]
+
+
+@pytest.mark.parametrize("n, tau", [(3, 1), (4, 1), (3, 2)])
+def test_sampled_steps_are_uniform_among_the_valid_ones(n, tau):
+    # from every offset vector the sample meets, each step it draws keeps
+    # the spread within tau, and every valid step comes up about equally often
+    drawn = np.concatenate(list(oracle._sampled_sequences(n, tau, 4, 40000, 5, 300)))
+    assert drawn.shape == (40000, 4, n)
+    counters = np.zeros((len(drawn), n), dtype=np.int64)
+    seen = {}
+    for s in range(4):
+        offsets = counters - counters.min(axis=1, keepdims=True)
+        for before, step in zip(map(tuple, offsets.tolist()), map(tuple, drawn[:, s].tolist())):
+            seen.setdefault(before, []).append(step)
+        counters += drawn[:, s]
+    for before, steps in seen.items():
+        valid = [bits for bits in itertools.product((0, 1), repeat=n)
+                 if max(np.add(before, bits)) - min(np.add(before, bits)) <= tau]
+        counts = collections.Counter(steps)
+        assert set(counts) <= set(valid), before
+        if len(steps) >= 50 * len(valid):
+            expected = len(steps) / len(valid)
+            assert all(abs(counts[bits] - expected) <= 5 * expected ** 0.5
+                       for bits in valid), before
+
+
+def test_the_sample_does_not_depend_on_the_chunk_size():
+    whole = np.concatenate(list(oracle._sampled_sequences(5, 1, 6, 1300, 9, CHUNK)))
+    for size in (1, 7, 100):
+        chunks = list(oracle._sampled_sequences(5, 1, 6, 1300, 9, size))
+        assert max(map(len, chunks)) == size
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_sampling_a_large_fleet_builds_no_step_table():
+    # 24 robots at tau = 1 once drew from a table of all 2^24 steps per
+    # offset vector: a MemoryError under a 2 GiB cap after 2.9 s
+    lassos = [lasso_from_text(set(), {"a"}, loop=0) for _ in range(24)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        verdict = check_robust(lassos, parse_formula("G F [a, 1]"), tau=1,
+                               enumeration_cap=20000)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "verified_bounded" and verdict.stats["mode"] == "sampled"
+    assert elapsed < 5.0
+    assert peak < 4 << 20

@@ -26,11 +26,12 @@ from cltlsynth.formula import parse_formula
 from cltlsynth.ilp import IlpModel, LinExpr
 from cltlsynth.lp_format import read_solution_file, write_lp
 from cltlsynth.solver import (FEAS_TOL, NumericalError, SolveConfig, SolverError,
-                              solve_arrays, solve_bnb, solve_external)
+                              idle_columns, solve_arrays, solve_bnb, solve_external)
 from cltlsynth.system import ContinuousSystem, load_model
 
 from conftest import random_instance, random_outer, scipy_csr
 from lp_grammar import read_lp
+from test_fold import integrators, random_fleet
 
 LP_CLI = f"{sys.executable} -m cltlsynth.lp_cli {{lp}} {{sol}}"
 
@@ -359,6 +360,66 @@ def test_direct_call_agrees_with_milp():
         statuses.append(solve_arrays(arrays).status)
         assert statuses[-1] == milp_status(arrays), f"model {i}"
     assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
+
+
+def bare_status(arrays):
+    """The status HiGHS gives on ``arrays`` as they are, without the idle
+    columns of ``solve_arrays``."""
+    solver, matrix = highs.new_highs(), arrays.matrix
+    solver.passModel(arrays.lb.size, arrays.row_lo.size, matrix.nnz,
+                     highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize, 0.0,
+                     np.zeros(arrays.lb.size), arrays.lb, arrays.ub, arrays.row_lo,
+                     arrays.row_hi, matrix.indptr, matrix.indices, matrix.data,
+                     arrays.integrality)
+    return highs.run_highs(solver, arrays.integrality.tolist())[0]
+
+
+def fold_models():
+    """Programs of the per-robot, aggregate and continuous generators of
+    ``test_fold``, and random binary programs."""
+    rng = random.Random(307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(50):
+            inst = random_fleet(rng)
+            tau = rng.choice([0, 0, 1, 2])
+            mu = random_outer(rng, rng.randint(1, 3), ["a", "b"], inst.n_robots,
+                              inner_depth=2, allow_next=tau == 0, inner_next=tau == 0)
+            yield build_robust_problem(inst, mu, rng.randint(1, 5), tau).model
+        for _ in range(40):
+            inst = random_fleet(rng, identical=True)
+            mu = random_outer(rng, rng.randint(1, 3), ["a", "b"], inst.n_robots,
+                              bare_atoms=True)
+            yield build_cltl_problem(inst, mu, rng.randint(1, 5)).model
+        for _ in range(20):
+            n, tau = rng.randint(1, 2), rng.choice([0, 0, 1])
+            mu = random_outer(rng, rng.randint(1, 2), ["A", "C"], n, inner_depth=1,
+                              allow_next=tau == 0, inner_next=False)
+            yield build_cont_problem(integrators(n), mu, rng.randint(1, 4), tau).model
+    for _ in range(60):
+        yield random_binary_model(rng, rng.randint(2, 9), rng.randint(1, 7))
+
+
+def test_idle_columns_change_no_status_and_never_reach_the_point():
+    statuses, padded = [], 0
+    for i, model in enumerate(fold_models()):
+        arrays = model.to_arrays()
+        sol = solve_arrays(arrays)
+        assert sol.status == bare_status(arrays), f"model {i}"
+        padded += idle_columns(arrays.lb.size) > 0
+        if sol.feasible:
+            assert len(sol.values) == arrays.lb.size, f"model {i}"
+            assert model.check_point(sol.values, tol=FEAS_TOL) == [], f"model {i}"
+        else:
+            assert sol.values == {}, f"model {i}"
+        statuses.append(sol.status)
+    assert padded == len(statuses)
+    assert statuses.count("feasible") >= 20 and statuses.count("infeasible") >= 20
+
+
+def test_idle_columns_follow_the_column_count():
+    assert [idle_columns(n) for n in (0, 1, 100, 768, 1000, 3000, 3072, 30000)] == [
+        0, 3, 300, 2304, 2072, 72, 0, 0]
 
 
 def test_lp_file_solve_agrees_with_the_array_solve(tmp_path):
