@@ -22,29 +22,32 @@ bound-propagation fixpoint of the program's rows (Achterberg et al.,
   still reach pins them to 1, one loop selector at 1 pins the others to
   0, and so on.  A contradiction sets ``conflict``; the program is then
   infeasible.
-- ``lower`` turns the undecided signals into columns and rows, block by
-  block in creation order, through ``IlpModel.bool_gadgets`` and
-  ``IlpModel.indicators_geq``, over the undecided inputs alone.  A
-  decided signal becomes the model's shared constant; where its inputs
-  do not already force its value, the one residual row that does is
-  stored (an OR pinned to 1 over undecided inputs keeps their sum >= 1).
-  This module is the one place the fold rules live: the builders store
-  what they are given.
+- ``lower`` turns every undecided operator into columns and rows, block
+  by block in creation order, over the undecided inputs alone: gadgets
+  through ``IlpModel.bool_gadgets``, thresholds through
+  ``RowBlock.indicator``, loop reads as their tie rows.  A decided signal
+  becomes the model's shared constant; where its inputs do not already
+  force its value, the one residual row that does is stored (an OR pinned
+  to 1 over undecided inputs keeps their sum >= 1).  This module is the
+  one place the fold rules live: the builders store what they are given.
 
-The engine's own layer may decide leaves and read leaf values in turn;
-``encoder_sync.LogicEncoder`` runs that exchange to its fixpoint.  The
-discrete engines narrow bit-mask state sets (``encoder_sync.StateSets``).
-The aggregate and continuous engines share one layer, ``IntervalLeaves``:
-their numeric variables are ``Intervals`` until then, bounds propagated
-over their rows, and each leaf tests a linear expression of them against
-one interval per value.  ``Intervals`` is also the one store of their
-program rows: a row added with a tag is written to the model once, in
-order (``Intervals.store``), and a row added without one only propagates.
+The engines supply and lower the leaves, and may decide leaves and read
+leaf values in turn; ``encoder_sync.LogicEncoder`` runs that exchange to
+its fixpoint.  The discrete engines narrow bit-mask state sets
+(``encoder_sync.StateSets``).  The aggregate and continuous engines share
+one layer, ``IntervalLeaves``: their numeric variables are ``Intervals``
+until then, bounds propagated over their rows, and each leaf tests a
+linear expression of them against one interval per value, lowered
+(``IntervalLeaves.lower``) through the same ``RowBlock.indicator``.
+``Intervals`` is also the one store of their program rows: a row added
+with a tag is written to the model once, in order (``Intervals.store``),
+and a row added without one only propagates.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable, Optional, Sequence
 
 from .ilp import LinExpr, RowBlock
@@ -166,10 +169,11 @@ class Circuit:
         return list(ids)
 
     def select(self, loop: Sequence[Signal], rows: Sequence[Sequence[Signal]],
-               lower: Callable) -> list[Signal]:
+               names: Sequence[str], tag: str) -> list[Signal]:
         """Per entry k, a signal equal to ``rows[k][l]`` for the loop start
         l whose selector ``loop[l]`` is 1."""
-        return list(self._new(SELECT, [(*loop, *row) for row in rows], lower))
+        return list(self._new(SELECT, [(*loop, *row) for row in rows],
+                              lambda signals: self._lower_select(signals, names, tag)))
 
     def one_of(self, signals: Sequence[Signal]) -> None:
         """Exactly one of ``signals`` is 1 (the loop selectors)."""
@@ -346,33 +350,55 @@ class Circuit:
                                                       for s in run],
                                [inputs[s] for s in run], [names[s - first] for s in run], tag)
             k = end
-        residual.store(tag, [])
+        residual.store(tag)
 
     def _lower_geq(self, signals: range, m: int, size: int, names: Sequence[str],
                    tag: str) -> None:
         """The block's thresholds: an undecided one an indicator over its
-        undecided members, the ones already 1 in its constant term, through
-        ``IlpModel.indicators_geq``; a decided one its members do not force
-        keeps the one row that does (its undecided members sum to at least
-        m less the ones, or to at most m - 1 less them)."""
+        undecided members, the ones already 1 in its constant term
+        (``RowBlock.indicator``, M = size + 1); a decided one its members
+        do not force keeps the one row that does (its undecided members sum
+        to at least m less the ones, or to at most m - 1 less them), after
+        the indicators."""
         val, col, first = self.val, self.col, signals.start
-        exprs, kept, residual = [], [], RowBlock(self.model)
+        indicators, residual = RowBlock(self.model), RowBlock(self.model)
         for s in signals:
+            if val[s] is not None and self._implied(s):
+                continue
             members = self.args[s]
             values = [val[x] for x in members]
             ones = values.count(1)
-            cols = [col[x] for x, v in zip(members, values) if v is None]
+            terms = Counter(col[x] for x, v in zip(members, values) if v is None)
+            cols, coefs = list(terms), list(terms.values())
             if val[s] is None:
-                exprs.append(LinExpr.sum_of(cols) + ones)
-                kept.append(s)
-            elif not self._implied(s):
-                residual.add(cols, [1.0] * len(cols), m - ones if val[s] else -math.inf,
+                col[s] = indicators.indicator(cols, coefs, ones, (m, math.inf),
+                                              (-math.inf, m - 1), size + 1, names[s - first])
+            else:
+                residual.add(cols, coefs, m - ones if val[s] else -math.inf,
                              math.inf if val[s] else m - 1 - ones)
-        out = self.model.indicators_geq(exprs, m, size + 1, [names[s - first] for s in kept],
-                                        tag=tag, known_bounds=(0, size))
-        for s, c in zip(kept, out):
-            col[s] = c
-        residual.store(tag, [])
+        indicators.store(tag)
+        residual.store(tag)
+
+    def _lower_select(self, signals: range, names: Sequence[str], tag: str) -> None:
+        """The block's loop reads s over their selectors z and row entries
+        r (``args``): a fresh column or, decided, the constant, and per loop
+        start l the rows ``s - r[l] + z_l <= 1`` and ``-s + r[l] + z_l <= 1``,
+        the shared constants folded."""
+        args, val, column = self.args, self.val, self.column
+        h = len(args[signals.start]) // 2
+        # every column that exists or is a constant first, so that the
+        # block's own ids follow them
+        loops = [column(z) for z in args[signals.start][:h]]
+        entries = [[column(x) for x in args[s][h:]] for s in signals]
+        own = [None if val[s] is None else column(s) for s in signals]
+        rows = RowBlock(self.model)
+        for s, z, row in zip(signals, own, entries):
+            if z is None:
+                z = self.col[s] = rows.binary(names[s - signals.start])
+            for loop, entry in zip(loops, row):
+                rows.add([z, entry, loop], [1.0, -1.0, 1.0], -math.inf, 1.0)
+                rows.add([z, entry, loop], [-1.0, 1.0, 1.0], -math.inf, 1.0)
+        rows.store(tag)
 
 
 class Intervals:
@@ -419,10 +445,10 @@ class Intervals:
         self._dirty.add(r)
 
     def store(self, model, columns: dict[int, int]) -> None:
-        """Write the tagged rows not written yet, in order, through
-        ``IlpModel.add_folded`` over ``columns`` (each variable's column or
-        the shared constant of its value), up to the first row with a
-        variable that has no column yet."""
+        """Write the tagged rows not written yet, in order, over ``columns``
+        (each variable's column or the shared constant of its value) and
+        folded (``IlpModel.fold_row``), up to the first row with a variable
+        that has no column yet."""
         for r in range(self._stored, len(self.rows)):
             cols, coefs, lo, hi, tag = self.rows[r]
             if tag is not None:
@@ -430,7 +456,9 @@ class Intervals:
                     expr = _column_expr(columns, cols, coefs)
                 except KeyError:  # a variable that is not a column yet
                     return
-                model.add_folded(expr, lo, hi, tag)
+                row = model.fold_row(list(expr.coeffs), list(expr.coeffs.values()), lo, hi)
+                if row is not None:
+                    model.add_rows([0, len(row[0])], *row, tag)
             self._stored = r + 1
 
     def bound(self, v: int, lo: float, hi: float) -> None:
@@ -507,16 +535,16 @@ class IntervalLeaves:
     selectors are 0/1 variables with their tagged one-of row.  ``refine``
     adds the untagged row of each newly decided leaf, fixes the decided
     selectors, propagates, and decides the leaves whose range misses a
-    side and the selectors the bounds fix.  A subclass adds its variables
-    and tagged rows; ``make_column`` and ``store`` write them to the
-    model, and ``side`` the row a decided leaf forces at lowering."""
+    side and the selectors the bounds fix.  A subclass adds its variables,
+    tagged rows and leaves; ``make_column``, ``store`` and ``lower`` write
+    them to the model."""
 
     def __init__(self, layout):
         self.layout = layout
         self.intervals = Intervals()
         self.loop: list[int] = []
         self.column: dict[int, int] = {}
-        self._leaves: dict[Signal, tuple[LinExpr, tuple, tuple]] = {}
+        self._leaves: dict[Signal, tuple[LinExpr, tuple, tuple, float, str]] = {}
         self._sent: set[Signal] = set()
 
     def loop_selectors(self) -> None:
@@ -529,10 +557,11 @@ class IntervalLeaves:
         self.intervals.add(list(expr.coeffs), list(expr.coeffs.values()),
                            lo - expr.const, hi - expr.const, tag)
 
-    def leaf(self, s: Signal, expr: LinExpr, one: tuple, zero: tuple) -> None:
+    def leaf(self, s: Signal, expr: LinExpr, one: tuple, zero: tuple, big_m: float,
+             name: str) -> None:
         """Tie circuit leaf s to ``expr``: in ``one`` when s is 1, in
-        ``zero`` when it is 0."""
-        self._leaves[s] = (expr, one, zero)
+        ``zero`` when it is 0; ``big_m`` and ``name`` are its indicator's."""
+        self._leaves[s] = (expr, one, zero, big_m, name)
         self._decide(s)
 
     def _decide(self, s: Signal) -> bool:
@@ -541,7 +570,7 @@ class IntervalLeaves:
         circuit = self.layout.circuit
         if circuit.val[s] is not None:
             return False
-        expr, one, zero = self._leaves[s]
+        expr, one, zero = self._leaves[s][:3]
         low, high = self.intervals.range(list(expr.coeffs), list(expr.coeffs.values()))
         low, high = low + expr.const, high + expr.const
         if high < zero[0] or low > zero[1]:
@@ -555,7 +584,7 @@ class IntervalLeaves:
         which marks the circuit in conflict."""
         lay, iv = self.layout, self.intervals
         circuit, val = lay.circuit, lay.circuit.val
-        for s, (expr, one, zero) in self._leaves.items():
+        for s, (expr, one, zero, _, _) in self._leaves.items():
             if val[s] is not None and s not in self._sent:
                 self._sent.add(s)
                 self.add(expr, *(one if val[s] else zero))
@@ -598,8 +627,24 @@ class IntervalLeaves:
         self.column.update(zip(self.loop, lay.loop_vars))
         self.intervals.store(lay.model, self.column)
 
-    def side(self, s: Signal, tag: str) -> None:
-        """At lowering, the row decided leaf s forces over the columns."""
-        expr, one, zero = self._leaves[s]
-        lo, hi = one if self.layout.circuit.val[s] else zero
-        self.layout.model.add_folded(self.columns(expr), lo, hi, tag)
+    def lower(self, ids: range, tag: str) -> None:
+        """Leaves ``ids`` in order, one block: an undecided leaf a binary
+        with its big-M rows (``RowBlock.indicator``), a decided one the row
+        that forces its side (``IlpModel.fold_row``), one the engine
+        decided without an expression nothing."""
+        circuit, model = self.layout.circuit, self.layout.model
+        rows = RowBlock(model)
+        for s in ids:
+            if s not in self._leaves:
+                continue
+            expr, one, zero, big_m, name = self._leaves[s]
+            expr = self.columns(expr)
+            cols, coefs = list(expr.coeffs), list(expr.coeffs.values())
+            if circuit.val[s] is None:
+                circuit.col[s] = rows.indicator(cols, coefs, expr.const, one, zero, big_m, name)
+                continue
+            lo, hi = one if circuit.val[s] else zero
+            row = model.fold_row(cols, coefs, lo - expr.const, hi - expr.const)
+            if row is not None:
+                rows.add(*row)
+        rows.store(tag)

@@ -27,9 +27,11 @@ to one at h + 1 with the same word, so one proof solve of the engine's
 tau = 0 program at the sweep's last horizon settles it: exit 1 when that
 program is infeasible, 4 with an ``unknown:`` line otherwise.  simulate
 exits 0 verified without collisions, 1 falsified or colliding, 3 and 4 as
-synth.  As a backstop, a ``MemoryError`` from either command exits 4 with
-one ``error:`` line that names the step it hit (``args.step``: load,
-build, solve, extract or verify) in place of a traceback.
+synth (3 also for a bundle that is no run of the model, and for
+``--emit-frames`` without a shared state space).  As a backstop, a
+``MemoryError`` from either command exits 4 with one ``error:`` line that
+names the step it hit (``args.step``: load, build, solve, extract or
+verify) in place of a traceback.
 """
 
 from __future__ import annotations
@@ -40,8 +42,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .formula import iter_tcps, parse_formula, resolve_groups
+from .highs import FEAS_TOL
 from .ilp import Solution
 from .lp_format import write_lp
 from .oracle import (CollectiveExecution, CollectionOracle, Lasso,
@@ -199,11 +204,15 @@ def run_synth(args) -> int:
         return 3
     try:
         model_obj = load_model(args.model)
+    except MemoryError:  # the backstop's (module docstring)
+        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     try:
         mu = _read_formula(args.formula)
+    except MemoryError:
+        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -318,8 +327,8 @@ def _load_trajectories(path: str):
     data = json.loads(Path(path).read_text())
     if data.get("type") == "continuous":
         return [ContinuousTrajectory(
-            tuple(tuple(u) for u in r["inputs"]),
-            tuple(tuple(w) for w in r["states"]),
+            tuple(tuple(map(float, u)) for u in r["inputs"]),
+            tuple(tuple(map(float, w)) for w in r["states"]),
             r["loop_start"]) for r in data["robots"]]
     return [LassoTrajectory(tuple(r["states"]), r["loop_start"])
             for r in data["robots"]]
@@ -335,6 +344,10 @@ def _bundle_mismatch(model_obj, trajs) -> str:
         return (f"the trajectory bundle has {len(trajs)} robots and the model "
                 f"{model_obj.n_robots}")
     if continuous:
+        for n, traj in enumerate(trajs):
+            bad = _run_mismatch(model_obj, n, traj)
+            if bad:
+                return f"robot {n}: {bad}"
         return ""
     for n, (traj, ts, init) in enumerate(zip(trajs, model_obj.systems,
                                              model_obj.initial_states)):
@@ -344,6 +357,49 @@ def _bundle_mismatch(model_obj, trajs) -> str:
         if traj.states[0] != init:
             return (f"robot {n} starts at {ts.states[traj.states[0]]}, not at its "
                     f"initial state {ts.states[init]}")
+    return ""
+
+
+def _run_mismatch(model: ContinuousSystem, n: int, traj: ContinuousTrajectory) -> str:
+    """Why ``traj`` is no run of robot n of ``model``; empty if it is: h
+    inputs and h + 1 states of the model's dimensions, a loop start in
+    [0, h), the start state, the replay of the inputs (to 1e-9, as
+    ``synth`` writes it), and the bounds and the loop closure to the
+    recheck tolerance ``FEAS_TOL``.  A NaN fails every comparison."""
+    h = len(traj.inputs)
+    if len(traj.states) != h + 1:
+        return f"{len(traj.states)} states for {h} inputs, where a run has one more"
+    if any(len(w) != model.d_w for w in traj.states) or \
+            any(len(u) != model.d_u for u in traj.inputs):
+        return f"states must have dimension {model.d_w} and inputs dimension {model.d_u}"
+    if not 0 <= traj.loop_start < h:
+        return f"loop start {traj.loop_start} is outside [0, {h - 1}]"
+    states, inputs = np.array(traj.states), np.array(traj.inputs)
+    lo_w, hi_w = model.state_bounds
+    lo_u, hi_u = model.input_bounds
+    for holds, problem in (
+            (np.abs(states[0] - model.init[n]) <= 1e-9, "does not start at its initial state"),
+            (np.abs(traj.replay(model.dynamics[n]) - states) <= 1e-9,
+             "states are not the ones its inputs drive it through"),
+            ((lo_w - FEAS_TOL <= states) & (states <= hi_w + FEAS_TOL),
+             "a state is outside the state bounds"),
+            ((lo_u - FEAS_TOL <= inputs) & (inputs <= hi_u + FEAS_TOL),
+             "an input is outside the input bounds"),
+            (np.abs(states[h] - states[traj.loop_start]) <= FEAS_TOL,
+             f"the lasso does not close: state {h} is not state {traj.loop_start}")):
+        if not holds.all():
+            return problem
+    return ""
+
+
+def _frames_mismatch(args, model_obj) -> str:
+    """Why ``--emit-frames`` cannot count the fleet per state, as robot 0's
+    state names (the collision modes need them shared too); empty if not."""
+    if args.emit_frames and isinstance(model_obj, MultiRobotInstance):
+        for n, ts in enumerate(model_obj.systems):
+            if ts.states != model_obj.systems[0].states:
+                return (f"--emit-frames needs a shared state space, and robot {n}'s "
+                        f"states differ from robot 0's")
     return ""
 
 
@@ -366,6 +422,8 @@ def run_simulate(args) -> int:
     try:
         model_obj = load_model(args.model)
         trajs = _load_trajectories(args.trajectories)
+    except MemoryError:  # the backstop's (module docstring)
+        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -373,10 +431,12 @@ def run_simulate(args) -> int:
         mu = _read_formula(args.formula)
         resolved = resolve_groups(mu, model_obj.groups)
         check_formula(resolved, model_obj)
+    except MemoryError:
+        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    bad = _bundle_mismatch(model_obj, trajs)
+    bad = _bundle_mismatch(model_obj, trajs) or _frames_mismatch(args, model_obj)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return 3

@@ -8,9 +8,11 @@ the ``MultiRobotInstance`` itself.  Model size is then bounded
 independently of the number of robots: the start counts only decide
 entries (``AggregateCounts``), more or fewer with the states they occupy,
 and fleets spread alike over the same start states differ only in the
-constants that hold the counts.  ``cltl_obstacle`` holds
-every precondition.  Solutions are turned back into per-robot lassos by
-decomposing the flow.
+constants that hold the counts.  A counting proposition is a threshold
+on a labeled occupancy sum, written by the per-robot engines' big-M
+writer (``ilp.RowBlock.indicator``, through ``circuit.IntervalLeaves``).
+``cltl_obstacle`` holds every precondition.  Solutions are turned back
+into per-robot lassos by decomposing the flow.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import inf
 
 import numpy as np
 
-from .circuit import ONE, ZERO, IntervalLeaves, Signal
+from .circuit import IntervalLeaves, Signal
 from .formula import INot, ITrue, InnerFormula, OuterFormula, Tcp, is_cltl, iter_tcps
 from .ilp import IlpModel, LinExpr, Solution
 from .system import ModelError, MultiRobotInstance, shared_system
@@ -40,7 +42,8 @@ class AggregateCounts(IntervalLeaves):
     and both sum to N, so they are equal); under
     ``mutual_exclusion_plus_swap``, never one robot each way across an
     edge in one step ("collision").  The outer logic's counting thresholds
-    are leaves over occupancy sums (``IntervalLeaves``)."""
+    are leaves over occupancy sums (``at_least``), lowered as every
+    ``IntervalLeaves`` leaf is."""
 
     def __init__(self, layout: Layout):
         super().__init__(layout)
@@ -72,6 +75,15 @@ class AggregateCounts(IntervalLeaves):
                         iv.add([flow[(i, j, t)], flow[(j, i, t)]], [1, 1], -inf, 1,
                                "collision")
 
+    def at_least(self, counts: list[list[int]], m: int, size: int, names: list[str],
+                 tag: str) -> list[Signal]:
+        """Per count, a leaf that is 1 iff its occupancies sum to at least
+        m; they are conserved, so the sum stays in [0, size]: M = size + 1."""
+        row = self.layout.circuit.leaves(len(counts), lambda ids: self.lower(ids, tag))
+        for s, count, name in zip(row, counts, names):
+            self.leaf(s, LinExpr.sum_of(count), (m, inf), (-inf, m - 1), size + 1, name)
+        return row
+
     def emit(self) -> None:
         """The occupancy and flow columns, the selectors, and the rows."""
         lay, column = self.layout, self.make_column
@@ -96,44 +108,20 @@ def _literal_vector(ts, inner: InnerFormula) -> np.ndarray:
 
 
 class CltlOuterEncoder(LogicEncoder):
-    """Outer logic over aggregate occupancies; counting propositions
-    become threshold tests on a labeled occupancy sum, decided where the
-    occupancies' bounds settle it (``AggregateCounts``)."""
+    """Outer logic over aggregate occupancies; a counting proposition is a
+    threshold on a labeled occupancy sum (``AggregateCounts.at_least``)
+    where the per-robot engines count robot binaries."""
 
     def _tcp_row(self, tcp: Tcp) -> list[Signal]:
-        lay, model, circuit = self.layout, self.model, self.circuit
-        size, steps = lay.n_robots, range(lay.h)
-        if tcp.m <= 0:
-            return [ONE for _ in steps]
-        if tcp.m > size:
-            return [ZERO for _ in steps]
-        vec = _literal_vector(lay.instance.systems[0], tcp.inner)
-        labeled = [i for i, bit in enumerate(vec) if bit]
-        counts = self.leaves
-        fid = lay.fid(tcp)
+        lay = self.layout
+        labeled = np.flatnonzero(_literal_vector(lay.instance.systems[0], tcp.inner)).tolist()
+        occupancy, steps = self.leaves.occupancy, range(lay.h)
+        return self._at_least(([occupancy[t][i] for i in labeled] for t in steps), tcp.m,
+                              lay.n_robots, tcp, steps)
 
-        def lower(ids: range) -> None:
-            """An indicator per undecided step; a decided one keeps the row
-            its value forces (``IntervalLeaves.side``)."""
-            val = circuit.val
-            open_ = [t for t in steps if val[ids[t]] is None]
-            # occupancies are conserved, so the labeled sum never exceeds N
-            made = model.indicators_geq(
-                [model.folded(LinExpr.sum_of([lay.agg_state[t][i] for i in labeled]))
-                 for t in open_],
-                tcp.m, size + 1, [f"y{fid}_t{t}" for t in open_], tag=self.TAG,
-                known_bounds=(0, size))
-            for t, y in zip(open_, made):
-                circuit.col[ids[t]] = y
-            for t in steps:
-                if val[ids[t]] is not None:
-                    counts.side(ids[t], self.TAG)
-
-        row = circuit.leaves(lay.h, lower)
-        for s, t in zip(row, steps):
-            counts.leaf(s, LinExpr.sum_of([counts.occupancy[t][i] for i in labeled]),
-                        (tcp.m, inf), (-inf, tcp.m - 1))
-        return row
+    def _threshold(self, counts: list[list[int]], m: int, size: int,
+                   names: list[str]) -> list[Signal]:
+        return self.leaves.at_least(counts, m, size, names, self.TAG)
 
 
 def cltl_obstacle(inst: MultiRobotInstance, mu: OuterFormula, tau: int = 0) -> str:

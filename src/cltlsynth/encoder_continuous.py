@@ -8,9 +8,10 @@ a margin (``MARGIN``) on both sides of each face; a state no input moves
 is known, and its faces are decided exactly.  These atoms are the
 only leaves that differ from the discrete engines: the logic rows come
 from the shared ``LogicEncoder``, or ``RobustLogicEncoder`` for tau >= 1.
-A face the input bounds keep on one side is decided before the logic
+A face is a ``circuit.IntervalLeaves`` leaf, as an aggregate count is:
+one the input bounds keep on one side is decided before the logic
 settles (at t = 0 every face is), and a row the bounds always meet is not
-stored (``circuit.IntervalLeaves``).
+stored.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class ContinuousPlan(IntervalLeaves):
     ("loop", "robust"): |w[n][t] - w[n][wrap(l, t)]| <= m (1 - z_l) per
     dimension, m the box diameter.  Each polytope face is a leaf
     (``IntervalLeaves``, built by ``row``): 1 puts H_i w at most
-    h_i - ``margin``, 0 at least h_i + ``margin``; a state no input moves
-    decides its faces at once, by H_i w <= h_i + ``CUT``.  An atom is the
-    conjunction of its faces."""
+    h_i - ``margin``, 0 at least h_i + ``margin``, with M from
+    ``_face_big_m``; a state no input moves decides its faces at once, by
+    H_i w <= h_i + ``CUT``.  An atom is the conjunction of its faces."""
 
     def __init__(self, layout: Layout, margin: float = MARGIN):
         super().__init__(layout)
@@ -109,23 +110,20 @@ class ContinuousPlan(IntervalLeaves):
         """Robot n's membership in polytope ``name`` at t = 0 .. size-1:
         per step, one leaf per face and their conjunction."""
         lay = self.layout
-        circuit = lay.circuit
-        hmat, hvec = lay.instance.atoms[name]
+        circuit, sys = lay.circuit, lay.instance
+        hmat, hvec = sys.atoms[name]
         k = hmat.shape[0]
-        exprs = []
-        for t in range(size):
-            state = self.states[(n, t)]
-            for i in range(k):
-                expr = LinExpr()
-                for j, coef in enumerate(hmat[i]):
-                    if coef:
-                        expr = expr + state[j] * float(coef)
-                exprs.append(expr)
-        faces = circuit.leaves(size * k, lambda ids: self._lower(name, n, ids, exprs))
-        for s, expr, offset in zip(faces, exprs, np.tile(hvec, size).tolist()):
+        big_m = [_face_big_m(hmat[i], float(hvec[i]), *sys.state_bounds) for i in range(k)]
+        faces = circuit.leaves(size * k, lambda ids: self.lower(ids, "polytope"))
+        for face, (s, offset) in enumerate(zip(faces, np.tile(hvec, size).tolist())):
+            t, i = divmod(face, k)
+            expr = LinExpr()
+            for j, coef in enumerate(hmat[i]):
+                if coef:
+                    expr = expr + self.states[(n, t)][j] * float(coef)
             if expr.coeffs:
                 self.leaf(s, expr, (-np.inf, offset - self.margin),
-                          (offset + self.margin, np.inf))
+                          (offset + self.margin, np.inf), big_m[i], f"e_{name}_{n}_{t}_{i}")
             else:
                 circuit.assign(s, int(expr.const <= offset + CUT))
         return circuit.gates("AND", [faces[t * k:(t + 1) * k] for t in range(size)],
@@ -147,31 +145,6 @@ class ContinuousPlan(IntervalLeaves):
             lay.state_exprs[key] = [self.columns(expr) for expr in state]
         add_loop_selectors(lay)
         self.store()
-
-    def _lower(self, name: str, n: int, ids: range, exprs: list[LinExpr]) -> None:
-        """An undecided face is a binary e with its two big-M rows; a
-        decided one keeps the one row that forces its side
-        (``IntervalLeaves.side``; a constant state needs none)."""
-        lay = self.layout
-        model, circuit, sys = lay.model, lay.circuit, lay.instance
-        hmat, hvec = sys.atoms[name]
-        lo_w, hi_w = sys.state_bounds
-        k = hmat.shape[0]
-        for s, expr, face in zip(ids, exprs, range(len(ids))):
-            if not expr.coeffs:
-                continue  # decided exactly
-            if circuit.val[s] is not None:
-                self.side(s, "polytope")
-                continue
-            t, i = divmod(face, k)
-            offset, margin = float(hvec[i]), self.margin
-            e = model.add_binary(f"e_{name}_{n}_{t}_{i}", tag="polytope")
-            circuit.col[s] = e
-            m = _face_big_m(hmat[i], offset, lo_w, hi_w)
-            expr = self.columns(expr) + LinExpr({e: m})
-            model.add_constraint(expr, "<=", offset - margin + m, tag="polytope")
-            model.add_constraint(expr, ">=", offset + margin, tag="polytope")
-
 
 def _face_big_m(hrow: np.ndarray, offset: float, lo: np.ndarray, hi: np.ndarray) -> float:
     """Largest |H_i w - h_i| over the state box, plus slack."""

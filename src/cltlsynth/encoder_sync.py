@@ -26,7 +26,7 @@ program on one core defined here:
   window pass that keeps a loop from justifying itself.
 - ``LogicEncoder._at_least`` is the one counting threshold: constant 1 for
   m <= 0, constant 0 for m above the number of robots counted, and an
-  indicator row pair in between.
+  indicator row pair in between (``ilp.RowBlock.indicator``).
 
 Folding.  The root formula is pinned true at step 0, and with the
 constants and the start states that decides much of the program before
@@ -46,11 +46,11 @@ both against a NumPy propagation):
   engines do the same through ``circuit.IntervalLeaves``.  A decided
   entry is a shared constant, an undecided one keeps its two-sided
   gadget, and a step with one state left is the constant 1.
-- ``Circuit.lower`` gives the block builders (``IlpModel.bool_gadgets``,
-  ``IlpModel.indicators_geq``) the undecided signals over their undecided
-  inputs, and stores the one row that forces a decided signal where its
-  inputs do not; ``IlpModel.fold_row`` moves constants into the row
-  bounds and drops rows that always hold.
+- ``Circuit.lower`` lowers every operator over its undecided inputs, and
+  stores the one row that forces a decided signal where its inputs do
+  not; the engines lower their leaves (``DiscreteAtoms``,
+  ``circuit.IntervalLeaves``).  ``IlpModel.fold_row`` moves constants into
+  the row bounds and drops rows that always hold.
 
 The desk at h = 16 then has 3,847 columns and 8,601 rows.  Rows and
 columns go to the model as blocks (``IlpModel.add_binaries``,
@@ -329,7 +329,7 @@ def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
         return
     model, h = layout.model, layout.h
     zero, one = model.constant(0), model.constant(1)
-    rows, names = RowBlock(model), []
+    rows = RowBlock(model)
     column = model.n_vars
     for n, ts in enumerate(layout.instance.systems):
         ids, reach = layout.state_ids[n], layout.reach[n]
@@ -346,7 +346,7 @@ def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
                     vector[i] = column
                     column += 1
                 prefix = f"w_{n}_{t}_"
-                names += [prefix + str(i) for i in live]
+                rows.names += [prefix + str(i) for i in live]
                 rows.lengths.append(len(live))
                 rows.indices += [vector[i] for i in live]
                 rows.values += [1.0] * len(live)
@@ -372,7 +372,7 @@ def add_state_vectors(layout: Layout, steps: range, tag: str) -> None:
             ids.append(array("i", vector))
             if t > h:
                 tie_rows(layout, ids, reach, t, rows)
-    rows.store(tag, names)
+    rows.store(tag)
 
 
 def add_loop_selectors(layout: Layout) -> None:
@@ -450,7 +450,7 @@ def encode_loop(layout: Layout) -> None:
     rows.add(layout.loop_vars, [1.0] * layout.h, 1.0, 1.0)  # exactly one loop start
     for n in range(layout.n_robots):
         tie_rows(layout, layout.state_ids[n], layout.reach[n], layout.h, rows)
-    rows.store("loop", [])
+    rows.store("loop")
 
 
 def encode_collision(layout: Layout) -> None:
@@ -498,7 +498,7 @@ def encode_collision(layout: Layout) -> None:
                     if live[a][t][i] and live[b][t][j] and live[a][t + 1][j] and live[b][t + 1][i]:
                         rows.add([w[a][t][i], w[b][t][j], w[a][t + 1][j], w[b][t + 1][i]],
                                  [1.0] * 4, -inf, 3.0)
-    rows.store("collision", [])
+    rows.store("collision")
 
 
 # ---------------------------------------------------------------------------
@@ -641,24 +641,23 @@ class DiscreteAtoms:
         model, circuit = lay.model, lay.circuit
         labeled = [i for i, labels in enumerate(lay.instance.systems[n].labels)
                    if name in labels]
-        open_ = [t for t, s in enumerate(ids) if circuit.val[s] is None]
-        first = model.n_vars
+        fid = lay.fid(IAtom(name))
         rows = RowBlock(model)
-        for z, t in zip(itertools.count(first), open_):
+        for t, s in enumerate(ids):
+            if circuit.val[s] is not None:
+                continue
+            z = circuit.col[s] = rows.binary(f"z{fid}_n{n}_t{t}")
             ids_t, live = lay.state_ids[n][t], lay.reach[n][t]
             cols = [z] + [ids_t[i] for i in labeled if live[i]]
             coefs = [1.0] + [-1.0] * (len(cols) - 1)
             # label_count >= z and label_count <= z (strict < z+1 tightened by
             # integrality), i.e. z tracks membership exactly
-            for lo, hi in ((-inf, 0.0), (0.0, inf)):
-                rows.lengths.append(len(cols))
-                rows.indices += cols
-                rows.values += coefs
-                rows.row_lo.append(lo)
-                rows.row_hi.append(hi)
-            circuit.col[ids[t]] = z
-        fid = lay.fid(IAtom(name))
-        rows.store("inner", [f"z{fid}_n{n}_t{t}" for t in open_])
+            rows.lengths += (len(cols), len(cols))
+            rows.indices += cols * 2
+            rows.values += coefs * 2
+            rows.row_lo += (-inf, 0.0)
+            rows.row_hi += (0.0, inf)
+        rows.store("inner")
 
 
 class LogicEncoder:
@@ -780,40 +779,14 @@ class LogicEncoder:
             row = until_release_row(circuit, lay.loop_signals, lhs, rhs, release,
                                     self._name(node, n, "{t}", "{aux}"), tag)
             if n is not None and size > h:
-                row += self._tie_to_loop(node, n, row)
+                # the robust tail: position t >= h is the row at wrap(l, t)
+                tail = range(h, size)
+                row += circuit.select(
+                    lay.loop_signals, [[row[lay.wrap_index(l, t)] for l in range(h)]
+                                       for t in tail],
+                    [self._name(node, n, t) for t in tail], tag)
             return row
         raise TypeError(f"not a formula: {node!r}")
-
-    def _tie_to_loop(self, phi: InnerFormula, n: int, row: list[Signal]) -> list[Signal]:
-        """Signals for the positions t = h .. h+tau-1 of an inner row, each
-        equal to the row at wrap(l, t) for the chosen loop start l: per
-        position z and loop start l, ``z - row[wrap] + z_l <= 1`` and
-        ``-z + row[wrap] + z_l <= 1``, the shared constants folded.  An
-        undecided position is a fresh column; a decided one is its
-        constant and keeps the rows that still constrain the row.  The
-        columns are one block and the rows another."""
-        lay = self.layout
-        steps = range(lay.h, lay.h + lay.tau)
-        sources = [[row[lay.wrap_index(l, t)] for l in range(lay.h)] for t in steps]
-
-        def lower(ids: range) -> None:
-            model, circuit = lay.model, lay.circuit
-            # every column that exists or is a constant first, so that the
-            # ids counted from n_vars are the new columns'
-            loops = [circuit.column(z) for z in lay.loop_signals]
-            targets = [[circuit.column(x) for x in row] for row in sources]
-            own = [None if circuit.val[s] is None else circuit.column(s) for s in ids]
-            open_ = [k for k, z in enumerate(own) if z is None]
-            for z, k in zip(itertools.count(model.n_vars), open_):
-                circuit.col[ids[k]] = own[k] = z
-            rows = RowBlock(model)
-            for z, row in zip(own, targets):
-                for loop, target in zip(loops, row):
-                    rows.add([z, target, loop], [1.0, -1.0, 1.0], -inf, 1.0)
-                    rows.add([z, target, loop], [-1.0, 1.0, 1.0], -inf, 1.0)
-            rows.store("inner", [self._name(phi, n, lay.h + k) for k in open_])
-
-        return self.circuit.select(lay.loop_signals, sources, lower)
 
     def _gate_row(self, op: str, node: Formula, n: Optional[int]) -> list[Signal]:
         """One ``op`` gadget per position over the children's rows, as one
@@ -853,15 +826,19 @@ class LogicEncoder:
         that only they would read gets built.  Otherwise every count is
         built before the indicators' names ``{prefix}{fid(node)}_t{t}``
         are made, so formula ids follow creation order, and the
-        indicators are one block (``IlpModel.indicators_geq``)."""
+        thresholds are one block (``_threshold``)."""
         if m <= 0:
             return [ONE for _ in steps]
         if m > size:
             return [ZERO for _ in steps]
         counts = [list(count) for count in counts]
         fid = self.layout.fid(node)
-        return self.circuit.at_least(counts, m, size, [f"{prefix}{fid}_t{t}" for t in steps],
-                                     self.TAG)
+        return self._threshold(counts, m, size, [f"{prefix}{fid}_t{t}" for t in steps])
+
+    def _threshold(self, counts: list[list[Signal]], m: int, size: int,
+                   names: list[str]) -> list[Signal]:
+        """Per count, a signal: 1 iff at least m of the count's are."""
+        return self.circuit.at_least(counts, m, size, names, self.TAG)
 
     def _tcp_row(self, tcp: Tcp) -> list[Signal]:
         scope = self._tcp_scope(tcp)

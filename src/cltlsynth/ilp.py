@@ -2,8 +2,8 @@
 
 A model owns variables (binary / bounded integer / bounded continuous),
 linear constraints grouped by an encoder tag, Boolean gadgets over binary
-variables, and big-M threshold indicators.  Construction is single-writer;
-a finished model is read-only and can be exported or solved concurrently.
+variables, and big-M indicators.  Construction is single-writer; a
+finished model is read-only and can be exported or solved concurrently.
 
 Rows and columns are stored in flat buffers, not as one object each,
 and each set of buffers has one writer.  Rows go to the CSR buffers
@@ -15,19 +15,18 @@ code and tag id) only through ``_append_columns``: ``add_var`` hands it
 one column and ``add_binaries`` a run of binaries.  Rows and columns
 live in separate buffers, so a caller can reserve column ids before
 writing the rows that use them.  Every Boolean gadget goes through
-``bool_gadgets`` and every threshold indicator through
-``indicators_geq``, which store G same-kind gadgets, one or many, as one
-block of columns and one of rows.  Rows and columns share one tag table,
-and ``metadata`` counts both from their tag ids.
+``bool_gadgets``, which stores G same-kind gadgets, one or many, as one
+block of columns and one of rows, and every big-M indicator (a count
+over robot binaries or occupancies, a polytope face) through
+``RowBlock.indicator``.  Rows and columns share one tag table, and
+``metadata`` counts both from their tag ids.
 
 Folding.  ``constant`` makes the shared constant of a value, a column
 pinned to it.  ``fold_row`` moves constants into a row's bounds and drops
-a row that holds at every point of its columns' bounds; ``add_folded``
-stores what it leaves, ``RowBlock`` gathers rows so folded for one
-``add_rows`` call, and ``folded`` moves the constants of an expression
-into its constant term.  ``add_row``, ``add_rows``,
-``add_constraint`` and the block builders store what they are given:
-which gadgets and indicators a program needs, and the one row that
+a row that holds at every point of its columns' bounds, and ``RowBlock``
+gathers rows with their constants so folded for one ``add_rows`` call.
+``add_row``, ``add_rows`` and the block builders store what they are
+given: which gadgets and indicators a program needs, and the one row that
 forces a decided one, is settled before they are called
 (``circuit.Circuit``).
 
@@ -39,9 +38,8 @@ dataclass.  The 8x8 emergency desk's folded program at h = 16 (8,601
 rows, 3,847 columns) retains 1.11 MB under ``tracemalloc``, its layout
 included; unfolded (13,517 rows, 5,615 columns) it retained 1.58 MB,
 1.69 MB when it was built row by row, 2.14 MB with a dataclass per
-column, and 6.8 MB with an object per row as well.
-``add_constraint`` is the ``LinExpr`` front end of the row path, and
-``constraints`` is a read-only view of the row buffers.
+column, and 6.8 MB with an object per row as well.  ``constraints`` is
+a read-only view of the row buffers.
 """
 
 from __future__ import annotations
@@ -472,32 +470,6 @@ class IlpModel:
                              * len(lengths))
         self._arrays = None
 
-    def add_folded(self, expr: LinExpr, lo: Number, hi: Number, tag: str = "untagged") -> None:
-        """The row ``lo <= expr <= hi`` as ``fold_row`` leaves it, if any,
-        the expression's constant moved into the bounds."""
-        row = self.fold_row(list(expr.coeffs), list(expr.coeffs.values()),
-                            lo - expr.const, hi - expr.const)
-        if row is not None:
-            cols, coefs, lo, hi = row
-            self._check_columns(cols)
-            self._append_rows([len(cols)], cols, coefs, [lo], [hi], tag)
-
-    def folded(self, expr: LinExpr) -> LinExpr:
-        """``expr`` with its shared constants moved into its constant term."""
-        const = self._const_value
-        if const.keys().isdisjoint(expr.coeffs):
-            return expr
-        return LinExpr({v: c for v, c in expr.coeffs.items() if v not in const},
-                       expr.const + sum(c * const[v] for v, c in expr.coeffs.items()
-                                        if v in const))
-
-    def add_constraint(self, expr: LinExpr, sense: str, rhs: Number,
-                       tag: str = "untagged") -> None:
-        """``add_row`` for a ``LinExpr``, whose constant is folded into the
-        right-hand side."""
-        self.add_row(list(expr.coeffs), list(expr.coeffs.values()), sense,
-                     rhs - expr.const, tag)
-
     @property
     def constraints(self) -> _RowView:
         """The rows, read-only: ``len``, indexing and iteration; each row
@@ -604,67 +576,6 @@ class IlpModel:
         self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
         return list(gates)
 
-    # -- threshold indicator ----------------------------------------------------
-
-    def expr_bounds(self, expr: LinExpr) -> tuple[Number, Number]:
-        lo = hi = expr.const
-        for v, c in expr.coeffs.items():
-            if c >= 0:
-                lo += c * self._lb[v]
-                hi += c * self._ub[v]
-            else:
-                lo += c * self._ub[v]
-                hi += c * self._lb[v]
-        return lo, hi
-
-    def indicators_geq(self, exprs: Sequence[LinExpr], m: Number, big_m: Number,
-                       names: Optional[Sequence[Optional[str]]] = None,
-                       tag: str = "indicator",
-                       known_bounds: Optional[tuple[Number, Number]] = None) -> list[VarId]:
-        """One fresh binary y per expression with y = 1 iff expr >= m, for
-        integer-valued expressions.
-
-        Encoded as  expr - M*y <= m - 1  and  expr - M*y >= m - M; the
-        strict side uses integrality (expr < m becomes expr <= m - 1).
-        ``known_bounds`` lets callers supply a tighter reachable range than
-        the one variable bounds imply (e.g. a conserved total is invisible
-        per-variable); M is rejected if it cannot cover the range.  A name
-        that is None becomes ``geq_<id>``.  As with ``bool_gadgets``, the
-        columns and rows are stored as one block once all are checked,
-        however many indicators there are."""
-        first = len(self.names)
-        names = [None] * len(exprs) if names is None else names
-        if not exprs:
-            return []
-        labels, lengths, indices, values, row_lo, row_hi = [], [], [], [], [], []
-        for y, expr, name in zip(count(first), exprs, names):
-            cols, coefs = self._indicator_terms(expr, m, big_m, known_bounds)
-            self._check_columns(cols)
-            labels.append(name or f"geq_{y}")
-            cols.append(y)
-            indices += cols * 2
-            values += coefs * 2
-            lengths += (len(cols), len(cols))
-            row_lo += (-_INF, m - big_m - expr.const)
-            row_hi += (m - 1 - expr.const, _INF)
-        self.add_binaries(labels, tag)
-        self._append_rows(lengths, indices, values, row_lo, row_hi, tag)
-        return list(range(first, first + len(labels)))
-
-    def _indicator_terms(self, expr: LinExpr, m: Number, big_m: Number,
-                         known_bounds: Optional[tuple[Number, Number]]) -> tuple[list, list]:
-        """The columns of ``expr`` and the coefficients of an indicator's
-        rows, the indicator's own -M last, once M is checked to cover the
-        expression's range."""
-        lo, hi = self.expr_bounds(expr)
-        if known_bounds is not None:
-            lo, hi = max(lo, known_bounds[0]), min(hi, known_bounds[1])
-        if big_m < max(hi - m + 1, m - lo):
-            raise ValueError(
-                f"big-M {big_m} too small for expression range [{lo}, {hi}] "
-                f"against threshold {m}")
-        return [*expr.coeffs], [*expr.coeffs.values(), -big_m]
-
     # -- inspection ---------------------------------------------------------------
 
     @property
@@ -742,18 +653,25 @@ class IlpModel:
 
 
 class RowBlock:
-    """Rows gathered in Python lists for one ``IlpModel.add_rows`` call,
-    after the columns ``store`` is given.  The dynamics rows and loop ties
-    of ``encoder_sync``, the most numerous, append to the lists without
-    ``add`` where no shared constant is among their columns."""
+    """Binaries (``binary``) and rows gathered in Python lists for one
+    ``IlpModel.add_binaries`` and one ``IlpModel.add_rows`` call
+    (``store``).  The dynamics rows and loop ties of ``encoder_sync``, the
+    most numerous, append to the lists without ``add`` where no shared
+    constant is among their columns."""
 
     def __init__(self, model: IlpModel):
         self.model = model
+        self.names: list[str] = []  # the block's binaries, ids from model.n_vars on
         self.lengths: list[int] = []
         self.indices: list[VarId] = []
         self.values: list[float] = []
         self.row_lo: list[float] = []
         self.row_hi: list[float] = []
+
+    def binary(self, name: str) -> VarId:
+        """The id of the block's next binary, which ``store`` adds."""
+        self.names.append(name)
+        return self.model.n_vars + len(self.names) - 1
 
     def add(self, cols: list[VarId], coefs: list[float], lo: float, hi: float) -> None:
         """The row, its shared constants folded as ``IlpModel.fold_row``
@@ -770,16 +688,48 @@ class RowBlock:
         self.row_lo.append(lo)
         self.row_hi.append(hi)
 
-    def store(self, tag: str, names: list[str]) -> None:
-        """Add the columns ``names``, then the rows; both lists start
+    def indicator(self, cols: list[VarId], coefs: list[Number], const: Number,
+                  one: tuple[Number, Number], zero: tuple[Number, Number], big_m: Number,
+                  name: str) -> VarId:
+        """A fresh binary y of the block (``binary``) that puts
+        e = coefs . x[cols] + const in ``one`` when 1 and in ``zero`` when
+        0, each interval open on one side: a count [m, inf) / (-inf, m - 1],
+        a face (-inf, h_i - margin] / [h_i + margin, inf).  Two rows, "<="
+        first, y with +M where ``one`` bounds e above, else with -M:
+
+            e + M y <= one_hi + M  and  e + M y >= zero_lo
+            e - M y <= zero_hi     and  e - M y >= one_lo - M
+
+        M must cover e's reach past the other side's bound.  The shared
+        constants among ``cols`` move into the constant."""
+        y = self.binary(name)
+        if not self.model.constant_ids.isdisjoint(cols):
+            value = self.model.constant_value
+            const += sum(a * value(c) for c, a in zip(cols, coefs) if value(c) is not None)
+            coefs = [a for c, a in zip(cols, coefs) if value(c) is None]
+            cols = [c for c in cols if value(c) is None]
+        if one[1] < _INF:  # one bounds e above
+            sign, hi, lo = big_m, one[1] + big_m, zero[0]
+        else:
+            sign, hi, lo = -big_m, zero[1], one[0] - big_m
+        row = [*cols, y]
+        self.lengths += (len(row), len(row))
+        self.indices += row * 2
+        self.values += [*coefs, sign] * 2
+        self.row_lo += (-_INF, lo - const)
+        self.row_hi += (hi - const, _INF)
+        return y
+
+    def store(self, tag: str) -> None:
+        """Add the block's binaries, then its rows; the block starts
         afresh."""
         model = self.model
-        if names:
-            model.add_binaries(names, tag)
+        if self.names:
+            model.add_binaries(self.names, tag)
         if self.lengths:
             model.add_rows([0, *accumulate(self.lengths)], self.indices,
                            self.values, self.row_lo, self.row_hi, tag)
-        for gathered in (names, self.lengths, self.indices, self.values, self.row_lo,
+        for gathered in (self.names, self.lengths, self.indices, self.values, self.row_lo,
                          self.row_hi):
             gathered.clear()
 

@@ -737,6 +737,90 @@ def test_bad_simulate_input_is_a_one_line_usage_error(handover_bundle, tmp_path,
     assert "verdict" not in captured.out
 
 
+STILL = {"states": ["s"], "transitions": [[0, 0]], "labels": {"s": ["A"]}, "init": 0}
+CHAIN = {"states": ["a", "b", "c"], "transitions": [[0, 1], [1, 2], [2, 2]],
+         "labels": {"c": ["A"]}, "init": 0}
+
+
+@pytest.mark.parametrize("robots", [[STILL, CHAIN], [CHAIN, STILL]],
+                         ids=["one-state-first", "three-states-first"])
+def test_emit_frames_needs_a_shared_state_space(tmp_path, capsys, robots):
+    # one state against three once ended in an IndexError traceback with
+    # exit 1 after the verdict table; the other order counted robot 1's
+    # states under robot 0's names
+    model, bundle, frames = tmp_path / "fleet.json", tmp_path / "traj.json", tmp_path / "f"
+    model.write_text(json.dumps({"ap": ["A"], "robots": robots}))
+    lassos = {"s": {"states": [0, 0], "loop_start": 0},
+              "a": {"states": [0, 1, 2, 2], "loop_start": 2}}
+    bundle.write_text(json.dumps({"type": "discrete", "robots": [
+        lassos[robot["states"][0]] for robot in robots]}))
+    code = run(["simulate", "--model", model, "--trajectories", bundle,
+                "--formula", "F [A, 1]", "--emit-frames", frames])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: --emit-frames needs a shared state space, and robot 1's "
+                            "states differ from robot 0's\n")
+    assert not frames.exists()
+
+
+def integrator_bundle(tmp_path, robots):
+    """Two 1-D integrators w' = w + u / 2 from 0, both bounds [-1, 1], and
+    a bundle of ``robots`` (inputs, states, loop start); robot 0 runs the
+    valid lasso 0, 0.5, 0."""
+    interval = {"H": [[1.0], [-1.0]], "h": [0.5, 0.5]}
+    model, bundle = tmp_path / "integrators.json", tmp_path / "traj.json"
+    model.write_text(json.dumps({"continuous": {
+        "robots": [{"F": [[1.0]], "G": [[0.5]], "c": [0.0], "init": [0.0]}] * 2,
+        "atoms": {"A": interval}, "state_bounds": [[-1.0, 1.0]],
+        "input_bounds": [[-1.0, 1.0]]}}))
+    valid = ([[1.0], [-1.0]], [[0.0], [0.5], [0.0]], 0)
+    bundle.write_text(json.dumps({"type": "continuous", "robots": [
+        {"inputs": u, "states": w, "loop_start": l} for u, w, l in [valid, *robots]]}))
+    return model, bundle
+
+
+@pytest.mark.parametrize("robot, message", [
+    (([[0.0], [0.0]], [[0.0, 0.0]] * 3, 0),
+     "states must have dimension 1 and inputs dimension 1"),
+    (([[0.0]], [[0.0]] * 3, 0), "3 states for 1 inputs, where a run has one more"),
+    (([[0.0], [0.0]], [[0.0]] * 3, 5), "loop start 5 is outside [0, 1]"),
+    (([[0.0], [0.0]], [[0.5]] * 3, 0), "does not start at its initial state"),
+    (([[5.0], [-5.0]], [[0.0]] * 3, 0), "states are not the ones its inputs drive it through"),
+    (([[1.0]] * 3, [[0.0], [0.5], [1.0], [1.5]], 2), "a state is outside the state bounds"),
+    (([[2.0], [-2.0]], [[0.0], [1.0], [0.0]], 0), "an input is outside the input bounds"),
+    (([[1.0], [0.0]], [[0.0], [0.5], [0.5]], 0),
+     "the lasso does not close: state 2 is not state 0"),
+], ids=["dimension", "input-count", "loop-start", "start", "replay", "state-bounds",
+        "input-bounds", "closure"])
+def test_simulate_checks_a_continuous_bundle_against_the_model(tmp_path, capsys, robot,
+                                                               message):
+    # the dimension and loop-start cases ended in tracebacks with exit 1,
+    # and the out-of-bounds inputs and the missing input were verified
+    model, bundle = integrator_bundle(tmp_path, [robot])
+    code = run(["simulate", "--model", model, "--trajectories", bundle,
+                "--formula", "G F [A, 1]"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: robot 1: {message}\n"
+
+
+def test_simulate_reads_a_continuous_bundle_of_numbers_only(tmp_path, capsys):
+    # an input that is no number was never read, and the bundle verified
+    model, bundle = integrator_bundle(tmp_path, [([["x"], [0.0]], [[0.0]] * 3, 0)])
+    assert run(["simulate", "--model", model, "--trajectories", bundle,
+                "--formula", "G F [A, 1]"]) == 4
+    assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n"
+
+
+def test_simulate_accepts_a_continuous_lasso_within_the_tolerance(tmp_path, capsys):
+    # the loop closes and the bounds hold within the recheck tolerance
+    model, bundle = integrator_bundle(tmp_path, [([[1.0], [-1.0 + 1e-6]],
+                                                  [[0.0], [0.5], [5e-7]], 0)])
+    assert run(["simulate", "--model", model, "--trajectories", bundle,
+                "--formula", "G F [A, 1]"]) == 0
+    assert capsys.readouterr().out.startswith("verdict: verified")
+
+
 # ---------------------------------------------------------------------------
 # Exit-code contract under random input
 # ---------------------------------------------------------------------------
@@ -807,6 +891,24 @@ def test_running_out_of_memory_names_the_step(grid_model, capsys, monkeypatch, s
                "--horizon", "3", "--engine", "cltlplus"])
     assert rc == 4
     assert capsys.readouterr().err == f"error: out of memory in the {step} step\n"
+
+
+@pytest.mark.parametrize("command, target", [
+    ("synth", "load_model"), ("synth", "parse_formula"), ("simulate", "load_model"),
+    ("simulate", "_load_trajectories"), ("simulate", "parse_formula"),
+])
+def test_running_out_of_memory_while_loading_reaches_the_backstop(
+        grid_model, tmp_path, capsys, monkeypatch, command, target):
+    # the loaders' own handlers caught it and printed an empty "error: "
+    # with exit 4 or, for the formula, the usage code 3
+    lassos = tmp_path / "lassos.json"
+    lassos.write_text(json.dumps({"type": "discrete", "robots": [
+        {"states": [0, 0], "loop_start": 0}, {"states": [8, 8], "loop_start": 0}]}))
+    monkeypatch.setattr(cli, target, out_of_memory)
+    more = ["--horizon", "3"] if command == "synth" else ["--trajectories", str(lassos)]
+    rc = main([command, "--model", str(grid_model), "--formula", "F [A, 1]", *more])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: out of memory in the load step\n"
 
 
 def test_simulate_running_out_of_memory_names_the_step(grid_model, tmp_path, capsys,

@@ -6,7 +6,7 @@ import pytest
 
 from cltlsynth.formula import (IAtom, IEventually, INot, ITrue, OAlways, OEventually,
                                ONot, OTrue, Tcp, children, iter_tcps, rebuild)
-from cltlsynth.ilp import IlpModel, LinExpr
+from cltlsynth.ilp import IlpModel
 from cltlsynth.oracle import CollectiveExecution, Lasso, brute_force_synth, eval_outer
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
@@ -75,8 +75,7 @@ def test_counting_threshold_on_fixed_occupancies():
         counts.emit()
         # freeze occupancies at their initial values
         for i in (0, 1):
-            model.add_constraint(LinExpr({layout.agg_state[1][i]: 1}), "=",
-                                 w0[i], tag="fix")
+            model.add_row([layout.agg_state[1][i]], [1], "=", w0[i], "fix")
         logic.lower()
         y = layout.rows[(tcp, None)][0]
         sol = solve_bnb(model)
@@ -150,16 +149,16 @@ def test_lowest_index_first_assignment():
     layout = Layout(model, inst, h=1)
     AggregateCounts(layout).emit()
     # force the split: one robot stays, one moves
-    model.add_constraint(LinExpr({layout.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
-    model.add_constraint(LinExpr({layout.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
-    model.add_constraint(LinExpr({layout.loop_vars[0]: 1}), "=", 0, tag="fix")
+    model.add_row([layout.agg_flow[(0, 0, 0)]], [1], "=", 1, "fix")
+    model.add_row([layout.agg_flow[(0, 1, 0)]], [1], "=", 1, "fix")
+    model.add_row([layout.loop_vars[0]], [1], "=", 0, "fix")
     sol = solve_bnb(model)
     assert not sol.feasible  # h=1 cannot close the loop after a split
     model2 = IlpModel()
     layout2 = Layout(model2, inst, h=2)
     AggregateCounts(layout2).emit()
-    model2.add_constraint(LinExpr({layout2.agg_flow[(0, 0, 0)]: 1}), "=", 1, tag="fix")
-    model2.add_constraint(LinExpr({layout2.agg_flow[(0, 1, 0)]: 1}), "=", 1, tag="fix")
+    model2.add_row([layout2.agg_flow[(0, 0, 0)]], [1], "=", 1, "fix")
+    model2.add_row([layout2.agg_flow[(0, 1, 0)]], [1], "=", 1, "fix")
     sol2 = solve_bnb(model2)
     assert sol2.feasible
     from cltlsynth.encoder_sync import EncodedProblem

@@ -8,7 +8,7 @@ import pytest
 
 from cltlsynth.formula import (IAtom, IEventually, IUntil, OAnd, OEventually, ONext, ONot,
                                Tcp)
-from cltlsynth.ilp import BINARY, KINDS, IlpModel, LinExpr
+from cltlsynth.ilp import BINARY, KINDS, IlpModel
 from cltlsynth.oracle import CollectiveExecution, Lasso, eval_outer
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import ContinuousSystem, ModelError
@@ -45,7 +45,7 @@ def test_zero_input_constant_state_loops_immediately():
     ContinuousPlan(layout).emit()
     for t in range(3):
         for v in layout.input_vars[(0, t)]:
-            model.add_constraint(LinExpr({v: 1}), "=", 0, tag="fix")
+            model.add_row([v], [1], "=", 0, "fix")
     sol = solve_bnb(model)
     assert sol.feasible
     for t in range(4):
@@ -106,7 +106,7 @@ def membership_model(point, margin=1e-5):
     plan.emit()
     layout.circuit.lower()
     for v, x in zip(layout.input_vars[(0, 0)], point):
-        model.add_constraint(LinExpr({v: 1}), "=", x, tag="fix")
+        model.add_row([v], [1], "=", x, "fix")
     return model, layout.circuit.column(z)
 
 
@@ -115,7 +115,7 @@ def test_point_inside_forces_membership():
     sol = solve_bnb(model)
     assert sol.feasible and sol[z] == 1
     model, z = membership_model([0.5, 0.5])
-    model.add_constraint(LinExpr({z: 1}), "=", 0, tag="force")
+    model.add_row([z], [1], "=", 0, "force")
     assert solve_bnb(model).status == "infeasible"
 
 
@@ -124,7 +124,7 @@ def test_point_outside_forces_nonmembership():
     sol = solve_bnb(model)
     assert sol.feasible and sol[z] == 0
     model, z = membership_model([1.5, 0.5])
-    model.add_constraint(LinExpr({z: 1}), "=", 1, tag="force")
+    model.add_row([z], [1], "=", 1, "force")
     assert solve_bnb(model).status == "infeasible"
 
 

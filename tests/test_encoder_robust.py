@@ -13,7 +13,6 @@ import pytest
 
 from cltlsynth.formula import (IAtom, INext, ONext, OOr, OTrue, OUntil,
                                ORelease, ONot, Tcp, parse_formula)
-from cltlsynth.ilp import LinExpr
 from cltlsynth.oracle import Lasso, brute_force_synth, check_robust
 from cltlsynth.solver import solve_bnb
 from cltlsynth.system import MultiRobotInstance, TransitionSystem
@@ -58,7 +57,7 @@ def wrap_states_after_loop(loop_start, h, tau, trail):
     model = problem.model
     # pin the loop choice to make the wrap deterministic
     for l, z in enumerate(problem.layout.loop_vars):
-        model.add_constraint(LinExpr({z: 1}), "=", int(l == loop_start), tag="fix")
+        model.add_row([z], [1], "=", int(l == loop_start), "fix")
     sol = solve_bnb(model)
     assert sol.feasible
     out = []

@@ -23,7 +23,6 @@ from cltlsynth.encoder_continuous import build_cont_problem
 from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import chosen_loop, extract_trajectories
 from cltlsynth.formula import parse_formula
-from cltlsynth.ilp import LinExpr
 from cltlsynth.oracle import (Lasso, brute_force_synth, check_robust,
                               collision_violations)
 from cltlsynth.solver import solve_bnb
@@ -38,7 +37,7 @@ MODES = ("off", "mutual_exclusion", "mutual_exclusion_plus_swap")
 def pin(model, values):
     """Add ``var = value`` rows for every (var, value) pair."""
     for var, value in values:
-        model.add_constraint(LinExpr({var: 1}), "=", value, tag="pin")
+        model.add_row([var], [1], "=", value, "pin")
 
 
 def unrolled(traj: LassoTrajectory) -> LassoTrajectory:

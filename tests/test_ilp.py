@@ -9,6 +9,7 @@ value.
 import gc
 import io
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -22,8 +23,8 @@ from scipy import sparse
 
 from cltlsynth import lp_cli, lp_format
 from cltlsynth.highs import FEAS_TOL, HighsStatus, MatrixFormat, SolverError, new_highs
-from cltlsynth.ilp import (BINARY, CONTINUOUS, INTEGER, KINDS, SENSES, IlpModel, LinExpr,
-                           ModelArrays)
+from cltlsynth.ilp import (BINARY, CONTINUOUS, INTEGER, KINDS, SENSES, IlpModel, ModelArrays,
+                           RowBlock)
 from cltlsynth.lp_format import read_solution_file, sanitize_names, write_lp
 from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.solver import solve_bnb
@@ -34,7 +35,7 @@ from lp_reference import write_lp_rows
 
 
 def fix(model, var, value):
-    model.add_constraint(LinExpr({var: 1}), "=", value, tag="fix")
+    model.add_row([var], [1], "=", value, "fix")
 
 
 def test_add_var_kinds_and_errors():
@@ -49,25 +50,25 @@ def test_add_var_kinds_and_errors():
         m.add_integer("j", 0, float("inf"))
 
 
-def test_add_constraint_rejects_unknown_variable():
+def test_add_row_rejects_unknown_variable():
     m = IlpModel()
     with pytest.raises(ValueError, match="unregistered"):
-        m.add_constraint(LinExpr({4: 1}), "<=", 1)
+        m.add_row([4], [1], "<=", 1)
 
 
 def test_trivially_false_constraint_reported_infeasible():
     m = IlpModel()
     m.add_binary("x")
-    m.add_constraint(LinExpr(const=0), ">=", 1, tag="bad")
+    m.add_row([], [], ">=", 1, "bad")
     assert solve_bnb(m).status == "infeasible"
 
 
 def test_to_arrays_matches_the_constraints():
     m = IlpModel()
     b, i, c = m.add_binary("b"), m.add_integer("i", -2, 5), m.add_continuous("c", 0.5, 1.5)
-    m.add_constraint(LinExpr({b: 1, c: -2}), "<=", 3)
-    m.add_constraint(LinExpr({i: 4}), ">=", -1)
-    m.add_constraint(LinExpr({c: 1, i: 1, b: 1}), "=", 2)
+    m.add_row([b, c], [1, -2], "<=", 3)
+    m.add_row([i], [4], ">=", -1)
+    m.add_row([c, i, b], [1, 1, 1], "=", 2)
     arrays = m.to_arrays()
     assert scipy_csr(arrays.matrix).toarray().tolist() == [[1, 0, -2], [0, 4, 0], [1, 1, 1]]
     assert arrays.row_lo.tolist() == [float("-inf"), -1, 2]
@@ -109,8 +110,8 @@ def test_check_point_matches_a_row_by_row_reference():
             m.add_var(kind, f"v{k}", -1 if kind == CONTINUOUS else 0, 3, tag="rnd")
         for _ in range(rng.randint(0, 5)):
             picks = rng.sample(range(m.n_vars), rng.randint(1, m.n_vars))
-            m.add_constraint(LinExpr({v: rng.choice([-2, -1, 1, 3]) for v in picks}),
-                             rng.choice(["<=", "=", ">="]), rng.randint(-3, 4), tag="rnd")
+            m.add_row(picks, [rng.choice([-2, -1, 1, 3]) for _ in picks],
+                      rng.choice(["<=", "=", ">="]), rng.randint(-3, 4), "rnd")
         # Points on a half-integer grid, so every sum is exact in floating point;
         # a missing value counts as zero.
         values = {v: rng.choice([0, 1, 1, 2]) if rng.random() < 0.8 else
@@ -138,8 +139,8 @@ def random_matrix_model(rng, n_rows):
         m.add_var(rng.choice([BINARY, INTEGER, CONTINUOUS]), f"v{k}", -1, 3, tag="rnd")
     for _ in range(n_rows):
         picks = rng.sample(range(m.n_vars), rng.randint(0, m.n_vars))
-        m.add_constraint(LinExpr({v: rng.choice([-2, -1, 0.5, 3, 1 / 7]) for v in picks}),
-                         rng.choice(SENSES), rng.choice([-1, 0, 1 / 3, 2]), tag="rnd")
+        m.add_row(picks, [rng.choice([-2, -1, 0.5, 3, 1 / 7]) for _ in picks],
+                  rng.choice(SENSES), rng.choice([-1, 0, 1 / 3, 2]), "rnd")
     return m
 
 
@@ -192,7 +193,7 @@ def test_gadgets_match_truth_tables(op, arity):
         assert sol.feasible
         assert sol[z] == int(expected), f"{op}{bits}"
         # the opposite output value must be infeasible
-        m.add_constraint(LinExpr({z: 1}), "=", 1 - int(expected), tag="force")
+        m.add_row([z], [1], "=", 1 - int(expected), "force")
         assert solve_bnb(m).status == "infeasible"
 
 
@@ -212,40 +213,68 @@ def test_gadget_rejects_empty_inputs():
         m.bool_gadgets("AND", [[]])
 
 
-def test_indicator_threshold_exhaustive():
-    # expected values enumerated independently over all input fixings
-    for bits in itertools.product((0, 1), repeat=3):
+def indicator(model, cols, coefs, const, one, zero, big_m, tag="indicator"):
+    """One ``RowBlock.indicator``, stored; its binary's id."""
+    rows = RowBlock(model)
+    y = rows.indicator(cols, coefs, const, one, zero, big_m, "y")
+    rows.store(tag)
+    return y
+
+
+def counting_indicator(model, cols, const, m, size):
+    """y = [sum of the binaries ``cols`` + const >= m], as ``circuit``
+    writes a threshold over at most ``size`` robots."""
+    return indicator(model, cols, [1] * len(cols), const, (m, math.inf), (-math.inf, m - 1),
+                     size + 1)
+
+
+def test_counting_indicator_exhaustive():
+    # every fixing of the members and of y: feasible exactly when y is the count's truth
+    for bits, y_bit in itertools.product(itertools.product((0, 1), repeat=3), (0, 1)):
         m = IlpModel()
         xs = [m.add_binary(f"x{i}") for i in range(3)]
-        y, = m.indicators_geq([LinExpr.sum_of(xs)], 2, 4)
+        y = counting_indicator(m, xs, 1, 3, 4)  # one member is already 1
         for v, bit in zip(xs, bits):
             fix(m, v, bit)
-        sol = solve_bnb(m)
-        assert sol.feasible
-        assert sol[y] == int(sum(bits) >= 2)
+        fix(m, y, y_bit)
+        assert solve_bnb(m).feasible == (y_bit == int(sum(bits) + 1 >= 3)), (bits, y_bit)
+
+
+def test_face_indicator_exhaustive():
+    """A polytope face x + 2 n + c <= 3 with margin 0.25, c a shared
+    constant, at the continuous engine's M (|h_i| plus each coefficient
+    times its column's largest magnitude, plus 1): y = 1 puts the
+    expression at most 2.75 and y = 0 at least 3.25; between the two,
+    neither holds."""
+    for x_val, n_val, y_bit in itertools.product(
+            (-2, -1, 0, 0.25, 0.5, 0.75, 1, 2), range(4), (0, 1)):
+        m = IlpModel()
+        x, n, c = m.add_continuous("x", -2, 2), m.add_integer("n", 0, 3), m.constant(0.5)
+        y = indicator(m, [x, n, c], [1, 2, 1], 0, (-math.inf, 2.75), (3.25, math.inf),
+                      3 + 2 + 2 * 3 + 0.5 + 1, "polytope")
+        fix(m, x, x_val)
+        fix(m, n, n_val)
+        fix(m, y, y_bit)
+        e = x_val + 2 * n_val + 0.5
+        assert solve_bnb(m).feasible == (e <= 2.75 if y_bit else e >= 3.25), (e, y_bit)
+        assert c not in [col for row in m.constraints for col, _ in row.expr.coeffs.items()
+                         if row.tag == "polytope"]  # the constant moved into the bounds
 
 
 def test_indicator_zero_threshold_always_true():
     m = IlpModel()
     xs = [m.add_binary(f"x{i}") for i in range(2)]
-    y, = m.indicators_geq([LinExpr.sum_of(xs)], 0, 3)
-    m.add_constraint(LinExpr({y: 1}), "=", 0, tag="force")
+    y = counting_indicator(m, xs, 0, 0, 2)
+    m.add_row([y], [1], "=", 0, "force")
     assert solve_bnb(m).status == "infeasible"
 
 
 def test_indicator_unreachable_threshold_always_false():
     m = IlpModel()
     xs = [m.add_binary(f"x{i}") for i in range(2)]
-    y, = m.indicators_geq([LinExpr.sum_of(xs)], 3, 3)
-    m.add_constraint(LinExpr({y: 1}), "=", 1, tag="force")
+    y = counting_indicator(m, xs, 0, 3, 2)
+    m.add_row([y], [1], "=", 1, "force")
     assert solve_bnb(m).status == "infeasible"
-
-
-def test_indicator_rejects_small_big_m():
-    m = IlpModel()
-    xs = [m.add_binary(f"x{i}") for i in range(5)]
-    with pytest.raises(ValueError, match="big-M"):
-        m.indicators_geq([LinExpr.sum_of(xs)], 1, 2)
 
 
 def test_check_point_flags_an_infinite_value_without_a_warning():
@@ -266,8 +295,8 @@ def test_metadata_counts_are_exact():
     a = m.add_binary("a", tag="dynamics")
     b = m.add_binary("b", tag="dynamics")
     m.add_integer("c", 0, 3, tag="flow")
-    m.add_constraint(LinExpr({a: 1, b: 1}), "<=", 1, tag="collision")
-    m.add_constraint(LinExpr({a: 1}), "=", 1, tag="collision")
+    m.add_row([a, b], [1, 1], "<=", 1, "collision")
+    m.add_row([a], [1], "=", 1, "collision")
     meta = m.metadata()
     assert meta["variables"]["dynamics"] == 2
     assert meta["variables"]["flow"] == 1
@@ -286,9 +315,9 @@ def small_model():
     y = m.add_binary("y[1]")  # needs sanitization
     n = m.add_integer("n", 0, 4)
     c = m.add_continuous("load", -1.5, 2.5)
-    m.add_constraint(LinExpr({x: 1, y: 1}), "<=", 1, tag="t")
-    m.add_constraint(LinExpr({n: 1, c: -2}), ">=", -3, tag="t")
-    m.add_constraint(LinExpr({x: 1, n: 1}), "=", 2, tag="t")
+    m.add_row([x, y], [1, 1], "<=", 1, "t")
+    m.add_row([n, c], [1, -2], ">=", -3, "t")
+    m.add_row([x, n], [1, 1], "=", 2, "t")
     return m
 
 
@@ -320,11 +349,9 @@ def random_writer_model(rng):
         m.add_var(kind, name, lo, lo + hi, tag="rnd")
     for _ in range(rng.randint(0, 9)):
         picks = rng.sample(range(m.n_vars), rng.randint(1, m.n_vars))
-        m.add_constraint(LinExpr({v: rng.choice([-2, -1, 1, 1.0, -1.0, 3, 0.5, -1.25,
-                                                 1 / 7, 1e-3, 2.0, -5])
-                                  for v in picks}),
-                         rng.choice(SENSES), rng.choice([-3, 0, 2.5, 1 / 3, 7.0, -0.0]),
-                         tag="rnd")
+        m.add_row(picks, [rng.choice([-2, -1, 1, 1.0, -1.0, 3, 0.5, -1.25, 1 / 7, 1e-3,
+                                      2.0, -5]) for _ in picks],
+                  rng.choice(SENSES), rng.choice([-3, 0, 2.5, 1 / 3, 7.0, -0.0]), "rnd")
     return m
 
 
@@ -389,7 +416,7 @@ def test_write_lp_streams_the_desk_program(tmp_path):
 
 def test_write_lp_rejects_a_row_without_terms(tmp_path):
     m = small_model()
-    m.add_constraint(LinExpr(const=1), "<=", 2, tag="empty")
+    m.add_row([], [], "<=", 1, "empty")
     with pytest.raises(ValueError, match="no terms"):
         write_lp(m, tmp_path / "m.lp")
     assert not (tmp_path / "m.lp").exists()  # nothing is written
@@ -399,17 +426,17 @@ def test_to_arrays_is_rebuilt_after_every_addition():
     m = IlpModel()
     x = m.add_binary("x")
     steps = [lambda: m.add_binary("y"),
-             lambda: m.add_constraint(LinExpr({x: 1}), ">=", 1),
+             lambda: m.add_row([x], [1], ">=", 1),
              lambda: m.add_integer("n", 0, 3),
              lambda: m.bool_gadgets("AND", [[x, 1]]),
              lambda: m.bool_gadgets("NOT", [[x]]),
              lambda: m.constant(1),
-             lambda: m.indicators_geq([LinExpr({x: 1})], 1, 2),
+             lambda: counting_indicator(m, [x], 0, 1, 1),
              lambda: m.add_binaries(["p", "q"], tag="block"),
              lambda: m.add_rows([0, 2, 3], [x, 1, x], [1.0, -1.0, 2.0], -np.inf, [1.0, 4.0]),
              lambda: m.add_rows([0], [], [], 0.0, 0.0),
              lambda: m.bool_gadgets(["AND", "OR"], [[x, 1], [1, x]]),
-             lambda: m.indicators_geq([LinExpr({x: 1}), LinExpr({1: 1})], 1, 2)]
+             lambda: counting_indicator(m, [x, 1], 0, 1, 2)]
     for step in steps:
         first = m.to_arrays()
         assert m.to_arrays() is first  # kept while nothing is added
@@ -437,7 +464,7 @@ def test_add_row_checks_and_the_row_view():
         m.add_row((-1,), (1,), "<=", 1)
     assert m.n_constraints == 0 and m.to_arrays().matrix.nnz == 0  # nothing was stored
     m.add_row((y, x), (2, -1), "<=", 3, tag="a")
-    m.add_constraint(LinExpr({x: 1}, const=2), ">=", 1, tag="b")
+    m.add_row([x], [1], ">=", -1, "b")
     m.add_row((), (), "=", 0, tag="a")
     rows = m.constraints
     assert len(rows) == 3
@@ -632,12 +659,24 @@ def gadget_row_by_row(m, op, inputs, name, tag):
     return z
 
 
-def indicator_row_by_row(m, expr, threshold, big_m, name, tag):
-    """One counting indicator as ``add_binary`` and ``add_row`` calls."""
-    y = m.add_binary(name or f"geq_{m.n_vars}", tag=tag)
-    cols, coefs = [*expr.coeffs, y], [*expr.coeffs.values(), -big_m]
-    m.add_row(cols, coefs, "<=", threshold - 1 - expr.const, tag)
-    m.add_row(cols, coefs, ">=", threshold - big_m - expr.const, tag)
+def indicator_row_by_row(m, cols, coefs, const, one, zero, big_m, name, tag):
+    """One indicator as ``add_binary`` and ``add_row`` calls: the rows
+    ``RowBlock.indicator`` documents, the shared constants among ``cols``
+    moved into ``const``."""
+    terms = {}
+    for c, a in zip(cols, coefs):
+        if m.constant_value(c) is None:
+            terms[c] = a
+        else:
+            const += a * m.constant_value(c)
+    y = m.add_binary(name, tag=tag)
+    if one[1] < math.inf:
+        sign, hi, lo = big_m, one[1] + big_m, zero[0]
+    else:
+        sign, hi, lo = -big_m, zero[1], one[0] - big_m
+    cols, coefs = [*terms, y], [*terms.values(), sign]
+    m.add_row(cols, coefs, "<=", hi - const, tag)
+    m.add_row(cols, coefs, ">=", lo - const, tag)
     return y
 
 
@@ -670,20 +709,32 @@ def test_gadget_blocks_are_the_gadgets_added_one_at_a_time():
         assert block.bool_gadgets(ops if op == "mixed" else op, inputs, names, tag) == want
         assert model_snapshot(block) == model_snapshot(one)
     assert repeats > 30 and chains > 50
+    faces = 0
     for trial in range(100):
         one, block = IlpModel(), IlpModel()
         for model in (one, block):
             for k in range(4):
                 model.add_binary(f"x{k}")
             model.add_integer("n", 0, 2)
-        exprs = [LinExpr.sum_of(rng.choice(range(5)) for _ in range(rng.randint(0, 4)))
-                 for _ in range(rng.randint(1, 5))]
-        threshold, bounds = rng.randint(1, 3), rng.choice([None, (0, 4)])
-        names = [rng.choice([None, f"y{g}"]) for g in range(len(exprs))]
-        want = [indicator_row_by_row(one, e, threshold, 9, nm, "outer")
-                for e, nm in zip(exprs, names)]
-        assert block.indicators_geq(exprs, threshold, 9, names, "outer", bounds) == want
+            model.constant(1)
+            model.constant(2.5)
+        rows, want = RowBlock(block), []
+        for g in range(rng.randint(1, 5)):
+            cols = rng.sample(range(block.n_vars), rng.randint(0, 4))
+            coefs = [rng.choice([1, -2, 0.5]) for _ in cols]
+            const, name = rng.choice([0, 1, 0.25]), f"y{g}"
+            if rng.random() < 0.5:  # a count, then a face
+                threshold = rng.randint(1, 3)
+                sides = (threshold, math.inf), (-math.inf, threshold - 1)
+            else:
+                offset = rng.choice([-1.0, 1 / 3, 2.0])
+                sides = (-math.inf, offset - 0.1), (offset + 0.1, math.inf)
+                faces += 1
+            want.append(indicator_row_by_row(one, cols, coefs, const, *sides, 9, name, "outer"))
+            assert rows.indicator(cols, coefs, const, *sides, 9, name) == want[-1]
+        rows.store("outer")
         assert model_snapshot(block) == model_snapshot(one)
+    assert faces > 100
 
 
 def test_gadget_blocks_check_every_gadget_first():
@@ -702,9 +753,8 @@ def test_gadget_blocks_check_every_gadget_first():
     for args, message in bad:
         with pytest.raises(ValueError, match=message):
             m.bool_gadgets(*args)
-    with pytest.raises(ValueError, match="big-M 2 too small"):
-        m.indicators_geq([LinExpr({x: 1}), LinExpr({x: 1, y: 1, n: 1})], 1, 2)
-    assert m.bool_gadgets("NOT", []) == [] and m.indicators_geq([], 1, 2) == []
+    RowBlock(m).store("indicator")
+    assert m.bool_gadgets("NOT", []) == []
     assert (m.n_vars, m.n_constraints) == (3, 0)  # nothing was stored
 
 
@@ -783,10 +833,8 @@ def random_lp_model(rng):
                   lo, lo + rng.choice([0, 1, 4]), tag="rnd")
     for _ in range(rng.randint(0, 8)):
         picks = rng.sample(range(m.n_vars), rng.randint(1, m.n_vars))
-        m.add_constraint(LinExpr({v: rng.choice([-2, -1, 1, 3, 0.5, -1.25, 1 / 7])
-                                  for v in picks}),
-                         rng.choice(["<=", "=", ">="]), rng.choice([-3, 0, 2.5, 1 / 3]),
-                         tag="rnd")
+        m.add_row(picks, [rng.choice([-2, -1, 1, 3, 0.5, -1.25, 1 / 7]) for _ in picks],
+                  rng.choice(["<=", "=", ">="]), rng.choice([-3, 0, 2.5, 1 / 3]), "rnd")
     return m
 
 
@@ -821,7 +869,7 @@ def test_lp_keywords_are_renamed_and_read_back(tmp_path):
     for k, name in enumerate(LP_KEYWORD_NAMES + ["x", "sos1", "stx", "e1", "in"]):
         m.add_var([BINARY, INTEGER, CONTINUOUS][k % 3], name, 0, 2, tag="rnd")
     for v in range(0, m.n_vars - 2, 2):
-        m.add_constraint(LinExpr({v: 1, v + 1: -2, v + 2: 0.5}), SENSES[v % 3], 1, tag="rnd")
+        m.add_row([v, v + 1, v + 2], [1, -2, 0.5], SENSES[v % 3], 1, "rnd")
     assert sanitize_names(m) == ["v" + name for name in LP_KEYWORD_NAMES] + [
         "x", "sos1", "stx", "e1", "in"]
     assert_reads_back(m, tmp_path / "keywords.lp")
@@ -1020,7 +1068,7 @@ def test_solution_file_round_trip(tmp_path):
              m.add_var(CONTINUOUS, "load", 2.25, 2.25): 2.25,
              m.add_var(CONTINUOUS, "third", 1 / 3, 1 / 3): 1 / 3,
              m.add_var(CONTINUOUS, "big", 1e15, 1e15): 1e15}
-    m.add_constraint(LinExpr(dict.fromkeys(fixed, 1)), ">=", -10, tag="all")
+    m.add_row(list(fixed), [1] * len(fixed), ">=", -10, "all")
     fix(m, x, 1)
     fix(m, zero, 0)
     lp, sol = tmp_path / "s.lp", tmp_path / "s.sol"

@@ -23,7 +23,7 @@ from cltlsynth.encoder_continuous import build_cont_problem
 from cltlsynth.encoder_robust import build_robust_problem
 from cltlsynth.encoder_sync import build_sync_problem
 from cltlsynth.formula import parse_formula
-from cltlsynth.ilp import IlpModel, LinExpr
+from cltlsynth.ilp import IlpModel
 from cltlsynth.lp_format import read_solution_file, write_lp
 from cltlsynth.solver import (FEAS_TOL, NumericalError, SolveConfig, SolverError,
                               idle_columns, solve_arrays, solve_bnb, solve_external)
@@ -55,18 +55,18 @@ def random_binary_model(rng, n_vars, n_cons, names=None):
           for i in range(n_vars)]
     for _ in range(n_cons):
         picks = rng.sample(xs, rng.randint(1, min(4, n_vars)))
-        expr = LinExpr({v: rng.choice([-2, -1, 1, 1, 2]) for v in picks})
+        coefs = [rng.choice([-2, -1, 1, 1, 2]) for _ in picks]
         sense = rng.choice(["<=", ">=", "="])
         rhs = rng.randint(-2, 3)
-        m.add_constraint(expr, sense, rhs, tag="rnd")
+        m.add_row(picks, coefs, sense, rhs, "rnd")
     return m
 
 
 def test_contradictory_binaries_infeasible():
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constraint(LinExpr({x: 1, y: 1}), ">=", 1)
-    m.add_constraint(LinExpr({x: 1, y: 1}), "<=", 0)
+    m.add_row([x, y], [1, 1], ">=", 1)
+    m.add_row([x, y], [1, 1], "<=", 0)
     assert solve_bnb(m).status == "infeasible"
 
 
@@ -87,7 +87,7 @@ def test_status_agrees_with_enumeration_on_random_models():
 def test_model_without_variables():
     m = IlpModel()
     assert solve_bnb(m).status == "feasible"
-    m.add_constraint(LinExpr(const=0), ">=", 1)
+    m.add_row([], [], ">=", 1)
     assert solve_bnb(m).status == "infeasible"
 
 
@@ -95,8 +95,8 @@ def test_mixed_integer_model():
     m = IlpModel()
     n = m.add_integer("n", 0, 10)
     c = m.add_continuous("c", 0.0, 5.0)
-    m.add_constraint(LinExpr({n: 1, c: 1}), ">=", 7.5)
-    m.add_constraint(LinExpr({n: 1}), "<=", 4)
+    m.add_row([n, c], [1, 1], ">=", 7.5)
+    m.add_row([n], [1], "<=", 4)
     sol = solve_bnb(m)
     assert sol.feasible
     assert sol[n] == int(sol[n])
@@ -128,8 +128,7 @@ def test_node_budget_reports_unknown():
     m = IlpModel()
     xs = [m.add_binary(f"x{i}") for i in range(30)]
     for i in range(0, 28):
-        m.add_constraint(LinExpr({xs[i]: 2, xs[i + 1]: 2, xs[(i + 2) % 30]: 2}),
-                         "=", 3, tag="odd")
+        m.add_row([xs[i], xs[i + 1], xs[(i + 2) % 30]], [2, 2, 2], "=", 3, "odd")
     sol = solve_bnb(m, SolveConfig(node_budget=1))
     assert sol.status in ("unknown", "infeasible")
     if sol.status == "unknown":
@@ -147,8 +146,8 @@ def market_split_model():
     xs = [m.add_binary(f"x{i}") for i in range(20)]
     for _ in range(3):
         weights = [rng.randint(0, 99) for _ in xs]
-        m.add_constraint(LinExpr(dict(zip(xs, weights))), "=", sum(weights) // 2,
-                         tag="market_split")
+        m.add_row([x for x, w in zip(xs, weights) if w], [w for w in weights if w], "=",
+                  sum(weights) // 2, "market_split")
     return m
 
 
@@ -166,8 +165,7 @@ def test_highs_writes_nothing_to_stdout(capfd):
     m = IlpModel()
     xs = [m.add_binary(f"x{i}") for i in range(60)]
     weights = [2 * rng.randint(1000, 100000) for _ in xs]
-    m.add_constraint(LinExpr(dict(zip(xs, weights))), "=", sum(weights) // 4 * 2 + 2,
-                     tag="subset_sum")
+    m.add_row(xs, weights, "=", sum(weights) // 4 * 2 + 2, "subset_sum")
     assert solve_bnb(m).feasible
     assert capfd.readouterr().out == ""
 
@@ -227,7 +225,7 @@ def test_reached_limit_without_a_point_is_unknown(monkeypatch):
 def test_reached_limit_after_a_point_returns_it(monkeypatch):
     m = IlpModel()
     x = m.add_binary("x")
-    m.add_constraint(LinExpr({x: 1}), ">=", 1)
+    m.add_row([x], [1], ">=", 1)
     fake_highs(monkeypatch, highs.HighsModelStatus.kSolutionLimit, point=[1.0])
     sol = solve_bnb(m, SolveConfig(node_budget=7))
     assert sol.status == "feasible" and sol.values == {x: 1}
@@ -238,7 +236,7 @@ def test_reached_limit_after_a_point_returns_it(monkeypatch):
 def test_every_model_is_solved_without_presolve(monkeypatch, general):
     m = IlpModel()
     x = m.add_binary("x")
-    m.add_constraint(LinExpr({x: 1, m.constant(1): 1}), "<=", 2)
+    m.add_row([x, m.constant(1)], [1, 1], "<=", 2)
     if general:
         m.add_integer("n", 0, 5)
     seen = fake_highs(monkeypatch, highs.HighsModelStatus.kInfeasible)
@@ -259,7 +257,7 @@ def test_an_explicit_presolve_option_wins(monkeypatch):
 def test_model_without_integer_columns_counts_no_nodes():
     m = IlpModel()
     x, y = m.add_continuous("x", 0.0, 1.0), m.add_continuous("y", 0.0, 1.0)
-    m.add_constraint(LinExpr({x: 1, y: 1}), ">=", 1.5)
+    m.add_row([x, y], [1, 1], ">=", 1.5)
     sol = solve_bnb(m)
     assert sol.feasible and sol.stats["nodes"] == 0
 
@@ -268,7 +266,7 @@ def test_a_model_highs_rejects_is_not_infeasible():
     # HiGHS refuses a coefficient of 1e300 at load; the row has a point
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constraint(LinExpr({x: 1e300, y: 1}), ">=", 1)
+    m.add_row([x, y], [1e+300, 1], ">=", 1)
     with pytest.raises(NumericalError, match="rejected"):
         solve_bnb(m)
 
@@ -463,7 +461,7 @@ def test_lp_keyword_names_keep_the_status_through_the_lp_file_child():
 def test_point_violating_a_row_is_never_returned(monkeypatch):
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constraint(LinExpr({x: 1, y: 1}), "<=", 1, tag="atmost1")
+    m.add_row([x, y], [1, 1], "<=", 1, "atmost1")
     fake_highs(monkeypatch, highs.HighsModelStatus.kOptimal, point=[1.0, 1.0])
     with pytest.raises(SolverError, match="atmost1"):
         solve_bnb(m)
@@ -504,7 +502,7 @@ def test_meeting_at_both_corners_needs_horizon_nine(tmp_path):
 def test_external_lp_cli_feasible():
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constraint(LinExpr({x: 1, y: 1}), ">=", 1)
+    m.add_row([x, y], [1, 1], ">=", 1)
     sol = solve_external(m, LP_CLI)
     assert sol.feasible
     assert sol[x] + sol[y] >= 1
@@ -517,7 +515,7 @@ def test_external_paths_with_a_space_and_a_quote_stay_one_word(tmp_path, monkeyp
     monkeypatch.setattr(tempfile, "tempdir", str(spaced))
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constraint(LinExpr({x: 1, y: 1}), "=", 1)
+    m.add_row([x, y], [1, 1], "=", 1)
     sol = solve_external(m, LP_CLI)
     assert sol.feasible and sol[x] + sol[y] == 1
 
@@ -525,7 +523,7 @@ def test_external_paths_with_a_space_and_a_quote_stay_one_word(tmp_path, monkeyp
 def test_external_lp_cli_infeasible():
     m = IlpModel()
     x = m.add_binary("x")
-    m.add_constraint(LinExpr({x: 1}), ">=", 2)
+    m.add_row([x], [1], ">=", 2)
     sol = solve_external(m, LP_CLI)
     assert sol.status == "infeasible"
 
@@ -547,7 +545,7 @@ def test_external_agrees_with_bundled_on_random_models():
 def test_external_rejects_constraint_violations():
     m = IlpModel()
     x = m.add_binary("x")
-    m.add_constraint(LinExpr({x: 1}), "=", 1)
+    m.add_row([x], [1], "=", 1)
     lie = (f"{sys.executable} -c "
            "\"import sys; open(sys.argv[2], 'w').write('x 0\\n')\" {lp} {sol}")
     with pytest.raises(SolverError, match="mismatch"):
@@ -566,7 +564,7 @@ def test_external_rejects_corrupt_solution():
 def test_external_solver_output_that_is_not_utf8():
     m = IlpModel()
     x = m.add_binary("x")
-    m.add_constraint(LinExpr({x: 1}), "=", 1)
+    m.add_row([x], [1], "=", 1)
 
     def fake(script, sol=" {sol}"):
         return f"{sys.executable} -c \"import sys; {script}\" {{lp}}{sol}"
@@ -588,7 +586,7 @@ def test_external_solver_output_that_is_not_utf8():
 def test_external_point_is_rounded_and_lists_its_nonzero_columns():
     m = IlpModel()
     x, y, z = m.add_binary("x"), m.add_continuous("y", 0, 1), m.add_integer("z", 0, 3)
-    m.add_constraint(LinExpr({x: 1, y: 1}), ">=", 1.5)
+    m.add_row([x, y], [1, 1], ">=", 1.5)
 
     def fake(text):
         return (f"{sys.executable} -c \"import sys; "
@@ -609,7 +607,7 @@ def test_external_rejects_an_unknown_status(status, pinned):
     m = IlpModel()
     x = m.add_binary("x")
     if pinned:
-        m.add_constraint(LinExpr({x: 1}), "=", 1)
+        m.add_row([x], [1], "=", 1)
     fake = (f"{sys.executable} -c \"import sys; "
             f"open(sys.argv[2], 'w').write('status {status}\\n')\" {{lp}} {{sol}}")
     with pytest.raises(SolverError, match=f"line 1: unknown status '{status}'"):
